@@ -16,6 +16,7 @@ import click
 import numpy as np
 
 from . import __version__
+from .correlation import UndefinedCorrelationError
 from .embeddings import EmbeddingFormatError, EmbeddingTable, load_binary, load_text
 from .harness import (
     CorpusLoadError,
@@ -244,7 +245,7 @@ def meta_eval(corpus, judgments, out, config_file, **cli):
                               tokenize_config=config.tokenize_config(),
                               threads=config.threads)
         report = meta_evaluate(scores, human)
-    except (CorpusLoadError, JudgmentsFormatError, MetaEvalError) as exc:
+    except (CorpusLoadError, JudgmentsFormatError, MetaEvalError, UndefinedCorrelationError) as exc:
         raise click.ClickException(str(exc)) from exc
     csv_path, json_path = write_reports(report, config.out, config.to_dict())
     click.echo(format_table(report))

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 class UndefinedCorrelationError(ValueError):
@@ -70,12 +69,27 @@ def pearson(x, y) -> float:
     return _clamp(float(xc.dot(yc) / np.sqrt(xc.dot(xc) * yc.dot(yc))))
 
 
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing the mean of the ranks they span.
+
+    The tie-group arithmetic of ``scipy.stats.rankdata(method="average")``,
+    so the ranks are bitwise the same without importing scipy.
+    """
+    order = np.argsort(v, kind="stable")
+    sorted_v = v[order]
+    starts = np.r_[True, sorted_v[1:] != sorted_v[:-1]]
+    dense = np.empty(len(v), dtype=np.intp)
+    dense[order] = starts.cumsum()
+    count = np.r_[np.flatnonzero(starts), len(v)]
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
 def spearman(x, y) -> float:
     """Pearson correlation of average-rank-transformed values."""
     xv, yv = _paired(x, y)
     _require_varying(xv, "x")
     _require_varying(yv, "y")
-    return pearson(rankdata(xv), rankdata(yv))
+    return pearson(_average_ranks(xv), _average_ranks(yv))
 
 
 def kendall(x, y) -> float:

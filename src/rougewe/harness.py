@@ -18,7 +18,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .correlation import CorrelationTriple, ScoreVector, align_by_label, correlation_triple
+from .correlation import (
+    CorrelationTriple,
+    ScoreVector,
+    UndefinedCorrelationError,
+    align_by_label,
+    correlation_triple,
+)
 from .embeddings import EmbeddingTable
 from .rouge import MatchFunction, RougeVariant, rouge_score
 from .textpipe import DEFAULT_CONFIG, TokenizeConfig, tokenize
@@ -180,8 +186,10 @@ def score_corpus(
     """Per-metric mean score of every system over all topics.
 
     A system missing a topic's summary contributes 0 for that topic (and
-    is logged); per-summary scoring failures likewise score 0. Aggregation
-    is a deterministic fold in (metric, system, topic) order no matter how
+    is logged). A summary that fails to score raises ``MetaEvalError``
+    naming the metric, system and topic, chained from the cause: a zero in
+    its place would bias the correlations without a trace. Aggregation is
+    a deterministic fold in (metric, system, topic) order no matter how
     scoring is parallelized.
     """
     if not topics:
@@ -210,10 +218,11 @@ def score_corpus(
         try:
             score = rouge_score(cand, model_seqs[topic.topic_id], metric.variant,
                                 match, multiref=metric.multiref)
-        except Exception:
-            logger.exception("scoring failed for system %s on topic %s; scoring 0",
-                             system_id, topic.topic_id)
-            return 0.0
+        except Exception as exc:
+            raise MetaEvalError(
+                f"scoring failed for metric {metric.name}, system {system_id}, "
+                f"topic {topic.topic_id}: {exc}"
+            ) from exc
         return getattr(score, metric.component)
 
     results: dict[str, ScoreVector] = {}
@@ -257,7 +266,8 @@ def meta_evaluate(system_scores: dict[str, ScoreVector], judgments: HumanJudgmen
     """Correlate each metric's per-system scores with each judgment column.
 
     Only systems present on both sides enter the correlations; fewer than
-    2 common systems is an error.
+    2 common systems is an error. A constant side raises
+    ``UndefinedCorrelationError`` naming the metric and the judgment.
     """
     report = MetaEvalReport()
     for metric_name, scores in system_scores.items():
@@ -267,7 +277,13 @@ def meta_evaluate(system_scores: dict[str, ScoreVector], judgments: HumanJudgmen
                 raise MetaEvalError(
                     f"only {len(x)} system(s) common to scores and judgments; need at least 2"
                 )
-            report.rows.append(ReportRow(metric_name, judgment, correlation_triple(x, y), len(x)))
+            try:
+                triple = correlation_triple(x, y)
+            except UndefinedCorrelationError as exc:
+                raise UndefinedCorrelationError(
+                    f"metric {metric_name} against {judgment}: {exc}"
+                ) from exc
+            report.rows.append(ReportRow(metric_name, judgment, triple, len(x)))
             report.n_systems = len(x)
     return report
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from statistics import fmean
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -169,57 +169,6 @@ def _group_by_length(multiset: NGramMultiset) -> dict[int, list[tuple[tuple[str,
     }
 
 
-def _greedy_consume(
-    pairs: list[tuple[float, tuple[str, ...], tuple[str, ...]]],
-    ref_counts: dict[tuple[str, ...], int],
-    cand_counts: dict[tuple[str, ...], int],
-) -> float:
-    """Best-first one-to-one assignment over grouped instances.
-
-    Pairs are taken in descending similarity, ties broken by n-gram order
-    (reference side first). All instances within a group are identical, so
-    consuming min(remaining) per group equals instance-level greedy.
-    """
-    pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
-    rem_ref = dict(ref_counts)
-    rem_cand = dict(cand_counts)
-    total = 0.0
-    for sim, ref_words, cand_words in pairs:
-        take = min(rem_ref[ref_words], rem_cand[cand_words])
-        if take:
-            total += take * sim
-            rem_ref[ref_words] -= take
-            rem_cand[cand_words] -= take
-    return total
-
-
-def greedy_soft_overlap(
-    cand: NGramMultiset,
-    ref: NGramMultiset,
-    simfn: Callable[[NGram, NGram], float],
-) -> float:
-    """Reference greedy engine over an arbitrary similarity callable.
-
-    Enumerates every same-length (ref, cand) group pair with positive
-    similarity. Quadratic in group counts; the embedding fast path in
-    soft_overlap computes the same assignment with matrix products.
-    """
-    total = 0.0
-    cand_parts = _group_by_length(cand)
-    for length, ref_groups in _group_by_length(ref).items():
-        cand_groups = cand_parts.get(length)
-        if not cand_groups:
-            continue
-        pairs = []
-        for ref_words, _ in ref_groups:
-            for cand_words, _ in cand_groups:
-                sim = simfn(NGram(ref_words), NGram(cand_words))
-                if sim > 0.0:
-                    pairs.append((sim, ref_words, cand_words))
-        total += _greedy_consume(pairs, dict(ref_groups), dict(cand_groups))
-    return total
-
-
 def _exact_overlap(cand: NGramMultiset, ref: NGramMultiset) -> float:
     cand_counts = cand.by_words()
     return float(sum(
@@ -229,6 +178,54 @@ def _exact_overlap(cand: NGramMultiset, ref: NGramMultiset) -> float:
     ))
 
 
+def _greedy_assign(sims: np.ndarray, ref_counts: np.ndarray, cand_counts: np.ndarray) -> float:
+    """Best-first one-to-one assignment over grouped instances.
+
+    Sequential greedy takes the positive pairs in the strict order
+    (-sim, ref index, cand index), consuming min(remaining) per group pair;
+    all instances within a group are identical, so that equals
+    instance-level greedy. The same pairs are found here in rounds: a pair
+    that is the best remaining one in both its row and its column (locally
+    dominant) is reached by sequential greedy with the counts it has now,
+    since every pair ahead of it lies in other rows and columns (Preis,
+    STACS 1999; Manne & Bisseling, PPAM 2007). ``argmax`` returns the first
+    maximum, which is exactly that order's tie-break. The taken pairs are
+    summed in sequential order, so the total is bitwise the same.
+    """
+    ref_ids = np.arange(sims.shape[0])
+    cand_ids = np.arange(sims.shape[1])
+    rem_ref = ref_counts.copy()
+    rem_cand = cand_counts.copy()
+    taken: list[tuple[np.ndarray, ...]] = []
+    while True:
+        positive = sims > 0.0
+        live_ref = positive.any(axis=1)
+        if not live_ref.any():
+            break
+        live_cand = positive.any(axis=0)
+        sims = sims[np.ix_(live_ref, live_cand)]
+        ref_ids, rem_ref = ref_ids[live_ref], rem_ref[live_ref]
+        cand_ids, rem_cand = cand_ids[live_cand], rem_cand[live_cand]
+        best_cand = sims.argmax(axis=1)
+        best_ref = sims.argmax(axis=0)
+        rows = np.flatnonzero(best_ref[best_cand] == np.arange(len(best_cand)))
+        cols = best_cand[rows]
+        take = np.minimum(rem_ref[rows], rem_cand[cols])
+        taken.append((sims[rows, cols], ref_ids[rows], cand_ids[cols], take))
+        rem_ref[rows] -= take
+        rem_cand[cols] -= take
+        sims[rem_ref == 0, :] = 0.0
+        sims[:, rem_cand == 0] = 0.0
+    if not taken:
+        return 0.0
+    sim, ref_idx, cand_idx, take = (np.concatenate(parts) for parts in zip(*taken))
+    order = np.lexsort((cand_idx, ref_idx, -sim))
+    total = 0.0
+    for count, value in zip(take[order].tolist(), sim[order].tolist()):
+        total += count * value
+    return total
+
+
 def _embedding_overlap(cand: NGramMultiset, ref: NGramMultiset, match: MatchFunction) -> float:
     total = 0.0
     cand_parts = _group_by_length(cand)
@@ -236,26 +233,29 @@ def _embedding_overlap(cand: NGramMultiset, ref: NGramMultiset, match: MatchFunc
         cand_groups = cand_parts.get(length)
         if not cand_groups:
             continue
-        ref_vecs = [(words, match.compose(words)) for words, _ in ref_groups]
-        cand_vecs = [(words, match.compose(words)) for words, _ in cand_groups]
-        ref_known = [(words, v) for words, v in ref_vecs if v is not None]
-        cand_known = [(words, v) for words, v in cand_vecs if v is not None]
+        ref_vecs = [match.compose(words) for words, _ in ref_groups]
+        cand_vecs = [match.compose(words) for words, _ in cand_groups]
+        ref_known = [i for i, v in enumerate(ref_vecs) if v is not None]
+        cand_known = [j for j, v in enumerate(cand_vecs) if v is not None]
 
-        pairs: list[tuple[float, tuple[str, ...], tuple[str, ...]]] = []
+        sims = np.zeros((len(ref_groups), len(cand_groups)))
         if ref_known and cand_known:
-            sims = np.clip(
-                np.stack([v for _, v in ref_known]).astype(np.float64)
-                @ np.stack([v for _, v in cand_known]).astype(np.float64).T,
+            sims[np.ix_(ref_known, cand_known)] = np.clip(
+                np.stack([ref_vecs[i] for i in ref_known]).astype(np.float64)
+                @ np.stack([cand_vecs[j] for j in cand_known]).astype(np.float64).T,
                 0.0, 1.0,
             )
-            for i, j in np.argwhere(sims > 0.0):
-                pairs.append((float(sims[i, j]), ref_known[i][0], cand_known[j][0]))
         if match.oov_policy == "exact-fallback":
-            cand_oov = {words for words, v in cand_vecs if v is None}
-            for words, v in ref_vecs:
+            cand_oov = {words: j for j, ((words, _), v) in enumerate(zip(cand_groups, cand_vecs))
+                        if v is None}
+            for i, ((words, _), v) in enumerate(zip(ref_groups, ref_vecs)):
                 if v is None and words in cand_oov:
-                    pairs.append((1.0, words, words))
-        total += _greedy_consume(pairs, dict(ref_groups), dict(cand_groups))
+                    sims[i, cand_oov[words]] = 1.0
+        total += _greedy_assign(
+            sims,
+            np.array([count for _, count in ref_groups]),
+            np.array([count for _, count in cand_groups]),
+        )
     return total
 
 

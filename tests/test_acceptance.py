@@ -24,12 +24,12 @@ from rougewe.rouge import (
     ROUGE_SU4,
     MatchFunction,
     f_exact,
-    greedy_soft_overlap,
     rouge_score,
 )
 from rougewe.textpipe import NGram, NGramMultiset, TokenSequence, tokenize
 
 from conftest import build_synthetic_corpus, identity_table
+from greedy_oracle import greedy_soft_overlap
 
 
 def _criterion(number: int, name: str, ok: bool, detail: str = ""):

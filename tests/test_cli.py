@@ -4,6 +4,7 @@ import struct
 import pytest
 from click.testing import CliRunner
 
+from rougewe import harness
 from rougewe.cli import main
 
 from conftest import write_corpus
@@ -175,6 +176,45 @@ class TestMetaEvalCommand:
         ])
         assert result.exit_code != 0
         assert "models" in result.output
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_scoring_failure_exits_1_without_report(self, runner, tiny_corpus, tmp_path,
+                                                      monkeypatch, threads):
+        corpus, judgments = tiny_corpus
+        real = harness.rouge_score
+
+        def fail_for_s2(cand, refs, *args, **kwargs):
+            if cand.source_id.endswith("/systems/s2"):
+                raise RuntimeError("scorer bug")
+            return real(cand, refs, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "rouge_score", fail_for_s2)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),
+            "--out", str(out), "--threads", threads,
+        ])
+        assert result.exit_code == 1
+        assert "scoring failed for metric rouge-1, system s2, topic t1: scorer bug" in result.output
+        assert not (out / "report.csv").exists() and not (out / "report.json").exists()
+
+    def test_undefined_correlation_exits_1(self, runner, tmp_path):
+        corpus = tmp_path / "corpus"
+        # neither system shares a word with the model summary: both score 0
+        write_corpus(corpus, {"t1": ({"m1": "a b c d"}, {"s1": "x y", "s2": "z w"})})
+        judgments = tmp_path / "judgments.csv"
+        judgments.write_text("system_id,pyramid,responsiveness,readability\n"
+                             "s1,0.9,4.5,4.0\ns2,0.5,3.0,3.2\n", encoding="utf-8")
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),
+            "--out", str(out), "--metrics", "rouge-1",
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: metric rouge-1 against pyramid: x input is constant" in result.output
+        assert "Traceback" not in result.output
+        assert not (out / "report.csv").exists()
 
 
 class TestConfigFile:

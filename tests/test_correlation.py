@@ -1,13 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rougewe
 from rougewe.correlation import (
     CorrelationTriple,
     ScoreVector,
     UndefinedCorrelationError,
+    _average_ranks,
     align_by_label,
     correlation_triple,
     kendall,
@@ -53,6 +60,24 @@ class TestSpearman:
         ranks_x = scipy.stats.rankdata([1, 1, 2])
         ranks_y = scipy.stats.rankdata([1, 2, 3])
         assert got == pytest.approx(pearson(ranks_x, ranks_y), abs=1e-15)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(0, 4).map(float) | st.floats(-1e6, 1e6), min_size=1,
+                    max_size=40))
+    def test_average_ranks_equal_scipy(self, values):
+        v = np.asarray(values, dtype=np.float64)
+        expected = scipy.stats.rankdata(v)
+        got = _average_ranks(v)
+        assert got.dtype == expected.dtype
+        assert (got == expected).all()
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        probe = ("import sys, rougewe.cli; "
+                 "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+        env = {**os.environ, "PYTHONPATH": str(Path(rougewe.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                env=env, check=True)
+        assert result.stdout.strip() == "[]"
 
 
 class TestKendall:
@@ -159,7 +184,7 @@ class TestProperties:
         if not (_varying(x) and _varying(y)):
             return
         expected = pearson(scipy.stats.rankdata(x), scipy.stats.rankdata(y))
-        assert spearman(x, y) == pytest.approx(expected, abs=1e-12)
+        assert spearman(x, y) == expected
 
 
 class TestScoreVector:

@@ -2,6 +2,7 @@ import logging
 
 import pytest
 
+from rougewe import harness
 from rougewe.correlation import ScoreVector, UndefinedCorrelationError
 from rougewe.harness import (
     JUDGMENT_TYPES,
@@ -173,6 +174,20 @@ class TestScoreCorpus:
         assert dict(zip(vec.labels, vec.values)) == {"s1": 1.0, "s2": 0.5}
         assert "s2" in caplog.text
 
+    def test_scoring_failure_raises_naming_the_pair(self, tmp_path, monkeypatch):
+        write_corpus(tmp_path, {"t1": ({"m1": "a b"}, {"s1": "a b", "s2": "a c"})})
+        real = harness.rouge_score
+
+        def fail_for_s2(cand, refs, *args, **kwargs):
+            if cand.source_id == "t1/systems/s2":
+                raise RuntimeError("scorer bug")
+            return real(cand, refs, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "rouge_score", fail_for_s2)
+        with pytest.raises(MetaEvalError, match="metric rouge-1, system s2, topic t1") as info:
+            score_corpus(load_corpus(tmp_path), [R1])
+        assert isinstance(info.value.__cause__, RuntimeError)
+
     def test_embedding_metric_requires_table(self, tmp_path):
         write_corpus(tmp_path, {"t1": ({"m1": "a"}, {"s1": "a"})})
         with pytest.raises(ValueError, match="table"):
@@ -253,7 +268,7 @@ class TestMetaEvaluate:
     def test_constant_metric_raises_not_zero(self):
         scores = {"m": ScoreVector((0.5, 0.5, 0.5), ("a", "b", "c"))}
         judgments = judgments_from({"a": (1, 1, 1), "b": (2, 2, 2), "c": (3, 3, 3)})
-        with pytest.raises(UndefinedCorrelationError):
+        with pytest.raises(UndefinedCorrelationError, match="metric m against pyramid"):
             meta_evaluate(scores, judgments)
 
     def test_row_order_and_shape(self):

@@ -10,16 +10,17 @@ from rougewe.rouge import (
     MatchFunction,
     RougeScore,
     RougeVariant,
+    _greedy_assign,
     extract_units,
     f_exact,
     f_we,
-    greedy_soft_overlap,
     rouge_score,
     soft_overlap,
 )
 from rougewe.textpipe import NGram, NGramMultiset, TokenSequence, tokenize
 
 from conftest import identity_table, make_table
+from greedy_oracle import _greedy_consume, greedy_soft_overlap
 
 
 def seq(text: str) -> TokenSequence:
@@ -119,9 +120,7 @@ class TestSoftOverlap:
             assert greedy_soft_overlap(cand, ref, exact.similarity) == soft_overlap(cand, ref, exact)
             for policy in ("zero", "exact-fallback"):
                 we = MatchFunction.we(weather_table, oov_policy=policy)
-                assert greedy_soft_overlap(cand, ref, we.similarity) == pytest.approx(
-                    soft_overlap(cand, ref, we), abs=1e-12
-                )
+                assert greedy_soft_overlap(cand, ref, we.similarity) == soft_overlap(cand, ref, we)
 
     def test_greedy_can_be_suboptimal_but_never_better(self):
         # sims: (r1,c1)=0.9 dominates, but optimal pairs r1-c2 + r2-c1 = 1.6
@@ -144,6 +143,67 @@ class TestSoftOverlap:
         match = MatchFunction.we(table, oov_policy="exact-fallback")
         assert soft_overlap(cand, ref, match) == 0.0
 
+
+TABLE_WORDS = ["a", "b", "c", "d", "e"]
+UNIT_WORDS = TABLE_WORDS + ["ghost", "wraith"]  # the last two are out of vocabulary
+
+
+@st.composite
+def unit_multisets(draw) -> NGramMultiset:
+    """Unigrams, bigrams and skip-bigrams (gap > 0) with counts up to 3."""
+    ms = NGramMultiset()
+    for words, gap, count in draw(st.lists(st.tuples(
+        st.lists(st.sampled_from(UNIT_WORDS), min_size=1, max_size=2).map(tuple),
+        st.integers(0, 4),
+        st.integers(1, 3),
+    ), max_size=14)):
+        ms.add(NGram(words, gap if len(words) == 2 else 0), count)
+    return ms
+
+
+def sign_table(seed: int):
+    """Random 16-d vectors of +-1/4 entries. They are unit length, their
+    element-wise products normalize back to +-1/4 entries, and every dot
+    product is a multiple of 1/8, exact in any summation order: the
+    engine's matrix product and the oracle's per-pair dot agree bit for bit."""
+    rng = np.random.default_rng(seed)
+    return make_table({w: rng.choice([-0.25, 0.25], size=16) for w in TABLE_WORDS})
+
+
+class TestEngineMatchesSequentialGreedy:
+    @given(
+        cand=unit_multisets(),
+        ref=unit_multisets(),
+        table_seed=st.none() | st.integers(0, 2**32 - 1),
+        policy=st.sampled_from(["zero", "exact-fallback"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_differential(self, cand, ref, table_seed, policy):
+        # None: a one-hot table, where every positive similarity ties at 1
+        # and distinct-word bigrams compose to zero (out of vocabulary).
+        table = identity_table(TABLE_WORDS) if table_seed is None else sign_table(table_seed)
+        match = MatchFunction.we(table, oov_policy=policy)
+        assert soft_overlap(cand, ref, match) == greedy_soft_overlap(cand, ref, match.similarity)
+
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_assignment_on_any_matrix(self, data):
+        # Arbitrary float similarities, so the total also pins the summation order.
+        n_ref, n_cand = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8))
+        value = st.sampled_from([0.0, 0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+        sims = np.array(
+            data.draw(st.lists(value, min_size=n_ref * n_cand, max_size=n_ref * n_cand)),
+            dtype=np.float64,
+        ).reshape(n_ref, n_cand)
+        ref_counts = data.draw(st.lists(st.integers(1, 3), min_size=n_ref, max_size=n_ref))
+        cand_counts = data.draw(st.lists(st.integers(1, 3), min_size=n_cand, max_size=n_cand))
+        pairs = [(float(sims[i, j]), i, j)
+                 for i in range(n_ref) for j in range(n_cand) if sims[i, j] > 0.0]
+        expected = _greedy_consume(pairs, dict(enumerate(ref_counts)), dict(enumerate(cand_counts)))
+        got = _greedy_assign(sims, np.array(ref_counts, dtype=np.int64),
+                             np.array(cand_counts, dtype=np.int64))
+        assert got == expected
 
 class TestRougeVariant:
     @pytest.mark.parametrize("name,family,value", [
