@@ -30,15 +30,14 @@ from .harness import (
     score_corpus,
     write_reports,
 )
-from .rouge import MatchFunction, RougeVariant, rouge_score
+from .rouge import RougeVariant, rouge_score
 from .textpipe import TokenizeConfig, load_stopwords, tokenize
 
 DEFAULT_METRICS = "rouge-1,rouge-2,rouge-su4"
 
 _CONFIG_KEYS = {
     "metrics", "match", "embeddings", "embeddings_format", "oov", "multiref",
-    "report_component", "lowercase", "stem", "stopwords", "out", "threads",
-    "normalize",
+    "report_component", "lowercase", "stem", "stopwords", "out", "normalize",
 }
 
 
@@ -55,7 +54,6 @@ class RunConfig:
     stopwords: str | None = None
     normalize: bool = True
     out: str = "."
-    threads: int = 1
     corpus: str | None = None
     judgments: str | None = None
 
@@ -70,7 +68,6 @@ class RunConfig:
             "stopwords": self.stopwords,
             "normalize": self.normalize,
             "out": self.out,
-            "threads": self.threads,
             "corpus": self.corpus,
             "judgments": self.judgments,
         }
@@ -152,7 +149,6 @@ def _build_run_config(command: str, file_config: dict, **cli) -> RunConfig:
         stopwords=_resolve(cli.get("stopwords"), file_config, "stopwords", None),
         normalize=_resolve(cli.get("normalize"), file_config, "normalize", True),
         out=_resolve(cli.get("out"), file_config, "out", "."),
-        threads=int(_resolve(cli.get("threads"), file_config, "threads", 1)),
         corpus=cli.get("corpus"),
         judgments=cli.get("judgments"),
     )
@@ -182,7 +178,6 @@ def _common_options(fn):
         click.option("--normalize/--no-normalize", default=None,
                       help="Unit-normalize embedding vectors at load [default: on; "
                            "--no-normalize is experimental]."),
-        click.option("--threads", type=int, default=None, help="Scoring worker threads [default: 1]."),
         click.option("--config", "config_file", type=click.Path(exists=True, dir_okay=False),
                       default=None, help="JSON config file; explicit flags override it."),
     ]
@@ -214,11 +209,8 @@ def score(candidate, references, config_file, **cli):
     refs = [tokenize(Path(r).read_text(encoding="utf-8"), tok_config, source_id=r)
             for r in references]
     for metric in config.metrics:
-        if metric.match == "we":
-            match = MatchFunction.we(table, oov_policy=metric.oov)
-        else:
-            match = MatchFunction.exact()
-        result = rouge_score(cand, refs, metric.variant, match, multiref=metric.multiref)
+        result = rouge_score(cand, refs, metric.variant, metric.match_function(table),
+                             multiref=metric.multiref)
         click.echo(f"{metric.name} R={result.recall:.6f} P={result.precision:.6f} "
                    f"F={result.f1:.6f}")
 
@@ -242,8 +234,7 @@ def meta_eval(corpus, judgments, out, config_file, **cli):
         if not topics:
             raise click.ClickException(f"corpus {corpus} contains no topics")
         scores = score_corpus(topics, config.metrics, table=table,
-                              tokenize_config=config.tokenize_config(),
-                              threads=config.threads)
+                              tokenize_config=config.tokenize_config())
         report = meta_evaluate(scores, human)
     except (CorpusLoadError, JudgmentsFormatError, MetaEvalError, UndefinedCorrelationError) as exc:
         raise click.ClickException(str(exc)) from exc

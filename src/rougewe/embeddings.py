@@ -105,16 +105,6 @@ class EmbeddingTable:
         return product
 
 
-def similarity(v1: np.ndarray, v2: np.ndarray) -> float:
-    """Cosine of two unit vectors, clamped into [0, 1].
-
-    Anti-correlated directions score 0 rather than negative.
-    """
-    if v1.shape != v2.shape:
-        raise ValueError(f"dimension mismatch: {v1.shape} vs {v2.shape}")
-    return min(1.0, max(0.0, float(np.dot(v1, v2))))
-
-
 class _TableBuilder:
     """Shared insertion policy for both loaders.
 

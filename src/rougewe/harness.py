@@ -11,9 +11,9 @@ is emitted as CSV and JSON.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -81,6 +81,12 @@ class MetricConfig:
         if self.component not in ("recall", "precision", "f1"):
             raise ValueError(f"unknown report component {self.component!r}")
 
+    def match_function(self, table: EmbeddingTable | None) -> MatchFunction:
+        """The matcher this metric scores with; ``we`` needs ``table``."""
+        if self.match == "we":
+            return MatchFunction.we(table, oov_policy=self.oov)
+        return MatchFunction.exact()
+
     @property
     def name(self) -> str:
         if self.match == "we":
@@ -120,6 +126,8 @@ def _read_text(path: Path) -> str:
         return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise CorpusLoadError(f"unreadable file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorpusLoadError(f"file {path} is not valid UTF-8 (byte offset {exc.start})") from None
 
 
 def _read_dir(directory: Path) -> list[tuple[str, str]]:
@@ -150,29 +158,34 @@ def load_corpus(root: str | Path) -> list[Topic]:
 def load_judgments(path: str | Path) -> HumanJudgments:
     """Parse the judgments CSV; duplicates and non-numeric scores are errors."""
     scores: dict[str, dict[str, float]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise JudgmentsFormatError(
+            f"judgments file {path} is not valid UTF-8 (byte offset {exc.start})"
+        ) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise JudgmentsFormatError("judgments file is empty") from None
+    if tuple(h.strip() for h in header) != JUDGMENTS_HEADER:
+        raise JudgmentsFormatError(
+            f"expected header {','.join(JUDGMENTS_HEADER)!r}, found {','.join(header)!r}"
+        )
+    for rownum, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise JudgmentsFormatError(f"row {rownum}: expected 4 fields, found {len(row)}")
+        system_id = row[0].strip()
+        if system_id in scores:
+            raise JudgmentsFormatError(f"row {rownum}: duplicate system_id {system_id!r}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise JudgmentsFormatError("judgments file is empty") from None
-        if tuple(h.strip() for h in header) != JUDGMENTS_HEADER:
-            raise JudgmentsFormatError(
-                f"expected header {','.join(JUDGMENTS_HEADER)!r}, found {','.join(header)!r}"
-            )
-        for rownum, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise JudgmentsFormatError(f"row {rownum}: expected 4 fields, found {len(row)}")
-            system_id = row[0].strip()
-            if system_id in scores:
-                raise JudgmentsFormatError(f"row {rownum}: duplicate system_id {system_id!r}")
-            try:
-                values = [float(v) for v in row[1:]]
-            except ValueError:
-                raise JudgmentsFormatError(f"row {rownum}: non-numeric score") from None
-            scores[system_id] = dict(zip(JUDGMENT_TYPES, values))
+            values = [float(v) for v in row[1:]]
+        except ValueError:
+            raise JudgmentsFormatError(f"row {rownum}: non-numeric score") from None
+        scores[system_id] = dict(zip(JUDGMENT_TYPES, values))
     return HumanJudgments(scores)
 
 
@@ -181,7 +194,6 @@ def score_corpus(
     metrics: Sequence[MetricConfig],
     table: EmbeddingTable | None = None,
     tokenize_config: TokenizeConfig = DEFAULT_CONFIG,
-    threads: int = 1,
 ) -> dict[str, ScoreVector]:
     """Per-metric mean score of every system over all topics.
 
@@ -189,8 +201,7 @@ def score_corpus(
     is logged). A summary that fails to score raises ``MetaEvalError``
     naming the metric, system and topic, chained from the cause: a zero in
     its place would bias the correlations without a trace. Aggregation is
-    a deterministic fold in (metric, system, topic) order no matter how
-    scoring is parallelized.
+    a deterministic fold in (metric, system, topic) order.
     """
     if not topics:
         raise ValueError("no topics to score")
@@ -226,25 +237,11 @@ def score_corpus(
         return getattr(score, metric.component)
 
     results: dict[str, ScoreVector] = {}
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for metric in metrics:
-            if metric.match == "we":
-                match = MatchFunction.we(table, oov_policy=metric.oov)
-            else:
-                match = MatchFunction.exact()
-            means = []
-            for system_id in system_ids:
-                tasks = ((metric, match, system_id, t) for t in topics)
-                if executor is not None:
-                    per_topic = list(executor.map(lambda args: score_one(*args), tasks))
-                else:
-                    per_topic = [score_one(*args) for args in tasks]
-                means.append(sum(per_topic) / len(topics))
-            results[metric.name] = ScoreVector(tuple(means), tuple(system_ids))
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for metric in metrics:
+        match = metric.match_function(table)
+        means = [sum(score_one(metric, match, system_id, t) for t in topics) / len(topics)
+                 for system_id in system_ids]
+        results[metric.name] = ScoreVector(tuple(means), tuple(system_ids))
     return results
 
 

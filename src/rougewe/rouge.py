@@ -17,38 +17,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, similarity
-from .textpipe import NGram, NGramMultiset, TokenSequence, extract_ngrams, extract_skip_bigrams
+from .embeddings import EmbeddingTable
+from .textpipe import TokenSequence, Units, extract_ngrams, extract_skip_bigrams
 
 OOV_POLICIES = ("zero", "exact-fallback")
 MULTIREF_POLICIES = ("average", "jackknife")
 
 
-def f_exact(w1: NGram, w2: NGram) -> float:
-    """1 when the word lists are equal element-wise, else 0. Gaps are ignored."""
-    return 1.0 if w1.words == w2.words else 0.0
-
-
-def f_we(w1: NGram, w2: NGram, table: EmbeddingTable, oov_policy: str = "zero") -> float:
-    """Cosine similarity of the composed n-gram vectors.
-
-    When either side is out of vocabulary (including zero products of
-    composition), the result is 0 under the ``zero`` policy or falls back
-    to exact matching under ``exact-fallback``.
-    """
-    v1 = table.compose(w1.words)
-    v2 = table.compose(w2.words)
-    if v1 is None or v2 is None:
-        return f_exact(w1, w2) if oov_policy == "exact-fallback" else 0.0
-    return similarity(v1, v2)
-
-
 class MatchFunction:
     """Pluggable word/n-gram similarity: exact identity or embedding cosine.
 
-    Immutable once built; embedding composition results are memoized, and
-    since the underlying table never changes the instance is safe to share
-    across concurrent scorers.
+    Immutable once built; embedding composition results are memoized.
     """
 
     def __init__(self, kind: str, table: EmbeddingTable | None = None, oov_policy: str = "zero"):
@@ -76,15 +55,6 @@ class MatchFunction:
             self._compose_cache[words] = self.table.compose(words)
         return self._compose_cache[words]
 
-    def similarity(self, w1: NGram, w2: NGram) -> float:
-        if self.kind == "exact":
-            return f_exact(w1, w2)
-        v1 = self.compose(w1.words)
-        v2 = self.compose(w2.words)
-        if v1 is None or v2 is None:
-            return f_exact(w1, w2) if self.oov_policy == "exact-fallback" else 0.0
-        return similarity(v1, v2)
-
 
 @dataclass(frozen=True)
 class RougeVariant:
@@ -93,7 +63,6 @@ class RougeVariant:
     family: str  # "n" | "su"
     n: int = 0
     max_skip: int = 0
-    include_unigrams: bool = True
 
     def __post_init__(self):
         if self.family == "n":
@@ -129,13 +98,12 @@ ROUGE_SU4 = RougeVariant(family="su", max_skip=4)
 DEFAULT_VARIANTS = (ROUGE_1, ROUGE_2, ROUGE_SU4)
 
 
-def extract_units(seq: TokenSequence, variant: RougeVariant) -> NGramMultiset:
+def extract_units(seq: TokenSequence, variant: RougeVariant) -> Units:
     """The multiset a variant scores over; SU pools skip-bigrams with unigrams."""
     if variant.family == "n":
         return extract_ngrams(seq, variant.n)
     units = extract_skip_bigrams(seq, variant.max_skip)
-    if variant.include_unigrams:
-        units = units.union(extract_ngrams(seq, 1))
+    units.update(extract_ngrams(seq, 1))
     return units
 
 
@@ -158,24 +126,12 @@ class RougeScore:
         return cls(recall, precision, f1, soft, ref_total, cand_total)
 
 
-def _group_by_length(multiset: NGramMultiset) -> dict[int, list[tuple[tuple[str, ...], int]]]:
-    """words -> count groups (gaps merged), partitioned by unit length, sorted."""
-    partitions: dict[int, dict[tuple[str, ...], int]] = {}
-    for words, count in multiset.by_words().items():
-        partitions.setdefault(len(words), {})[words] = count
-    return {
-        length: sorted(groups.items())
-        for length, groups in sorted(partitions.items())
-    }
-
-
-def _exact_overlap(cand: NGramMultiset, ref: NGramMultiset) -> float:
-    cand_counts = cand.by_words()
-    return float(sum(
-        min(count, cand_counts[words])
-        for words, count in ref.by_words().items()
-        if words in cand_counts
-    ))
+def _group_by_length(units: Units) -> dict[int, list[tuple[tuple[str, ...], int]]]:
+    """words -> count groups, partitioned by unit length, sorted."""
+    partitions: dict[int, list[tuple[tuple[str, ...], int]]] = {}
+    for words, count in units.items():
+        partitions.setdefault(len(words), []).append((words, count))
+    return {length: sorted(groups) for length, groups in sorted(partitions.items())}
 
 
 def _greedy_assign(sims: np.ndarray, ref_counts: np.ndarray, cand_counts: np.ndarray) -> float:
@@ -226,7 +182,7 @@ def _greedy_assign(sims: np.ndarray, ref_counts: np.ndarray, cand_counts: np.nda
     return total
 
 
-def _embedding_overlap(cand: NGramMultiset, ref: NGramMultiset, match: MatchFunction) -> float:
+def _embedding_overlap(cand: Units, ref: Units, match: MatchFunction) -> float:
     total = 0.0
     cand_parts = _group_by_length(cand)
     for length, ref_groups in _group_by_length(ref).items():
@@ -259,7 +215,7 @@ def _embedding_overlap(cand: NGramMultiset, ref: NGramMultiset, match: MatchFunc
     return total
 
 
-def soft_overlap(cand: NGramMultiset, ref: NGramMultiset, match: MatchFunction) -> float:
+def soft_overlap(cand: Units, ref: Units, match: MatchFunction) -> float:
     """Soft match count between two unit multisets.
 
     Exact matching is clipped duplicate counting; embedding matching runs
@@ -267,7 +223,7 @@ def soft_overlap(cand: NGramMultiset, ref: NGramMultiset, match: MatchFunction) 
     when similarities are 0/1 indicators).
     """
     if match.kind == "exact":
-        return _exact_overlap(cand, ref)
+        return float(sum((cand & ref).values()))
     return _embedding_overlap(cand, ref, match)
 
 
@@ -309,7 +265,7 @@ def rouge_score(
     for ref in refs:
         ref_units = extract_units(ref, variant)
         soft = soft_overlap(cand_units, ref_units, match)
-        per_ref.append(RougeScore.from_counts(soft, ref_units.total, cand_units.total))
+        per_ref.append(RougeScore.from_counts(soft, ref_units.total(), cand_units.total()))
 
     if multiref == "average" or len(per_ref) == 1:
         return _mean_scores(per_ref)

@@ -8,13 +8,16 @@ from __future__ import annotations
 
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from ._porter import porter_stem
 
 _STRIP_CHARS = string.punctuation + "‘’“”–—…"
+
+# A multiset of scoring units: each unit is its word tuple, mapped to its count.
+Units = Counter[tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -45,44 +48,6 @@ class TokenSequence:
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.tokens)
-
-
-class NGram(NamedTuple):
-    """An n-gram unit: ordered words plus the skipped distance.
-
-    ``gap`` is 0 for contiguous n-grams; for skip-bigrams it records how
-    many words were skipped between the two tokens. Only length-2 grams
-    may carry a positive gap.
-    """
-
-    words: tuple[str, ...]
-    gap: int = 0
-
-
-@dataclass
-class NGramMultiset:
-    """Multiset of n-grams with occurrence counts."""
-
-    entries: Counter[NGram] = field(default_factory=Counter)
-
-    @property
-    def total(self) -> int:
-        return sum(self.entries.values())
-
-    def add(self, gram: NGram, count: int = 1) -> None:
-        self.entries[gram] += count
-
-    def by_words(self) -> dict[tuple[str, ...], int]:
-        """Counts aggregated over the gap field (match identity is words-only)."""
-        agg: dict[tuple[str, ...], int] = {}
-        for gram, count in self.entries.items():
-            agg[gram.words] = agg.get(gram.words, 0) + count
-        return agg
-
-    def union(self, other: "NGramMultiset") -> "NGramMultiset":
-        merged = Counter(self.entries)
-        merged.update(other.entries)
-        return NGramMultiset(merged)
 
 
 def load_stopwords(path: str | Path, lowercase: bool = True) -> frozenset[str]:
@@ -117,8 +82,8 @@ def tokenize(raw: str, config: TokenizeConfig = DEFAULT_CONFIG, source_id: str =
     return TokenSequence(tuple(tokens), source_id=source_id)
 
 
-def extract_ngrams(seq: TokenSequence, n: int) -> NGramMultiset:
-    """Contiguous n-grams of ``seq`` with multiplicity.
+def extract_ngrams(seq: TokenSequence, n: int) -> Units:
+    """Contiguous n-grams of ``seq`` (word tuples) with multiplicity.
 
     Total count is max(0, len(seq) - n + 1); shorter sequences give an
     empty multiset.
@@ -126,23 +91,19 @@ def extract_ngrams(seq: TokenSequence, n: int) -> NGramMultiset:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     toks = seq.tokens
-    counts: Counter[NGram] = Counter()
-    for i in range(len(toks) - n + 1):
-        counts[NGram(toks[i : i + n])] += 1
-    return NGramMultiset(counts)
+    return Counter(zip(*(toks[i:] for i in range(n))))
 
 
-def extract_skip_bigrams(seq: TokenSequence, max_skip: int) -> NGramMultiset:
+def extract_skip_bigrams(seq: TokenSequence, max_skip: int) -> Units:
     """Ordered in-sentence word pairs with at most ``max_skip`` words between.
 
-    Every pair (w_i, w_j) with i < j and j - i - 1 <= max_skip is
-    included; the gap j - i - 1 is recorded on the gram.
+    Every pair (w_i, w_j) with i < j and j - i - 1 <= max_skip is counted.
+    The skip distance only bounds the window: a unit is its two words.
     """
     if max_skip < 0:
         raise ValueError(f"max_skip must be >= 0, got {max_skip}")
     toks = seq.tokens
-    counts: Counter[NGram] = Counter()
-    for i in range(len(toks)):
-        for j in range(i + 1, min(i + max_skip + 2, len(toks))):
-            counts[NGram((toks[i], toks[j]), gap=j - i - 1)] += 1
-    return NGramMultiset(counts)
+    counts: Units = Counter()
+    for skip in range(min(max_skip + 1, len(toks))):
+        counts.update(zip(toks, toks[skip + 1:]))
+    return counts

@@ -1,15 +1,41 @@
 """Sequential greedy soft assignment: the reference the engine is checked against.
 
 ``soft_overlap`` computes the embedding assignment in rounds of locally
-dominant pairs; this module keeps the plain best-first loop over an
-arbitrary similarity callable, so tests can compare the two with ``==``.
+dominant pairs over a similarity matrix; this module keeps the plain
+best-first loop over an arbitrary pair-similarity callable, and the scalar
+pair similarity of a ``MatchFunction``, so tests can compare the two with
+``==``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable
 
-from rougewe.textpipe import NGram, NGramMultiset
+import numpy as np
+
+from rougewe.rouge import MatchFunction
+
+Words = tuple[str, ...]
+
+
+def pair_similarity(match: MatchFunction) -> Callable[[Words, Words], float]:
+    """Similarity of one (reference, candidate) unit pair under ``match``.
+
+    Exact matching is word-tuple identity. Embedding matching is the cosine
+    of the composed vectors clamped into [0, 1]; when either side is out of
+    vocabulary it is 0, or identity under ``exact-fallback``.
+    """
+    def sim(w1: Words, w2: Words) -> float:
+        identical = 1.0 if w1 == w2 else 0.0
+        if match.kind == "exact":
+            return identical
+        v1, v2 = match.compose(w1), match.compose(w2)
+        if v1 is None or v2 is None:
+            return identical if match.oov_policy == "exact-fallback" else 0.0
+        return min(1.0, max(0.0, float(np.dot(v1, v2))))
+
+    return sim
 
 
 def _greedy_consume(
@@ -36,17 +62,17 @@ def _greedy_consume(
     return total
 
 
-def _by_length(multiset: NGramMultiset) -> dict[int, dict[tuple[str, ...], int]]:
-    parts: dict[int, dict[tuple[str, ...], int]] = {}
-    for words, count in multiset.by_words().items():
+def _by_length(units: Counter[Words]) -> dict[int, dict[Words, int]]:
+    parts: dict[int, dict[Words, int]] = {}
+    for words, count in units.items():
         parts.setdefault(len(words), {})[words] = count
     return parts
 
 
 def greedy_soft_overlap(
-    cand: NGramMultiset,
-    ref: NGramMultiset,
-    simfn: Callable[[NGram, NGram], float],
+    cand: Counter[Words],
+    ref: Counter[Words],
+    simfn: Callable[[Words, Words], float],
 ) -> float:
     """Greedy soft match count over every same-length (ref, cand) group pair
     with positive similarity; partitions are summed in ascending length."""
@@ -59,7 +85,7 @@ def greedy_soft_overlap(
         pairs = []
         for ref_words in ref_groups:
             for cand_words in cand_groups:
-                sim = simfn(NGram(ref_words), NGram(cand_words))
+                sim = simfn(ref_words, cand_words)
                 if sim > 0.0:
                     pairs.append((sim, ref_words, cand_words))
         total += _greedy_consume(pairs, ref_groups, cand_groups)

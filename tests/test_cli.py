@@ -156,6 +156,7 @@ class TestMetaEvalCommand:
             "multiref": "jackknife", "report": "recall",
         }]
         assert payload["config"]["corpus"] == str(corpus)
+        assert "threads" not in payload["config"]
 
     def test_missing_judgments_file(self, runner, tiny_corpus, tmp_path):
         corpus, _ = tiny_corpus
@@ -177,9 +178,8 @@ class TestMetaEvalCommand:
         assert result.exit_code != 0
         assert "models" in result.output
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
     def test_scoring_failure_exits_1_without_report(self, runner, tiny_corpus, tmp_path,
-                                                      monkeypatch, threads):
+                                                      monkeypatch):
         corpus, judgments = tiny_corpus
         real = harness.rouge_score
 
@@ -192,11 +192,49 @@ class TestMetaEvalCommand:
         out = tmp_path / "out"
         result = runner.invoke(main, [
             "meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),
-            "--out", str(out), "--threads", threads,
+            "--out", str(out),
         ])
         assert result.exit_code == 1
         assert "scoring failed for metric rouge-1, system s2, topic t1: scorer bug" in result.output
         assert not (out / "report.csv").exists() and not (out / "report.json").exists()
+
+    def test_non_utf8_summary_exits_1_naming_file(self, runner, tiny_corpus, tmp_path):
+        corpus, judgments = tiny_corpus
+        (corpus / "t2" / "systems" / "s2.txt").write_bytes(b"e f \xff y")
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),
+            "--out", str(out),
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "s2.txt is not valid UTF-8 (byte offset 4)" in result.output
+        assert "Traceback" not in result.output
+        assert not (out / "report.csv").exists() and not (out / "report.json").exists()
+
+    def test_non_utf8_judgments_exits_1_naming_file(self, runner, tiny_corpus, tmp_path):
+        corpus, judgments = tiny_corpus
+        judgments.write_bytes(judgments.read_bytes() + b"s\xff,0.1,1.0,1.5\n")
+        offset = len(judgments.read_bytes()) - len(b"\xff,0.1,1.0,1.5\n")
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),
+            "--out", str(out),
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"judgments.csv is not valid UTF-8 (byte offset {offset})" in result.output
+        assert "Traceback" not in result.output
+        assert not (out / "report.csv").exists() and not (out / "report.json").exists()
+
+    def test_threads_flag_rejected(self, runner, tiny_corpus, tmp_path):
+        corpus, judgments = tiny_corpus
+        result = runner.invoke(main, [
+            "meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),
+            "--out", str(tmp_path / "out"), "--threads", "2",
+        ])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--threads" in result.output
 
     def test_undefined_correlation_exits_1(self, runner, tmp_path):
         corpus = tmp_path / "corpus"
@@ -242,6 +280,19 @@ class TestConfigFile:
         result = runner.invoke(main, ["score", str(cand), str(ref), "--config", str(config)])
         assert result.exit_code != 0
         assert "metricz" in result.output
+
+    def test_threads_config_key_rejected(self, runner, tiny_corpus, tmp_path):
+        corpus, judgments = tiny_corpus
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"threads": 2}), encoding="utf-8")
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),
+            "--out", str(out), "--config", str(config),
+        ])
+        assert result.exit_code == 1
+        assert "unknown config keys: threads" in result.output
+        assert not (out / "report.json").exists()
 
     def test_per_metric_schema_objects(self, runner, weather_files, toy_embeddings_text, tmp_path):
         cand, ref = weather_files
@@ -315,7 +366,7 @@ class TestHelp:
         assert result.exit_code == 0
         for flag in ("--metrics", "--match", "--embeddings", "--embeddings-format", "--oov",
                      "--multiref", "--report-component", "--lowercase", "--no-lowercase",
-                     "--stem", "--stopwords", "--threads", "--config", "--no-normalize"):
+                     "--stem", "--stopwords", "--config", "--no-normalize"):
             assert flag in result.output, flag
         if command == ["meta-eval"]:
             assert "--out" in result.output

@@ -1,5 +1,6 @@
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from rougewe.embeddings import (
     load_binary,
     load_text,
     save_binary,
-    similarity,
 )
+from rougewe.rouge import MatchFunction, soft_overlap
 
 from conftest import make_table
 
@@ -232,31 +233,32 @@ class TestLookupAndCompose:
         assert np.array_equal(table.compose(tuple(order)), base)
 
 
+def word_similarity(table, w1: str, w2: str) -> float:
+    """Similarity of two words as scored: the soft overlap of one-word multisets."""
+    return soft_overlap(Counter([(w1,)]), Counter([(w2,)]), MatchFunction.we(table))
+
+
 class TestSimilarity:
     def test_self_similarity_is_one(self):
         table = make_table({"a": [1, 0, 0], "b": [0.6, 0.8, 0]})
         for word in ("a", "b"):
-            vec = table.lookup(word)
-            assert similarity(vec, vec) == pytest.approx(1.0, abs=3e-6)
+            assert word_similarity(table, word, word) == pytest.approx(1.0, abs=3e-6)
 
     def test_orthogonal_is_zero(self):
-        assert similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        table = make_table({"a": [1.0, 0.0], "b": [0.0, 1.0]})
+        assert word_similarity(table, "a", "b") == 0.0
 
     def test_opposite_clamps_to_zero(self):
-        assert similarity(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            similarity(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+        table = make_table({"a": [1.0, 0.0], "b": [-1.0, 0.0]})
+        assert word_similarity(table, "a", "b") == 0.0
 
     @given(
         st.lists(st.floats(-1, 1, allow_nan=False), min_size=3, max_size=3),
         st.lists(st.floats(-1, 1, allow_nan=False), min_size=3, max_size=3),
     )
     def test_symmetric_and_bounded(self, a, b):
-        va, vb = np.asarray(a), np.asarray(b)
-        if np.linalg.norm(va) < 1e-6 or np.linalg.norm(vb) < 1e-6:
+        if np.linalg.norm(a) < 1e-6 or np.linalg.norm(b) < 1e-6:
             return
-        va, vb = va / np.linalg.norm(va), vb / np.linalg.norm(vb)
-        assert similarity(va, vb) == similarity(vb, va)
-        assert 0.0 <= similarity(va, vb) <= 1.0
+        table = make_table({"a": a, "b": b})
+        assert word_similarity(table, "a", "b") == word_similarity(table, "b", "a")
+        assert 0.0 <= word_similarity(table, "a", "b") <= 1.0

@@ -67,6 +67,13 @@ class TestLoadCorpus:
         with pytest.raises(CorpusLoadError):
             load_corpus(tmp_path / "nope")
 
+    def test_non_utf8_summary_names_file_and_offset(self, tmp_path):
+        write_corpus(tmp_path, {"t1": ({"m1": "a b"}, {"s1": "a b"})})
+        bad = tmp_path / "t1" / "systems" / "s1.txt"
+        bad.write_bytes(b"word " * 2000 + b"\xff tail")  # past any decoder chunk
+        with pytest.raises(CorpusLoadError, match=r"s1\.txt is not valid UTF-8 \(byte offset 10000\)"):
+            load_corpus(tmp_path)
+
 
 class TestLoadJudgments:
     def test_three_rows(self, tmp_path):
@@ -104,6 +111,23 @@ class TestLoadJudgments:
         with pytest.raises(JudgmentsFormatError, match="header"):
             load_judgments(path)
 
+    def test_non_utf8_names_file_and_offset(self, tmp_path):
+        path = tmp_path / "j.csv"
+        header = b"system_id,pyramid,responsiveness,readability\n"
+        path.write_bytes(header + b"sys1,1,1,1\nsys\xff,2,2,2\n")
+        offset = len(header) + len(b"sys1,1,1,1\nsys")
+        with pytest.raises(JudgmentsFormatError,
+                           match=rf"j\.csv is not valid UTF-8 \(byte offset {offset}\)"):
+            load_judgments(path)
+
+    def test_crlf_rows(self, tmp_path):
+        path = tmp_path / "j.csv"
+        path.write_bytes(b"system_id,pyramid,responsiveness,readability\r\n"
+                         b"sys1,0.5,3,2\r\n\r\nsys2,0.25,1,1\r\n")
+        judgments = load_judgments(path)
+        assert judgments.scores["sys2"] == {"pyramid": 0.25, "responsiveness": 1.0,
+                                            "readability": 1.0}
+
     def test_column_vector(self):
         judgments = judgments_from({"b": (2, 0, 0), "a": (1, 0, 0)})
         column = judgments.column("pyramid")
@@ -116,6 +140,15 @@ class TestMetricConfig:
         assert MetricConfig(ROUGE_1).name == "rouge-1"
         assert MetricConfig(ROUGE_1, match="we").name == "rouge-we-1"
         assert MetricConfig(RougeVariant.parse("rouge-su4"), match="we").name == "rouge-we-su4"
+
+    def test_match_function(self):
+        table = make_table({"a": [1.0, 0.0]})
+        exact = MetricConfig(ROUGE_1).match_function(table)
+        assert (exact.kind, exact.table) == ("exact", None)
+        we = MetricConfig(ROUGE_1, match="we", oov="exact-fallback").match_function(table)
+        assert (we.kind, we.table, we.oov_policy) == ("embedding", table, "exact-fallback")
+        with pytest.raises(ValueError, match="table"):
+            MetricConfig(ROUGE_1, match="we").match_function(None)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -213,17 +246,6 @@ class TestScoreCorpus:
         scores = score_corpus(load_corpus(tmp_path), [R1])
         by_system = dict(zip(scores["rouge-1"].labels, scores["rouge-1"].values))
         assert by_system["s1"] == by_system["s3"]  # identical texts, identical scores
-
-    def test_threads_do_not_change_results(self, tmp_path):
-        write_corpus(tmp_path, {
-            f"t{i}": ({"m1": "a b c d e"}, {f"s{j}": "a b c x y" for j in range(4)})
-            for i in range(3)
-        })
-        topics = load_corpus(tmp_path)
-        metrics = [R1, MetricConfig(ROUGE_2)]
-        sequential = score_corpus(topics, metrics, threads=1)
-        threaded = score_corpus(topics, metrics, threads=4)
-        assert sequential == threaded
 
 
 class TestMetaEvaluate:

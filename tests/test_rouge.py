@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,63 +14,71 @@ from rougewe.rouge import (
     RougeVariant,
     _greedy_assign,
     extract_units,
-    f_exact,
-    f_we,
     rouge_score,
     soft_overlap,
 )
-from rougewe.textpipe import NGram, NGramMultiset, TokenSequence, tokenize
+from rougewe.textpipe import TokenSequence, extract_ngrams, extract_skip_bigrams, tokenize
 
 from conftest import identity_table, make_table
-from greedy_oracle import _greedy_consume, greedy_soft_overlap
+from greedy_oracle import _greedy_consume, greedy_soft_overlap, pair_similarity
 
 
 def seq(text: str) -> TokenSequence:
     return tokenize(text)
 
 
-def unigrams(*words) -> NGramMultiset:
-    ms = NGramMultiset()
-    for word in words:
-        ms.add(NGram((word,)))
-    return ms
+def unigrams(*words) -> Counter:
+    return Counter((word,) for word in words)
+
+
+def pair_overlap(w1: tuple[str, ...], w2: tuple[str, ...], match: MatchFunction) -> float:
+    """Soft overlap of two one-unit multisets: the similarity of one unit pair."""
+    return soft_overlap(Counter([w1]), Counter([w2]), match)
 
 
 class TestFExact:
+    """The paper's f_exact: word-tuple identity, through soft_overlap."""
+
     def test_identity(self):
-        assert f_exact(NGram(("it", "is")), NGram(("it", "is"))) == 1.0
+        assert pair_overlap(("it", "is"), ("it", "is"), MatchFunction.exact()) == 1.0
 
     def test_different_words(self):
-        assert f_exact(NGram(("raining",)), NGram(("pouring",))) == 0.0
+        assert pair_overlap(("raining",), ("pouring",), MatchFunction.exact()) == 0.0
 
     def test_order_sensitive(self):
-        assert f_exact(NGram(("a", "b")), NGram(("b", "a"))) == 0.0
+        assert pair_overlap(("a", "b"), ("b", "a"), MatchFunction.exact()) == 0.0
 
     def test_gap_ignored(self):
-        assert f_exact(NGram(("a", "b"), gap=0), NGram(("a", "b"), gap=3)) == 1.0
+        # The skip distance only bounds the window: (a, b) adjacent in one
+        # text matches (a, b) three words apart in the other.
+        cand = extract_skip_bigrams(seq("a b"), 4)
+        ref = extract_skip_bigrams(seq("a x y z b"), 4)
+        assert soft_overlap(cand, ref, MatchFunction.exact()) == 1.0
 
 
 class TestFWe:
+    """The paper's f_we: clamped cosine of composed vectors, through soft_overlap."""
+
     def test_identical_in_vocab_unigrams(self):
-        table = identity_table(["cat"])
-        assert f_we(NGram(("cat",)), NGram(("cat",)), table) == 1.0
+        match = MatchFunction.we(identity_table(["cat"]))
+        assert pair_overlap(("cat",), ("cat",), match) == 1.0
 
     def test_both_oov_policy_zero(self):
-        table = identity_table(["cat"])
-        assert f_we(NGram(("ghost",)), NGram(("ghost",)), table, oov_policy="zero") == 0.0
+        match = MatchFunction.we(identity_table(["cat"]), oov_policy="zero")
+        assert pair_overlap(("ghost",), ("ghost",), match) == 0.0
 
     def test_both_oov_exact_fallback(self):
-        table = identity_table(["cat"])
-        assert f_we(NGram(("ghost",)), NGram(("ghost",)), table, oov_policy="exact-fallback") == 1.0
-        assert f_we(NGram(("ghost",)), NGram(("spirit",)), table, oov_policy="exact-fallback") == 0.0
+        match = MatchFunction.we(identity_table(["cat"]), oov_policy="exact-fallback")
+        assert pair_overlap(("ghost",), ("ghost",), match) == 1.0
+        assert pair_overlap(("ghost",), ("spirit",), match) == 0.0
 
     def test_near_synonyms(self, weather_table):
-        sim = f_we(NGram(("raining",)), NGram(("pouring",)), weather_table)
+        sim = pair_overlap(("raining",), ("pouring",), MatchFunction.we(weather_table))
         assert sim == pytest.approx(0.8, abs=1e-6)
 
     def test_composed_bigrams(self):
-        table = make_table({"a": [0.6, 0.8], "b": [0.8, 0.6]})
-        assert f_we(NGram(("a", "b")), NGram(("a", "b")), table) == pytest.approx(1.0, abs=1e-6)
+        match = MatchFunction.we(make_table({"a": [0.6, 0.8], "b": [0.8, 0.6]}))
+        assert pair_overlap(("a", "b"), ("a", "b"), match) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestMatchFunction:
@@ -87,7 +97,7 @@ class TestMatchFunction:
     def test_exact_never_consults_table(self):
         match = MatchFunction.exact()
         assert match.table is None
-        assert match.similarity(NGram(("x",)), NGram(("x",))) == 1.0
+        assert pair_overlap(("x",), ("x",), match) == 1.0
 
 
 class TestSoftOverlap:
@@ -107,8 +117,8 @@ class TestSoftOverlap:
         assert got == pytest.approx(2.8, abs=1e-6)
 
     def test_empty_sides(self):
-        assert soft_overlap(NGramMultiset(), unigrams("a"), MatchFunction.exact()) == 0.0
-        assert soft_overlap(unigrams("a"), NGramMultiset(), MatchFunction.exact()) == 0.0
+        assert soft_overlap(Counter(), unigrams("a"), MatchFunction.exact()) == 0.0
+        assert soft_overlap(unigrams("a"), Counter(), MatchFunction.exact()) == 0.0
 
     def test_greedy_engine_matches_fast_paths(self, weather_table):
         rng = np.random.default_rng(42)
@@ -117,10 +127,11 @@ class TestSoftOverlap:
             cand = unigrams(*rng.choice(vocab, size=rng.integers(0, 8)))
             ref = unigrams(*rng.choice(vocab, size=rng.integers(1, 8)))
             exact = MatchFunction.exact()
-            assert greedy_soft_overlap(cand, ref, exact.similarity) == soft_overlap(cand, ref, exact)
+            assert (greedy_soft_overlap(cand, ref, pair_similarity(exact))
+                    == soft_overlap(cand, ref, exact))
             for policy in ("zero", "exact-fallback"):
                 we = MatchFunction.we(weather_table, oov_policy=policy)
-                assert greedy_soft_overlap(cand, ref, we.similarity) == soft_overlap(cand, ref, we)
+                assert greedy_soft_overlap(cand, ref, pair_similarity(we)) == soft_overlap(cand, ref, we)
 
     def test_greedy_can_be_suboptimal_but_never_better(self):
         # sims: (r1,c1)=0.9 dominates, but optimal pairs r1-c2 + r2-c1 = 1.6
@@ -129,17 +140,15 @@ class TestSoftOverlap:
             (("r1",), ("c2",)): 0.8,
             (("r2",), ("c1",)): 0.8,
         }
-        simfn = lambda w1, w2: sims.get((w1.words, w2.words), 0.0)
+        simfn = lambda w1, w2: sims.get((w1, w2), 0.0)
         got = greedy_soft_overlap(unigrams("c1", "c2"), unigrams("r1", "r2"), simfn)
         assert got == pytest.approx(0.9)
 
     def test_no_cross_length_matching(self):
         # one-hot table: bigram (a,a) composes to the same basis vector as (a)
         table = identity_table(["a", "b"])
-        cand = NGramMultiset()
-        cand.add(NGram(("a",)))
-        ref = NGramMultiset()
-        ref.add(NGram(("a", "a")))
+        cand = Counter([("a",)])
+        ref = Counter([("a", "a")])
         match = MatchFunction.we(table, oov_policy="exact-fallback")
         assert soft_overlap(cand, ref, match) == 0.0
 
@@ -149,16 +158,15 @@ UNIT_WORDS = TABLE_WORDS + ["ghost", "wraith"]  # the last two are out of vocabu
 
 
 @st.composite
-def unit_multisets(draw) -> NGramMultiset:
-    """Unigrams, bigrams and skip-bigrams (gap > 0) with counts up to 3."""
-    ms = NGramMultiset()
-    for words, gap, count in draw(st.lists(st.tuples(
+def unit_multisets(draw) -> Counter:
+    """Unigrams and bigrams (contiguous or skip) with counts up to 3."""
+    units = Counter()
+    for words, count in draw(st.lists(st.tuples(
         st.lists(st.sampled_from(UNIT_WORDS), min_size=1, max_size=2).map(tuple),
-        st.integers(0, 4),
         st.integers(1, 3),
     ), max_size=14)):
-        ms.add(NGram(words, gap if len(words) == 2 else 0), count)
-    return ms
+        units[words] += count
+    return units
 
 
 def sign_table(seed: int):
@@ -183,7 +191,8 @@ class TestEngineMatchesSequentialGreedy:
         # and distinct-word bigrams compose to zero (out of vocabulary).
         table = identity_table(TABLE_WORDS) if table_seed is None else sign_table(table_seed)
         match = MatchFunction.we(table, oov_policy=policy)
-        assert soft_overlap(cand, ref, match) == greedy_soft_overlap(cand, ref, match.similarity)
+        assert soft_overlap(cand, ref, match) == greedy_soft_overlap(cand, ref,
+                                                                    pair_similarity(match))
 
 
     @given(data=st.data())
@@ -238,9 +247,9 @@ class TestRougeVariant:
     def test_su_units_pool_unigrams(self):
         s = seq("police killed the gunman")
         pooled = extract_units(s, ROUGE_SU4)
-        assert pooled.total == 6 + 4
-        bare = extract_units(s, RougeVariant(family="su", max_skip=4, include_unigrams=False))
-        assert bare.total == 6
+        assert pooled.total() == 6 + 4
+        assert pooled == extract_skip_bigrams(s, 4) + extract_ngrams(s, 1)
+        assert extract_skip_bigrams(s, 4).total() == 6
 
 
 class TestRougeScore:

@@ -1,10 +1,10 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rougewe.textpipe import (
-    NGram,
-    NGramMultiset,
     TokenizeConfig,
     TokenSequence,
     extract_ngrams,
@@ -72,24 +72,31 @@ class TestTokenize:
 class TestExtractNgrams:
     def test_bigrams(self):
         ms = extract_ngrams(TokenSequence(("it", "is", "pouring")), 2)
-        assert ms.entries == {NGram(("it", "is")): 1, NGram(("is", "pouring")): 1}
+        assert ms == {("it", "is"): 1, ("is", "pouring"): 1}
 
     def test_multiplicity(self):
         ms = extract_ngrams(TokenSequence(("a", "a", "a")), 1)
-        assert ms.entries == {NGram(("a",)): 3}
-        assert ms.total == 3
+        assert ms == {("a",): 3}
+        assert ms.total() == 3
 
     def test_four_token_bigrams(self):
         ms = extract_ngrams(TokenSequence(("police", "killed", "the", "gunman")), 2)
-        assert ms.entries == {
-            NGram(("police", "killed")): 1,
-            NGram(("killed", "the")): 1,
-            NGram(("the", "gunman")): 1,
+        assert ms == {
+            ("police", "killed"): 1,
+            ("killed", "the"): 1,
+            ("the", "gunman"): 1,
         }
 
+    def test_pooled_units_sum_counts(self):
+        left = extract_ngrams(TokenSequence(("a", "b")), 1)
+        right = extract_ngrams(TokenSequence(("b", "c")), 1)
+        left.update(right)
+        assert left == {("a",): 1, ("b",): 2, ("c",): 1}
+        assert left.total() == 4
+
     def test_too_short_sequence(self):
-        assert extract_ngrams(TokenSequence(("a",)), 2).total == 0
-        assert extract_ngrams(TokenSequence(()), 1).total == 0
+        assert extract_ngrams(TokenSequence(("a",)), 2).total() == 0
+        assert extract_ngrams(TokenSequence(()), 1).total() == 0
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
@@ -98,28 +105,32 @@ class TestExtractNgrams:
     @given(st.lists(st.sampled_from("abcde"), max_size=30), st.integers(1, 5))
     def test_total_formula(self, tokens, n):
         seq = TokenSequence(tuple(tokens))
-        assert extract_ngrams(seq, n).total == max(0, len(tokens) - n + 1)
+        assert extract_ngrams(seq, n).total() == max(0, len(tokens) - n + 1)
 
 
 class TestExtractSkipBigrams:
     def test_all_pairs_within_skip(self):
         ms = extract_skip_bigrams(TokenSequence(("police", "killed", "the", "gunman")), 4)
-        assert ms.total == 6
-        assert ms.entries == {
-            NGram(("police", "killed"), gap=0): 1,
-            NGram(("police", "the"), gap=1): 1,
-            NGram(("police", "gunman"), gap=2): 1,
-            NGram(("killed", "the"), gap=0): 1,
-            NGram(("killed", "gunman"), gap=1): 1,
-            NGram(("the", "gunman"), gap=0): 1,
+        assert ms.total() == 6
+        assert ms == {
+            ("police", "killed"): 1,
+            ("police", "the"): 1,
+            ("police", "gunman"): 1,
+            ("killed", "the"): 1,
+            ("killed", "gunman"): 1,
+            ("the", "gunman"): 1,
         }
 
     def test_adjacent_only(self):
         ms = extract_skip_bigrams(TokenSequence(("a", "b")), 0)
-        assert ms.entries == {NGram(("a", "b"), gap=0): 1}
+        assert ms == {("a", "b"): 1}
 
     def test_single_token_no_pairs(self):
-        assert extract_skip_bigrams(TokenSequence(("a",)), 4).total == 0
+        assert extract_skip_bigrams(TokenSequence(("a",)), 4).total() == 0
+
+    def test_window_larger_than_sequence(self):
+        seq = TokenSequence(("a", "b", "c"))
+        assert extract_skip_bigrams(seq, 10**12) == extract_skip_bigrams(seq, 1)
 
     def test_invalid_max_skip(self):
         with pytest.raises(ValueError):
@@ -129,34 +140,21 @@ class TestExtractSkipBigrams:
     def test_unbounded_skip_total(self, tokens):
         seq = TokenSequence(tuple(tokens))
         n = len(tokens)
-        assert extract_skip_bigrams(seq, n - 2).total == n * (n - 1) // 2
+        assert extract_skip_bigrams(seq, n - 2).total() == n * (n - 1) // 2
 
     @given(st.lists(st.sampled_from("abc"), max_size=20))
     def test_zero_skip_equals_bigrams_modulo_gap(self, tokens):
         seq = TokenSequence(tuple(tokens))
-        skip = extract_skip_bigrams(seq, 0)
-        bigrams = extract_ngrams(seq, 2)
-        assert skip.by_words() == bigrams.by_words()
+        assert extract_skip_bigrams(seq, 0) == extract_ngrams(seq, 2)
 
-    @settings(max_examples=30)
+    @settings(max_examples=100)
     @given(st.lists(st.sampled_from("abcd"), max_size=15), st.integers(0, 6))
     def test_gaps_within_bound(self, tokens, max_skip):
-        for gram in extract_skip_bigrams(TokenSequence(tuple(tokens)), max_skip).entries:
-            assert 0 <= gram.gap <= max_skip
-            assert len(gram.words) == 2
-
-
-class TestNGramMultiset:
-    def test_by_words_merges_gaps(self):
-        ms = NGramMultiset()
-        ms.add(NGram(("a", "b"), gap=0), 2)
-        ms.add(NGram(("a", "b"), gap=3))
-        assert ms.by_words() == {("a", "b"): 3}
-        assert ms.total == 3
-
-    def test_union_sums_counts(self):
-        left = extract_ngrams(TokenSequence(("a", "b")), 1)
-        right = extract_ngrams(TokenSequence(("b", "c")), 1)
-        merged = left.union(right)
-        assert merged.by_words() == {("a",): 1, ("b",): 2, ("c",): 1}
-        assert merged.total == 4
+        # Brute force: every pair i < j <= i + max_skip + 1, counted by its words.
+        expected = Counter(
+            (tokens[i], tokens[j])
+            for i in range(len(tokens))
+            for j in range(i + 1, len(tokens))
+            if j <= i + max_skip + 1
+        )
+        assert extract_skip_bigrams(TokenSequence(tuple(tokens)), max_skip) == expected
