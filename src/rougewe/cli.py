@@ -75,7 +75,10 @@ class RunConfig:
     def tokenize_config(self) -> TokenizeConfig:
         stopwords = None
         if self.stopwords:
-            stopwords = load_stopwords(self.stopwords, lowercase=self.lowercase)
+            try:
+                stopwords = load_stopwords(self.stopwords, lowercase=self.lowercase)
+            except UnicodeDecodeError as exc:
+                raise _not_utf8("stopword file", self.stopwords, exc) from None
         return TokenizeConfig(lowercase=self.lowercase, stem=self.stem, stopwords=stopwords)
 
     def load_table(self) -> EmbeddingTable | None:
@@ -92,11 +95,22 @@ class RunConfig:
             raise click.ClickException(f"failed to load embeddings: {exc}") from exc
 
 
+def _not_utf8(what: str, path: str, exc: UnicodeDecodeError) -> click.ClickException:
+    return click.ClickException(f"{what} {path} is not valid UTF-8 (byte offset {exc.start})")
+
+
+def _read_utf8(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(what, path, exc) from None
+
+
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(_read_utf8(path, "config file"))
     except (OSError, json.JSONDecodeError) as exc:
         raise click.ClickException(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -205,8 +219,8 @@ def score(candidate, references, config_file, **cli):
     config = _build_run_config("score", _load_config_file(config_file), **cli)
     table = config.load_table()
     tok_config = config.tokenize_config()
-    cand = tokenize(Path(candidate).read_text(encoding="utf-8"), tok_config, source_id=candidate)
-    refs = [tokenize(Path(r).read_text(encoding="utf-8"), tok_config, source_id=r)
+    cand = tokenize(_read_utf8(candidate, "candidate file"), tok_config, source_id=candidate)
+    refs = [tokenize(_read_utf8(r, "reference file"), tok_config, source_id=r)
             for r in references]
     for metric in config.metrics:
         result = rouge_score(cand, refs, metric.variant, metric.match_function(table),

@@ -8,15 +8,14 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from rougewe.embeddings import EmbeddingTable, _TableBuilder
+from rougewe.embeddings import EmbeddingTable, _build_table
 
 
 def make_table(vectors: dict[str, Sequence[float]], normalize: bool = True) -> EmbeddingTable:
-    dim = len(next(iter(vectors.values())))
-    builder = _TableBuilder(dim, normalize)
-    for word, values in vectors.items():
-        builder.add(word, np.asarray(values, dtype=np.float64), word)
-    return builder.build()
+    words = list(vectors)
+    matrix = np.array([np.asarray(v, dtype=np.float64) for v in vectors.values()])
+    return _build_table(matrix.shape[1], words, matrix.astype(np.float32), normalize,
+                        where=words.__getitem__)
 
 
 def identity_table(words: Sequence[str]) -> EmbeddingTable:

@@ -117,6 +117,28 @@ class TestScoreCommand:
         ])
         assert result.output == "rouge-1 R=0.500000 P=0.500000 F=0.500000\n"
 
+    @pytest.mark.parametrize("bad", ["candidate", "reference"])
+    def test_non_utf8_input_exits_1_naming_file(self, runner, weather_files, tmp_path, bad):
+        cand, ref = weather_files
+        broken = tmp_path / f"{bad}-bad.txt"
+        broken.write_bytes(b"It is \xff raining")
+        args = [broken, ref] if bad == "candidate" else [cand, broken]
+        result = runner.invoke(main, ["score", *map(str, args)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"{bad} file {broken} is not valid UTF-8 (byte offset 6)" in result.output
+        assert "Traceback" not in result.output
+
+    def test_non_utf8_stopwords_exits_1_naming_file(self, runner, weather_files, tmp_path):
+        cand, ref = weather_files
+        stop = tmp_path / "stop.txt"
+        stop.write_bytes(b"it\nis\n\xfe\n")
+        result = runner.invoke(main, ["score", str(cand), str(ref), "--stopwords", str(stop)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"stopword file {stop} is not valid UTF-8 (byte offset 6)" in result.output
+        assert "Traceback" not in result.output
+
     def test_deterministic_output(self, runner, weather_files):
         cand, ref = weather_files
         args = ["score", str(cand), str(ref)]
@@ -294,6 +316,16 @@ class TestConfigFile:
         assert "unknown config keys: threads" in result.output
         assert not (out / "report.json").exists()
 
+    def test_non_utf8_config_exits_1_naming_file(self, runner, weather_files, tmp_path):
+        cand, ref = weather_files
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"metrics": "rouge-1\xff"}')
+        result = runner.invoke(main, ["score", str(cand), str(ref), "--config", str(config)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"config file {config} is not valid UTF-8 (byte offset 20)" in result.output
+        assert "Traceback" not in result.output
+
     def test_per_metric_schema_objects(self, runner, weather_files, toy_embeddings_text, tmp_path):
         cand, ref = weather_files
         config = tmp_path / "run.json"
@@ -352,6 +384,15 @@ class TestEmbeddingsInspect:
         result = runner.invoke(main, ["embeddings", "inspect", str(path)])
         assert result.exit_code != 0
 
+
+    def test_non_utf8_text_file_exits_1_naming_line(self, runner, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"a 1 0\nb\xff 0 1\n")
+        result = runner.invoke(main, ["embeddings", "inspect", str(path), "--format", "text"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "line 2: not valid UTF-8 (byte offset 7)" in result.output
+        assert "Traceback" not in result.output
 
 class TestHelp:
     def test_top_level_help(self, runner):

@@ -1,12 +1,18 @@
 import math
 import struct
+import tempfile
+import tracemalloc
 from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import load_oracle
+from rougewe import embeddings
 from rougewe.embeddings import (
     EmbeddingFormatError,
     EmbeddingTruncationError,
@@ -82,6 +88,17 @@ class TestLoadText:
         path.write_text("", encoding="utf-8")
         assert load_text(path).size == 0
 
+    def test_non_utf8_names_line_and_offset(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_bytes(b"2 2\na 1 0\nb\xff 0 1\n")
+        with pytest.raises(EmbeddingFormatError, match=r"line 3: not valid UTF-8 \(byte offset 11\)"):
+            load_text(path)
+
+    def test_float32_overflow_rejected(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("a 1 0\nb 1e40 1\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match="non-finite vector value at line 2"):
+            load_text(path)
 
 class TestLoadBinary:
     def test_hand_built_file(self, tmp_path):
@@ -169,6 +186,12 @@ class TestLoadBinary:
         with pytest.raises(EmbeddingFormatError, match="empty word"):
             load_binary(path)
 
+    def test_header_count_beyond_file_size(self, tmp_path):
+        path = tmp_path / "v.bin"
+        path.write_bytes(b"1000000000000 300\n" + binary_entry("cat", [1.0] * 300))
+        with pytest.raises(EmbeddingTruncationError, match="entry 1"):
+            load_binary(path)
+
     def test_no_normalize_keeps_raw(self, tmp_path):
         path = write_binary(tmp_path / "v.bin", [("dog", [0, 3, 4])])
         table = load_binary(path, normalize=False)
@@ -206,7 +229,9 @@ class TestLookupAndCompose:
 
     def test_compose_single_is_lookup_object(self):
         table = make_table({"cat": [0.6, 0.8]})
-        assert table.compose(("cat",)) is table.lookup("cat")
+        composed = table.compose(("cat",))
+        assert np.array_equal(composed, table.lookup("cat"))
+        assert np.shares_memory(composed, table.lookup("cat"))
 
     def test_compose_pair(self):
         table = make_table({"a": [0.6, 0.8], "b": [0.8, 0.6]})
@@ -262,3 +287,167 @@ class TestSimilarity:
         table = make_table({"a": a, "b": b})
         assert word_similarity(table, "a", "b") == word_similarity(table, "b", "a")
         assert 0.0 <= word_similarity(table, "a", "b") <= 1.0
+
+
+# Differential checks against the per-entry loaders kept in ``load_oracle``.
+
+WORDS = ["cat", "Cat", "CAT", "dog", "Dog", "\u00e9t\u00e9", "\u00c9t\u00e9", "x"]
+
+
+@st.composite
+def vector_entries(draw, max_entries=8):
+    dim = draw(st.integers(1, 4))
+    unit = st.builds(lambda k, sign: [sign * float(i == k) for i in range(dim)],
+                     st.integers(0, dim - 1), st.sampled_from([1.0, -1.0]))
+    zero = st.just([0.0] * dim)
+    any_values = st.lists(st.floats(-4, 4, width=32), min_size=dim, max_size=dim)
+    # Unit within NORM_TOLERANCE but not to the last bit: stored as found.
+    near_unit = st.builds(
+        lambda v, eps: (np.array(v) * ((1 + eps) / np.linalg.norm(v))).astype(np.float32).tolist(),
+        any_values.filter(any), st.floats(-9e-7, 9e-7))
+    non_finite = st.builds(lambda values, k, bad: values[:k] + [bad] + values[k + 1:],
+                           any_values, st.integers(0, dim - 1),
+                           st.sampled_from([math.nan, math.inf, -math.inf]))
+    vector = st.one_of(unit, near_unit, zero, any_values, any_values, non_finite)
+    entries = draw(st.lists(st.tuples(st.sampled_from(WORDS), vector), max_size=max_entries))
+    return dim, entries
+
+
+def binary_blob(draw, dim, entries) -> bytes:
+    declared = len(entries) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    blob = f"{max(declared, 0)} {dim}\n".encode()
+    blob += b"\n" * draw(st.integers(0, 2))
+    for word, values in entries:
+        blob += word.encode("utf-8") + b" " + struct.pack(f"<{dim}f", *values)
+        blob += b"\n" * draw(st.integers(0, 2))
+    return blob
+
+
+def text_blob(draw, dim, entries) -> bytes:
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r", "\x0c"]))
+    lines = [""] * draw(st.sampled_from([0, 0, 0, 1, 2]))
+    if draw(st.booleans()):
+        lines.append(f"{len(entries) + draw(st.sampled_from([0, 0, 1]))} {dim}")
+    for word, values in entries:
+        lines.append(" ".join([word, *(repr(v) for v in values)]))
+        lines.extend([""] * draw(st.integers(0, 1)))
+    junk_at = draw(st.one_of(st.none(), st.integers(0, len(lines))))
+    if junk_at is not None:
+        lines.insert(junk_at, draw(st.sampled_from(["junk", "junk 1 2 3 4 5", "junk 1 oops"])))
+    return eol.join(lines).encode("utf-8") + eol.encode() * draw(st.integers(0, 2))
+
+
+def outcome(load, path, normalize=True):
+    """What a loader makes of a file: its table, or the error it raised."""
+    try:
+        table = load(path, normalize=normalize)
+    except EmbeddingFormatError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+    except UnicodeDecodeError as exc:  # the oracle's text loader
+        return UnicodeDecodeError, exc.start
+    return table
+
+
+def within_one_ulp(a: np.ndarray, b: np.ndarray) -> bool:
+    gap = np.abs(a.astype(np.float64) - b.astype(np.float64))
+    return bool(np.all(gap <= np.spacing(np.maximum(np.abs(a), np.abs(b)))))
+
+
+def check_against_oracle(path, blob, entries, text, chunk, normalize=True):
+    """Load ``blob`` with the streaming loader (reading ``chunk`` bytes at a
+    time) and with the oracle, and require the same table or the same error."""
+    new, old = (load_text, load_oracle.load_text) if text else (load_binary, load_oracle.load_binary)
+    path.write_bytes(blob)
+    with mock.patch.object(embeddings, "CHUNK_BYTES", chunk):
+        got = outcome(new, path, normalize)
+    want = outcome(old, path, normalize)
+    if isinstance(want, tuple) and want[0] is UnicodeDecodeError:
+        # The oracle decodes the whole text before parsing it; streaming meets
+        # the faults of the lines before the bad byte first.
+        start = blob.rfind(b"\n", 0, want[1]) + 1
+        path.write_bytes(blob[:start])
+        before = outcome(old, path, normalize)
+        if isinstance(got, tuple) and "not valid UTF-8" in got[1]:
+            line = blob[:start].count(b"\n") + 1
+            assert got == (EmbeddingFormatError,
+                           f"line {line}: not valid UTF-8 (byte offset {want[1]})", None)
+            assert not isinstance(before, tuple) or before[1].startswith("header declares")
+        else:
+            assert got == before
+        return
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+        return
+    assert list(got.words()) == list(want.words())
+    assert got.load_summary == want.load_summary
+    assert got.dim == want.dim
+    for word in want.words():
+        have, ref = got.lookup(word), want.lookup(word)
+        stored_as_found = any(
+            np.array_equal(ref, np.float32(values)) for w, values in entries if w.lower() == word
+        )
+        # Rows the load rules keep as stored are copied bytes; renormalized rows
+        # divide by a norm summed in another order, so they may move by one ulp.
+        assert np.array_equal(have, ref) if stored_as_found else within_one_ulp(have, ref)
+
+
+class TestLoadersMatchOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), vector_entries(), st.integers(1, 48), st.booleans())
+    def test_binary(self, data, drawn, chunk, normalize):
+        dim, entries = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            check_against_oracle(Path(tmp) / "v.bin", binary_blob(data.draw, dim, entries),
+                                 entries, False, chunk, normalize)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), vector_entries(), st.integers(1, 48), st.booleans())
+    def test_text(self, data, drawn, chunk, normalize):
+        dim, entries = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            check_against_oracle(Path(tmp) / "v.txt", text_blob(data.draw, dim, entries),
+                                 entries, True, chunk, normalize)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), vector_entries(max_entries=4), st.integers(1, 24), st.booleans())
+    def test_truncated_at_every_byte(self, data, drawn, chunk, text):
+        dim, entries = drawn
+        blob = (text_blob if text else binary_blob)(data.draw, dim, entries)
+        with tempfile.TemporaryDirectory() as tmp:
+            for cut in range(len(blob) + 1):
+                check_against_oracle(Path(tmp) / "v", blob[:cut], entries, text, chunk)
+
+
+def write_random_binary(path, n: int, dim: int = 300) -> int:
+    """Write ``n`` non-unit random entries; returns the float32 payload in bytes."""
+    rng = np.random.default_rng(n)
+    records = np.zeros(n, dtype=[("word", "S9"), ("vec", "<f4", dim), ("eol", "S1")])
+    records["word"] = [f"w{i:07d} ".encode() for i in range(n)]
+    records["vec"] = rng.standard_normal((n, dim)) * 3
+    records["eol"] = b"\n"
+    with open(path, "wb") as fh:
+        fh.write(f"{n} {dim}\n".encode())
+        fh.write(records.tobytes())
+    return n * dim * 4
+
+
+class TestBoundedMemory:
+    def test_load_temporaries_do_not_grow_with_vocabulary(self, tmp_path):
+        """Peak traced memory inside load_binary, less what the returned table
+        holds (the float32 payload and the word index), stays flat as the file
+        grows: the read buffer, norms and renormalized rows work in chunks."""
+        overhead, payload = {}, {}
+        for n in (20_000, 60_000):
+            path = tmp_path / f"{n}.bin"
+            payload[n] = write_random_binary(path, n)
+            tracemalloc.start()
+            try:
+                table = load_binary(path)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert table.size == n and held >= payload[n]
+            overhead[n] = peak - held
+            del table
+        added = payload[60_000] - payload[20_000]
+        assert overhead[60_000] - overhead[20_000] <= 0.1 * added
