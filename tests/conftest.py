@@ -24,6 +24,15 @@ def identity_table(words: Sequence[str]) -> EmbeddingTable:
     return make_table({w: eye[i] for i, w in enumerate(words)})
 
 
+def sign_table(seed: int, words: Sequence[str]) -> EmbeddingTable:
+    """Random 16-d vectors of +-1/4 entries. They are unit length, their
+    element-wise products normalize back to +-1/4 entries, and every dot
+    product is a multiple of 1/8, exact in any summation order: a matrix
+    product and a per-pair dot agree bit for bit, on any BLAS kernel."""
+    rng = np.random.default_rng(seed)
+    return make_table({w: rng.choice([-0.25, 0.25], size=16) for w in words})
+
+
 @pytest.fixture
 def weather_table() -> EmbeddingTable:
     """Tiny table where rain words are near-synonyms (cosine 0.8)."""

@@ -19,7 +19,7 @@ from rougewe.rouge import (
 )
 from rougewe.textpipe import TokenSequence, extract_ngrams, extract_skip_bigrams, tokenize
 
-from conftest import identity_table, make_table
+from conftest import identity_table, make_table, sign_table
 from greedy_oracle import _greedy_consume, greedy_soft_overlap, pair_similarity
 
 
@@ -169,15 +169,6 @@ def unit_multisets(draw) -> Counter:
     return units
 
 
-def sign_table(seed: int):
-    """Random 16-d vectors of +-1/4 entries. They are unit length, their
-    element-wise products normalize back to +-1/4 entries, and every dot
-    product is a multiple of 1/8, exact in any summation order: the
-    engine's matrix product and the oracle's per-pair dot agree bit for bit."""
-    rng = np.random.default_rng(seed)
-    return make_table({w: rng.choice([-0.25, 0.25], size=16) for w in TABLE_WORDS})
-
-
 class TestEngineMatchesSequentialGreedy:
     @given(
         cand=unit_multisets(),
@@ -189,7 +180,8 @@ class TestEngineMatchesSequentialGreedy:
     def test_differential(self, cand, ref, table_seed, policy):
         # None: a one-hot table, where every positive similarity ties at 1
         # and distinct-word bigrams compose to zero (out of vocabulary).
-        table = identity_table(TABLE_WORDS) if table_seed is None else sign_table(table_seed)
+        table = (identity_table(TABLE_WORDS) if table_seed is None
+                 else sign_table(table_seed, TABLE_WORDS))
         match = MatchFunction.we(table, oov_policy=policy)
         assert soft_overlap(cand, ref, match) == greedy_soft_overlap(cand, ref,
                                                                     pair_similarity(match))
