@@ -26,7 +26,7 @@ from .correlation import (
     correlation_triple,
 )
 from .embeddings import EmbeddingTable
-from .rouge import MatchFunction, RougeVariant, rouge_score
+from .rouge import MatchFunction, RougeVariant, TopicPlan
 from .textpipe import DEFAULT_CONFIG, TokenizeConfig, tokenize
 
 logger = logging.getLogger(__name__)
@@ -197,16 +197,28 @@ def score_corpus(
 ) -> dict[str, ScoreVector]:
     """Per-metric mean score of every system over all topics.
 
+    For each metric, a topic's model summaries are prepared once in a
+    ``TopicPlan`` and each system summary once, then scored pair by pair;
+    every score is bitwise what ``rouge_score`` gives for that pair.
     A system missing a topic's summary contributes 0 for that topic (and
     is logged). A summary that fails to score raises ``MetaEvalError``
     naming the metric, system and topic, chained from the cause: a zero in
-    its place would bias the correlations without a trace. Aggregation is
-    a deterministic fold in (metric, system, topic) order.
+    its place would bias the correlations without a trace. Two metrics
+    with the same name would share one set of report rows, and two topics
+    with the same id one set of summaries, so either raises
+    ``MetaEvalError`` too. Each system's mean is a sequential sum over
+    topics in ``topic_id`` order, so no input order changes a bit.
     """
     if not topics:
         raise ValueError("no topics to score")
     if any(m.match == "we" for m in metrics) and table is None:
         raise ValueError("embedding-based metrics require an embedding table")
+    for what, names in (("topic", [t.topic_id for t in topics]),
+                        ("metric", [m.name for m in metrics])):
+        for name in names:
+            if names.count(name) > 1:
+                raise MetaEvalError(f"{what} {name} is given more than once; "
+                                    f"each {what} needs a distinct name")
 
     model_seqs = {
         t.topic_id: [tokenize(text, tokenize_config, source_id=f"{t.topic_id}/models/{mid}")
@@ -219,16 +231,16 @@ def score_corpus(
         for t in topics
     }
     system_ids = sorted({sid for t in topics for sid, _ in t.system_summaries})
+    topics = sorted(topics, key=lambda t: t.topic_id)
 
-    def score_one(metric: MetricConfig, match: MatchFunction, system_id: str, topic: Topic) -> float:
+    def score_one(metric: MetricConfig, plan: TopicPlan, system_id: str, topic: Topic) -> float:
         cand = system_seqs[topic.topic_id].get(system_id)
         if cand is None:
             logger.warning("system %s has no summary for topic %s; scoring 0",
                            system_id, topic.topic_id)
             return 0.0
         try:
-            score = rouge_score(cand, model_seqs[topic.topic_id], metric.variant,
-                                match, multiref=metric.multiref)
+            score = plan.score(cand)
         except Exception as exc:
             raise MetaEvalError(
                 f"scoring failed for metric {metric.name}, system {system_id}, "
@@ -239,8 +251,17 @@ def score_corpus(
     results: dict[str, ScoreVector] = {}
     for metric in metrics:
         match = metric.match_function(table)
-        means = [sum(score_one(metric, match, system_id, t) for t in topics) / len(topics)
-                 for system_id in system_ids]
+        per_system: dict[str, list[float]] = {system_id: [] for system_id in system_ids}
+        for topic in topics:
+            try:
+                plan = TopicPlan(model_seqs[topic.topic_id], metric.variant, match,
+                                 multiref=metric.multiref)
+            except Exception as exc:
+                raise MetaEvalError(f"scoring failed for metric {metric.name}, "
+                                    f"topic {topic.topic_id} (model summaries): {exc}") from exc
+            for system_id, scores in per_system.items():
+                scores.append(score_one(metric, plan, system_id, topic))
+        means = [sum(per_system[system_id]) / len(topics) for system_id in system_ids]
         results[metric.name] = ScoreVector(tuple(means), tuple(system_ids))
     return results
 

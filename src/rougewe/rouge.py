@@ -5,7 +5,10 @@ replace the 0/1 word-identity test with cosine similarity of composed
 n-gram vectors, scored through a greedy one-to-one soft assignment.
 Matching never crosses unit types: unigrams pair with unigrams, bigrams
 with bigrams, so the embedding metrics reduce exactly to the classic ones
-when the similarity degenerates to an identity test.
+when the similarity degenerates to an identity test. Scoring works on
+prepared sides: a summary's units, and their composed vectors, are set up
+once and then scored against any number of other summaries. A
+``TopicPlan`` holds one topic's prepared references.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ MULTIREF_POLICIES = ("average", "jackknife")
 class MatchFunction:
     """Pluggable word/n-gram similarity: exact identity or embedding cosine.
 
-    Immutable once built; embedding composition results are memoized.
+    Immutable: a match kind, the embedding table it composes from, and the
+    out-of-vocabulary policy.
     """
 
     def __init__(self, kind: str, table: EmbeddingTable | None = None, oov_policy: str = "zero"):
@@ -40,7 +44,6 @@ class MatchFunction:
         self.kind = kind
         self.table = table
         self.oov_policy = oov_policy
-        self._compose_cache: dict[tuple[str, ...], np.ndarray | None] = {}
 
     @classmethod
     def exact(cls) -> "MatchFunction":
@@ -49,11 +52,6 @@ class MatchFunction:
     @classmethod
     def we(cls, table: EmbeddingTable, oov_policy: str = "zero") -> "MatchFunction":
         return cls("embedding", table=table, oov_policy=oov_policy)
-
-    def compose(self, words: tuple[str, ...]) -> np.ndarray | None:
-        if words not in self._compose_cache:
-            self._compose_cache[words] = self.table.compose(words)
-        return self._compose_cache[words]
 
 
 @dataclass(frozen=True)
@@ -126,12 +124,46 @@ class RougeScore:
         return cls(recall, precision, f1, soft, ref_total, cand_total)
 
 
-def _group_by_length(units: Units) -> dict[int, list[tuple[tuple[str, ...], int]]]:
-    """words -> count groups, partitioned by unit length, sorted."""
-    partitions: dict[int, list[tuple[tuple[str, ...], int]]] = {}
-    for words, count in units.items():
-        partitions.setdefault(len(words), []).append((words, count))
-    return {length: sorted(groups) for length, groups in sorted(partitions.items())}
+class _Partition:
+    """The units of one length on one side, set up for embedding matching.
+
+    Groups are (words, count) pairs sorted by words; their order is the
+    assignment's tie-break. Holds the group counts, the float64 rows of
+    the units that compose to a vector (``known`` holds their group
+    indices), and the out-of-vocabulary units' group index by words.
+    """
+
+    __slots__ = ("counts", "known", "matrix", "oov")
+
+    def __init__(self, groups: list[tuple[tuple[str, ...], int]], table: EmbeddingTable):
+        vecs = [table.compose(words) for words, _ in groups]
+        self.counts = np.array([count for _, count in groups])
+        self.known = [i for i, v in enumerate(vecs) if v is not None]
+        self.matrix = (np.stack([vecs[i] for i in self.known]).astype(np.float64)
+                       if self.known else None)
+        self.oov = {words: i for i, ((words, _), v) in enumerate(zip(groups, vecs)) if v is None}
+
+
+class _PreparedSide:
+    """One summary's units under one metric, set up once to be scored
+    against any number of other summaries.
+
+    Holds the units and their total; under embedding matching also one
+    ``_Partition`` per unit length, in ascending length order.
+    """
+
+    __slots__ = ("units", "total", "partitions")
+
+    def __init__(self, units: Units, match: MatchFunction):
+        self.units = units
+        self.total = units.total()
+        self.partitions = None
+        if match.kind == "embedding":
+            by_length: dict[int, list[tuple[tuple[str, ...], int]]] = {}
+            for words, count in units.items():
+                by_length.setdefault(len(words), []).append((words, count))
+            self.partitions = {length: _Partition(sorted(groups), match.table)
+                               for length, groups in sorted(by_length.items())}
 
 
 def _greedy_assign(sims: np.ndarray, ref_counts: np.ndarray, cand_counts: np.ndarray) -> float:
@@ -182,36 +214,26 @@ def _greedy_assign(sims: np.ndarray, ref_counts: np.ndarray, cand_counts: np.nda
     return total
 
 
-def _embedding_overlap(cand: Units, ref: Units, match: MatchFunction) -> float:
+def _overlap(cand: _PreparedSide, ref: _PreparedSide, match: MatchFunction) -> float:
+    """Soft match count of two prepared sides (see ``soft_overlap``)."""
+    if match.kind == "exact":
+        c, r = cand.units, ref.units
+        common = c.keys() & r.keys()
+        return float(sum(map(min, map(c.__getitem__, common), map(r.__getitem__, common))))
     total = 0.0
-    cand_parts = _group_by_length(cand)
-    for length, ref_groups in _group_by_length(ref).items():
-        cand_groups = cand_parts.get(length)
-        if not cand_groups:
+    for length, rp in ref.partitions.items():
+        cp = cand.partitions.get(length)
+        if cp is None:
             continue
-        ref_vecs = [match.compose(words) for words, _ in ref_groups]
-        cand_vecs = [match.compose(words) for words, _ in cand_groups]
-        ref_known = [i for i, v in enumerate(ref_vecs) if v is not None]
-        cand_known = [j for j, v in enumerate(cand_vecs) if v is not None]
-
-        sims = np.zeros((len(ref_groups), len(cand_groups)))
-        if ref_known and cand_known:
-            sims[np.ix_(ref_known, cand_known)] = np.clip(
-                np.stack([ref_vecs[i] for i in ref_known]).astype(np.float64)
-                @ np.stack([cand_vecs[j] for j in cand_known]).astype(np.float64).T,
-                0.0, 1.0,
-            )
+        sims = np.zeros((len(rp.counts), len(cp.counts)))
+        if rp.known and cp.known:
+            sims[np.ix_(rp.known, cp.known)] = np.clip(rp.matrix @ cp.matrix.T, 0.0, 1.0)
         if match.oov_policy == "exact-fallback":
-            cand_oov = {words: j for j, ((words, _), v) in enumerate(zip(cand_groups, cand_vecs))
-                        if v is None}
-            for i, ((words, _), v) in enumerate(zip(ref_groups, ref_vecs)):
-                if v is None and words in cand_oov:
-                    sims[i, cand_oov[words]] = 1.0
-        total += _greedy_assign(
-            sims,
-            np.array([count for _, count in ref_groups]),
-            np.array([count for _, count in cand_groups]),
-        )
+            for words, i in rp.oov.items():
+                j = cp.oov.get(words)
+                if j is not None:
+                    sims[i, j] = 1.0
+        total += _greedy_assign(sims, rp.counts, cp.counts)
     return total
 
 
@@ -222,9 +244,7 @@ def soft_overlap(cand: Units, ref: Units, match: MatchFunction) -> float:
     the greedy best-first assignment (which reduces to clipped counting
     when similarities are 0/1 indicators).
     """
-    if match.kind == "exact":
-        return float(sum((cand & ref).values()))
-    return _embedding_overlap(cand, ref, match)
+    return _overlap(_PreparedSide(cand, match), _PreparedSide(ref, match), match)
 
 
 def _mean_scores(scores: Sequence[RougeScore]) -> RougeScore:
@@ -238,6 +258,48 @@ def _mean_scores(scores: Sequence[RougeScore]) -> RougeScore:
         ref_total=round(fmean(s.ref_total for s in scores)),
         cand_total=scores[0].cand_total,
     )
+
+
+class TopicPlan:
+    """One topic's references prepared once under one metric; scores
+    candidates against them.
+
+    Each reference's units (and, under embedding matching, its composed
+    unit matrices) are set up at construction, each candidate's once per
+    ``score`` call, so a pair costs only its clipped count or its product,
+    clip, OOV fill and assignment. Results are bitwise those of scoring
+    every pair from scratch.
+    """
+
+    def __init__(
+        self,
+        refs: Sequence[TokenSequence],
+        variant: RougeVariant,
+        match: MatchFunction,
+        multiref: str = "average",
+    ):
+        if not refs:
+            raise ValueError("at least one reference is required")
+        if multiref not in MULTIREF_POLICIES:
+            raise ValueError(f"unknown multiref policy {multiref!r}")
+        self.variant = variant
+        self.match = match
+        self.multiref = multiref
+        self.refs = [_PreparedSide(extract_units(ref, variant), match) for ref in refs]
+
+    def score(self, cand: TokenSequence) -> RougeScore:
+        """Score one candidate against every reference, combined per the
+        multiref policy (see ``rouge_score``)."""
+        side = _PreparedSide(extract_units(cand, self.variant), self.match)
+        per_ref = [RougeScore.from_counts(_overlap(side, ref, self.match), ref.total, side.total)
+                   for ref in self.refs]
+        if self.multiref == "average" or len(per_ref) == 1:
+            return _mean_scores(per_ref)
+        folds = []
+        for left_out in range(len(per_ref)):
+            fold = [s for i, s in enumerate(per_ref) if i != left_out]
+            folds.append(max(fold, key=lambda s: (s.f1, s.recall, s.precision)))
+        return _mean_scores(folds)
 
 
 def rouge_score(
@@ -255,22 +317,4 @@ def rouge_score(
     recall, then precision). A single reference makes both policies the
     plain single-reference score.
     """
-    if not refs:
-        raise ValueError("at least one reference is required")
-    if multiref not in MULTIREF_POLICIES:
-        raise ValueError(f"unknown multiref policy {multiref!r}")
-
-    cand_units = extract_units(cand, variant)
-    per_ref = []
-    for ref in refs:
-        ref_units = extract_units(ref, variant)
-        soft = soft_overlap(cand_units, ref_units, match)
-        per_ref.append(RougeScore.from_counts(soft, ref_units.total(), cand_units.total()))
-
-    if multiref == "average" or len(per_ref) == 1:
-        return _mean_scores(per_ref)
-    folds = []
-    for left_out in range(len(per_ref)):
-        fold = [s for i, s in enumerate(per_ref) if i != left_out]
-        folds.append(max(fold, key=lambda s: (s.f1, s.recall, s.precision)))
-    return _mean_scores(folds)
+    return TopicPlan(refs, variant, match, multiref).score(cand)

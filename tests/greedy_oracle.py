@@ -30,7 +30,7 @@ def pair_similarity(match: MatchFunction) -> Callable[[Words, Words], float]:
         identical = 1.0 if w1 == w2 else 0.0
         if match.kind == "exact":
             return identical
-        v1, v2 = match.compose(w1), match.compose(w2)
+        v1, v2 = match.table.compose(w1), match.table.compose(w2)
         if v1 is None or v2 is None:
             return identical if match.oov_policy == "exact-fallback" else 0.0
         return min(1.0, max(0.0, float(np.dot(v1, v2))))

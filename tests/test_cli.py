@@ -203,14 +203,14 @@ class TestMetaEvalCommand:
     def test_scoring_failure_exits_1_without_report(self, runner, tiny_corpus, tmp_path,
                                                       monkeypatch):
         corpus, judgments = tiny_corpus
-        real = harness.rouge_score
+        real = harness.TopicPlan.score
 
-        def fail_for_s2(cand, refs, *args, **kwargs):
+        def fail_for_s2(plan, cand):
             if cand.source_id.endswith("/systems/s2"):
                 raise RuntimeError("scorer bug")
-            return real(cand, refs, *args, **kwargs)
+            return real(plan, cand)
 
-        monkeypatch.setattr(harness, "rouge_score", fail_for_s2)
+        monkeypatch.setattr(harness.TopicPlan, "score", fail_for_s2)
         out = tmp_path / "out"
         result = runner.invoke(main, [
             "meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),
@@ -218,6 +218,22 @@ class TestMetaEvalCommand:
         ])
         assert result.exit_code == 1
         assert "scoring failed for metric rouge-1, system s2, topic t1: scorer bug" in result.output
+        assert not (out / "report.csv").exists() and not (out / "report.json").exists()
+
+    def test_duplicate_metric_exits_1_without_report(self, runner, tiny_corpus, tmp_path):
+        corpus, judgments = tiny_corpus
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"metrics": [
+            {"variant": "rouge-1", "report": "recall"},
+            {"variant": "rouge-1", "report": "f1"},
+        ]}), encoding="utf-8")
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),
+            "--out", str(out), "--config", str(config),
+        ])
+        assert result.exit_code == 1
+        assert "metric rouge-1 is given more than once" in result.output
         assert not (out / "report.csv").exists() and not (out / "report.json").exists()
 
     def test_non_utf8_summary_exits_1_naming_file(self, runner, tiny_corpus, tmp_path):

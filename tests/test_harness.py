@@ -1,6 +1,9 @@
 import logging
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rougewe import harness
 from rougewe.correlation import ScoreVector, UndefinedCorrelationError
@@ -11,6 +14,7 @@ from rougewe.harness import (
     JudgmentsFormatError,
     MetaEvalError,
     MetricConfig,
+    Topic,
     format_table,
     load_corpus,
     load_judgments,
@@ -18,9 +22,10 @@ from rougewe.harness import (
     score_corpus,
     write_reports,
 )
-from rougewe.rouge import ROUGE_1, ROUGE_2, RougeVariant
+from rougewe.rouge import ROUGE_1, ROUGE_2, MatchFunction, RougeVariant, rouge_score
+from rougewe.textpipe import tokenize
 
-from conftest import make_table, write_corpus
+from conftest import identity_table, make_table, sign_table, write_corpus
 
 R1 = MetricConfig(ROUGE_1)
 
@@ -209,14 +214,14 @@ class TestScoreCorpus:
 
     def test_scoring_failure_raises_naming_the_pair(self, tmp_path, monkeypatch):
         write_corpus(tmp_path, {"t1": ({"m1": "a b"}, {"s1": "a b", "s2": "a c"})})
-        real = harness.rouge_score
+        real = harness.TopicPlan.score
 
-        def fail_for_s2(cand, refs, *args, **kwargs):
+        def fail_for_s2(plan, cand):
             if cand.source_id == "t1/systems/s2":
                 raise RuntimeError("scorer bug")
-            return real(cand, refs, *args, **kwargs)
+            return real(plan, cand)
 
-        monkeypatch.setattr(harness, "rouge_score", fail_for_s2)
+        monkeypatch.setattr(harness.TopicPlan, "score", fail_for_s2)
         with pytest.raises(MetaEvalError, match="metric rouge-1, system s2, topic t1") as info:
             score_corpus(load_corpus(tmp_path), [R1])
         assert isinstance(info.value.__cause__, RuntimeError)
@@ -237,6 +242,18 @@ class TestScoreCorpus:
         with pytest.raises(ValueError):
             score_corpus([], [R1])
 
+    def test_duplicate_metric_name_rejected(self, tmp_path):
+        write_corpus(tmp_path, {"t1": ({"m1": "a b"}, {"s1": "a b", "s2": "a c"})})
+        metrics = [MetricConfig(ROUGE_1), MetricConfig(ROUGE_1, component="f1")]
+        with pytest.raises(MetaEvalError, match="metric rouge-1 is given more than once"):
+            score_corpus(load_corpus(tmp_path), metrics)
+
+    def test_duplicate_topic_id_rejected(self):
+        topics = [Topic("t1", [("m1", "a b")], [("s1", "a b")]),
+                  Topic("t1", [("m1", "c d")], [("s1", "x y")])]
+        with pytest.raises(MetaEvalError, match="topic t1 is given more than once"):
+            score_corpus(topics, [R1])
+
     def test_permutation_fairness(self, tmp_path):
         # systems hold the model texts, shuffled among systems per topic
         write_corpus(tmp_path, {
@@ -246,6 +263,94 @@ class TestScoreCorpus:
         scores = score_corpus(load_corpus(tmp_path), [R1])
         by_system = dict(zip(scores["rouge-1"].labels, scores["rouge-1"].values))
         assert by_system["s1"] == by_system["s3"]  # identical texts, identical scores
+
+
+TABLE_WORDS = ["a", "b", "c", "d", "e"]
+SUMMARY_WORDS = TABLE_WORDS + ["ghost", "wraith"]  # the last two are out of vocabulary
+SYSTEMS = ["s1", "s2", "s3"]
+texts = st.lists(st.sampled_from(SUMMARY_WORDS), max_size=7).map(" ".join)
+
+
+@st.composite
+def corpora(draw) -> list[Topic]:
+    """1-3 topics of 1-3 models; each system has a summary in a random subset
+    of topics. Summaries may be empty and may hold out-of-vocabulary words."""
+    topics = []
+    for t in range(draw(st.integers(1, 3))):
+        models = [(f"m{i}", draw(texts)) for i in range(draw(st.integers(1, 3)))]
+        present = draw(st.lists(st.sampled_from(SYSTEMS), min_size=1, unique=True))
+        topics.append(Topic(f"t{t}", models, [(sid, draw(texts)) for sid in sorted(present)]))
+    return topics
+
+
+@st.composite
+def metric_lists(draw, match=st.sampled_from(["exact", "we"])) -> list[MetricConfig]:
+    """1-3 metrics with distinct names and random options."""
+    variants = st.sampled_from(["rouge-1", "rouge-2", "rouge-su0", "rouge-su4"])
+    pairs = draw(st.lists(st.tuples(variants, match), min_size=1, max_size=3, unique=True))
+    return [MetricConfig(RougeVariant.parse(variant), match=kind,
+                         oov=draw(st.sampled_from(["zero", "exact-fallback"])),
+                         multiref=draw(st.sampled_from(["average", "jackknife"])),
+                         component=draw(st.sampled_from(["recall", "precision", "f1"])))
+            for variant, kind in pairs]
+
+
+def score_pair_by_pair(topics, metrics, table) -> dict[str, ScoreVector]:
+    """score_corpus spelled out through the per-pair API: every (metric,
+    system, topic) scored by rouge_score with a fresh MatchFunction."""
+    system_ids = sorted({sid for t in topics for sid, _ in t.system_summaries})
+    results = {}
+    for metric in metrics:
+        means = []
+        for system_id in system_ids:
+            values = []
+            for topic in topics:
+                texts_by_system = dict(topic.system_summaries)
+                if system_id not in texts_by_system:
+                    values.append(0.0)
+                    continue
+                match = (MatchFunction.we(table, oov_policy=metric.oov) if metric.match == "we"
+                         else MatchFunction.exact())
+                score = rouge_score(tokenize(texts_by_system[system_id]),
+                                    [tokenize(text) for _, text in topic.model_summaries],
+                                    metric.variant, match, multiref=metric.multiref)
+                values.append(getattr(score, metric.component))
+            means.append(sum(values) / len(topics))
+        results[metric.name] = ScoreVector(tuple(means), tuple(system_ids))
+    return results
+
+
+def table_for(seed):
+    """None: a one-hot table, where every positive similarity ties at 1."""
+    return identity_table(TABLE_WORDS) if seed is None else sign_table(seed, TABLE_WORDS)
+
+
+class TestTopicPlanDifferential:
+    @given(topics=corpora(), metrics=metric_lists(),
+           table_seed=st.none() | st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_score_corpus_equals_pair_by_pair(self, topics, metrics, table_seed):
+        table = table_for(table_seed)
+        assert score_corpus(topics, metrics, table=table) == score_pair_by_pair(topics, metrics,
+                                                                                table)
+
+    @given(topics=corpora(), metrics=metric_lists(), table_seed=st.integers(0, 2**32 - 1),
+           shuffle_seed=st.none() | st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_order_independent(self, topics, metrics, table_seed, shuffle_seed):
+        # None reverses every list; a seed shuffles each of them.
+        def permuted(items):
+            items = list(items)
+            if shuffle_seed is None:
+                return items[::-1]
+            random.Random(shuffle_seed + len(items)).shuffle(items)
+            return items
+
+        reordered = [Topic(t.topic_id, permuted(t.model_summaries), permuted(t.system_summaries))
+                     for t in permuted(topics)]
+        table = sign_table(table_seed, TABLE_WORDS)
+        assert score_corpus(reordered, metrics, table=table) == score_corpus(topics, metrics,
+                                                                             table=table)
 
 
 class TestMetaEvaluate:
