@@ -320,17 +320,14 @@ def score_pair_by_pair(topics, metrics, table) -> dict[str, ScoreVector]:
     return results
 
 
-def table_for(seed):
-    """None: a one-hot table, where every positive similarity ties at 1."""
-    return identity_table(TABLE_WORDS) if seed is None else sign_table(seed, TABLE_WORDS)
-
-
 class TestTopicPlanDifferential:
     @given(topics=corpora(), metrics=metric_lists(),
            table_seed=st.none() | st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_score_corpus_equals_pair_by_pair(self, topics, metrics, table_seed):
-        table = table_for(table_seed)
+        # None: a one-hot table, where every positive similarity ties at 1.
+        table = (identity_table(TABLE_WORDS) if table_seed is None
+                 else sign_table(table_seed, TABLE_WORDS))
         assert score_corpus(topics, metrics, table=table) == score_pair_by_pair(topics, metrics,
                                                                                 table)
 
