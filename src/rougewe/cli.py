@@ -11,6 +11,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Collection
 
 import click
 import numpy as np
@@ -23,6 +24,7 @@ from .harness import (
     JudgmentsFormatError,
     MetaEvalError,
     MetricConfig,
+    corpus_vocabulary,
     format_table,
     load_corpus,
     load_judgments,
@@ -81,16 +83,15 @@ class RunConfig:
                 raise _not_utf8("stopword file", self.stopwords, exc) from None
         return TokenizeConfig(lowercase=self.lowercase, stem=self.stem, stopwords=stopwords)
 
-    def load_table(self) -> EmbeddingTable | None:
-        if not any(m.match == "we" for m in self.metrics):
-            return None
-        if not self.embeddings:
-            raise click.ClickException(
-                "embedding-based metrics (--match we) require --embeddings <path>"
-            )
+    @property
+    def uses_embeddings(self) -> bool:
+        return any(m.match == "we" for m in self.metrics)
+
+    def load_table(self, vocabulary: Collection[str]) -> EmbeddingTable:
+        """The vectors of the words in ``vocabulary``, the only ones scoring looks up."""
         loader = load_binary if self.embeddings_format == "binary" else load_text
         try:
-            return loader(self.embeddings, normalize=self.normalize)
+            return loader(self.embeddings, normalize=self.normalize, vocabulary=vocabulary)
         except (EmbeddingFormatError, OSError) as exc:
             raise click.ClickException(f"failed to load embeddings: {exc}") from exc
 
@@ -152,7 +153,7 @@ def _build_run_config(command: str, file_config: dict, **cli) -> RunConfig:
                                             multiref=multiref, component=component))
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
-    return RunConfig(
+    config = RunConfig(
         command=command,
         metrics=metrics,
         embeddings=_resolve(cli.get("embeddings"), file_config, "embeddings", None),
@@ -166,6 +167,11 @@ def _build_run_config(command: str, file_config: dict, **cli) -> RunConfig:
         corpus=cli.get("corpus"),
         judgments=cli.get("judgments"),
     )
+    if config.uses_embeddings and not config.embeddings:
+        raise click.ClickException(
+            "embedding-based metrics (--match we) require --embeddings <path>"
+        )
+    return config
 
 
 def _common_options(fn):
@@ -217,11 +223,13 @@ def score(candidate, references, config_file, **cli):
     Prints one line per metric: '<metric> R=<recall> P=<precision> F=<f1>'.
     """
     config = _build_run_config("score", _load_config_file(config_file), **cli)
-    table = config.load_table()
+    texts = [(candidate, _read_utf8(candidate, "candidate file"))]
+    texts += [(r, _read_utf8(r, "reference file")) for r in references]
     tok_config = config.tokenize_config()
-    cand = tokenize(_read_utf8(candidate, "candidate file"), tok_config, source_id=candidate)
-    refs = [tokenize(_read_utf8(r, "reference file"), tok_config, source_id=r)
-            for r in references]
+    cand, *refs = [tokenize(text, tok_config, source_id=path) for path, text in texts]
+    table = None
+    if config.uses_embeddings:
+        table = config.load_table({word for seq in (cand, *refs) for word in seq})
     for metric in config.metrics:
         result = rouge_score(cand, refs, metric.variant, metric.match_function(table),
                              multiref=metric.multiref)
@@ -238,17 +246,23 @@ def score(candidate, references, config_file, **cli):
               help="Output directory for report.csv / report.json [default: .].")
 @_common_options
 def meta_eval(corpus, judgments, out, config_file, **cli):
-    """Score a corpus with every configured metric and correlate with judgments."""
+    """Score a corpus with every configured metric and correlate with judgments.
+
+    The corpus and the judgments are read before the vector file, and only
+    the vectors of the corpus's words are loaded.
+    """
     config = _build_run_config("meta-eval", _load_config_file(config_file),
                                out=out, corpus=corpus, judgments=judgments, **cli)
-    table = config.load_table()
     try:
         topics = load_corpus(corpus)
         human = load_judgments(judgments)
         if not topics:
             raise click.ClickException(f"corpus {corpus} contains no topics")
-        scores = score_corpus(topics, config.metrics, table=table,
-                              tokenize_config=config.tokenize_config())
+        tok_config = config.tokenize_config()
+        table = None
+        if config.uses_embeddings:
+            table = config.load_table(corpus_vocabulary(topics, tok_config))
+        scores = score_corpus(topics, config.metrics, table=table, tokenize_config=tok_config)
         report = meta_evaluate(scores, human)
     except (CorpusLoadError, JudgmentsFormatError, MetaEvalError, UndefinedCorrelationError) as exc:
         raise click.ClickException(str(exc)) from exc

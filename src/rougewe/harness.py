@@ -156,8 +156,13 @@ def load_corpus(root: str | Path) -> list[Topic]:
 
 
 def load_judgments(path: str | Path) -> HumanJudgments:
-    """Parse the judgments CSV; duplicates and non-numeric scores are errors."""
+    """Parse the judgments CSV; duplicates and non-numeric scores are errors,
+    each naming the file."""
     scores: dict[str, dict[str, float]] = {}
+
+    def error(message: str) -> JudgmentsFormatError:
+        return JudgmentsFormatError(f"judgments file {path}: {message}")
+
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -168,25 +173,31 @@ def load_judgments(path: str | Path) -> HumanJudgments:
     try:
         header = next(reader)
     except StopIteration:
-        raise JudgmentsFormatError("judgments file is empty") from None
+        raise error("empty") from None
     if tuple(h.strip() for h in header) != JUDGMENTS_HEADER:
-        raise JudgmentsFormatError(
-            f"expected header {','.join(JUDGMENTS_HEADER)!r}, found {','.join(header)!r}"
-        )
+        raise error(f"expected header {','.join(JUDGMENTS_HEADER)!r}, found {','.join(header)!r}")
     for rownum, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != 4:
-            raise JudgmentsFormatError(f"row {rownum}: expected 4 fields, found {len(row)}")
+            raise error(f"row {rownum}: expected 4 fields, found {len(row)}")
         system_id = row[0].strip()
         if system_id in scores:
-            raise JudgmentsFormatError(f"row {rownum}: duplicate system_id {system_id!r}")
+            raise error(f"row {rownum}: duplicate system_id {system_id!r}")
         try:
             values = [float(v) for v in row[1:]]
         except ValueError:
-            raise JudgmentsFormatError(f"row {rownum}: non-numeric score") from None
+            raise error(f"row {rownum}: non-numeric score") from None
         scores[system_id] = dict(zip(JUDGMENT_TYPES, values))
     return HumanJudgments(scores)
+
+
+def corpus_vocabulary(topics: Sequence[Topic],
+                      tokenize_config: TokenizeConfig = DEFAULT_CONFIG) -> set[str]:
+    """Every token of the corpus's summaries under ``tokenize_config``: the
+    only words that scoring the corpus looks up in an embedding table."""
+    return {token for t in topics for _, text in (*t.model_summaries, *t.system_summaries)
+            for token in tokenize(text, tokenize_config)}
 
 
 def score_corpus(

@@ -8,14 +8,19 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from rougewe.embeddings import EmbeddingTable, _build_table
+from rougewe.embeddings import EmbeddingTable, _TableBuilder
 
 
 def make_table(vectors: dict[str, Sequence[float]], normalize: bool = True) -> EmbeddingTable:
-    words = list(vectors)
-    matrix = np.array([np.asarray(v, dtype=np.float64) for v in vectors.values()])
-    return _build_table(matrix.shape[1], words, matrix.astype(np.float32), normalize,
-                        where=words.__getitem__)
+    """A table built from ``vectors`` by the loaders' build step."""
+    dim = len(next(iter(vectors.values())))
+    builder = _TableBuilder(dim, normalize, None, len(vectors))
+    for word, values in vectors.items():
+        builder.add(word, np.asarray(values, dtype=np.float64))
+        if builder.full:
+            builder.flush(builder.words.__getitem__)
+    builder.flush(builder.words.__getitem__)
+    return builder.table()
 
 
 def identity_table(words: Sequence[str]) -> EmbeddingTable:

@@ -1,11 +1,16 @@
 import json
 import struct
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from rougewe import harness
-from rougewe.cli import main
+from rougewe import cli, harness
+from rougewe.cli import DEFAULT_METRICS, main
+from rougewe.embeddings import load_binary, load_text
+from rougewe.harness import MetricConfig
+from rougewe.rouge import RougeVariant, rouge_score
+from rougewe.textpipe import tokenize
 
 from conftest import write_corpus
 
@@ -32,6 +37,20 @@ def toy_embeddings_text(tmp_path):
         encoding="utf-8",
     )
     return path
+
+
+def spy_on_loader(monkeypatch, name: str) -> list[dict]:
+    """Record each call of the CLI's ``name`` loader (its keyword arguments
+    and the table it returned), still loading through it."""
+    calls = []
+    real = getattr(cli, name)
+
+    def spy(path, **kwargs):
+        calls.append(dict(kwargs, table=real(path, **kwargs)))
+        return calls[-1]["table"]
+
+    monkeypatch.setattr(cli, name, spy)
+    return calls
 
 
 @pytest.fixture
@@ -138,6 +157,50 @@ class TestScoreCommand:
         assert isinstance(result.exception, SystemExit)
         assert f"stopword file {stop} is not valid UTF-8 (byte offset 6)" in result.output
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
+        "match", [[], ["--match", "we"], ["--match", "we", "--oov", "exact-fallback"]],
+        ids=["exact", "we-zero", "we-exact-fallback"])
+    def test_filtered_table_scores_as_full_table(self, runner, tmp_path, monkeypatch, match):
+        """`score` loads only the words of its files, and prints exactly what
+        `rouge_score` gives with the whole vector file."""
+        texts = {"cand.txt": "The cat sat on the mat, and the dog barked twice.",
+                 "ref1.txt": "A cat was sitting on a mat while dogs barked.",
+                 "ref2.txt": "The dog barked at the cat on the rug."}
+        for name, text in texts.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        rng = np.random.default_rng(3)
+        words = ["The", "the", "cat", "Cat", "sat", "on", "mat", "dog", "dog", "barked", "a",
+                 "sitting", "rug", "while", "zebra", "Quartz", "at", "was", "and"]
+        vectors = tmp_path / "vectors.bin"
+        blob = f"{len(words)} 8\n".encode()
+        for word in words:
+            blob += word.encode() + b" " + rng.normal(size=8).astype("<f4").tobytes() + b"\n"
+        vectors.write_bytes(blob)
+        calls = spy_on_loader(monkeypatch, "load_binary")
+        result = runner.invoke(main, ["score", *(str(tmp_path / n) for n in texts),
+                                      "--embeddings", str(vectors), *match])
+        assert result.exit_code == 0, result.output
+
+        full = load_binary(vectors)
+        cand, *refs = [tokenize(text, source_id=str(tmp_path / n)) for n, text in texts.items()]
+        oov = match[-1] if "--oov" in match else "zero"
+        metrics = [MetricConfig(RougeVariant.parse(name), match="we" if match else "exact", oov=oov)
+                   for name in DEFAULT_METRICS.split(",")]
+        expected = ""
+        for metric in metrics:
+            score = rouge_score(cand, refs, metric.variant, metric.match_function(full))
+            expected += (f"{metric.name} R={score.recall:.6f} P={score.precision:.6f} "
+                         f"F={score.f1:.6f}\n")
+            if match:
+                filtered = metric.match_function(calls[0]["table"])
+                assert rouge_score(cand, refs, metric.variant, filtered) == score
+        assert result.output == expected
+        if match:
+            assert [c["vocabulary"] for c in calls] == [{w for seq in (cand, *refs) for w in seq}]
+            assert calls[0]["table"].size < full.size
+        else:
+            assert calls == []
 
     def test_deterministic_output(self, runner, weather_files):
         cand, ref = weather_files
@@ -264,6 +327,40 @@ class TestMetaEvalCommand:
         assert f"judgments.csv is not valid UTF-8 (byte offset {offset})" in result.output
         assert "Traceback" not in result.output
         assert not (out / "report.csv").exists() and not (out / "report.json").exists()
+
+    def test_bad_judgments_fail_before_the_vector_load(self, runner, tiny_corpus, tmp_path,
+                                                      toy_embeddings_text, monkeypatch):
+        corpus, judgments = tiny_corpus
+        judgments.write_text("system_id,pyramid\ns1,0.9\n", encoding="utf-8")
+        calls = spy_on_loader(monkeypatch, "load_text")
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),
+            "--out", str(out), "--match", "we", "--embeddings", str(toy_embeddings_text),
+            "--embeddings-format", "text",
+        ])
+        assert result.exit_code == 1
+        assert f"judgments file {judgments}: expected header" in result.output
+        assert calls == []
+        assert not (out / "report.json").exists()
+
+    def test_we_loads_only_the_corpus_words(self, runner, tiny_corpus, tmp_path, monkeypatch):
+        corpus, judgments = tiny_corpus
+        vectors = tmp_path / "vecs.txt"
+        vectors.write_text("".join(f"{w} {i + 1} 1\n" for i, w in enumerate("abcdefghxyzwq")),
+                           encoding="utf-8")
+        stop = tmp_path / "stop.txt"
+        stop.write_text("x\nY\n", encoding="utf-8")
+        calls = spy_on_loader(monkeypatch, "load_text")
+        result = runner.invoke(main, [
+            "meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),
+            "--out", str(tmp_path / "out"), "--match", "we", "--oov", "exact-fallback",
+            "--embeddings", str(vectors), "--embeddings-format", "text", "--stopwords", str(stop),
+        ])
+        assert result.exit_code == 0, result.output
+        assert [c["vocabulary"] for c in calls] == [set("abcdefghzw")]
+        assert list(calls[0]["table"].words()) == list("abcdefghzw")
+        assert calls[0]["table"].load_summary == load_text(vectors).load_summary
 
     def test_threads_flag_rejected(self, runner, tiny_corpus, tmp_path):
         corpus, judgments = tiny_corpus

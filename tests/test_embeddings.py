@@ -1,4 +1,6 @@
+import functools
 import math
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -391,6 +393,33 @@ def check_against_oracle(path, blob, entries, text, chunk, normalize=True):
         assert np.array_equal(have, ref) if stored_as_found else within_one_ulp(have, ref)
 
 
+def vocabularies():
+    """Corpus vocabularies: lowercased file words, words no file holds, and a
+    capitalized token, which matches no key because keys are lowercased."""
+    return st.frozensets(st.sampled_from(sorted({w.lower() for w in WORDS}) + ["absent", "Cat"]))
+
+
+def check_filter_against_full(path, blob, text, chunk, normalize, vocabulary):
+    """A load filtered to ``vocabulary`` fails exactly as the full load does,
+    or keeps the full load's summary and dim and, of its words, those in
+    ``vocabulary``, in order, with bitwise the same vectors."""
+    load = load_text if text else load_binary
+    path.write_bytes(blob)
+    with mock.patch.object(embeddings, "CHUNK_BYTES", chunk):
+        full = outcome(load, path, normalize)
+        kept = outcome(functools.partial(load, vocabulary=vocabulary), path, normalize)
+    if isinstance(full, tuple) or isinstance(kept, tuple):
+        assert kept == full
+        return
+    assert kept.load_summary == full.load_summary
+    assert kept.dim == full.dim
+    assert list(kept.words()) == [w for w in full.words() if w in vocabulary]
+    for word in vocabulary:
+        have, want = kept.lookup(word), full.lookup(word)
+        assert (have is None) == (want is None)
+        assert have is None or have.tobytes() == want.tobytes()
+
+
 class TestLoadersMatchOracle:
     @settings(max_examples=200, deadline=None)
     @given(st.data(), vector_entries(), st.integers(1, 48), st.booleans())
@@ -416,6 +445,60 @@ class TestLoadersMatchOracle:
         with tempfile.TemporaryDirectory() as tmp:
             for cut in range(len(blob) + 1):
                 check_against_oracle(Path(tmp) / "v", blob[:cut], entries, text, chunk)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), vector_entries(max_entries=12), st.integers(64, 2048), st.booleans(),
+           st.booleans())
+    def test_multi_row_blocks(self, data, drawn, chunk, text, normalize):
+        """Chunks of 64 B and more give blocks of several rows, so the load
+        rules also meet duplicates and collisions inside one block."""
+        dim, entries = drawn
+        blob = (text_blob if text else binary_blob)(data.draw, dim, entries)
+        with tempfile.TemporaryDirectory() as tmp:
+            check_against_oracle(Path(tmp) / "v", blob, entries, text, chunk, normalize)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), vector_entries(), st.integers(1, 48), st.booleans(), vocabularies())
+    def test_vocabulary_filter_binary(self, data, drawn, chunk, normalize, vocabulary):
+        dim, entries = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            check_filter_against_full(Path(tmp) / "v.bin", binary_blob(data.draw, dim, entries),
+                                      False, chunk, normalize, vocabulary)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), vector_entries(), st.integers(1, 48), st.booleans(), vocabularies())
+    def test_vocabulary_filter_text(self, data, drawn, chunk, normalize, vocabulary):
+        dim, entries = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            check_filter_against_full(Path(tmp) / "v.txt", text_blob(data.draw, dim, entries),
+                                      True, chunk, normalize, vocabulary)
+
+    @pytest.mark.parametrize("text", [False, True])
+    def test_non_finite_reported_before_a_later_format_error(self, tmp_path, text):
+        """Both entries sit in one block, which is checked before the error
+        in the second entry is raised."""
+        if text:
+            path = tmp_path / "v.txt"
+            path.write_text("a nan 1\nb 1 oops\n", encoding="utf-8")
+        else:
+            path = tmp_path / "v.bin"
+            path.write_bytes(b"3 2\n" + binary_entry("a", [math.nan, 1]) + b"b " + b"\0" * 4)
+        where = "line 1" if text else "entry 0 ('a')"
+        with pytest.raises(EmbeddingFormatError, match=re.escape(f"value at {where}")):
+            (load_text if text else load_binary)(path, vocabulary=set())
+
+    @pytest.mark.parametrize("text", [False, True])
+    def test_non_finite_outside_vocabulary_fails(self, tmp_path, text):
+        if text:
+            path = tmp_path / "v.txt"
+            path.write_text("cat 1 0\ndog nan 0\n", encoding="utf-8")
+        else:
+            path = write_binary(tmp_path / "v.bin", [("cat", [1, 0]), ("dog", [math.nan, 0])])
+        load = load_text if text else load_binary
+        where = "line 2" if text else "entry 1 ('dog')"
+        message = re.escape(f"non-finite vector value at {where}")
+        with pytest.raises(EmbeddingFormatError, match=message):
+            load(path, vocabulary={"cat"})
 
 
 def write_random_binary(path, n: int, dim: int = 300) -> int:
@@ -451,3 +534,38 @@ class TestBoundedMemory:
             del table
         added = payload[60_000] - payload[20_000]
         assert overhead[60_000] - overhead[20_000] <= 0.1 * added
+
+    def test_filtered_load_holds_only_the_key_index(self, tmp_path):
+        """Loading 100 wanted words peaks well under the payload, and the peak
+        grows with the file by no more than an index of the added keys: the
+        rows of other words are never kept."""
+        wanted = {f"w{i:07d}" for i in range(0, 20_000, 200)}
+        peak, payload = {}, {}
+        for n in (20_000, 60_000):
+            path = tmp_path / f"{n}.bin"
+            payload[n] = write_random_binary(path, n)
+            tracemalloc.start()
+            try:
+                table = load_binary(path, vocabulary=wanted)
+                peak[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert set(table.words()) == wanted
+            del table
+        # A full load's peak is at least its payload, which the table holds.
+        assert peak[60_000] < payload[60_000] / 3
+        index_growth = key_index_peak(60_000) - key_index_peak(20_000)
+        assert peak[60_000] - peak[20_000] <= 1.1 * index_growth
+
+
+def key_index_peak(n: int) -> int:
+    """Traced peak of a dict from each of ``n`` lowercased keys to itself."""
+    tracemalloc.start()
+    try:
+        index = {}
+        for i in range(n):
+            key = f"W{i:07d}".lower()
+            index[key] = key
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
