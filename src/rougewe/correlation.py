@@ -46,6 +46,8 @@ def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("inputs must be 1-d and of equal length")
     if len(xv) < 2:
         raise ValueError("correlation requires at least 2 points")
+    if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
+        raise ValueError("inputs must be finite")
     return xv, yv
 
 
@@ -55,7 +57,13 @@ def _require_varying(v: np.ndarray, side: str) -> None:
 
 
 def _clamp(value: float) -> float:
-    """Keep rounding noise from pushing a coefficient past the [-1, 1] range."""
+    """Keep rounding noise from pushing a coefficient past the [-1, 1] range.
+
+    A NaN coefficient (from an overflowing product) raises rather than
+    clamping to an end of the range.
+    """
+    if np.isnan(value):
+        raise UndefinedCorrelationError("correlation is not a number")
     return min(1.0, max(-1.0, value))
 
 

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -156,8 +157,8 @@ def load_corpus(root: str | Path) -> list[Topic]:
 
 
 def load_judgments(path: str | Path) -> HumanJudgments:
-    """Parse the judgments CSV; duplicates and non-numeric scores are errors,
-    each naming the file."""
+    """Parse the judgments CSV; duplicates and non-numeric or non-finite
+    (nan, inf) scores are errors, each naming the file."""
     scores: dict[str, dict[str, float]] = {}
 
     def error(message: str) -> JudgmentsFormatError:
@@ -188,6 +189,8 @@ def load_judgments(path: str | Path) -> HumanJudgments:
             values = [float(v) for v in row[1:]]
         except ValueError:
             raise error(f"row {rownum}: non-numeric score") from None
+        if not all(map(math.isfinite, values)):
+            raise error(f"row {rownum}: non-finite score")
         scores[system_id] = dict(zip(JUDGMENT_TYPES, values))
     return HumanJudgments(scores)
 

@@ -6,22 +6,33 @@ n-gram vectors, scored through a greedy one-to-one soft assignment.
 Matching never crosses unit types: unigrams pair with unigrams, bigrams
 with bigrams, so the embedding metrics reduce exactly to the classic ones
 when the similarity degenerates to an identity test. Scoring works on
-prepared sides: a summary's units, and their composed vectors, are set up
-once and then scored against any number of other summaries. A
-``TopicPlan`` holds one topic's prepared references.
+prepared references: under exact matching, one count matrix over the
+word tuples the references hold, which a candidate's unit stream is
+clipped against in one lookup; under embedding matching, each summary's
+units and their composed vectors, set up once and then scored against any
+number of other summaries. A ``TopicPlan`` holds one topic's prepared
+references.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain, repeat
 from statistics import fmean
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .textpipe import TokenSequence, Units, extract_ngrams, extract_skip_bigrams
+from .textpipe import (
+    TokenSequence,
+    Units,
+    extract_ngrams,
+    extract_skip_bigrams,
+    ngram_stream,
+    skip_bigram_stream,
+)
 
 OOV_POLICIES = ("zero", "exact-fallback")
 MULTIREF_POLICIES = ("average", "jackknife")
@@ -96,8 +107,16 @@ ROUGE_SU4 = RougeVariant(family="su", max_skip=4)
 DEFAULT_VARIANTS = (ROUGE_1, ROUGE_2, ROUGE_SU4)
 
 
+def _unit_stream(seq: TokenSequence, variant: RougeVariant) -> Iterator[tuple[str, ...]]:
+    """Every unit occurrence a variant scores over, in ``extract_units``'s
+    order; SU pools skip-bigrams with unigrams."""
+    if variant.family == "n":
+        return ngram_stream(seq, variant.n)
+    return chain(skip_bigram_stream(seq, variant.max_skip), ngram_stream(seq, 1))
+
+
 def extract_units(seq: TokenSequence, variant: RougeVariant) -> Units:
-    """The multiset a variant scores over; SU pools skip-bigrams with unigrams."""
+    """The multiset of ``_unit_stream``, built by the textpipe extractors."""
     if variant.family == "n":
         return extract_ngrams(seq, variant.n)
     units = extract_skip_bigrams(seq, variant.max_skip)
@@ -144,26 +163,54 @@ class _Partition:
         self.oov = {words: i for i, ((words, _), v) in enumerate(zip(groups, vecs)) if v is None}
 
 
-class _PreparedSide:
-    """One summary's units under one metric, set up once to be scored
-    against any number of other summaries.
+class _ExactRefs:
+    """References set up for exact matching: one count matrix over the word
+    tuples they hold.
 
-    Holds the units and their total; under embedding matching also one
-    ``_Partition`` per unit length, in ascending length order.
+    ``columns`` numbers every word tuple that any reference has; row i of
+    ``counts`` is reference i's count of each, and the last column, the
+    sink, is 0 for every reference: a unit no reference has lands there and
+    clips to 0.
     """
 
-    __slots__ = ("units", "total", "partitions")
+    __slots__ = ("columns", "sink", "counts", "totals")
 
-    def __init__(self, units: Units, match: MatchFunction):
-        self.units = units
+    def __init__(self, refs: Sequence[Units]):
+        self.columns: dict[tuple[str, ...], int] = {}
+        for units in refs:
+            for words in units:
+                self.columns.setdefault(words, len(self.columns))
+        self.sink = len(self.columns)
+        self.counts = np.zeros((len(refs), self.sink + 1), dtype=np.int64)
+        for row, units in zip(self.counts, refs):
+            row[[self.columns[words] for words in units]] = list(units.values())
+        self.totals = [units.total() for units in refs]
+
+    def overlaps(self, cand: Iterable[tuple[str, ...]]) -> tuple[list[int], int]:
+        """Each reference's clipped count of the candidate's unit
+        occurrences ``cand``, and the candidate's total."""
+        cols = np.fromiter(map(self.columns.get, cand, repeat(self.sink)), np.intp)
+        cand_counts = np.bincount(cols, minlength=self.sink + 1)
+        return np.minimum(self.counts, cand_counts).sum(axis=1).tolist(), len(cols)
+
+
+class _PreparedSide:
+    """One summary's units under embedding matching, set up once to be
+    scored against any number of other summaries.
+
+    Holds the units' total and one ``_Partition`` per unit length, in
+    ascending length order.
+    """
+
+    __slots__ = ("total", "partitions")
+
+    def __init__(self, units: Units, table: EmbeddingTable):
         self.total = units.total()
-        self.partitions = None
-        if match.kind == "embedding":
-            by_length: dict[int, list[tuple[tuple[str, ...], int]]] = {}
-            for words, count in units.items():
-                by_length.setdefault(len(words), []).append((words, count))
-            self.partitions = {length: _Partition(sorted(groups), match.table)
-                               for length, groups in sorted(by_length.items())}
+        by_length: dict[int, list[tuple[tuple[str, ...], int]]] = {}
+        for words, count in units.items():
+            by_length.setdefault(len(words), []).append((words, count))
+        self.partitions = {length: _Partition(sorted(groups), table)
+                           for length, groups in sorted(by_length.items())}
 
 
 def _greedy_assign(sims: np.ndarray, ref_counts: np.ndarray, cand_counts: np.ndarray) -> float:
@@ -215,11 +262,8 @@ def _greedy_assign(sims: np.ndarray, ref_counts: np.ndarray, cand_counts: np.nda
 
 
 def _overlap(cand: _PreparedSide, ref: _PreparedSide, match: MatchFunction) -> float:
-    """Soft match count of two prepared sides (see ``soft_overlap``)."""
-    if match.kind == "exact":
-        c, r = cand.units, ref.units
-        common = c.keys() & r.keys()
-        return float(sum(map(min, map(c.__getitem__, common), map(r.__getitem__, common))))
+    """Soft match count of two sides prepared for embedding matching (see
+    ``soft_overlap``)."""
     total = 0.0
     for length, rp in ref.partitions.items():
         cp = cand.partitions.get(length)
@@ -244,18 +288,21 @@ def soft_overlap(cand: Units, ref: Units, match: MatchFunction) -> float:
     the greedy best-first assignment (which reduces to clipped counting
     when similarities are 0/1 indicators).
     """
-    return _overlap(_PreparedSide(cand, match), _PreparedSide(ref, match), match)
+    if match.kind == "exact":
+        overlaps, _ = _ExactRefs([ref]).overlaps(cand.elements())
+        return float(overlaps[0])
+    return _overlap(_PreparedSide(cand, match.table), _PreparedSide(ref, match.table), match)
 
 
 def _mean_scores(scores: Sequence[RougeScore]) -> RougeScore:
     if len(scores) == 1:
         return scores[0]
     return RougeScore(
-        recall=fmean(s.recall for s in scores),
-        precision=fmean(s.precision for s in scores),
-        f1=fmean(s.f1 for s in scores),
-        soft_match_count=fmean(s.soft_match_count for s in scores),
-        ref_total=round(fmean(s.ref_total for s in scores)),
+        recall=fmean([s.recall for s in scores]),
+        precision=fmean([s.precision for s in scores]),
+        f1=fmean([s.f1 for s in scores]),
+        soft_match_count=fmean([s.soft_match_count for s in scores]),
+        ref_total=round(fmean([s.ref_total for s in scores])),
         cand_total=scores[0].cand_total,
     )
 
@@ -264,11 +311,12 @@ class TopicPlan:
     """One topic's references prepared once under one metric; scores
     candidates against them.
 
-    Each reference's units (and, under embedding matching, its composed
-    unit matrices) are set up at construction, each candidate's once per
-    ``score`` call, so a pair costs only its clipped count or its product,
-    clip, OOV fill and assignment. Results are bitwise those of scoring
-    every pair from scratch.
+    The references are set up at construction. Under exact matching a
+    ``score`` call streams the candidate's units once through the
+    references' columns and clips against all references in one step;
+    under embedding matching it composes the candidate's unit matrices
+    once, so a pair costs only its product, clip, OOV fill and assignment.
+    Results are bitwise those of scoring every pair from scratch.
     """
 
     def __init__(
@@ -285,14 +333,24 @@ class TopicPlan:
         self.variant = variant
         self.match = match
         self.multiref = multiref
-        self.refs = [_PreparedSide(extract_units(ref, variant), match) for ref in refs]
+        ref_units = [extract_units(ref, variant) for ref in refs]
+        if match.kind == "exact":
+            self.exact = _ExactRefs(ref_units)
+        else:
+            self.refs = [_PreparedSide(units, match.table) for units in ref_units]
 
     def score(self, cand: TokenSequence) -> RougeScore:
         """Score one candidate against every reference, combined per the
         multiref policy (see ``rouge_score``)."""
-        side = _PreparedSide(extract_units(cand, self.variant), self.match)
-        per_ref = [RougeScore.from_counts(_overlap(side, ref, self.match), ref.total, side.total)
-                   for ref in self.refs]
+        if self.match.kind == "exact":
+            overlaps, cand_total = self.exact.overlaps(_unit_stream(cand, self.variant))
+            per_ref = [RougeScore.from_counts(float(overlap), ref_total, cand_total)
+                       for overlap, ref_total in zip(overlaps, self.exact.totals)]
+        else:
+            side = _PreparedSide(extract_units(cand, self.variant), self.match.table)
+            per_ref = [RougeScore.from_counts(_overlap(side, ref, self.match), ref.total,
+                                              side.total)
+                       for ref in self.refs]
         if self.multiref == "average" or len(per_ref) == 1:
             return _mean_scores(per_ref)
         folds = []

@@ -9,6 +9,7 @@ from __future__ import annotations
 import string
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterator
 
@@ -82,28 +83,34 @@ def tokenize(raw: str, config: TokenizeConfig = DEFAULT_CONFIG, source_id: str =
     return TokenSequence(tuple(tokens), source_id=source_id)
 
 
-def extract_ngrams(seq: TokenSequence, n: int) -> Units:
-    """Contiguous n-grams of ``seq`` (word tuples) with multiplicity.
-
-    Total count is max(0, len(seq) - n + 1); shorter sequences give an
-    empty multiset.
-    """
+def ngram_stream(seq: TokenSequence, n: int) -> Iterator[tuple[str, ...]]:
+    """Contiguous n-grams of ``seq`` (word tuples), in order, one per
+    occurrence: max(0, len(seq) - n + 1) of them."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     toks = seq.tokens
-    return Counter(zip(*(toks[i:] for i in range(n))))
+    return zip(*(toks[i:] for i in range(n)))
 
 
-def extract_skip_bigrams(seq: TokenSequence, max_skip: int) -> Units:
-    """Ordered in-sentence word pairs with at most ``max_skip`` words between.
+def skip_bigram_stream(seq: TokenSequence, max_skip: int) -> Iterator[tuple[str, str]]:
+    """Ordered in-sentence word pairs with at most ``max_skip`` words between,
+    one per occurrence, grouped by skip distance.
 
-    Every pair (w_i, w_j) with i < j and j - i - 1 <= max_skip is counted.
+    Every pair (w_i, w_j) with i < j and j - i - 1 <= max_skip is yielded.
     The skip distance only bounds the window: a unit is its two words.
     """
     if max_skip < 0:
         raise ValueError(f"max_skip must be >= 0, got {max_skip}")
     toks = seq.tokens
-    counts: Units = Counter()
-    for skip in range(min(max_skip + 1, len(toks))):
-        counts.update(zip(toks, toks[skip + 1:]))
-    return counts
+    return chain.from_iterable(zip(toks, toks[skip + 1:])
+                               for skip in range(min(max_skip + 1, len(toks))))
+
+
+def extract_ngrams(seq: TokenSequence, n: int) -> Units:
+    """The multiset of ``ngram_stream``; shorter sequences give an empty one."""
+    return Counter(ngram_stream(seq, n))
+
+
+def extract_skip_bigrams(seq: TokenSequence, max_skip: int) -> Units:
+    """The multiset of ``skip_bigram_stream``."""
+    return Counter(skip_bigram_stream(seq, max_skip))

@@ -328,6 +328,24 @@ class TestMetaEvalCommand:
         assert "Traceback" not in result.output
         assert not (out / "report.csv").exists() and not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_judgment_exits_1(self, runner, tiny_corpus, tmp_path, value):
+        corpus, judgments = tiny_corpus
+        judgments.write_text(
+            "system_id,pyramid,responsiveness,readability\n"
+            f"s1,0.9,4.5,4.0\ns2,0.5,{value},3.2\ns3,0.1,1.0,1.5\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),
+            "--out", str(out),
+        ])
+        assert result.exit_code == 1
+        assert f"judgments file {judgments}: row 3: non-finite score" in result.output
+        assert "Traceback" not in result.output
+        assert not (out / "report.csv").exists() and not (out / "report.json").exists()
+
     def test_bad_judgments_fail_before_the_vector_load(self, runner, tiny_corpus, tmp_path,
                                                       toy_embeddings_text, monkeypatch):
         corpus, judgments = tiny_corpus

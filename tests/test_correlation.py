@@ -43,6 +43,22 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson([1], [2])
 
+    def test_overflowing_products_raise_not_clamp(self):
+        # xc.dot(yc) and the norm product both overflow to inf, so the
+        # quotient is NaN, which must not be clamped to -1.
+        big = [1e200, -1e200, 0.0]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                UndefinedCorrelationError, match="not a number"):
+            pearson(big, big)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_inputs_rejected(self, bad):
+        for fn in (pearson, spearman, kendall):
+            with pytest.raises(ValueError, match="finite"):
+                fn([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+            with pytest.raises(ValueError, match="finite"):
+                fn([1.0, 2.0, 3.0], [bad, 2.0, 3.0])
+
 
 class TestSpearman:
     def test_co_monotone(self):

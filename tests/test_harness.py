@@ -26,6 +26,7 @@ from rougewe.rouge import ROUGE_1, ROUGE_2, MatchFunction, RougeVariant, rouge_s
 from rougewe.textpipe import tokenize
 
 from conftest import identity_table, make_table, sign_table, write_corpus
+from exact_oracle import oracle_rouge_score
 
 R1 = MetricConfig(ROUGE_1)
 
@@ -108,6 +109,16 @@ class TestLoadJudgments:
             encoding="utf-8",
         )
         with pytest.raises(JudgmentsFormatError, match="row 3"):
+            load_judgments(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "NaN"])
+    def test_non_finite_names_row(self, tmp_path, value):
+        path = tmp_path / "j.csv"
+        path.write_text(
+            f"system_id,pyramid,responsiveness,readability\nsys1,1,1,1\nsys2,2,{value},2\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(JudgmentsFormatError, match=f"{path}: row 3: non-finite score"):
             load_judgments(path)
 
     def test_bad_header(self, tmp_path):
@@ -295,9 +306,21 @@ def metric_lists(draw, match=st.sampled_from(["exact", "we"])) -> list[MetricCon
             for variant, kind in pairs]
 
 
-def score_pair_by_pair(topics, metrics, table) -> dict[str, ScoreVector]:
-    """score_corpus spelled out through the per-pair API: every (metric,
-    system, topic) scored by rouge_score with a fresh MatchFunction."""
+def rouge_score_pair(cand, refs, metric, table):
+    match = (MatchFunction.we(table, oov_policy=metric.oov) if metric.match == "we"
+             else MatchFunction.exact())
+    return rouge_score(cand, refs, metric.variant, match, multiref=metric.multiref)
+
+
+def oracle_score_pair(cand, refs, metric, table):
+    return oracle_rouge_score(cand, refs, metric.variant, metric.multiref)
+
+
+def score_pair_by_pair(topics, metrics, table, score_pair=rouge_score_pair
+                       ) -> dict[str, ScoreVector]:
+    """score_corpus spelled out through a per-pair scorer: every (metric,
+    system, topic) scored on its own, by default through rouge_score with
+    a fresh MatchFunction."""
     system_ids = sorted({sid for t in topics for sid, _ in t.system_summaries})
     results = {}
     for metric in metrics:
@@ -309,15 +332,27 @@ def score_pair_by_pair(topics, metrics, table) -> dict[str, ScoreVector]:
                 if system_id not in texts_by_system:
                     values.append(0.0)
                     continue
-                match = (MatchFunction.we(table, oov_policy=metric.oov) if metric.match == "we"
-                         else MatchFunction.exact())
-                score = rouge_score(tokenize(texts_by_system[system_id]),
-                                    [tokenize(text) for _, text in topic.model_summaries],
-                                    metric.variant, match, multiref=metric.multiref)
+                score = score_pair(tokenize(texts_by_system[system_id]),
+                                   [tokenize(text) for _, text in topic.model_summaries],
+                                   metric, table)
                 values.append(getattr(score, metric.component))
             means.append(sum(values) / len(topics))
         results[metric.name] = ScoreVector(tuple(means), tuple(system_ids))
     return results
+
+
+def reorder(topics, shuffle_seed):
+    """The corpus with every list permuted: reversed for None, else each
+    shuffled from the seed."""
+    def permuted(items):
+        items = list(items)
+        if shuffle_seed is None:
+            return items[::-1]
+        random.Random(shuffle_seed + len(items)).shuffle(items)
+        return items
+
+    return [Topic(t.topic_id, permuted(t.model_summaries), permuted(t.system_summaries))
+            for t in permuted(topics)]
 
 
 class TestTopicPlanDifferential:
@@ -331,23 +366,26 @@ class TestTopicPlanDifferential:
         assert score_corpus(topics, metrics, table=table) == score_pair_by_pair(topics, metrics,
                                                                                 table)
 
+    @given(topics=corpora(), metrics=metric_lists(match=st.just("exact")))
+    @settings(max_examples=150, deadline=None)
+    def test_exact_score_corpus_equals_oracle(self, topics, metrics):
+        assert score_corpus(topics, metrics) == score_pair_by_pair(topics, metrics, None,
+                                                                   oracle_score_pair)
+
     @given(topics=corpora(), metrics=metric_lists(), table_seed=st.integers(0, 2**32 - 1),
            shuffle_seed=st.none() | st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_order_independent(self, topics, metrics, table_seed, shuffle_seed):
-        # None reverses every list; a seed shuffles each of them.
-        def permuted(items):
-            items = list(items)
-            if shuffle_seed is None:
-                return items[::-1]
-            random.Random(shuffle_seed + len(items)).shuffle(items)
-            return items
-
-        reordered = [Topic(t.topic_id, permuted(t.model_summaries), permuted(t.system_summaries))
-                     for t in permuted(topics)]
         table = sign_table(table_seed, TABLE_WORDS)
-        assert score_corpus(reordered, metrics, table=table) == score_corpus(topics, metrics,
-                                                                             table=table)
+        assert score_corpus(reorder(topics, shuffle_seed), metrics, table=table) == score_corpus(
+            topics, metrics, table=table)
+
+    @given(topics=corpora(), metrics=metric_lists(match=st.just("exact")),
+           shuffle_seed=st.none() | st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_order_independent(self, topics, metrics, shuffle_seed):
+        assert score_corpus(reorder(topics, shuffle_seed), metrics) == score_corpus(topics,
+                                                                                    metrics)
 
 
 class TestMetaEvaluate:

@@ -1,4 +1,5 @@
 from collections import Counter
+from statistics import fmean
 
 import numpy as np
 import pytest
@@ -12,7 +13,10 @@ from rougewe.rouge import (
     MatchFunction,
     RougeScore,
     RougeVariant,
+    TopicPlan,
     _greedy_assign,
+    _mean_scores,
+    _unit_stream,
     extract_units,
     rouge_score,
     soft_overlap,
@@ -20,6 +24,7 @@ from rougewe.rouge import (
 from rougewe.textpipe import TokenSequence, extract_ngrams, extract_skip_bigrams, tokenize
 
 from conftest import identity_table, make_table, sign_table
+from exact_oracle import clipped_count, oracle_rouge_score
 from greedy_oracle import _greedy_consume, greedy_soft_overlap, pair_similarity
 
 
@@ -378,3 +383,98 @@ class TestScoreProperties:
         exact_soft = soft_overlap(cand_units, ref_units, MatchFunction.exact())
         we_soft = soft_overlap(cand_units, ref_units, match)
         assert we_soft >= exact_soft - 1e-9
+
+
+# Every exact variant family and size the oracle tests cover: n-grams up
+# to 4, and skip windows from adjacent pairs to wider than any summary.
+EXACT_VARIANTS = [RougeVariant.parse(f"rouge-{n}") for n in range(1, 5)] + [
+    RougeVariant.parse(f"rouge-su{k}") for k in range(7)]
+# Few words, so units repeat within and across summaries.
+summaries = st.lists(st.sampled_from("abcd"), max_size=6).map(lambda w: TokenSequence(tuple(w)))
+
+
+class TestExactEngineMatchesOracle:
+    """Clipping a candidate against all references at once gives the scores
+    of clipping it against each reference on its own."""
+
+    @given(cand=summaries, refs=st.lists(summaries, min_size=1, max_size=4),
+           variant=st.sampled_from(EXACT_VARIANTS),
+           multiref=st.sampled_from(["average", "jackknife"]))
+    @settings(max_examples=400, deadline=None)
+    def test_topic_plan(self, cand, refs, variant, multiref):
+        plan = TopicPlan(refs, variant, MatchFunction.exact(), multiref)
+        expected = oracle_rouge_score(cand, refs, variant, multiref)
+        assert plan.score(cand) == expected
+        assert rouge_score(cand, refs, variant, MatchFunction.exact(), multiref) == expected
+
+    @given(cand=summaries, ref=summaries, variant=st.sampled_from(EXACT_VARIANTS))
+    @settings(max_examples=200, deadline=None)
+    def test_soft_overlap(self, cand, ref, variant):
+        cand_units, ref_units = extract_units(cand, variant), extract_units(ref, variant)
+        got = soft_overlap(cand_units, ref_units, MatchFunction.exact())
+        assert got == float(clipped_count(cand_units, ref_units))
+        assert type(got) is float
+
+    @given(summary=summaries, variant=st.sampled_from(EXACT_VARIANTS))
+    def test_unit_stream_is_extract_units(self, summary, variant):
+        assert Counter(_unit_stream(summary, variant)) == extract_units(summary, variant)
+
+
+class TestExactEdgeCases:
+    def test_empty_candidate(self):
+        plan = TopicPlan([seq("a b c"), seq("a d")], ROUGE_1, MatchFunction.exact())
+        score = plan.score(seq(""))
+        assert (score.recall, score.precision, score.f1, score.soft_match_count) == (0, 0, 0, 0)
+        assert (score.ref_total, score.cand_total) == (round(2.5), 0)
+
+    def test_candidate_sharing_no_unit(self):
+        plan = TopicPlan([seq("a b c"), seq("a d")], ROUGE_2, MatchFunction.exact())
+        score = plan.score(seq("x y x y"))
+        assert score.soft_match_count == 0.0
+        assert score.cand_total == 3
+
+    def test_references_shorter_than_n(self):
+        refs = [seq("a b"), seq("a"), seq("")]
+        plan = TopicPlan(refs, RougeVariant.parse("rouge-3"), MatchFunction.exact())
+        assert plan.exact.columns == {}
+        assert plan.exact.counts.shape == (3, 1)
+        score = plan.score(seq("a b a b"))
+        assert (score.recall, score.precision, score.soft_match_count) == (0.0, 0.0, 0.0)
+        assert (score.ref_total, score.cand_total) == (0, 2)
+
+    def test_soft_overlap_counts_above_one(self):
+        cand = Counter({("a",): 3, ("b",): 1, ("c", "d"): 2, ("e",): 4})
+        ref = Counter({("a",): 2, ("b",): 5, ("c", "d"): 2, ("f",): 7})
+        assert soft_overlap(cand, ref, MatchFunction.exact()) == 2.0 + 1.0 + 2.0
+        assert soft_overlap(ref, cand, MatchFunction.exact()) == 5.0
+
+    def test_columns_span_every_reference(self):
+        plan = TopicPlan([seq("a b"), seq("c"), seq("c b")], ROUGE_1, MatchFunction.exact())
+        assert sorted(plan.exact.columns) == [("a",), ("b",), ("c",)]
+        assert plan.exact.counts[:, -1].tolist() == [0, 0, 0]
+        assert plan.score(seq("c c")).soft_match_count == (0 + 1 + 1) / 3
+
+
+def generator_mean_scores(scores):
+    """``_mean_scores`` with generator arguments to ``fmean``."""
+    return RougeScore(
+        recall=fmean(s.recall for s in scores),
+        precision=fmean(s.precision for s in scores),
+        f1=fmean(s.f1 for s in scores),
+        soft_match_count=fmean(s.soft_match_count for s in scores),
+        ref_total=round(fmean(s.ref_total for s in scores)),
+        cand_total=scores[0].cand_total,
+    )
+
+
+class TestMeanScores:
+    @given(rows=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                                   st.floats(0.0, 1.0) | st.integers(0, 50), st.integers(0, 500)),
+                         min_size=1, max_size=6))
+    def test_list_form_is_generator_form(self, rows):
+        scores = [RougeScore(*row, cand_total=9) for row in rows]
+        assert _mean_scores(scores) == generator_mean_scores(scores)
+
+    @given(values=st.lists(st.floats(0.0, 1.0) | st.integers(0, 10**6), min_size=1, max_size=6))
+    def test_fmean_of_list_is_fmean_of_generator(self, values):
+        assert fmean(list(values)) == fmean(v for v in values)
