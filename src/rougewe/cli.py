@@ -1,15 +1,16 @@
 """Command-line interface: summary scoring, meta-evaluation, embedding tools.
 
-Options can also come from a JSON config file (--config); explicit
-command-line flags win over the file, and the fully resolved configuration
-is echoed into the JSON report for provenance.
+Options can also come from a JSON config file (--config), which becomes the
+defaults of the command's options: a flag wins over the file, the file over
+the option's default, and a file value meets the same check as the flag. The
+fully resolved configuration is echoed into the JSON report for provenance.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Collection
 
@@ -18,8 +19,10 @@ import numpy as np
 
 from . import __version__
 from .correlation import UndefinedCorrelationError
-from .embeddings import EmbeddingFormatError, EmbeddingTable, load_binary, load_text
+from .embeddings import LOADERS, EmbeddingFormatError, EmbeddingTable
 from .harness import (
+    MATCH_KINDS,
+    REPORT_COMPONENTS,
     CorpusLoadError,
     JudgmentsFormatError,
     MetaEvalError,
@@ -32,7 +35,7 @@ from .harness import (
     score_corpus,
     write_reports,
 )
-from .rouge import RougeVariant, rouge_score
+from .rouge import MULTIREF_POLICIES, OOV_POLICIES, rouge_score
 from .textpipe import TokenizeConfig, load_stopwords, tokenize
 
 DEFAULT_METRICS = "rouge-1,rouge-2,rouge-su4"
@@ -48,31 +51,19 @@ class RunConfig:
     """Fully resolved settings for one invocation."""
 
     command: str
-    metrics: list[MetricConfig] = field(default_factory=list)
-    embeddings: str | None = None
-    embeddings_format: str = "binary"
-    lowercase: bool = True
-    stem: bool = False
-    stopwords: str | None = None
-    normalize: bool = True
-    out: str = "."
+    metrics: list[MetricConfig]
+    embeddings: str | None
+    embeddings_format: str
+    lowercase: bool
+    stem: bool
+    stopwords: str | None
+    normalize: bool
+    out: str | None = None
     corpus: str | None = None
     judgments: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "metrics": [m.to_dict() for m in self.metrics],
-            "embeddings": self.embeddings,
-            "embeddings_format": self.embeddings_format,
-            "lowercase": self.lowercase,
-            "stem": self.stem,
-            "stopwords": self.stopwords,
-            "normalize": self.normalize,
-            "out": self.out,
-            "corpus": self.corpus,
-            "judgments": self.judgments,
-        }
+        return {**asdict(self), "metrics": [m.to_dict() for m in self.metrics]}
 
     def tokenize_config(self) -> TokenizeConfig:
         stopwords = None
@@ -89,7 +80,7 @@ class RunConfig:
 
     def load_table(self, vocabulary: Collection[str]) -> EmbeddingTable:
         """The vectors of the words in ``vocabulary``, the only ones scoring looks up."""
-        loader = load_binary if self.embeddings_format == "binary" else load_text
+        loader = LOADERS[self.embeddings_format]
         try:
             return loader(self.embeddings, normalize=self.normalize, vocabulary=vocabulary)
         except (EmbeddingFormatError, OSError) as exc:
@@ -107,9 +98,10 @@ def _read_utf8(path: str, what: str) -> str:
         raise _not_utf8(what, path, exc) from None
 
 
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
+def _apply_config_file(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Make a --config file the defaults of the command's other options."""
+    if path is None:
+        return
     try:
         data = json.loads(_read_utf8(path, "config file"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -119,54 +111,37 @@ def _load_config_file(path: str | None) -> dict:
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise click.ClickException(f"unknown config keys: {', '.join(sorted(unknown))}")
-    return data
+    # Each value reaches its option as the text a flag would carry, so it meets
+    # the flag's check (a JSON number is no file descriptor, nor a boolean no
+    # path); only metrics may also be a list. null leaves the option's default.
+    ctx.default_map = {key: value if key == "metrics" else str(value)
+                       for key, value in data.items() if value is not None}
 
 
-def _resolve(cli_value, file_config: dict, key: str, default):
-    if cli_value is not None:
-        return cli_value
-    if key in file_config:
-        return file_config[key]
-    return default
+class _MetricList(click.ParamType):
+    """Comma-separated ROUGE variants or, from a config file, a list of names
+    and per-metric objects; converts to per-metric schema dicts."""
+
+    name = "list"
+
+    def convert(self, value, param, ctx) -> list[dict]:
+        if isinstance(value, str):
+            value = [name.strip() for name in value.split(",") if name.strip()]
+        if not isinstance(value, list) or not all(isinstance(e, (str, dict)) for e in value):
+            self.fail(f"{value!r} is not a list of metric names and objects", param, ctx)
+        if not value:
+            self.fail("no metrics configured", param, ctx)
+        return [{"variant": e} if isinstance(e, str) else e for e in value]
 
 
-def _build_run_config(command: str, file_config: dict, **cli) -> RunConfig:
-    metrics_raw = _resolve(cli.get("metrics"), file_config, "metrics", DEFAULT_METRICS)
-    if isinstance(metrics_raw, str):
-        metric_entries = [m.strip() for m in metrics_raw.split(",") if m.strip()]
-    else:
-        metric_entries = list(metrics_raw)  # names or per-metric schema objects
-    if not metric_entries:
-        raise click.ClickException("no metrics configured")
-    match = _resolve(cli.get("match"), file_config, "match", "exact")
-    oov = _resolve(cli.get("oov"), file_config, "oov", "zero")
-    multiref = _resolve(cli.get("multiref"), file_config, "multiref", "average")
-    component = _resolve(cli.get("report_component"), file_config, "report_component", "recall")
+def _build_run_config(command: str, metrics: list[dict], match: str, oov: str, multiref: str,
+                      report_component: str, **settings) -> RunConfig:
     try:
-        metrics = []
-        for entry in metric_entries:
-            if isinstance(entry, dict):
-                metrics.append(MetricConfig.from_dict(entry, match=match, oov=oov,
-                                                      multiref=multiref, component=component))
-            else:
-                metrics.append(MetricConfig(RougeVariant.parse(entry), match=match, oov=oov,
-                                            multiref=multiref, component=component))
+        metrics = [MetricConfig.from_dict(entry, match=match, oov=oov, multiref=multiref,
+                                          component=report_component) for entry in metrics]
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
-    config = RunConfig(
-        command=command,
-        metrics=metrics,
-        embeddings=_resolve(cli.get("embeddings"), file_config, "embeddings", None),
-        embeddings_format=_resolve(cli.get("embeddings_format"), file_config,
-                                   "embeddings_format", "binary"),
-        lowercase=_resolve(cli.get("lowercase"), file_config, "lowercase", True),
-        stem=_resolve(cli.get("stem"), file_config, "stem", False),
-        stopwords=_resolve(cli.get("stopwords"), file_config, "stopwords", None),
-        normalize=_resolve(cli.get("normalize"), file_config, "normalize", True),
-        out=_resolve(cli.get("out"), file_config, "out", "."),
-        corpus=cli.get("corpus"),
-        judgments=cli.get("judgments"),
-    )
+    config = RunConfig(command, metrics, **settings)
     if config.uses_embeddings and not config.embeddings:
         raise click.ClickException(
             "embedding-based metrics (--match we) require --embeddings <path>"
@@ -176,37 +151,37 @@ def _build_run_config(command: str, file_config: dict, **cli) -> RunConfig:
 
 def _common_options(fn):
     options = [
-        click.option("--metrics", default=None, metavar="LIST",
-                      help=f"Comma-separated ROUGE variants [default: {DEFAULT_METRICS}]."),
-        click.option("--match", type=click.Choice(["exact", "we"]), default=None,
-                      help="Word matching: exact lexical or word-embedding (we) [default: exact]."),
-        click.option("--embeddings", type=click.Path(exists=True, dir_okay=False), default=None,
-                      help="Embedding file (required for --match we)."),
-        click.option("--embeddings-format", type=click.Choice(["binary", "text"]), default=None,
-                      help="Embedding file layout [default: binary]."),
-        click.option("--oov", type=click.Choice(["zero", "exact-fallback"]), default=None,
-                      help="Similarity for out-of-vocabulary units [default: zero]."),
-        click.option("--multiref", type=click.Choice(["average", "jackknife"]), default=None,
-                      help="Multi-reference aggregation [default: average]."),
-        click.option("--report-component", type=click.Choice(["recall", "precision", "f1"]),
-                      default=None, help="Score component used by the harness [default: recall]."),
-        click.option("--lowercase/--no-lowercase", default=None,
-                      help="Lowercase tokens [default: on]."),
-        click.option("--stem/--no-stem", default=None, help="Apply Porter stemming [default: off]."),
-        click.option("--stopwords", type=click.Path(exists=True, dir_okay=False), default=None,
-                      help="Stopword list to remove (one word per line)."),
-        click.option("--normalize/--no-normalize", default=None,
-                      help="Unit-normalize embedding vectors at load [default: on; "
-                           "--no-normalize is experimental]."),
-        click.option("--config", "config_file", type=click.Path(exists=True, dir_okay=False),
-                      default=None, help="JSON config file; explicit flags override it."),
+        click.option("--metrics", type=_MetricList(), default=DEFAULT_METRICS,
+                     help="Comma-separated ROUGE variants."),
+        click.option("--match", type=click.Choice(MATCH_KINDS), default="exact",
+                     help="Word matching: exact lexical or word-embedding (we)."),
+        click.option("--embeddings", type=click.Path(exists=True, dir_okay=False),
+                     help="Embedding file (required for --match we)."),
+        click.option("--embeddings-format", type=click.Choice(tuple(LOADERS)), default="binary",
+                     help="Embedding file layout."),
+        click.option("--oov", type=click.Choice(OOV_POLICIES), default="zero",
+                     help="Similarity for out-of-vocabulary units."),
+        click.option("--multiref", type=click.Choice(MULTIREF_POLICIES), default="average",
+                     help="Multi-reference aggregation."),
+        click.option("--report-component", type=click.Choice(REPORT_COMPONENTS), default="recall",
+                     help="Score component used by the harness."),
+        click.option("--lowercase/--no-lowercase", default=True, help="Lowercase tokens."),
+        click.option("--stem/--no-stem", default=False, help="Apply Porter stemming."),
+        click.option("--stopwords", type=click.Path(exists=True, dir_okay=False),
+                     help="Stopword list to remove (one word per line)."),
+        click.option("--normalize/--no-normalize", default=True,
+                     help="Unit-normalize embedding vectors at load "
+                          "(--no-normalize is experimental)."),
+        click.option("--config", type=click.Path(exists=True, dir_okay=False), is_eager=True,
+                     expose_value=False, callback=_apply_config_file,
+                     help="JSON config file of option defaults; explicit flags override it."),
     ]
     for option in reversed(options):
         fn = option(fn)
     return fn
 
 
-@click.group()
+@click.group(context_settings={"show_default": True})
 @click.version_option(version=__version__, prog_name="rougewe")
 def main():
     """Summarization evaluation: ROUGE / ROUGE-WE scoring and meta-evaluation."""
@@ -217,12 +192,12 @@ def main():
 @click.argument("candidate", type=click.Path(exists=True, dir_okay=False))
 @click.argument("references", type=click.Path(exists=True, dir_okay=False), nargs=-1, required=True)
 @_common_options
-def score(candidate, references, config_file, **cli):
+def score(candidate, references, **settings):
     """Score CANDIDATE against one or more REFERENCES files.
 
     Prints one line per metric: '<metric> R=<recall> P=<precision> F=<f1>'.
     """
-    config = _build_run_config("score", _load_config_file(config_file), **cli)
+    config = _build_run_config("score", **settings)
     texts = [(candidate, _read_utf8(candidate, "candidate file"))]
     texts += [(r, _read_utf8(r, "reference file")) for r in references]
     tok_config = config.tokenize_config()
@@ -242,22 +217,21 @@ def score(candidate, references, config_file, **cli):
               help="Corpus root: <topic>/models/*.txt and <topic>/systems/*.txt.")
 @click.option("--judgments", type=click.Path(exists=True, dir_okay=False), required=True,
               help="CSV of human judgments (system_id,pyramid,responsiveness,readability).")
-@click.option("--out", type=click.Path(file_okay=False), default=None,
-              help="Output directory for report.csv / report.json [default: .].")
+@click.option("--out", type=click.Path(file_okay=False), default=".",
+              help="Output directory for report.csv / report.json.")
 @_common_options
-def meta_eval(corpus, judgments, out, config_file, **cli):
+def meta_eval(**settings):
     """Score a corpus with every configured metric and correlate with judgments.
 
     The corpus and the judgments are read before the vector file, and only
     the vectors of the corpus's words are loaded.
     """
-    config = _build_run_config("meta-eval", _load_config_file(config_file),
-                               out=out, corpus=corpus, judgments=judgments, **cli)
+    config = _build_run_config("meta-eval", **settings)
     try:
-        topics = load_corpus(corpus)
-        human = load_judgments(judgments)
+        topics = load_corpus(config.corpus)
+        human = load_judgments(config.judgments)
         if not topics:
-            raise click.ClickException(f"corpus {corpus} contains no topics")
+            raise click.ClickException(f"corpus {config.corpus} contains no topics")
         tok_config = config.tokenize_config()
         table = None
         if config.uses_embeddings:
@@ -278,16 +252,15 @@ def embeddings():
 
 @embeddings.command("inspect")
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["binary", "text"]), default="binary",
-              help="File layout [default: binary].")
+@click.option("--format", "fmt", type=click.Choice(tuple(LOADERS)), default="binary",
+              help="File layout.")
 @click.option("--word", default=None, help="Also look up one word.")
 @click.option("--normalize/--no-normalize", default=True,
-              help="Unit-normalize vectors at load [default: on].")
+              help="Unit-normalize vectors at load.")
 def embeddings_inspect(path, fmt, word, normalize):
     """Print summary information about an embedding file."""
-    loader = load_binary if fmt == "binary" else load_text
     try:
-        table = loader(path, normalize=normalize)
+        table = LOADERS[fmt](path, normalize=normalize)
     except (EmbeddingFormatError, OSError) as exc:
         raise click.ClickException(f"failed to load embeddings: {exc}") from exc
     click.echo(f"file: {path}")

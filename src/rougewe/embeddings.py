@@ -416,6 +416,9 @@ def load_text(path: str | Path, normalize: bool = True,
     return builder.table()
 
 
+LOADERS = {"binary": load_binary, "text": load_text}
+
+
 def save_binary(table: EmbeddingTable, path: str | Path) -> None:
     """Serialize a table in the binary layout (inverse of load_binary)."""
     with open(path, "wb") as fh:

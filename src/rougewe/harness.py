@@ -27,13 +27,15 @@ from .correlation import (
     correlation_triple,
 )
 from .embeddings import EmbeddingTable
-from .rouge import MatchFunction, RougeVariant, TopicPlan
+from .rouge import MULTIREF_POLICIES, OOV_POLICIES, MatchFunction, RougeVariant, TopicPlan
 from .textpipe import DEFAULT_CONFIG, TokenizeConfig, tokenize
 
 logger = logging.getLogger(__name__)
 
 JUDGMENT_TYPES = ("pyramid", "responsiveness", "readability")
 JUDGMENTS_HEADER = ("system_id", "pyramid", "responsiveness", "readability")
+MATCH_KINDS = ("exact", "we")
+REPORT_COMPONENTS = ("recall", "precision", "f1")
 
 
 class CorpusLoadError(Exception):
@@ -71,16 +73,18 @@ class MetricConfig:
     """One metric to evaluate: a ROUGE variant plus its matching options."""
 
     variant: RougeVariant
-    match: str = "exact"  # "exact" | "we"
+    match: str = "exact"
     oov: str = "zero"
     multiref: str = "average"
     component: str = "recall"
 
     def __post_init__(self):
-        if self.match not in ("exact", "we"):
-            raise ValueError(f"unknown match {self.match!r}")
-        if self.component not in ("recall", "precision", "f1"):
-            raise ValueError(f"unknown report component {self.component!r}")
+        for what, value, allowed in (("match", self.match, MATCH_KINDS),
+                                     ("oov policy", self.oov, OOV_POLICIES),
+                                     ("multiref policy", self.multiref, MULTIREF_POLICIES),
+                                     ("report component", self.component, REPORT_COMPONENTS)):
+            if value not in allowed:
+                raise ValueError(f"unknown {what} {value!r}")
 
     def match_function(self, table: EmbeddingTable | None) -> MatchFunction:
         """The matcher this metric scores with; ``we`` needs ``table``."""
@@ -104,22 +108,18 @@ class MetricConfig:
         }
 
     @classmethod
-    def from_dict(cls, data: dict, match: str = "exact", oov: str = "zero",
-                  multiref: str = "average", component: str = "recall") -> "MetricConfig":
-        """Parse the metric configuration schema; omitted keys take the
-        given run-level defaults."""
+    def from_dict(cls, data: dict, **defaults) -> "MetricConfig":
+        """Parse the metric configuration schema. An omitted key takes its
+        value from ``defaults`` (run-level ``match``, ``oov``, ``multiref``,
+        ``component``), else the field's default."""
         unknown = set(data) - {"variant", "match", "oov", "multiref", "report"}
         if unknown:
             raise ValueError(f"unknown metric config keys: {', '.join(sorted(unknown))}")
         if "variant" not in data:
             raise ValueError("metric config requires a 'variant'")
-        return cls(
-            RougeVariant.parse(data["variant"]),
-            match=data.get("match", match),
-            oov=data.get("oov", oov),
-            multiref=data.get("multiref", multiref),
-            component=data.get("report", component),
-        )
+        given = {"component" if key == "report" else key: value
+                 for key, value in data.items() if key != "variant"}
+        return cls(RougeVariant.parse(data["variant"]), **{**defaults, **given})
 
 
 def _read_text(path: Path) -> str:

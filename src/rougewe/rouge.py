@@ -86,6 +86,8 @@ class RougeVariant:
     @classmethod
     def parse(cls, name: str) -> "RougeVariant":
         """Parse names like rouge-1, rouge-2, rouge-su4."""
+        if not isinstance(name, str):
+            raise ValueError(f"ROUGE variant name must be a string, not {name!r}")
         m = re.fullmatch(r"rouge-(\d+)", name.strip().lower())
         if m:
             return cls(family="n", n=int(m.group(1)))

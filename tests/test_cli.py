@@ -1,4 +1,5 @@
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -7,7 +8,7 @@ from click.testing import CliRunner
 
 from rougewe import cli, harness
 from rougewe.cli import DEFAULT_METRICS, main
-from rougewe.embeddings import load_binary, load_text
+from rougewe.embeddings import LOADERS, load_binary, load_text
 from rougewe.harness import MetricConfig
 from rougewe.rouge import RougeVariant, rouge_score
 from rougewe.textpipe import tokenize
@@ -39,17 +40,17 @@ def toy_embeddings_text(tmp_path):
     return path
 
 
-def spy_on_loader(monkeypatch, name: str) -> list[dict]:
-    """Record each call of the CLI's ``name`` loader (its keyword arguments
-    and the table it returned), still loading through it."""
+def spy_on_loader(monkeypatch, fmt: str) -> list[dict]:
+    """Record each call of the ``fmt`` loader (its keyword arguments and the
+    table it returned), still loading through it."""
     calls = []
-    real = getattr(cli, name)
+    real = LOADERS[fmt]
 
     def spy(path, **kwargs):
         calls.append(dict(kwargs, table=real(path, **kwargs)))
         return calls[-1]["table"]
 
-    monkeypatch.setattr(cli, name, spy)
+    monkeypatch.setitem(LOADERS, fmt, spy)
     return calls
 
 
@@ -177,7 +178,7 @@ class TestScoreCommand:
         for word in words:
             blob += word.encode() + b" " + rng.normal(size=8).astype("<f4").tobytes() + b"\n"
         vectors.write_bytes(blob)
-        calls = spy_on_loader(monkeypatch, "load_binary")
+        calls = spy_on_loader(monkeypatch, "binary")
         result = runner.invoke(main, ["score", *(str(tmp_path / n) for n in texts),
                                       "--embeddings", str(vectors), *match])
         assert result.exit_code == 0, result.output
@@ -350,7 +351,7 @@ class TestMetaEvalCommand:
                                                       toy_embeddings_text, monkeypatch):
         corpus, judgments = tiny_corpus
         judgments.write_text("system_id,pyramid\ns1,0.9\n", encoding="utf-8")
-        calls = spy_on_loader(monkeypatch, "load_text")
+        calls = spy_on_loader(monkeypatch, "text")
         out = tmp_path / "out"
         result = runner.invoke(main, [
             "meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),
@@ -369,7 +370,7 @@ class TestMetaEvalCommand:
                            encoding="utf-8")
         stop = tmp_path / "stop.txt"
         stop.write_text("x\nY\n", encoding="utf-8")
-        calls = spy_on_loader(monkeypatch, "load_text")
+        calls = spy_on_loader(monkeypatch, "text")
         result = runner.invoke(main, [
             "meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),
             "--out", str(tmp_path / "out"), "--match", "we", "--oov", "exact-fallback",
@@ -473,6 +474,167 @@ class TestConfigFile:
         lines = result.output.splitlines()
         assert lines[0] == "rouge-1 R=0.666667 P=0.500000 F=0.571429"
         assert lines[1] == "rouge-we-1 R=0.933333 P=0.700000 F=0.800000"
+
+
+    @pytest.mark.parametrize("settings, flag", [
+        ({"stem": "no"}, "--no-stem"),
+        ({"stem": "on"}, "--stem"),
+        ({"stem": 1}, "--stem"),
+        ({"lowercase": "false"}, "--no-lowercase"),
+        ({"lowercase": None}, "--lowercase"),
+    ])
+    def test_file_booleans_read_as_their_flag(self, runner, tmp_path, settings, flag):
+        cand = tmp_path / "c.txt"
+        cand.write_text("The Cats were running", encoding="utf-8")
+        ref = tmp_path / "r.txt"
+        ref.write_text("the cat runs", encoding="utf-8")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(settings), encoding="utf-8")
+        args = ["score", str(cand), str(ref), "--metrics", "rouge-1"]
+        by_file = runner.invoke(main, args + ["--config", str(config)])
+        by_flag = runner.invoke(main, args + [flag])
+        assert by_file.exit_code == 0, by_file.output
+        assert by_file.output == by_flag.output
+        opposite = flag.replace("--no-", "--") if "--no-" in flag else flag.replace("--", "--no-")
+        assert runner.invoke(main, args + [opposite]).output != by_flag.output
+
+
+def run_meta_eval_with_config(runner, tiny_corpus, tmp_path, monkeypatch, settings):
+    """Run meta-eval with ``settings`` as its config file, "VECS" standing for
+    a text vector file; return the result, the out directory and the calls of
+    each vector loader by format."""
+    corpus, judgments = tiny_corpus
+    vectors = tmp_path / "vecs.txt"
+    vectors.write_text("".join(f"{w} {i + 1} 1\n" for i, w in enumerate("abcdefghxyzw")),
+                       encoding="utf-8")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(settings).replace("VECS", str(vectors)), encoding="utf-8")
+    calls = {fmt: spy_on_loader(monkeypatch, fmt) for fmt in list(LOADERS)}
+    out = tmp_path / "out"
+    result = runner.invoke(main, [
+        "meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),
+        "--out", str(out), "--config", str(config),
+    ])
+    return result, out, calls
+
+
+class TestConfigFileChecks:
+    """A config value meets the check its flag meets, before any input is read."""
+
+    @pytest.mark.parametrize("settings, flag", [
+        ({"embeddings_format": "csv", "match": "we", "embeddings": "VECS"}, "--embeddings-format"),
+        ({"oov": "bogus", "match": "we", "embeddings": "VECS", "embeddings_format": "text"},
+         "--oov"),
+        ({"stopwords": "/missing.txt"}, "--stopwords"),
+        ({"embeddings": "/missing.bin", "match": "we"}, "--embeddings"),
+        ({"metrics": 5}, "--metrics"),
+        ({"metrics": []}, "--metrics"),
+        ({"stem": "maybe"}, "--stem"),
+        ({"stopwords": 0}, "--stopwords"),
+    ], ids=["format", "oov", "stopwords", "embeddings", "metrics-number", "metrics-empty",
+            "stem", "stopwords-number"])
+    def test_bad_value_exits_2_naming_the_flag(self, runner, tiny_corpus, tmp_path,
+                                               monkeypatch, settings, flag):
+        result, out, calls = run_meta_eval_with_config(runner, tiny_corpus, tmp_path,
+                                                       monkeypatch, settings)
+        assert result.exit_code == 2
+        assert f"Invalid value for '{flag}'" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+        assert calls == {"binary": [], "text": []}
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"metrics": [{"variant": "rouge-1", "oov": "bogus"}]}, "unknown oov policy 'bogus'"),
+        ({"metrics": [{"variant": "rouge-1", "oov": "bogus"}], "match": "we",
+          "embeddings": "VECS", "embeddings_format": "text"}, "unknown oov policy 'bogus'"),
+        ({"metrics": [{"variant": "rouge-1", "multiref": "bogus"}]},
+         "unknown multiref policy 'bogus'"),
+        ({"metrics": [{"variant": 5}]}, "ROUGE variant name must be a string, not 5"),
+    ], ids=["oov-exact", "oov-we", "multiref", "variant-number"])
+    def test_bad_metric_object_exits_1_naming_the_value(self, runner, tiny_corpus, tmp_path,
+                                                        monkeypatch, settings, message):
+        result, out, calls = run_meta_eval_with_config(runner, tiny_corpus, tmp_path,
+                                                       monkeypatch, settings)
+        assert result.exit_code == 1
+        assert f"Error: {message}" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+        assert calls == {"binary": [], "text": []}
+
+
+# Every file-settable key: (a value, the flags giving it, another value, other
+# flags the run needs). "{name}" stands for a file made by the test.
+WE_TEXT = ["--match", "we", "--embeddings", "{vecs}", "--embeddings-format", "text"]
+SETTINGS = {
+    "metrics": ("rouge-2", ["--metrics", "rouge-2"], "rouge-1", []),
+    "match": ("we", ["--match", "we"], "exact", WE_TEXT[2:]),
+    "embeddings": ("{vecs}", ["--embeddings", "{vecs}"], "{vecs2}",
+                   ["--match", "we", "--embeddings-format", "text"]),
+    # were the file's "binary" to win over the flag, the text file would fail to load
+    "embeddings_format": ("text", ["--embeddings-format", "text"], "binary", WE_TEXT[:4]),
+    "oov": ("exact-fallback", ["--oov", "exact-fallback"], "zero", WE_TEXT),
+    "multiref": ("jackknife", ["--multiref", "jackknife"], "average", []),
+    "report_component": ("f1", ["--report-component", "f1"], "recall", []),
+    "lowercase": (False, ["--no-lowercase"], True, []),
+    "stem": (True, ["--stem"], False, []),
+    "stopwords": ("{stop}", ["--stopwords", "{stop}"], "{stop2}", []),
+    "out": ("{out}", ["--out", "{out}"], "{out2}", []),
+    "normalize": (False, ["--no-normalize"], True, WE_TEXT),
+}
+
+
+class TestSettingsDrift:
+    def test_config_keys_are_the_option_names(self, runner, weather_files, tmp_path):
+        meta_eval = {p.name for p in cli.meta_eval.params} - {"corpus", "judgments", "config"}
+        score = {p.name for p in cli.score.params} - {"candidate", "references", "config"}
+        assert cli._CONFIG_KEYS == meta_eval == score | {"out"} == set(SETTINGS)
+        cand, ref = weather_files
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"out": str(tmp_path / "unused")}), encoding="utf-8")
+        args = ["score", str(cand), str(ref)]
+        result = runner.invoke(main, args + ["--config", str(config)])
+        assert result.exit_code == 0, result.output
+        assert result.output == runner.invoke(main, args).output
+        assert not (tmp_path / "unused").exists()
+
+    @pytest.mark.parametrize("key", sorted(SETTINGS))
+    def test_file_value_equals_flag_and_flag_wins(self, runner, tiny_corpus, tmp_path, key):
+        corpus, judgments = tiny_corpus
+        files = {name: tmp_path / f"{name}.txt" for name in ("vecs", "vecs2", "stop", "stop2")}
+        # norms under 1, so that scores vary also with --no-normalize
+        for name, template in (("vecs", "{w} {x} 0.1\n"), ("vecs2", "{w} 0.1 {x}\n")):
+            files[name].write_text("".join(template.format(w=w, x=(i + 1) / 20)
+                                           for i, w in enumerate("abcdefghxyzw")),
+                                   encoding="utf-8")
+        files["stop"].write_text("x\n", encoding="utf-8")
+        files["stop2"].write_text("a\n", encoding="utf-8")
+        outs = [tmp_path / "out", tmp_path / "out2"]
+        files.update(out=outs[0], out2=outs[1])
+
+        def fill(value):
+            return value.format(**files) if isinstance(value, str) else value
+
+        value, flags, other, extra = SETTINGS[key]
+        value, other, flags, extra = fill(value), fill(other), [*map(fill, flags)], [*map(fill, extra)]
+
+        def report(args, settings=None):
+            for out in outs:
+                shutil.rmtree(out, ignore_errors=True)
+            args = ["meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),
+                    *extra, *args] + (["--out", str(outs[0])] if key != "out" else [])
+            if settings is not None:
+                config = tmp_path / "run.json"
+                config.write_text(json.dumps(settings), encoding="utf-8")
+                args += ["--config", str(config)]
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            (written,) = [out / "report.json" for out in outs if out.exists()]
+            payload = json.loads(written.read_text(encoding="utf-8"))
+            return payload["config"], payload["rows"]
+
+        by_flag = report(flags)
+        assert report([], {key: value}) == by_flag
+        assert report(flags, {key: other}) == by_flag
 
 
 class TestEmbeddingsInspect:

@@ -171,6 +171,10 @@ class TestMetricConfig:
             MetricConfig(ROUGE_1, match="fuzzy")
         with pytest.raises(ValueError):
             MetricConfig(ROUGE_1, component="accuracy")
+        with pytest.raises(ValueError, match="unknown oov policy 'bogus'"):
+            MetricConfig(ROUGE_1, oov="bogus")
+        with pytest.raises(ValueError, match="unknown multiref policy 'bogus'"):
+            MetricConfig(ROUGE_1, multiref="bogus")
 
     def test_schema_dict(self):
         d = MetricConfig(ROUGE_2, match="we", oov="exact-fallback",
@@ -191,6 +195,10 @@ class TestMetricConfig:
             MetricConfig.from_dict({"match": "we"})
         with pytest.raises(ValueError, match="unknown"):
             MetricConfig.from_dict({"variant": "rouge-1", "beta": 2})
+        with pytest.raises(ValueError, match="unknown oov policy 'bogus'"):
+            MetricConfig.from_dict({"variant": "rouge-1", "oov": "bogus"}, match="we")
+        with pytest.raises(ValueError, match="must be a string, not 5"):
+            MetricConfig.from_dict({"variant": 5})
 
 
 class TestScoreCorpus:
