@@ -18,8 +18,9 @@ import click
 import numpy as np
 
 from . import __version__
+from . import embeddings as _embeddings
 from .correlation import UndefinedCorrelationError
-from .embeddings import LOADERS, EmbeddingFormatError, EmbeddingTable
+from .embeddings import FORMATS, EmbeddingFormatError, EmbeddingTable
 from .harness import (
     MATCH_KINDS,
     REPORT_COMPONENTS,
@@ -39,11 +40,6 @@ from .rouge import MULTIREF_POLICIES, OOV_POLICIES, rouge_score
 from .textpipe import TokenizeConfig, load_stopwords, tokenize
 
 DEFAULT_METRICS = "rouge-1,rouge-2,rouge-su4"
-
-_CONFIG_KEYS = {
-    "metrics", "match", "embeddings", "embeddings_format", "oov", "multiref",
-    "report_component", "lowercase", "stem", "stopwords", "out", "normalize",
-}
 
 
 @dataclass
@@ -80,11 +76,18 @@ class RunConfig:
 
     def load_table(self, vocabulary: Collection[str]) -> EmbeddingTable:
         """The vectors of the words in ``vocabulary``, the only ones scoring looks up."""
-        loader = LOADERS[self.embeddings_format]
-        try:
-            return loader(self.embeddings, normalize=self.normalize, vocabulary=vocabulary)
-        except (EmbeddingFormatError, OSError) as exc:
-            raise click.ClickException(f"failed to load embeddings: {exc}") from exc
+        return _load_vectors(self.embeddings, self.embeddings_format,
+                             normalize=self.normalize, vocabulary=vocabulary)
+
+
+def _load_vectors(path: str, fmt: str, **options) -> EmbeddingTable:
+    # The loader is looked up on its module at call time, so that a wrapper
+    # installed there (a tracer's, a test's spy) sees the call.
+    loader = getattr(_embeddings, f"load_{fmt}")
+    try:
+        return loader(path, **options)
+    except (EmbeddingFormatError, OSError) as exc:
+        raise click.ClickException(f"failed to load embeddings: {exc}") from exc
 
 
 def _not_utf8(what: str, path: str, exc: UnicodeDecodeError) -> click.ClickException:
@@ -108,7 +111,10 @@ def _apply_config_file(ctx: click.Context, param: click.Parameter, path: str | N
         raise click.ClickException(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise click.ClickException(f"config file {path} must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    # The keys are the options' names. Inputs are named on the command line
+    # only; score accepts and ignores meta-eval's out.
+    keys = {p.name for p in ctx.command.params if isinstance(p, click.Option) and p.expose_value}
+    unknown = set(data) - (keys - {"corpus", "judgments"} | {"out"})
     if unknown:
         raise click.ClickException(f"unknown config keys: {', '.join(sorted(unknown))}")
     # Each value reaches its option as the text a flag would carry, so it meets
@@ -157,7 +163,7 @@ def _common_options(fn):
                      help="Word matching: exact lexical or word-embedding (we)."),
         click.option("--embeddings", type=click.Path(exists=True, dir_okay=False),
                      help="Embedding file (required for --match we)."),
-        click.option("--embeddings-format", type=click.Choice(tuple(LOADERS)), default="binary",
+        click.option("--embeddings-format", type=click.Choice(FORMATS), default="binary",
                      help="Embedding file layout."),
         click.option("--oov", type=click.Choice(OOV_POLICIES), default="zero",
                      help="Similarity for out-of-vocabulary units."),
@@ -252,17 +258,14 @@ def embeddings():
 
 @embeddings.command("inspect")
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--format", "fmt", type=click.Choice(tuple(LOADERS)), default="binary",
+@click.option("--format", "fmt", type=click.Choice(FORMATS), default="binary",
               help="File layout.")
 @click.option("--word", default=None, help="Also look up one word.")
 @click.option("--normalize/--no-normalize", default=True,
               help="Unit-normalize vectors at load.")
 def embeddings_inspect(path, fmt, word, normalize):
     """Print summary information about an embedding file."""
-    try:
-        table = LOADERS[fmt](path, normalize=normalize)
-    except (EmbeddingFormatError, OSError) as exc:
-        raise click.ClickException(f"failed to load embeddings: {exc}") from exc
+    table = _load_vectors(path, fmt, normalize=normalize)
     click.echo(f"file: {path}")
     click.echo(f"format: {fmt}")
     click.echo(f"vocab: {table.size}  dim: {table.dim}")

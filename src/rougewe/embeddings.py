@@ -416,7 +416,8 @@ def load_text(path: str | Path, normalize: bool = True,
     return builder.table()
 
 
-LOADERS = {"binary": load_binary, "text": load_text}
+# The file layouts; layout F is read by load_F.
+FORMATS = ("binary", "text")
 
 
 def save_binary(table: EmbeddingTable, path: str | Path) -> None:

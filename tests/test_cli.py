@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from rougewe import cli, harness
+from rougewe import cli, embeddings, harness
 from rougewe.cli import DEFAULT_METRICS, main
-from rougewe.embeddings import LOADERS, load_binary, load_text
+from rougewe.embeddings import FORMATS, load_binary, load_text
 from rougewe.harness import MetricConfig
 from rougewe.rouge import RougeVariant, rouge_score
 from rougewe.textpipe import tokenize
@@ -41,16 +41,17 @@ def toy_embeddings_text(tmp_path):
 
 
 def spy_on_loader(monkeypatch, fmt: str) -> list[dict]:
-    """Record each call of the ``fmt`` loader (its keyword arguments and the
-    table it returned), still loading through it."""
+    """Record each call of ``embeddings.load_<fmt>`` (its keyword arguments and
+    the table it returned), still loading through it. The spy replaces the
+    module's name, as a tracer's wrapper does, so the CLI must look it up there."""
     calls = []
-    real = LOADERS[fmt]
+    real = getattr(embeddings, f"load_{fmt}")
 
     def spy(path, **kwargs):
         calls.append(dict(kwargs, table=real(path, **kwargs)))
         return calls[-1]["table"]
 
-    monkeypatch.setitem(LOADERS, fmt, spy)
+    monkeypatch.setattr(embeddings, f"load_{fmt}", spy)
     return calls
 
 
@@ -509,7 +510,7 @@ def run_meta_eval_with_config(runner, tiny_corpus, tmp_path, monkeypatch, settin
                        encoding="utf-8")
     config = tmp_path / "run.json"
     config.write_text(json.dumps(settings).replace("VECS", str(vectors)), encoding="utf-8")
-    calls = {fmt: spy_on_loader(monkeypatch, fmt) for fmt in list(LOADERS)}
+    calls = {fmt: spy_on_loader(monkeypatch, fmt) for fmt in FORMATS}
     out = tmp_path / "out"
     result = runner.invoke(main, [
         "meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),
@@ -584,10 +585,25 @@ SETTINGS = {
 
 
 class TestSettingsDrift:
-    def test_config_keys_are_the_option_names(self, runner, weather_files, tmp_path):
-        meta_eval = {p.name for p in cli.meta_eval.params} - {"corpus", "judgments", "config"}
-        score = {p.name for p in cli.score.params} - {"candidate", "references", "config"}
-        assert cli._CONFIG_KEYS == meta_eval == score | {"out"} == set(SETTINGS)
+    def test_settings_cover_every_file_settable_option(self):
+        options = {p.name for p in cli.meta_eval.params if p.expose_value}
+        assert set(SETTINGS) == options - {"corpus", "judgments"}
+
+    @pytest.mark.parametrize("key", ["corpus", "judgments", "config", "candidate"])
+    def test_inputs_are_not_config_keys(self, runner, tiny_corpus, tmp_path, key):
+        corpus, judgments = tiny_corpus
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: str(corpus)}), encoding="utf-8")
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),
+            "--out", str(out), "--config", str(config),
+        ])
+        assert result.exit_code == 1
+        assert f"unknown config keys: {key}" in result.output
+        assert not out.exists()
+
+    def test_score_ignores_out(self, runner, weather_files, tmp_path):
         cand, ref = weather_files
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"out": str(tmp_path / "unused")}), encoding="utf-8")
