@@ -260,7 +260,7 @@ def embeddings():
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--format", "fmt", type=click.Choice(FORMATS), default="binary",
               help="File layout.")
-@click.option("--word", default=None, help="Also look up one word.")
+@click.option("--word", default=None, help="Also look up one word (lowercased, as keys are).")
 @click.option("--normalize/--no-normalize", default=True,
               help="Unit-normalize vectors at load.")
 def embeddings_inspect(path, fmt, word, normalize):
@@ -273,13 +273,14 @@ def embeddings_inspect(path, fmt, word, normalize):
     click.echo(f"duplicates: {s.duplicates}  case_collisions: {s.case_collisions}  "
                f"zero_dropped: {s.zero_dropped}")
     if word is not None:
-        vec = table.lookup(word)
+        key = word.lower()  # the loaders key every word lowercased
+        vec = table.lookup(key)
         if vec is None:
-            click.echo(f"word: {word}  OOV")
+            click.echo(f"word: {key}  OOV")
         else:
             norm = float(np.linalg.norm(np.asarray(vec, dtype="float64")))
             values = " ".join(f"{v:.6f}" for v in vec)
-            click.echo(f"word: {word}  norm: {norm:.6f}")
+            click.echo(f"word: {key}  norm: {norm:.6f}")
             click.echo(f"values: {values}")
 
 

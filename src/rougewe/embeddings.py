@@ -11,41 +11,52 @@ layouts are supported:
 * text: optional ``"<vocab_size> <dim>"`` header line, then one
   whitespace-separated ``word v1 ... vd`` entry per line.
 
-Both loaders stream the file through one reusable float32 block of
-``CHUNK_BYTES / 16`` (256 KiB); the binary loader reads ``CHUNK_BYTES`` at a
-time and copies vector bytes straight into the block. One build step runs on
-every block, for both formats: a NaN or infinity fails naming its entry or
-line, zero vectors are dropped, and the key rules apply over every key of
-the file. Keys are lowercased: an exact repeat of one source form is
-last-wins, distinct forms that collide after lowercasing are first-wins
-(pre-trained files list higher-frequency forms first). Only then are rows
-copied out, renormalized unless already unit norm within 1e-6 (which makes
-load -> save -> load a bitwise fixed point), and, when the loader is given a
-``vocabulary``, only the rows of keys in it. ``load_summary`` counts the
-whole file either way, and a kept vector is bitwise the same either way.
-Peak memory is the kept rows, a few chunks and blocks, and a key index over
-the whole file: about the float32 payload for a full load, and a small
-fraction of it for a corpus's vocabulary.
+Both loaders hand the file's entries to one build step in blocks of at most
+``CHUNK_BYTES / 16`` (256 KiB) of float32 rows. The binary loader reads the
+file into one buffer of ``CHUNK_BYTES``, reused for the whole load: one regex
+scan finds the complete entries of each fill, their words are decoded in one
+call, and one numpy gather per block copies their vectors out of the buffer.
+The text loader parses line by line into a reused block. The build step, the
+same for both formats, fails on a NaN or infinity naming its entry or line,
+drops zero vectors, and applies the key rules over every key of the file:
+set operations on a block's keys settle the keys new to the file, and only
+the duplicates and case collisions go row by row. Keys are lowercased: an
+exact repeat of one source form is last-wins, distinct forms that collide
+after lowercasing are first-wins (pre-trained files list higher-frequency
+forms first). Only then are rows copied out, renormalized unless already
+unit norm within 1e-6 (which makes load -> save -> load a bitwise fixed
+point), and, when the loader is given a ``vocabulary``, only the rows of
+keys in it. ``load_summary`` counts the whole file either way, and a kept
+vector is bitwise the same either way. Peak memory is the kept rows, the
+read buffer, a block or two, and the keys of the whole file: about the
+float32 payload for a full load, and a small fraction of it for a corpus's
+vocabulary.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import re
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 logger = logging.getLogger(__name__)
 
 NORM_TOLERANCE = 1e-6
 ZERO_NORM_TOLERANCE = 1e-12
 # glibc raises its mmap threshold to the size of the largest mmapped block
-# freed, so 4 MiB read buffers leave the similarity matrices of later scoring
-# on the heap: with 1 MiB buffers, four WE scorings of the benchmark's corpus
-# took 60k minor page faults instead of under 1k, and ~25 % longer.
+# freed. The binary loader's one read buffer is freed when the load ends,
+# which lifts the threshold to its size, so scoring after the load finds its
+# matrices on the heap: four WE scorings of the aesop-we benchmark corpus
+# after a filtered load took ~2.7k minor page faults, the same with a 1 MiB
+# buffer, so later scoring no longer depends on this value.
 CHUNK_BYTES = 1 << 22
 
 
@@ -128,49 +139,43 @@ class EmbeddingTable:
 
 
 class _TableBuilder:
-    """Applies the load rules to entries streamed through one reusable block.
+    """Applies the load rules to entries handed over a block at a time.
 
-    A loader puts each entry's vector in the next row of ``block`` and its
-    word in ``words``, and calls ``flush`` whenever the block is ``full`` and
-    once at the end. The block, its float64 copy and the norms are reused for
-    the whole load. With ``normalize`` off, zero vectors are kept and vectors
-    are stored as found, which waives the unit-norm invariant.
+    A loader passes at most ``rows`` entries per ``take``: their float32
+    vectors as the rows of a block and their words. The float64 copy of a
+    block and its norms live in buffers reused for the whole load. With
+    ``normalize`` off, zero vectors are kept and vectors are stored as found,
+    which waives the unit-norm invariant.
     """
 
     def __init__(self, dim: int, normalize: bool, vocabulary: Collection[str] | None,
                  capacity: int):
-        # 256 KiB, so that the block and its float64 copy stay in cache from
-        # the read to the norms: on a Xeon with 2 MiB of L2 per core, 1 MiB
-        # blocks loaded about 15 % slower.
-        rows = max(1, CHUNK_BYTES // (64 * max(1, dim)))
+        # 256 KiB of float32 rows, so that a block and its float64 copy stay in
+        # cache from the read to the norms: on a Xeon with 2 MiB of L2 per
+        # core, 1 MiB blocks loaded about 15 % slower.
+        self.rows = max(1, CHUNK_BYTES // (64 * max(1, dim)))
         self.dim = dim
-        self.block = np.empty((rows, dim), dtype="<f4")
-        self.words: list[str] = []
-        self.entries = 0  # rows flushed so far
-        self._wide = np.empty((rows, dim))
-        self._norms = np.empty(rows)
+        self.entries = 0  # entries taken so far
+        self._wide = np.empty((self.rows, dim))
+        self._norms = np.empty(self.rows)
         self._normalize = normalize
         self._wanted = None if vocabulary is None else frozenset(vocabulary)
         if self._wanted is not None:
             capacity = min(capacity, len(self._wanted))
-        self._forms: dict[str, str] = {}  # every kept key -> its first source form
         self._index: dict[str, int] = {}  # every wanted key -> its output row
+        # Every key met so far: the index's keys when every key is wanted.
+        self._seen = self._index.keys() if self._wanted is None else set()
+        self._cased: dict[str, str] = {}  # key -> its first source form, where they differ
         self._matrix = np.empty((capacity, dim), dtype=np.float32)
         self.summary = LoadSummary()
 
-    @property
-    def full(self) -> bool:
-        return len(self.words) == len(self.block)
-
-    def add(self, word: str, values: Sequence[float] | np.ndarray) -> None:
-        self.block[len(self.words)] = values
-        self.words.append(word)
-
-    def flush(self, where: Callable[[int], str]) -> None:
-        """Check the block's rows, apply the load rules, copy out the wanted
-        rows and empty the block; ``where(i)`` names block row ``i``."""
-        n = len(self.words)
-        block, wide, norms = self.block[:n], self._wide[:n], self._norms[:n]
+    def take(self, block: np.ndarray, words: list[str], where: Callable[[int], str]) -> None:
+        """Check the rows of ``block``, apply the load rules and copy out the
+        wanted rows; ``words`` are the rows' words, ``where(i)`` names row ``i``."""
+        n = len(words)
+        if not n:
+            return
+        wide, norms = self._wide[:n], self._norms[:n]
         np.copyto(wide, block)
         np.einsum("ij,ij->i", wide, wide, out=norms)
         np.sqrt(norms, out=norms)
@@ -179,43 +184,86 @@ class _TableBuilder:
         bad = np.flatnonzero(~np.isfinite(norms))
         if bad.size:
             raise EmbeddingFormatError(f"non-finite vector value at {where(int(bad[0]))}")
-        kept = (np.flatnonzero(norms >= ZERO_NORM_TOLERANCE).tolist() if self._normalize
-                else range(n))
-        summary, words, forms, index, wanted = (
-            self.summary, self.words, self._forms, self._index, self._wanted)
-        summary.zero_dropped += n - len(kept)
-        take: dict[int, int] = {}  # output row -> block row; a later duplicate replaces
-        for row in kept:
-            raw = words[row]
-            key = raw.lower()
-            first = forms.get(key)
-            if first is None:
-                forms[key] = key if key == raw else raw  # hold each word once
-                if wanted is None or key in wanted:
-                    slot = index[key] = len(index)
-                    take[slot] = row
-            elif first == raw:
+        rows = np.arange(n)
+        if self._normalize:
+            rows = np.flatnonzero(norms >= ZERO_NORM_TOLERANCE)
+            self.summary.zero_dropped += n - len(rows)
+            if len(rows) < n:
+                words = list(map(words.__getitem__, rows.tolist()))
+        start = len(self._index)
+        at, repeats = self._key_rules(words)
+        if len(self._index) > len(self._matrix):
+            grown = np.empty((max(len(self._index), 2 * len(self._matrix)), self.dim),
+                             dtype=np.float32)
+            grown[:len(self._matrix)] = self._matrix
+            self._matrix = grown
+        # New wanted keys take the next slots in file order. A repeat comes
+        # after the first row of its key, so it is copied last.
+        self._copy_out(np.arange(start, len(self._index)), rows[at], block, wide, norms)
+        if repeats:
+            self._copy_out(np.fromiter(repeats.keys(), np.intp, len(repeats)),
+                           rows[np.fromiter(repeats.values(), np.intp, len(repeats))],
+                           block, wide, norms)
+        self.entries += n
+
+    def _key_rules(self, words: list[str]) -> tuple[np.ndarray, dict[int, int]]:
+        """Apply the key rules to the kept rows' ``words``, in file order.
+
+        Gives each wanted key new to the file the next slot, and returns the
+        positions of those keys' first rows and, for each slot whose key a
+        later row repeats exactly, the last such row's position. Set
+        operations over the block's keys sort out the rows whose key is new
+        to the file and to the rows before them; only the other rows, the
+        duplicates and case collisions, go one by one.
+        """
+        index, seen, cased, wanted = self._index, self._seen, self._cased, self._wanted
+        keys = list(map(str.lower, words))
+        m = len(keys)
+        block_keys = set(keys)
+        known = seen & block_keys  # keys met before this block
+        fresh = np.arange(m)  # the first row of each new key
+        repeated: list[int] = []
+        fresh_keys, fresh_words = keys, words
+        if known or len(block_keys) < m:
+            new = ~np.fromiter(map(known.__contains__, keys), bool, m)
+            if len(block_keys) < m:
+                firsts = dict(zip(reversed(keys), range(m - 1, -1, -1)))
+                new &= np.fromiter(map(firsts.__getitem__, keys), np.intp, m) == fresh
+            repeated = np.flatnonzero(~new).tolist()
+            fresh = np.flatnonzero(new)
+            fresh_keys = list(map(keys.__getitem__, fresh.tolist()))
+            fresh_words = list(map(words.__getitem__, fresh.tolist()))
+        if fresh_keys != fresh_words:
+            differ = map(str.__ne__, fresh_keys, fresh_words)
+            cased.update(compress(zip(fresh_keys, fresh_words), differ))
+        if wanted is not None:
+            seen.update(block_keys)
+            keep = np.fromiter(map(wanted.__contains__, fresh_keys), bool, len(fresh_keys))
+            fresh, fresh_keys = fresh[keep], list(compress(fresh_keys, keep))
+        index.update(zip(fresh_keys, range(len(index), len(index) + len(fresh_keys))))
+        repeats: dict[int, int] = {}  # slot -> position; a later duplicate replaces
+        summary = self.summary
+        for p in repeated:
+            key = keys[p]
+            if cased.get(key, key) == words[p]:
                 summary.duplicates += 1
                 slot = index.get(key)
                 if slot is not None:
-                    take[slot] = row
+                    repeats[slot] = p
             else:
                 summary.case_collisions += 1
-        if take:
-            if len(self._index) > len(self._matrix):
-                grown = np.empty((max(len(self._index), 2 * len(self._matrix)), self.dim),
-                                 dtype=np.float32)
-                grown[:len(self._matrix)] = self._matrix
-                self._matrix = grown
-            slots = np.fromiter(take.keys(), np.intp, len(take))
-            rows = np.fromiter(take.values(), np.intp, len(take))
-            self._matrix[slots] = block[rows]
-            if self._normalize:
-                off = np.abs(norms[rows] - 1.0) > NORM_TOLERANCE
-                slots, rows = slots[off], rows[off]
-                self._matrix[slots] = wide[rows] / norms[rows, None]
-        self.entries += n
-        self.words.clear()
+        return fresh, repeats
+
+    def _copy_out(self, slots: np.ndarray, rows: np.ndarray, block: np.ndarray,
+                  wide: np.ndarray, norms: np.ndarray) -> None:
+        """Copy block ``rows`` to output ``slots``, renormalized unless unit."""
+        if not len(rows):
+            return
+        self._matrix[slots] = block[rows]
+        if self._normalize:
+            off = np.abs(norms[rows] - 1.0) > NORM_TOLERANCE
+            slots, rows = slots[off], rows[off]
+            self._matrix[slots] = wide[rows] / norms[rows, None]
 
     def table(self) -> EmbeddingTable:
         summary = self.summary
@@ -257,78 +305,122 @@ def load_binary(path: str | Path, normalize: bool = True,
         payload = os.fstat(fh.fileno()).st_size - len(header)
         builder = _TableBuilder(dim, normalize, vocabulary,
                                 min(vocab_size, payload // (4 * dim + 2)))
-
-        def where(row: int) -> str:
-            return f"entry {builder.entries + row} ({builder.words[row]!r})"
-
-        try:
-            _read_entries(fh, len(header), vocab_size, builder, where)
-        except EmbeddingFormatError:
-            # A bad value in an earlier entry is reported first; when the
-            # error is that value's, this flush raises it again.
-            builder.flush(where)
-            raise
+        _read_entries(fh, len(header), vocab_size, builder)
     return builder.table()
 
 
-def _read_entries(fh: BinaryIO, offset: int, count: int, builder: _TableBuilder,
-                  where: Callable[[int], str]) -> None:
+def _read_entries(fh: BinaryIO, offset: int, count: int, builder: _TableBuilder) -> None:
     """Stream ``count`` binary entries from ``fh`` through ``builder``.
 
-    ``offset`` is the file position of the next byte of ``fh``. Chunks of
-    CHUNK_BYTES are read as needed; the unparsed tail of one chunk is carried
-    over to the next.
+    ``offset`` is the file position of the next byte of ``fh``. The file is
+    read into one buffer of CHUNK_BYTES, reused for the whole load. One regex
+    scan finds every complete entry of the buffer; the unparsed tail is moved
+    to the front and the rest of the buffer is filled again. The buffer grows
+    only when one entry does not fit in it.
     """
     vector_bytes = 4 * builder.dim
-    out = memoryview(builder.block).cast("B")
-    words = builder.words
-    rows = len(builder.block)
-    row = 0
-    buf = fh.read(CHUNK_BYTES)
-    view = memoryview(buf)
-    eof = not buf
-    pos = 0
-    for i in range(count):
-        while True:
-            end = len(buf)
-            while pos < end and buf[pos] == 0x0A:
-                pos += 1
-            word_end = buf.find(b" ", pos)
-            if eof or (word_end >= 0 and word_end + vector_bytes < end):
-                break
-            more = fh.read(CHUNK_BYTES)
-            eof = not more
-            offset += pos
-            buf = buf[pos:] + more
-            view = memoryview(buf)
-            pos = 0
-        if word_end < 0:
-            raise EmbeddingTruncationError(f"file ends inside word of entry {i}", offset + pos)
-        if word_end == pos:
-            raise EmbeddingFormatError(f"entry {i}: empty word at byte {offset + pos}")
-        try:
-            word = buf[pos:word_end].decode("utf-8")
-        except UnicodeDecodeError:
-            raise EmbeddingFormatError(f"entry {i}: word bytes are not valid UTF-8") from None
-        pos = word_end + 1
-        if pos + vector_bytes > len(buf):
-            raise EmbeddingTruncationError(
-                f"file ends inside vector of entry {i} ({word!r})", offset + pos
-            )
-        out[row * vector_bytes:(row + 1) * vector_bytes] = view[pos:pos + vector_bytes]
-        pos += vector_bytes
-        words.append(word)
-        row += 1
-        if row == rows:
-            builder.flush(where)
-            row = 0
-    builder.flush(where)
-    tail = buf[pos:]
-    while not tail.strip(b"\n"):
-        tail = fh.read(CHUNK_BYTES)
-        if not tail:
-            return
-    raise EmbeddingFormatError(f"trailing garbage after {count} entries at byte {offset + pos}")
+    # An entry: the newlines before it, its word (matched empty only to report
+    # it), one space and the vector. Where no complete entry starts, the last
+    # alternative takes the rest of the buffer at once, so the matches tile the
+    # buffer and the scan never retries its tail byte by byte.
+    scan = re.compile(rb"(\n*)((?:[^ \n][^ ]*)?) .{%d}|(.+)" % vector_bytes, re.DOTALL).findall
+    buf = bytearray(CHUNK_BYTES)
+    held = 0  # bytes of ``buf`` in use; ``buf[0]`` is at file position ``offset``
+    done = 0  # entries taken so far
+    while True:
+        if held == len(buf):
+            buf += bytes(len(buf))
+        with memoryview(buf) as view, view[held:] as free:
+            got = fh.readinto(free)
+        held += got
+        found = scan(buf, 0, held)
+        if found and found[-1][2]:
+            found.pop()
+        end = _take_entries(buf, held, found[:count - done], offset, done, builder)
+        done += min(len(found), count - done)
+        if done == count:
+            tail = buf[end:held]
+            while not tail.strip(b"\n"):
+                tail = fh.read(CHUNK_BYTES)
+                if not tail:
+                    return
+            raise EmbeddingFormatError(
+                f"trailing garbage after {count} entries at byte {offset + end}")
+        if not got:
+            _raise_truncated(buf[end:held], offset + end, done)
+        buf[:held - end] = buf[end:held]
+        offset += end
+        held -= end
+
+
+def _take_entries(buf: bytearray, held: int, found: list[tuple[bytes, bytes, bytes]],
+                  offset: int, done: int, builder: _TableBuilder) -> int:
+    """Hand the scanned entries ``found`` of ``buf`` to ``builder`` a block at a
+    time and return the end of the last one. ``done`` entries come before them.
+
+    An empty or non-UTF-8 word fails after the entries before it are taken,
+    so that a non-finite value in those is reported first.
+    """
+    if not found:
+        return 0
+    vector_bytes = 4 * builder.dim
+    words = list(map(itemgetter(1), found))
+    word_len = np.fromiter(map(len, words), np.intp, len(words))
+    ends = np.cumsum(np.fromiter(map(len, map(itemgetter(0), found)), np.intp, len(found))
+                     + word_len + (1 + vector_bytes))
+    vectors = ends - vector_bytes
+    names, error = _decode_words(words, vectors - 1 - word_len, offset, done)
+    if names:
+        windows = sliding_window_view(np.frombuffer(buf, np.uint8, held), vector_bytes)
+
+        def where(row: int) -> str:  # row of the block from entry ``done + i``
+            return f"entry {done + i + row} ({names[i + row]!r})"
+
+        for i in range(0, len(names), builder.rows):
+            j = min(len(names), i + builder.rows)
+            builder.take(windows[vectors[i:j]].view("<f4"), names[i:j], where)
+    if error is not None:
+        raise error
+    return int(ends[-1])
+
+
+def _decode_words(words: list[bytes], starts: Sequence[int], offset: int,
+                  done: int) -> tuple[list[str], EmbeddingFormatError | None]:
+    """Decode ``words`` in one call, up to the first that is empty or not
+    UTF-8, and return them with that word's error. The words are at file
+    positions ``offset + starts`` and follow ``done`` entries."""
+    good = words.index(b"") if b"" in words else len(words)
+    error = None
+    if good < len(words):
+        error = EmbeddingFormatError(
+            f"entry {done + good}: empty word at byte {offset + starts[good]}")
+    joined = b" ".join(words[:good])
+    try:
+        text = joined.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Words hold no space, so the spaces before the bad byte count the
+        # words before its own.
+        good = joined.count(b" ", 0, exc.start)
+        at = offset + starts[good] + exc.start - joined.rfind(b" ", 0, exc.start) - 1
+        error = EmbeddingFormatError(
+            f"entry {done + good}: word bytes are not valid UTF-8 (byte offset {at})")
+        text = joined[:exc.start].rpartition(b" ")[0].decode("utf-8")
+    return (text.split(" ") if good else []), error
+
+
+def _raise_truncated(tail: bytes, offset: int, entry: int) -> None:
+    """Fail on the unfinished entry ``entry`` that ``tail``, at file position
+    ``offset``, holds at the end of the file."""
+    start = len(tail) - len(tail.lstrip(b"\n"))
+    space = tail.find(b" ", start)
+    if space < 0:
+        raise EmbeddingTruncationError(f"file ends inside word of entry {entry}",
+                                       offset + start)
+    names, error = _decode_words([tail[start:space]], [start], offset, entry)
+    if error is not None:
+        raise error
+    raise EmbeddingTruncationError(f"file ends inside vector of entry {entry} ({names[0]!r})",
+                                   offset + space + 1)
 
 
 def _text_lines(fh: BinaryIO) -> Iterator[tuple[int, str]]:
@@ -356,10 +448,17 @@ def load_text(path: str | Path, normalize: bool = True,
     """
     declared: tuple[int, int] | None = None
     builder: _TableBuilder | None = None
-    linenos: list[int] = []  # the line of each row in the builder's block
+    block = np.empty((0, 0), dtype="<f4")  # the rows of the next take
+    words: list[str] = []
+    linenos: list[int] = []  # the line of each row of the block
 
     def where(row: int) -> str:
         return f"line {linenos[row]}"
+
+    def flush() -> None:
+        builder.take(block[:len(words)], words, where)
+        words.clear()
+        linenos.clear()
 
     # Values that overflow float32 become infinities and fail as non-finite.
     with open(path, "rb") as fh, np.errstate(over="ignore"):
@@ -388,21 +487,22 @@ def load_text(path: str | Path, normalize: bool = True,
                     capacity = 0 if declared is None else min(
                         declared[0], os.fstat(fh.fileno()).st_size // (2 * dim + 1))
                     builder = _TableBuilder(dim, normalize, vocabulary, capacity)
+                    block = np.empty((builder.rows, dim), dtype="<f4")
                 if len(raw_values) != builder.dim:
                     raise EmbeddingFormatError(
                         f"line {lineno}: expected {builder.dim} values, found {len(raw_values)}"
                     )
                 try:
-                    builder.add(word, list(map(float, raw_values)))
+                    block[len(words)] = list(map(float, raw_values))
                 except ValueError:
                     raise EmbeddingFormatError(f"line {lineno}: non-numeric vector value") from None
+                words.append(word)
                 linenos.append(lineno)
-                if builder.full:
-                    builder.flush(where)
-                    linenos.clear()
+                if len(words) == len(block):
+                    flush()
             if builder is None:
                 builder = _TableBuilder(declared[1] if declared else 0, normalize, vocabulary, 0)
-            builder.flush(where)
+            flush()
             if declared is not None and builder.entries != declared[0]:
                 raise EmbeddingFormatError(
                     f"header declares {declared[0]} entries but file has {builder.entries}"
@@ -411,7 +511,7 @@ def load_text(path: str | Path, normalize: bool = True,
             # A bad value in an earlier line is reported first; when the error
             # is that value's, this flush raises it again.
             if builder is not None:
-                builder.flush(where)
+                flush()
             raise
     return builder.table()
 

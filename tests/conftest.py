@@ -15,11 +15,11 @@ def make_table(vectors: dict[str, Sequence[float]], normalize: bool = True) -> E
     """A table built from ``vectors`` by the loaders' build step."""
     dim = len(next(iter(vectors.values())))
     builder = _TableBuilder(dim, normalize, None, len(vectors))
-    for word, values in vectors.items():
-        builder.add(word, np.asarray(values, dtype=np.float64))
-        if builder.full:
-            builder.flush(builder.words.__getitem__)
-    builder.flush(builder.words.__getitem__)
+    words = list(vectors)
+    block = np.array([np.asarray(v, dtype=np.float64) for v in vectors.values()], dtype="<f4")
+    for i in range(0, len(words), builder.rows):
+        part = words[i:i + builder.rows]
+        builder.take(block[i:i + builder.rows], part, part.__getitem__)
     return builder.table()
 
 

@@ -100,8 +100,10 @@ def load_binary(path: str | Path, normalize: bool = True) -> OracleTable:
             raise EmbeddingFormatError(f"entry {i}: empty word at byte {pos}")
         try:
             word = data[pos:word_end].decode("utf-8")
-        except UnicodeDecodeError:
-            raise EmbeddingFormatError(f"entry {i}: word bytes are not valid UTF-8") from None
+        except UnicodeDecodeError as exc:
+            raise EmbeddingFormatError(
+                f"entry {i}: word bytes are not valid UTF-8 (byte offset {pos + exc.start})"
+            ) from None
         pos = word_end + 1
         if pos + vector_bytes > len(data):
             raise EmbeddingTruncationError(f"file ends inside vector of entry {i} ({word!r})", pos)

@@ -675,6 +675,14 @@ class TestEmbeddingsInspect:
         assert "norm: 1.000000" in result.output
         assert "0.600000 0.800000" in result.output
 
+    def test_word_lookup_is_lowercased(self, runner, tmp_path):
+        path = tmp_path / "v.bin"
+        path.write_bytes(b"1 2\nDog " + struct.pack("<2f", 0, 2) + b"\n")
+        result = runner.invoke(main, ["embeddings", "inspect", str(path), "--word", "Dog"])
+        assert result.exit_code == 0
+        assert "word: dog  norm: 1.000000" in result.output
+        assert "0.000000 1.000000" in result.output
+
     def test_word_oov(self, runner, binary_table):
         result = runner.invoke(main, ["embeddings", "inspect", str(binary_table), "--word", "fox"])
         assert result.exit_code == 0

@@ -188,6 +188,21 @@ class TestLoadBinary:
         with pytest.raises(EmbeddingFormatError, match="empty word"):
             load_binary(path)
 
+    @pytest.mark.parametrize("chunk", [64, 200, 4096])
+    def test_non_utf8_word_in_a_later_chunk_names_entry_and_offset(self, tmp_path, chunk):
+        entries = [(f"w{i:03d}", [1.0, 0.0, 0.0, 0.0]) for i in range(60)]
+        path = write_binary(tmp_path / "v.bin", entries)
+        blob = path.read_bytes()
+        entry = len(binary_entry("w000", [0.0] * 4))
+        start = len(b"60 4\n") + 41 * entry  # the word of entry 41
+        path.write_bytes(blob[:start + 2] + b"\xff" + blob[start + 3:])
+        message = f"entry 41: word bytes are not valid UTF-8 (byte offset {start + 2})"
+        with mock.patch.object(embeddings, "CHUNK_BYTES", chunk):
+            with pytest.raises(EmbeddingFormatError, match=re.escape(message)):
+                load_binary(path)
+        with pytest.raises(EmbeddingFormatError, match=re.escape(message)):
+            load_oracle.load_binary(path)
+
     def test_header_count_beyond_file_size(self, tmp_path):
         path = tmp_path / "v.bin"
         path.write_bytes(b"1000000000000 300\n" + binary_entry("cat", [1.0] * 300))
@@ -293,7 +308,16 @@ class TestSimilarity:
 
 # Differential checks against the per-entry loaders kept in ``load_oracle``.
 
-WORDS = ["cat", "Cat", "CAT", "dog", "Dog", "\u00e9t\u00e9", "\u00c9t\u00e9", "x"]
+# Besides ASCII and Latin-1 case pairs: a Greek word whose capital sigma
+# lowers to a final sigma, a capital whose lowercase form is two code points
+# (U+0130 -> "i" + U+0307), and a non-BMP case pair (Deseret), so a batched
+# decode or lowering is checked against the oracle's word-by-word one.
+WORDS = ["cat", "Cat", "CAT", "dog", "Dog", "\u00e9t\u00e9", "\u00c9t\u00e9", "x",
+         "\u039f\u0394\u039f\u03a3", "\u039f\u03b4\u03bf\u03c2", "\u0130", "i\u0307",
+         "\U00010400", "\U00010428"]
+# Word bytes that are not UTF-8, each past the word's first byte: a sequence
+# cut short, a stray continuation byte, and an encoded surrogate.
+NOT_UTF8 = [b"ca\xc3", b"c\x80t", b"x\xed\xa0\x80"]
 
 
 @st.composite
@@ -317,10 +341,12 @@ def vector_entries(draw, max_entries=8):
 
 def binary_blob(draw, dim, entries) -> bytes:
     declared = len(entries) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    bad = draw(st.one_of(st.none(), st.integers(0, len(entries) - 1))) if entries else None
     blob = f"{max(declared, 0)} {dim}\n".encode()
     blob += b"\n" * draw(st.integers(0, 2))
-    for word, values in entries:
-        blob += word.encode("utf-8") + b" " + struct.pack(f"<{dim}f", *values)
+    for i, (word, values) in enumerate(entries):
+        raw = draw(st.sampled_from(NOT_UTF8)) if i == bad else word.encode("utf-8")
+        blob += raw + b" " + struct.pack(f"<{dim}f", *values)
         blob += b"\n" * draw(st.integers(0, 2))
     return blob
 
