@@ -39,7 +39,7 @@ import logging
 import os
 import re
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Sequence
@@ -55,7 +55,7 @@ ZERO_NORM_TOLERANCE = 1e-12
 # freed. The binary loader's one read buffer is freed when the load ends,
 # which lifts the threshold to its size, so scoring after the load finds its
 # matrices on the heap: four WE scorings of the aesop-we benchmark corpus
-# after a filtered load took ~2.7k minor page faults, the same with a 1 MiB
+# after a filtered load took ~1.8k minor page faults, the same with a 1 MiB
 # buffer, so later scoring no longer depends on this value.
 CHUNK_BYTES = 1 << 22
 
@@ -136,6 +136,40 @@ class EmbeddingTable:
         product /= norm
         product.setflags(write=False)
         return product
+
+    def compose_many(self, units: Sequence[Sequence[str]]) -> tuple[np.ndarray, np.ndarray]:
+        """``compose`` of many units of one length at once, as float64 rows.
+
+        Returns the composed rows of the units that compose, in unit order,
+        and a boolean mask of those units; the units it leaves out are those
+        ``compose`` returns None for, and each row is bitwise ``compose``'s
+        vector (upcast from float32 for a single word). The rows are gathered
+        once per constituent position, with each unit's words sorted as
+        ``compose`` sorts them, and multiplied in that order. A product of
+        two float32 factors is exact in float64, so a product of up to three
+        is rounded once whatever their order, and only units of four or more
+        words are sorted. Each norm is a one-by-one matrix product of a
+        row with itself, which calls the same BLAS dot that
+        ``np.linalg.norm`` calls for one vector.
+        """
+        length = len(units[0]) if units else 1
+        words = chain.from_iterable(units if length <= 3 else map(sorted, units))
+        ids = np.fromiter(map(self._index.get, words, repeat(-1)), np.intp,
+                          len(units) * length).reshape(len(units), length)
+        known = (ids >= 0).all(axis=1)
+        ids = ids[known]
+        rows = self._matrix[ids[:, 0]].astype(np.float64)
+        if length == 1:
+            return rows, known
+        for k in range(1, length):
+            rows *= self._matrix[ids[:, k]]
+        norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+        usable = ~(norms < ZERO_NORM_TOLERANCE)
+        if not usable.all():
+            known[np.flatnonzero(known)[~usable]] = False
+            rows, norms = rows[usable], norms[usable]
+        rows /= norms[:, None]
+        return rows, known
 
 
 class _TableBuilder:

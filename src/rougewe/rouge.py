@@ -10,7 +10,10 @@ prepared references: under exact matching, one count matrix over the
 word tuples the references hold, which a candidate's unit stream is
 clipped against in one lookup; under embedding matching, each summary's
 units and their composed vectors, set up once and then scored against any
-number of other summaries. A ``TopicPlan`` holds one topic's prepared
+number of other summaries. A side's unit vectors are composed one length
+at a time, in one gather and product per length partition
+(``EmbeddingTable.compose_many``), and scores stay bitwise equal to those
+of a pair scored from scratch. A ``TopicPlan`` holds one topic's prepared
 references.
 """
 
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from statistics import fmean
 from typing import Iterable, Iterator, Sequence
 
@@ -149,20 +152,18 @@ class _Partition:
     """The units of one length on one side, set up for embedding matching.
 
     Groups are (words, count) pairs sorted by words; their order is the
-    assignment's tie-break. Holds the group counts, the float64 rows of
-    the units that compose to a vector (``known`` holds their group
-    indices), and the out-of-vocabulary units' group index by words.
+    assignment's tie-break. ``matrix`` holds the float64 rows of the groups
+    that compose to a vector, in group order, all composed in one
+    ``EmbeddingTable.compose_many`` pass, and ``counts`` their counts;
+    ``oov`` maps the words of the other, out-of-vocabulary groups to theirs.
     """
 
-    __slots__ = ("counts", "known", "matrix", "oov")
+    __slots__ = ("counts", "matrix", "oov")
 
     def __init__(self, groups: list[tuple[tuple[str, ...], int]], table: EmbeddingTable):
-        vecs = [table.compose(words) for words, _ in groups]
-        self.counts = np.array([count for _, count in groups])
-        self.known = [i for i, v in enumerate(vecs) if v is not None]
-        self.matrix = (np.stack([vecs[i] for i in self.known]).astype(np.float64)
-                       if self.known else None)
-        self.oov = {words: i for i, ((words, _), v) in enumerate(zip(groups, vecs)) if v is None}
+        self.matrix, known = table.compose_many([words for words, _ in groups])
+        self.counts = np.array([count for _, count in groups])[known]
+        self.oov = dict(compress(groups, ~known))
 
 
 class _ExactRefs:
@@ -215,7 +216,8 @@ class _PreparedSide:
                            for length, groups in sorted(by_length.items())}
 
 
-def _greedy_assign(sims: np.ndarray, ref_counts: np.ndarray, cand_counts: np.ndarray) -> float:
+def _greedy_assign(sims: np.ndarray, ref_counts: np.ndarray, cand_counts: np.ndarray,
+                   matched: int = 0) -> float:
     """Best-first one-to-one assignment over grouped instances.
 
     Sequential greedy takes the positive pairs in the strict order
@@ -226,38 +228,47 @@ def _greedy_assign(sims: np.ndarray, ref_counts: np.ndarray, cand_counts: np.nda
     dominant) is reached by sequential greedy with the counts it has now,
     since every pair ahead of it lies in other rows and columns (Preis,
     STACS 1999; Manne & Bisseling, PPAM 2007). ``argmax`` returns the first
-    maximum, which is exactly that order's tie-break. The taken pairs are
-    summed in sequential order, so the total is bitwise the same.
+    maximum, which is exactly that order's tie-break. After each round the
+    rows and columns that are exhausted or hold no positive pair are left
+    out of the next round's matrix, a gathered copy, so the arguments are
+    never written to.
+
+    ``matched`` instances were paired outside ``sims`` at similarity 1.
+    Sequential greedy sums the pairs at similarity 1 first, and whole-number
+    partial sums are exact, so the total starts from ``matched`` and then
+    sums the taken pairs in sequential order: it is bitwise the total of
+    one assignment over all pairs.
     """
     ref_ids = np.arange(sims.shape[0])
     cand_ids = np.arange(sims.shape[1])
     rem_ref = ref_counts.copy()
     rem_cand = cand_counts.copy()
     taken: list[tuple[np.ndarray, ...]] = []
-    while True:
-        positive = sims > 0.0
-        live_ref = positive.any(axis=1)
-        if not live_ref.any():
-            break
-        live_cand = positive.any(axis=0)
-        sims = sims[np.ix_(live_ref, live_cand)]
-        ref_ids, rem_ref = ref_ids[live_ref], rem_ref[live_ref]
-        cand_ids, rem_cand = cand_ids[live_cand], rem_cand[live_cand]
+    while sims.size:
+        n, m = sims.shape
         best_cand = sims.argmax(axis=1)
         best_ref = sims.argmax(axis=0)
-        rows = np.flatnonzero(best_ref[best_cand] == np.arange(len(best_cand)))
+        row_best = sims[np.arange(n), best_cand]
+        # A row with no positive pair left is no positive column's first
+        # maximum, so it blocks no pair; it is dropped after this round.
+        rows = np.flatnonzero((best_ref[best_cand] == np.arange(n)) & (row_best > 0.0))
+        if not len(rows):
+            break
         cols = best_cand[rows]
         take = np.minimum(rem_ref[rows], rem_cand[cols])
-        taken.append((sims[rows, cols], ref_ids[rows], cand_ids[cols], take))
+        taken.append((row_best[rows], ref_ids[rows], cand_ids[cols], take))
         rem_ref[rows] -= take
         rem_cand[cols] -= take
-        sims[rem_ref == 0, :] = 0.0
-        sims[:, rem_cand == 0] = 0.0
+        keep_ref = (rem_ref > 0) & (row_best > 0.0)
+        keep_cand = (rem_cand > 0) & (sims[best_ref, np.arange(m)] > 0.0)
+        sims = sims[keep_ref][:, keep_cand]
+        ref_ids, rem_ref = ref_ids[keep_ref], rem_ref[keep_ref]
+        cand_ids, rem_cand = cand_ids[keep_cand], rem_cand[keep_cand]
+    total = float(matched)
     if not taken:
-        return 0.0
+        return total
     sim, ref_idx, cand_idx, take = (np.concatenate(parts) for parts in zip(*taken))
     order = np.lexsort((cand_idx, ref_idx, -sim))
-    total = 0.0
     for count, value in zip(take[order].tolist(), sim[order].tolist()):
         total += count * value
     return total
@@ -271,15 +282,17 @@ def _overlap(cand: _PreparedSide, ref: _PreparedSide, match: MatchFunction) -> f
         cp = cand.partitions.get(length)
         if cp is None:
             continue
-        sims = np.zeros((len(rp.counts), len(cp.counts)))
-        if rp.known and cp.known:
-            sims[np.ix_(rp.known, cp.known)] = np.clip(rp.matrix @ cp.matrix.T, 0.0, 1.0)
+        # An out-of-vocabulary unit has similarity 0 to every other unit, or,
+        # under exact-fallback, 1 to the same words when they are out of
+        # vocabulary too. Such a pair shares its row and column with no other
+        # positive pair, so it is matched in full outside the matrix.
+        matched = 0
         if match.oov_policy == "exact-fallback":
-            for words, i in rp.oov.items():
-                j = cp.oov.get(words)
-                if j is not None:
-                    sims[i, j] = 1.0
-        total += _greedy_assign(sims, rp.counts, cp.counts)
+            matched = sum(min(rp.oov[words], cp.oov[words])
+                          for words in rp.oov.keys() & cp.oov.keys())
+        sims = rp.matrix @ cp.matrix.T
+        np.clip(sims, 0.0, 1.0, out=sims)
+        total += _greedy_assign(sims, rp.counts, cp.counts, matched)
     return total
 
 
@@ -316,9 +329,10 @@ class TopicPlan:
     The references are set up at construction. Under exact matching a
     ``score`` call streams the candidate's units once through the
     references' columns and clips against all references in one step;
-    under embedding matching it composes the candidate's unit matrices
-    once, so a pair costs only its product, clip, OOV fill and assignment.
-    Results are bitwise those of scoring every pair from scratch.
+    under embedding matching it prepares the candidate's side once, one
+    ``compose_many`` pass per unit length, so a pair costs only its
+    product, clip, shared-OOV count and assignment per length. Results
+    are bitwise those of scoring every pair from scratch.
     """
 
     def __init__(

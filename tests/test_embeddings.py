@@ -275,6 +275,39 @@ class TestLookupAndCompose:
         assert np.array_equal(table.compose(tuple(order)), base)
 
 
+COMPOSE_WORDS = ["p", "q", "r", "s"]
+
+
+@st.composite
+def float_tables(draw):
+    """Random float32 tables, normalized or stored as found. A word's vector
+    is scaled by 0 (dropped when normalizing), 1e-7, 1e-4 or 1, so that
+    unnormalized products of small words fall under ZERO_NORM_TOLERANCE."""
+    dim = draw(st.sampled_from([1, 2, 3, 5, 16, 300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = draw(st.lists(st.sampled_from([0.0, 1e-7, 1e-4, 1.0]),
+                           min_size=len(COMPOSE_WORDS), max_size=len(COMPOSE_WORDS)))
+    vectors = {w: rng.standard_normal(dim) * scale for w, scale in zip(COMPOSE_WORDS, scales)}
+    return make_table(vectors, normalize=draw(st.booleans()))
+
+
+class TestComposeMany:
+    @given(table=float_tables(), length=st.integers(1, 4), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_compose(self, table, length, data):
+        # "missing" is never in the table; repeated words such as (p, p) are
+        # drawn too. Four words is the shortest unit whose factor order can
+        # change a bit of the product.
+        word = st.sampled_from(COMPOSE_WORDS + ["missing"])
+        units = data.draw(st.lists(st.tuples(*[word] * length), max_size=10))
+        rows, known = table.compose_many(units)
+        expected = [table.compose(unit) for unit in units]
+        assert known.tolist() == [vec is not None for vec in expected]
+        assert rows.dtype == np.float64 and rows.shape == (int(known.sum()), table.dim)
+        for row, vec in zip(rows, (vec for vec in expected if vec is not None)):
+            assert row.tobytes() == np.asarray(vec, dtype=np.float64).tobytes()
+
+
 def word_similarity(table, w1: str, w2: str) -> float:
     """Similarity of two words as scored: the soft overlap of one-word multisets."""
     return soft_overlap(Counter([(w1,)]), Counter([(w2,)]), MatchFunction.we(table))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rougewe.embeddings import EmbeddingTable
 from rougewe.rouge import (
     ROUGE_1,
     ROUGE_2,
@@ -174,18 +175,31 @@ def unit_multisets(draw) -> Counter:
     return units
 
 
+def tiny_sign_table(seed: int) -> EmbeddingTable:
+    """``sign_table``'s vectors, stored as found, with the words after the
+    first two scaled by 2**-24. A product of two scaled words has entries of
+    2**-52 and a norm under ZERO_NORM_TOLERANCE, so it is out of vocabulary;
+    every other product normalizes back to +-1/4 entries, and every dot
+    product stays exact."""
+    signs = sign_table(seed, TABLE_WORDS)
+    return make_table({w: signs.lookup(w) * (1.0 if i < 2 else 2.0**-24)
+                       for i, w in enumerate(TABLE_WORDS)}, normalize=False)
+
+
 class TestEngineMatchesSequentialGreedy:
     @given(
         cand=unit_multisets(),
         ref=unit_multisets(),
         table_seed=st.none() | st.integers(0, 2**32 - 1),
+        tiny=st.booleans(),
         policy=st.sampled_from(["zero", "exact-fallback"]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_differential(self, cand, ref, table_seed, policy):
+    def test_differential(self, cand, ref, table_seed, tiny, policy):
         # None: a one-hot table, where every positive similarity ties at 1
         # and distinct-word bigrams compose to zero (out of vocabulary).
         table = (identity_table(TABLE_WORDS) if table_seed is None
+                 else tiny_sign_table(table_seed) if tiny
                  else sign_table(table_seed, TABLE_WORDS))
         match = MatchFunction.we(table, oov_policy=policy)
         assert soft_overlap(cand, ref, match) == greedy_soft_overlap(cand, ref,
@@ -195,21 +209,40 @@ class TestEngineMatchesSequentialGreedy:
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_assignment_on_any_matrix(self, data):
-        # Arbitrary float similarities, so the total also pins the summation order.
-        n_ref, n_cand = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8))
-        value = st.sampled_from([0.0, 0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
-        sims = np.array(
-            data.draw(st.lists(value, min_size=n_ref * n_cand, max_size=n_ref * n_cand)),
-            dtype=np.float64,
-        ).reshape(n_ref, n_cand)
-        ref_counts = data.draw(st.lists(st.integers(1, 3), min_size=n_ref, max_size=n_ref))
-        cand_counts = data.draw(st.lists(st.integers(1, 3), min_size=n_cand, max_size=n_cand))
-        pairs = [(float(sims[i, j]), i, j)
+        # Up to 40 x 40, with values from a few levels, so that ties and
+        # several compaction rounds occur, and in some matrices arbitrary
+        # floats too, so that the total also pins the summation order.
+        n_ref, n_cand = data.draw(st.integers(0, 40)), data.draw(st.integers(0, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        sims = rng.choice([0.0, 0.25, 0.5, 1.0], size=(n_ref, n_cand))
+        floats = rng.random(sims.shape) < data.draw(st.sampled_from([0.0, 0.5]))
+        sims[floats] = rng.random(int(floats.sum()))
+        ref_counts = rng.integers(1, 4, n_ref).tolist()
+        cand_counts = rng.integers(1, 4, n_cand).tolist()
+        # ``matched``: pairs at similarity 1 that share no row or column with
+        # another positive pair, as out-of-vocabulary units matched by identity
+        # are. The oracle sees them in the matrix, in rows and columns drawn
+        # among the others.
+        isolated = data.draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                                      max_size=3))
+        k = len(isolated)
+        ref_pos = sorted(data.draw(st.permutations(range(n_ref + k)))[:n_ref])
+        cand_pos = sorted(data.draw(st.permutations(range(n_cand + k)))[:n_cand])
+        ref_free = [i for i in range(n_ref + k) if i not in ref_pos]
+        cand_free = [j for j in range(n_cand + k) if j not in cand_pos]
+        pairs = [(float(sims[i, j]), ref_pos[i], cand_pos[j])
                  for i in range(n_ref) for j in range(n_cand) if sims[i, j] > 0.0]
-        expected = _greedy_consume(pairs, dict(enumerate(ref_counts)), dict(enumerate(cand_counts)))
-        got = _greedy_assign(sims, np.array(ref_counts, dtype=np.int64),
-                             np.array(cand_counts, dtype=np.int64))
+        pairs += [(1.0, i, j) for i, j in zip(ref_free, cand_free)]
+        all_ref = dict(zip(ref_pos, ref_counts)) | dict(zip(ref_free, (r for r, _ in isolated)))
+        all_cand = dict(zip(cand_pos, cand_counts)) | dict(zip(cand_free,
+                                                                (c for _, c in isolated)))
+        expected = _greedy_consume(pairs, all_ref, all_cand)
+        args = (sims, np.array(ref_counts, dtype=np.int64), np.array(cand_counts, dtype=np.int64))
+        before = [arg.copy() for arg in args]
+        got = _greedy_assign(*args, matched=sum(min(r, c) for r, c in isolated))
         assert got == expected
+        for arg, copy in zip(args, before):
+            assert np.array_equal(arg, copy)
 
 class TestRougeVariant:
     @pytest.mark.parametrize("name,family,value", [
