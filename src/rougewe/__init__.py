@@ -1,103 +1,21 @@
-"""ROUGE and embedding-augmented ROUGE-WE summarization metrics."""
+"""ROUGE and embedding-augmented ROUGE-WE summarization metrics.
+
+The package exports what scoring a summary takes; everything else is
+imported from its module (``rougewe.harness``, ``rougewe.embeddings``, ...).
+"""
 
 __version__ = "0.1.0"
 
-from .correlation import (
-    CorrelationTriple,
-    ScoreVector,
-    UndefinedCorrelationError,
-    align_by_label,
-    correlation_triple,
-    kendall,
-    pearson,
-    spearman,
-)
-from .embeddings import (
-    EmbeddingFormatError,
-    EmbeddingTable,
-    EmbeddingTruncationError,
-    load_binary,
-    load_text,
-    save_binary,
-)
-from .harness import (
-    CorpusLoadError,
-    HumanJudgments,
-    JudgmentsFormatError,
-    MetaEvalError,
-    MetaEvalReport,
-    MetricConfig,
-    Topic,
-    load_corpus,
-    load_judgments,
-    meta_evaluate,
-    score_corpus,
-    write_reports,
-)
-from .rouge import (
-    DEFAULT_VARIANTS,
-    ROUGE_1,
-    ROUGE_2,
-    ROUGE_SU4,
-    MatchFunction,
-    RougeScore,
-    RougeVariant,
-    extract_units,
-    rouge_score,
-    soft_overlap,
-)
-from .textpipe import (
-    DEFAULT_CONFIG,
-    TokenizeConfig,
-    TokenSequence,
-    extract_ngrams,
-    extract_skip_bigrams,
-    load_stopwords,
-    tokenize,
-)
+from .embeddings import load_binary
+from .rouge import ROUGE_SU4, MatchFunction, RougeVariant, rouge_score
+from .textpipe import tokenize
 
 __all__ = [
-    "CorrelationTriple",
-    "ScoreVector",
-    "UndefinedCorrelationError",
-    "align_by_label",
-    "correlation_triple",
-    "kendall",
-    "pearson",
-    "spearman",
-    "EmbeddingFormatError",
-    "EmbeddingTable",
-    "EmbeddingTruncationError",
-    "load_binary",
-    "load_text",
-    "save_binary",
-    "CorpusLoadError",
-    "HumanJudgments",
-    "JudgmentsFormatError",
-    "MetaEvalError",
-    "MetaEvalReport",
-    "MetricConfig",
-    "Topic",
-    "load_corpus",
-    "load_judgments",
-    "meta_evaluate",
-    "score_corpus",
-    "write_reports",
-    "DEFAULT_VARIANTS",
-    "ROUGE_1",
-    "ROUGE_2",
-    "ROUGE_SU4",
     "MatchFunction",
-    "RougeScore",
+    "ROUGE_SU4",
     "RougeVariant",
-    "extract_units",
+    "__version__",
+    "load_binary",
     "rouge_score",
-    "soft_overlap",
-    "DEFAULT_CONFIG",
-    "TokenizeConfig",
-    "TokenSequence",
-    "extract_ngrams",
-    "extract_skip_bigrams",
-    "load_stopwords",
     "tokenize",
 ]

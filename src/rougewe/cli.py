@@ -53,7 +53,6 @@ class RunConfig:
     lowercase: bool
     stem: bool
     stopwords: str | None
-    normalize: bool
     out: str | None = None
     corpus: str | None = None
     judgments: str | None = None
@@ -76,16 +75,16 @@ class RunConfig:
 
     def load_table(self, vocabulary: Collection[str]) -> EmbeddingTable:
         """The vectors of the words in ``vocabulary``, the only ones scoring looks up."""
-        return _load_vectors(self.embeddings, self.embeddings_format,
-                             normalize=self.normalize, vocabulary=vocabulary)
+        return _load_vectors(self.embeddings, self.embeddings_format, vocabulary=vocabulary)
 
 
-def _load_vectors(path: str, fmt: str, **options) -> EmbeddingTable:
+def _load_vectors(path: str, fmt: str,
+                  vocabulary: Collection[str] | None = None) -> EmbeddingTable:
     # The loader is looked up on its module at call time, so that a wrapper
     # installed there (a tracer's, a test's spy) sees the call.
     loader = getattr(_embeddings, f"load_{fmt}")
     try:
-        return loader(path, **options)
+        return loader(path, vocabulary=vocabulary)
     except (EmbeddingFormatError, OSError) as exc:
         raise click.ClickException(f"failed to load embeddings: {exc}") from exc
 
@@ -175,9 +174,6 @@ def _common_options(fn):
         click.option("--stem/--no-stem", default=False, help="Apply Porter stemming."),
         click.option("--stopwords", type=click.Path(exists=True, dir_okay=False),
                      help="Stopword list to remove (one word per line)."),
-        click.option("--normalize/--no-normalize", default=True,
-                     help="Unit-normalize embedding vectors at load "
-                          "(--no-normalize is experimental)."),
         click.option("--config", type=click.Path(exists=True, dir_okay=False), is_eager=True,
                      expose_value=False, callback=_apply_config_file,
                      help="JSON config file of option defaults; explicit flags override it."),
@@ -261,11 +257,9 @@ def embeddings():
 @click.option("--format", "fmt", type=click.Choice(FORMATS), default="binary",
               help="File layout.")
 @click.option("--word", default=None, help="Also look up one word (lowercased, as keys are).")
-@click.option("--normalize/--no-normalize", default=True,
-              help="Unit-normalize vectors at load.")
-def embeddings_inspect(path, fmt, word, normalize):
+def embeddings_inspect(path, fmt, word):
     """Print summary information about an embedding file."""
-    table = _load_vectors(path, fmt, normalize=normalize)
+    table = _load_vectors(path, fmt)
     click.echo(f"file: {path}")
     click.echo(f"format: {fmt}")
     click.echo(f"vocab: {table.size}  dim: {table.dim}")

@@ -177,13 +177,10 @@ class _TableBuilder:
 
     A loader passes at most ``rows`` entries per ``take``: their float32
     vectors as the rows of a block and their words. The float64 copy of a
-    block and its norms live in buffers reused for the whole load. With
-    ``normalize`` off, zero vectors are kept and vectors are stored as found,
-    which waives the unit-norm invariant.
+    block and its norms live in buffers reused for the whole load.
     """
 
-    def __init__(self, dim: int, normalize: bool, vocabulary: Collection[str] | None,
-                 capacity: int):
+    def __init__(self, dim: int, vocabulary: Collection[str] | None, capacity: int):
         # 256 KiB of float32 rows, so that a block and its float64 copy stay in
         # cache from the read to the norms: on a Xeon with 2 MiB of L2 per
         # core, 1 MiB blocks loaded about 15 % slower.
@@ -192,7 +189,6 @@ class _TableBuilder:
         self.entries = 0  # entries taken so far
         self._wide = np.empty((self.rows, dim))
         self._norms = np.empty(self.rows)
-        self._normalize = normalize
         self._wanted = None if vocabulary is None else frozenset(vocabulary)
         if self._wanted is not None:
             capacity = min(capacity, len(self._wanted))
@@ -218,12 +214,10 @@ class _TableBuilder:
         bad = np.flatnonzero(~np.isfinite(norms))
         if bad.size:
             raise EmbeddingFormatError(f"non-finite vector value at {where(int(bad[0]))}")
-        rows = np.arange(n)
-        if self._normalize:
-            rows = np.flatnonzero(norms >= ZERO_NORM_TOLERANCE)
-            self.summary.zero_dropped += n - len(rows)
-            if len(rows) < n:
-                words = list(map(words.__getitem__, rows.tolist()))
+        rows = np.flatnonzero(norms >= ZERO_NORM_TOLERANCE)
+        self.summary.zero_dropped += n - len(rows)
+        if len(rows) < n:
+            words = list(map(words.__getitem__, rows.tolist()))
         start = len(self._index)
         at, repeats = self._key_rules(words)
         if len(self._index) > len(self._matrix):
@@ -294,10 +288,9 @@ class _TableBuilder:
         if not len(rows):
             return
         self._matrix[slots] = block[rows]
-        if self._normalize:
-            off = np.abs(norms[rows] - 1.0) > NORM_TOLERANCE
-            slots, rows = slots[off], rows[off]
-            self._matrix[slots] = wide[rows] / norms[rows, None]
+        off = np.abs(norms[rows] - 1.0) > NORM_TOLERANCE
+        slots, rows = slots[off], rows[off]
+        self._matrix[slots] = wide[rows] / norms[rows, None]
 
     def table(self) -> EmbeddingTable:
         summary = self.summary
@@ -313,8 +306,7 @@ class _TableBuilder:
                               load_summary=summary)
 
 
-def load_binary(path: str | Path, normalize: bool = True,
-                vocabulary: Collection[str] | None = None) -> EmbeddingTable:
+def load_binary(path: str | Path, vocabulary: Collection[str] | None = None) -> EmbeddingTable:
     """Load a binary-format embedding file. See the module docstring for layout.
 
     With a ``vocabulary``, only the vectors of keys in it are kept.
@@ -337,8 +329,7 @@ def load_binary(path: str | Path, normalize: bool = True,
         # Every entry takes at least a one-byte word, its space and the vector,
         # so the file's size caps the rows a header can make us allocate.
         payload = os.fstat(fh.fileno()).st_size - len(header)
-        builder = _TableBuilder(dim, normalize, vocabulary,
-                                min(vocab_size, payload // (4 * dim + 2)))
+        builder = _TableBuilder(dim, vocabulary, min(vocab_size, payload // (4 * dim + 2)))
         _read_entries(fh, len(header), vocab_size, builder)
     return builder.table()
 
@@ -474,8 +465,7 @@ def _text_lines(fh: BinaryIO) -> Iterator[tuple[int, str]]:
         offset += len(raw)
 
 
-def load_text(path: str | Path, normalize: bool = True,
-              vocabulary: Collection[str] | None = None) -> EmbeddingTable:
+def load_text(path: str | Path, vocabulary: Collection[str] | None = None) -> EmbeddingTable:
     """Load a text-format embedding file (optional header line).
 
     With a ``vocabulary``, only the vectors of keys in it are kept.
@@ -520,7 +510,7 @@ def load_text(path: str | Path, normalize: bool = True,
                     # the file's size caps the rows a header can make us allocate.
                     capacity = 0 if declared is None else min(
                         declared[0], os.fstat(fh.fileno()).st_size // (2 * dim + 1))
-                    builder = _TableBuilder(dim, normalize, vocabulary, capacity)
+                    builder = _TableBuilder(dim, vocabulary, capacity)
                     block = np.empty((builder.rows, dim), dtype="<f4")
                 if len(raw_values) != builder.dim:
                     raise EmbeddingFormatError(
@@ -535,7 +525,7 @@ def load_text(path: str | Path, normalize: bool = True,
                 if len(words) == len(block):
                     flush()
             if builder is None:
-                builder = _TableBuilder(declared[1] if declared else 0, normalize, vocabulary, 0)
+                builder = _TableBuilder(declared[1] if declared else 0, vocabulary, 0)
             flush()
             if declared is not None and builder.entries != declared[0]:
                 raise EmbeddingFormatError(

@@ -41,23 +41,26 @@ OOV_POLICIES = ("zero", "exact-fallback")
 MULTIREF_POLICIES = ("average", "jackknife")
 
 
+@dataclass(frozen=True, eq=False)
 class MatchFunction:
     """Pluggable word/n-gram similarity: exact identity or embedding cosine.
 
     Immutable: a match kind, the embedding table it composes from, and the
-    out-of-vocabulary policy.
+    out-of-vocabulary policy. Two matchers are equal only when they are the
+    same object, so comparing them never compares a table's matrix.
     """
 
-    def __init__(self, kind: str, table: EmbeddingTable | None = None, oov_policy: str = "zero"):
-        if kind not in ("exact", "embedding"):
-            raise ValueError(f"unknown match kind {kind!r}")
-        if kind == "embedding" and table is None:
+    kind: str
+    table: EmbeddingTable | None = None
+    oov_policy: str = "zero"
+
+    def __post_init__(self):
+        if self.kind not in ("exact", "embedding"):
+            raise ValueError(f"unknown match kind {self.kind!r}")
+        if self.kind == "embedding" and self.table is None:
             raise ValueError("embedding match requires an embedding table")
-        if oov_policy not in OOV_POLICIES:
-            raise ValueError(f"unknown oov policy {oov_policy!r}")
-        self.kind = kind
-        self.table = table
-        self.oov_policy = oov_policy
+        if self.oov_policy not in OOV_POLICIES:
+            raise ValueError(f"unknown oov policy {self.oov_policy!r}")
 
     @classmethod
     def exact(cls) -> "MatchFunction":

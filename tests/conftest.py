@@ -12,11 +12,15 @@ from rougewe.embeddings import EmbeddingTable, _TableBuilder
 
 
 def make_table(vectors: dict[str, Sequence[float]], normalize: bool = True) -> EmbeddingTable:
-    """A table built from ``vectors`` by the loaders' build step."""
+    """A table built from ``vectors`` by the loaders' build step, or with
+    ``normalize`` off, of the float32 vectors as given, zero vectors too."""
     dim = len(next(iter(vectors.values())))
-    builder = _TableBuilder(dim, normalize, None, len(vectors))
     words = list(vectors)
     block = np.array([np.asarray(v, dtype=np.float64) for v in vectors.values()], dtype="<f4")
+    if not normalize:
+        block.setflags(write=False)
+        return EmbeddingTable(dim, block, {w: i for i, w in enumerate(words)})
+    builder = _TableBuilder(dim, None, len(vectors))
     for i in range(0, len(words), builder.rows):
         part = words[i:i + builder.rows]
         builder.take(block[i:i + builder.rows], part, part.__getitem__)

@@ -38,12 +38,11 @@ class OracleTable:
 class _TableBuilder:
     """Keys are lowercased. An exact repeat of the same source form is
     last-wins; distinct source forms that collide after lowercasing are
-    first-wins. Zero vectors are dropped. With ``normalize`` off, vectors are
-    stored as found."""
+    first-wins. Zero vectors are dropped; the others are renormalized unless
+    already unit within NORM_TOLERANCE."""
 
-    def __init__(self, dim: int, normalize: bool):
+    def __init__(self, dim: int):
         self.table = OracleTable(dim)
-        self.normalize = normalize
         self.source_form: dict[str, str] = {}
 
     def add(self, raw_word: str, values: np.ndarray, where: str) -> None:
@@ -51,13 +50,12 @@ class _TableBuilder:
             raise EmbeddingFormatError(f"non-finite vector value at {where}")
         vec = values.astype(np.float32, copy=True)
         summary = self.table.load_summary
-        if self.normalize:
-            norm = float(np.linalg.norm(vec.astype(np.float64)))
-            if norm < ZERO_NORM_TOLERANCE:
-                summary.zero_dropped += 1
-                return
-            if abs(norm - 1.0) > NORM_TOLERANCE:
-                vec = (vec.astype(np.float64) / norm).astype(np.float32)
+        norm = float(np.linalg.norm(vec.astype(np.float64)))
+        if norm < ZERO_NORM_TOLERANCE:
+            summary.zero_dropped += 1
+            return
+        if abs(norm - 1.0) > NORM_TOLERANCE:
+            vec = (vec.astype(np.float64) / norm).astype(np.float32)
         key = raw_word.lower()
         vectors = self.table.vectors
         if key not in vectors:
@@ -70,7 +68,7 @@ class _TableBuilder:
             summary.case_collisions += 1
 
 
-def load_binary(path: str | Path, normalize: bool = True) -> OracleTable:
+def load_binary(path: str | Path) -> OracleTable:
     data = Path(path).read_bytes()
     header_end = data.find(b"\n")
     if header_end < 0:
@@ -87,7 +85,7 @@ def load_binary(path: str | Path, normalize: bool = True) -> OracleTable:
             f"malformed header {data[:header_end]!r}: expected '<vocab_size> <dim>'"
         ) from None
 
-    builder = _TableBuilder(dim, normalize)
+    builder = _TableBuilder(dim)
     pos = header_end + 1
     vector_bytes = 4 * dim
     for i in range(vocab_size):
@@ -115,7 +113,7 @@ def load_binary(path: str | Path, normalize: bool = True) -> OracleTable:
     return builder.table
 
 
-def load_text(path: str | Path, normalize: bool = True) -> OracleTable:
+def load_text(path: str | Path) -> OracleTable:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     declared: tuple[int, int] | None = None
     start = 0
@@ -143,7 +141,7 @@ def load_text(path: str | Path, normalize: bool = True) -> OracleTable:
                 raise EmbeddingFormatError(
                     f"line {lineno + 1}: dimension {dim} does not match header {declared[1]}"
                 )
-            builder = _TableBuilder(dim, normalize)
+            builder = _TableBuilder(dim)
         if len(raw_values) != builder.table.dim:
             raise EmbeddingFormatError(
                 f"line {lineno + 1}: expected {builder.table.dim} values, found {len(raw_values)}"
@@ -156,7 +154,7 @@ def load_text(path: str | Path, normalize: bool = True) -> OracleTable:
         n_entries += 1
 
     if builder is None:
-        builder = _TableBuilder(declared[1] if declared is not None else 0, normalize)
+        builder = _TableBuilder(declared[1] if declared is not None else 0)
     if declared is not None and n_entries != declared[0]:
         raise EmbeddingFormatError(
             f"header declares {declared[0]} entries but file has {n_entries}"

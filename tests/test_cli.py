@@ -1,7 +1,10 @@
 import json
+import re
 import shutil
 import struct
+from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -449,6 +452,16 @@ class TestConfigFile:
         assert "unknown config keys: threads" in result.output
         assert not (out / "report.json").exists()
 
+    def test_normalize_config_key_rejected(self, runner, tiny_corpus, tmp_path, monkeypatch):
+        settings = {"normalize": True, "match": "we", "embeddings": "VECS",
+                    "embeddings_format": "text"}
+        result, out, calls = run_meta_eval_with_config(runner, tiny_corpus, tmp_path,
+                                                       monkeypatch, settings)
+        assert result.exit_code == 1
+        assert "unknown config keys: normalize" in result.output
+        assert not out.exists()
+        assert calls == {"binary": [], "text": []}
+
     def test_non_utf8_config_exits_1_naming_file(self, runner, weather_files, tmp_path):
         cand, ref = weather_files
         config = tmp_path / "config.json"
@@ -580,7 +593,6 @@ SETTINGS = {
     "stem": (True, ["--stem"], False, []),
     "stopwords": ("{stop}", ["--stopwords", "{stop}"], "{stop2}", []),
     "out": ("{out}", ["--out", "{out}"], "{out2}", []),
-    "normalize": (False, ["--no-normalize"], True, WE_TEXT),
 }
 
 
@@ -617,7 +629,6 @@ class TestSettingsDrift:
     def test_file_value_equals_flag_and_flag_wins(self, runner, tiny_corpus, tmp_path, key):
         corpus, judgments = tiny_corpus
         files = {name: tmp_path / f"{name}.txt" for name in ("vecs", "vecs2", "stop", "stop2")}
-        # norms under 1, so that scores vary also with --no-normalize
         for name, template in (("vecs", "{w} {x} 0.1\n"), ("vecs2", "{w} 0.1 {x}\n")):
             files[name].write_text("".join(template.format(w=w, x=(i + 1) / 20)
                                            for i, w in enumerate("abcdefghxyzw")),
@@ -724,10 +735,41 @@ class TestHelp:
         assert result.exit_code == 0
         for flag in ("--metrics", "--match", "--embeddings", "--embeddings-format", "--oov",
                      "--multiref", "--report-component", "--lowercase", "--no-lowercase",
-                     "--stem", "--stopwords", "--config", "--no-normalize"):
+                     "--stem", "--stopwords", "--config"):
             assert flag in result.output, flag
         if command == ["meta-eval"]:
             assert "--out" in result.output
+
+    @pytest.mark.parametrize("flag", ["--normalize", "--no-normalize"])
+    @pytest.mark.parametrize("command", ["score", "meta-eval", "embeddings inspect"])
+    def test_normalize_flags_rejected(self, runner, weather_files, tiny_corpus,
+                                      toy_embeddings_text, tmp_path, command, flag):
+        """Vectors are always unit-normalized at load; no flag turns that off."""
+        corpus, judgments = tiny_corpus
+        args = {
+            "score": ["score", *map(str, weather_files)],
+            "meta-eval": ["meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),
+                          "--out", str(tmp_path / "out")],
+            "embeddings inspect": ["embeddings", "inspect", str(toy_embeddings_text),
+                                   "--format", "text"],
+        }[command]
+        result = runner.invoke(main, args + [flag])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and flag in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_flags_table_matches_options(self):
+        """The README's Flags table lists exactly the options that score and
+        meta-eval share, each as its flags are spelled."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n### Flags\n", 1)[1].split("\n#", 1)[0]
+        table = {cell.split()[0] for cell in re.findall(r"^\| `([^`]+)` \|", section, re.M)}
+
+        def flags(command):
+            return {"/".join(p.opts + p.secondary_opts) for p in command.params
+                    if isinstance(p, click.Option)}
+
+        assert table == flags(cli.score) & flags(cli.meta_eval)
 
     def test_inspect_help(self, runner):
         result = runner.invoke(main, ["embeddings", "inspect", "--help"])

@@ -209,11 +209,6 @@ class TestLoadBinary:
         with pytest.raises(EmbeddingTruncationError, match="entry 1"):
             load_binary(path)
 
-    def test_no_normalize_keeps_raw(self, tmp_path):
-        path = write_binary(tmp_path / "v.bin", [("dog", [0, 3, 4])])
-        table = load_binary(path, normalize=False)
-        assert np.array_equal(table.lookup("dog"), np.array([0, 3, 4], dtype=np.float32))
-
 
 class TestRoundTrip:
     def test_load_save_load_fixed_point(self, tmp_path):
@@ -398,10 +393,10 @@ def text_blob(draw, dim, entries) -> bytes:
     return eol.join(lines).encode("utf-8") + eol.encode() * draw(st.integers(0, 2))
 
 
-def outcome(load, path, normalize=True):
+def outcome(load, path):
     """What a loader makes of a file: its table, or the error it raised."""
     try:
-        table = load(path, normalize=normalize)
+        table = load(path)
     except EmbeddingFormatError as exc:
         return type(exc), str(exc), getattr(exc, "offset", None)
     except UnicodeDecodeError as exc:  # the oracle's text loader
@@ -414,20 +409,20 @@ def within_one_ulp(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.all(gap <= np.spacing(np.maximum(np.abs(a), np.abs(b)))))
 
 
-def check_against_oracle(path, blob, entries, text, chunk, normalize=True):
+def check_against_oracle(path, blob, entries, text, chunk):
     """Load ``blob`` with the streaming loader (reading ``chunk`` bytes at a
     time) and with the oracle, and require the same table or the same error."""
     new, old = (load_text, load_oracle.load_text) if text else (load_binary, load_oracle.load_binary)
     path.write_bytes(blob)
     with mock.patch.object(embeddings, "CHUNK_BYTES", chunk):
-        got = outcome(new, path, normalize)
-    want = outcome(old, path, normalize)
+        got = outcome(new, path)
+    want = outcome(old, path)
     if isinstance(want, tuple) and want[0] is UnicodeDecodeError:
         # The oracle decodes the whole text before parsing it; streaming meets
         # the faults of the lines before the bad byte first.
         start = blob.rfind(b"\n", 0, want[1]) + 1
         path.write_bytes(blob[:start])
-        before = outcome(old, path, normalize)
+        before = outcome(old, path)
         if isinstance(got, tuple) and "not valid UTF-8" in got[1]:
             line = blob[:start].count(b"\n") + 1
             assert got == (EmbeddingFormatError,
@@ -458,15 +453,15 @@ def vocabularies():
     return st.frozensets(st.sampled_from(sorted({w.lower() for w in WORDS}) + ["absent", "Cat"]))
 
 
-def check_filter_against_full(path, blob, text, chunk, normalize, vocabulary):
+def check_filter_against_full(path, blob, text, chunk, vocabulary):
     """A load filtered to ``vocabulary`` fails exactly as the full load does,
     or keeps the full load's summary and dim and, of its words, those in
     ``vocabulary``, in order, with bitwise the same vectors."""
     load = load_text if text else load_binary
     path.write_bytes(blob)
     with mock.patch.object(embeddings, "CHUNK_BYTES", chunk):
-        full = outcome(load, path, normalize)
-        kept = outcome(functools.partial(load, vocabulary=vocabulary), path, normalize)
+        full = outcome(load, path)
+        kept = outcome(functools.partial(load, vocabulary=vocabulary), path)
     if isinstance(full, tuple) or isinstance(kept, tuple):
         assert kept == full
         return
@@ -481,20 +476,20 @@ def check_filter_against_full(path, blob, text, chunk, normalize, vocabulary):
 
 class TestLoadersMatchOracle:
     @settings(max_examples=200, deadline=None)
-    @given(st.data(), vector_entries(), st.integers(1, 48), st.booleans())
-    def test_binary(self, data, drawn, chunk, normalize):
+    @given(st.data(), vector_entries(), st.integers(1, 48))
+    def test_binary(self, data, drawn, chunk):
         dim, entries = drawn
         with tempfile.TemporaryDirectory() as tmp:
             check_against_oracle(Path(tmp) / "v.bin", binary_blob(data.draw, dim, entries),
-                                 entries, False, chunk, normalize)
+                                 entries, False, chunk)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.data(), vector_entries(), st.integers(1, 48), st.booleans())
-    def test_text(self, data, drawn, chunk, normalize):
+    @given(st.data(), vector_entries(), st.integers(1, 48))
+    def test_text(self, data, drawn, chunk):
         dim, entries = drawn
         with tempfile.TemporaryDirectory() as tmp:
             check_against_oracle(Path(tmp) / "v.txt", text_blob(data.draw, dim, entries),
-                                 entries, True, chunk, normalize)
+                                 entries, True, chunk)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data(), vector_entries(max_entries=4), st.integers(1, 24), st.booleans())
@@ -506,31 +501,30 @@ class TestLoadersMatchOracle:
                 check_against_oracle(Path(tmp) / "v", blob[:cut], entries, text, chunk)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.data(), vector_entries(max_entries=12), st.integers(64, 2048), st.booleans(),
-           st.booleans())
-    def test_multi_row_blocks(self, data, drawn, chunk, text, normalize):
+    @given(st.data(), vector_entries(max_entries=12), st.integers(64, 2048), st.booleans())
+    def test_multi_row_blocks(self, data, drawn, chunk, text):
         """Chunks of 64 B and more give blocks of several rows, so the load
         rules also meet duplicates and collisions inside one block."""
         dim, entries = drawn
         blob = (text_blob if text else binary_blob)(data.draw, dim, entries)
         with tempfile.TemporaryDirectory() as tmp:
-            check_against_oracle(Path(tmp) / "v", blob, entries, text, chunk, normalize)
+            check_against_oracle(Path(tmp) / "v", blob, entries, text, chunk)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.data(), vector_entries(), st.integers(1, 48), st.booleans(), vocabularies())
-    def test_vocabulary_filter_binary(self, data, drawn, chunk, normalize, vocabulary):
+    @given(st.data(), vector_entries(), st.integers(1, 48), vocabularies())
+    def test_vocabulary_filter_binary(self, data, drawn, chunk, vocabulary):
         dim, entries = drawn
         with tempfile.TemporaryDirectory() as tmp:
             check_filter_against_full(Path(tmp) / "v.bin", binary_blob(data.draw, dim, entries),
-                                      False, chunk, normalize, vocabulary)
+                                      False, chunk, vocabulary)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.data(), vector_entries(), st.integers(1, 48), st.booleans(), vocabularies())
-    def test_vocabulary_filter_text(self, data, drawn, chunk, normalize, vocabulary):
+    @given(st.data(), vector_entries(), st.integers(1, 48), vocabularies())
+    def test_vocabulary_filter_text(self, data, drawn, chunk, vocabulary):
         dim, entries = drawn
         with tempfile.TemporaryDirectory() as tmp:
             check_filter_against_full(Path(tmp) / "v.txt", text_blob(data.draw, dim, entries),
-                                      True, chunk, normalize, vocabulary)
+                                      True, chunk, vocabulary)
 
     @pytest.mark.parametrize("text", [False, True])
     def test_non_finite_reported_before_a_later_format_error(self, tmp_path, text):

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from statistics import fmean
 
@@ -104,6 +105,21 @@ class TestMatchFunction:
         match = MatchFunction.exact()
         assert match.table is None
         assert pair_overlap(("x",), ("x",), match) == 1.0
+
+    @pytest.mark.parametrize("field, value", [
+        ("kind", "embedding"), ("table", None), ("oov_policy", "exact-fallback"),
+    ])
+    def test_fields_cannot_be_assigned(self, field, value):
+        match = MatchFunction.we(identity_table(["a"]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(match, field, value)
+        assert (match.kind, match.oov_policy) == ("embedding", "zero")
+        assert match.table is not None
+
+    def test_equality_is_identity(self):
+        table = identity_table(["a"])
+        assert MatchFunction.we(table) != MatchFunction.we(table)
+        assert len({MatchFunction.exact(), MatchFunction.exact()}) == 2
 
 
 class TestSoftOverlap:
