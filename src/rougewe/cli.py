@@ -50,7 +50,6 @@ class RunConfig:
     metrics: list[MetricConfig]
     embeddings: str | None
     embeddings_format: str
-    lowercase: bool
     stem: bool
     stopwords: str | None
     out: str | None = None
@@ -64,10 +63,10 @@ class RunConfig:
         stopwords = None
         if self.stopwords:
             try:
-                stopwords = load_stopwords(self.stopwords, lowercase=self.lowercase)
+                stopwords = load_stopwords(self.stopwords)
             except UnicodeDecodeError as exc:
                 raise _not_utf8("stopword file", self.stopwords, exc) from None
-        return TokenizeConfig(lowercase=self.lowercase, stem=self.stem, stopwords=stopwords)
+        return TokenizeConfig(stem=self.stem, stopwords=stopwords)
 
     @property
     def uses_embeddings(self) -> bool:
@@ -170,7 +169,6 @@ def _common_options(fn):
                      help="Multi-reference aggregation."),
         click.option("--report-component", type=click.Choice(REPORT_COMPONENTS), default="recall",
                      help="Score component used by the harness."),
-        click.option("--lowercase/--no-lowercase", default=True, help="Lowercase tokens."),
         click.option("--stem/--no-stem", default=False, help="Apply Porter stemming."),
         click.option("--stopwords", type=click.Path(exists=True, dir_okay=False),
                      help="Stopword list to remove (one word per line)."),

@@ -7,7 +7,6 @@ so a degenerate metric cannot silently corrupt a meta-evaluation table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -31,9 +30,6 @@ class ScoreVector:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-ArrayLike = "ScoreVector | Sequence[float] | np.ndarray"
 
 
 def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:

@@ -18,9 +18,8 @@ scan finds the complete entries of each fill, their words are decoded in one
 call, and one numpy gather per block copies their vectors out of the buffer.
 The text loader parses line by line into a reused block. The build step, the
 same for both formats, fails on a NaN or infinity naming its entry or line,
-drops zero vectors, and applies the key rules over every key of the file:
-set operations on a block's keys settle the keys new to the file, and only
-the duplicates and case collisions go row by row. Keys are lowercased: an
+drops zero vectors, and applies the key rules over every key of the file in
+one pass over a block's kept rows, in file order. Keys are lowercased: an
 exact repeat of one source form is last-wins, distinct forms that collide
 after lowercasing are first-wins (pre-trained files list higher-frequency
 forms first). Only then are rows copied out, renormalized unless already
@@ -39,7 +38,7 @@ import logging
 import os
 import re
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Sequence
@@ -216,10 +215,8 @@ class _TableBuilder:
             raise EmbeddingFormatError(f"non-finite vector value at {where(int(bad[0]))}")
         rows = np.flatnonzero(norms >= ZERO_NORM_TOLERANCE)
         self.summary.zero_dropped += n - len(rows)
-        if len(rows) < n:
-            words = list(map(words.__getitem__, rows.tolist()))
         start = len(self._index)
-        at, repeats = self._key_rules(words)
+        firsts, repeats = self._key_rules(words, rows.tolist())
         if len(self._index) > len(self._matrix):
             grown = np.empty((max(len(self._index), 2 * len(self._matrix)), self.dim),
                              dtype=np.float32)
@@ -227,60 +224,45 @@ class _TableBuilder:
             self._matrix = grown
         # New wanted keys take the next slots in file order. A repeat comes
         # after the first row of its key, so it is copied last.
-        self._copy_out(np.arange(start, len(self._index)), rows[at], block, wide, norms)
+        self._copy_out(np.arange(start, len(self._index)), np.array(firsts, np.intp),
+                       block, wide, norms)
         if repeats:
             self._copy_out(np.fromiter(repeats.keys(), np.intp, len(repeats)),
-                           rows[np.fromiter(repeats.values(), np.intp, len(repeats))],
+                           np.fromiter(repeats.values(), np.intp, len(repeats)),
                            block, wide, norms)
         self.entries += n
 
-    def _key_rules(self, words: list[str]) -> tuple[np.ndarray, dict[int, int]]:
-        """Apply the key rules to the kept rows' ``words``, in file order.
+    def _key_rules(self, words: list[str], rows: list[int]) -> tuple[list[int], dict[int, int]]:
+        """Apply the key rules to the block's kept ``rows``, in file order.
 
         Gives each wanted key new to the file the next slot, and returns the
-        positions of those keys' first rows and, for each slot whose key a
-        later row repeats exactly, the last such row's position. Set
-        operations over the block's keys sort out the rows whose key is new
-        to the file and to the rows before them; only the other rows, the
-        duplicates and case collisions, go one by one.
+        rows of those keys' first forms and, for each slot whose key a later
+        row repeats exactly, the last such row.
         """
-        index, seen, cased, wanted = self._index, self._seen, self._cased, self._wanted
-        keys = list(map(str.lower, words))
-        m = len(keys)
-        block_keys = set(keys)
-        known = seen & block_keys  # keys met before this block
-        fresh = np.arange(m)  # the first row of each new key
-        repeated: list[int] = []
-        fresh_keys, fresh_words = keys, words
-        if known or len(block_keys) < m:
-            new = ~np.fromiter(map(known.__contains__, keys), bool, m)
-            if len(block_keys) < m:
-                firsts = dict(zip(reversed(keys), range(m - 1, -1, -1)))
-                new &= np.fromiter(map(firsts.__getitem__, keys), np.intp, m) == fresh
-            repeated = np.flatnonzero(~new).tolist()
-            fresh = np.flatnonzero(new)
-            fresh_keys = list(map(keys.__getitem__, fresh.tolist()))
-            fresh_words = list(map(words.__getitem__, fresh.tolist()))
-        if fresh_keys != fresh_words:
-            differ = map(str.__ne__, fresh_keys, fresh_words)
-            cased.update(compress(zip(fresh_keys, fresh_words), differ))
-        if wanted is not None:
-            seen.update(block_keys)
-            keep = np.fromiter(map(wanted.__contains__, fresh_keys), bool, len(fresh_keys))
-            fresh, fresh_keys = fresh[keep], list(compress(fresh_keys, keep))
-        index.update(zip(fresh_keys, range(len(index), len(index) + len(fresh_keys))))
-        repeats: dict[int, int] = {}  # slot -> position; a later duplicate replaces
-        summary = self.summary
-        for p in repeated:
-            key = keys[p]
-            if cased.get(key, key) == words[p]:
+        index, seen, cased, wanted, summary = (self._index, self._seen, self._cased,
+                                               self._wanted, self.summary)
+        firsts: list[int] = []
+        repeats: dict[int, int] = {}  # slot -> row; a later duplicate replaces
+        for row in rows:
+            word = words[row]
+            key = word.lower()
+            if key not in seen:
+                if key != word:
+                    cased[key] = word
+                if wanted is not None:
+                    seen.add(key)
+                    if key not in wanted:
+                        continue
+                index[key] = len(index)
+                firsts.append(row)
+            elif cased.get(key, key) == word:
                 summary.duplicates += 1
                 slot = index.get(key)
                 if slot is not None:
-                    repeats[slot] = p
+                    repeats[slot] = row
             else:
                 summary.case_collisions += 1
-        return fresh, repeats
+        return firsts, repeats
 
     def _copy_out(self, slots: np.ndarray, rows: np.ndarray, block: np.ndarray,
                   wide: np.ndarray, norms: np.ndarray) -> None:

@@ -214,9 +214,10 @@ def score_corpus(
     For each metric, a topic's model summaries are prepared once in a
     ``TopicPlan`` and each system summary once, then scored pair by pair;
     every score is bitwise what ``rouge_score`` gives for that pair.
-    A system missing a topic's summary contributes 0 for that topic (and
-    is logged). A summary that fails to score raises ``MetaEvalError``
-    naming the metric, system and topic, chained from the cause: a zero in
+    A system missing a topic's summary contributes 0 for that topic under
+    every metric, and is logged once, in topic then system order. A
+    summary that fails to score raises ``MetaEvalError`` naming the
+    metric, system and topic, chained from the cause: a zero in
     its place would bias the correlations without a trace. Two metrics
     with the same name would share one set of report rows, and two topics
     with the same id one set of summaries, so either raises
@@ -246,12 +247,15 @@ def score_corpus(
     }
     system_ids = sorted({sid for t in topics for sid, _ in t.system_summaries})
     topics = sorted(topics, key=lambda t: t.topic_id)
+    for topic in topics:
+        for system_id in system_ids:
+            if system_id not in system_seqs[topic.topic_id]:
+                logger.warning("system %s has no summary for topic %s; scoring 0",
+                               system_id, topic.topic_id)
 
     def score_one(metric: MetricConfig, plan: TopicPlan, system_id: str, topic: Topic) -> float:
         cand = system_seqs[topic.topic_id].get(system_id)
         if cand is None:
-            logger.warning("system %s has no summary for topic %s; scoring 0",
-                           system_id, topic.topic_id)
             return 0.0
         try:
             score = plan.score(cand)

@@ -112,7 +112,6 @@ class RougeVariant:
 ROUGE_1 = RougeVariant(family="n", n=1)
 ROUGE_2 = RougeVariant(family="n", n=2)
 ROUGE_SU4 = RougeVariant(family="su", max_skip=4)
-DEFAULT_VARIANTS = (ROUGE_1, ROUGE_2, ROUGE_SU4)
 
 
 def _unit_stream(seq: TokenSequence, variant: RougeVariant) -> Iterator[tuple[str, ...]]:

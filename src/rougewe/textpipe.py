@@ -29,7 +29,6 @@ class TokenizeConfig:
     :func:`load_stopwords` to read one from a file.
     """
 
-    lowercase: bool = True
     stem: bool = False
     stopwords: frozenset[str] | None = None
 
@@ -51,13 +50,13 @@ class TokenSequence:
         return iter(self.tokens)
 
 
-def load_stopwords(path: str | Path, lowercase: bool = True) -> frozenset[str]:
-    """Read a stopword list: one word per line, blanks ignored."""
+def load_stopwords(path: str | Path) -> frozenset[str]:
+    """Read a stopword list: one word per line, blanks ignored, lowercased."""
     words = []
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         word = line.strip()
         if word:
-            words.append(word.lower() if lowercase else word)
+            words.append(word.lower())
     return frozenset(words)
 
 
@@ -65,16 +64,16 @@ def tokenize(raw: str, config: TokenizeConfig = DEFAULT_CONFIG, source_id: str =
     """Split raw text into normalized word tokens.
 
     Tokens are whitespace-delimited chunks with leading/trailing
-    punctuation stripped; chunks that are pure punctuation disappear.
-    Empty or whitespace-only input yields an empty sequence.
+    punctuation stripped, then lowercased, as the embedding loaders key
+    every word; chunks that are pure punctuation disappear. Empty or
+    whitespace-only input yields an empty sequence.
     """
     tokens: list[str] = []
     for chunk in raw.split():
         word = chunk.strip(_STRIP_CHARS)
         if not word:
             continue
-        if config.lowercase:
-            word = word.lower()
+        word = word.lower()
         if config.stopwords is not None and word in config.stopwords:
             continue
         if config.stem:

@@ -462,6 +462,17 @@ class TestConfigFile:
         assert not out.exists()
         assert calls == {"binary": [], "text": []}
 
+    def test_lowercase_config_key_rejected(self, runner, tiny_corpus, tmp_path, monkeypatch):
+        """Tokens are always lowercased, as embedding keys are."""
+        settings = {"lowercase": False, "match": "we", "embeddings": "VECS",
+                    "embeddings_format": "text"}
+        result, out, calls = run_meta_eval_with_config(runner, tiny_corpus, tmp_path,
+                                                       monkeypatch, settings)
+        assert result.exit_code == 1
+        assert "unknown config keys: lowercase" in result.output
+        assert not out.exists()
+        assert calls == {"binary": [], "text": []}
+
     def test_non_utf8_config_exits_1_naming_file(self, runner, weather_files, tmp_path):
         cand, ref = weather_files
         config = tmp_path / "config.json"
@@ -494,8 +505,8 @@ class TestConfigFile:
         ({"stem": "no"}, "--no-stem"),
         ({"stem": "on"}, "--stem"),
         ({"stem": 1}, "--stem"),
-        ({"lowercase": "false"}, "--no-lowercase"),
-        ({"lowercase": None}, "--lowercase"),
+        ({"stem": "false"}, "--no-stem"),
+        ({"stem": None}, "--no-stem"),
     ])
     def test_file_booleans_read_as_their_flag(self, runner, tmp_path, settings, flag):
         cand = tmp_path / "c.txt"
@@ -589,7 +600,6 @@ SETTINGS = {
     "oov": ("exact-fallback", ["--oov", "exact-fallback"], "zero", WE_TEXT),
     "multiref": ("jackknife", ["--multiref", "jackknife"], "average", []),
     "report_component": ("f1", ["--report-component", "f1"], "recall", []),
-    "lowercase": (False, ["--no-lowercase"], True, []),
     "stem": (True, ["--stem"], False, []),
     "stopwords": ("{stop}", ["--stopwords", "{stop}"], "{stop2}", []),
     "out": ("{out}", ["--out", "{out}"], "{out2}", []),
@@ -734,8 +744,7 @@ class TestHelp:
         result = runner.invoke(main, command + ["--help"])
         assert result.exit_code == 0
         for flag in ("--metrics", "--match", "--embeddings", "--embeddings-format", "--oov",
-                     "--multiref", "--report-component", "--lowercase", "--no-lowercase",
-                     "--stem", "--stopwords", "--config"):
+                     "--multiref", "--report-component", "--stem", "--stopwords", "--config"):
             assert flag in result.output, flag
         if command == ["meta-eval"]:
             assert "--out" in result.output
@@ -752,6 +761,23 @@ class TestHelp:
                           "--out", str(tmp_path / "out")],
             "embeddings inspect": ["embeddings", "inspect", str(toy_embeddings_text),
                                    "--format", "text"],
+        }[command]
+        result = runner.invoke(main, args + [flag])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and flag in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--lowercase", "--no-lowercase"])
+    @pytest.mark.parametrize("command", ["score", "meta-eval"])
+    def test_lowercase_flags_rejected(self, runner, weather_files, tiny_corpus, tmp_path,
+                                      command, flag):
+        """Tokens are always lowercased, as embedding keys are; no flag turns
+        that off."""
+        corpus, judgments = tiny_corpus
+        args = {
+            "score": ["score", *map(str, weather_files)],
+            "meta-eval": ["meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),
+                          "--out", str(tmp_path / "out")],
         }[command]
         result = runner.invoke(main, args + [flag])
         assert result.exit_code == 2

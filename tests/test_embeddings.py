@@ -158,11 +158,20 @@ class TestLoadBinary:
             load_binary(path)
 
     def test_duplicate_word_last_wins(self, tmp_path):
-        path = write_binary(tmp_path / "v.bin", [("cat", [1, 0]), ("cat", [0, 1])])
-        table = load_binary(path)
-        assert table.size == 1
-        assert np.array_equal(table.lookup("cat"), np.array([0, 1], dtype=np.float32))
-        assert table.load_summary.duplicates == 1
+        """Of three rows of one word, the third is kept, in both formats, with
+        and without a vocabulary, whether the repeats share a block or not."""
+        entries = [("cat", [1, 0]), ("dog", [0, 1]), ("cat", [0, -1]), ("cat", [-1, 0])]
+        binary = write_binary(tmp_path / "v.bin", entries)
+        text = tmp_path / "v.txt"
+        text.write_text("".join(f"{w} {x} {y}\n" for w, (x, y) in entries), encoding="utf-8")
+        # Blocks of all four rows, of two (both repeats in the second) and of one.
+        for chunk in (embeddings.CHUNK_BYTES, 256, 64):
+            for path, load in ((binary, load_binary), (text, load_text)):
+                for vocabulary in (None, {"cat"}):
+                    with mock.patch.object(embeddings, "CHUNK_BYTES", chunk):
+                        table = load(path, vocabulary=vocabulary)
+                    assert table.lookup("cat").tolist() == [-1, 0], (chunk, path, vocabulary)
+                    assert table.load_summary.duplicates == 2
 
     def test_case_collision_first_wins(self, tmp_path):
         path = write_binary(tmp_path / "v.bin", [("Cat", [1, 0]), ("cat", [0, 1])])

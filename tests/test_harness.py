@@ -221,15 +221,30 @@ class TestScoreCorpus:
         assert scores["rouge-1"].values == pytest.approx((0.6,))
 
     def test_missing_summary_scores_zero(self, tmp_path, caplog):
+        """Under every metric, and logged once, not once per metric."""
         write_corpus(tmp_path, {
             "t1": ({"m1": "a b"}, {"s1": "a b", "s2": "a b"}),
             "t2": ({"m1": "a b"}, {"s1": "a b"}),
         })
+        metrics = [R1, MetricConfig(ROUGE_2), MetricConfig(RougeVariant.parse("rouge-su4"))]
         with caplog.at_level(logging.WARNING):
-            scores = score_corpus(load_corpus(tmp_path), [R1])
-        vec = scores["rouge-1"]
-        assert dict(zip(vec.labels, vec.values)) == {"s1": 1.0, "s2": 0.5}
-        assert "s2" in caplog.text
+            scores = score_corpus(load_corpus(tmp_path), metrics)
+        for vec in scores.values():
+            assert dict(zip(vec.labels, vec.values)) == {"s1": 1.0, "s2": 0.5}
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+            "system s2 has no summary for topic t2; scoring 0"]
+
+    def test_missing_summaries_logged_in_topic_then_system_order(self, tmp_path, caplog):
+        write_corpus(tmp_path, {
+            "t2": ({"m1": "a b"}, {"s1": "a b"}),
+            "t1": ({"m1": "a b"}, {"s2": "a b"}),
+            "t3": ({"m1": "a b"}, {"s3": "a b"}),
+        })
+        with caplog.at_level(logging.WARNING):
+            score_corpus(load_corpus(tmp_path), [R1, MetricConfig(ROUGE_2)])
+        missing = [(r.args[1], r.args[0]) for r in caplog.records if r.levelno == logging.WARNING]
+        assert missing == [("t1", "s1"), ("t1", "s3"), ("t2", "s2"), ("t2", "s3"),
+                           ("t3", "s1"), ("t3", "s2")]
 
     def test_scoring_failure_raises_naming_the_pair(self, tmp_path, monkeypatch):
         write_corpus(tmp_path, {"t1": ({"m1": "a b"}, {"s1": "a b", "s2": "a c"})})

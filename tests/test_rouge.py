@@ -1,5 +1,7 @@
 import dataclasses
 from collections import Counter
+from functools import reduce
+from operator import xor
 from statistics import fmean
 
 import numpy as np
@@ -432,6 +434,62 @@ class TestScoreProperties:
         exact_soft = soft_overlap(cand_units, ref_units, MatchFunction.exact())
         we_soft = soft_overlap(cand_units, ref_units, match)
         assert we_soft >= exact_soft - 1e-9
+
+
+def hadamard_table(classes: dict[str, int]) -> EmbeddingTable:
+    """Each word's vector is the row of its class id in the order-256
+    Sylvester-Hadamard matrix, scaled by 1/16 to unit length. The
+    element-wise product of rows i and j is row i XOR j, distinct rows are
+    orthogonal, and every entry, product, norm and cosine is exact in
+    float32 and float64: a composed unit is the row of the XOR of its
+    words' classes, and two units are similar 1 or 0."""
+    h = np.ones((1, 1), dtype=np.float32)
+    while len(h) < 256:
+        h = np.block([[h, h], [h, -h]])
+    matrix = h[list(classes.values())] / np.float32(16)
+    matrix.setflags(write=False)
+    return EmbeddingTable(256, matrix, {w: i for i, w in enumerate(classes)})
+
+
+# 40 words in 12 synonym classes, and 4 words the table does not hold.
+CLASS_WORDS = [f"w{i:02d}" for i in range(40)]
+HADAMARD_WORDS = CLASS_WORDS + ["oov0", "oov1", "oov2", "oov3"]
+hadamard_summaries = st.lists(st.sampled_from(HADAMARD_WORDS), max_size=14).map(
+    lambda w: TokenSequence(tuple(w)))
+
+
+def class_units(seq: TokenSequence, variant: RougeVariant, classes: dict[str, int],
+                policy: str) -> Counter:
+    """The units of ``seq`` keyed by their length and the XOR of their words'
+    classes; an out-of-vocabulary unit by its words under exact-fallback,
+    and dropped under zero."""
+    keys = Counter()
+    for unit, count in extract_units(seq, variant).items():
+        if all(w in classes for w in unit):
+            keys[len(unit), reduce(xor, map(classes.__getitem__, unit))] += count
+        elif policy == "exact-fallback":
+            keys[unit] += count
+    return keys
+
+
+class TestHadamardParaphrases:
+    """Soft matches between different words, checked exactly: under a
+    Hadamard table ROUGE-WE is clipped counting of class-keyed units."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cand=hadamard_summaries, ref=hadamard_summaries,
+           ids=st.lists(st.integers(0, 15), min_size=12, max_size=12, unique=True)
+           | st.lists(st.integers(0, 255), min_size=12, max_size=12, unique=True),
+           variant=st.sampled_from([RougeVariant.parse(name)
+                                    for name in ("rouge-1", "rouge-2", "rouge-3", "rouge-su4")]),
+           policy=st.sampled_from(["zero", "exact-fallback"]))
+    def test_soft_count_is_clipped_count_of_class_keys(self, cand, ref, ids, variant, policy):
+        # Class ids from 0-15 make different bigrams share an XOR often.
+        classes = {w: ids[i % 12] for i, w in enumerate(CLASS_WORDS)}
+        match = MatchFunction.we(hadamard_table(classes), oov_policy=policy)
+        expected = clipped_count(class_units(cand, variant, classes, policy),
+                                 class_units(ref, variant, classes, policy))
+        assert rouge_score(cand, [ref], variant, match).soft_match_count == expected
 
 
 # Every exact variant family and size the oracle tests cover: n-grams up

@@ -31,9 +31,11 @@ class TestTokenize:
     def test_pure_punctuation_chunks_vanish(self):
         assert tokenize("a -- b ... !!").tokens == ("a", "b")
 
-    def test_no_lowercase(self):
-        config = TokenizeConfig(lowercase=False)
-        assert tokenize("It IS", config).tokens == ("It", "IS")
+    def test_always_lowercases(self):
+        """No setting keeps case: the embedding loaders key every word lowercased."""
+        assert tokenize("It IS", TokenizeConfig(stem=False)).tokens == ("it", "is")
+        with pytest.raises(TypeError):
+            TokenizeConfig(lowercase=False)
 
     def test_stopword_removal(self):
         config = TokenizeConfig(stopwords=frozenset({"it", "is"}))
