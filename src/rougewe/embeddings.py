@@ -17,19 +17,19 @@ file into one buffer of ``CHUNK_BYTES``, reused for the whole load: one regex
 scan finds the complete entries of each fill, their words are decoded in one
 call, and one numpy gather per block copies their vectors out of the buffer.
 The text loader parses line by line into a reused block. The build step, the
-same for both formats, fails on a NaN or infinity naming its entry or line,
-drops zero vectors, and applies the key rules over every key of the file in
-one pass over a block's kept rows, in file order. Keys are lowercased: an
-exact repeat of one source form is last-wins, distinct forms that collide
-after lowercasing are first-wins (pre-trained files list higher-frequency
-forms first). Only then are rows copied out, renormalized unless already
-unit norm within 1e-6 (which makes load -> save -> load a bitwise fixed
-point), and, when the loader is given a ``vocabulary``, only the rows of
-keys in it. ``load_summary`` counts the whole file either way, and a kept
-vector is bitwise the same either way. Peak memory is the kept rows, the
-read buffer, a block or two, and the keys of the whole file: about the
-float32 payload for a full load, and a small fraction of it for a corpus's
-vocabulary.
+same for both formats, fails on a NaN or infinity anywhere in the file naming
+its entry or line. Given a ``vocabulary``, it then keeps only the rows whose
+lowercased word is in it: a filtered load is the full load of the file's
+wanted entries, with the same words in file order, bitwise the same vectors,
+and a ``load_summary`` that counts only those rows. It drops zero vectors and
+applies the key rules in one pass over a block's kept rows, in file order.
+Keys are lowercased: an exact repeat of one source form is last-wins,
+distinct forms that collide after lowercasing are first-wins (pre-trained
+files list higher-frequency forms first). Only then are rows copied out,
+renormalized unless already unit norm within 1e-6 (which makes load -> save
+-> load a bitwise fixed point). Peak memory is the kept rows and keys, the
+read buffer and the parsed entries of one fill: about the float32 payload for
+a full load, and for a corpus's vocabulary a bound set by CHUNK_BYTES.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import logging
 import os
 import re
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Sequence
@@ -54,8 +54,8 @@ ZERO_NORM_TOLERANCE = 1e-12
 # freed. The binary loader's one read buffer is freed when the load ends,
 # which lifts the threshold to its size, so scoring after the load finds its
 # matrices on the heap: four WE scorings of the aesop-we benchmark corpus
-# after a filtered load took ~1.8k minor page faults, the same with a 1 MiB
-# buffer, so later scoring no longer depends on this value.
+# after a filtered load took ~1.8k minor page faults, against ~25k with a
+# 1 MiB buffer, whose lower threshold sends larger matrices to fresh mmaps.
 CHUNK_BYTES = 1 << 22
 
 
@@ -192,8 +192,6 @@ class _TableBuilder:
         if self._wanted is not None:
             capacity = min(capacity, len(self._wanted))
         self._index: dict[str, int] = {}  # every wanted key -> its output row
-        # Every key met so far: the index's keys when every key is wanted.
-        self._seen = self._index.keys() if self._wanted is None else set()
         self._cased: dict[str, str] = {}  # key -> its first source form, where they differ
         self._matrix = np.empty((capacity, dim), dtype=np.float32)
         self.summary = LoadSummary()
@@ -213,8 +211,16 @@ class _TableBuilder:
         bad = np.flatnonzero(~np.isfinite(norms))
         if bad.size:
             raise EmbeddingFormatError(f"non-finite vector value at {where(int(bad[0]))}")
-        rows = np.flatnonzero(norms >= ZERO_NORM_TOLERANCE)
-        self.summary.zero_dropped += n - len(rows)
+        if self._wanted is None:
+            rows = np.flatnonzero(norms >= ZERO_NORM_TOLERANCE)
+            self.summary.zero_dropped += n - len(rows)
+        else:
+            # The load rules see only the rows of wanted keys, as if the file
+            # held no others; the other rows were only checked to be finite.
+            wanted = np.fromiter(compress(range(n), map(self._wanted.__contains__,
+                                                        map(str.lower, words))), np.intp)
+            rows = wanted[norms[wanted] >= ZERO_NORM_TOLERANCE]
+            self.summary.zero_dropped += len(wanted) - len(rows)
         start = len(self._index)
         firsts, repeats = self._key_rules(words, rows.tolist())
         if len(self._index) > len(self._matrix):
@@ -235,31 +241,24 @@ class _TableBuilder:
     def _key_rules(self, words: list[str], rows: list[int]) -> tuple[list[int], dict[int, int]]:
         """Apply the key rules to the block's kept ``rows``, in file order.
 
-        Gives each wanted key new to the file the next slot, and returns the
-        rows of those keys' first forms and, for each slot whose key a later
-        row repeats exactly, the last such row.
+        Gives each key new to the load the next slot, and returns the rows of
+        those keys' first forms and, for each slot whose key a later row
+        repeats exactly, the last such row.
         """
-        index, seen, cased, wanted, summary = (self._index, self._seen, self._cased,
-                                               self._wanted, self.summary)
+        index, cased, summary = self._index, self._cased, self.summary
         firsts: list[int] = []
         repeats: dict[int, int] = {}  # slot -> row; a later duplicate replaces
         for row in rows:
             word = words[row]
             key = word.lower()
-            if key not in seen:
+            if key not in index:
                 if key != word:
                     cased[key] = word
-                if wanted is not None:
-                    seen.add(key)
-                    if key not in wanted:
-                        continue
                 index[key] = len(index)
                 firsts.append(row)
             elif cased.get(key, key) == word:
                 summary.duplicates += 1
-                slot = index.get(key)
-                if slot is not None:
-                    repeats[slot] = row
+                repeats[index[key]] = row
             else:
                 summary.case_collisions += 1
         return firsts, repeats
@@ -278,8 +277,9 @@ class _TableBuilder:
         summary = self.summary
         if summary.duplicates or summary.case_collisions or summary.zero_dropped:
             logger.warning(
-                "embedding load: %d duplicate words (last kept), %d case collisions "
-                "(first kept), %d zero vectors dropped",
+                "embedding load, counted over %s: %d duplicate words (last kept), "
+                "%d case collisions (first kept), %d zero vectors dropped",
+                "the whole file" if self._wanted is None else "the words looked up",
                 summary.duplicates, summary.case_collisions, summary.zero_dropped,
             )
         matrix = self._matrix[:len(self._index)]

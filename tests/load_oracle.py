@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Collection
 
 import numpy as np
 
@@ -39,15 +40,19 @@ class _TableBuilder:
     """Keys are lowercased. An exact repeat of the same source form is
     last-wins; distinct source forms that collide after lowercasing are
     first-wins. Zero vectors are dropped; the others are renormalized unless
-    already unit within NORM_TOLERANCE."""
+    already unit within NORM_TOLERANCE. Given a ``vocabulary``, an entry whose
+    key is not in it is only checked to be finite, then skipped."""
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, vocabulary: Collection[str] | None = None):
         self.table = OracleTable(dim)
         self.source_form: dict[str, str] = {}
+        self.vocabulary = vocabulary
 
     def add(self, raw_word: str, values: np.ndarray, where: str) -> None:
         if not np.isfinite(values).all():
             raise EmbeddingFormatError(f"non-finite vector value at {where}")
+        if self.vocabulary is not None and raw_word.lower() not in self.vocabulary:
+            return
         vec = values.astype(np.float32, copy=True)
         summary = self.table.load_summary
         norm = float(np.linalg.norm(vec.astype(np.float64)))
@@ -68,7 +73,7 @@ class _TableBuilder:
             summary.case_collisions += 1
 
 
-def load_binary(path: str | Path) -> OracleTable:
+def load_binary(path: str | Path, vocabulary: Collection[str] | None = None) -> OracleTable:
     data = Path(path).read_bytes()
     header_end = data.find(b"\n")
     if header_end < 0:
@@ -85,7 +90,7 @@ def load_binary(path: str | Path) -> OracleTable:
             f"malformed header {data[:header_end]!r}: expected '<vocab_size> <dim>'"
         ) from None
 
-    builder = _TableBuilder(dim)
+    builder = _TableBuilder(dim, vocabulary)
     pos = header_end + 1
     vector_bytes = 4 * dim
     for i in range(vocab_size):
@@ -113,7 +118,7 @@ def load_binary(path: str | Path) -> OracleTable:
     return builder.table
 
 
-def load_text(path: str | Path) -> OracleTable:
+def load_text(path: str | Path, vocabulary: Collection[str] | None = None) -> OracleTable:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     declared: tuple[int, int] | None = None
     start = 0
@@ -141,7 +146,7 @@ def load_text(path: str | Path) -> OracleTable:
                 raise EmbeddingFormatError(
                     f"line {lineno + 1}: dimension {dim} does not match header {declared[1]}"
                 )
-            builder = _TableBuilder(dim)
+            builder = _TableBuilder(dim, vocabulary)
         if len(raw_values) != builder.table.dim:
             raise EmbeddingFormatError(
                 f"line {lineno + 1}: expected {builder.table.dim} values, found {len(raw_values)}"
@@ -154,7 +159,7 @@ def load_text(path: str | Path) -> OracleTable:
         n_entries += 1
 
     if builder is None:
-        builder = _TableBuilder(declared[1] if declared is not None else 0)
+        builder = _TableBuilder(declared[1] if declared is not None else 0, vocabulary)
     if declared is not None and n_entries != declared[0]:
         raise EmbeddingFormatError(
             f"header declares {declared[0]} entries but file has {n_entries}"

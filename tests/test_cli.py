@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from rougewe import cli, embeddings, harness
 from rougewe.cli import DEFAULT_METRICS, main
-from rougewe.embeddings import FORMATS, load_binary, load_text
+from rougewe.embeddings import FORMATS, LoadSummary, load_binary
 from rougewe.harness import MetricConfig
 from rougewe.rouge import RougeVariant, rouge_score
 from rougewe.textpipe import tokenize
@@ -367,10 +367,13 @@ class TestMetaEvalCommand:
         assert calls == []
         assert not (out / "report.json").exists()
 
-    def test_we_loads_only_the_corpus_words(self, runner, tiny_corpus, tmp_path, monkeypatch):
+    def test_we_loads_only_the_corpus_words(self, runner, tiny_corpus, tmp_path, monkeypatch,
+                                            caplog):
         corpus, judgments = tiny_corpus
         vectors = tmp_path / "vecs.txt"
-        vectors.write_text("".join(f"{w} {i + 1} 1\n" for i, w in enumerate("abcdefghxyzwq")),
+        # A duplicate and a case collision of the corpus word "a", and of "q",
+        # which the corpus lacks.
+        vectors.write_text("".join(f"{w} {i + 1} 1\n" for i, w in enumerate("abcdefghxyzwqaAqQ")),
                            encoding="utf-8")
         stop = tmp_path / "stop.txt"
         stop.write_text("x\nY\n", encoding="utf-8")
@@ -383,7 +386,17 @@ class TestMetaEvalCommand:
         assert result.exit_code == 0, result.output
         assert [c["vocabulary"] for c in calls] == [set("abcdefghzw")]
         assert list(calls[0]["table"].words()) == list("abcdefghzw")
-        assert calls[0]["table"].load_summary == load_text(vectors).load_summary
+        assert calls[0]["table"].load_summary == LoadSummary(duplicates=1, case_collisions=1)
+        assert [r.getMessage() for r in caplog.records if r.name == embeddings.__name__] == [
+            "embedding load, counted over the words looked up: 1 duplicate words (last kept), "
+            "1 case collisions (first kept), 0 zero vectors dropped"]
+        caplog.clear()
+        result = runner.invoke(main, ["embeddings", "inspect", str(vectors), "--format", "text"])
+        assert result.exit_code == 0, result.output
+        assert "duplicates: 2  case_collisions: 2  zero_dropped: 0" in result.output
+        assert [r.getMessage() for r in caplog.records if r.name == embeddings.__name__] == [
+            "embedding load, counted over the whole file: 2 duplicate words (last kept), "
+            "2 case collisions (first kept), 0 zero vectors dropped"]
 
     def test_threads_flag_rejected(self, runner, tiny_corpus, tmp_path):
         corpus, judgments = tiny_corpus
