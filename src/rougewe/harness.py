@@ -212,12 +212,14 @@ def score_corpus(
     """Per-metric mean score of every system over all topics.
 
     For each metric, a topic's model summaries are prepared once in a
-    ``TopicPlan`` and each system summary once, then scored pair by pair;
+    ``TopicPlan``, and all its system summaries are scored against them in
+    one ``score_many`` call, which gives the topic's per-system vector;
     every score is bitwise what ``rouge_score`` gives for that pair.
     A system missing a topic's summary contributes 0 for that topic under
     every metric, and is logged once, in topic then system order. A
     summary that fails to score raises ``MetaEvalError`` naming the
-    metric, system and topic, chained from the cause: a zero in
+    metric, system and topic, chained from the cause (a failed batch is
+    scored again one summary at a time to find it): a zero in
     its place would bias the correlations without a trace. Two metrics
     with the same name would share one set of report rows, and two topics
     with the same id one set of summaries, so either raises
@@ -253,32 +255,37 @@ def score_corpus(
                 logger.warning("system %s has no summary for topic %s; scoring 0",
                                system_id, topic.topic_id)
 
-    def score_one(metric: MetricConfig, plan: TopicPlan, system_id: str, topic: Topic) -> float:
-        cand = system_seqs[topic.topic_id].get(system_id)
-        if cand is None:
-            return 0.0
-        try:
-            score = plan.score(cand)
-        except Exception as exc:
-            raise MetaEvalError(
-                f"scoring failed for metric {metric.name}, system {system_id}, "
-                f"topic {topic.topic_id}: {exc}"
-            ) from exc
-        return getattr(score, metric.component)
-
     results: dict[str, ScoreVector] = {}
     for metric in metrics:
         match = metric.match_function(table)
         per_system: dict[str, list[float]] = {system_id: [] for system_id in system_ids}
+        failure = f"scoring failed for metric {metric.name}, "
         for topic in topics:
             try:
                 plan = TopicPlan(model_seqs[topic.topic_id], metric.variant, match,
                                  multiref=metric.multiref)
             except Exception as exc:
-                raise MetaEvalError(f"scoring failed for metric {metric.name}, "
-                                    f"topic {topic.topic_id} (model summaries): {exc}") from exc
-            for system_id, scores in per_system.items():
-                scores.append(score_one(metric, plan, system_id, topic))
+                raise MetaEvalError(f"{failure}topic {topic.topic_id} (model summaries): "
+                                    f"{exc}") from exc
+            cands = system_seqs[topic.topic_id]
+            present = [system_id for system_id in system_ids if system_id in cands]
+            try:
+                scores = plan.score_many([cands[system_id] for system_id in present])
+            except Exception as exc:
+                # Score the batch's summaries one at a time to name the one
+                # that fails.
+                for system_id in present:
+                    try:
+                        plan.score_many([cands[system_id]])
+                    except Exception as one:
+                        raise MetaEvalError(f"{failure}system {system_id}, "
+                                            f"topic {topic.topic_id}: {one}") from one
+                raise MetaEvalError(f"{failure}topic {topic.topic_id} (system summaries): "
+                                    f"{exc}") from exc
+            scored = dict(zip(present, scores))
+            for system_id, values in per_system.items():
+                score = scored.get(system_id)
+                values.append(0.0 if score is None else getattr(score, metric.component))
         means = [sum(per_system[system_id]) / len(topics) for system_id in system_ids]
         results[metric.name] = ScoreVector(tuple(means), tuple(system_ids))
     return results

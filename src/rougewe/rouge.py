@@ -7,14 +7,16 @@ Matching never crosses unit types: unigrams pair with unigrams, bigrams
 with bigrams, so the embedding metrics reduce exactly to the classic ones
 when the similarity degenerates to an identity test. Scoring works on
 prepared references: under exact matching, one count matrix over the
-word tuples the references hold, which a candidate's unit stream is
-clipped against in one lookup; under embedding matching, each summary's
-units and their composed vectors, set up once and then scored against any
-number of other summaries. A side's unit vectors are composed one length
-at a time, in one gather and product per length partition
-(``EmbeddingTable.compose_many``), and scores stay bitwise equal to those
-of a pair scored from scratch. A ``TopicPlan`` holds one topic's prepared
-references.
+word tuples the references hold, which a whole batch of candidates' unit
+streams is counted and clipped against at once; under embedding matching,
+each summary's units and their composed vectors, set up once and then
+scored against any number of other summaries. A side's unit vectors are
+composed one length at a time, in one gather and product per length
+partition (``EmbeddingTable.compose_many``). A ``TopicPlan`` holds one
+topic's prepared references and scores a batch of candidates in one
+``score_many`` call, whose per-reference counts become recall, precision
+and f1 as arrays; scores stay bitwise equal to those of a pair scored
+from scratch.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from statistics import fmean
+from math import fsum
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -142,6 +144,8 @@ class RougeScore:
 
     @classmethod
     def from_counts(cls, soft: float, ref_total: int, cand_total: int) -> "RougeScore":
+        """One pair's score from its soft match count and unit totals; the
+        arithmetic ``TopicPlan.score_many`` applies to a batch as arrays."""
         if soft > min(ref_total, cand_total) + 1e-9:
             raise ValueError(f"match count {soft} exceeds clip bound {min(ref_total, cand_total)}")
         recall = soft / ref_total if ref_total > 0 else 0.0
@@ -178,7 +182,7 @@ class _ExactRefs:
     clips to 0.
     """
 
-    __slots__ = ("columns", "sink", "counts", "totals")
+    __slots__ = ("columns", "sink", "counts")
 
     def __init__(self, refs: Sequence[Units]):
         self.columns: dict[tuple[str, ...], int] = {}
@@ -189,14 +193,33 @@ class _ExactRefs:
         self.counts = np.zeros((len(refs), self.sink + 1), dtype=np.int64)
         for row, units in zip(self.counts, refs):
             row[[self.columns[words] for words in units]] = list(units.values())
-        self.totals = [units.total() for units in refs]
 
-    def overlaps(self, cand: Iterable[tuple[str, ...]]) -> tuple[list[int], int]:
-        """Each reference's clipped count of the candidate's unit
-        occurrences ``cand``, and the candidate's total."""
-        cols = np.fromiter(map(self.columns.get, cand, repeat(self.sink)), np.intp)
-        cand_counts = np.bincount(cols, minlength=self.sink + 1)
-        return np.minimum(self.counts, cand_counts).sum(axis=1).tolist(), len(cols)
+    def overlaps(self, cands: Sequence[Iterable[tuple[str, ...]]]) -> tuple[np.ndarray, np.ndarray]:
+        """Each candidate's clipped count against each reference, as a
+        (candidates × references) array, and each candidate's total, for
+        the candidates' unit occurrences ``cands``.
+
+        One ``np.fromiter`` maps every candidate's units to columns, each
+        candidate's run closed by a -1 mark, and one ``np.bincount`` counts
+        them into a (candidates × columns) matrix. Each reference then
+        takes one element-wise minimum with it, into one reused buffer, and
+        one row sum; no (candidates × references × columns) array is made.
+        """
+        get, sink, width = self.columns.get, self.sink, self.sink + 1
+        cols = np.fromiter(chain.from_iterable(chain(map(get, units, repeat(sink)), (-1,))
+                                               for units in cands), np.intp)
+        ends = np.flatnonzero(cols < 0)
+        totals = np.diff(ends, prepend=-1) - 1
+        # A mark lands in the sink, as a unit no reference has, and clips to 0.
+        cols[ends] = sink
+        cols += np.repeat(np.arange(0, len(ends) * width, width), totals + 1)
+        cand_counts = np.bincount(cols, minlength=len(ends) * width).reshape(len(ends), width)
+        clipped = np.empty_like(cand_counts)
+        overlaps = np.empty((len(self.counts), len(ends)), dtype=np.int64)
+        for ref_counts, overlap in zip(self.counts, overlaps):
+            np.minimum(cand_counts, ref_counts, out=clipped)
+            clipped.sum(axis=1, out=overlap)
+        return overlaps.T, totals
 
 
 class _PreparedSide:
@@ -306,35 +329,66 @@ def soft_overlap(cand: Units, ref: Units, match: MatchFunction) -> float:
     when similarities are 0/1 indicators).
     """
     if match.kind == "exact":
-        overlaps, _ = _ExactRefs([ref]).overlaps(cand.elements())
-        return float(overlaps[0])
+        overlaps, _ = _ExactRefs([ref]).overlaps([cand.elements()])
+        return float(overlaps[0, 0])
     return _overlap(_PreparedSide(cand, match.table), _PreparedSide(ref, match.table), match)
 
 
-def _mean_scores(scores: Sequence[RougeScore]) -> RougeScore:
-    if len(scores) == 1:
-        return scores[0]
-    return RougeScore(
-        recall=fmean([s.recall for s in scores]),
-        precision=fmean([s.precision for s in scores]),
-        f1=fmean([s.f1 for s in scores]),
-        soft_match_count=fmean([s.soft_match_count for s in scores]),
-        ref_total=round(fmean([s.ref_total for s in scores])),
-        cand_total=scores[0].cand_total,
-    )
+def _row_means(values: np.ndarray) -> list[float]:
+    """``fmean`` of each row: its ``fsum`` over its length."""
+    return (np.fromiter(map(fsum, values.tolist()), np.float64, len(values))
+            / values.shape[1]).tolist()
+
+
+def _combine(soft: np.ndarray, ref_totals: np.ndarray, cand_totals: np.ndarray,
+             multiref: str) -> list[RougeScore]:
+    """One ``RougeScore`` per candidate from its soft match counts ``soft``
+    against each reference (candidates × references), per the multiref
+    policy (see ``rouge_score``).
+
+    Recall, precision and f1 are taken for every pair at once with the
+    IEEE operations of ``RougeScore.from_counts``, and under its clip
+    check. ``average`` then takes each candidate's ``fmean`` over its
+    references. ``jackknife`` first puts in each fold's place the score
+    ``max`` would pick from that fold: the first reference, in index
+    order, with the highest (f1, recall, precision), other than the one
+    left out. One reference is its own mean under both policies.
+    """
+    bound = np.minimum(ref_totals, cand_totals[:, None])
+    over = np.argwhere(soft > bound + 1e-9)
+    if len(over):
+        cand, ref = over[0]
+        raise ValueError(f"match count {soft[cand, ref]} exceeds clip bound {bound[cand, ref]}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        recall = np.where(ref_totals > 0, soft / ref_totals, 0.0)
+        precision = np.where(cand_totals[:, None] > 0, soft / cand_totals[:, None], 0.0)
+        both = recall + precision
+        f1 = np.where(both > 0, 2 * recall * precision / both, 0.0)
+    fields = [recall, precision, f1, soft, np.broadcast_to(ref_totals, soft.shape)]
+    if multiref == "jackknife" and soft.shape[1] > 1:
+        # A stable sort keeps index order among equal keys, as max does.
+        order = np.lexsort((-precision, -recall, -f1), axis=-1)
+        left_out = np.arange(soft.shape[1])
+        best = np.where(order[:, :1] == left_out, order[:, 1:2], order[:, :1])
+        fields = [np.take_along_axis(field, best, axis=1) for field in fields]
+    *means, ref_total = map(_row_means, fields)
+    return list(map(RougeScore, *means, map(round, ref_total), cand_totals.tolist()))
 
 
 class TopicPlan:
     """One topic's references prepared once under one metric; scores
-    candidates against them.
+    candidates against them, all of a batch in one pass.
 
     The references are set up at construction. Under exact matching a
-    ``score`` call streams the candidate's units once through the
-    references' columns and clips against all references in one step;
-    under embedding matching it prepares the candidate's side once, one
+    ``score_many`` call streams every candidate's units through the
+    references' columns at once, counts them into one (candidates ×
+    columns) matrix, and clips it against each reference in one step.
+    Under embedding matching it prepares each candidate's side once, one
     ``compose_many`` pass per unit length, so a pair costs only its
-    product, clip, shared-OOV count and assignment per length. Results
-    are bitwise those of scoring every pair from scratch.
+    product, clip, shared-OOV count and assignment per length. Either
+    way the per-reference scores of the whole batch are combined as
+    arrays, and results are bitwise those of scoring every pair from
+    scratch.
     """
 
     def __init__(
@@ -352,30 +406,32 @@ class TopicPlan:
         self.match = match
         self.multiref = multiref
         ref_units = [extract_units(ref, variant) for ref in refs]
+        self.ref_totals = np.array([units.total() for units in ref_units], dtype=np.int64)
         if match.kind == "exact":
             self.exact = _ExactRefs(ref_units)
         else:
             self.refs = [_PreparedSide(units, match.table) for units in ref_units]
 
-    def score(self, cand: TokenSequence) -> RougeScore:
-        """Score one candidate against every reference, combined per the
-        multiref policy (see ``rouge_score``)."""
+    def score_many(self, cands: Sequence[TokenSequence]) -> list[RougeScore]:
+        """Score each candidate against every reference, combined per the
+        multiref policy (see ``rouge_score``); one score per candidate, in
+        order."""
         if self.match.kind == "exact":
-            overlaps, cand_total = self.exact.overlaps(_unit_stream(cand, self.variant))
-            per_ref = [RougeScore.from_counts(float(overlap), ref_total, cand_total)
-                       for overlap, ref_total in zip(overlaps, self.exact.totals)]
+            overlaps, cand_totals = self.exact.overlaps(
+                [_unit_stream(cand, self.variant) for cand in cands])
+            soft = overlaps.astype(np.float64)
         else:
-            side = _PreparedSide(extract_units(cand, self.variant), self.match.table)
-            per_ref = [RougeScore.from_counts(_overlap(side, ref, self.match), ref.total,
-                                              side.total)
-                       for ref in self.refs]
-        if self.multiref == "average" or len(per_ref) == 1:
-            return _mean_scores(per_ref)
-        folds = []
-        for left_out in range(len(per_ref)):
-            fold = [s for i, s in enumerate(per_ref) if i != left_out]
-            folds.append(max(fold, key=lambda s: (s.f1, s.recall, s.precision)))
-        return _mean_scores(folds)
+            soft = np.empty((len(cands), len(self.refs)))
+            cand_totals = np.empty(len(cands), dtype=np.int64)
+            for i, cand in enumerate(cands):
+                side = _PreparedSide(extract_units(cand, self.variant), self.match.table)
+                soft[i] = [_overlap(side, ref, self.match) for ref in self.refs]
+                cand_totals[i] = side.total
+        return _combine(soft, self.ref_totals, cand_totals, self.multiref)
+
+    def score(self, cand: TokenSequence) -> RougeScore:
+        """``score_many`` of one candidate."""
+        return self.score_many([cand])[0]
 
 
 def rouge_score(

@@ -7,6 +7,7 @@ same tokens, and extraction output depends only on the token sequence.
 from __future__ import annotations
 
 import string
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -66,7 +67,9 @@ def tokenize(raw: str, config: TokenizeConfig = DEFAULT_CONFIG, source_id: str =
     Tokens are whitespace-delimited chunks with leading/trailing
     punctuation stripped, then lowercased, as the embedding loaders key
     every word; chunks that are pure punctuation disappear. Empty or
-    whitespace-only input yields an empty sequence.
+    whitespace-only input yields an empty sequence. Every kept token is
+    interned, so a word is one ``str`` object in all the texts it occurs
+    in: one copy in memory, and unit lookups that compare it by identity.
     """
     tokens: list[str] = []
     for chunk in raw.split():
@@ -78,7 +81,7 @@ def tokenize(raw: str, config: TokenizeConfig = DEFAULT_CONFIG, source_id: str =
             continue
         if config.stem:
             word = porter_stem(word)
-        tokens.append(word)
+        tokens.append(sys.intern(word))
     return TokenSequence(tuple(tokens), source_id=source_id)
 
 

@@ -271,14 +271,15 @@ class TestMetaEvalCommand:
     def test_scoring_failure_exits_1_without_report(self, runner, tiny_corpus, tmp_path,
                                                       monkeypatch):
         corpus, judgments = tiny_corpus
-        real = harness.TopicPlan.score
+        real = harness.TopicPlan.score_many
 
-        def fail_for_s2(plan, cand):
-            if cand.source_id.endswith("/systems/s2"):
+        def fail_for_s2(plan, cands):
+            # s2 sits between s1 and s3 in each topic's batch.
+            if any(cand.source_id.endswith("/systems/s2") for cand in cands):
                 raise RuntimeError("scorer bug")
-            return real(plan, cand)
+            return real(plan, cands)
 
-        monkeypatch.setattr(harness.TopicPlan, "score", fail_for_s2)
+        monkeypatch.setattr(harness.TopicPlan, "score_many", fail_for_s2)
         out = tmp_path / "out"
         result = runner.invoke(main, [
             "meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),

@@ -1,5 +1,6 @@
 import logging
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -247,18 +248,21 @@ class TestScoreCorpus:
                            ("t3", "s1"), ("t3", "s2")]
 
     def test_scoring_failure_raises_naming_the_pair(self, tmp_path, monkeypatch):
-        write_corpus(tmp_path, {"t1": ({"m1": "a b"}, {"s1": "a b", "s2": "a c"})})
-        real = harness.TopicPlan.score
+        write_corpus(tmp_path, {"t1": ({"m1": "a b"}, {"s1": "a b", "s2": "a c", "s3": "b c"})})
+        real = harness.TopicPlan.score_many
+        batches = []
 
-        def fail_for_s2(plan, cand):
-            if cand.source_id == "t1/systems/s2":
+        def fail_for_s2(plan, cands):
+            batches.append([cand.source_id for cand in cands])
+            if "t1/systems/s2" in batches[-1]:
                 raise RuntimeError("scorer bug")
-            return real(plan, cand)
+            return real(plan, cands)
 
-        monkeypatch.setattr(harness.TopicPlan, "score", fail_for_s2)
+        monkeypatch.setattr(harness.TopicPlan, "score_many", fail_for_s2)
         with pytest.raises(MetaEvalError, match="metric rouge-1, system s2, topic t1") as info:
             score_corpus(load_corpus(tmp_path), [R1])
         assert isinstance(info.value.__cause__, RuntimeError)
+        assert batches[0] == ["t1/systems/s1", "t1/systems/s2", "t1/systems/s3"]
 
     def test_embedding_metric_requires_table(self, tmp_path):
         write_corpus(tmp_path, {"t1": ({"m1": "a"}, {"s1": "a"})})
@@ -409,6 +413,29 @@ class TestTopicPlanDifferential:
     def test_exact_order_independent(self, topics, metrics, shuffle_seed):
         assert score_corpus(reorder(topics, shuffle_seed), metrics) == score_corpus(topics,
                                                                                     metrics)
+
+
+class TestScoreCorpusMemory:
+    def test_exact_batch_stays_near_two_count_matrices(self):
+        # Four long references with no word in common give the plan one
+        # column per reference word, and each of 51 systems draws 100 of
+        # them. Scoring the batch needs its (systems x columns) counts and
+        # one clip buffer of that size; taking the minimum against every
+        # reference at once would hold four more.
+        rng = random.Random(0)
+        n_refs, ref_len, n_systems = 4, 2000, 51
+        refs = [(f"m{r}", " ".join(f"w{r * ref_len + i}" for i in range(ref_len)))
+                for r in range(n_refs)]
+        vocab = [word for _, text in refs for word in text.split()]
+        systems = [(f"s{k:02d}", " ".join(rng.choices(vocab, k=100))) for k in range(n_systems)]
+        matrix_bytes = n_systems * (n_refs * ref_len + 1) * 8
+        tracemalloc.start()
+        try:
+            score_corpus([Topic("t1", refs, systems)], [R1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * matrix_bytes
 
 
 class TestMetaEvaluate:

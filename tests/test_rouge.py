@@ -18,8 +18,9 @@ from rougewe.rouge import (
     RougeScore,
     RougeVariant,
     TopicPlan,
+    _combine,
     _greedy_assign,
-    _mean_scores,
+    _row_means,
     _unit_stream,
     extract_units,
     rouge_score,
@@ -314,6 +315,10 @@ class TestRougeScore:
     def test_clip_guard(self):
         with pytest.raises(ValueError):
             RougeScore.from_counts(2.0, 1, 5)
+        # The batched form checks every pair, and names the first over its bound.
+        soft = np.array([[1.0, 1.0], [1.0, 2.0]])
+        with pytest.raises(ValueError, match="match count 2.0 exceeds clip bound 1"):
+            _combine(soft, np.array([1, 1]), np.array([5, 5]), "average")
 
     def test_identical_pair_rouge2(self):
         s = seq("it is pouring")
@@ -498,6 +503,9 @@ EXACT_VARIANTS = [RougeVariant.parse(f"rouge-{n}") for n in range(1, 5)] + [
     RougeVariant.parse(f"rouge-su{k}") for k in range(7)]
 # Few words, so units repeat within and across summaries.
 summaries = st.lists(st.sampled_from("abcd"), max_size=6).map(lambda w: TokenSequence(tuple(w)))
+# The same under embedding matching, with out-of-vocabulary words too.
+we_summaries = st.lists(st.sampled_from(UNIT_WORDS), max_size=6).map(
+    lambda w: TokenSequence(tuple(w)))
 
 
 class TestExactEngineMatchesOracle:
@@ -513,6 +521,28 @@ class TestExactEngineMatchesOracle:
         expected = oracle_rouge_score(cand, refs, variant, multiref)
         assert plan.score(cand) == expected
         assert rouge_score(cand, refs, variant, MatchFunction.exact(), multiref) == expected
+
+    @given(cands=st.lists(summaries, max_size=8), refs=st.lists(summaries, min_size=1, max_size=4),
+           variant=st.sampled_from(EXACT_VARIANTS),
+           multiref=st.sampled_from(["average", "jackknife"]))
+    @settings(max_examples=300, deadline=None)
+    def test_score_many(self, cands, refs, variant, multiref):
+        plan = TopicPlan(refs, variant, MatchFunction.exact(), multiref)
+        assert plan.score_many(cands) == [oracle_rouge_score(cand, refs, variant, multiref)
+                                          for cand in cands]
+
+    @given(cands=st.lists(we_summaries, max_size=6),
+           refs=st.lists(we_summaries, min_size=1, max_size=4),
+           variant=st.sampled_from([ROUGE_1, ROUGE_2, RougeVariant.parse("rouge-3"), ROUGE_SU4]),
+           multiref=st.sampled_from(["average", "jackknife"]),
+           table_seed=st.integers(0, 2**32 - 1),
+           policy=st.sampled_from(["zero", "exact-fallback"]))
+    @settings(max_examples=150, deadline=None)
+    def test_score_many_we_is_score_per_candidate(self, cands, refs, variant, multiref,
+                                                   table_seed, policy):
+        match = MatchFunction.we(sign_table(table_seed, TABLE_WORDS), oov_policy=policy)
+        plan = TopicPlan(refs, variant, match, multiref)
+        assert plan.score_many(cands) == [plan.score(cand) for cand in cands]
 
     @given(cand=summaries, ref=summaries, variant=st.sampled_from(EXACT_VARIANTS))
     @settings(max_examples=200, deadline=None)
@@ -562,25 +592,13 @@ class TestExactEdgeCases:
         assert plan.score(seq("c c")).soft_match_count == (0 + 1 + 1) / 3
 
 
-def generator_mean_scores(scores):
-    """``_mean_scores`` with generator arguments to ``fmean``."""
-    return RougeScore(
-        recall=fmean(s.recall for s in scores),
-        precision=fmean(s.precision for s in scores),
-        f1=fmean(s.f1 for s in scores),
-        soft_match_count=fmean(s.soft_match_count for s in scores),
-        ref_total=round(fmean(s.ref_total for s in scores)),
-        cand_total=scores[0].cand_total,
-    )
-
-
 class TestMeanScores:
-    @given(rows=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
-                                   st.floats(0.0, 1.0) | st.integers(0, 50), st.integers(0, 500)),
-                         min_size=1, max_size=6))
-    def test_list_form_is_generator_form(self, rows):
-        scores = [RougeScore(*row, cand_total=9) for row in rows]
-        assert _mean_scores(scores) == generator_mean_scores(scores)
+    @given(width=st.integers(1, 5), data=st.data())
+    def test_row_means_are_fmean(self, width, data):
+        rows = data.draw(st.lists(st.lists(st.floats(0.0, 1.0) | st.integers(0, 500),
+                                           min_size=width, max_size=width), max_size=6))
+        values = np.array(rows, dtype=np.float64).reshape(len(rows), width)
+        assert _row_means(values) == [fmean(row) for row in rows]
 
     @given(values=st.lists(st.floats(0.0, 1.0) | st.integers(0, 10**6), min_size=1, max_size=6))
     def test_fmean_of_list_is_fmean_of_generator(self, values):

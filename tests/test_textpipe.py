@@ -45,6 +45,14 @@ class TestTokenize:
         config = TokenizeConfig(stem=True)
         assert tokenize("running dogs pounced", config).tokens == ("run", "dog", "pounc")
 
+    def test_same_word_is_one_object_across_texts(self):
+        # Both texts build "raining" afresh: one by lowercasing, one by
+        # stripping a comma.
+        first = tokenize("It is RAINING heavily").tokens[2]
+        second = tokenize("raining, pouring").tokens[0]
+        assert first == second == "raining"
+        assert first is second
+
     def test_source_id_carried(self):
         assert tokenize("x", source_id="sys1").source_id == "sys1"
 
