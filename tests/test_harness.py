@@ -264,6 +264,21 @@ class TestScoreCorpus:
         assert isinstance(info.value.__cause__, RuntimeError)
         assert batches[0] == ["t1/systems/s1", "t1/systems/s2", "t1/systems/s3"]
 
+    def test_batch_failure_no_summary_repeats_names_the_topic(self, tmp_path, monkeypatch):
+        write_corpus(tmp_path, {"t1": ({"m1": "a b"}, {"s1": "a b", "s2": "a c"})})
+        real = harness.TopicPlan.score_many
+
+        def fail_batches(plan, cands):
+            if len(cands) > 1:
+                raise RuntimeError("batch bug")
+            return real(plan, cands)
+
+        monkeypatch.setattr(harness.TopicPlan, "score_many", fail_batches)
+        with pytest.raises(MetaEvalError, match=r"metric rouge-1, topic t1 \(system summaries\): "
+                                                r"batch bug") as info:
+            score_corpus(load_corpus(tmp_path), [R1])
+        assert isinstance(info.value.__cause__, RuntimeError)
+
     def test_embedding_metric_requires_table(self, tmp_path):
         write_corpus(tmp_path, {"t1": ({"m1": "a"}, {"s1": "a"})})
         with pytest.raises(ValueError, match="table"):
