@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Collection
 
 import click
@@ -37,7 +36,7 @@ from .harness import (
     write_reports,
 )
 from .rouge import MULTIREF_POLICIES, OOV_POLICIES, rouge_score
-from .textpipe import TokenizeConfig, load_stopwords, tokenize
+from .textpipe import TokenizeConfig, load_stopwords, read_text, tokenize
 
 DEFAULT_METRICS = "rouge-1,rouge-2,rouge-su4"
 
@@ -94,7 +93,7 @@ def _not_utf8(what: str, path: str, exc: UnicodeDecodeError) -> click.ClickExcep
 
 def _read_utf8(path: str, what: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return read_text(path)
     except UnicodeDecodeError as exc:
         raise _not_utf8(what, path, exc) from None
 

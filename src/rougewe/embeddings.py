@@ -26,10 +26,10 @@ applies the key rules in one pass over a block's kept rows, in file order.
 Keys are lowercased: an exact repeat of one source form is last-wins,
 distinct forms that collide after lowercasing are first-wins (pre-trained
 files list higher-frequency forms first). Only then are rows copied out,
-renormalized unless already unit norm within 1e-6 (which makes load -> save
--> load a bitwise fixed point). Peak memory is the kept rows and keys, the
-read buffer and the parsed entries of one fill: about the float32 payload for
-a full load, and for a corpus's vocabulary a bound set by CHUNK_BYTES.
+renormalized unless already unit norm within 1e-6 (so a loaded table saved
+in the binary layout loads bitwise the same). Peak memory is the kept rows and
+keys, the read buffer and the parsed entries of one fill: about the float32
+payload for a full load, and for a corpus's vocabulary a bound set by CHUNK_BYTES.
 """
 
 from __future__ import annotations
@@ -91,9 +91,6 @@ class EmbeddingTable:
 
     @property
     def size(self) -> int:
-        return len(self._index)
-
-    def __len__(self) -> int:
         return len(self._index)
 
     def __contains__(self, word: str) -> bool:
@@ -525,13 +522,3 @@ def load_text(path: str | Path, vocabulary: Collection[str] | None = None) -> Em
 # The file layouts; layout F is read by load_F.
 FORMATS = ("binary", "text")
 
-
-def save_binary(table: EmbeddingTable, path: str | Path) -> None:
-    """Serialize a table in the binary layout (inverse of load_binary)."""
-    with open(path, "wb") as fh:
-        fh.write(f"{table.size} {table.dim}\n".encode("ascii"))
-        for word in table.words():
-            vec = table.lookup(word)
-            fh.write(word.encode("utf-8") + b" ")
-            fh.write(np.asarray(vec, dtype="<f4").tobytes())
-            fh.write(b"\n")

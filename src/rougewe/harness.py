@@ -28,7 +28,7 @@ from .correlation import (
 )
 from .embeddings import EmbeddingTable
 from .rouge import MULTIREF_POLICIES, OOV_POLICIES, MatchFunction, RougeVariant, TopicPlan
-from .textpipe import DEFAULT_CONFIG, TokenizeConfig, tokenize
+from .textpipe import DEFAULT_CONFIG, TokenizeConfig, read_text, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -124,7 +124,7 @@ class MetricConfig:
 
 def _read_text(path: Path) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        return read_text(path)
     except OSError as exc:
         raise CorpusLoadError(f"unreadable file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -165,7 +165,7 @@ def load_judgments(path: str | Path) -> HumanJudgments:
         return JudgmentsFormatError(f"judgments file {path}: {message}")
 
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        text = read_text(path)
     except UnicodeDecodeError as exc:
         raise JudgmentsFormatError(
             f"judgments file {path} is not valid UTF-8 (byte offset {exc.start})"

@@ -15,8 +15,8 @@ composed one length at a time, in one gather and product per length
 partition (``EmbeddingTable.compose_many``). A ``TopicPlan`` holds one
 topic's prepared references and scores a batch of candidates in one
 ``score_many`` call, whose per-reference counts become recall, precision
-and f1 as arrays; scores stay bitwise equal to those of a pair scored
-from scratch.
+and f1 as arrays; a candidate's score does not depend on the rest of its
+batch. The per-pair reference definitions are the test suite's oracles.
 """
 
 from __future__ import annotations
@@ -141,17 +141,6 @@ class RougeScore:
     soft_match_count: float
     ref_total: int
     cand_total: int
-
-    @classmethod
-    def from_counts(cls, soft: float, ref_total: int, cand_total: int) -> "RougeScore":
-        """One pair's score from its soft match count and unit totals; the
-        arithmetic ``TopicPlan.score_many`` applies to a batch as arrays."""
-        if soft > min(ref_total, cand_total) + 1e-9:
-            raise ValueError(f"match count {soft} exceeds clip bound {min(ref_total, cand_total)}")
-        recall = soft / ref_total if ref_total > 0 else 0.0
-        precision = soft / cand_total if cand_total > 0 else 0.0
-        f1 = 2 * recall * precision / (recall + precision) if recall + precision > 0 else 0.0
-        return cls(recall, precision, f1, soft, ref_total, cand_total)
 
 
 class _Partition:
@@ -300,8 +289,8 @@ def _greedy_assign(sims: np.ndarray, ref_counts: np.ndarray, cand_counts: np.nda
 
 
 def _overlap(cand: _PreparedSide, ref: _PreparedSide, match: MatchFunction) -> float:
-    """Soft match count of two sides prepared for embedding matching (see
-    ``soft_overlap``)."""
+    """Soft match count of two sides prepared for embedding matching: per
+    unit length, the greedy assignment over their units' clipped cosines."""
     total = 0.0
     for length, rp in ref.partitions.items():
         cp = cand.partitions.get(length)
@@ -321,19 +310,6 @@ def _overlap(cand: _PreparedSide, ref: _PreparedSide, match: MatchFunction) -> f
     return total
 
 
-def soft_overlap(cand: Units, ref: Units, match: MatchFunction) -> float:
-    """Soft match count between two unit multisets.
-
-    Exact matching is clipped duplicate counting; embedding matching runs
-    the greedy best-first assignment (which reduces to clipped counting
-    when similarities are 0/1 indicators).
-    """
-    if match.kind == "exact":
-        overlaps, _ = _ExactRefs([ref]).overlaps([cand.elements()])
-        return float(overlaps[0, 0])
-    return _overlap(_PreparedSide(cand, match.table), _PreparedSide(ref, match.table), match)
-
-
 def _row_means(values: np.ndarray) -> list[float]:
     """``fmean`` of each row: its ``fsum`` over its length."""
     return (np.fromiter(map(fsum, values.tolist()), np.float64, len(values))
@@ -346,9 +322,11 @@ def _combine(soft: np.ndarray, ref_totals: np.ndarray, cand_totals: np.ndarray,
     against each reference (candidates × references), per the multiref
     policy (see ``rouge_score``).
 
-    Recall, precision and f1 are taken for every pair at once with the
-    IEEE operations of ``RougeScore.from_counts``, and under its clip
-    check. ``average`` then takes each candidate's ``fmean`` over its
+    A count above min(ref total, cand total) fails, naming the first such
+    pair. Recall is soft / ref_total, precision soft / cand_total (0.0 for
+    a zero total), f1 2 * recall * precision / (recall + precision) (0.0
+    for a zero sum): for every pair at once, the IEEE operations of scalar
+    arithmetic. ``average`` then takes each candidate's ``fmean`` over its
     references. ``jackknife`` first puts in each fold's place the score
     ``max`` would pick from that fold: the first reference, in index
     order, with the highest (f1, recall, precision), other than the one
@@ -387,8 +365,7 @@ class TopicPlan:
     ``compose_many`` pass per unit length, so a pair costs only its
     product, clip, shared-OOV count and assignment per length. Either
     way the per-reference scores of the whole batch are combined as
-    arrays, and results are bitwise those of scoring every pair from
-    scratch.
+    arrays, and each candidate's score is bitwise that of a batch of one.
     """
 
     def __init__(
@@ -429,10 +406,6 @@ class TopicPlan:
                 cand_totals[i] = side.total
         return _combine(soft, self.ref_totals, cand_totals, self.multiref)
 
-    def score(self, cand: TokenSequence) -> RougeScore:
-        """``score_many`` of one candidate."""
-        return self.score_many([cand])[0]
-
 
 def rouge_score(
     cand: TokenSequence,
@@ -449,4 +422,4 @@ def rouge_score(
     recall, then precision). A single reference makes both policies the
     plain single-reference score.
     """
-    return TopicPlan(refs, variant, match, multiref).score(cand)
+    return TopicPlan(refs, variant, match, multiref).score_many([cand])[0]

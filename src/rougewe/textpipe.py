@@ -1,4 +1,4 @@
-"""Text normalization and n-gram / skip-bigram extraction.
+"""Text input, normalization and n-gram / skip-bigram extraction.
 
 Everything here is pure: the same raw text and config always produce the
 same tokens, and extraction output depends only on the token sequence.
@@ -51,10 +51,16 @@ class TokenSequence:
         return iter(self.tokens)
 
 
+def read_text(path: str | Path) -> str:
+    """A UTF-8 file's text, less one leading byte-order mark (U+FEFF); a
+    decoding error's offsets count the mark's bytes, as the file does."""
+    return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+
+
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a stopword list: one word per line, blanks ignored, lowercased."""
     words = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         word = line.strip()
         if word:
             words.append(word.lower())

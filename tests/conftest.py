@@ -1,4 +1,5 @@
-"""Shared fixtures: toy embedding tables and synthetic corpora."""
+"""Shared fixtures: toy embedding tables, synthetic corpora, and the
+pair-level helpers the tests score and write vectors through."""
 
 from __future__ import annotations
 
@@ -9,6 +10,29 @@ import numpy as np
 import pytest
 
 from rougewe.embeddings import EmbeddingTable, _TableBuilder
+from rougewe.rouge import MatchFunction, _ExactRefs, _overlap, _PreparedSide
+from rougewe.textpipe import Units
+
+
+def soft_overlap(cand: Units, ref: Units, match: MatchFunction) -> float:
+    """Soft match count of two unit multisets, through the engine's own
+    steps: under exact matching ``cand`` is clipped against ``ref`` set up as
+    a one-reference ``_ExactRefs``; under embedding matching ``_overlap``
+    runs on the two sides, each set up as a ``_PreparedSide``."""
+    if match.kind == "exact":
+        overlaps, _ = _ExactRefs([ref]).overlaps([cand.elements()])
+        return float(overlaps[0, 0])
+    return _overlap(_PreparedSide(cand, match.table), _PreparedSide(ref, match.table), match)
+
+
+def save_binary(table: EmbeddingTable, path: Path) -> None:
+    """Write ``table`` in the binary layout: its words in table order, each
+    entry closed by a newline. Loading the file gives the table back."""
+    with open(path, "wb") as fh:
+        fh.write(f"{table.size} {table.dim}\n".encode("ascii"))
+        for word in table.words():
+            vec = np.asarray(table.lookup(word), dtype="<f4")
+            fh.write(word.encode("utf-8") + b" " + vec.tobytes() + b"\n")
 
 
 def make_table(vectors: dict[str, Sequence[float]], normalize: bool = True) -> EmbeddingTable:

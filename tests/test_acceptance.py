@@ -16,7 +16,7 @@ from click.testing import CliRunner
 
 from rougewe.cli import main as cli_main
 from rougewe.correlation import kendall, pearson, spearman
-from rougewe.embeddings import load_binary, save_binary
+from rougewe.embeddings import load_binary
 from rougewe.harness import MetricConfig, load_corpus, load_judgments, meta_evaluate, score_corpus
 from rougewe.rouge import (
     ROUGE_1,
@@ -27,7 +27,7 @@ from rougewe.rouge import (
 )
 from rougewe.textpipe import TokenSequence, tokenize
 
-from conftest import build_synthetic_corpus, identity_table
+from conftest import build_synthetic_corpus, identity_table, save_binary
 from greedy_oracle import greedy_soft_overlap, pair_similarity
 
 

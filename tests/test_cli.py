@@ -215,6 +215,84 @@ class TestScoreCommand:
         assert first.output == second.output
 
 
+BOM = "\ufeff".encode("utf-8")
+
+
+class TestByteOrderMark:
+    """A text input that starts with a UTF-8 byte-order mark reads as the same
+    text without it, whichever reader takes it."""
+
+    def test_bom_reference_scores_as_without(self, runner, tmp_path):
+        cand = tmp_path / "c.txt"
+        cand.write_text("the cat sat", encoding="utf-8")
+        ref = tmp_path / "r.txt"
+        ref.write_bytes(BOM + b"the cat sat")
+        result = runner.invoke(main, ["score", str(cand), str(ref), str(cand)])
+        assert result.exit_code == 0
+        assert result.output.splitlines() == [
+            f"{name} R=1.000000 P=1.000000 F=1.000000" for name in DEFAULT_METRICS.split(",")]
+
+    def test_bom_stopword_file_removes_its_first_word(self, runner, tmp_path):
+        cand = tmp_path / "c.txt"
+        cand.write_text("the cat sat", encoding="utf-8")
+        ref = tmp_path / "r.txt"
+        ref.write_text("the dog sat", encoding="utf-8")
+        stop = tmp_path / "stop.txt"
+        stop.write_bytes(BOM + b"the\n")
+        result = runner.invoke(main, [
+            "score", str(cand), str(ref), "--metrics", "rouge-1", "--stopwords", str(stop),
+        ])
+        assert result.output == "rouge-1 R=0.500000 P=0.500000 F=0.500000\n"
+
+    def test_bom_config_file_loads(self, runner, weather_files, tmp_path):
+        cand, ref = weather_files
+        config = tmp_path / "config.json"
+        config.write_bytes(BOM + json.dumps({"metrics": "rouge-2"}).encode())
+        result = runner.invoke(main, ["score", str(cand), str(ref), "--config", str(config)])
+        assert result.exit_code == 0
+        assert result.output == "rouge-2 R=0.500000 P=0.333333 F=0.400000\n"
+
+    def test_bom_judgments_and_summaries_report_as_without(self, runner, tiny_corpus,
+                                                           tmp_path):
+        corpus, judgments = tiny_corpus
+        plain = tmp_path / "plain"
+        runner.invoke(main, ["meta-eval", "--corpus", str(corpus),
+                             "--judgments", str(judgments), "--out", str(plain)])
+        judgments.write_bytes(BOM + judgments.read_bytes())
+        for path in corpus.glob("*/*/*.txt"):
+            path.write_bytes(BOM + path.read_bytes())
+        marked = tmp_path / "marked"
+        result = runner.invoke(main, ["meta-eval", "--corpus", str(corpus),
+                                      "--judgments", str(judgments), "--out", str(marked)])
+        assert result.exit_code == 0, result.output
+        assert (marked / "report.csv").read_bytes() == (plain / "report.csv").read_bytes()
+
+    @pytest.mark.parametrize("what", ["candidate", "reference", "stopword", "config",
+                                      "summary", "judgments"])
+    def test_bad_byte_after_bom_reports_the_file_offset(self, runner, weather_files,
+                                                         tiny_corpus, tmp_path, what):
+        broken = tmp_path / f"{what}-bad.txt"
+        broken.write_bytes(BOM + b"ab\xff")
+        cand, ref = weather_files
+        corpus, judgments = tiny_corpus
+        if what == "summary":
+            broken = corpus / "t1" / "systems" / "s1.txt"
+            broken.write_bytes(BOM + b"ab\xff")
+        args = {
+            "candidate": ["score", broken, ref],
+            "reference": ["score", cand, broken],
+            "stopword": ["score", cand, ref, "--stopwords", broken],
+            "config": ["score", cand, ref, "--config", broken],
+            "summary": ["meta-eval", "--corpus", corpus, "--judgments", judgments,
+                        "--out", tmp_path / "out"],
+            "judgments": ["meta-eval", "--corpus", corpus, "--judgments", broken,
+                          "--out", tmp_path / "out"],
+        }[what]
+        result = runner.invoke(main, list(map(str, args)))
+        assert result.exit_code == 1
+        assert f"{broken} is not valid UTF-8 (byte offset 5)" in result.output
+
+
 class TestMetaEvalCommand:
     def test_writes_reports_and_prints_table(self, runner, tiny_corpus, tmp_path):
         corpus, judgments = tiny_corpus

@@ -20,11 +20,10 @@ from rougewe.embeddings import (
     EmbeddingTruncationError,
     load_binary,
     load_text,
-    save_binary,
 )
-from rougewe.rouge import MatchFunction, soft_overlap
+from rougewe.rouge import MatchFunction
 
-from conftest import make_table
+from conftest import make_table, save_binary, soft_overlap
 
 
 def binary_entry(word: str, values) -> bytes:

@@ -1,9 +1,9 @@
 """Golden reports: ``meta-eval`` on a fixed synthetic corpus must write the
 committed ``report.csv`` and ``report.json`` byte for byte.
 
-The WE run uses a 16-d +-1/4 sign table saved with ``save_binary``. Its
-cosines are multiples of 1/8, exact in any summation order, so the goldens
-depend on neither the BLAS kernel nor the CPU. ``config.out`` is dropped
+The WE run uses a 16-d +-1/4 sign table written by ``conftest.save_binary``.
+Its cosines are multiples of 1/8, exact in any summation order, so the
+goldens depend on neither the BLAS kernel nor the CPU. ``config.out`` is dropped
 from the JSON before comparing; every other path is relative to the run's
 working directory.
 
@@ -24,9 +24,8 @@ import pytest
 from click.testing import CliRunner
 
 from rougewe.cli import main
-from rougewe.embeddings import save_binary
 
-from conftest import build_synthetic_corpus, sign_table
+from conftest import build_synthetic_corpus, save_binary, sign_table
 
 DATA = Path(__file__).parent / "data"
 SEED = 11

@@ -15,7 +15,6 @@ from rougewe.rouge import (
     ROUGE_2,
     ROUGE_SU4,
     MatchFunction,
-    RougeScore,
     RougeVariant,
     TopicPlan,
     _combine,
@@ -24,12 +23,11 @@ from rougewe.rouge import (
     _unit_stream,
     extract_units,
     rouge_score,
-    soft_overlap,
 )
 from rougewe.textpipe import TokenSequence, extract_ngrams, extract_skip_bigrams, tokenize
 
-from conftest import identity_table, make_table, sign_table
-from exact_oracle import clipped_count, oracle_rouge_score
+from conftest import identity_table, make_table, sign_table, soft_overlap
+from exact_oracle import clipped_count, oracle_rouge_score, units
 from greedy_oracle import _greedy_consume, greedy_soft_overlap, pair_similarity
 
 
@@ -301,21 +299,29 @@ class TestRougeVariant:
         assert extract_skip_bigrams(s, 4).total() == 6
 
 
+def combine_one(soft: float, ref_total: int, cand_total: int):
+    """``_combine`` of a single pair."""
+    [score] = _combine(np.array([[soft]]), np.array([ref_total]), np.array([cand_total]),
+                       "average")
+    return score
+
+
 class TestRougeScore:
-    def test_from_counts_relations(self):
-        score = RougeScore.from_counts(3.0, 6, 10)
+    def test_relations(self):
+        score = combine_one(3.0, 6, 10)
         assert score.recall == 0.5
         assert score.precision == 0.3
         assert score.f1 == pytest.approx(2 * 0.5 * 0.3 / 0.8)
+        assert (score.soft_match_count, score.ref_total, score.cand_total) == (3.0, 6, 10)
 
     def test_zero_totals(self):
-        score = RougeScore.from_counts(0.0, 0, 0)
+        score = combine_one(0.0, 0, 0)
         assert (score.recall, score.precision, score.f1) == (0.0, 0.0, 0.0)
 
     def test_clip_guard(self):
         with pytest.raises(ValueError):
-            RougeScore.from_counts(2.0, 1, 5)
-        # The batched form checks every pair, and names the first over its bound.
+            combine_one(2.0, 1, 5)
+        # Every pair is checked, and the first over its bound is named.
         soft = np.array([[1.0, 1.0], [1.0, 2.0]])
         with pytest.raises(ValueError, match="match count 2.0 exceeds clip bound 1"):
             _combine(soft, np.array([1, 1]), np.array([5, 5]), "average")
@@ -519,7 +525,7 @@ class TestExactEngineMatchesOracle:
     def test_topic_plan(self, cand, refs, variant, multiref):
         plan = TopicPlan(refs, variant, MatchFunction.exact(), multiref)
         expected = oracle_rouge_score(cand, refs, variant, multiref)
-        assert plan.score(cand) == expected
+        assert plan.score_many([cand]) == [expected]
         assert rouge_score(cand, refs, variant, MatchFunction.exact(), multiref) == expected
 
     @given(cands=st.lists(summaries, max_size=8), refs=st.lists(summaries, min_size=1, max_size=4),
@@ -542,7 +548,7 @@ class TestExactEngineMatchesOracle:
                                                    table_seed, policy):
         match = MatchFunction.we(sign_table(table_seed, TABLE_WORDS), oov_policy=policy)
         plan = TopicPlan(refs, variant, match, multiref)
-        assert plan.score_many(cands) == [plan.score(cand) for cand in cands]
+        assert plan.score_many(cands) == [plan.score_many([cand])[0] for cand in cands]
 
     @given(cand=summaries, ref=summaries, variant=st.sampled_from(EXACT_VARIANTS))
     @settings(max_examples=200, deadline=None)
@@ -556,17 +562,21 @@ class TestExactEngineMatchesOracle:
     def test_unit_stream_is_extract_units(self, summary, variant):
         assert Counter(_unit_stream(summary, variant)) == extract_units(summary, variant)
 
+    @given(summary=summaries, variant=st.sampled_from(EXACT_VARIANTS))
+    def test_extract_units_is_oracle_units(self, summary, variant):
+        assert extract_units(summary, variant) == units(summary, variant)
+
 
 class TestExactEdgeCases:
     def test_empty_candidate(self):
         plan = TopicPlan([seq("a b c"), seq("a d")], ROUGE_1, MatchFunction.exact())
-        score = plan.score(seq(""))
+        [score] = plan.score_many([seq("")])
         assert (score.recall, score.precision, score.f1, score.soft_match_count) == (0, 0, 0, 0)
         assert (score.ref_total, score.cand_total) == (round(2.5), 0)
 
     def test_candidate_sharing_no_unit(self):
         plan = TopicPlan([seq("a b c"), seq("a d")], ROUGE_2, MatchFunction.exact())
-        score = plan.score(seq("x y x y"))
+        [score] = plan.score_many([seq("x y x y")])
         assert score.soft_match_count == 0.0
         assert score.cand_total == 3
 
@@ -575,7 +585,7 @@ class TestExactEdgeCases:
         plan = TopicPlan(refs, RougeVariant.parse("rouge-3"), MatchFunction.exact())
         assert plan.exact.columns == {}
         assert plan.exact.counts.shape == (3, 1)
-        score = plan.score(seq("a b a b"))
+        [score] = plan.score_many([seq("a b a b")])
         assert (score.recall, score.precision, score.soft_match_count) == (0.0, 0.0, 0.0)
         assert (score.ref_total, score.cand_total) == (0, 2)
 
@@ -589,7 +599,7 @@ class TestExactEdgeCases:
         plan = TopicPlan([seq("a b"), seq("c"), seq("c b")], ROUGE_1, MatchFunction.exact())
         assert sorted(plan.exact.columns) == [("a",), ("b",), ("c",)]
         assert plan.exact.counts[:, -1].tolist() == [0, 0, 0]
-        assert plan.score(seq("c c")).soft_match_count == (0 + 1 + 1) / 3
+        assert plan.score_many([seq("c c")])[0].soft_match_count == (0 + 1 + 1) / 3
 
 
 class TestMeanScores:

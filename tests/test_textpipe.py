@@ -10,8 +10,11 @@ from rougewe.textpipe import (
     extract_ngrams,
     extract_skip_bigrams,
     load_stopwords,
+    read_text,
     tokenize,
 )
+
+BOM = "\ufeff".encode("utf-8")
 
 
 class TestTokenize:
@@ -77,6 +80,30 @@ class TestTokenize:
         config = TokenizeConfig(stopwords=frozenset({"the"}))
         first = tokenize("The cat, the hat.", config)
         assert tokenize(" ".join(first.tokens), config).tokens == first.tokens
+
+
+class TestReadText:
+    """Every text input is read through ``read_text``: one leading byte-order
+    mark is dropped after decoding, and nothing else changes."""
+
+    @pytest.mark.parametrize("blob, text", [
+        (b"the cat", "the cat"),
+        (BOM + b"the cat", "the cat"),
+        (BOM + BOM + b"the cat", "\ufeffthe cat"),
+        (b"the \xef\xbb\xbfcat", "the \ufeffcat"),
+        (BOM, ""),
+    ])
+    def test_drops_one_leading_mark(self, tmp_path, blob, text):
+        path = tmp_path / "f.txt"
+        path.write_bytes(blob)
+        assert read_text(path) == text
+
+    def test_error_offset_counts_the_mark(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(BOM + b"ab\xff")
+        with pytest.raises(UnicodeDecodeError) as err:
+            read_text(path)
+        assert err.value.start == 5
 
 
 class TestExtractNgrams:
