@@ -428,8 +428,9 @@ def _raise_truncated(tail: bytes, offset: int, entry: int) -> None:
 
 
 def _text_lines(fh: BinaryIO) -> Iterator[tuple[int, str]]:
-    """Yield (line number, line) for a UTF-8 file, split as ``str.splitlines``
-    splits the whole text (UTF-8 never puts 0x0A inside a character)."""
+    """Yield (line number, line) for a UTF-8 file less one leading byte-order
+    mark, split as ``str.splitlines`` splits the whole text (UTF-8 never
+    puts 0x0A inside a character); byte offsets count the mark."""
     lineno = offset = 0
     for raw in fh:
         try:
@@ -438,6 +439,8 @@ def _text_lines(fh: BinaryIO) -> Iterator[tuple[int, str]]:
             raise EmbeddingFormatError(
                 f"line {lineno + 1}: not valid UTF-8 (byte offset {offset + exc.start})"
             ) from None
+        if not offset:
+            text = text.removeprefix("\ufeff")
         for line in text.splitlines():
             lineno += 1
             yield lineno, line

@@ -6,13 +6,15 @@ n-gram vectors, scored through a greedy one-to-one soft assignment.
 Matching never crosses unit types: unigrams pair with unigrams, bigrams
 with bigrams, so the embedding metrics reduce exactly to the classic ones
 when the similarity degenerates to an identity test. Scoring works on
-prepared references: under exact matching, one count matrix over the
-word tuples the references hold, which a whole batch of candidates' unit
-streams is counted and clipped against at once; under embedding matching,
-each summary's units and their composed vectors, set up once and then
-scored against any number of other summaries. A side's unit vectors are
-composed one length at a time, in one gather and product per length
-partition (``EmbeddingTable.compose_many``). A ``TopicPlan`` holds one
+prepared references. Under exact matching, units are integer codes built
+from the references' word ids, and the references are one count matrix
+over the codes they hold; a whole batch of candidates is coded by the
+same steps, finds its columns by a table gather or a binary search, and
+is counted and clipped against it at once. Under embedding matching,
+units are word tuples: each summary's units and their composed vectors
+are set up once and then scored against any number of other summaries.
+A side's unit vectors are composed one length at a time, in one gather
+and product per length partition (``EmbeddingTable.compose_many``). A ``TopicPlan`` holds one
 topic's prepared references and scores a batch of candidates in one
 ``score_many`` call, whose per-reference counts become recall, precision
 and f1 as arrays; a candidate's score does not depend on the rest of its
@@ -25,22 +27,18 @@ import re
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from math import fsum
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .textpipe import (
-    TokenSequence,
-    Units,
-    extract_ngrams,
-    extract_skip_bigrams,
-    ngram_stream,
-    skip_bigram_stream,
-)
+from .textpipe import TokenSequence, Units, extract_ngrams, extract_skip_bigrams
 
 OOV_POLICIES = ("zero", "exact-fallback")
 MULTIREF_POLICIES = ("average", "jackknife")
+# Closes every level's sorted codes: above any code, so a search always
+# lands on a key.
+_NO_CODE = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,16 +114,9 @@ ROUGE_2 = RougeVariant(family="n", n=2)
 ROUGE_SU4 = RougeVariant(family="su", max_skip=4)
 
 
-def _unit_stream(seq: TokenSequence, variant: RougeVariant) -> Iterator[tuple[str, ...]]:
-    """Every unit occurrence a variant scores over, in ``extract_units``'s
-    order; SU pools skip-bigrams with unigrams."""
-    if variant.family == "n":
-        return ngram_stream(seq, variant.n)
-    return chain(skip_bigram_stream(seq, variant.max_skip), ngram_stream(seq, 1))
-
-
 def extract_units(seq: TokenSequence, variant: RougeVariant) -> Units:
-    """The multiset of ``_unit_stream``, built by the textpipe extractors."""
+    """The units a variant scores over, one count per occurrence: n-grams,
+    or for ROUGE-SU skip-bigrams pooled with unigrams."""
     if variant.family == "n":
         return extract_ngrams(seq, variant.n)
     units = extract_skip_bigrams(seq, variant.max_skip)
@@ -162,53 +153,123 @@ class _Partition:
 
 
 class _ExactRefs:
-    """References set up for exact matching: one count matrix over the word
-    tuples they hold.
+    """References set up for exact matching: their units coded as integers,
+    and one count matrix over the codes they hold.
 
-    ``columns`` numbers every word tuple that any reference has; row i of
-    ``counts`` is reference i's count of each, and the last column, the
-    sink, is 0 for every reference: a unit no reference has lands there and
-    clips to 0.
+    ``words`` numbers the references' words from 1; 0 is a word in no
+    reference. A unit is coded one word at a time: its first word's id is
+    its first rank, and each next word makes the code ``rank * base +
+    word id``, whose rank is its place in that level's ``keys`` (the sorted
+    codes the references hold, closed by a sentinel) counted from
+    ``first``, or 0 when no reference holds it. A code stays below (ranks +
+    1) * base, so it fits in int64 for any n. A unit's column is its last
+    rank: a unigram's is its word id, and a longer unit's comes after the
+    word columns under ROUGE-SU. Row i of ``counts`` is reference i's count
+    in each column; column 0, the sink, is 0 for every reference, so a unit
+    no reference has lands there and clips to 0.
+
+    A level's rank is one gather from a dense int32 table over (prefix
+    rank, word id) once a batch's own count matrix is at least the table's
+    size, and a binary search in its keys until then. References and
+    candidates are coded by the same steps.
     """
 
-    __slots__ = ("columns", "sink", "counts")
+    __slots__ = ("variant", "reach", "words", "base", "first", "keys", "tables", "width",
+                 "counts", "totals")
 
-    def __init__(self, refs: Sequence[Units]):
-        self.columns: dict[tuple[str, ...], int] = {}
-        for units in refs:
-            for words in units:
-                self.columns.setdefault(words, len(self.columns))
-        self.sink = len(self.columns)
-        self.counts = np.zeros((len(refs), self.sink + 1), dtype=np.int64)
-        for row, units in zip(self.counts, refs):
-            row[[self.columns[words] for words in units]] = list(units.values())
+    def __init__(self, refs: Sequence[TokenSequence], variant: RougeVariant):
+        self.variant = variant
+        # How far past its first word a unit reaches.
+        self.reach = variant.n - 1 if variant.family == "n" else variant.max_skip + 1
+        self.words: dict[str, int] = {}
+        for ref in refs:
+            for word in ref.tokens:
+                self.words.setdefault(word, len(self.words) + 1)
+        self.base = np.int64(len(self.words) + 1)
+        self.first = self.base if variant.family == "su" else 1
+        self.keys: list[np.ndarray] = []
+        self.tables: dict[int, np.ndarray] = {}
+        cols, lengths = self._columns(refs, 0)
+        # The sink and the word columns, or the sink and the last level's
+        # ranks, after the word columns under ROUGE-SU.
+        self.width = int(self.first - 1 + len(self.keys[-1]) if self.keys else self.base)
+        self.counts = self._count(cols, lengths)
+        self.counts[:, 0] = 0
+        self.totals = self._totals(lengths)
 
-    def overlaps(self, cands: Sequence[Iterable[tuple[str, ...]]]) -> tuple[np.ndarray, np.ndarray]:
+    def _rank(self, level: int, codes: np.ndarray, budget: int) -> np.ndarray:
+        """Each code's rank at ``level`` (the unit's word ``level``, from 0),
+        0 for a code no reference holds. The first codes to reach a level
+        are the references', and they make its keys."""
+        if level > len(self.keys):
+            # Sorted and deduplicated by hand: under numpy 2.4, np.unique's
+            # hash path costs about 1.5 MB of resident memory on first use.
+            held = np.sort(codes[(codes >= self.base) & (codes % self.base > 0)])
+            self.keys.append(np.append(held[np.diff(held, prepend=-1) > 0], _NO_CODE))
+        keys = self.keys[level - 1]
+        table = self.tables.get(level)
+        if table is None:
+            # Prefix ranks run to the previous level's: word ids at level 1.
+            size = (self.base if level == 1 else len(self.keys[level - 2])) * self.base
+            if 4 * size > budget:
+                found = np.searchsorted(keys, codes)
+                return np.where(keys[found] == codes, found + self.first, 0)
+            table = self.tables[level] = np.zeros(size, dtype=np.int32)
+            table[keys[:-1]] = np.arange(self.first, self.first + len(keys) - 1)
+        return table[codes]
+
+    def _columns(self, seqs: Sequence[TokenSequence], budget: int) -> tuple[np.ndarray, np.ndarray]:
+        """The column of every unit window of ``seqs``, as a (windows per
+        position × positions) array, and each summary's length.
+
+        The summaries' word ids are laid end to end in one array, each
+        followed by ``reach`` zeros, so no window spans two summaries: a
+        window that runs past its summary's end holds a 0 and lands in the
+        sink. A position belongs to the summary it starts in.
+        """
+        get, pad = self.words.get, (0,) * self.reach
+        ids = np.fromiter(chain.from_iterable(chain(map(get, seq.tokens, repeat(0)), pad)
+                                              for seq in seqs), np.int64)
+        lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
+        n = max(len(ids) - self.reach, 0)
+        rank = ids[:n]
+        if self.variant.family == "n":
+            for level in range(1, self.variant.n):
+                rank = self._rank(level, rank * self.base + ids[level:level + n], budget)
+            return rank[None], lengths
+        pairs = np.stack([ids[skip:skip + n] for skip in range(1, self.reach + 1)])
+        return np.vstack([rank, self._rank(1, rank * self.base + pairs, budget)]), lengths
+
+    def _count(self, cols: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Each summary's count in each column, a (summaries × columns) matrix
+        made by one ``np.bincount``."""
+        rows = np.repeat(np.arange(0, len(lengths) * self.width, self.width),
+                         lengths + self.reach)[:cols.shape[1]]
+        return np.bincount((cols + rows).ravel(), minlength=len(lengths) * self.width
+                           ).reshape(len(lengths), self.width)
+
+    def _totals(self, lengths: np.ndarray) -> np.ndarray:
+        """Each summary's unit total, from its length."""
+        spans = [self.reach] if self.variant.family == "n" else range(self.reach + 1)
+        return np.maximum(lengths[:, None] - np.array(spans), 0).sum(axis=1)
+
+    def overlaps(self, cands: Sequence[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
         """Each candidate's clipped count against each reference, as a
-        (candidates × references) array, and each candidate's total, for
-        the candidates' unit occurrences ``cands``.
+        (candidates × references) array, and each candidate's total.
 
-        One ``np.fromiter`` maps every candidate's units to columns, each
-        candidate's run closed by a -1 mark, and one ``np.bincount`` counts
-        them into a (candidates × columns) matrix. Each reference then
+        The candidates are counted into one (candidates × columns) matrix,
+        whose size is the budget for the lookup tables. Each reference then
         takes one element-wise minimum with it, into one reused buffer, and
         one row sum; no (candidates × references × columns) array is made.
         """
-        get, sink, width = self.columns.get, self.sink, self.sink + 1
-        cols = np.fromiter(chain.from_iterable(chain(map(get, units, repeat(sink)), (-1,))
-                                               for units in cands), np.intp)
-        ends = np.flatnonzero(cols < 0)
-        totals = np.diff(ends, prepend=-1) - 1
-        # A mark lands in the sink, as a unit no reference has, and clips to 0.
-        cols[ends] = sink
-        cols += np.repeat(np.arange(0, len(ends) * width, width), totals + 1)
-        cand_counts = np.bincount(cols, minlength=len(ends) * width).reshape(len(ends), width)
+        cols, lengths = self._columns(cands, len(cands) * self.width * 8)
+        cand_counts = self._count(cols, lengths)
         clipped = np.empty_like(cand_counts)
-        overlaps = np.empty((len(self.counts), len(ends)), dtype=np.int64)
+        overlaps = np.empty((len(self.counts), len(cands)), dtype=np.int64)
         for ref_counts, overlap in zip(self.counts, overlaps):
             np.minimum(cand_counts, ref_counts, out=clipped)
             clipped.sum(axis=1, out=overlap)
-        return overlaps.T, totals
+        return overlaps.T, self._totals(lengths)
 
 
 class _PreparedSide:
@@ -358,9 +419,11 @@ class TopicPlan:
     candidates against them, all of a batch in one pass.
 
     The references are set up at construction. Under exact matching a
-    ``score_many`` call streams every candidate's units through the
-    references' columns at once, counts them into one (candidates ×
-    columns) matrix, and clips it against each reference in one step.
+    ``score_many`` call codes every candidate's units as integers at once,
+    finds their columns in the references' codes (by a dense table once
+    the batch's count matrix is at least the table's size, by binary
+    search until then), counts them into one (candidates × columns)
+    matrix, and clips it against each reference in one step.
     Under embedding matching it prepares each candidate's side once, one
     ``compose_many`` pass per unit length, so a pair costs only its
     product, clip, shared-OOV count and assignment per length. Either
@@ -382,20 +445,19 @@ class TopicPlan:
         self.variant = variant
         self.match = match
         self.multiref = multiref
-        ref_units = [extract_units(ref, variant) for ref in refs]
-        self.ref_totals = np.array([units.total() for units in ref_units], dtype=np.int64)
         if match.kind == "exact":
-            self.exact = _ExactRefs(ref_units)
+            self.exact = _ExactRefs(refs, variant)
+            self.ref_totals = self.exact.totals
         else:
-            self.refs = [_PreparedSide(units, match.table) for units in ref_units]
+            self.refs = [_PreparedSide(extract_units(ref, variant), match.table) for ref in refs]
+            self.ref_totals = np.array([side.total for side in self.refs], dtype=np.int64)
 
     def score_many(self, cands: Sequence[TokenSequence]) -> list[RougeScore]:
         """Score each candidate against every reference, combined per the
         multiref policy (see ``rouge_score``); one score per candidate, in
         order."""
         if self.match.kind == "exact":
-            overlaps, cand_totals = self.exact.overlaps(
-                [_unit_stream(cand, self.variant) for cand in cands])
+            overlaps, cand_totals = self.exact.overlaps(cands)
             soft = overlaps.astype(np.float64)
         else:
             soft = np.empty((len(cands), len(self.refs)))

@@ -3,6 +3,7 @@ pair-level helpers the tests score and write vectors through."""
 
 from __future__ import annotations
 
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -10,18 +11,33 @@ import numpy as np
 import pytest
 
 from rougewe.embeddings import EmbeddingTable, _TableBuilder
-from rougewe.rouge import MatchFunction, _ExactRefs, _overlap, _PreparedSide
-from rougewe.textpipe import Units
+from rougewe.rouge import MatchFunction, RougeVariant, _ExactRefs, _overlap, _PreparedSide
+from rougewe.textpipe import TokenSequence, Units
+
+
+def joined_units(units: Units, length: int, joint: str) -> TokenSequence:
+    """A summary whose ``length``-grams are the units of that length in
+    ``units`` plus windows that hold ``joint``: the units laid end to end,
+    one ``joint`` word after each."""
+    return TokenSequence(tuple(chain.from_iterable(
+        (*unit, joint) for unit in units.elements() if len(unit) == length)))
 
 
 def soft_overlap(cand: Units, ref: Units, match: MatchFunction) -> float:
     """Soft match count of two unit multisets, through the engine's own
-    steps: under exact matching ``cand`` is clipped against ``ref`` set up as
-    a one-reference ``_ExactRefs``; under embedding matching ``_overlap``
-    runs on the two sides, each set up as a ``_PreparedSide``."""
+    steps. Under exact matching, per unit length n, ``cand``'s units of
+    that length are clipped against ``ref``'s by a one-reference
+    ``_ExactRefs`` under ROUGE-n, each side laid out by ``joined_units``
+    with a joint word the other side never holds, so only the units
+    themselves can match. Under embedding matching ``_overlap`` runs on
+    the two sides, each set up as a ``_PreparedSide``."""
     if match.kind == "exact":
-        overlaps, _ = _ExactRefs([ref]).overlaps([cand.elements()])
-        return float(overlaps[0, 0])
+        total = 0
+        for n in set(map(len, cand)) & set(map(len, ref)):
+            exact = _ExactRefs([joined_units(ref, n, "\0ref")], RougeVariant("n", n))
+            overlaps, _ = exact.overlaps([joined_units(cand, n, "\0cand")])
+            total += int(overlaps[0, 0])
+        return float(total)
     return _overlap(_PreparedSide(cand, match.table), _PreparedSide(ref, match.table), match)
 
 

@@ -119,7 +119,7 @@ def load_binary(path: str | Path, vocabulary: Collection[str] | None = None) -> 
 
 
 def load_text(path: str | Path, vocabulary: Collection[str] | None = None) -> OracleTable:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff").splitlines()
     declared: tuple[int, int] | None = None
     start = 0
     if lines:

@@ -95,6 +95,27 @@ class TestLoadText:
         with pytest.raises(EmbeddingFormatError, match=r"line 3: not valid UTF-8 \(byte offset 11\)"):
             load_text(path)
 
+    def test_byte_order_mark_is_not_part_of_the_first_word(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_bytes(b"\xef\xbb\xbfcat 1 0 0\ndog 0 1 0\n")
+        table = load_text(path, vocabulary={"cat", "dog"})
+        assert sorted(table.words()) == ["cat", "dog"]
+        assert np.array_equal(table.lookup("cat"), np.array([1, 0, 0], dtype=np.float32))
+
+    def test_byte_order_mark_before_header(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_bytes(b"\xef\xbb\xbf2 3\ncat 1 0 0\ndog 0 1 0\n")
+        table = load_text(path)
+        assert (table.size, table.dim) == (2, 3)
+        assert sorted(table.words()) == ["cat", "dog"]
+        # Lines keep their numbers, and byte offsets count the mark.
+        path.write_bytes(b"\xef\xbb\xbf2 3\ncat 1 0 0\ndog 0 1\n")
+        with pytest.raises(EmbeddingFormatError, match="line 3: expected 3 values, found 2"):
+            load_text(path)
+        path.write_bytes(b"\xef\xbb\xbf2 3\nc\xff 1 0 0\n")
+        with pytest.raises(EmbeddingFormatError, match=r"line 2: not valid UTF-8 \(byte offset 8\)"):
+            load_text(path)
+
     def test_float32_overflow_rejected(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("a 1 0\nb 1e40 1\n", encoding="utf-8")

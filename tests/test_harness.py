@@ -433,24 +433,34 @@ class TestTopicPlanDifferential:
 class TestScoreCorpusMemory:
     def test_exact_batch_stays_near_two_count_matrices(self):
         # Four long references with no word in common give the plan one
-        # column per reference word, and each of 51 systems draws 100 of
-        # them. Scoring the batch needs its (systems x columns) counts and
-        # one clip buffer of that size; taking the minimum against every
-        # reference at once would hold four more.
+        # column per distinct reference unit, and each of 51 systems draws
+        # 100 of their words. Scoring the batch needs its (systems x
+        # columns) counts and one clip buffer of that size; taking the
+        # minimum against every reference at once would hold four more, and
+        # so would a dense (word x word) lookup table: 8,001 x 8,001 int32
+        # entries are 256 MB.
         rng = random.Random(0)
         n_refs, ref_len, n_systems = 4, 2000, 51
         refs = [(f"m{r}", " ".join(f"w{r * ref_len + i}" for i in range(ref_len)))
                 for r in range(n_refs)]
         vocab = [word for _, text in refs for word in text.split()]
         systems = [(f"s{k:02d}", " ".join(rng.choices(vocab, k=100))) for k in range(n_systems)]
-        matrix_bytes = n_systems * (n_refs * ref_len + 1) * 8
-        tracemalloc.start()
-        try:
-            score_corpus([Topic("t1", refs, systems)], [R1])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * matrix_bytes
+        units_per_ref = {
+            "rouge-1": ref_len,
+            "rouge-2": ref_len - 1,
+            "rouge-3": ref_len - 2,
+            # The words, then the pairs 1 to 5 words apart.
+            "rouge-su4": ref_len + sum(ref_len - gap for gap in range(1, 6)),
+        }
+        for name, units in units_per_ref.items():
+            matrix_bytes = n_systems * (n_refs * units + 1) * 8
+            tracemalloc.start()
+            try:
+                score_corpus([Topic("t1", refs, systems)], [MetricConfig(RougeVariant.parse(name))])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * matrix_bytes, name
 
 
 class TestMetaEvaluate:

@@ -19,8 +19,8 @@ from rougewe.rouge import (
     TopicPlan,
     _combine,
     _greedy_assign,
+    _ExactRefs,
     _row_means,
-    _unit_stream,
     extract_units,
     rouge_score,
 )
@@ -504,21 +504,50 @@ class TestHadamardParaphrases:
 
 
 # Every exact variant family and size the oracle tests cover: n-grams up
-# to 4, and skip windows from adjacent pairs to wider than any summary.
-EXACT_VARIANTS = [RougeVariant.parse(f"rouge-{n}") for n in range(1, 5)] + [
-    RougeVariant.parse(f"rouge-su{k}") for k in range(7)]
-# Few words, so units repeat within and across summaries.
-summaries = st.lists(st.sampled_from("abcd"), max_size=6).map(lambda w: TokenSequence(tuple(w)))
+# to 9, and skip windows from adjacent pairs to wider than most summaries.
+EXACT_VARIANTS = [RougeVariant.parse(f"rouge-{n}") for n in range(1, 10)] + [
+    RougeVariant.parse(f"rouge-su{k}") for k in range(9)]
+# Summaries of one-letter words. Few words, so units repeat within and
+# across summaries; or up to 40 tokens over 15 words, so a topic has
+# hundreds of columns.
+summaries = (st.text("abcd", max_size=6) | st.text("abcdefghijklmno", max_size=40)).map(
+    lambda w: TokenSequence(tuple(w)))
+# Candidates also hold words that no reference can.
+cand_summaries = (st.text("abcdxy", max_size=6)
+                  | st.text("abcdefghijklmnoxy", max_size=40)).map(
+    lambda w: TokenSequence(tuple(w)))
+
+
+@st.composite
+def batches(draw):
+    """Candidates with an empty one and a one-token one among them."""
+    cands = draw(st.lists(cand_summaries, max_size=8))
+    for short in (TokenSequence(()), TokenSequence((draw(st.sampled_from("ax")),))):
+        cands.insert(draw(st.integers(0, len(cands))), short)
+    return cands
+
+
 # The same under embedding matching, with out-of-vocabulary words too.
 we_summaries = st.lists(st.sampled_from(UNIT_WORDS), max_size=6).map(
     lambda w: TokenSequence(tuple(w)))
+
+
+def column_units(exact: _ExactRefs) -> dict[int, tuple[str, ...]]:
+    """Each column of an exact engine but the sink, read back from its codes
+    as the word tuple it counts."""
+    names = dict(enumerate(exact.words, 1))
+    unigrams = ranks = {i: (word,) for i, word in names.items()}
+    for keys in exact.keys:
+        ranks = {rank: ranks[code // exact.base] + (names[code % exact.base],)
+                 for rank, code in enumerate(keys[:-1].tolist(), int(exact.first))}
+    return {**unigrams, **ranks} if exact.variant.family == "su" else ranks
 
 
 class TestExactEngineMatchesOracle:
     """Clipping a candidate against all references at once gives the scores
     of clipping it against each reference on its own."""
 
-    @given(cand=summaries, refs=st.lists(summaries, min_size=1, max_size=4),
+    @given(cand=cand_summaries, refs=st.lists(summaries, min_size=1, max_size=4),
            variant=st.sampled_from(EXACT_VARIANTS),
            multiref=st.sampled_from(["average", "jackknife"]))
     @settings(max_examples=400, deadline=None)
@@ -528,14 +557,19 @@ class TestExactEngineMatchesOracle:
         assert plan.score_many([cand]) == [expected]
         assert rouge_score(cand, refs, variant, MatchFunction.exact(), multiref) == expected
 
-    @given(cands=st.lists(summaries, max_size=8), refs=st.lists(summaries, min_size=1, max_size=4),
+    @given(cands=batches(), refs=st.lists(summaries, min_size=1, max_size=4),
            variant=st.sampled_from(EXACT_VARIANTS),
            multiref=st.sampled_from(["average", "jackknife"]))
     @settings(max_examples=300, deadline=None)
     def test_score_many(self, cands, refs, variant, multiref):
+        # A batch's count matrix sets the budget for the dense lookup tables,
+        # which stay once built: batches of one mostly search, and then the
+        # whole batch mostly builds them.
         plan = TopicPlan(refs, variant, MatchFunction.exact(), multiref)
-        assert plan.score_many(cands) == [oracle_rouge_score(cand, refs, variant, multiref)
-                                          for cand in cands]
+        expected = [oracle_rouge_score(cand, refs, variant, multiref) for cand in cands]
+        assert [plan.score_many([cand])[0] for cand in cands] == expected
+        assert plan.score_many(cands) == expected
+        assert plan.score_many([]) == []
 
     @given(cands=st.lists(we_summaries, max_size=6),
            refs=st.lists(we_summaries, min_size=1, max_size=4),
@@ -558,9 +592,25 @@ class TestExactEngineMatchesOracle:
         assert got == float(clipped_count(cand_units, ref_units))
         assert type(got) is float
 
-    @given(summary=summaries, variant=st.sampled_from(EXACT_VARIANTS))
-    def test_unit_stream_is_extract_units(self, summary, variant):
-        assert Counter(_unit_stream(summary, variant)) == extract_units(summary, variant)
+    @given(cand=cand_summaries, refs=st.lists(summaries, min_size=1, max_size=3),
+           variant=st.sampled_from(EXACT_VARIANTS), budget=st.sampled_from([0, 2**30]))
+    @settings(max_examples=200, deadline=None)
+    def test_unit_stream_is_extract_units(self, cand, refs, variant, budget):
+        # The engine's coded units, read back as words: each reference's
+        # counts row, and a candidate's columns, searched or gathered.
+        exact = _ExactRefs(refs, variant)
+        units = column_units(exact)
+        assert exact.counts.shape[1] == len(units) + 1
+        for row, ref in zip(exact.counts.tolist(), refs):
+            assert row[0] == 0
+            assert Counter({units[c]: k for c, k in enumerate(row) if k}) == extract_units(ref,
+                                                                                           variant)
+        assert exact.totals.tolist() == [extract_units(ref, variant).total() for ref in refs]
+        held = set(units.values())
+        cols, lengths = exact._columns([cand], budget)
+        assert Counter(units[c] for c in cols.ravel().tolist() if c) == Counter(
+            {unit: k for unit, k in extract_units(cand, variant).items() if unit in held})
+        assert exact._totals(lengths).tolist() == [extract_units(cand, variant).total()]
 
     @given(summary=summaries, variant=st.sampled_from(EXACT_VARIANTS))
     def test_extract_units_is_oracle_units(self, summary, variant):
@@ -583,11 +633,26 @@ class TestExactEdgeCases:
     def test_references_shorter_than_n(self):
         refs = [seq("a b"), seq("a"), seq("")]
         plan = TopicPlan(refs, RougeVariant.parse("rouge-3"), MatchFunction.exact())
-        assert plan.exact.columns == {}
-        assert plan.exact.counts.shape == (3, 1)
+        # No code reaches a unit's third word, so the sink is the only column.
+        assert column_units(plan.exact) == {}
+        assert plan.exact.counts.tolist() == [[0], [0], [0]]
         [score] = plan.score_many([seq("a b a b")])
         assert (score.recall, score.precision, score.soft_match_count) == (0.0, 0.0, 0.0)
         assert (score.ref_total, score.cand_total) == (0, 2)
+
+    def test_lookup_tables_follow_the_batch_budget(self):
+        # Seven bigram columns and a 7 x 7 int32 table (196 bytes): a batch
+        # of one has a 64-byte count matrix and searches, a batch of four
+        # has 256 bytes and gathers from the table, which stays.
+        refs = [seq("a b c d e f"), seq("b c a f")]
+        cands = [seq("a b c a f"), seq("x b c"), seq(""), seq("f e d c b a")]
+        plan = TopicPlan(refs, ROUGE_2, MatchFunction.exact())
+        expected = [oracle_rouge_score(cand, refs, ROUGE_2) for cand in cands]
+        assert plan.score_many(cands[:1]) == expected[:1]
+        assert plan.exact.tables == {}
+        assert plan.score_many(cands) == expected
+        assert [table.nbytes for table in plan.exact.tables.values()] == [196]
+        assert plan.score_many(cands[1:2]) == expected[1:2]
 
     def test_soft_overlap_counts_above_one(self):
         cand = Counter({("a",): 3, ("b",): 1, ("c", "d"): 2, ("e",): 4})
@@ -597,8 +662,8 @@ class TestExactEdgeCases:
 
     def test_columns_span_every_reference(self):
         plan = TopicPlan([seq("a b"), seq("c"), seq("c b")], ROUGE_1, MatchFunction.exact())
-        assert sorted(plan.exact.columns) == [("a",), ("b",), ("c",)]
-        assert plan.exact.counts[:, -1].tolist() == [0, 0, 0]
+        assert column_units(plan.exact) == {1: ("a",), 2: ("b",), 3: ("c",)}
+        assert plan.exact.counts.tolist() == [[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 1, 1]]
         assert plan.score_many([seq("c c")])[0].soft_match_count == (0 + 1 + 1) / 3
 
 
