@@ -169,13 +169,15 @@ class _ExactRefs:
     no reference has lands there and clips to 0.
 
     A level's rank is one gather from a dense int32 table over (prefix
-    rank, word id) once a batch's own count matrix is at least the table's
-    size, and a binary search in its keys until then. References and
-    candidates are coded by the same steps.
+    rank, word id) when the batch's own count matrix is at least the
+    table's size, and a binary search in its keys otherwise. A table is
+    made for one level's lookup and dropped after it, so a batch holds at
+    most one, never larger than its count matrix, whatever n is.
+    References and candidates are coded by the same steps.
     """
 
-    __slots__ = ("variant", "reach", "words", "base", "first", "keys", "tables", "width",
-                 "counts", "totals")
+    __slots__ = ("variant", "reach", "words", "base", "first", "keys", "width", "counts",
+                 "totals")
 
     def __init__(self, refs: Sequence[TokenSequence], variant: RougeVariant):
         self.variant = variant
@@ -188,7 +190,6 @@ class _ExactRefs:
         self.base = np.int64(len(self.words) + 1)
         self.first = self.base if variant.family == "su" else 1
         self.keys: list[np.ndarray] = []
-        self.tables: dict[int, np.ndarray] = {}
         cols, lengths = self._columns(refs, 0)
         # The sink and the word columns, or the sink and the last level's
         # ranks, after the word columns under ROUGE-SU.
@@ -207,15 +208,13 @@ class _ExactRefs:
             held = np.sort(codes[(codes >= self.base) & (codes % self.base > 0)])
             self.keys.append(np.append(held[np.diff(held, prepend=-1) > 0], _NO_CODE))
         keys = self.keys[level - 1]
-        table = self.tables.get(level)
-        if table is None:
-            # Prefix ranks run to the previous level's: word ids at level 1.
-            size = (self.base if level == 1 else len(self.keys[level - 2])) * self.base
-            if 4 * size > budget:
-                found = np.searchsorted(keys, codes)
-                return np.where(keys[found] == codes, found + self.first, 0)
-            table = self.tables[level] = np.zeros(size, dtype=np.int32)
-            table[keys[:-1]] = np.arange(self.first, self.first + len(keys) - 1)
+        # Prefix ranks run to the previous level's: word ids at level 1.
+        size = (self.base if level == 1 else len(self.keys[level - 2])) * self.base
+        if 4 * size > budget:
+            found = np.searchsorted(keys, codes)
+            return np.where(keys[found] == codes, found + self.first, 0)
+        table = np.zeros(size, dtype=np.int32)
+        table[keys[:-1]] = np.arange(self.first, self.first + len(keys) - 1)
         return table[codes]
 
     def _columns(self, seqs: Sequence[TokenSequence], budget: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,9 @@
 import logging
 import random
 import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +29,7 @@ from rougewe.rouge import ROUGE_1, ROUGE_2, MatchFunction, RougeVariant, rouge_s
 from rougewe.textpipe import tokenize
 
 from conftest import identity_table, make_table, sign_table, write_corpus
-from exact_oracle import oracle_rouge_score
+from exact_oracle import oracle_rouge_score, units
 
 R1 = MetricConfig(ROUGE_1)
 
@@ -432,35 +434,40 @@ class TestTopicPlanDifferential:
 
 class TestScoreCorpusMemory:
     def test_exact_batch_stays_near_two_count_matrices(self):
-        # Four long references with no word in common give the plan one
-        # column per distinct reference unit, and each of 51 systems draws
-        # 100 of their words. Scoring the batch needs its (systems x
-        # columns) counts and one clip buffer of that size; taking the
-        # minimum against every reference at once would hold four more, and
-        # so would a dense (word x word) lookup table: 8,001 x 8,001 int32
-        # entries are 256 MB.
+        # Scoring a batch needs its (systems x columns) counts and one clip
+        # buffer of that size; taking the minimum against every reference at
+        # once would hold four more. Four long references with no word in
+        # common give one column per distinct reference unit, and a dense
+        # (word x word) lookup table would be 8,001 x 8,001 int32 entries,
+        # 256 MB, so every level is searched, for the references and again
+        # for the systems. Over 30 words, four references as long hold about
+        # 8,000 distinct 4-grams but only about 900 bigrams and 7,000
+        # trigrams, so each level's table is below the count matrix: only
+        # the references search, and the systems gather, one table at a time.
         rng = random.Random(0)
         n_refs, ref_len, n_systems = 4, 2000, 51
-        refs = [(f"m{r}", " ".join(f"w{r * ref_len + i}" for i in range(ref_len)))
-                for r in range(n_refs)]
-        vocab = [word for _, text in refs for word in text.split()]
-        systems = [(f"s{k:02d}", " ".join(rng.choices(vocab, k=100))) for k in range(n_systems)]
-        units_per_ref = {
-            "rouge-1": ref_len,
-            "rouge-2": ref_len - 1,
-            "rouge-3": ref_len - 2,
-            # The words, then the pairs 1 to 5 words apart.
-            "rouge-su4": ref_len + sum(ref_len - gap for gap in range(1, 6)),
-        }
-        for name, units in units_per_ref.items():
-            matrix_bytes = n_systems * (n_refs * units + 1) * 8
-            tracemalloc.start()
-            try:
-                score_corpus([Topic("t1", refs, systems)], [MetricConfig(RougeVariant.parse(name))])
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+        disjoint = [(f"m{r}", " ".join(f"w{r * ref_len + i}" for i in range(ref_len)))
+                    for r in range(n_refs)]
+        few_words = [(f"m{r}", " ".join(rng.choices([f"w{i}" for i in range(30)], k=ref_len)))
+                     for r in range(n_refs)]
+        cases = [(disjoint, "rouge-1", 0), (disjoint, "rouge-2", 2), (disjoint, "rouge-3", 4),
+                 (disjoint, "rouge-su4", 2), (few_words, "rouge-4", 3)]
+        for refs, name, searches in cases:
+            variant = RougeVariant.parse(name)
+            vocab = [word for _, text in refs for word in text.split()]
+            systems = [(f"s{k:02d}", " ".join(rng.choices(vocab, k=100)))
+                       for k in range(n_systems)]
+            columns = 1 + len(set().union(*(units(tokenize(text), variant) for _, text in refs)))
+            matrix_bytes = n_systems * columns * 8
+            with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
+                tracemalloc.start()
+                try:
+                    score_corpus([Topic("t1", refs, systems)], [MetricConfig(variant)])
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
             assert peak < 4 * matrix_bytes, name
+            assert search.call_count == searches, name
 
 
 class TestMetaEvaluate:

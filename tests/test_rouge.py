@@ -3,6 +3,7 @@ from collections import Counter
 from functools import reduce
 from operator import xor
 from statistics import fmean
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -562,9 +563,8 @@ class TestExactEngineMatchesOracle:
            multiref=st.sampled_from(["average", "jackknife"]))
     @settings(max_examples=300, deadline=None)
     def test_score_many(self, cands, refs, variant, multiref):
-        # A batch's count matrix sets the budget for the dense lookup tables,
-        # which stay once built: batches of one mostly search, and then the
-        # whole batch mostly builds them.
+        # A batch's count matrix sets the budget for the dense lookup tables:
+        # batches of one mostly search, and the whole batch mostly gathers.
         plan = TopicPlan(refs, variant, MatchFunction.exact(), multiref)
         expected = [oracle_rouge_score(cand, refs, variant, multiref) for cand in cands]
         assert [plan.score_many([cand])[0] for cand in cands] == expected
@@ -643,16 +643,18 @@ class TestExactEdgeCases:
     def test_lookup_tables_follow_the_batch_budget(self):
         # Seven bigram columns and a 7 x 7 int32 table (196 bytes): a batch
         # of one has a 64-byte count matrix and searches, a batch of four
-        # has 256 bytes and gathers from the table, which stays.
+        # has 256 bytes and gathers from a table made for that batch.
         refs = [seq("a b c d e f"), seq("b c a f")]
         cands = [seq("a b c a f"), seq("x b c"), seq(""), seq("f e d c b a")]
         plan = TopicPlan(refs, ROUGE_2, MatchFunction.exact())
         expected = [oracle_rouge_score(cand, refs, ROUGE_2) for cand in cands]
-        assert plan.score_many(cands[:1]) == expected[:1]
-        assert plan.exact.tables == {}
-        assert plan.score_many(cands) == expected
-        assert [table.nbytes for table in plan.exact.tables.values()] == [196]
-        assert plan.score_many(cands[1:2]) == expected[1:2]
+        with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
+            assert plan.score_many(cands[:1]) == expected[:1]
+            assert search.call_count == 1
+            assert plan.score_many(cands) == expected
+            assert search.call_count == 1
+            assert plan.score_many(cands[1:2]) == expected[1:2]
+            assert search.call_count == 2
 
     def test_soft_overlap_counts_above_one(self):
         cand = Counter({("a",): 3, ("b",): 1, ("c", "d"): 2, ("e",): 4})
