@@ -38,7 +38,7 @@ import logging
 import os
 import re
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Sequence
@@ -133,32 +133,30 @@ class EmbeddingTable:
         product.setflags(write=False)
         return product
 
-    def compose_many(self, units: Sequence[Sequence[str]]) -> tuple[np.ndarray, np.ndarray]:
+    def rows(self, words: Collection[str]) -> np.ndarray:
+        """Each word's row of the matrix, -1 for a word the table lacks."""
+        return np.fromiter(map(self._index.get, words, repeat(-1)), np.intp, len(words))
+
+    def compose_many(self, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``compose`` of many units of one length at once, as float64 rows.
 
-        Returns the composed rows of the units that compose, in unit order,
-        and a boolean mask of those units; the units it leaves out are those
+        ``units`` holds each unit's words as their ``rows``, one unit a row,
+        in sorted word order, as ``compose`` multiplies them. Returns the
+        composed rows of the units that compose, in unit order, and a
+        boolean mask of those units; the units it leaves out are those
         ``compose`` returns None for, and each row is bitwise ``compose``'s
         vector (upcast from float32 for a single word). The rows are gathered
-        once per constituent position, with each unit's words sorted as
-        ``compose`` sorts them, and multiplied in that order. A product of
-        two float32 factors is exact in float64, so a product of up to three
-        is rounded once whatever their order, and only units of four or more
-        words are sorted. Each norm is a one-by-one matrix product of a
-        row with itself, which calls the same BLAS dot that
-        ``np.linalg.norm`` calls for one vector.
+        once per constituent position and multiplied in that order. Each
+        norm is a one-by-one matrix product of a row with itself, which calls
+        the same BLAS dot that ``np.linalg.norm`` calls for one vector.
         """
-        length = len(units[0]) if units else 1
-        words = chain.from_iterable(units if length <= 3 else map(sorted, units))
-        ids = np.fromiter(map(self._index.get, words, repeat(-1)), np.intp,
-                          len(units) * length).reshape(len(units), length)
-        known = (ids >= 0).all(axis=1)
-        ids = ids[known]
-        rows = self._matrix[ids[:, 0]].astype(np.float64)
-        if length == 1:
+        known = (units >= 0).all(axis=1)
+        units = units[known]
+        rows = self._matrix[units[:, 0]].astype(np.float64)
+        if units.shape[1] == 1:
             return rows, known
-        for k in range(1, length):
-            rows *= self._matrix[ids[:, k]]
+        for k in range(1, units.shape[1]):
+            rows *= self._matrix[units[:, k]]
         norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
         usable = ~(norms < ZERO_NORM_TOLERANCE)
         if not usable.all():

@@ -5,27 +5,28 @@ replace the 0/1 word-identity test with cosine similarity of composed
 n-gram vectors, scored through a greedy one-to-one soft assignment.
 Matching never crosses unit types: unigrams pair with unigrams, bigrams
 with bigrams, so the embedding metrics reduce exactly to the classic ones
-when the similarity degenerates to an identity test. Scoring works on
-prepared references. Under exact matching, units are integer codes built
-from the references' word ids, and the references are one count matrix
-over the codes they hold; a whole batch of candidates is coded by the
-same steps, finds its columns by a table gather or a binary search, and
-is counted and clipped against it at once. Under embedding matching,
-units are word tuples: each summary's units and their composed vectors
-are set up once and then scored against any number of other summaries.
-A side's unit vectors are composed one length at a time, in one gather
-and product per length partition (``EmbeddingTable.compose_many``). A ``TopicPlan`` holds one
-topic's prepared references and scores a batch of candidates in one
-``score_many`` call, whose per-reference counts become recall, precision
-and f1 as arrays; a candidate's score does not depend on the rest of its
-batch. The per-pair reference definitions are the test suite's oracles.
+when the similarity degenerates to an identity test. Both kinds find
+units the same way: as integer codes built from the summaries' word ids,
+counted into one matrix over the codes the summaries hold, whose columns
+run in sorted word-tuple order within each unit length. Under exact
+matching the references are coded once, and a whole batch of candidates
+is coded by the same steps, finds its columns by a table gather or a
+binary search, and is counted and clipped against them at once. Under
+embedding matching the references and the batch are coded together; each
+unit length's columns are read back as word ids, their table rows looked
+up once, and each side's vectors composed in one gather and product
+(``EmbeddingTable.compose_many``). A ``TopicPlan`` holds one topic's
+references and scores a batch of candidates in one ``score_many`` call,
+whose per-reference counts become recall, precision and f1 as arrays; a
+candidate's score does not depend on the rest of its batch. The per-pair
+reference definitions are the test suite's oracles.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from math import fsum
 from typing import Sequence
 
@@ -116,7 +117,8 @@ ROUGE_SU4 = RougeVariant(family="su", max_skip=4)
 
 def extract_units(seq: TokenSequence, variant: RougeVariant) -> Units:
     """The units a variant scores over, one count per occurrence: n-grams,
-    or for ROUGE-SU skip-bigrams pooled with unigrams."""
+    or for ROUGE-SU skip-bigrams pooled with unigrams. Scoring never calls
+    it: ``_UnitCodes`` finds the same units as integer codes."""
     if variant.family == "n":
         return extract_ngrams(seq, variant.n)
     units = extract_skip_bigrams(seq, variant.max_skip)
@@ -134,63 +136,46 @@ class RougeScore:
     cand_total: int
 
 
-class _Partition:
-    """The units of one length on one side, set up for embedding matching.
+class _UnitCodes:
+    """Summaries' units coded as integers, and one count matrix over the
+    codes they hold: the one unit coder of both kinds of matching.
 
-    Groups are (words, count) pairs sorted by words; their order is the
-    assignment's tie-break. ``matrix`` holds the float64 rows of the groups
-    that compose to a vector, in group order, all composed in one
-    ``EmbeddingTable.compose_many`` pass, and ``counts`` their counts;
-    ``oov`` maps the words of the other, out-of-vocabulary groups to theirs.
-    """
-
-    __slots__ = ("counts", "matrix", "oov")
-
-    def __init__(self, groups: list[tuple[tuple[str, ...], int]], table: EmbeddingTable):
-        self.matrix, known = table.compose_many([words for words, _ in groups])
-        self.counts = np.array([count for _, count in groups])[known]
-        self.oov = dict(compress(groups, ~known))
-
-
-class _ExactRefs:
-    """References set up for exact matching: their units coded as integers,
-    and one count matrix over the codes they hold.
-
-    ``words`` numbers the references' words from 1; 0 is a word in no
-    reference. A unit is coded one word at a time: its first word's id is
-    its first rank, and each next word makes the code ``rank * base +
-    word id``, whose rank is its place in that level's ``keys`` (the sorted
-    codes the references hold, closed by a sentinel) counted from
-    ``first``, or 0 when no reference holds it. A code stays below (ranks +
+    ``words`` numbers the summaries' words from 1 in sorted order; 0 is a
+    word in none of them. A unit is coded one word at a time: its first
+    word's id is its first rank, and each next word makes the code ``rank *
+    base + word id``, whose rank is its place in that level's ``keys`` (the
+    sorted codes the summaries hold, closed by a sentinel) counted from
+    ``first``, or 0 when no summary holds it. A code stays below (ranks +
     1) * base, so it fits in int64 for any n. A unit's column is its last
     rank: a unigram's is its word id, and a longer unit's comes after the
-    word columns under ROUGE-SU. Row i of ``counts`` is reference i's count
-    in each column; column 0, the sink, is 0 for every reference, so a unit
-    no reference has lands there and clips to 0.
+    word columns under ROUGE-SU. So each unit length's columns run in
+    sorted word-tuple order, the assignment's tie-break. Row i of
+    ``counts`` is summary i's count in each column; column 0, the sink, is
+    0 for every summary, so a unit no summary has lands there and clips to 0.
 
-    A level's rank is one gather from a dense int32 table over (prefix
-    rank, word id) when the batch's own count matrix is at least the
-    table's size, and a binary search in its keys otherwise. A table is
-    made for one level's lookup and dropped after it, so a batch holds at
-    most one, never larger than its count matrix, whatever n is.
-    References and candidates are coded by the same steps.
+    Candidates are coded against the keys by the same steps. A level's rank
+    is one gather from a dense int32 table over (prefix rank, word id) when
+    the batch's own count matrix is at least the table's size, and a binary
+    search in its keys otherwise. A table is made for one level's lookup
+    and dropped after it, so a batch holds at most one, never larger than
+    its count matrix. No unit outgrows the longest summary coded, and
+    neither do the levels walked or the pads between summaries, whatever
+    n or the skip distance.
     """
 
     __slots__ = ("variant", "reach", "words", "base", "first", "keys", "width", "counts",
                  "totals")
 
-    def __init__(self, refs: Sequence[TokenSequence], variant: RougeVariant):
+    def __init__(self, summaries: Sequence[TokenSequence], variant: RougeVariant):
         self.variant = variant
         # How far past its first word a unit reaches.
         self.reach = variant.n - 1 if variant.family == "n" else variant.max_skip + 1
-        self.words: dict[str, int] = {}
-        for ref in refs:
-            for word in ref.tokens:
-                self.words.setdefault(word, len(self.words) + 1)
-        self.base = np.int64(len(self.words) + 1)
+        vocabulary = sorted(set(chain.from_iterable(seq.tokens for seq in summaries)))
+        self.words = dict(zip(vocabulary, range(1, len(vocabulary) + 1)))
+        self.base = np.int64(len(vocabulary) + 1)
         self.first = self.base if variant.family == "su" else 1
         self.keys: list[np.ndarray] = []
-        cols, lengths = self._columns(refs, 0)
+        cols, lengths = self._columns(summaries, 0)
         # The sink and the word columns, or the sink and the last level's
         # ranks, after the word columns under ROUGE-SU.
         self.width = int(self.first - 1 + len(self.keys[-1]) if self.keys else self.base)
@@ -200,8 +185,8 @@ class _ExactRefs:
 
     def _rank(self, level: int, codes: np.ndarray, budget: int) -> np.ndarray:
         """Each code's rank at ``level`` (the unit's word ``level``, from 0),
-        0 for a code no reference holds. The first codes to reach a level
-        are the references', and they make its keys."""
+        0 for a code no summary holds. The first codes to reach a level
+        are the coder's own summaries', and they make its keys."""
         if level > len(self.keys):
             # Sorted and deduplicated by hand: under numpy 2.4, np.unique's
             # hash path costs about 1.5 MB of resident memory on first use.
@@ -217,40 +202,66 @@ class _ExactRefs:
         table[keys[:-1]] = np.arange(self.first, self.first + len(keys) - 1)
         return table[codes]
 
+    def _pad(self, lengths: np.ndarray) -> int:
+        """The zeros that follow each summary: enough that no unit window
+        spans two summaries, and no more than the longest summary."""
+        return min(self.reach, int(lengths.max(initial=0)))
+
     def _columns(self, seqs: Sequence[TokenSequence], budget: int) -> tuple[np.ndarray, np.ndarray]:
         """The column of every unit window of ``seqs``, as a (windows per
         position × positions) array, and each summary's length.
 
         The summaries' word ids are laid end to end in one array, each
-        followed by ``reach`` zeros, so no window spans two summaries: a
+        followed by ``_pad`` zeros, so no window spans two summaries: a
         window that runs past its summary's end holds a 0 and lands in the
-        sink. A position belongs to the summary it starts in.
+        sink. A position belongs to the summary it starts in. The walk
+        through the levels stops once no window is held, which is at the
+        latest at the longest summary's length.
         """
-        get, pad = self.words.get, (0,) * self.reach
+        lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
+        get, pad = self.words.get, (0,) * self._pad(lengths)
         ids = np.fromiter(chain.from_iterable(chain(map(get, seq.tokens, repeat(0)), pad)
                                               for seq in seqs), np.int64)
-        lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
-        n = max(len(ids) - self.reach, 0)
+        n = len(ids) - len(pad)
         rank = ids[:n]
         if self.variant.family == "n":
             for level in range(1, self.variant.n):
+                if not rank.any():
+                    break
                 rank = self._rank(level, rank * self.base + ids[level:level + n], budget)
             return rank[None], lengths
-        pairs = np.stack([ids[skip:skip + n] for skip in range(1, self.reach + 1)])
-        return np.vstack([rank, self._rank(1, rank * self.base + pairs, budget)]), lengths
+        pairs = np.array([ids[skip:skip + n] for skip in range(1, len(pad) + 1)], np.int64)
+        codes = rank * self.base + pairs.reshape(len(pad), n)
+        return np.vstack([rank, self._rank(1, codes, budget)]), lengths
 
     def _count(self, cols: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """Each summary's count in each column, a (summaries × columns) matrix
         made by one ``np.bincount``."""
         rows = np.repeat(np.arange(0, len(lengths) * self.width, self.width),
-                         lengths + self.reach)[:cols.shape[1]]
+                         lengths + self._pad(lengths))[:cols.shape[1]]
         return np.bincount((cols + rows).ravel(), minlength=len(lengths) * self.width
                            ).reshape(len(lengths), self.width)
 
     def _totals(self, lengths: np.ndarray) -> np.ndarray:
-        """Each summary's unit total, from its length."""
-        spans = [self.reach] if self.variant.family == "n" else range(self.reach + 1)
-        return np.maximum(lengths[:, None] - np.array(spans), 0).sum(axis=1)
+        """Each summary's unit total, from its length: its n-grams, or its
+        unigrams and the pairs within ``max_skip + 1`` places."""
+        if self.variant.family == "n":
+            return np.maximum(lengths - self.reach, 0)
+        starts = np.minimum(lengths, self.reach + 1)  # offsets 0, 1, ... that fit
+        return starts * lengths - starts * (starts - 1) // 2
+
+    def spans(self) -> list[tuple[int, np.ndarray]]:
+        """Each unit length's first column and its units' word ids, one
+        column a row in column order: under ROUGE-SU the unigrams, then
+        the skip-bigrams. Each level's keys are read back by one
+        ``divmod`` into the prefix's rank and the last word's id."""
+        words = np.arange(1, self.base)[:, None]
+        spans = [(1, words)] if self.variant.family == "su" else []
+        for keys in self.keys:
+            prefix, last = divmod(keys[:-1], self.base)
+            # A prefix's rank counts from 1: a word id, or an n-gram's column.
+            words = np.column_stack([words[prefix - 1], last])
+        return spans + [(int(self.first), words)]
 
     def overlaps(self, cands: Sequence[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
         """Each candidate's clipped count against each reference, as a
@@ -269,25 +280,6 @@ class _ExactRefs:
             np.minimum(cand_counts, ref_counts, out=clipped)
             clipped.sum(axis=1, out=overlap)
         return overlaps.T, self._totals(lengths)
-
-
-class _PreparedSide:
-    """One summary's units under embedding matching, set up once to be
-    scored against any number of other summaries.
-
-    Holds the units' total and one ``_Partition`` per unit length, in
-    ascending length order.
-    """
-
-    __slots__ = ("total", "partitions")
-
-    def __init__(self, units: Units, table: EmbeddingTable):
-        self.total = units.total()
-        by_length: dict[int, list[tuple[tuple[str, ...], int]]] = {}
-        for words, count in units.items():
-            by_length.setdefault(len(words), []).append((words, count))
-        self.partitions = {length: _Partition(sorted(groups), table)
-                           for length, groups in sorted(by_length.items())}
 
 
 def _greedy_assign(sims: np.ndarray, ref_counts: np.ndarray, cand_counts: np.ndarray,
@@ -348,26 +340,14 @@ def _greedy_assign(sims: np.ndarray, ref_counts: np.ndarray, cand_counts: np.nda
     return total
 
 
-def _overlap(cand: _PreparedSide, ref: _PreparedSide, match: MatchFunction) -> float:
-    """Soft match count of two sides prepared for embedding matching: per
-    unit length, the greedy assignment over their units' clipped cosines."""
-    total = 0.0
-    for length, rp in ref.partitions.items():
-        cp = cand.partitions.get(length)
-        if cp is None:
-            continue
-        # An out-of-vocabulary unit has similarity 0 to every other unit, or,
-        # under exact-fallback, 1 to the same words when they are out of
-        # vocabulary too. Such a pair shares its row and column with no other
-        # positive pair, so it is matched in full outside the matrix.
-        matched = 0
-        if match.oov_policy == "exact-fallback":
-            matched = sum(min(rp.oov[words], cp.oov[words])
-                          for words in rp.oov.keys() & cp.oov.keys())
-        sims = rp.matrix @ cp.matrix.T
-        np.clip(sims, 0.0, 1.0, out=sims)
-        total += _greedy_assign(sims, rp.counts, cp.counts, matched)
-    return total
+def _side(units: np.ndarray, counts: np.ndarray, table: EmbeddingTable) -> tuple:
+    """A summary's units of one length, from its ``counts`` in columns whose
+    units have the table rows ``units``: the composed rows of those it holds
+    that compose, in column order, their counts, and the other (out of
+    vocabulary) columns it holds."""
+    held = np.flatnonzero(counts)
+    matrix, known = table.compose_many(units[held])
+    return matrix, counts[held[known]], held[~known]
 
 
 def _row_means(values: np.ndarray) -> list[float]:
@@ -414,20 +394,18 @@ def _combine(soft: np.ndarray, ref_totals: np.ndarray, cand_totals: np.ndarray,
 
 
 class TopicPlan:
-    """One topic's references prepared once under one metric; scores
-    candidates against them, all of a batch in one pass.
+    """One topic's references under one metric; scores candidates against
+    them, all of a batch in one pass.
 
-    The references are set up at construction. Under exact matching a
-    ``score_many`` call codes every candidate's units as integers at once,
-    finds their columns in the references' codes (by a dense table once
-    the batch's count matrix is at least the table's size, by binary
-    search until then), counts them into one (candidates × columns)
-    matrix, and clips it against each reference in one step.
-    Under embedding matching it prepares each candidate's side once, one
-    ``compose_many`` pass per unit length, so a pair costs only its
-    product, clip, shared-OOV count and assignment per length. Either
-    way the per-reference scores of the whole batch are combined as
-    arrays, and each candidate's score is bitwise that of a batch of one.
+    Under exact matching the references are coded at construction, and a
+    ``score_many`` call codes the batch against their codes at once,
+    counts it into one (candidates × columns) matrix, and clips it against
+    each reference in one step. Under embedding matching a ``score_many``
+    call codes the references and the batch together. Per unit length it
+    looks up each word's table row once and composes each reference's units
+    once and each candidate's in turn; a pair costs its product, clip,
+    shared-OOV count and assignment. Either way the whole batch's scores are
+    combined as arrays, and each is bitwise that of a batch of one.
     """
 
     def __init__(
@@ -444,28 +422,40 @@ class TopicPlan:
         self.variant = variant
         self.match = match
         self.multiref = multiref
-        if match.kind == "exact":
-            self.exact = _ExactRefs(refs, variant)
-            self.ref_totals = self.exact.totals
-        else:
-            self.refs = [_PreparedSide(extract_units(ref, variant), match.table) for ref in refs]
-            self.ref_totals = np.array([side.total for side in self.refs], dtype=np.int64)
+        self.refs = list(refs)
+        self.codes = _UnitCodes(refs, variant) if match.kind == "exact" else None
 
     def score_many(self, cands: Sequence[TokenSequence]) -> list[RougeScore]:
         """Score each candidate against every reference, combined per the
         multiref policy (see ``rouge_score``); one score per candidate, in
         order."""
         if self.match.kind == "exact":
-            overlaps, cand_totals = self.exact.overlaps(cands)
-            soft = overlaps.astype(np.float64)
-        else:
-            soft = np.empty((len(cands), len(self.refs)))
-            cand_totals = np.empty(len(cands), dtype=np.int64)
-            for i, cand in enumerate(cands):
-                side = _PreparedSide(extract_units(cand, self.variant), self.match.table)
-                soft[i] = [_overlap(side, ref, self.match) for ref in self.refs]
-                cand_totals[i] = side.total
-        return _combine(soft, self.ref_totals, cand_totals, self.multiref)
+            overlaps, cand_totals = self.codes.overlaps(cands)
+            return _combine(overlaps.astype(np.float64), self.codes.totals, cand_totals,
+                            self.multiref)
+        codes = _UnitCodes([*self.refs, *cands], self.variant)
+        table = self.match.table
+        fallback = self.match.oov_policy == "exact-fallback"
+        # Each word id's table row; the ids of a unit, sorted, are its words
+        # in sorted order, as ``compose`` multiplies them.
+        rows = np.append(-1, table.rows(codes.words))
+        n_refs = len(self.refs)
+        soft = np.zeros((len(cands), n_refs))
+        for first, words in codes.spans():
+            units = rows[np.sort(words, axis=1)]
+            counts = codes.counts[:, first:first + len(units)]
+            refs = [_side(units, ref_counts, table) for ref_counts in counts[:n_refs]]
+            for cand_counts, pair_soft in zip(counts[n_refs:], soft):
+                matrix, held, _ = _side(units, cand_counts, table)
+                for i, (ref_matrix, ref_held, oov) in enumerate(refs):
+                    # An out-of-vocabulary unit is similar 0 to every other
+                    # unit, or under exact-fallback 1 to itself: such pairs
+                    # share no row or column, so they match outside ``sims``.
+                    matched = np.minimum(counts[i, oov], cand_counts[oov]).sum() if fallback else 0
+                    sims = ref_matrix @ matrix.T
+                    np.clip(sims, 0.0, 1.0, out=sims)
+                    pair_soft[i] += _greedy_assign(sims, ref_held, held, matched)
+        return _combine(soft, codes.totals[:n_refs], codes.totals[n_refs:], self.multiref)
 
 
 def rouge_score(

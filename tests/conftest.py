@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rougewe.embeddings import EmbeddingTable, _TableBuilder
-from rougewe.rouge import MatchFunction, RougeVariant, _ExactRefs, _overlap, _PreparedSide
+from rougewe.rouge import MatchFunction, RougeVariant, TopicPlan
 from rougewe.textpipe import TokenSequence, Units
 
 
@@ -25,20 +25,16 @@ def joined_units(units: Units, length: int, joint: str) -> TokenSequence:
 
 def soft_overlap(cand: Units, ref: Units, match: MatchFunction) -> float:
     """Soft match count of two unit multisets, through the engine's own
-    steps. Under exact matching, per unit length n, ``cand``'s units of
-    that length are clipped against ``ref``'s by a one-reference
-    ``_ExactRefs`` under ROUGE-n, each side laid out by ``joined_units``
-    with a joint word the other side never holds, so only the units
-    themselves can match. Under embedding matching ``_overlap`` runs on
-    the two sides, each set up as a ``_PreparedSide``."""
-    if match.kind == "exact":
-        total = 0
-        for n in set(map(len, cand)) & set(map(len, ref)):
-            exact = _ExactRefs([joined_units(ref, n, "\0ref")], RougeVariant("n", n))
-            overlaps, _ = exact.overlaps([joined_units(cand, n, "\0cand")])
-            total += int(overlaps[0, 0])
-        return float(total)
-    return _overlap(_PreparedSide(cand, match.table), _PreparedSide(ref, match.table), match)
+    steps: per unit length n, in ascending order, ``cand``'s units of that
+    length are scored against ``ref``'s by a one-reference ``TopicPlan``
+    under ROUGE-n, each side laid out by ``joined_units`` with a joint word
+    the other side never holds and no table holds, so only the units
+    themselves can match."""
+    total = 0.0
+    for n in sorted(set(map(len, cand)) & set(map(len, ref))):
+        plan = TopicPlan([joined_units(ref, n, "\0ref")], RougeVariant("n", n), match)
+        total += plan.score_many([joined_units(cand, n, "\0cand")])[0].soft_match_count
+    return total
 
 
 def save_binary(table: EmbeddingTable, path: Path) -> None:

@@ -1,7 +1,7 @@
 """Sequential greedy soft assignment: the reference the engine is checked against.
 
-The engine (``rouge._overlap`` through ``_greedy_assign``, reached in tests
-through ``conftest.soft_overlap``) computes the embedding assignment in
+The engine (``TopicPlan.score_many`` through ``_greedy_assign``, reached in
+tests through ``conftest.soft_overlap``) computes the embedding assignment in
 rounds of locally dominant pairs over a similarity matrix; this module keeps
 the plain best-first loop over an arbitrary pair-similarity callable, and
 the scalar pair similarity of a ``MatchFunction``, so tests can compare the

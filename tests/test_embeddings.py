@@ -320,11 +320,13 @@ class TestComposeMany:
     @settings(max_examples=150, deadline=None)
     def test_matches_compose(self, table, length, data):
         # "missing" is never in the table; repeated words such as (p, p) are
-        # drawn too. Four words is the shortest unit whose factor order can
-        # change a bit of the product.
+        # drawn too. Each unit's rows go in sorted word order, the order
+        # ``compose`` multiplies in; four words is the shortest unit whose
+        # factor order can change a bit of the product.
         word = st.sampled_from(COMPOSE_WORDS + ["missing"])
         units = data.draw(st.lists(st.tuples(*[word] * length), max_size=10))
-        rows, known = table.compose_many(units)
+        ids = np.array([table.rows(sorted(unit)) for unit in units], np.intp)
+        rows, known = table.compose_many(ids.reshape(len(units), length))
         expected = [table.compose(unit) for unit in units]
         assert known.tolist() == [vec is not None for vec in expected]
         assert rows.dtype == np.float64 and rows.shape == (int(known.sum()), table.dim)

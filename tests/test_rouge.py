@@ -1,6 +1,9 @@
 import dataclasses
+import random
+import tracemalloc
 from collections import Counter
 from functools import reduce
+from itertools import accumulate
 from operator import xor
 from statistics import fmean
 from unittest import mock
@@ -20,7 +23,7 @@ from rougewe.rouge import (
     TopicPlan,
     _combine,
     _greedy_assign,
-    _ExactRefs,
+    _UnitCodes,
     _row_means,
     extract_units,
     rouge_score,
@@ -261,6 +264,25 @@ class TestEngineMatchesSequentialGreedy:
         assert got == expected
         for arg, copy in zip(args, before):
             assert np.array_equal(arg, copy)
+
+class TestTieBreak:
+    """Equal similarities are taken in sorted word-tuple order of the
+    reference's units, then the candidate's, whatever order the words come
+    in. Under these +-1/2 sign vectors x, p and q are similar 0.5 to each
+    other, and so are y and p, but y and q are not: taking (x, p) first
+    leaves (y, q) at 0, while taking (x, q) first leaves (y, p) at 0.5."""
+
+    TABLE = make_table({"p": [0.5, 0.5, 0.5, -0.5], "q": [0.5, 0.5, -0.5, 0.5],
+                        "x": [0.5, 0.5, 0.5, 0.5], "y": [0.5, -0.5, 0.5, -0.5]})
+
+    @pytest.mark.parametrize("cand, ref", [("q p", "x y"), ("y x", "q p"), ("p q", "y x")])
+    def test_groups_are_taken_in_sorted_order(self, cand, ref):
+        match = MatchFunction.we(self.TABLE)
+        [score] = TopicPlan([seq(ref)], ROUGE_1, match).score_many([seq(cand)])
+        assert score.soft_match_count == 0.5
+        assert greedy_soft_overlap(extract_units(seq(cand), ROUGE_1),
+                                   extract_units(seq(ref), ROUGE_1), pair_similarity(match)) == 0.5
+
 
 class TestRougeVariant:
     @pytest.mark.parametrize("name,family,value", [
@@ -533,7 +555,7 @@ we_summaries = st.lists(st.sampled_from(UNIT_WORDS), max_size=6).map(
     lambda w: TokenSequence(tuple(w)))
 
 
-def column_units(exact: _ExactRefs) -> dict[int, tuple[str, ...]]:
+def column_units(exact: _UnitCodes) -> dict[int, tuple[str, ...]]:
     """Each column of an exact engine but the sink, read back from its codes
     as the word tuple it counts."""
     names = dict(enumerate(exact.words, 1))
@@ -598,7 +620,7 @@ class TestExactEngineMatchesOracle:
     def test_unit_stream_is_extract_units(self, cand, refs, variant, budget):
         # The engine's coded units, read back as words: each reference's
         # counts row, and a candidate's columns, searched or gathered.
-        exact = _ExactRefs(refs, variant)
+        exact = _UnitCodes(refs, variant)
         units = column_units(exact)
         assert exact.counts.shape[1] == len(units) + 1
         for row, ref in zip(exact.counts.tolist(), refs):
@@ -611,6 +633,25 @@ class TestExactEngineMatchesOracle:
         assert Counter(units[c] for c in cols.ravel().tolist() if c) == Counter(
             {unit: k for unit, k in extract_units(cand, variant).items() if unit in held})
         assert exact._totals(lengths).tolist() == [extract_units(cand, variant).total()]
+        # Coded together, as embedding matching codes them, every unit has a
+        # column, and each unit length's columns read back through the
+        # vocabulary in sorted word-tuple order.
+        summaries = [*refs, cand]
+        joint = _UnitCodes(summaries, variant)
+        vocabulary = list(joint.words)
+        assert vocabulary == sorted(set().union(*map(set, summaries)))
+        spans = joint.spans()
+        assert [first for first, _ in spans] + [joint.width] == list(
+            accumulate([len(words) for _, words in spans], initial=1))
+        for row, summary in zip(joint.counts, summaries):
+            found = Counter()
+            for first, words in spans:
+                held = np.flatnonzero(row[first:first + len(words)])
+                tuples = [tuple(vocabulary[w - 1] for w in unit) for unit in words[held].tolist()]
+                assert tuples == sorted(tuples)
+                found.update(dict(zip(tuples, row[first + held].tolist())))
+            assert found == extract_units(summary, variant)
+        assert joint.totals.tolist() == [extract_units(s, variant).total() for s in summaries]
 
     @given(summary=summaries, variant=st.sampled_from(EXACT_VARIANTS))
     def test_extract_units_is_oracle_units(self, summary, variant):
@@ -634,8 +675,8 @@ class TestExactEdgeCases:
         refs = [seq("a b"), seq("a"), seq("")]
         plan = TopicPlan(refs, RougeVariant.parse("rouge-3"), MatchFunction.exact())
         # No code reaches a unit's third word, so the sink is the only column.
-        assert column_units(plan.exact) == {}
-        assert plan.exact.counts.tolist() == [[0], [0], [0]]
+        assert column_units(plan.codes) == {}
+        assert plan.codes.counts.tolist() == [[0], [0], [0]]
         [score] = plan.score_many([seq("a b a b")])
         assert (score.recall, score.precision, score.soft_match_count) == (0.0, 0.0, 0.0)
         assert (score.ref_total, score.cand_total) == (0, 2)
@@ -664,9 +705,40 @@ class TestExactEdgeCases:
 
     def test_columns_span_every_reference(self):
         plan = TopicPlan([seq("a b"), seq("c"), seq("c b")], ROUGE_1, MatchFunction.exact())
-        assert column_units(plan.exact) == {1: ("a",), 2: ("b",), 3: ("c",)}
-        assert plan.exact.counts.tolist() == [[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 1, 1]]
+        assert column_units(plan.codes) == {1: ("a",), 2: ("b",), 3: ("c",)}
+        assert plan.codes.counts.tolist() == [[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 1, 1]]
         assert plan.score_many([seq("c c")])[0].soft_match_count == (0 + 1 + 1) / 3
+
+
+class TestCostFollowsText:
+    """No unit is longer than the longest summary, so a skip distance or an
+    n past it changes neither the scores nor the memory scoring takes."""
+
+    @pytest.mark.parametrize("match, longest, n_cands", [("exact", 60, 20), ("we", 20, 4)])
+    @pytest.mark.parametrize("family", ["su", "n"])
+    def test_variants_past_the_longest_summary(self, match, longest, n_cands, family):
+        words = [f"w{i}" for i in range(40)]
+        matcher = (MatchFunction.exact() if match == "exact"
+                   else MatchFunction.we(sign_table(0, words), oov_policy="exact-fallback"))
+        rng = random.Random(0)
+        texts = [rng.choices(words, k=rng.randint(longest // 2, longest))
+                 for _ in range(3 + n_cands)] + [rng.choices(words, k=longest)]
+        refs, cands = ([TokenSequence(tuple(text)) for text in part]
+                       for part in (texts[-4:], texts[:-4]))
+        # Every skip-bigram of a summary is within ``longest`` places; no
+        # summary holds an n-gram past ``longest`` words.
+        names = ((f"rouge-su{longest}", f"rouge-su{4 * longest}") if family == "su"
+                 else (f"rouge-{longest + 1}", f"rouge-{4 * longest}"))
+        scores, peaks = [], []
+        for name in names:
+            tracemalloc.start()
+            try:
+                scores.append(TopicPlan(refs, RougeVariant.parse(name), matcher).score_many(cands))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert scores[0] == scores[1]
+        assert peaks[1] < 1.25 * peaks[0] + 16 * 1024
 
 
 class TestMeanScores:
