@@ -28,7 +28,7 @@ from .correlation import (
 )
 from .embeddings import EmbeddingTable
 from .rouge import MULTIREF_POLICIES, OOV_POLICIES, MatchFunction, RougeVariant, TopicPlan
-from .textpipe import DEFAULT_CONFIG, TokenizeConfig, read_text, tokenize
+from .textpipe import DEFAULT_CONFIG, TokenizeConfig, encode, read_text
 
 logger = logging.getLogger(__name__)
 
@@ -195,12 +195,17 @@ def load_judgments(path: str | Path) -> HumanJudgments:
     return HumanJudgments(scores)
 
 
+def _texts(topics: Sequence[Topic]) -> list[str]:
+    """Every summary's text, each topic's models and then its systems."""
+    return [text for t in topics for _, text in (*t.model_summaries, *t.system_summaries)]
+
+
 def corpus_vocabulary(topics: Sequence[Topic],
-                      tokenize_config: TokenizeConfig = DEFAULT_CONFIG) -> set[str]:
-    """Every token of the corpus's summaries under ``tokenize_config``: the
-    only words that scoring the corpus looks up in an embedding table."""
-    return {token for t in topics for _, text in (*t.model_summaries, *t.system_summaries)
-            for token in tokenize(text, tokenize_config)}
+                      tokenize_config: TokenizeConfig = DEFAULT_CONFIG) -> list[str]:
+    """Every word of the corpus's summaries under ``tokenize_config``, in
+    sorted order: the only words that scoring the corpus looks up in an
+    embedding table."""
+    return encode(_texts(topics), tokenize_config)[0]
 
 
 def score_corpus(
@@ -211,10 +216,14 @@ def score_corpus(
 ) -> dict[str, ScoreVector]:
     """Per-metric mean score of every system over all topics.
 
-    For each metric, a topic's model summaries are prepared once in a
-    ``TopicPlan``, and all its system summaries are scored against them in
-    one ``score_many`` call, which gives the topic's per-system vector;
-    every score is bitwise what ``rouge_score`` gives for that pair.
+    The summaries are coded once for every metric (``textpipe.encode``):
+    each distinct chunk of text is normalized once, and each summary becomes
+    one array of word ids over the corpus's sorted word list, whose table
+    rows are looked up once under embedding matching. For each metric, a
+    topic's model summaries are prepared once in a ``TopicPlan``, and all
+    its system summaries are scored against them in one ``score_many``
+    call, which gives the topic's per-system vector; every score is bitwise
+    what ``rouge_score`` gives for that pair.
     A system missing a topic's summary contributes 0 for that topic under
     every metric, and is logged once, in topic then system order. A
     summary that fails to score raises ``MetaEvalError`` naming the
@@ -237,16 +246,14 @@ def score_corpus(
                 raise MetaEvalError(f"{what} {name} is given more than once; "
                                     f"each {what} needs a distinct name")
 
-    model_seqs = {
-        t.topic_id: [tokenize(text, tokenize_config, source_id=f"{t.topic_id}/models/{mid}")
-                     for mid, text in t.model_summaries]
-        for t in topics
-    }
-    system_seqs = {
-        t.topic_id: {sid: tokenize(text, tokenize_config, source_id=f"{t.topic_id}/systems/{sid}")
-                     for sid, text in t.system_summaries}
-        for t in topics
-    }
+    words, ids = encode(_texts(topics), tokenize_config)
+    rows = table.rows(words) if any(m.match == "we" for m in metrics) else None
+    del words
+    ids = iter(ids)  # in ``_texts`` order
+    model_seqs, system_seqs = {}, {}
+    for t in topics:
+        model_seqs[t.topic_id] = [next(ids) for _ in t.model_summaries]
+        system_seqs[t.topic_id] = {sid: next(ids) for sid, _ in t.system_summaries}
     system_ids = sorted({sid for t in topics for sid, _ in t.system_summaries})
     topics = sorted(topics, key=lambda t: t.topic_id)
     for topic in topics:
@@ -263,7 +270,7 @@ def score_corpus(
         for topic in topics:
             try:
                 plan = TopicPlan(model_seqs[topic.topic_id], metric.variant, match,
-                                 multiref=metric.multiref)
+                                 multiref=metric.multiref, rows=rows)
             except Exception as exc:
                 raise MetaEvalError(f"{failure}topic {topic.topic_id} (model summaries): "
                                     f"{exc}") from exc

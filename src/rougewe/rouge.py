@@ -6,16 +6,17 @@ n-gram vectors, scored through a greedy one-to-one soft assignment.
 Matching never crosses unit types: unigrams pair with unigrams, bigrams
 with bigrams, so the embedding metrics reduce exactly to the classic ones
 when the similarity degenerates to an identity test. Both kinds find
-units the same way: as integer codes built from the summaries' word ids,
+units the same way: as integer codes built from the summaries' word ids
+(``textpipe.encode``, which numbers a corpus's words once for every metric),
 counted into one matrix over the codes the summaries hold, whose columns
 run in sorted word-tuple order within each unit length. Under exact
 matching the references are coded once, and a whole batch of candidates
 is coded by the same steps, finds its columns by a table gather or a
 binary search, and is counted and clipped against them at once. Under
 embedding matching the references and the batch are coded together; each
-unit length's columns are read back as word ids, their table rows looked
-up once, and each side's vectors composed in one gather and product
-(``EmbeddingTable.compose_many``). A ``TopicPlan`` holds one topic's
+unit length's columns are read back as word ids, mapped to the table rows
+looked up once per word list, and each side's vectors composed in one
+gather and product (``EmbeddingTable.compose_many``). A ``TopicPlan`` holds one topic's
 references and scores a batch of candidates in one ``score_many`` call,
 whose per-reference counts become recall, precision and f1 as arrays; a
 candidate's score does not depend on the rest of its batch. The per-pair
@@ -33,13 +34,19 @@ from typing import Sequence
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .textpipe import TokenSequence, Units, extract_ngrams, extract_skip_bigrams
+from .textpipe import (TokenSequence, Units, encode_tokens, extract_ngrams,
+                       extract_skip_bigrams)
 
 OOV_POLICIES = ("zero", "exact-fallback")
 MULTIREF_POLICIES = ("average", "jackknife")
 # Closes every level's sorted codes: above any code, so a search always
 # lands on a key.
-_NO_CODE = np.iinfo(np.int64).max
+_NO_CODES = np.array([np.iinfo(np.int64).max])
+# No word ids: what the summaries' ids are laid after, so that no list of
+# summaries is too short to concatenate.
+_NO_IDS = np.empty(0, dtype=np.int32)
+# A word id past every word list's: the pads between summaries.
+_PAST_IDS = np.iinfo(np.int32).max
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,18 +147,21 @@ class _UnitCodes:
     """Summaries' units coded as integers, and one count matrix over the
     codes they hold: the one unit coder of both kinds of matching.
 
-    ``words`` numbers the summaries' words from 1 in sorted order; 0 is a
-    word in none of them. A unit is coded one word at a time: its first
-    word's id is its first rank, and each next word makes the code ``rank *
-    base + word id``, whose rank is its place in that level's ``keys`` (the
-    sorted codes the summaries hold, closed by a sentinel) counted from
-    ``first``, or 0 when no summary holds it. A code stays below (ranks +
-    1) * base, so it fits in int64 for any n. A unit's column is its last
-    rank: a unigram's is its word id, and a longer unit's comes after the
-    word columns under ROUGE-SU. So each unit length's columns run in
-    sorted word-tuple order, the assignment's tie-break. Row i of
-    ``counts`` is summary i's count in each column; column 0, the sink, is
-    0 for every summary, so a unit no summary has lands there and clips to 0.
+    The summaries come as arrays of word ids over one word list in sorted
+    order (``textpipe.encode``). ``words`` holds the ids they use, and
+    ``remap`` numbers those words from 1 by one gather, so the numbering
+    too runs in sorted word order; 0 is a word in none of them. A unit is
+    coded one word at a time: its first word's number is its first rank,
+    and each next word makes the code ``rank * base + word number``, whose
+    rank is its place in that level's ``keys`` (the sorted codes the
+    summaries hold, closed by a sentinel) counted from ``first``, or 0 when
+    no summary holds it. A code stays below (ranks + 1) * base, so it fits
+    in int64 for any n. A unit's column is its last rank: a unigram's is
+    its word number, and a longer unit's comes after the word columns
+    under ROUGE-SU. So each unit length's columns run in sorted word-tuple
+    order, the assignment's tie-break. Row i of ``counts`` is summary i's
+    count in each column; column 0, the sink, is 0 for every summary, so a
+    unit no summary has lands there and clips to 0.
 
     Candidates are coded against the keys by the same steps. A level's rank
     is one gather from a dense int32 table over (prefix rank, word id) when
@@ -163,16 +173,21 @@ class _UnitCodes:
     n or the skip distance.
     """
 
-    __slots__ = ("variant", "reach", "words", "base", "first", "keys", "width", "counts",
-                 "totals")
+    __slots__ = ("variant", "reach", "words", "remap", "base", "first", "keys", "width",
+                 "counts", "totals")
 
-    def __init__(self, summaries: Sequence[TokenSequence], variant: RougeVariant):
+    def __init__(self, summaries: Sequence[np.ndarray], variant: RougeVariant):
         self.variant = variant
         # How far past its first word a unit reaches.
         self.reach = variant.n - 1 if variant.family == "n" else variant.max_skip + 1
-        vocabulary = sorted(set(chain.from_iterable(seq.tokens for seq in summaries)))
-        self.words = dict(zip(vocabulary, range(1, len(vocabulary) + 1)))
-        self.base = np.int64(len(vocabulary) + 1)
+        ids = np.concatenate([_NO_IDS, *summaries])
+        held = np.zeros(int(ids.max(initial=-1)) + 2, dtype=bool)
+        held[ids] = True
+        self.words = held.nonzero()[0]
+        # Each word id's number here, 0 for a word no summary holds; the
+        # last entry is 0, and ids past it clip to it.
+        self.remap = held.cumsum() * held
+        self.base = np.int64(len(self.words) + 1)
         self.first = self.base if variant.family == "su" else 1
         self.keys: list[np.ndarray] = []
         cols, lengths = self._columns(summaries, 0)
@@ -191,7 +206,9 @@ class _UnitCodes:
             # Sorted and deduplicated by hand: under numpy 2.4, np.unique's
             # hash path costs about 1.5 MB of resident memory on first use.
             held = np.sort(codes[(codes >= self.base) & (codes % self.base > 0)])
-            self.keys.append(np.append(held[np.diff(held, prepend=-1) > 0], _NO_CODE))
+            # The first code, each code unlike the one before it, the sentinel.
+            self.keys.append(np.concatenate((held[:1], held[1:][held[1:] != held[:-1]],
+                                             _NO_CODES)))
         keys = self.keys[level - 1]
         # Prefix ranks run to the previous level's: word ids at level 1.
         size = (self.base if level == 1 else len(self.keys[level - 2])) * self.base
@@ -207,21 +224,22 @@ class _UnitCodes:
         spans two summaries, and no more than the longest summary."""
         return min(self.reach, int(lengths.max(initial=0)))
 
-    def _columns(self, seqs: Sequence[TokenSequence], budget: int) -> tuple[np.ndarray, np.ndarray]:
+    def _columns(self, seqs: Sequence[np.ndarray], budget: int) -> tuple[np.ndarray, np.ndarray]:
         """The column of every unit window of ``seqs``, as a (windows per
         position × positions) array, and each summary's length.
 
-        The summaries' word ids are laid end to end in one array, each
-        followed by ``_pad`` zeros, so no window spans two summaries: a
-        window that runs past its summary's end holds a 0 and lands in the
-        sink. A position belongs to the summary it starts in. The walk
-        through the levels stops once no window is held, which is at the
-        latest at the longest summary's length.
+        The summaries' words are numbered by one gather and laid end to end
+        in one array, each followed by ``_pad`` zeros, so no window spans
+        two summaries: a window that runs past its summary's end holds a 0
+        and lands in the sink. A position belongs to the summary it starts
+        in. The walk through the levels stops once no window is held, which
+        is at the latest at the longest summary's length.
         """
         lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
-        get, pad = self.words.get, (0,) * self._pad(lengths)
-        ids = np.fromiter(chain.from_iterable(chain(map(get, seq.tokens, repeat(0)), pad)
-                                              for seq in seqs), np.int64)
+        # Ids past every word: they clip to the last entry of ``remap``, 0.
+        pad = np.full(self._pad(lengths), _PAST_IDS, dtype=np.int32)
+        ids = self.remap.take(np.concatenate([_NO_IDS, *chain.from_iterable(
+            zip(seqs, repeat(pad)))]), mode="clip")
         n = len(ids) - len(pad)
         rank = ids[:n]
         if self.variant.family == "n":
@@ -237,8 +255,8 @@ class _UnitCodes:
     def _count(self, cols: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """Each summary's count in each column, a (summaries × columns) matrix
         made by one ``np.bincount``."""
-        rows = np.repeat(np.arange(0, len(lengths) * self.width, self.width),
-                         lengths + self._pad(lengths))[:cols.shape[1]]
+        rows = np.arange(0, len(lengths) * self.width, self.width).repeat(
+            lengths + self._pad(lengths))[:cols.shape[1]]
         return np.bincount((cols + rows).ravel(), minlength=len(lengths) * self.width
                            ).reshape(len(lengths), self.width)
 
@@ -263,7 +281,7 @@ class _UnitCodes:
             words = np.column_stack([words[prefix - 1], last])
         return spans + [(int(self.first), words)]
 
-    def overlaps(self, cands: Sequence[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
+    def overlaps(self, cands: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Each candidate's clipped count against each reference, as a
         (candidates × references) array, and each candidate's total.
 
@@ -373,23 +391,28 @@ def _combine(soft: np.ndarray, ref_totals: np.ndarray, cand_totals: np.ndarray,
     left out. One reference is its own mean under both policies.
     """
     bound = np.minimum(ref_totals, cand_totals[:, None])
-    over = np.argwhere(soft > bound + 1e-9)
-    if len(over):
-        cand, ref = over[0]
+    over = soft > bound + 1e-9
+    if over.any():
+        cand, ref = np.argwhere(over)[0]
         raise ValueError(f"match count {soft[cand, ref]} exceeds clip bound {bound[cand, ref]}")
+    # Recall, precision, f1, soft count and reference total of every pair,
+    # one (candidates × references) plane each, all averaged in one pass.
+    fields = np.empty((5, *soft.shape))
+    recall, precision, f1 = fields[:3]
+    fields[3], fields[4] = soft, ref_totals
     with np.errstate(divide="ignore", invalid="ignore"):
-        recall = np.where(ref_totals > 0, soft / ref_totals, 0.0)
-        precision = np.where(cand_totals[:, None] > 0, soft / cand_totals[:, None], 0.0)
+        recall[:] = np.where(ref_totals > 0, soft / ref_totals, 0.0)
+        precision[:] = np.where(cand_totals[:, None] > 0, soft / cand_totals[:, None], 0.0)
         both = recall + precision
-        f1 = np.where(both > 0, 2 * recall * precision / both, 0.0)
-    fields = [recall, precision, f1, soft, np.broadcast_to(ref_totals, soft.shape)]
+        f1[:] = np.where(both > 0, 2 * recall * precision / both, 0.0)
     if multiref == "jackknife" and soft.shape[1] > 1:
         # A stable sort keeps index order among equal keys, as max does.
         order = np.lexsort((-precision, -recall, -f1), axis=-1)
         left_out = np.arange(soft.shape[1])
         best = np.where(order[:, :1] == left_out, order[:, 1:2], order[:, :1])
-        fields = [np.take_along_axis(field, best, axis=1) for field in fields]
-    *means, ref_total = map(_row_means, fields)
+        fields = np.take_along_axis(fields, best[None], axis=2)
+    means, k = _row_means(fields.reshape(-1, fields.shape[2])), len(soft)
+    *means, ref_total = (means[i * k:(i + 1) * k] for i in range(5))
     return list(map(RougeScore, *means, map(round, ref_total), cand_totals.tolist()))
 
 
@@ -397,35 +420,41 @@ class TopicPlan:
     """One topic's references under one metric; scores candidates against
     them, all of a batch in one pass.
 
-    Under exact matching the references are coded at construction, and a
+    Every summary comes as its word ids over one word list in sorted order,
+    as ``textpipe.encode`` gives them, and under embedding matching ``rows``
+    holds each word's table row (``EmbeddingTable.rows`` of the list). Under
+    exact matching the references are coded at construction, and a
     ``score_many`` call codes the batch against their codes at once,
     counts it into one (candidates × columns) matrix, and clips it against
     each reference in one step. Under embedding matching a ``score_many``
     call codes the references and the batch together. Per unit length it
-    looks up each word's table row once and composes each reference's units
-    once and each candidate's in turn; a pair costs its product, clip,
+    composes each reference's units once and each candidate's in turn; a pair costs its product, clip,
     shared-OOV count and assignment. Either way the whole batch's scores are
     combined as arrays, and each is bitwise that of a batch of one.
     """
 
     def __init__(
         self,
-        refs: Sequence[TokenSequence],
+        refs: Sequence[np.ndarray],
         variant: RougeVariant,
         match: MatchFunction,
         multiref: str = "average",
+        rows: np.ndarray | None = None,
     ):
         if not refs:
             raise ValueError("at least one reference is required")
         if multiref not in MULTIREF_POLICIES:
             raise ValueError(f"unknown multiref policy {multiref!r}")
+        if match.kind == "embedding" and rows is None:
+            raise ValueError("embedding matching needs each word's table row")
         self.variant = variant
         self.match = match
         self.multiref = multiref
         self.refs = list(refs)
+        self.rows = rows
         self.codes = _UnitCodes(refs, variant) if match.kind == "exact" else None
 
-    def score_many(self, cands: Sequence[TokenSequence]) -> list[RougeScore]:
+    def score_many(self, cands: Sequence[np.ndarray]) -> list[RougeScore]:
         """Score each candidate against every reference, combined per the
         multiref policy (see ``rouge_score``); one score per candidate, in
         order."""
@@ -436,9 +465,9 @@ class TopicPlan:
         codes = _UnitCodes([*self.refs, *cands], self.variant)
         table = self.match.table
         fallback = self.match.oov_policy == "exact-fallback"
-        # Each word id's table row; the ids of a unit, sorted, are its words
-        # in sorted order, as ``compose`` multiplies them.
-        rows = np.append(-1, table.rows(codes.words))
+        # Each word's table row by its number here; the numbers of a unit,
+        # sorted, are its words in sorted order, as ``compose`` multiplies them.
+        rows = np.append(-1, self.rows[codes.words])
         n_refs = len(self.refs)
         soft = np.zeros((len(cands), n_refs))
         for first, words in codes.spans():
@@ -471,6 +500,9 @@ def rouge_score(
     is the component-wise mean; ``jackknife`` averages, over leave-one-out
     folds, the best per-reference score in each fold (best by f1, then
     recall, then precision). A single reference makes both policies the
-    plain single-reference score.
+    plain single-reference score. The texts are coded by
+    ``textpipe.encode_tokens`` and scored by a one-candidate ``TopicPlan``.
     """
-    return TopicPlan(refs, variant, match, multiref).score_many([cand])[0]
+    words, ids = encode_tokens([*refs, cand])
+    rows = None if match.table is None else match.table.rows(words)
+    return TopicPlan(ids[:-1], variant, match, multiref, rows).score_many(ids[-1:])[0]

@@ -1,7 +1,12 @@
-"""Text input, normalization and n-gram / skip-bigram extraction.
+"""Text input, normalization, integer coding and n-gram / skip-bigram
+extraction.
 
 Everything here is pure: the same raw text and config always produce the
 same tokens, and extraction output depends only on the token sequence.
+``tokenize`` normalizes one text chunk by chunk. ``encode`` gives many texts
+the same words as integer ids over one sorted word list, normalizing each
+distinct chunk once; ``tokenize`` is its definition, and scoring takes its
+words from ``encode`` alone.
 """
 
 from __future__ import annotations
@@ -10,9 +15,11 @@ import string
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count, repeat
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from ._porter import porter_stem
 
@@ -67,6 +74,17 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     return frozenset(words)
 
 
+def _normalize(chunk: str, config: TokenizeConfig) -> str | None:
+    """One whitespace-delimited chunk's word, or None when it is dropped."""
+    word = chunk.strip(_STRIP_CHARS)
+    if not word:
+        return None
+    word = word.lower()
+    if config.stopwords is not None and word in config.stopwords:
+        return None
+    return porter_stem(word) if config.stem else word
+
+
 def tokenize(raw: str, config: TokenizeConfig = DEFAULT_CONFIG, source_id: str = "") -> TokenSequence:
     """Split raw text into normalized word tokens.
 
@@ -74,21 +92,60 @@ def tokenize(raw: str, config: TokenizeConfig = DEFAULT_CONFIG, source_id: str =
     punctuation stripped, then lowercased, as the embedding loaders key
     every word; chunks that are pure punctuation disappear. Empty or
     whitespace-only input yields an empty sequence. Every kept token is
-    interned, so a word is one ``str`` object in all the texts it occurs
-    in: one copy in memory, and unit lookups that compare it by identity.
+    interned, so a word is one ``str`` object in all the texts it occurs in.
     """
-    tokens: list[str] = []
-    for chunk in raw.split():
-        word = chunk.strip(_STRIP_CHARS)
-        if not word:
-            continue
-        word = word.lower()
-        if config.stopwords is not None and word in config.stopwords:
-            continue
-        if config.stem:
-            word = porter_stem(word)
-        tokens.append(sys.intern(word))
-    return TokenSequence(tuple(tokens), source_id=source_id)
+    words = (_normalize(chunk, config) for chunk in raw.split())
+    return TokenSequence(tuple(sys.intern(word) for word in words if word is not None),
+                         source_id=source_id)
+
+
+def _code(chunk_lists: Iterable[Iterable[str]], word: Callable[[str], str | None]
+          ) -> tuple[list[str], list[np.ndarray]]:
+    """The one coder behind ``encode`` and ``encode_tokens``: each distinct
+    chunk is given its ``word`` once, and each list's chunks are mapped to
+    their words' ids by one gather."""
+    # A chunk is known by the place of its first occurrence among all the
+    # chunks, and each list becomes its chunks' places, without a Python
+    # call per chunk.
+    firsts: dict[str, int] = {}
+    places = count()
+    chunk_places = [np.fromiter(map(firsts.setdefault, chunks, places), np.int32)
+                    for chunks in chunk_lists]
+    chunk_words = list(map(word, firsts))
+    first_places = np.fromiter(firsts.values(), np.int32, len(firsts))
+    del firsts
+    distinct = set(chunk_words)
+    dropped = None in distinct
+    distinct.discard(None)
+    words = sorted(distinct)
+    del distinct
+    index = dict(zip(words, range(len(words))))
+    # The word id of the chunk first found at each place; -1 for a chunk
+    # that is dropped.
+    word_at = np.empty(next(places), np.int32)
+    word_at[first_places] = np.fromiter(map(index.get, chunk_words, repeat(-1)), np.int32,
+                                        len(chunk_words))
+    del chunk_words, first_places, index
+    ids = (word_at[chunks] for chunks in chunk_places)
+    return words, [found[found >= 0] for found in ids] if dropped else list(ids)
+
+
+def encode(texts: Iterable[str], config: TokenizeConfig = DEFAULT_CONFIG
+           ) -> tuple[list[str], list[np.ndarray]]:
+    """``tokenize`` of every text, as integer ids over one word list.
+
+    Returns the texts' distinct words in sorted order, and for each text an
+    int32 array of its words' places in that list, in text order: the
+    words of ``tokenize(text, config)``. Each distinct chunk is normalized
+    once, however many texts hold it, and nothing is kept between calls.
+    """
+    return _code((text.split() for text in texts), lambda chunk: _normalize(chunk, config))
+
+
+def encode_tokens(seqs: Iterable[TokenSequence]) -> tuple[list[str], list[np.ndarray]]:
+    """``encode`` of token sequences already normalized: their tokens are
+    the words, and ids rise with sorted word order as ``encode``'s do."""
+    return _code((seq.tokens for seq in seqs), lambda token: token)
 
 
 def ngram_stream(seq: TokenSequence, n: int) -> Iterator[tuple[str, ...]]:

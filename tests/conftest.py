@@ -12,7 +12,18 @@ import pytest
 
 from rougewe.embeddings import EmbeddingTable, _TableBuilder
 from rougewe.rouge import MatchFunction, RougeVariant, TopicPlan
-from rougewe.textpipe import TokenSequence, Units
+from rougewe.textpipe import TokenSequence, Units, encode_tokens
+
+
+def topic_plan(refs: Sequence[TokenSequence], cands: Sequence[TokenSequence],
+               variant: RougeVariant, match: MatchFunction, multiref: str = "average"
+               ) -> tuple[TopicPlan, list[np.ndarray]]:
+    """A ``TopicPlan`` of ``refs`` and the word ids of ``cands``, all coded
+    together, as ``score_corpus`` codes a corpus; under embedding matching
+    with each word's table row."""
+    words, ids = encode_tokens([*refs, *cands])
+    rows = None if match.table is None else match.table.rows(words)
+    return TopicPlan(ids[:len(refs)], variant, match, multiref, rows), ids[len(refs):]
 
 
 def joined_units(units: Units, length: int, joint: str) -> TokenSequence:
@@ -32,8 +43,9 @@ def soft_overlap(cand: Units, ref: Units, match: MatchFunction) -> float:
     themselves can match."""
     total = 0.0
     for n in sorted(set(map(len, cand)) & set(map(len, ref))):
-        plan = TopicPlan([joined_units(ref, n, "\0ref")], RougeVariant("n", n), match)
-        total += plan.score_many([joined_units(cand, n, "\0cand")])[0].soft_match_count
+        plan, cands = topic_plan([joined_units(ref, n, "\0ref")], [joined_units(cand, n, "\0cand")],
+                                 RougeVariant("n", n), match)
+        total += plan.score_many(cands)[0].soft_match_count
     return total
 
 

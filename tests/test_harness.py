@@ -26,7 +26,7 @@ from rougewe.harness import (
     write_reports,
 )
 from rougewe.rouge import ROUGE_1, ROUGE_2, MatchFunction, RougeVariant, rouge_score
-from rougewe.textpipe import tokenize
+from rougewe.textpipe import DEFAULT_CONFIG, TokenizeConfig, tokenize
 
 from conftest import identity_table, make_table, sign_table, write_corpus
 from exact_oracle import oracle_rouge_score, units
@@ -255,8 +255,9 @@ class TestScoreCorpus:
         batches = []
 
         def fail_for_s2(plan, cands):
-            batches.append([cand.source_id for cand in cands])
-            if "t1/systems/s2" in batches[-1]:
+            # The corpus's words a, b, c have the ids 0, 1, 2: s2 is [0, 2].
+            batches.append([cand.tolist() for cand in cands])
+            if [0, 2] in batches[-1]:
                 raise RuntimeError("scorer bug")
             return real(plan, cands)
 
@@ -264,7 +265,7 @@ class TestScoreCorpus:
         with pytest.raises(MetaEvalError, match="metric rouge-1, system s2, topic t1") as info:
             score_corpus(load_corpus(tmp_path), [R1])
         assert isinstance(info.value.__cause__, RuntimeError)
-        assert batches[0] == ["t1/systems/s1", "t1/systems/s2", "t1/systems/s3"]
+        assert batches[0] == [[0, 1], [0, 2], [1, 2]]
 
     def test_batch_failure_no_summary_repeats_names_the_topic(self, tmp_path, monkeypatch):
         write_corpus(tmp_path, {"t1": ({"m1": "a b"}, {"s1": "a b", "s2": "a c"})})
@@ -320,8 +321,12 @@ class TestScoreCorpus:
         assert by_system["s1"] == by_system["s3"]  # identical texts, identical scores
 
 
-TABLE_WORDS = ["a", "b", "c", "d", "e"]
-SUMMARY_WORDS = TABLE_WORDS + ["ghost", "wraith"]  # the last two are out of vocabulary
+TABLE_WORDS = ["a", "b", "c", "d", "e", "dog"]
+# "ghost" and "wraith" are out of vocabulary; "Dogs," is "dogs", out of
+# vocabulary, or stemmed "dog", and "the" is out of vocabulary or a stopword.
+SUMMARY_WORDS = TABLE_WORDS + ["ghost", "wraith", "Dogs,", "the", "B."]
+# The texts normalize to other words under stemming and a stopword list.
+TOKENIZE_CONFIGS = [DEFAULT_CONFIG, TokenizeConfig(stem=True, stopwords=frozenset({"the", "b"}))]
 SYSTEMS = ["s1", "s2", "s3"]
 texts = st.lists(st.sampled_from(SUMMARY_WORDS), max_size=7).map(" ".join)
 
@@ -360,11 +365,11 @@ def oracle_score_pair(cand, refs, metric, table):
     return oracle_rouge_score(cand, refs, metric.variant, metric.multiref)
 
 
-def score_pair_by_pair(topics, metrics, table, score_pair=rouge_score_pair
-                       ) -> dict[str, ScoreVector]:
+def score_pair_by_pair(topics, metrics, table, score_pair=rouge_score_pair,
+                       config=DEFAULT_CONFIG) -> dict[str, ScoreVector]:
     """score_corpus spelled out through a per-pair scorer: every (metric,
-    system, topic) scored on its own, by default through rouge_score with
-    a fresh MatchFunction."""
+    system, topic) tokenized under ``config`` and scored on its own, by
+    default through rouge_score with a fresh MatchFunction."""
     system_ids = sorted({sid for t in topics for sid, _ in t.system_summaries})
     results = {}
     for metric in metrics:
@@ -376,8 +381,8 @@ def score_pair_by_pair(topics, metrics, table, score_pair=rouge_score_pair
                 if system_id not in texts_by_system:
                     values.append(0.0)
                     continue
-                score = score_pair(tokenize(texts_by_system[system_id]),
-                                   [tokenize(text) for _, text in topic.model_summaries],
+                score = score_pair(tokenize(texts_by_system[system_id], config),
+                                   [tokenize(text, config) for _, text in topic.model_summaries],
                                    metric, table)
                 values.append(getattr(score, metric.component))
             means.append(sum(values) / len(topics))
@@ -401,20 +406,22 @@ def reorder(topics, shuffle_seed):
 
 class TestTopicPlanDifferential:
     @given(topics=corpora(), metrics=metric_lists(),
-           table_seed=st.none() | st.integers(0, 2**32 - 1))
+           table_seed=st.none() | st.integers(0, 2**32 - 1),
+           config=st.sampled_from(TOKENIZE_CONFIGS))
     @settings(max_examples=150, deadline=None)
-    def test_score_corpus_equals_pair_by_pair(self, topics, metrics, table_seed):
+    def test_score_corpus_equals_pair_by_pair(self, topics, metrics, table_seed, config):
         # None: a one-hot table, where every positive similarity ties at 1.
         table = (identity_table(TABLE_WORDS) if table_seed is None
                  else sign_table(table_seed, TABLE_WORDS))
-        assert score_corpus(topics, metrics, table=table) == score_pair_by_pair(topics, metrics,
-                                                                                table)
+        assert score_corpus(topics, metrics, table=table, tokenize_config=config) == (
+            score_pair_by_pair(topics, metrics, table, config=config))
 
-    @given(topics=corpora(), metrics=metric_lists(match=st.just("exact")))
+    @given(topics=corpora(), metrics=metric_lists(match=st.just("exact")),
+           config=st.sampled_from(TOKENIZE_CONFIGS))
     @settings(max_examples=150, deadline=None)
-    def test_exact_score_corpus_equals_oracle(self, topics, metrics):
-        assert score_corpus(topics, metrics) == score_pair_by_pair(topics, metrics, None,
-                                                                   oracle_score_pair)
+    def test_exact_score_corpus_equals_oracle(self, topics, metrics, config):
+        assert score_corpus(topics, metrics, tokenize_config=config) == score_pair_by_pair(
+            topics, metrics, None, oracle_score_pair, config)
 
     @given(topics=corpora(), metrics=metric_lists(), table_seed=st.integers(0, 2**32 - 1),
            shuffle_seed=st.none() | st.integers(0, 2**32 - 1))
@@ -430,6 +437,56 @@ class TestTopicPlanDifferential:
     def test_exact_order_independent(self, topics, metrics, shuffle_seed):
         assert score_corpus(reorder(topics, shuffle_seed), metrics) == score_corpus(topics,
                                                                                     metrics)
+
+
+class TestScoreCorpusKeepsNoState:
+    """Each call codes its own corpus under its own config: a chunk means
+    what that call's config makes of it, and nothing outlives the call."""
+
+    TABLE = make_table({"the": [1, 0, 0], "dogs": [0.6, 0.8, 0], "dog": [0, 0.6, 0.8],
+                        "ran": [0, 0, 1], "cat": [0.8, 0, 0.6]})
+    METRICS = [R1, MetricConfig(ROUGE_2), MetricConfig(ROUGE_1, match="we")]
+    # "The" and "the" are the same word under either config, and a stopword
+    # under one: a memo of chunks kept from a call under the other config,
+    # or from the other corpus, changes these scores.
+    A = [Topic("t1", [("m1", "The dogs ran, the cat")], [("s1", "the dog ran"), ("s2", "The cat")])]
+    B = [Topic("t1", [("m1", "the dog, The cat")], [("s1", "The dogs the"), ("s2", "cat ran")])]
+    STOP = TokenizeConfig(stopwords=frozenset({"the"}))
+
+    def score(self, topics, config):
+        return score_corpus(topics, self.METRICS, table=self.TABLE, tokenize_config=config)
+
+    def test_calls_do_not_depend_on_earlier_calls(self):
+        a_first = self.score(self.A, self.STOP)
+        b_after_a = self.score(self.B, DEFAULT_CONFIG)
+        b_first = self.score(self.B, DEFAULT_CONFIG)
+        a_after_b = self.score(self.A, self.STOP)
+        assert (a_first, b_after_a) == (a_after_b, b_first)
+        assert self.score(self.B, self.STOP) != b_first
+
+    def test_memory_returns_to_its_level(self):
+        # Kept past the call, a corpus's 3,000 distinct chunks, or its word
+        # list, would hold hundreds of KB; numpy's caches of small blocks
+        # vary by a few KB from call to call.
+        rng = random.Random(0)
+
+        def corpus(stem: str) -> list[Topic]:
+            chunks = [f"{stem}{i}," for i in range(3000)]
+            return [Topic(f"t{t}", [(f"m{m}", " ".join(rng.choices(chunks, k=300)))
+                                    for m in range(2)],
+                          [(f"s{k}", " ".join(rng.choices(chunks, k=300))) for k in range(5)])
+                    for t in range(3)]
+
+        score_corpus(corpus("Warm"), self.METRICS[:2])  # the first call's one-off allocations
+        for stem, config in (("Word", self.STOP), ("Text", DEFAULT_CONFIG)):
+            topics = corpus(stem)
+            tracemalloc.start()
+            try:
+                score_corpus(topics, self.METRICS[:2], tokenize_config=config)
+                kept = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert kept < 16 * 1024
 
 
 class TestScoreCorpusMemory:

@@ -28,9 +28,10 @@ from rougewe.rouge import (
     extract_units,
     rouge_score,
 )
-from rougewe.textpipe import TokenSequence, extract_ngrams, extract_skip_bigrams, tokenize
+from rougewe.textpipe import (TokenSequence, encode_tokens, extract_ngrams, extract_skip_bigrams,
+                              tokenize)
 
-from conftest import identity_table, make_table, sign_table, soft_overlap
+from conftest import identity_table, make_table, sign_table, soft_overlap, topic_plan
 from exact_oracle import clipped_count, oracle_rouge_score, units
 from greedy_oracle import _greedy_consume, greedy_soft_overlap, pair_similarity
 
@@ -278,7 +279,8 @@ class TestTieBreak:
     @pytest.mark.parametrize("cand, ref", [("q p", "x y"), ("y x", "q p"), ("p q", "y x")])
     def test_groups_are_taken_in_sorted_order(self, cand, ref):
         match = MatchFunction.we(self.TABLE)
-        [score] = TopicPlan([seq(ref)], ROUGE_1, match).score_many([seq(cand)])
+        plan, cands = topic_plan([seq(ref)], [seq(cand)], ROUGE_1, match)
+        [score] = plan.score_many(cands)
         assert score.soft_match_count == 0.5
         assert greedy_soft_overlap(extract_units(seq(cand), ROUGE_1),
                                    extract_units(seq(ref), ROUGE_1), pair_similarity(match)) == 0.5
@@ -555,10 +557,11 @@ we_summaries = st.lists(st.sampled_from(UNIT_WORDS), max_size=6).map(
     lambda w: TokenSequence(tuple(w)))
 
 
-def column_units(exact: _UnitCodes) -> dict[int, tuple[str, ...]]:
+def column_units(exact: _UnitCodes, words: list[str]) -> dict[int, tuple[str, ...]]:
     """Each column of an exact engine but the sink, read back from its codes
-    as the word tuple it counts."""
-    names = dict(enumerate(exact.words, 1))
+    through the word list its summaries were coded over as the word tuple
+    it counts."""
+    names = {i: words[w] for i, w in enumerate(exact.words.tolist(), 1)}
     unigrams = ranks = {i: (word,) for i, word in names.items()}
     for keys in exact.keys:
         ranks = {rank: ranks[code // exact.base] + (names[code % exact.base],)
@@ -575,9 +578,9 @@ class TestExactEngineMatchesOracle:
            multiref=st.sampled_from(["average", "jackknife"]))
     @settings(max_examples=400, deadline=None)
     def test_topic_plan(self, cand, refs, variant, multiref):
-        plan = TopicPlan(refs, variant, MatchFunction.exact(), multiref)
+        plan, cands = topic_plan(refs, [cand], variant, MatchFunction.exact(), multiref)
         expected = oracle_rouge_score(cand, refs, variant, multiref)
-        assert plan.score_many([cand]) == [expected]
+        assert plan.score_many(cands) == [expected]
         assert rouge_score(cand, refs, variant, MatchFunction.exact(), multiref) == expected
 
     @given(cands=batches(), refs=st.lists(summaries, min_size=1, max_size=4),
@@ -587,10 +590,10 @@ class TestExactEngineMatchesOracle:
     def test_score_many(self, cands, refs, variant, multiref):
         # A batch's count matrix sets the budget for the dense lookup tables:
         # batches of one mostly search, and the whole batch mostly gathers.
-        plan = TopicPlan(refs, variant, MatchFunction.exact(), multiref)
+        plan, ids = topic_plan(refs, cands, variant, MatchFunction.exact(), multiref)
         expected = [oracle_rouge_score(cand, refs, variant, multiref) for cand in cands]
-        assert [plan.score_many([cand])[0] for cand in cands] == expected
-        assert plan.score_many(cands) == expected
+        assert [plan.score_many([cand])[0] for cand in ids] == expected
+        assert plan.score_many(ids) == expected
         assert plan.score_many([]) == []
 
     @given(cands=st.lists(we_summaries, max_size=6),
@@ -603,8 +606,8 @@ class TestExactEngineMatchesOracle:
     def test_score_many_we_is_score_per_candidate(self, cands, refs, variant, multiref,
                                                    table_seed, policy):
         match = MatchFunction.we(sign_table(table_seed, TABLE_WORDS), oov_policy=policy)
-        plan = TopicPlan(refs, variant, match, multiref)
-        assert plan.score_many(cands) == [plan.score_many([cand])[0] for cand in cands]
+        plan, ids = topic_plan(refs, cands, variant, match, multiref)
+        assert plan.score_many(ids) == [plan.score_many([cand])[0] for cand in ids]
 
     @given(cand=summaries, ref=summaries, variant=st.sampled_from(EXACT_VARIANTS))
     @settings(max_examples=200, deadline=None)
@@ -620,8 +623,9 @@ class TestExactEngineMatchesOracle:
     def test_unit_stream_is_extract_units(self, cand, refs, variant, budget):
         # The engine's coded units, read back as words: each reference's
         # counts row, and a candidate's columns, searched or gathered.
-        exact = _UnitCodes(refs, variant)
-        units = column_units(exact)
+        words, ids = encode_tokens([*refs, cand])
+        exact = _UnitCodes(ids[:-1], variant)
+        units = column_units(exact, words)
         assert exact.counts.shape[1] == len(units) + 1
         for row, ref in zip(exact.counts.tolist(), refs):
             assert row[0] == 0
@@ -629,7 +633,7 @@ class TestExactEngineMatchesOracle:
                                                                                            variant)
         assert exact.totals.tolist() == [extract_units(ref, variant).total() for ref in refs]
         held = set(units.values())
-        cols, lengths = exact._columns([cand], budget)
+        cols, lengths = exact._columns(ids[-1:], budget)
         assert Counter(units[c] for c in cols.ravel().tolist() if c) == Counter(
             {unit: k for unit, k in extract_units(cand, variant).items() if unit in held})
         assert exact._totals(lengths).tolist() == [extract_units(cand, variant).total()]
@@ -637,8 +641,8 @@ class TestExactEngineMatchesOracle:
         # column, and each unit length's columns read back through the
         # vocabulary in sorted word-tuple order.
         summaries = [*refs, cand]
-        joint = _UnitCodes(summaries, variant)
-        vocabulary = list(joint.words)
+        joint = _UnitCodes(ids, variant)
+        vocabulary = [words[w] for w in joint.words.tolist()]
         assert vocabulary == sorted(set().union(*map(set, summaries)))
         spans = joint.spans()
         assert [first for first, _ in spans] + [joint.width] == list(
@@ -660,24 +664,26 @@ class TestExactEngineMatchesOracle:
 
 class TestExactEdgeCases:
     def test_empty_candidate(self):
-        plan = TopicPlan([seq("a b c"), seq("a d")], ROUGE_1, MatchFunction.exact())
-        [score] = plan.score_many([seq("")])
+        plan, cands = topic_plan([seq("a b c"), seq("a d")], [seq("")], ROUGE_1,
+                                 MatchFunction.exact())
+        [score] = plan.score_many(cands)
         assert (score.recall, score.precision, score.f1, score.soft_match_count) == (0, 0, 0, 0)
         assert (score.ref_total, score.cand_total) == (round(2.5), 0)
 
     def test_candidate_sharing_no_unit(self):
-        plan = TopicPlan([seq("a b c"), seq("a d")], ROUGE_2, MatchFunction.exact())
-        [score] = plan.score_many([seq("x y x y")])
+        plan, cands = topic_plan([seq("a b c"), seq("a d")], [seq("x y x y")], ROUGE_2,
+                                 MatchFunction.exact())
+        [score] = plan.score_many(cands)
         assert score.soft_match_count == 0.0
         assert score.cand_total == 3
 
     def test_references_shorter_than_n(self):
-        refs = [seq("a b"), seq("a"), seq("")]
-        plan = TopicPlan(refs, RougeVariant.parse("rouge-3"), MatchFunction.exact())
+        words, ids = encode_tokens([seq("a b"), seq("a"), seq(""), seq("a b a b")])
+        plan = TopicPlan(ids[:3], RougeVariant.parse("rouge-3"), MatchFunction.exact())
         # No code reaches a unit's third word, so the sink is the only column.
-        assert column_units(plan.codes) == {}
+        assert column_units(plan.codes, words) == {}
         assert plan.codes.counts.tolist() == [[0], [0], [0]]
-        [score] = plan.score_many([seq("a b a b")])
+        [score] = plan.score_many(ids[3:])
         assert (score.recall, score.precision, score.soft_match_count) == (0.0, 0.0, 0.0)
         assert (score.ref_total, score.cand_total) == (0, 2)
 
@@ -687,14 +693,14 @@ class TestExactEdgeCases:
         # has 256 bytes and gathers from a table made for that batch.
         refs = [seq("a b c d e f"), seq("b c a f")]
         cands = [seq("a b c a f"), seq("x b c"), seq(""), seq("f e d c b a")]
-        plan = TopicPlan(refs, ROUGE_2, MatchFunction.exact())
+        plan, ids = topic_plan(refs, cands, ROUGE_2, MatchFunction.exact())
         expected = [oracle_rouge_score(cand, refs, ROUGE_2) for cand in cands]
         with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
-            assert plan.score_many(cands[:1]) == expected[:1]
+            assert plan.score_many(ids[:1]) == expected[:1]
             assert search.call_count == 1
-            assert plan.score_many(cands) == expected
+            assert plan.score_many(ids) == expected
             assert search.call_count == 1
-            assert plan.score_many(cands[1:2]) == expected[1:2]
+            assert plan.score_many(ids[1:2]) == expected[1:2]
             assert search.call_count == 2
 
     def test_soft_overlap_counts_above_one(self):
@@ -704,10 +710,11 @@ class TestExactEdgeCases:
         assert soft_overlap(ref, cand, MatchFunction.exact()) == 5.0
 
     def test_columns_span_every_reference(self):
-        plan = TopicPlan([seq("a b"), seq("c"), seq("c b")], ROUGE_1, MatchFunction.exact())
-        assert column_units(plan.codes) == {1: ("a",), 2: ("b",), 3: ("c",)}
+        words, ids = encode_tokens([seq("a b"), seq("c"), seq("c b"), seq("c c")])
+        plan = TopicPlan(ids[:3], ROUGE_1, MatchFunction.exact())
+        assert column_units(plan.codes, words) == {1: ("a",), 2: ("b",), 3: ("c",)}
         assert plan.codes.counts.tolist() == [[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 1, 1]]
-        assert plan.score_many([seq("c c")])[0].soft_match_count == (0 + 1 + 1) / 3
+        assert plan.score_many(ids[3:])[0].soft_match_count == (0 + 1 + 1) / 3
 
 
 class TestCostFollowsText:
@@ -733,7 +740,8 @@ class TestCostFollowsText:
         for name in names:
             tracemalloc.start()
             try:
-                scores.append(TopicPlan(refs, RougeVariant.parse(name), matcher).score_many(cands))
+                plan, ids = topic_plan(refs, cands, RougeVariant.parse(name), matcher)
+                scores.append(plan.score_many(ids))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

@@ -1,12 +1,17 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rougewe.textpipe import (
+    _STRIP_CHARS,
+    DEFAULT_CONFIG,
     TokenizeConfig,
     TokenSequence,
+    encode,
+    encode_tokens,
     extract_ngrams,
     extract_skip_bigrams,
     load_stopwords,
@@ -80,6 +85,48 @@ class TestTokenize:
         config = TokenizeConfig(stopwords=frozenset({"the"}))
         first = tokenize("The cat, the hat.", config)
         assert tokenize(" ".join(first.tokens), config).tokens == first.tokens
+
+
+# Texts made of words that stemming or a stopword list changes, words whose
+# lowercase depends on context or is longer (a final sigma, a dotted capital
+# I), every stripped punctuation mark, letters and Unicode whitespace (no-break
+# and em spaces). Stripping can leave a chunk empty, or bare a sigma at its
+# end.
+TEXT_PIECES = ["the", "The", "cats", "Cat", "running", "ΣΑΣ", "Σa", "İ", "a", "b",
+               *_STRIP_CHARS, " ", "\n", "\u00a0", "\u2003"]
+ENCODER_CONFIGS = [DEFAULT_CONFIG, TokenizeConfig(stem=True),
+                   TokenizeConfig(stopwords=frozenset({"the", "a", "σας"})),
+                   TokenizeConfig(stem=True, stopwords=frozenset({"cat", "i̇"}))]
+
+
+class TestEncode:
+    """``encode`` gives every text the words ``tokenize`` gives it, as ids
+    over one word list in sorted order."""
+
+    @given(texts=st.lists(st.lists(st.sampled_from(TEXT_PIECES), max_size=24).map("".join),
+                          max_size=5),
+           config=st.sampled_from(ENCODER_CONFIGS))
+    @settings(max_examples=200, deadline=None)
+    def test_decodes_to_tokenize(self, texts, config):
+        words, ids = encode(texts, config)
+        tokens = [tokenize(text, config).tokens for text in texts]
+        assert words == sorted(set().union(*tokens))
+        assert [tuple(words[i] for i in text.tolist()) for text in ids] == tokens
+        assert all(text.dtype == np.int32 for text in ids)
+
+    def test_chunks_are_normalized_per_config(self):
+        texts = ["The cats, THE dog", "the\u00a0cats\u2003—"]
+        stem_stop = TokenizeConfig(stem=True, stopwords=frozenset({"the"}))
+        for config, want in ((DEFAULT_CONFIG, (["cats", "dog", "the"], [[2, 0, 2, 1], [2, 0]])),
+                             (stem_stop, (["cat", "dog"], [[0, 1], [0]]))):
+            words, ids = encode(texts, config)
+            assert (words, [text.tolist() for text in ids]) == want
+
+    def test_token_sequences(self):
+        seqs = [TokenSequence(("b", "A,", "b")), TokenSequence(()), TokenSequence(("A,",))]
+        words, ids = encode_tokens(seqs)
+        assert words == ["A,", "b"]
+        assert [text.tolist() for text in ids] == [[1, 0, 1], [], [0]]
 
 
 class TestReadText:
