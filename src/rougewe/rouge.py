@@ -16,11 +16,11 @@ binary search, and is counted and clipped against them at once. Under
 embedding matching the references and the batch are coded together; each
 unit length's columns are read back as word ids, mapped to the table rows
 looked up once per word list, and each side's vectors composed in one
-gather and product (``EmbeddingTable.compose_many``). A ``TopicPlan`` holds one topic's
-references and scores a batch of candidates in one ``score_many`` call,
-whose per-reference counts become recall, precision and f1 as arrays; a
-candidate's score does not depend on the rest of its batch. The per-pair
-reference definitions are the test suite's oracles.
+gather and product (``EmbeddingTable.compose_many``). A ``TopicPlan``
+holds one topic's references and scores a batch of candidates in one
+``score_many`` call, whose per-reference counts become recall, precision
+and f1 as arrays; a candidate's score does not depend on the rest of its
+batch. The per-pair reference definitions are the test suite's oracles.
 """
 
 from __future__ import annotations
@@ -428,9 +428,10 @@ class TopicPlan:
     counts it into one (candidates × columns) matrix, and clips it against
     each reference in one step. Under embedding matching a ``score_many``
     call codes the references and the batch together. Per unit length it
-    composes each reference's units once and each candidate's in turn; a pair costs its product, clip,
-    shared-OOV count and assignment. Either way the whole batch's scores are
-    combined as arrays, and each is bitwise that of a batch of one.
+    composes each reference's units once and each candidate's in turn; a
+    pair costs its product, clip, shared-OOV count and assignment. Either
+    way the whole batch's scores are combined as arrays, and each is
+    bitwise that of a batch of one.
     """
 
     def __init__(

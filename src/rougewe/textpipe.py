@@ -3,10 +3,10 @@ extraction.
 
 Everything here is pure: the same raw text and config always produce the
 same tokens, and extraction output depends only on the token sequence.
-``tokenize`` normalizes one text chunk by chunk. ``encode`` gives many texts
-the same words as integer ids over one sorted word list, normalizing each
-distinct chunk once; ``tokenize`` is its definition, and scoring takes its
-words from ``encode`` alone.
+``tokenize`` normalizes one text, chunk by chunk, and is the definition of
+a text's words. ``encode`` gives many texts those same words as integer ids
+over one sorted word list, normalizing each distinct chunk once through the
+same per-chunk step; scoring takes its words from ``encode`` alone.
 """
 
 from __future__ import annotations
