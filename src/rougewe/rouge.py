@@ -222,7 +222,7 @@ class _UnitCodes:
     def _pad(self, lengths: np.ndarray) -> int:
         """The zeros that follow each summary: enough that no unit window
         spans two summaries, and no more than the longest summary."""
-        return min(self.reach, int(lengths.max(initial=0)))
+        return min(self.reach, max(lengths.tolist(), default=0))
 
     def _columns(self, seqs: Sequence[np.ndarray], budget: int) -> tuple[np.ndarray, np.ndarray]:
         """The column of every unit window of ``seqs``, as a (windows per
