@@ -75,14 +75,17 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
 
 
 def _normalize(chunk: str, config: TokenizeConfig) -> str | None:
-    """One whitespace-delimited chunk's word, or None when it is dropped."""
+    """One whitespace-delimited chunk's word, or None when it is dropped.
+    A chunk that is its own word is returned as it is, not as a copy."""
     word = chunk.strip(_STRIP_CHARS)
     if not word:
         return None
     word = word.lower()
     if config.stopwords is not None and word in config.stopwords:
         return None
-    return porter_stem(word) if config.stem else word
+    if config.stem:
+        word = porter_stem(word)
+    return chunk if word == chunk else word
 
 
 def tokenize(raw: str, config: TokenizeConfig = DEFAULT_CONFIG, source_id: str = "") -> TokenSequence:
