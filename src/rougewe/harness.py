@@ -248,7 +248,7 @@ def score_corpus(
 
     words, ids = encode(_texts(topics), tokenize_config)
     rows = table.rows(words) if any(m.match == "we" for m in metrics) else None
-    del words
+    del words  # scoring needs the ids and rows only
     ids = iter(ids)  # in ``_texts`` order
     model_seqs, system_seqs = {}, {}
     for t in topics:

@@ -106,7 +106,8 @@ def _code(chunk_lists: Iterable[Iterable[str]], word: Callable[[str], str | None
           ) -> tuple[list[str], list[np.ndarray]]:
     """The one coder behind ``encode`` and ``encode_tokens``: each distinct
     chunk is given its ``word`` once, and each list's chunks are mapped to
-    their words' ids by one gather."""
+    their words' ids by one gather. Each step's tables are dropped once
+    the next step has what it needs from them, to keep the peak low."""
     # A chunk is known by the place of its first occurrence among all the
     # chunks, and each list becomes its chunks' places, without a Python
     # call per chunk.
@@ -123,8 +124,8 @@ def _code(chunk_lists: Iterable[Iterable[str]], word: Callable[[str], str | None
     words = sorted(distinct)
     del distinct
     index = dict(zip(words, range(len(words))))
-    # The word id of the chunk first found at each place; -1 for a chunk
-    # that is dropped.
+    # The word id of the chunk first found at each place (``next(places)``
+    # is the number of chunks); -1 for a chunk that is dropped.
     word_at = np.empty(next(places), np.int32)
     word_at[first_places] = np.fromiter(map(index.get, chunk_words, repeat(-1)), np.int32,
                                         len(chunk_words))
