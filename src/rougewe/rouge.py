@@ -180,13 +180,14 @@ class _UnitCodes:
         self.variant = variant
         # How far past its first word a unit reaches.
         self.reach = variant.n - 1 if variant.family == "n" else variant.max_skip + 1
-        ids = np.concatenate([_NO_IDS, *summaries])
+        ids = np.concatenate([_NO_IDS, *summaries], dtype=np.intp)
         held = np.zeros(int(ids.max(initial=-1)) + 2, dtype=bool)
         held[ids] = True
         self.words = held.nonzero()[0]
         # Each word id's number here, 0 for a word no summary holds; the
         # last entry is 0, and ids past it clip to it.
-        self.remap = held.cumsum() * held
+        self.remap = np.zeros(len(held), dtype=np.intp)
+        self.remap[self.words] = np.arange(1, len(self.words) + 1)
         self.base = np.int64(len(self.words) + 1)
         self.first = self.base if variant.family == "su" else 1
         self.keys: list[np.ndarray] = []
@@ -237,9 +238,9 @@ class _UnitCodes:
         """
         lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
         # Ids past every word: they clip to the last entry of ``remap``, 0.
-        pad = np.full(self._pad(lengths), _PAST_IDS, dtype=np.int32)
+        pad = np.full(self._pad(lengths), _PAST_IDS, dtype=np.intp)
         ids = self.remap.take(np.concatenate([_NO_IDS, *chain.from_iterable(
-            zip(seqs, repeat(pad)))]), mode="clip")
+            zip(seqs, repeat(pad)))], dtype=np.intp), mode="clip")
         n = len(ids) - len(pad)
         rank = ids[:n]
         if self.variant.family == "n":
