@@ -27,7 +27,7 @@ from .harness import (
     JudgmentsFormatError,
     MetaEvalError,
     MetricConfig,
-    corpus_vocabulary,
+    encode_corpus,
     format_table,
     load_corpus,
     load_judgments,
@@ -232,10 +232,14 @@ def meta_eval(**settings):
         if not topics:
             raise click.ClickException(f"corpus {config.corpus} contains no topics")
         tok_config = config.tokenize_config()
-        table = None
+        table = coding = None
         if config.uses_embeddings:
-            table = config.load_table(corpus_vocabulary(topics, tok_config))
-        scores = score_corpus(topics, config.metrics, table=table, tokenize_config=tok_config)
+            # The table holds only the corpus's words, so the corpus is coded
+            # before the load, once, and scored from that coding.
+            coding = encode_corpus(topics, tok_config)
+            table = config.load_table(coding[0])
+        scores = score_corpus(topics, config.metrics, table=table, tokenize_config=tok_config,
+                              coding=coding)
         report = meta_evaluate(scores, human)
     except (CorpusLoadError, JudgmentsFormatError, MetaEvalError, UndefinedCorrelationError) as exc:
         raise click.ClickException(str(exc)) from exc

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .correlation import (
     CorrelationTriple,
     ScoreVector,
@@ -200,12 +202,13 @@ def _texts(topics: Sequence[Topic]) -> list[str]:
     return [text for t in topics for _, text in (*t.model_summaries, *t.system_summaries)]
 
 
-def corpus_vocabulary(topics: Sequence[Topic],
-                      tokenize_config: TokenizeConfig = DEFAULT_CONFIG) -> list[str]:
-    """Every word of the corpus's summaries under ``tokenize_config``, in
-    sorted order: the only words that scoring the corpus looks up in an
-    embedding table."""
-    return encode(_texts(topics), tokenize_config)[0]
+def encode_corpus(topics: Sequence[Topic], tokenize_config: TokenizeConfig = DEFAULT_CONFIG
+                  ) -> tuple[list[str], list[np.ndarray]]:
+    """The corpus coded by ``textpipe.encode`` under ``tokenize_config``:
+    its words in sorted order, the only ones that scoring looks up in an
+    embedding table, and each summary's word ids, each topic's models and
+    then its systems, in ``topics`` order."""
+    return encode(_texts(topics), tokenize_config)
 
 
 def score_corpus(
@@ -213,24 +216,30 @@ def score_corpus(
     metrics: Sequence[MetricConfig],
     table: EmbeddingTable | None = None,
     tokenize_config: TokenizeConfig = DEFAULT_CONFIG,
+    coding: tuple[list[str], list[np.ndarray]] | None = None,
 ) -> dict[str, ScoreVector]:
     """Per-metric mean score of every system over all topics.
 
-    The summaries are coded once for every metric (``textpipe.encode``):
-    each distinct chunk of text is normalized once, and each summary becomes
-    one array of word ids over the corpus's sorted word list, whose table
-    rows are looked up once under embedding matching. For each metric, a
-    topic's model summaries are prepared once in a ``TopicPlan``, and all
-    its system summaries are scored against them in one ``score_many``
-    call, which gives the topic's per-system vector; every score is bitwise
-    what ``rouge_score`` gives for that pair.
+    The summaries are coded once for every metric (``encode_corpus``; a
+    caller that has coded ``topics`` under ``tokenize_config`` already
+    passes that result as ``coding``): each distinct chunk of text is
+    normalized once, and each summary becomes one array of word ids over
+    the corpus's sorted word list, whose table rows are looked up once
+    under embedding matching. For each metric, a topic's model summaries are prepared once
+    in a ``TopicPlan``, and all its system summaries are scored against
+    them in one ``score_many`` call, which gives the topic's per-system
+    vector; every score is bitwise what ``rouge_score`` gives for that pair.
+    Under embedding matching a topic's unigram span is scored once per OOV
+    policy, by the first of rouge-1 and the rouge-SU metrics to reach it,
+    and its soft counts serve the others (``score_many``'s ``shared``, one
+    dict per topic, dropped with the call).
     A system missing a topic's summary contributes 0 for that topic under
     every metric, and is logged once, in topic then system order. A
     summary that fails to score raises ``MetaEvalError`` naming the
     metric, system and topic, chained from the cause (a failed batch is
-    scored again one summary at a time to find it): a zero in
-    its place would bias the correlations without a trace. Two metrics
-    with the same name would share one set of report rows, and two topics
+    scored again one summary at a time to find it, with nothing shared):
+    a zero in its place would bias the correlations without a trace. Two
+    metrics with the same name would share one set of report rows, and two topics
     with the same id one set of summaries, so either raises
     ``MetaEvalError`` too. Each system's mean is a sequential sum over
     topics in ``topic_id`` order, so no input order changes a bit.
@@ -246,7 +255,7 @@ def score_corpus(
                 raise MetaEvalError(f"{what} {name} is given more than once; "
                                     f"each {what} needs a distinct name")
 
-    words, ids = encode(_texts(topics), tokenize_config)
+    words, ids = encode_corpus(topics, tokenize_config) if coding is None else coding
     rows = table.rows(words) if any(m.match == "we" for m in metrics) else None
     del words  # scoring needs the ids and rows only
     ids = iter(ids)  # in ``_texts`` order
@@ -262,6 +271,9 @@ def score_corpus(
                 logger.warning("system %s has no summary for topic %s; scoring 0",
                                system_id, topic.topic_id)
 
+    # Each topic's batch's unigram soft counts, per OOV policy, shared by
+    # the metrics that score them; a summary retried alone is given none.
+    unigram_spans = {topic.topic_id: {} for topic in topics}
     results: dict[str, ScoreVector] = {}
     for metric in metrics:
         match = metric.match_function(table)
@@ -277,7 +289,8 @@ def score_corpus(
             cands = system_seqs[topic.topic_id]
             present = [system_id for system_id in system_ids if system_id in cands]
             try:
-                scores = plan.score_many([cands[system_id] for system_id in present])
+                scores = plan.score_many([cands[system_id] for system_id in present],
+                                         unigram_spans[topic.topic_id])
             except Exception as exc:
                 # Score the batch's summaries one at a time to name the one
                 # that fails.

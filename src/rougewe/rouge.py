@@ -316,16 +316,19 @@ def _greedy_assign(sims: np.ndarray, ref_counts: np.ndarray, cand_counts: np.nda
     maximum, which is exactly that order's tie-break. After each round the
     rows and columns that are exhausted or hold no positive pair are left
     out of the next round's matrix, a gathered copy, so the arguments are
-    never written to.
+    never written to. Entries of ``sims`` at or below 0 are never taken,
+    and they are never a positive row's or column's first maximum, so a
+    matrix needs no lower clip: its negatives assign as zeros would.
 
     ``matched`` instances were paired outside ``sims`` at similarity 1.
     Sequential greedy sums the pairs at similarity 1 first, and whole-number
     partial sums are exact, so the total starts from ``matched`` and then
-    sums the taken pairs in sequential order: it is bitwise the total of
-    one assignment over all pairs.
+    sums the taken pairs in sequential order, by one ``np.add.accumulate``
+    (strictly left to right): it is bitwise the total of one assignment
+    over all pairs.
     """
-    ref_ids = np.arange(sims.shape[0])
-    cand_ids = np.arange(sims.shape[1])
+    index = np.arange(max(sims.shape))
+    ref_ids, cand_ids = index[:sims.shape[0]], index[:sims.shape[1]]
     rem_ref = ref_counts.copy()
     rem_cand = cand_counts.copy()
     taken: list[tuple[np.ndarray, ...]] = []
@@ -333,10 +336,13 @@ def _greedy_assign(sims: np.ndarray, ref_counts: np.ndarray, cand_counts: np.nda
         n, m = sims.shape
         best_cand = sims.argmax(axis=1)
         best_ref = sims.argmax(axis=0)
-        row_best = sims[np.arange(n), best_cand]
+        row_best = sims[index[:n], best_cand]
         # A row with no positive pair left is no positive column's first
         # maximum, so it blocks no pair; it is dropped after this round.
-        rows = np.flatnonzero((best_ref[best_cand] == np.arange(n)) & (row_best > 0.0))
+        keep_ref = row_best > 0.0
+        dominant = best_ref[best_cand] == index[:n]
+        dominant &= keep_ref
+        rows = dominant.nonzero()[0]
         if not len(rows):
             break
         cols = best_cand[rows]
@@ -344,19 +350,20 @@ def _greedy_assign(sims: np.ndarray, ref_counts: np.ndarray, cand_counts: np.nda
         taken.append((row_best[rows], ref_ids[rows], cand_ids[cols], take))
         rem_ref[rows] -= take
         rem_cand[cols] -= take
-        keep_ref = (rem_ref > 0) & (row_best > 0.0)
-        keep_cand = (rem_cand > 0) & (sims[best_ref, np.arange(m)] > 0.0)
+        keep_ref &= rem_ref > 0
+        keep_cand = sims[best_ref, index[:m]] > 0.0
+        keep_cand &= rem_cand > 0
         sims = sims[keep_ref][:, keep_cand]
         ref_ids, rem_ref = ref_ids[keep_ref], rem_ref[keep_ref]
         cand_ids, rem_cand = cand_ids[keep_cand], rem_cand[keep_cand]
-    total = float(matched)
     if not taken:
-        return total
+        return float(matched)
     sim, ref_idx, cand_idx, take = (np.concatenate(parts) for parts in zip(*taken))
     order = np.lexsort((cand_idx, ref_idx, -sim))
-    for count, value in zip(take[order].tolist(), sim[order].tolist()):
-        total += count * value
-    return total
+    terms = np.empty(len(order) + 1)
+    terms[0] = matched
+    np.multiply(take[order], sim[order], out=terms[1:])
+    return float(np.add.accumulate(terms)[-1])
 
 
 def _side(units: np.ndarray, counts: np.ndarray, table: EmbeddingTable) -> tuple:
@@ -430,9 +437,11 @@ class TopicPlan:
     each reference in one step. Under embedding matching a ``score_many``
     call codes the references and the batch together. Per unit length it
     composes each reference's units once and each candidate's in turn; a
-    pair costs its product, clip, shared-OOV count and assignment. Either
-    way the whole batch's scores are combined as arrays, and each is
-    bitwise that of a batch of one.
+    pair costs its product, clip, shared-OOV count and assignment. The
+    unigram span, the same for rouge-1 and every rouge-SU, can be scored
+    once for all of them (``score_many``'s ``shared``). Either way the
+    whole batch's scores are combined as arrays, and each is bitwise that
+    of a batch of one.
     """
 
     def __init__(
@@ -456,37 +465,71 @@ class TopicPlan:
         self.rows = rows
         self.codes = _UnitCodes(refs, variant) if match.kind == "exact" else None
 
-    def score_many(self, cands: Sequence[np.ndarray]) -> list[RougeScore]:
+    def score_many(self, cands: Sequence[np.ndarray],
+                   shared: dict | None = None) -> list[RougeScore]:
         """Score each candidate against every reference, combined per the
         multiref policy (see ``rouge_score``); one score per candidate, in
-        order."""
+        order.
+
+        ``shared`` is a dict that the caller keeps for one batch of one
+        topic, passed to each metric's plan that scores that batch. Under
+        embedding matching rouge-1's one span and every rouge-SU's first
+        are the unigrams, scored alike: the first such metric keeps their
+        (candidates × references) soft counts there under its OOV policy,
+        and the others read them instead of scoring the span again. Only
+        that array is kept, no composed rows. A batch that is not the one
+        the dict was kept for must not be given it.
+        """
         if self.match.kind == "exact":
             overlaps, cand_totals = self.codes.overlaps(cands)
             return _combine(overlaps.astype(np.float64), self.codes.totals, cand_totals,
                             self.multiref)
         codes = _UnitCodes([*self.refs, *cands], self.variant)
-        table = self.match.table
-        fallback = self.match.oov_policy == "exact-fallback"
         # Each word's table row by its number here; the numbers of a unit,
         # sorted, are its words in sorted order, as ``compose`` multiplies them.
         rows = np.append(-1, self.rows[codes.words])
+        spans = codes.spans()
+        soft = []
+        if self.variant.family == "su" or self.variant.n == 1:
+            shared = {} if shared is None else shared
+            key = self.match.oov_policy
+            if key not in shared:
+                shared[key] = self._soft_counts(codes, rows, *spans[0])
+            soft.append(shared[key])
+            spans = spans[1:]
+        soft += [self._soft_counts(codes, rows, first, words) for first, words in spans]
+        # Summed span by span from 0, as one pair's counts are.
         n_refs = len(self.refs)
-        soft = np.zeros((len(cands), n_refs))
-        for first, words in codes.spans():
-            units = rows[np.sort(words, axis=1)]
-            counts = codes.counts[:, first:first + len(units)]
-            refs = [_side(units, ref_counts, table) for ref_counts in counts[:n_refs]]
-            for cand_counts, pair_soft in zip(counts[n_refs:], soft):
-                matrix, held, _ = _side(units, cand_counts, table)
-                for i, (ref_matrix, ref_held, oov) in enumerate(refs):
-                    # An out-of-vocabulary unit is similar 0 to every other
-                    # unit, or under exact-fallback 1 to itself: such pairs
-                    # share no row or column, so they match outside ``sims``.
-                    matched = np.minimum(counts[i, oov], cand_counts[oov]).sum() if fallback else 0
-                    sims = ref_matrix @ matrix.T
-                    np.clip(sims, 0.0, 1.0, out=sims)
-                    pair_soft[i] += _greedy_assign(sims, ref_held, held, matched)
-        return _combine(soft, codes.totals[:n_refs], codes.totals[n_refs:], self.multiref)
+        return _combine(sum(soft), codes.totals[:n_refs], codes.totals[n_refs:], self.multiref)
+
+    def _soft_counts(self, codes: _UnitCodes, rows: np.ndarray, first: int,
+                     words: np.ndarray) -> np.ndarray:
+        """Each candidate's soft count against each reference (candidates ×
+        references) over the span of ``codes`` whose columns start at
+        ``first`` and hold ``words``; ``rows`` maps word numbers to table rows."""
+        table = self.match.table
+        fallback = self.match.oov_policy == "exact-fallback"
+        units = rows[np.sort(words, axis=1)]
+        counts = codes.counts[:, first:first + len(units)]
+        n_refs = len(self.refs)
+        refs = [_side(units, ref_counts, table) for ref_counts in counts[:n_refs]]
+        soft = np.empty((len(counts) - n_refs, n_refs))
+        for cand_counts, pair_soft in zip(counts[n_refs:], soft):
+            matrix, held, _ = _side(units, cand_counts, table)
+            for i, (ref_matrix, ref_held, oov) in enumerate(refs):
+                # An out-of-vocabulary unit is similar 0 to every other unit,
+                # or under exact-fallback 1 to itself: such pairs share no
+                # row or column, so they match outside ``sims``. Similarities
+                # at or below 0 are never taken, so only 1 bounds them.
+                matched = np.minimum(counts[i, oov], cand_counts[oov]).sum() if fallback else 0
+                sims = ref_matrix @ matrix.T
+                np.minimum(sims, 1.0, out=sims)
+                pair_soft[i] = _greedy_assign(sims, ref_held, held, matched)
+                # Dropped before the next pair's, and the candidate's rows
+                # before the next candidate's: at most one of each is held.
+                del sims
+            del matrix
+        return soft
 
 
 def rouge_score(

@@ -90,6 +90,17 @@ def sign_table(seed: int, words: Sequence[str]) -> EmbeddingTable:
     return make_table({w: rng.choice([-0.25, 0.25], size=16) for w in words})
 
 
+def gaussian_table(seed: int, words: Sequence[str], dim: int = 64) -> EmbeddingTable:
+    """Seeded Gaussian vectors, normalized as the loaders store them. Unlike
+    the sign, one-hot and Hadamard tables, their products round, so a
+    product's bits follow its summation order and so its shape: in 64
+    dimensions, a column slice of a larger product differs from the
+    slice's own product in about half of random shapes. A fast path that
+    reorders a sum shows here."""
+    rng = np.random.default_rng(seed)
+    return make_table({w: rng.standard_normal(dim) for w in words})
+
+
 @pytest.fixture
 def weather_table() -> EmbeddingTable:
     """Tiny table where rain words are near-synonyms (cosine 0.8)."""

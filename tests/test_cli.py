@@ -16,7 +16,7 @@ from rougewe.harness import MetricConfig
 from rougewe.rouge import RougeVariant, rouge_score
 from rougewe.textpipe import tokenize
 
-from conftest import write_corpus
+from conftest import gaussian_table, save_binary, write_corpus
 
 
 @pytest.fixture
@@ -351,13 +351,13 @@ class TestMetaEvalCommand:
         corpus, judgments = tiny_corpus
         real = harness.TopicPlan.score_many
 
-        def fail_for_s2(plan, cands):
+        def fail_for_s2(plan, cands, *shared):
             # s2 sits between s1 and s3 in each topic's batch. The corpus's
             # words a, b, ..., z are numbered in sorted order (a b c d e f g h
             # w x y z), so s2's texts "a b x y" and "e f x y" are these ids.
             if any(cand.tolist() in ([0, 1, 9, 10], [4, 5, 9, 10]) for cand in cands):
                 raise RuntimeError("scorer bug")
-            return real(plan, cands)
+            return real(plan, cands, *shared)
 
         monkeypatch.setattr(harness.TopicPlan, "score_many", fail_for_s2)
         out = tmp_path / "out"
@@ -447,6 +447,47 @@ class TestMetaEvalCommand:
         assert f"judgments file {judgments}: expected header" in result.output
         assert calls == []
         assert not (out / "report.json").exists()
+
+    def test_we_runs_are_byte_identical(self, runner, tiny_corpus, tmp_path):
+        # Real-valued vectors, whose products round, and every metric that
+        # shares the unigram span: two runs in one process write the same
+        # bytes.
+        corpus, judgments = tiny_corpus
+        vectors = tmp_path / "vecs.bin"
+        save_binary(gaussian_table(0, list("abcdefghxyz")), vectors)  # "w" is out of vocabulary
+        out = tmp_path / "out"
+        reports = []
+        for _ in range(2):
+            result = runner.invoke(main, [
+                "meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),
+                "--out", str(out), "--match", "we", "--embeddings", str(vectors),
+                "--oov", "exact-fallback", "--metrics", "rouge-1,rouge-2,rouge-su4,rouge-su0",
+            ])
+            assert result.exit_code == 0, result.output
+            reports.append([(out / name).read_bytes() for name in ("report.csv", "report.json")])
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("match", ["exact", "we"])
+    def test_corpus_is_coded_once(self, runner, tiny_corpus, tmp_path, monkeypatch, match):
+        # Under --match we the coding that names the words to load is the
+        # one scored.
+        corpus, judgments = tiny_corpus
+        vectors = tmp_path / "vecs.bin"
+        save_binary(gaussian_table(0, list("abcdefghxyzw")), vectors)
+        calls = []
+        real = harness.encode
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "encode", spy)
+        result = runner.invoke(main, [
+            "meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),
+            "--out", str(tmp_path / "out"), "--match", match, "--embeddings", str(vectors),
+        ])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
 
     def test_we_loads_only_the_corpus_words(self, runner, tiny_corpus, tmp_path, monkeypatch,
                                             caplog):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rougewe import harness
+from rougewe import harness, rouge
 from rougewe.correlation import ScoreVector, UndefinedCorrelationError
+from rougewe.embeddings import EmbeddingTable
 from rougewe.harness import (
     JUDGMENT_TYPES,
     CorpusLoadError,
@@ -25,10 +26,10 @@ from rougewe.harness import (
     score_corpus,
     write_reports,
 )
-from rougewe.rouge import ROUGE_1, ROUGE_2, MatchFunction, RougeVariant, rouge_score
+from rougewe.rouge import ROUGE_1, ROUGE_2, ROUGE_SU4, MatchFunction, RougeVariant, rouge_score
 from rougewe.textpipe import DEFAULT_CONFIG, TokenizeConfig, tokenize
 
-from conftest import identity_table, make_table, sign_table, write_corpus
+from conftest import gaussian_table, identity_table, make_table, sign_table, write_corpus
 from exact_oracle import oracle_rouge_score, units
 
 R1 = MetricConfig(ROUGE_1)
@@ -254,27 +255,29 @@ class TestScoreCorpus:
         real = harness.TopicPlan.score_many
         batches = []
 
-        def fail_for_s2(plan, cands):
+        def fail_for_s2(plan, cands, *shared):
             # The corpus's words a, b, c have the ids 0, 1, 2: s2 is [0, 2].
-            batches.append([cand.tolist() for cand in cands])
-            if [0, 2] in batches[-1]:
+            batches.append(([cand.tolist() for cand in cands], shared))
+            if [0, 2] in batches[-1][0]:
                 raise RuntimeError("scorer bug")
-            return real(plan, cands)
+            return real(plan, cands, *shared)
 
         monkeypatch.setattr(harness.TopicPlan, "score_many", fail_for_s2)
         with pytest.raises(MetaEvalError, match="metric rouge-1, system s2, topic t1") as info:
             score_corpus(load_corpus(tmp_path), [R1])
         assert isinstance(info.value.__cause__, RuntimeError)
-        assert batches[0] == [[0, 1], [0, 2], [1, 2]]
+        # Only the batch is given the topic's shared spans: a summary scored
+        # again on its own never reads what the batch kept.
+        assert batches == [([[0, 1], [0, 2], [1, 2]], ({},)), ([[0, 1]], ()), ([[0, 2]], ())]
 
     def test_batch_failure_no_summary_repeats_names_the_topic(self, tmp_path, monkeypatch):
         write_corpus(tmp_path, {"t1": ({"m1": "a b"}, {"s1": "a b", "s2": "a c"})})
         real = harness.TopicPlan.score_many
 
-        def fail_batches(plan, cands):
+        def fail_batches(plan, cands, *shared):
             if len(cands) > 1:
                 raise RuntimeError("batch bug")
-            return real(plan, cands)
+            return real(plan, cands, *shared)
 
         monkeypatch.setattr(harness.TopicPlan, "score_many", fail_batches)
         with pytest.raises(MetaEvalError, match=r"metric rouge-1, topic t1 \(system summaries\): "
@@ -407,12 +410,14 @@ def reorder(topics, shuffle_seed):
 class TestTopicPlanDifferential:
     @given(topics=corpora(), metrics=metric_lists(),
            table_seed=st.none() | st.integers(0, 2**32 - 1),
+           random_table=st.sampled_from([sign_table, gaussian_table]),
            config=st.sampled_from(TOKENIZE_CONFIGS))
     @settings(max_examples=150, deadline=None)
-    def test_score_corpus_equals_pair_by_pair(self, topics, metrics, table_seed, config):
+    def test_score_corpus_equals_pair_by_pair(self, topics, metrics, table_seed, random_table,
+                                              config):
         # None: a one-hot table, where every positive similarity ties at 1.
         table = (identity_table(TABLE_WORDS) if table_seed is None
-                 else sign_table(table_seed, TABLE_WORDS))
+                 else random_table(table_seed, TABLE_WORDS))
         assert score_corpus(topics, metrics, table=table, tokenize_config=config) == (
             score_pair_by_pair(topics, metrics, table, config=config))
 
@@ -424,10 +429,11 @@ class TestTopicPlanDifferential:
             topics, metrics, None, oracle_score_pair, config)
 
     @given(topics=corpora(), metrics=metric_lists(), table_seed=st.integers(0, 2**32 - 1),
+           random_table=st.sampled_from([sign_table, gaussian_table]),
            shuffle_seed=st.none() | st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
-    def test_order_independent(self, topics, metrics, table_seed, shuffle_seed):
-        table = sign_table(table_seed, TABLE_WORDS)
+    def test_order_independent(self, topics, metrics, table_seed, random_table, shuffle_seed):
+        table = random_table(table_seed, TABLE_WORDS)
         assert score_corpus(reorder(topics, shuffle_seed), metrics, table=table) == score_corpus(
             topics, metrics, table=table)
 
@@ -437,6 +443,97 @@ class TestTopicPlanDifferential:
     def test_exact_order_independent(self, topics, metrics, shuffle_seed):
         assert score_corpus(reorder(topics, shuffle_seed), metrics) == score_corpus(topics,
                                                                                     metrics)
+
+
+# Thirty words with vectors and three without, which exact-fallback matches
+# by identity.
+GAUSSIAN_WORDS = [f"w{i}" for i in range(30)]
+OOV_WORDS = ["ghost", "wraith", "spectre"]
+
+
+def gaussian_corpus(seed: int) -> tuple[list[Topic], EmbeddingTable]:
+    """Two topics of three models and five systems, 6-24 words each, with
+    a seeded Gaussian table: no product of its vectors is exact."""
+    rng = random.Random(seed)
+    words = GAUSSIAN_WORDS + OOV_WORDS
+
+    def text() -> str:
+        return " ".join(rng.choices(words, k=rng.randint(6, 24)))
+
+    topics = [Topic(f"t{t}", [(f"m{m}", text()) for m in range(3)],
+                    [(f"s{k}", text()) for k in range(5)]) for t in range(2)]
+    return topics, gaussian_table(seed, GAUSSIAN_WORDS)
+
+
+def hexed(scores: dict[str, ScoreVector]) -> dict[str, tuple]:
+    """Each metric's system means as float hex, labelled."""
+    return {name: (vector.labels, tuple(map(float.hex, vector.values)))
+            for name, vector in scores.items()}
+
+
+def we_metrics(names: list[str], oov: str = "exact-fallback") -> list[MetricConfig]:
+    return [MetricConfig(RougeVariant.parse(name), match="we", oov=oov) for name in names]
+
+
+class TestSharedUnigramSpan:
+    """Under embedding matching a topic's unigram span is scored once per
+    OOV policy, for rouge-1 and every rouge-SU. Checked with real-valued
+    vectors, whose products round: the shared span must give every metric
+    the bits it gets scored alone, and the bits of ``rouge_score``."""
+
+    NAMES = ["rouge-1", "rouge-2", "rouge-su4", "rouge-su0"]
+    ORDERS = [NAMES, ["rouge-su4", "rouge-1", "rouge-su0", "rouge-2"],
+              ["rouge-su0", "rouge-su4", "rouge-2", "rouge-1"]]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("oov", ["zero", "exact-fallback"])
+    def test_together_equals_alone_and_pair_by_pair(self, seed, oov):
+        topics, table = gaussian_corpus(seed)
+        metrics = we_metrics(self.NAMES, oov)
+        alone = {}
+        for metric in metrics:
+            alone |= hexed(score_corpus(topics, [metric], table=table))
+        assert hexed(score_pair_by_pair(topics, metrics, table)) == alone
+        for order in self.ORDERS:
+            assert hexed(score_corpus(topics, we_metrics(order, oov), table=table)) == alone
+
+    def test_no_sharing_across_oov_policies(self):
+        topics, table = gaussian_corpus(2)
+        one_zero = we_metrics(["rouge-1"], "zero")
+        su4_fallback = we_metrics(["rouge-su4"], "exact-fallback")
+        together = hexed(score_corpus(topics, one_zero + su4_fallback, table=table))
+        assert together == (hexed(score_corpus(topics, one_zero, table=table))
+                            | hexed(score_corpus(topics, su4_fallback, table=table)))
+        # The policies differ on this corpus's unigrams, so a span shared
+        # across them would change the rouge-su4 means.
+        su4_zero = hexed(score_corpus(topics, we_metrics(["rouge-su4"], "zero"), table=table))
+        assert su4_zero != {"rouge-we-su4": together["rouge-we-su4"]}
+
+    @pytest.mark.parametrize("metrics, per_pair", [
+        ("rouge-1 rouge-2 rouge-su4", 3),
+        ("rouge-1 rouge-su4", 2),
+        ("rouge-su4 rouge-su0 rouge-1", 3),
+        ("rouge-1", 1),
+        ("rouge-1:zero rouge-su4", 3),
+    ])
+    def test_unigrams_are_assigned_once_per_pair(self, monkeypatch, metrics, per_pair):
+        # One ``_greedy_assign`` per (system, model) pair and unit length:
+        # the unigrams once for all the metrics that hold them under one
+        # OOV policy (exact-fallback unless the name says otherwise).
+        topics, table = gaussian_corpus(0)
+        calls = []
+        real = rouge._greedy_assign
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rouge, "_greedy_assign", spy)
+        configs = [we_metrics([name], *oov)[0] for name, *oov in
+                   (entry.split(":") for entry in metrics.split())]
+        score_corpus(topics, configs, table=table)
+        pairs = sum(len(t.model_summaries) * len(t.system_summaries) for t in topics)
+        assert len(calls) == per_pair * pairs
 
 
 class TestScoreCorpusKeepsNoState:
@@ -528,22 +625,34 @@ class TestScoreCorpusMemory:
 
     def test_we_batch_composes_one_candidate_at_a_time(self):
         # Scoring a batch under embedding matching holds the references'
-        # composed units, one candidate's, and the joint count matrix of all
-        # the summaries. Composing every unit of the batch at once would add
-        # about 12 MB here: 51 systems of 100 words drawn from 5,000 hold
-        # about 5,000 distinct bigrams, at 300 float64 values each.
+        # composed units of one length, one candidate's, and the joint count
+        # matrix of all the summaries. Composing every unit of the batch at
+        # once would add about 12 MB here: 51 systems of 100 words drawn
+        # from 5,000 hold about 5,000 distinct bigrams, at 300 float64
+        # values each.
+        self.assert_we_peak_within_one_candidate([ROUGE_2])
+
+    def test_we_shared_unigram_span_keeps_no_rows(self):
+        # rouge-1 scores the unigram span for rouge-su4 too. Keeping the
+        # systems' composed unigrams for it, about 5,000 words at 300
+        # float64 values each, would break the same bound.
+        self.assert_we_peak_within_one_candidate([ROUGE_1, ROUGE_SU4])
+
+    @staticmethod
+    def assert_we_peak_within_one_candidate(variants):
         rng = np.random.default_rng(0)
         vocab = [f"w{i}" for i in range(5000)]
         table = make_table(dict(zip(vocab, rng.standard_normal((len(vocab), 300)))))
         refs = [(f"m{r}", " ".join(rng.choice(vocab, 100))) for r in range(4)]
         systems = [(f"s{k:02d}", " ".join(rng.choice(vocab, 100))) for k in range(51)]
-        bigrams = [units(tokenize(text), ROUGE_2) for _, text in refs + systems]
-        sides = 8 * table.dim * (sum(map(len, bigrams[:4])) + max(map(len, bigrams[4:])))
-        counts = 8 * len(bigrams) * (1 + len(set().union(*bigrams)))
+        found = [units(tokenize(text), variants[-1]) for _, text in refs + systems]
+        pairs = [[unit for unit in found_units if len(unit) == 2] for found_units in found]
+        sides = 8 * table.dim * (sum(map(len, pairs[:4])) + max(map(len, pairs[4:])))
+        counts = 8 * len(found) * (1 + len(set().union(*found)))
         tracemalloc.start()
         try:
-            score_corpus([Topic("t1", refs, systems)], [MetricConfig(ROUGE_2, match="we")],
-                         table=table)
+            score_corpus([Topic("t1", refs, systems)],
+                         [MetricConfig(variant, match="we") for variant in variants], table=table)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

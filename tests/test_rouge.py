@@ -266,6 +266,33 @@ class TestEngineMatchesSequentialGreedy:
         for arg, copy in zip(args, before):
             assert np.array_equal(arg, copy)
 
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_non_positive_entries_assign_as_zeros(self, data):
+        # Products of real vectors are clipped only above, so the matrix
+        # holds negatives. Drawn from levels on both sides of 0, and in some
+        # matrices arbitrary floats in [-1, 1], whole rows and columns can
+        # hold no positive entry, and a negative can be a row's or a
+        # column's only nonzero.
+        n_ref, n_cand = data.draw(st.integers(0, 40)), data.draw(st.integers(0, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        sims = rng.choice([-1.0, -0.5, -0.25, -0.0, 0.0, 0.25, 0.5, 1.0], size=(n_ref, n_cand))
+        floats = rng.random(sims.shape) < data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        sims[floats] = rng.uniform(-1.0, 1.0, int(floats.sum()))
+        ref_counts = rng.integers(1, 4, n_ref)
+        cand_counts = rng.integers(1, 4, n_cand)
+        # The oracle sees the ``matched`` instances as one more pair at
+        # similarity 1, in a row and a column of their own.
+        matched = data.draw(st.integers(0, 3))
+        pairs = [(float(sims[i, j]), i, j) for i in range(n_ref) for j in range(n_cand)
+                 if sims[i, j] > 0.0] + [(1.0, n_ref, n_cand)]
+        expected = _greedy_consume(pairs, dict(enumerate([*ref_counts.tolist(), matched])),
+                                   dict(enumerate([*cand_counts.tolist(), matched])))
+        got = _greedy_assign(sims, ref_counts, cand_counts, matched)
+        assert got.hex() == expected.hex()
+        assert got.hex() == _greedy_assign(np.clip(sims, 0.0, 1.0), ref_counts, cand_counts,
+                                           matched).hex()
+
 class TestTieBreak:
     """Equal similarities are taken in sorted word-tuple order of the
     reference's units, then the candidate's, whatever order the words come
