@@ -197,10 +197,9 @@ def score(candidate, references, **settings):
     Prints one line per metric: '<metric> R=<recall> P=<precision> F=<f1>'.
     """
     config = _build_run_config("score", **settings)
-    texts = [(candidate, _read_utf8(candidate, "candidate file"))]
-    texts += [(r, _read_utf8(r, "reference file")) for r in references]
     tok_config = config.tokenize_config()
-    cand, *refs = [tokenize(text, tok_config, source_id=path) for path, text in texts]
+    cand = tokenize(_read_utf8(candidate, "candidate file"), tok_config)
+    refs = [tokenize(_read_utf8(r, "reference file"), tok_config) for r in references]
     table = None
     if config.uses_embeddings:
         table = config.load_table({word for seq in (cand, *refs) for word in seq})

@@ -472,9 +472,12 @@ def load_text(path: str | Path, vocabulary: Collection[str] | None = None) -> Em
                 if lineno == 1 and len(fields) == 2:
                     try:
                         declared = (int(fields[0]), int(fields[1]))
-                        continue
                     except ValueError:
                         pass
+                    else:
+                        if declared[0] < 0 or declared[1] < 1:
+                            raise EmbeddingFormatError(f"line 1: malformed header {line.strip()!r}")
+                        continue
                 if not fields:
                     continue
                 word, raw_values = fields[0], fields[1:]

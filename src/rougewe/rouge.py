@@ -34,8 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .textpipe import (TokenSequence, Units, encode_tokens, extract_ngrams,
-                       extract_skip_bigrams)
+from .textpipe import TokenSequence, encode_tokens
 
 OOV_POLICIES = ("zero", "exact-fallback")
 MULTIREF_POLICIES = ("average", "jackknife")
@@ -122,17 +121,6 @@ ROUGE_2 = RougeVariant(family="n", n=2)
 ROUGE_SU4 = RougeVariant(family="su", max_skip=4)
 
 
-def extract_units(seq: TokenSequence, variant: RougeVariant) -> Units:
-    """The units a variant scores over, one count per occurrence: n-grams,
-    or for ROUGE-SU skip-bigrams pooled with unigrams. Scoring never calls
-    it: ``_UnitCodes`` finds the same units as integer codes."""
-    if variant.family == "n":
-        return extract_ngrams(seq, variant.n)
-    units = extract_skip_bigrams(seq, variant.max_skip)
-    units.update(extract_ngrams(seq, 1))
-    return units
-
-
 @dataclass(frozen=True)
 class RougeScore:
     recall: float
@@ -145,7 +133,7 @@ class RougeScore:
 
 class _UnitCodes:
     """Summaries' units coded as integers, and one count matrix over the
-    codes they hold: the one unit coder of both kinds of matching.
+    codes they hold: the package's only unit finder, for both kinds of matching.
 
     The summaries come as arrays of word ids over one word list in sorted
     order (``textpipe.encode``). ``words`` holds the ids they use, and

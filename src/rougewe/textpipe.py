@@ -1,8 +1,7 @@
-"""Text input, normalization, integer coding and n-gram / skip-bigram
-extraction.
+"""Text input, normalization and integer coding.
 
 Everything here is pure: the same raw text and config always produce the
-same tokens, and extraction output depends only on the token sequence.
+same tokens, and the same texts the same word ids.
 ``tokenize`` normalizes one text, chunk by chunk, and is the definition of
 a text's words. ``encode`` gives many texts those same words as integer ids
 over one sorted word list, normalizing each distinct chunk once through the
@@ -13,9 +12,8 @@ from __future__ import annotations
 
 import string
 import sys
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, count, repeat
+from itertools import count, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -24,9 +22,6 @@ import numpy as np
 from ._porter import porter_stem
 
 _STRIP_CHARS = string.punctuation + "‘’“”–—…"
-
-# A multiset of scoring units: each unit is its word tuple, mapped to its count.
-Units = Counter[tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -96,6 +91,8 @@ def tokenize(raw: str, config: TokenizeConfig = DEFAULT_CONFIG, source_id: str =
     every word; chunks that are pure punctuation disappear. Empty or
     whitespace-only input yields an empty sequence. Every kept token is
     interned, so a word is one ``str`` object in all the texts it occurs in.
+    Nothing in the package reads ``source_id``; it stays only because the
+    benchmark's sample check passes it (ROADMAP item 1).
     """
     words = (_normalize(chunk, config) for chunk in raw.split())
     return TokenSequence(tuple(sys.intern(word) for word in words if word is not None),
@@ -151,35 +148,3 @@ def encode_tokens(seqs: Iterable[TokenSequence]) -> tuple[list[str], list[np.nda
     the words, and ids rise with sorted word order as ``encode``'s do."""
     return _code((seq.tokens for seq in seqs), lambda token: token)
 
-
-def ngram_stream(seq: TokenSequence, n: int) -> Iterator[tuple[str, ...]]:
-    """Contiguous n-grams of ``seq`` (word tuples), in order, one per
-    occurrence: max(0, len(seq) - n + 1) of them."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    toks = seq.tokens
-    return zip(*(toks[i:] for i in range(n)))
-
-
-def skip_bigram_stream(seq: TokenSequence, max_skip: int) -> Iterator[tuple[str, str]]:
-    """Ordered in-sentence word pairs with at most ``max_skip`` words between,
-    one per occurrence, grouped by skip distance.
-
-    Every pair (w_i, w_j) with i < j and j - i - 1 <= max_skip is yielded.
-    The skip distance only bounds the window: a unit is its two words.
-    """
-    if max_skip < 0:
-        raise ValueError(f"max_skip must be >= 0, got {max_skip}")
-    toks = seq.tokens
-    return chain.from_iterable(zip(toks, toks[skip + 1:])
-                               for skip in range(min(max_skip + 1, len(toks))))
-
-
-def extract_ngrams(seq: TokenSequence, n: int) -> Units:
-    """The multiset of ``ngram_stream``; shorter sequences give an empty one."""
-    return Counter(ngram_stream(seq, n))
-
-
-def extract_skip_bigrams(seq: TokenSequence, max_skip: int) -> Units:
-    """The multiset of ``skip_bigram_stream``."""
-    return Counter(skip_bigram_stream(seq, max_skip))

@@ -3,6 +3,7 @@ pair-level helpers the tests score and write vectors through."""
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
@@ -12,7 +13,7 @@ import pytest
 
 from rougewe.embeddings import EmbeddingTable, _TableBuilder
 from rougewe.rouge import MatchFunction, RougeVariant, TopicPlan
-from rougewe.textpipe import TokenSequence, Units, encode_tokens
+from rougewe.textpipe import TokenSequence, encode_tokens
 
 
 def topic_plan(refs: Sequence[TokenSequence], cands: Sequence[TokenSequence],
@@ -26,7 +27,7 @@ def topic_plan(refs: Sequence[TokenSequence], cands: Sequence[TokenSequence],
     return TopicPlan(ids[:len(refs)], variant, match, multiref, rows), ids[len(refs):]
 
 
-def joined_units(units: Units, length: int, joint: str) -> TokenSequence:
+def joined_units(units: Counter, length: int, joint: str) -> TokenSequence:
     """A summary whose ``length``-grams are the units of that length in
     ``units`` plus windows that hold ``joint``: the units laid end to end,
     one ``joint`` word after each."""
@@ -34,7 +35,7 @@ def joined_units(units: Units, length: int, joint: str) -> TokenSequence:
         (*unit, joint) for unit in units.elements() if len(unit) == length)))
 
 
-def soft_overlap(cand: Units, ref: Units, match: MatchFunction) -> float:
+def soft_overlap(cand: Counter, ref: Counter, match: MatchFunction) -> float:
     """Soft match count of two unit multisets, through the engine's own
     steps: per unit length n, in ascending order, ``cand``'s units of that
     length are scored against ``ref``'s by a one-reference ``TopicPlan``

@@ -130,6 +130,8 @@ def load_text(path: str | Path, vocabulary: Collection[str] | None = None) -> Or
                 start = 1
             except ValueError:
                 declared = None
+            if declared is not None and (declared[0] < 0 or declared[1] < 1):
+                raise EmbeddingFormatError(f"line 1: malformed header {lines[0].strip()!r}")
 
     builder: _TableBuilder | None = None
     n_entries = 0

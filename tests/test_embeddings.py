@@ -89,6 +89,14 @@ class TestLoadText:
         path.write_text("", encoding="utf-8")
         assert load_text(path).size == 0
 
+    @pytest.mark.parametrize("blob", ["0 -3\n", "0 0\n", "-1 2\n", "1 0\na 1 0\n"])
+    def test_header_out_of_range_names_line_1(self, tmp_path, blob):
+        # As load_binary, a header needs vocab_size >= 0 and dim >= 1.
+        path = tmp_path / "vecs.txt"
+        path.write_text(blob, encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match="^line 1: malformed header"):
+            load_text(path)
+
     def test_non_utf8_names_line_and_offset(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_bytes(b"2 2\na 1 0\nb\xff 0 1\n")

@@ -1,7 +1,8 @@
 """Smoke test of the benchmark: ``perfbench/selftest.py`` runs every workload
 at a tiny size through the public entry points the benchmark hooks into
-(``rougewe.cli.main``, ``rouge_score``, the extraction functions the tracer
-wraps, the unit multisets it counts) and checks planted faults are caught.
+(``rougewe.cli.main``, ``rouge_score``, ``tokenize``, the functions and the
+``EmbeddingTable.compose`` method the tracer wraps) and checks planted faults
+are caught.
 Timings gate nothing."""
 
 import subprocess

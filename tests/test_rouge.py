@@ -25,11 +25,9 @@ from rougewe.rouge import (
     _greedy_assign,
     _UnitCodes,
     _row_means,
-    extract_units,
     rouge_score,
 )
-from rougewe.textpipe import (TokenSequence, encode_tokens, extract_ngrams, extract_skip_bigrams,
-                              tokenize)
+from rougewe.textpipe import TokenSequence, encode_tokens, tokenize
 
 from conftest import identity_table, make_table, sign_table, soft_overlap, topic_plan
 from exact_oracle import clipped_count, oracle_rouge_score, units
@@ -38,6 +36,11 @@ from greedy_oracle import _greedy_consume, greedy_soft_overlap, pair_similarity
 
 def seq(text: str) -> TokenSequence:
     return tokenize(text)
+
+
+def skip_bigrams(text: str) -> Counter:
+    """The skip-bigrams of ``text`` under ROUGE-SU4: its units of length 2."""
+    return Counter({unit: k for unit, k in units(seq(text), ROUGE_SU4).items() if len(unit) == 2})
 
 
 def unigrams(*words) -> Counter:
@@ -64,8 +67,8 @@ class TestFExact:
     def test_gap_ignored(self):
         # The skip distance only bounds the window: (a, b) adjacent in one
         # text matches (a, b) three words apart in the other.
-        cand = extract_skip_bigrams(seq("a b"), 4)
-        ref = extract_skip_bigrams(seq("a x y z b"), 4)
+        cand = skip_bigrams("a b")
+        ref = skip_bigrams("a x y z b")
         assert soft_overlap(cand, ref, MatchFunction.exact()) == 1.0
 
 
@@ -309,8 +312,8 @@ class TestTieBreak:
         plan, cands = topic_plan([seq(ref)], [seq(cand)], ROUGE_1, match)
         [score] = plan.score_many(cands)
         assert score.soft_match_count == 0.5
-        assert greedy_soft_overlap(extract_units(seq(cand), ROUGE_1),
-                                   extract_units(seq(ref), ROUGE_1), pair_similarity(match)) == 0.5
+        assert greedy_soft_overlap(units(seq(cand), ROUGE_1),
+                                   units(seq(ref), ROUGE_1), pair_similarity(match)) == 0.5
 
 
 class TestRougeVariant:
@@ -344,11 +347,11 @@ class TestRougeVariant:
             assert RougeVariant.parse(name).name == name
 
     def test_su_units_pool_unigrams(self):
-        s = seq("police killed the gunman")
-        pooled = extract_units(s, ROUGE_SU4)
+        text = "police killed the gunman"
+        pooled = units(seq(text), ROUGE_SU4)
         assert pooled.total() == 6 + 4
-        assert pooled == extract_skip_bigrams(s, 4) + extract_ngrams(s, 1)
-        assert extract_skip_bigrams(s, 4).total() == 6
+        assert pooled == skip_bigrams(text) + units(seq(text), ROUGE_1)
+        assert skip_bigrams(text).total() == 6
 
 
 def combine_one(soft: float, ref_total: int, cand_total: int):
@@ -492,8 +495,8 @@ class TestScoreProperties:
             "e": eye[0], "f": eye[1], "g": eye[2], "h": eye[3],
         })
         match = MatchFunction.we(table, oov_policy="exact-fallback")
-        cand_units = extract_units(cand, variant)
-        ref_units = extract_units(ref, variant)
+        cand_units = units(cand, variant)
+        ref_units = units(ref, variant)
         exact_soft = soft_overlap(cand_units, ref_units, MatchFunction.exact())
         we_soft = soft_overlap(cand_units, ref_units, match)
         assert we_soft >= exact_soft - 1e-9
@@ -527,7 +530,7 @@ def class_units(seq: TokenSequence, variant: RougeVariant, classes: dict[str, in
     classes; an out-of-vocabulary unit by its words under exact-fallback,
     and dropped under zero."""
     keys = Counter()
-    for unit, count in extract_units(seq, variant).items():
+    for unit, count in units(seq, variant).items():
         if all(w in classes for w in unit):
             keys[len(unit), reduce(xor, map(classes.__getitem__, unit))] += count
         elif policy == "exact-fallback":
@@ -639,7 +642,7 @@ class TestExactEngineMatchesOracle:
     @given(cand=summaries, ref=summaries, variant=st.sampled_from(EXACT_VARIANTS))
     @settings(max_examples=200, deadline=None)
     def test_soft_overlap(self, cand, ref, variant):
-        cand_units, ref_units = extract_units(cand, variant), extract_units(ref, variant)
+        cand_units, ref_units = units(cand, variant), units(ref, variant)
         got = soft_overlap(cand_units, ref_units, MatchFunction.exact())
         assert got == float(clipped_count(cand_units, ref_units))
         assert type(got) is float
@@ -648,22 +651,22 @@ class TestExactEngineMatchesOracle:
            variant=st.sampled_from(EXACT_VARIANTS), budget=st.sampled_from([0, 2**30]))
     @settings(max_examples=200, deadline=None)
     def test_unit_stream_is_extract_units(self, cand, refs, variant, budget):
-        # The engine's coded units, read back as words: each reference's
-        # counts row, and a candidate's columns, searched or gathered.
+        # The engine's coded units, read back as words, are the oracle's
+        # units: each reference's counts row, and a candidate's columns,
+        # searched or gathered.
         words, ids = encode_tokens([*refs, cand])
         exact = _UnitCodes(ids[:-1], variant)
-        units = column_units(exact, words)
-        assert exact.counts.shape[1] == len(units) + 1
+        unit_at = column_units(exact, words)
+        assert exact.counts.shape[1] == len(unit_at) + 1
         for row, ref in zip(exact.counts.tolist(), refs):
             assert row[0] == 0
-            assert Counter({units[c]: k for c, k in enumerate(row) if k}) == extract_units(ref,
-                                                                                           variant)
-        assert exact.totals.tolist() == [extract_units(ref, variant).total() for ref in refs]
-        held = set(units.values())
+            assert Counter({unit_at[c]: k for c, k in enumerate(row) if k}) == units(ref, variant)
+        assert exact.totals.tolist() == [units(ref, variant).total() for ref in refs]
+        held = set(unit_at.values())
         cols, lengths = exact._columns(ids[-1:], budget)
-        assert Counter(units[c] for c in cols.ravel().tolist() if c) == Counter(
-            {unit: k for unit, k in extract_units(cand, variant).items() if unit in held})
-        assert exact._totals(lengths).tolist() == [extract_units(cand, variant).total()]
+        assert Counter(unit_at[c] for c in cols.ravel().tolist() if c) == Counter(
+            {unit: k for unit, k in units(cand, variant).items() if unit in held})
+        assert exact._totals(lengths).tolist() == [units(cand, variant).total()]
         # Coded together, as embedding matching codes them, every unit has a
         # column, and each unit length's columns read back through the
         # vocabulary in sorted word-tuple order.
@@ -681,12 +684,9 @@ class TestExactEngineMatchesOracle:
                 tuples = [tuple(vocabulary[w - 1] for w in unit) for unit in words[held].tolist()]
                 assert tuples == sorted(tuples)
                 found.update(dict(zip(tuples, row[first + held].tolist())))
-            assert found == extract_units(summary, variant)
-        assert joint.totals.tolist() == [extract_units(s, variant).total() for s in summaries]
+            assert found == units(summary, variant)
+        assert joint.totals.tolist() == [units(s, variant).total() for s in summaries]
 
-    @given(summary=summaries, variant=st.sampled_from(EXACT_VARIANTS))
-    def test_extract_units_is_oracle_units(self, summary, variant):
-        assert extract_units(summary, variant) == units(summary, variant)
 
 
 class TestExactEdgeCases:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rougewe.rouge import RougeVariant
 from rougewe.textpipe import (
     _STRIP_CHARS,
     DEFAULT_CONFIG,
@@ -12,12 +13,12 @@ from rougewe.textpipe import (
     TokenSequence,
     encode,
     encode_tokens,
-    extract_ngrams,
-    extract_skip_bigrams,
     load_stopwords,
     read_text,
     tokenize,
 )
+
+from exact_oracle import units
 
 BOM = "\ufeff".encode("utf-8")
 
@@ -153,18 +154,32 @@ class TestReadText:
         assert err.value.start == 5
 
 
+def ngram_units(seq: TokenSequence, n: int) -> Counter:
+    """The exact oracle's ROUGE-n units."""
+    return units(seq, RougeVariant("n", n=n))
+
+
+def skip_bigram_units(seq: TokenSequence, max_skip: int) -> Counter:
+    """The exact oracle's ROUGE-SU units less the unigrams they pool."""
+    return Counter({unit: k for unit, k in units(seq, RougeVariant("su", max_skip=max_skip)).items()
+                    if len(unit) == 2})
+
+
 class TestExtractNgrams:
+    """Hand-worked n-gram units of the exact oracle, the reference definition
+    that the engine's coded units are checked against."""
+
     def test_bigrams(self):
-        ms = extract_ngrams(TokenSequence(("it", "is", "pouring")), 2)
+        ms = ngram_units(TokenSequence(("it", "is", "pouring")), 2)
         assert ms == {("it", "is"): 1, ("is", "pouring"): 1}
 
     def test_multiplicity(self):
-        ms = extract_ngrams(TokenSequence(("a", "a", "a")), 1)
+        ms = ngram_units(TokenSequence(("a", "a", "a")), 1)
         assert ms == {("a",): 3}
         assert ms.total() == 3
 
     def test_four_token_bigrams(self):
-        ms = extract_ngrams(TokenSequence(("police", "killed", "the", "gunman")), 2)
+        ms = ngram_units(TokenSequence(("police", "killed", "the", "gunman")), 2)
         assert ms == {
             ("police", "killed"): 1,
             ("killed", "the"): 1,
@@ -172,29 +187,28 @@ class TestExtractNgrams:
         }
 
     def test_pooled_units_sum_counts(self):
-        left = extract_ngrams(TokenSequence(("a", "b")), 1)
-        right = extract_ngrams(TokenSequence(("b", "c")), 1)
+        left = ngram_units(TokenSequence(("a", "b")), 1)
+        right = ngram_units(TokenSequence(("b", "c")), 1)
         left.update(right)
         assert left == {("a",): 1, ("b",): 2, ("c",): 1}
         assert left.total() == 4
 
     def test_too_short_sequence(self):
-        assert extract_ngrams(TokenSequence(("a",)), 2).total() == 0
-        assert extract_ngrams(TokenSequence(()), 1).total() == 0
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            extract_ngrams(TokenSequence(("a",)), 0)
+        assert ngram_units(TokenSequence(("a",)), 2).total() == 0
+        assert ngram_units(TokenSequence(()), 1).total() == 0
 
     @given(st.lists(st.sampled_from("abcde"), max_size=30), st.integers(1, 5))
     def test_total_formula(self, tokens, n):
         seq = TokenSequence(tuple(tokens))
-        assert extract_ngrams(seq, n).total() == max(0, len(tokens) - n + 1)
+        assert ngram_units(seq, n).total() == max(0, len(tokens) - n + 1)
 
 
 class TestExtractSkipBigrams:
+    """Hand-worked skip-bigram units of the exact oracle: its ROUGE-SU units
+    of length 2."""
+
     def test_all_pairs_within_skip(self):
-        ms = extract_skip_bigrams(TokenSequence(("police", "killed", "the", "gunman")), 4)
+        ms = skip_bigram_units(TokenSequence(("police", "killed", "the", "gunman")), 4)
         assert ms.total() == 6
         assert ms == {
             ("police", "killed"): 1,
@@ -206,30 +220,26 @@ class TestExtractSkipBigrams:
         }
 
     def test_adjacent_only(self):
-        ms = extract_skip_bigrams(TokenSequence(("a", "b")), 0)
+        ms = skip_bigram_units(TokenSequence(("a", "b")), 0)
         assert ms == {("a", "b"): 1}
 
     def test_single_token_no_pairs(self):
-        assert extract_skip_bigrams(TokenSequence(("a",)), 4).total() == 0
+        assert skip_bigram_units(TokenSequence(("a",)), 4).total() == 0
 
     def test_window_larger_than_sequence(self):
         seq = TokenSequence(("a", "b", "c"))
-        assert extract_skip_bigrams(seq, 10**12) == extract_skip_bigrams(seq, 1)
-
-    def test_invalid_max_skip(self):
-        with pytest.raises(ValueError):
-            extract_skip_bigrams(TokenSequence(("a", "b")), -1)
+        assert skip_bigram_units(seq, 10**12) == skip_bigram_units(seq, 1)
 
     @given(st.lists(st.sampled_from("abc"), min_size=2, max_size=20))
     def test_unbounded_skip_total(self, tokens):
         seq = TokenSequence(tuple(tokens))
         n = len(tokens)
-        assert extract_skip_bigrams(seq, n - 2).total() == n * (n - 1) // 2
+        assert skip_bigram_units(seq, n - 2).total() == n * (n - 1) // 2
 
     @given(st.lists(st.sampled_from("abc"), max_size=20))
     def test_zero_skip_equals_bigrams_modulo_gap(self, tokens):
         seq = TokenSequence(tuple(tokens))
-        assert extract_skip_bigrams(seq, 0) == extract_ngrams(seq, 2)
+        assert skip_bigram_units(seq, 0) == ngram_units(seq, 2)
 
     @settings(max_examples=100)
     @given(st.lists(st.sampled_from("abcd"), max_size=15), st.integers(0, 6))
@@ -241,4 +251,4 @@ class TestExtractSkipBigrams:
             for j in range(i + 1, len(tokens))
             if j <= i + max_skip + 1
         )
-        assert extract_skip_bigrams(TokenSequence(tuple(tokens)), max_skip) == expected
+        assert skip_bigram_units(TokenSequence(tuple(tokens)), max_skip) == expected
