@@ -36,7 +36,7 @@ from .harness import (
     write_reports,
 )
 from .rouge import MULTIREF_POLICIES, OOV_POLICIES, rouge_score
-from .textpipe import TokenizeConfig, load_stopwords, read_text, tokenize
+from .textpipe import DEFAULT_CONFIG, TokenizeConfig, load_stopwords, read_text, tokenize
 
 DEFAULT_METRICS = "rouge-1,rouge-2,rouge-su4"
 
@@ -232,13 +232,15 @@ def meta_eval(**settings):
             raise click.ClickException(f"corpus {config.corpus} contains no topics")
         tok_config = config.tokenize_config()
         table = coding = None
-        if config.uses_embeddings:
-            # The table holds only the corpus's words, so the corpus is coded
-            # before the load, once, and scored from that coding.
+        # score_corpus codes a corpus under the default tokenization; one
+        # tokenized otherwise is coded here. So is one scored under WE: the
+        # table holds only the corpus's words, so the corpus is coded before
+        # the load, once, and scored from that coding.
+        if config.uses_embeddings or tok_config != DEFAULT_CONFIG:
             coding = encode_corpus(topics, tok_config)
+        if config.uses_embeddings:
             table = config.load_table(coding[0])
-        scores = score_corpus(topics, config.metrics, table=table, tokenize_config=tok_config,
-                              coding=coding)
+        scores = score_corpus(topics, config.metrics, table=table, coding=coding)
         report = meta_evaluate(scores, human)
     except (CorpusLoadError, JudgmentsFormatError, MetaEvalError, UndefinedCorrelationError) as exc:
         raise click.ClickException(str(exc)) from exc

@@ -29,7 +29,7 @@ from .correlation import (
     correlation_triple,
 )
 from .embeddings import EmbeddingTable
-from .rouge import MULTIREF_POLICIES, OOV_POLICIES, MatchFunction, RougeVariant, TopicPlan
+from .rouge import MULTIREF_POLICIES, OOV_POLICIES, MatchFunction, RougeVariant, score_batch
 from .textpipe import DEFAULT_CONFIG, TokenizeConfig, encode, read_text
 
 logger = logging.getLogger(__name__)
@@ -215,32 +215,32 @@ def score_corpus(
     topics: Sequence[Topic],
     metrics: Sequence[MetricConfig],
     table: EmbeddingTable | None = None,
-    tokenize_config: TokenizeConfig = DEFAULT_CONFIG,
     coding: tuple[list[str], list[np.ndarray]] | None = None,
 ) -> dict[str, ScoreVector]:
     """Per-metric mean score of every system over all topics.
 
-    The summaries are coded once for every metric (``encode_corpus``; a
-    caller that has coded ``topics`` under ``tokenize_config`` already
-    passes that result as ``coding``): each distinct chunk of text is
+    The summaries are coded once for every metric (``coding``, by default
+    ``encode_corpus(topics)``; a caller that tokenizes otherwise codes
+    ``topics`` under its own config): each distinct chunk of text is
     normalized once, and each summary becomes one array of word ids over
     the corpus's sorted word list, whose table rows are looked up once
-    under embedding matching. For each metric, a topic's model summaries are prepared once
-    in a ``TopicPlan``, and all its system summaries are scored against
-    them in one ``score_many`` call, which gives the topic's per-system
-    vector; every score is bitwise what ``rouge_score`` gives for that pair.
-    Under embedding matching a topic's unigram span is scored once per OOV
-    policy, by the first of rouge-1 and the rouge-SU metrics to reach it,
-    and its soft counts serve the others (``score_many``'s ``shared``, one
-    dict per topic, dropped with the call).
+    under embedding matching. The topics are scored one at a time: for
+    each metric, all of a topic's system summaries are scored against its
+    model summaries in one ``score_batch`` call, which gives the topic's
+    per-system vector; every score is bitwise what ``rouge_score`` gives
+    for that pair. Under embedding matching a topic's unigram span is
+    scored once per OOV policy, by the first of rouge-1 and the rouge-SU
+    metrics to reach it, and its soft counts serve the others
+    (``score_batch``'s ``shared``, one dict per topic, dropped after it).
     A system missing a topic's summary contributes 0 for that topic under
-    every metric, and is logged once, in topic then system order. A
-    summary that fails to score raises ``MetaEvalError`` naming the
-    metric, system and topic, chained from the cause (a failed batch is
-    scored again one summary at a time to find it, with nothing shared):
-    a zero in its place would bias the correlations without a trace. Two
-    metrics with the same name would share one set of report rows, and two topics
-    with the same id one set of summaries, so either raises
+    every metric, and is logged once, in topic then system order. A batch
+    that fails to score raises ``MetaEvalError`` naming the metric and
+    topic, and the model summaries or the system whose summary fails when
+    scored alone, chained from the cause (the references and then each
+    summary are scored again on their own, with nothing shared, to find
+    it): a zero in its place would bias the correlations without a trace.
+    Two metrics with the same name would share one set of report rows, and
+    two topics with the same id one set of summaries, so either raises
     ``MetaEvalError`` too. Each system's mean is a sequential sum over
     topics in ``topic_id`` order, so no input order changes a bit.
     """
@@ -255,7 +255,7 @@ def score_corpus(
                 raise MetaEvalError(f"{what} {name} is given more than once; "
                                     f"each {what} needs a distinct name")
 
-    words, ids = encode_corpus(topics, tokenize_config) if coding is None else coding
+    words, ids = encode_corpus(topics) if coding is None else coding
     rows = table.rows(words) if any(m.match == "we" for m in metrics) else None
     del words  # scoring needs the ids and rows only
     ids = iter(ids)  # in ``_texts`` order
@@ -271,44 +271,40 @@ def score_corpus(
                 logger.warning("system %s has no summary for topic %s; scoring 0",
                                system_id, topic.topic_id)
 
-    # Each topic's batch's unigram soft counts, per OOV policy, shared by
-    # the metrics that score them; a summary retried alone is given none.
-    unigram_spans = {topic.topic_id: {} for topic in topics}
-    results: dict[str, ScoreVector] = {}
-    for metric in metrics:
-        match = metric.match_function(table)
-        per_system: dict[str, list[float]] = {system_id: [] for system_id in system_ids}
-        failure = f"scoring failed for metric {metric.name}, "
-        for topic in topics:
+    matches = [metric.match_function(table) for metric in metrics]
+    # Each metric's values for each system, one a topic in topic order.
+    values = [{system_id: [] for system_id in system_ids} for _ in metrics]
+    for topic in topics:
+        refs, cands = model_seqs[topic.topic_id], system_seqs[topic.topic_id]
+        present = [system_id for system_id in system_ids if system_id in cands]
+        batch = [cands[system_id] for system_id in present]
+        # The batch's unigram soft counts, per OOV policy, shared by the
+        # metrics that score them; a summary scored again alone is given none.
+        shared = {}
+        for metric, match, per_system in zip(metrics, matches, values):
             try:
-                plan = TopicPlan(model_seqs[topic.topic_id], metric.variant, match,
-                                 multiref=metric.multiref, rows=rows)
+                scores = score_batch(refs, batch, metric.variant, match, metric.multiref, rows,
+                                     shared)
             except Exception as exc:
-                raise MetaEvalError(f"{failure}topic {topic.topic_id} (model summaries): "
-                                    f"{exc}") from exc
-            cands = system_seqs[topic.topic_id]
-            present = [system_id for system_id in system_ids if system_id in cands]
-            try:
-                scores = plan.score_many([cands[system_id] for system_id in present],
-                                         unigram_spans[topic.topic_id])
-            except Exception as exc:
-                # Score the batch's summaries one at a time to name the one
-                # that fails.
-                for system_id in present:
+                suspects = [(f"topic {topic.topic_id} (model summaries)", [])]
+                suspects += [(f"system {system_id}, topic {topic.topic_id}", [cands[system_id]])
+                             for system_id in present]
+                for name, alone in suspects:
                     try:
-                        plan.score_many([cands[system_id]])
+                        score_batch(refs, alone, metric.variant, match, metric.multiref, rows)
                     except Exception as one:
-                        raise MetaEvalError(f"{failure}system {system_id}, "
-                                            f"topic {topic.topic_id}: {one}") from one
-                raise MetaEvalError(f"{failure}topic {topic.topic_id} (system summaries): "
-                                    f"{exc}") from exc
+                        raise MetaEvalError(f"scoring failed for metric {metric.name}, {name}: "
+                                            f"{one}") from one
+                raise MetaEvalError(f"scoring failed for metric {metric.name}, topic "
+                                    f"{topic.topic_id} (system summaries): {exc}") from exc
             scored = dict(zip(present, scores))
-            for system_id, values in per_system.items():
+            for system_id, topic_values in per_system.items():
                 score = scored.get(system_id)
-                values.append(0.0 if score is None else getattr(score, metric.component))
-        means = [sum(per_system[system_id]) / len(topics) for system_id in system_ids]
-        results[metric.name] = ScoreVector(tuple(means), tuple(system_ids))
-    return results
+                topic_values.append(0.0 if score is None else getattr(score, metric.component))
+    return {metric.name: ScoreVector(tuple(sum(topic_values) / len(topics)
+                                           for topic_values in per_system.values()),
+                                     tuple(system_ids))
+            for metric, per_system in zip(metrics, values)}
 
 
 @dataclass

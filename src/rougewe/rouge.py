@@ -10,17 +10,17 @@ units the same way: as integer codes built from the summaries' word ids
 (``textpipe.encode``, which numbers a corpus's words once for every metric),
 counted into one matrix over the codes the summaries hold, whose columns
 run in sorted word-tuple order within each unit length. Under exact
-matching the references are coded once, and a whole batch of candidates
+matching the references are coded first, and a whole batch of candidates
 is coded by the same steps, finds its columns by a table gather or a
 binary search, and is counted and clipped against them at once. Under
 embedding matching the references and the batch are coded together; each
 unit length's columns are read back as word ids, mapped to the table rows
 looked up once per word list, and each side's vectors composed in one
-gather and product (``EmbeddingTable.compose_many``). A ``TopicPlan``
-holds one topic's references and scores a batch of candidates in one
-``score_many`` call, whose per-reference counts become recall, precision
-and f1 as arrays; a candidate's score does not depend on the rest of its
-batch. The per-pair reference definitions are the test suite's oracles.
+gather and product (``EmbeddingTable.compose_many``). One ``score_batch``
+call scores a batch of candidates against one topic's references, and its
+per-reference counts become recall, precision and f1 as arrays; a
+candidate's score does not depend on the rest of its batch. The per-pair
+reference definitions are the test suite's oracles.
 """
 
 from __future__ import annotations
@@ -412,112 +412,96 @@ def _combine(soft: np.ndarray, ref_totals: np.ndarray, cand_totals: np.ndarray,
     return list(map(RougeScore, *means, map(round, ref_total), cand_totals.tolist()))
 
 
-class TopicPlan:
-    """One topic's references under one metric; scores candidates against
-    them, all of a batch in one pass.
+def score_batch(
+    refs: Sequence[np.ndarray],
+    cands: Sequence[np.ndarray],
+    variant: RougeVariant,
+    match: MatchFunction,
+    multiref: str = "average",
+    rows: np.ndarray | None = None,
+    shared: dict | None = None,
+) -> list[RougeScore]:
+    """Score each candidate against every reference, combined per the
+    multiref policy (see ``rouge_score``); one score per candidate, in
+    order, and none for no candidates.
 
     Every summary comes as its word ids over one word list in sorted order,
     as ``textpipe.encode`` gives them, and under embedding matching ``rows``
     holds each word's table row (``EmbeddingTable.rows`` of the list). Under
-    exact matching the references are coded at construction, and a
-    ``score_many`` call codes the batch against their codes at once,
-    counts it into one (candidates × columns) matrix, and clips it against
-    each reference in one step. Under embedding matching a ``score_many``
-    call codes the references and the batch together. Per unit length it
-    composes each reference's units once and each candidate's in turn; a
-    pair costs its product, clip, shared-OOV count and assignment. The
-    unigram span, the same for rouge-1 and every rouge-SU, can be scored
-    once for all of them (``score_many``'s ``shared``). Either way the
-    whole batch's scores are combined as arrays, and each is bitwise that
-    of a batch of one.
+    exact matching the references are coded, then the batch against their
+    codes at once, counted into one (candidates × columns) matrix and
+    clipped against each reference in one step. Under embedding matching
+    the references and the batch are coded together. Per unit length each
+    reference's units are composed once and each candidate's in turn; a
+    pair costs its product, clip, shared-OOV count and assignment. Either
+    way the whole batch's scores are combined as arrays, and each is
+    bitwise that of a batch of one.
+
+    ``shared`` is a dict that the caller keeps for one batch of one topic,
+    passed to each metric's call that scores that batch. Under embedding
+    matching rouge-1's one span and every rouge-SU's first are the
+    unigrams, scored alike: the first such metric keeps their (candidates ×
+    references) soft counts there under its OOV policy, and the others read
+    them instead of scoring the span again. Only that array is kept, no
+    composed rows. A batch that is not the one the dict was kept for must
+    not be given it.
     """
+    if not refs:
+        raise ValueError("at least one reference is required")
+    if multiref not in MULTIREF_POLICIES:
+        raise ValueError(f"unknown multiref policy {multiref!r}")
+    if match.kind == "embedding" and rows is None:
+        raise ValueError("embedding matching needs each word's table row")
+    if match.kind == "exact":
+        codes = _UnitCodes(refs, variant)
+        overlaps, cand_totals = codes.overlaps(cands)
+        return _combine(overlaps.astype(np.float64), codes.totals, cand_totals, multiref)
+    codes = _UnitCodes([*refs, *cands], variant)
+    # Each word's table row by its number here; the numbers of a unit,
+    # sorted, are its words in sorted order, as ``compose`` multiplies them.
+    rows = np.append(-1, rows[codes.words])
+    spans = codes.spans()
+    soft = []
+    if variant.family == "su" or variant.n == 1:
+        shared = {} if shared is None else shared
+        key = match.oov_policy
+        if key not in shared:
+            shared[key] = _soft_counts(codes, len(refs), match, rows, *spans[0])
+        soft.append(shared[key])
+        spans = spans[1:]
+    soft += [_soft_counts(codes, len(refs), match, rows, first, words) for first, words in spans]
+    # Summed span by span from 0, as one pair's counts are.
+    return _combine(sum(soft), codes.totals[:len(refs)], codes.totals[len(refs):], multiref)
 
-    def __init__(
-        self,
-        refs: Sequence[np.ndarray],
-        variant: RougeVariant,
-        match: MatchFunction,
-        multiref: str = "average",
-        rows: np.ndarray | None = None,
-    ):
-        if not refs:
-            raise ValueError("at least one reference is required")
-        if multiref not in MULTIREF_POLICIES:
-            raise ValueError(f"unknown multiref policy {multiref!r}")
-        if match.kind == "embedding" and rows is None:
-            raise ValueError("embedding matching needs each word's table row")
-        self.variant = variant
-        self.match = match
-        self.multiref = multiref
-        self.refs = list(refs)
-        self.rows = rows
-        self.codes = _UnitCodes(refs, variant) if match.kind == "exact" else None
 
-    def score_many(self, cands: Sequence[np.ndarray],
-                   shared: dict | None = None) -> list[RougeScore]:
-        """Score each candidate against every reference, combined per the
-        multiref policy (see ``rouge_score``); one score per candidate, in
-        order.
-
-        ``shared`` is a dict that the caller keeps for one batch of one
-        topic, passed to each metric's plan that scores that batch. Under
-        embedding matching rouge-1's one span and every rouge-SU's first
-        are the unigrams, scored alike: the first such metric keeps their
-        (candidates × references) soft counts there under its OOV policy,
-        and the others read them instead of scoring the span again. Only
-        that array is kept, no composed rows. A batch that is not the one
-        the dict was kept for must not be given it.
-        """
-        if self.match.kind == "exact":
-            overlaps, cand_totals = self.codes.overlaps(cands)
-            return _combine(overlaps.astype(np.float64), self.codes.totals, cand_totals,
-                            self.multiref)
-        codes = _UnitCodes([*self.refs, *cands], self.variant)
-        # Each word's table row by its number here; the numbers of a unit,
-        # sorted, are its words in sorted order, as ``compose`` multiplies them.
-        rows = np.append(-1, self.rows[codes.words])
-        spans = codes.spans()
-        soft = []
-        if self.variant.family == "su" or self.variant.n == 1:
-            shared = {} if shared is None else shared
-            key = self.match.oov_policy
-            if key not in shared:
-                shared[key] = self._soft_counts(codes, rows, *spans[0])
-            soft.append(shared[key])
-            spans = spans[1:]
-        soft += [self._soft_counts(codes, rows, first, words) for first, words in spans]
-        # Summed span by span from 0, as one pair's counts are.
-        n_refs = len(self.refs)
-        return _combine(sum(soft), codes.totals[:n_refs], codes.totals[n_refs:], self.multiref)
-
-    def _soft_counts(self, codes: _UnitCodes, rows: np.ndarray, first: int,
-                     words: np.ndarray) -> np.ndarray:
-        """Each candidate's soft count against each reference (candidates ×
-        references) over the span of ``codes`` whose columns start at
-        ``first`` and hold ``words``; ``rows`` maps word numbers to table rows."""
-        table = self.match.table
-        fallback = self.match.oov_policy == "exact-fallback"
-        units = rows[np.sort(words, axis=1)]
-        counts = codes.counts[:, first:first + len(units)]
-        n_refs = len(self.refs)
-        refs = [_side(units, ref_counts, table) for ref_counts in counts[:n_refs]]
-        soft = np.empty((len(counts) - n_refs, n_refs))
-        for cand_counts, pair_soft in zip(counts[n_refs:], soft):
-            matrix, held, _ = _side(units, cand_counts, table)
-            for i, (ref_matrix, ref_held, oov) in enumerate(refs):
-                # An out-of-vocabulary unit is similar 0 to every other unit,
-                # or under exact-fallback 1 to itself: such pairs share no
-                # row or column, so they match outside ``sims``. Similarities
-                # at or below 0 are never taken, so only 1 bounds them.
-                matched = np.minimum(counts[i, oov], cand_counts[oov]).sum() if fallback else 0
-                sims = ref_matrix @ matrix.T
-                np.minimum(sims, 1.0, out=sims)
-                pair_soft[i] = _greedy_assign(sims, ref_held, held, matched)
-                # Dropped before the next pair's, and the candidate's rows
-                # before the next candidate's: at most one of each is held.
-                del sims
-            del matrix
-        return soft
+def _soft_counts(codes: _UnitCodes, n_refs: int, match: MatchFunction, rows: np.ndarray,
+                 first: int, words: np.ndarray) -> np.ndarray:
+    """Each candidate's soft count against each reference (candidates ×
+    references) over the span of ``codes`` whose columns start at
+    ``first`` and hold ``words``; the first ``n_refs`` summaries coded are
+    the references, and ``rows`` maps word numbers to table rows."""
+    table = match.table
+    fallback = match.oov_policy == "exact-fallback"
+    units = rows[np.sort(words, axis=1)]
+    counts = codes.counts[:, first:first + len(units)]
+    refs = [_side(units, ref_counts, table) for ref_counts in counts[:n_refs]]
+    soft = np.empty((len(counts) - n_refs, n_refs))
+    for cand_counts, pair_soft in zip(counts[n_refs:], soft):
+        matrix, held, _ = _side(units, cand_counts, table)
+        for i, (ref_matrix, ref_held, oov) in enumerate(refs):
+            # An out-of-vocabulary unit is similar 0 to every other unit,
+            # or under exact-fallback 1 to itself: such pairs share no
+            # row or column, so they match outside ``sims``. Similarities
+            # at or below 0 are never taken, so only 1 bounds them.
+            matched = np.minimum(counts[i, oov], cand_counts[oov]).sum() if fallback else 0
+            sims = ref_matrix @ matrix.T
+            np.minimum(sims, 1.0, out=sims)
+            pair_soft[i] = _greedy_assign(sims, ref_held, held, matched)
+            # Dropped before the next pair's, and the candidate's rows
+            # before the next candidate's: at most one of each is held.
+            del sims
+        del matrix
+    return soft
 
 
 def rouge_score(
@@ -534,8 +518,8 @@ def rouge_score(
     folds, the best per-reference score in each fold (best by f1, then
     recall, then precision). A single reference makes both policies the
     plain single-reference score. The texts are coded by
-    ``textpipe.encode_tokens`` and scored by a one-candidate ``TopicPlan``.
+    ``textpipe.encode_tokens`` and scored as a ``score_batch`` of one.
     """
     words, ids = encode_tokens([*refs, cand])
     rows = None if match.table is None else match.table.rows(words)
-    return TopicPlan(ids[:-1], variant, match, multiref, rows).score_many(ids[-1:])[0]
+    return score_batch(ids[:-1], ids[-1:], variant, match, multiref, rows)[0]

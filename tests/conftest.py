@@ -4,27 +4,30 @@ pair-level helpers the tests score and write vectors through."""
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import pytest
 
 from rougewe.embeddings import EmbeddingTable, _TableBuilder
-from rougewe.rouge import MatchFunction, RougeVariant, TopicPlan
+from rougewe.rouge import MatchFunction, RougeScore, RougeVariant, score_batch
 from rougewe.textpipe import TokenSequence, encode_tokens
 
 
-def topic_plan(refs: Sequence[TokenSequence], cands: Sequence[TokenSequence],
-               variant: RougeVariant, match: MatchFunction, multiref: str = "average"
-               ) -> tuple[TopicPlan, list[np.ndarray]]:
-    """A ``TopicPlan`` of ``refs`` and the word ids of ``cands``, all coded
-    together, as ``score_corpus`` codes a corpus; under embedding matching
-    with each word's table row."""
+def batch_scorer(refs: Sequence[TokenSequence], cands: Sequence[TokenSequence],
+                 variant: RougeVariant, match: MatchFunction, multiref: str = "average"
+                 ) -> tuple[Callable[..., list[RougeScore]], list[np.ndarray]]:
+    """A ``score_batch`` that takes only the batch, bound to the word ids
+    of ``refs``, and the word ids of ``cands``: all coded together, as
+    ``score_corpus`` codes a corpus, and under embedding matching with
+    each word's table row."""
     words, ids = encode_tokens([*refs, *cands])
     rows = None if match.table is None else match.table.rows(words)
-    return TopicPlan(ids[:len(refs)], variant, match, multiref, rows), ids[len(refs):]
+    return (partial(score_batch, ids[:len(refs)], variant=variant, match=match,
+                    multiref=multiref, rows=rows), ids[len(refs):])
 
 
 def joined_units(units: Counter, length: int, joint: str) -> TokenSequence:
@@ -38,15 +41,15 @@ def joined_units(units: Counter, length: int, joint: str) -> TokenSequence:
 def soft_overlap(cand: Counter, ref: Counter, match: MatchFunction) -> float:
     """Soft match count of two unit multisets, through the engine's own
     steps: per unit length n, in ascending order, ``cand``'s units of that
-    length are scored against ``ref``'s by a one-reference ``TopicPlan``
+    length are scored against ``ref``'s by a one-reference ``score_batch``
     under ROUGE-n, each side laid out by ``joined_units`` with a joint word
     the other side never holds and no table holds, so only the units
     themselves can match."""
     total = 0.0
     for n in sorted(set(map(len, cand)) & set(map(len, ref))):
-        plan, cands = topic_plan([joined_units(ref, n, "\0ref")], [joined_units(cand, n, "\0cand")],
-                                 RougeVariant("n", n), match)
-        total += plan.score_many(cands)[0].soft_match_count
+        score, cands = batch_scorer([joined_units(ref, n, "\0ref")],
+                                    [joined_units(cand, n, "\0cand")], RougeVariant("n", n), match)
+        total += score(cands)[0].soft_match_count
     return total
 
 

@@ -1,12 +1,13 @@
 """Clipped n-gram counting spelled out on ``Counter``s: the oracle for exact
 matching.
 
-Under exact matching a ``TopicPlan`` codes a candidate's units as
+Under exact matching ``rouge.score_batch`` codes a candidate's units as
 integers, finds their columns in its references' codes and clips against
-every reference with one numpy step. This module is the per-pair definition it must agree with, built
-from the tokens with nothing of the engine's: a summary's unit multiset by
-index loops, the sum over shared units of the smaller count (Lin 2004),
-and one pair's recall, precision and f1 in scalar arithmetic.
+every reference with one numpy step. This module is the per-pair
+definition it must agree with, built from the tokens with nothing of the
+engine's: a summary's unit multiset by index loops, the sum over shared
+units of the smaller count (Lin 2004), and one pair's recall, precision
+and f1 in scalar arithmetic.
 """
 
 from __future__ import annotations

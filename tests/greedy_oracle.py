@@ -1,6 +1,6 @@
 """Sequential greedy soft assignment: the reference the engine is checked against.
 
-The engine (``TopicPlan.score_many`` through ``_greedy_assign``, reached in
+The engine (``rouge.score_batch`` through ``_greedy_assign``, reached in
 tests through ``conftest.soft_overlap``) computes the embedding assignment in
 rounds of locally dominant pairs over a similarity matrix; this module keeps
 the plain best-first loop over an arbitrary pair-similarity callable, and

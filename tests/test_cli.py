@@ -14,7 +14,7 @@ from rougewe.cli import DEFAULT_METRICS, main
 from rougewe.embeddings import FORMATS, LoadSummary, load_binary
 from rougewe.harness import MetricConfig
 from rougewe.rouge import RougeVariant, rouge_score
-from rougewe.textpipe import tokenize
+from rougewe.textpipe import TokenizeConfig, tokenize
 
 from conftest import gaussian_table, save_binary, write_corpus
 
@@ -326,6 +326,31 @@ class TestMetaEvalCommand:
         assert payload["config"]["corpus"] == str(corpus)
         assert "threads" not in payload["config"]
 
+    def test_exact_run_scores_its_own_tokenization(self, runner, tiny_corpus, tmp_path,
+                                                   monkeypatch):
+        corpus, judgments = tiny_corpus
+        stop = tmp_path / "stop.txt"
+        stop.write_text("a\n", encoding="utf-8")
+        scored = []
+        real = cli.score_corpus
+
+        def spy(*args, **kwargs):
+            scored.append(real(*args, **kwargs))
+            return scored[-1]
+
+        monkeypatch.setattr(cli, "score_corpus", spy)
+        result = runner.invoke(main, [
+            "meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),
+            "--out", str(tmp_path / "out"), "--metrics", "rouge-1", "--stopwords", str(stop),
+        ])
+        assert result.exit_code == 0, result.output
+        topics = harness.load_corpus(corpus)
+        coding = harness.encode_corpus(topics, TokenizeConfig(stopwords=frozenset({"a"})))
+        # Without "a", s2 matches one of m1's three words in t1, not two of four.
+        assert scored == [real(topics, [MetricConfig(RougeVariant.parse("rouge-1"))],
+                               coding=coding)]
+        assert scored != [real(topics, [MetricConfig(RougeVariant.parse("rouge-1"))])]
+
     def test_missing_judgments_file(self, runner, tiny_corpus, tmp_path):
         corpus, _ = tiny_corpus
         result = runner.invoke(main, [
@@ -349,17 +374,17 @@ class TestMetaEvalCommand:
     def test_scoring_failure_exits_1_without_report(self, runner, tiny_corpus, tmp_path,
                                                       monkeypatch):
         corpus, judgments = tiny_corpus
-        real = harness.TopicPlan.score_many
+        real = harness.score_batch
 
-        def fail_for_s2(plan, cands, *shared):
+        def fail_for_s2(refs, cands, *args):
             # s2 sits between s1 and s3 in each topic's batch. The corpus's
             # words a, b, ..., z are numbered in sorted order (a b c d e f g h
             # w x y z), so s2's texts "a b x y" and "e f x y" are these ids.
             if any(cand.tolist() in ([0, 1, 9, 10], [4, 5, 9, 10]) for cand in cands):
                 raise RuntimeError("scorer bug")
-            return real(plan, cands, *shared)
+            return real(refs, cands, *args)
 
-        monkeypatch.setattr(harness.TopicPlan, "score_many", fail_for_s2)
+        monkeypatch.setattr(harness, "score_batch", fail_for_s2)
         out = tmp_path / "out"
         result = runner.invoke(main, [
             "meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),

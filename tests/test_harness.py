@@ -13,12 +13,14 @@ from rougewe.correlation import ScoreVector, UndefinedCorrelationError
 from rougewe.embeddings import EmbeddingTable
 from rougewe.harness import (
     JUDGMENT_TYPES,
+    MATCH_KINDS,
     CorpusLoadError,
     HumanJudgments,
     JudgmentsFormatError,
     MetaEvalError,
     MetricConfig,
     Topic,
+    encode_corpus,
     format_table,
     load_corpus,
     load_judgments,
@@ -224,6 +226,15 @@ class TestScoreCorpus:
         scores = score_corpus(load_corpus(tmp_path), [R1])
         assert scores["rouge-1"].values == pytest.approx((0.6,))
 
+    def test_mean_is_a_sum_in_topic_id_order(self):
+        # Recalls 0.1, 0.2 and 0.3, given rotated: summed in topic-id order
+        # they make 0.6000000000000001, reversed or as given 0.6.
+        ref = "a b c d e f g h i j"
+        topics = [Topic(f"t{k}", [("m1", ref)], [("s1", " ".join(ref.split()[:k]))])
+                  for k in (2, 3, 1)]
+        assert score_corpus(topics, [R1])["rouge-1"].values == ((0.1 + 0.2 + 0.3) / 3,)
+        assert (0.1 + 0.2 + 0.3) / 3 != (0.3 + 0.2 + 0.1) / 3 == (0.2 + 0.3 + 0.1) / 3
+
     def test_missing_summary_scores_zero(self, tmp_path, caplog):
         """Under every metric, and logged once, not once per metric."""
         write_corpus(tmp_path, {
@@ -250,40 +261,63 @@ class TestScoreCorpus:
         assert missing == [("t1", "s1"), ("t1", "s3"), ("t2", "s2"), ("t2", "s3"),
                            ("t3", "s1"), ("t3", "s2")]
 
+    @pytest.mark.parametrize("match", MATCH_KINDS)
+    def test_reference_failure_names_the_model_summaries(self, tmp_path, monkeypatch, match):
+        # The corpus's words a, b, c have the ids 0, 1, 2: m1 is [0, 1].
+        write_corpus(tmp_path, {"t1": ({"m1": "a b"}, {"s1": "b c", "s2": "a c"})})
+        real = rouge._UnitCodes
+
+        def fail_for_m1(summaries, variant):
+            if any(summary.tolist() == [0, 1] for summary in summaries):
+                raise RuntimeError("coder bug")
+            return real(summaries, variant)
+
+        monkeypatch.setattr(rouge, "_UnitCodes", fail_for_m1)
+        with pytest.raises(MetaEvalError, match=r", topic t1 \(model summaries\): coder bug"):
+            score_corpus(load_corpus(tmp_path), [MetricConfig(ROUGE_1, match=match)],
+                         table=identity_table(["a", "b", "c"]))
+
     def test_scoring_failure_raises_naming_the_pair(self, tmp_path, monkeypatch):
         write_corpus(tmp_path, {"t1": ({"m1": "a b"}, {"s1": "a b", "s2": "a c", "s3": "b c"})})
-        real = harness.TopicPlan.score_many
+        real = harness.score_batch
         batches = []
 
-        def fail_for_s2(plan, cands, *shared):
+        def fail_for_s2(refs, cands, variant, match, multiref="average", rows=None, shared=None):
             # The corpus's words a, b, c have the ids 0, 1, 2: s2 is [0, 2].
             batches.append(([cand.tolist() for cand in cands], shared))
             if [0, 2] in batches[-1][0]:
                 raise RuntimeError("scorer bug")
-            return real(plan, cands, *shared)
+            return real(refs, cands, variant, match, multiref, rows, shared)
 
-        monkeypatch.setattr(harness.TopicPlan, "score_many", fail_for_s2)
-        with pytest.raises(MetaEvalError, match="metric rouge-1, system s2, topic t1") as info:
-            score_corpus(load_corpus(tmp_path), [R1])
-        assert isinstance(info.value.__cause__, RuntimeError)
-        # Only the batch is given the topic's shared spans: a summary scored
-        # again on its own never reads what the batch kept.
-        assert batches == [([[0, 1], [0, 2], [1, 2]], ({},)), ([[0, 1]], ()), ([[0, 2]], ())]
+        monkeypatch.setattr(harness, "score_batch", fail_for_s2)
+        table = identity_table(["a", "b", "c"])
+        for metric in (R1, MetricConfig(ROUGE_1, match="we")):
+            batches.clear()
+            with pytest.raises(MetaEvalError, match=f"metric {metric.name}, system s2, topic t1"
+                               ) as info:
+                score_corpus(load_corpus(tmp_path), [metric], table=table)
+            assert isinstance(info.value.__cause__, RuntimeError)
+            # The references alone, then each summary alone, until one fails.
+            # Only the batch is given the topic's shared spans: what is scored
+            # again never reads what the batch kept.
+            assert batches == [([[0, 1], [0, 2], [1, 2]], {}), ([], None), ([[0, 1]], None),
+                               ([[0, 2]], None)]
 
     def test_batch_failure_no_summary_repeats_names_the_topic(self, tmp_path, monkeypatch):
         write_corpus(tmp_path, {"t1": ({"m1": "a b"}, {"s1": "a b", "s2": "a c"})})
-        real = harness.TopicPlan.score_many
+        real = harness.score_batch
 
-        def fail_batches(plan, cands, *shared):
+        def fail_batches(refs, cands, *args):
             if len(cands) > 1:
                 raise RuntimeError("batch bug")
-            return real(plan, cands, *shared)
+            return real(refs, cands, *args)
 
-        monkeypatch.setattr(harness.TopicPlan, "score_many", fail_batches)
-        with pytest.raises(MetaEvalError, match=r"metric rouge-1, topic t1 \(system summaries\): "
-                                                r"batch bug") as info:
-            score_corpus(load_corpus(tmp_path), [R1])
-        assert isinstance(info.value.__cause__, RuntimeError)
+        monkeypatch.setattr(harness, "score_batch", fail_batches)
+        for metric in (R1, MetricConfig(ROUGE_1, match="we")):
+            with pytest.raises(MetaEvalError, match=rf"metric {metric.name}, topic t1 "
+                                                    r"\(system summaries\): batch bug") as info:
+                score_corpus(load_corpus(tmp_path), [metric], table=identity_table(["a", "b", "c"]))
+            assert isinstance(info.value.__cause__, RuntimeError)
 
     def test_embedding_metric_requires_table(self, tmp_path):
         write_corpus(tmp_path, {"t1": ({"m1": "a"}, {"s1": "a"})})
@@ -407,7 +441,7 @@ def reorder(topics, shuffle_seed):
             for t in permuted(topics)]
 
 
-class TestTopicPlanDifferential:
+class TestScoreCorpusDifferential:
     @given(topics=corpora(), metrics=metric_lists(),
            table_seed=st.none() | st.integers(0, 2**32 - 1),
            random_table=st.sampled_from([sign_table, gaussian_table]),
@@ -418,15 +452,15 @@ class TestTopicPlanDifferential:
         # None: a one-hot table, where every positive similarity ties at 1.
         table = (identity_table(TABLE_WORDS) if table_seed is None
                  else random_table(table_seed, TABLE_WORDS))
-        assert score_corpus(topics, metrics, table=table, tokenize_config=config) == (
-            score_pair_by_pair(topics, metrics, table, config=config))
+        assert score_corpus(topics, metrics, table=table, coding=encode_corpus(topics, config)
+                            ) == score_pair_by_pair(topics, metrics, table, config=config)
 
     @given(topics=corpora(), metrics=metric_lists(match=st.just("exact")),
            config=st.sampled_from(TOKENIZE_CONFIGS))
     @settings(max_examples=150, deadline=None)
     def test_exact_score_corpus_equals_oracle(self, topics, metrics, config):
-        assert score_corpus(topics, metrics, tokenize_config=config) == score_pair_by_pair(
-            topics, metrics, None, oracle_score_pair, config)
+        assert score_corpus(topics, metrics, coding=encode_corpus(topics, config)) == (
+            score_pair_by_pair(topics, metrics, None, oracle_score_pair, config))
 
     @given(topics=corpora(), metrics=metric_lists(), table_seed=st.integers(0, 2**32 - 1),
            random_table=st.sampled_from([sign_table, gaussian_table]),
@@ -551,7 +585,8 @@ class TestScoreCorpusKeepsNoState:
     STOP = TokenizeConfig(stopwords=frozenset({"the"}))
 
     def score(self, topics, config):
-        return score_corpus(topics, self.METRICS, table=self.TABLE, tokenize_config=config)
+        return score_corpus(topics, self.METRICS, table=self.TABLE,
+                            coding=encode_corpus(topics, config))
 
     def test_calls_do_not_depend_on_earlier_calls(self):
         a_first = self.score(self.A, self.STOP)
@@ -579,7 +614,7 @@ class TestScoreCorpusKeepsNoState:
             topics = corpus(stem)
             tracemalloc.start()
             try:
-                score_corpus(topics, self.METRICS[:2], tokenize_config=config)
+                score_corpus(topics, self.METRICS[:2], coding=encode_corpus(topics, config))
                 kept = tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()

@@ -1,7 +1,8 @@
 """The names the package itself exports: those of the README's library
 example and those the benchmark's sample check calls; the names the
 benchmark's tracer and sample check reach into beyond them; and no
-top-level import in the package that nothing reads."""
+top-level import, or private top-level name, in the package that nothing
+reads."""
 
 import ast
 import dataclasses
@@ -57,10 +58,31 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.Assign) and any(
                 isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
             exported = set(ast.literal_eval(node.value))
-    read = {node.id for node in ast.walk(tree)
+    read = read_names(tree) | exported
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in read]
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """The names a module reads anywhere in it."""
+    return {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    return [f"line {line}: {name}" for name, line in imported.items()
-            if name not in read | exported]
+
+
+def unread_private_names(source: str) -> list[str]:
+    """The private names (``_x``, not ``__x__``) that a module's top-level
+    functions, classes and assignments bind and that the module never reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update((name.id, node.lineno) for target in targets
+                         for name in ast.walk(target) if isinstance(name, ast.Name))
+    read = read_names(tree)
+    return [f"line {line}: {name}" for name, line in bound.items()
+            if name.startswith("_") and not name.endswith("__") and name not in read]
 
 
 def test_unused_imports_finds_a_planted_import():
@@ -71,5 +93,18 @@ def test_unused_imports_finds_a_planted_import():
 
 def test_package_has_no_unused_imports():
     found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(rougewe.__file__).parent.glob("*.py"))}
+    assert not {name: names for name, names in found.items() if names}
+
+
+def test_unread_private_names_finds_a_planted_helper():
+    source = ("_SEP = ','\n__all__ = ['join']\n\n\ndef _strip(text):\n    return text\n\n\n"
+              "class _Box:\n    pass\n\n\ndef join(items):\n    return _SEP.join(items)\n")
+    assert unread_private_names(source) == ["line 5: _strip", "line 9: _Box"]
+    assert unread_private_names(source + "_strip(_Box())\n") == []
+
+
+def test_package_reads_every_private_name():
+    found = {path.name: unread_private_names(path.read_text(encoding="utf-8"))
              for path in sorted(Path(rougewe.__file__).parent.glob("*.py"))}
     assert not {name: names for name, names in found.items() if names}

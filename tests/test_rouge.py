@@ -20,16 +20,16 @@ from rougewe.rouge import (
     ROUGE_SU4,
     MatchFunction,
     RougeVariant,
-    TopicPlan,
     _combine,
     _greedy_assign,
     _UnitCodes,
     _row_means,
     rouge_score,
+    score_batch,
 )
 from rougewe.textpipe import TokenSequence, encode_tokens, tokenize
 
-from conftest import identity_table, make_table, sign_table, soft_overlap, topic_plan
+from conftest import batch_scorer, identity_table, make_table, sign_table, soft_overlap
 from exact_oracle import clipped_count, oracle_rouge_score, units
 from greedy_oracle import _greedy_consume, greedy_soft_overlap, pair_similarity
 
@@ -309,8 +309,8 @@ class TestTieBreak:
     @pytest.mark.parametrize("cand, ref", [("q p", "x y"), ("y x", "q p"), ("p q", "y x")])
     def test_groups_are_taken_in_sorted_order(self, cand, ref):
         match = MatchFunction.we(self.TABLE)
-        plan, cands = topic_plan([seq(ref)], [seq(cand)], ROUGE_1, match)
-        [score] = plan.score_many(cands)
+        score_cands, cands = batch_scorer([seq(ref)], [seq(cand)], ROUGE_1, match)
+        [score] = score_cands(cands)
         assert score.soft_match_count == 0.5
         assert greedy_soft_overlap(units(seq(cand), ROUGE_1),
                                    units(seq(ref), ROUGE_1), pair_similarity(match)) == 0.5
@@ -607,10 +607,10 @@ class TestExactEngineMatchesOracle:
            variant=st.sampled_from(EXACT_VARIANTS),
            multiref=st.sampled_from(["average", "jackknife"]))
     @settings(max_examples=400, deadline=None)
-    def test_topic_plan(self, cand, refs, variant, multiref):
-        plan, cands = topic_plan(refs, [cand], variant, MatchFunction.exact(), multiref)
+    def test_score_batch(self, cand, refs, variant, multiref):
+        score, cands = batch_scorer(refs, [cand], variant, MatchFunction.exact(), multiref)
         expected = oracle_rouge_score(cand, refs, variant, multiref)
-        assert plan.score_many(cands) == [expected]
+        assert score(cands) == [expected]
         assert rouge_score(cand, refs, variant, MatchFunction.exact(), multiref) == expected
 
     @given(cands=batches(), refs=st.lists(summaries, min_size=1, max_size=4),
@@ -620,11 +620,11 @@ class TestExactEngineMatchesOracle:
     def test_score_many(self, cands, refs, variant, multiref):
         # A batch's count matrix sets the budget for the dense lookup tables:
         # batches of one mostly search, and the whole batch mostly gathers.
-        plan, ids = topic_plan(refs, cands, variant, MatchFunction.exact(), multiref)
+        score, ids = batch_scorer(refs, cands, variant, MatchFunction.exact(), multiref)
         expected = [oracle_rouge_score(cand, refs, variant, multiref) for cand in cands]
-        assert [plan.score_many([cand])[0] for cand in ids] == expected
-        assert plan.score_many(ids) == expected
-        assert plan.score_many([]) == []
+        assert [score([cand])[0] for cand in ids] == expected
+        assert score(ids) == expected
+        assert score([]) == []
 
     @given(cands=st.lists(we_summaries, max_size=6),
            refs=st.lists(we_summaries, min_size=1, max_size=4),
@@ -636,8 +636,9 @@ class TestExactEngineMatchesOracle:
     def test_score_many_we_is_score_per_candidate(self, cands, refs, variant, multiref,
                                                    table_seed, policy):
         match = MatchFunction.we(sign_table(table_seed, TABLE_WORDS), oov_policy=policy)
-        plan, ids = topic_plan(refs, cands, variant, match, multiref)
-        assert plan.score_many(ids) == [plan.score_many([cand])[0] for cand in ids]
+        score, ids = batch_scorer(refs, cands, variant, match, multiref)
+        assert score(ids) == [score([cand])[0] for cand in ids]
+        assert score([]) == []
 
     @given(cand=summaries, ref=summaries, variant=st.sampled_from(EXACT_VARIANTS))
     @settings(max_examples=200, deadline=None)
@@ -691,26 +692,27 @@ class TestExactEngineMatchesOracle:
 
 class TestExactEdgeCases:
     def test_empty_candidate(self):
-        plan, cands = topic_plan([seq("a b c"), seq("a d")], [seq("")], ROUGE_1,
-                                 MatchFunction.exact())
-        [score] = plan.score_many(cands)
+        score_cands, cands = batch_scorer([seq("a b c"), seq("a d")], [seq("")], ROUGE_1,
+                                          MatchFunction.exact())
+        [score] = score_cands(cands)
         assert (score.recall, score.precision, score.f1, score.soft_match_count) == (0, 0, 0, 0)
         assert (score.ref_total, score.cand_total) == (round(2.5), 0)
 
     def test_candidate_sharing_no_unit(self):
-        plan, cands = topic_plan([seq("a b c"), seq("a d")], [seq("x y x y")], ROUGE_2,
-                                 MatchFunction.exact())
-        [score] = plan.score_many(cands)
+        score_cands, cands = batch_scorer([seq("a b c"), seq("a d")], [seq("x y x y")], ROUGE_2,
+                                          MatchFunction.exact())
+        [score] = score_cands(cands)
         assert score.soft_match_count == 0.0
         assert score.cand_total == 3
 
     def test_references_shorter_than_n(self):
         words, ids = encode_tokens([seq("a b"), seq("a"), seq(""), seq("a b a b")])
-        plan = TopicPlan(ids[:3], RougeVariant.parse("rouge-3"), MatchFunction.exact())
+        variant = RougeVariant.parse("rouge-3")
+        codes = _UnitCodes(ids[:3], variant)
         # No code reaches a unit's third word, so the sink is the only column.
-        assert column_units(plan.codes, words) == {}
-        assert plan.codes.counts.tolist() == [[0], [0], [0]]
-        [score] = plan.score_many(ids[3:])
+        assert column_units(codes, words) == {}
+        assert codes.counts.tolist() == [[0], [0], [0]]
+        [score] = score_batch(ids[:3], ids[3:], variant, MatchFunction.exact())
         assert (score.recall, score.precision, score.soft_match_count) == (0.0, 0.0, 0.0)
         assert (score.ref_total, score.cand_total) == (0, 2)
 
@@ -720,15 +722,17 @@ class TestExactEdgeCases:
         # has 256 bytes and gathers from a table made for that batch.
         refs = [seq("a b c d e f"), seq("b c a f")]
         cands = [seq("a b c a f"), seq("x b c"), seq(""), seq("f e d c b a")]
-        plan, ids = topic_plan(refs, cands, ROUGE_2, MatchFunction.exact())
+        score, ids = batch_scorer(refs, cands, ROUGE_2, MatchFunction.exact())
         expected = [oracle_rouge_score(cand, refs, ROUGE_2) for cand in cands]
         with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
-            assert plan.score_many(ids[:1]) == expected[:1]
+            # Each call codes the references too, with no budget: they search
+            # their one level, and the candidates' searches come on top.
+            assert score([]) == []
             assert search.call_count == 1
-            assert plan.score_many(ids) == expected
-            assert search.call_count == 1
-            assert plan.score_many(ids[1:2]) == expected[1:2]
-            assert search.call_count == 2
+            for batch, searches in ((slice(0, 1), 1), (slice(None), 0), (slice(1, 2), 1)):
+                search.reset_mock()
+                assert score(ids[batch]) == expected[batch]
+                assert search.call_count - 1 == searches
 
     def test_soft_overlap_counts_above_one(self):
         cand = Counter({("a",): 3, ("b",): 1, ("c", "d"): 2, ("e",): 4})
@@ -738,10 +742,11 @@ class TestExactEdgeCases:
 
     def test_columns_span_every_reference(self):
         words, ids = encode_tokens([seq("a b"), seq("c"), seq("c b"), seq("c c")])
-        plan = TopicPlan(ids[:3], ROUGE_1, MatchFunction.exact())
-        assert column_units(plan.codes, words) == {1: ("a",), 2: ("b",), 3: ("c",)}
-        assert plan.codes.counts.tolist() == [[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 1, 1]]
-        assert plan.score_many(ids[3:])[0].soft_match_count == (0 + 1 + 1) / 3
+        codes = _UnitCodes(ids[:3], ROUGE_1)
+        assert column_units(codes, words) == {1: ("a",), 2: ("b",), 3: ("c",)}
+        assert codes.counts.tolist() == [[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 1, 1]]
+        [score] = score_batch(ids[:3], ids[3:], ROUGE_1, MatchFunction.exact())
+        assert score.soft_match_count == (0 + 1 + 1) / 3
 
 
 class TestCostFollowsText:
@@ -767,8 +772,8 @@ class TestCostFollowsText:
         for name in names:
             tracemalloc.start()
             try:
-                plan, ids = topic_plan(refs, cands, RougeVariant.parse(name), matcher)
-                scores.append(plan.score_many(ids))
+                score, ids = batch_scorer(refs, cands, RougeVariant.parse(name), matcher)
+                scores.append(score(ids))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
