@@ -35,8 +35,8 @@ from .harness import (
     score_corpus,
     write_reports,
 )
-from .rouge import MULTIREF_POLICIES, OOV_POLICIES, rouge_score
-from .textpipe import DEFAULT_CONFIG, TokenizeConfig, load_stopwords, read_text, tokenize
+from .rouge import MULTIREF_POLICIES, OOV_POLICIES, score_batch
+from .textpipe import DEFAULT_CONFIG, TokenizeConfig, encode, load_stopwords, read_text
 
 DEFAULT_METRICS = "rouge-1,rouge-2,rouge-su4"
 
@@ -195,17 +195,20 @@ def score(candidate, references, **settings):
     """Score CANDIDATE against one or more REFERENCES files.
 
     Prints one line per metric: '<metric> R=<recall> P=<precision> F=<f1>'.
+    The candidate, the references and the stopword list are read in that
+    order, before the vector file, of which only the texts' words are loaded.
     """
     config = _build_run_config("score", **settings)
-    tok_config = config.tokenize_config()
-    cand = tokenize(_read_utf8(candidate, "candidate file"), tok_config)
-    refs = [tokenize(_read_utf8(r, "reference file"), tok_config) for r in references]
-    table = None
+    texts = [_read_utf8(candidate, "candidate file"),
+             *(_read_utf8(r, "reference file") for r in references)]
+    words, (cand, *refs) = encode(texts, config.tokenize_config())
+    table = rows = None
     if config.uses_embeddings:
-        table = config.load_table({word for seq in (cand, *refs) for word in seq})
+        table = config.load_table(words)
+        rows = table.rows(words)
     for metric in config.metrics:
-        result = rouge_score(cand, refs, metric.variant, metric.match_function(table),
-                             multiref=metric.multiref)
+        result, = score_batch(refs, [cand], metric.variant, metric.match_function(table),
+                              metric.multiref, rows)
         click.echo(f"{metric.name} R={result.recall:.6f} P={result.precision:.6f} "
                    f"F={result.f1:.6f}")
 
@@ -227,9 +230,9 @@ def meta_eval(**settings):
     config = _build_run_config("meta-eval", **settings)
     try:
         topics = load_corpus(config.corpus)
-        human = load_judgments(config.judgments)
         if not topics:
             raise click.ClickException(f"corpus {config.corpus} contains no topics")
+        human = load_judgments(config.judgments)
         tok_config = config.tokenize_config()
         table = coding = None
         # score_corpus codes a corpus under the default tokenization; one

@@ -105,50 +105,37 @@ class EmbeddingTable:
         return None if row is None else self._matrix[row]
 
     def compose(self, words: Sequence[str]) -> np.ndarray | None:
-        """Element-wise product of the constituent word vectors, renormalized.
+        """``compose_many`` of one unit, as a read-only float64 row.
 
-        Returns None (OOV) when any constituent is missing or the raw
-        product has no usable direction (norm below tolerance). Factors
-        are multiplied in sorted word order so permuting the constituents
-        gives a bitwise-identical result; a single word returns its stored
-        row, uncopied.
+        Returns None (OOV) when any constituent is missing or the product
+        has no usable direction. The words are sorted first, so permuting
+        them gives a bitwise-identical result; a single word returns its
+        stored row, uncopied. Nothing in the package calls it; it stays
+        because the benchmark's tracer rebinds it (ROADMAP item 1).
         """
         if not words:
             raise ValueError("compose requires at least one word")
         if len(words) == 1:
             return self.lookup(words[0])
-        vectors = []
-        for word in sorted(words):
-            vec = self.lookup(word)
-            if vec is None:
-                return None
-            vectors.append(vec)
-        product = vectors[0].astype(np.float64)
-        for vec in vectors[1:]:
-            product = product * vec
-        norm = float(np.linalg.norm(product))
-        if norm < ZERO_NORM_TOLERANCE:
-            return None
-        product /= norm
-        product.setflags(write=False)
-        return product
+        rows, known = self.compose_many(self.rows(sorted(words))[None])
+        rows.setflags(write=False)
+        return rows[0] if known[0] else None
 
     def rows(self, words: Collection[str]) -> np.ndarray:
         """Each word's row of the matrix, -1 for a word the table lacks."""
         return np.fromiter(map(self._index.get, words, repeat(-1)), np.intp, len(words))
 
     def compose_many(self, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``compose`` of many units of one length at once, as float64 rows.
+        """Each unit's word vectors multiplied element-wise and renormalized.
 
         ``units`` holds each unit's words as their ``rows``, one unit a row,
-        in sorted word order, as ``compose`` multiplies them. Returns the
-        composed rows of the units that compose, in unit order, and a
-        boolean mask of those units; the units it leaves out are those
-        ``compose`` returns None for, and each row is bitwise ``compose``'s
-        vector (upcast from float32 for a single word). The rows are gathered
-        once per constituent position and multiplied in that order. Each
-        norm is a one-by-one matrix product of a row with itself, which calls
-        the same BLAS dot that ``np.linalg.norm`` calls for one vector.
+        in sorted word order. Returns the composed float64 rows of the units
+        that compose, in unit order, and a boolean mask of those units: a unit
+        with a missing word, or whose product's norm is below tolerance, is
+        left out. A single word's row is its vector upcast from float32. The
+        rows are gathered once per constituent position and multiplied in
+        that order. Each norm is a one-by-one matrix product of a row with
+        itself, the BLAS dot that ``np.linalg.norm`` calls for one vector.
         """
         known = (units >= 0).all(axis=1)
         units = units[known]
@@ -206,16 +193,12 @@ class _TableBuilder:
         bad = np.flatnonzero(~np.isfinite(norms))
         if bad.size:
             raise EmbeddingFormatError(f"non-finite vector value at {where(int(bad[0]))}")
-        if self._wanted is None:
-            rows = np.flatnonzero(norms >= ZERO_NORM_TOLERANCE)
-            self.summary.zero_dropped += n - len(rows)
-        else:
-            # The load rules see only the rows of wanted keys, as if the file
-            # held no others; the other rows were only checked to be finite.
-            wanted = np.fromiter(compress(range(n), map(self._wanted.__contains__,
-                                                        map(str.lower, words))), np.intp)
-            rows = wanted[norms[wanted] >= ZERO_NORM_TOLERANCE]
-            self.summary.zero_dropped += len(wanted) - len(rows)
+        # The load rules see only the rows of wanted keys, as if the file held
+        # no others; the other rows were only checked to be finite.
+        wanted = np.arange(n) if self._wanted is None else np.fromiter(
+            compress(range(n), map(self._wanted.__contains__, map(str.lower, words))), np.intp)
+        rows = wanted[norms[wanted] >= ZERO_NORM_TOLERANCE]
+        self.summary.zero_dropped += len(wanted) - len(rows)
         start = len(self._index)
         firsts, repeats = self._key_rules(words, rows.tolist())
         if len(self._index) > len(self._matrix):

@@ -3,9 +3,10 @@
 The engine (``rouge.score_batch`` through ``_greedy_assign``, reached in
 tests through ``conftest.soft_overlap``) computes the embedding assignment in
 rounds of locally dominant pairs over a similarity matrix; this module keeps
-the plain best-first loop over an arbitrary pair-similarity callable, and
-the scalar pair similarity of a ``MatchFunction``, so tests can compare the
-two with ``==``.
+the plain best-first loop over an arbitrary pair-similarity callable, the
+scalar pair similarity of a ``MatchFunction``, and the plain product loop
+that composes a unit's vector, so tests can compare the engine and
+``EmbeddingTable.compose_many`` with them by ``==``.
 """
 
 from __future__ import annotations
@@ -15,9 +16,34 @@ from typing import Callable
 
 import numpy as np
 
+from rougewe.embeddings import ZERO_NORM_TOLERANCE, EmbeddingTable
 from rougewe.rouge import MatchFunction
 
 Words = tuple[str, ...]
+
+
+def compose(table: EmbeddingTable, words: Words) -> np.ndarray | None:
+    """Element-wise product of the word vectors, renormalized, one factor at
+    a time in sorted word order; a single word is its stored row, uncopied.
+
+    None (OOV) when any word is missing or the raw product's norm is below
+    tolerance.
+    """
+    if len(words) == 1:
+        return table.lookup(words[0])
+    vectors = []
+    for word in sorted(words):
+        vec = table.lookup(word)
+        if vec is None:
+            return None
+        vectors.append(vec)
+    product = vectors[0].astype(np.float64)
+    for vec in vectors[1:]:
+        product = product * vec
+    norm = float(np.linalg.norm(product))
+    if norm < ZERO_NORM_TOLERANCE:
+        return None
+    return product / norm
 
 
 def pair_similarity(match: MatchFunction) -> Callable[[Words, Words], float]:
@@ -31,7 +57,7 @@ def pair_similarity(match: MatchFunction) -> Callable[[Words, Words], float]:
         identical = 1.0 if w1 == w2 else 0.0
         if match.kind == "exact":
             return identical
-        v1, v2 = match.table.compose(w1), match.table.compose(w2)
+        v1, v2 = compose(match.table, w1), compose(match.table, w2)
         if v1 is None or v2 is None:
             return identical if match.oov_policy == "exact-fallback" else 0.0
         return min(1.0, max(0.0, float(np.dot(v1, v2))))

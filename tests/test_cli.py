@@ -1,10 +1,7 @@
 import json
-import re
 import shutil
 import struct
-from pathlib import Path
 
-import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -202,7 +199,8 @@ class TestScoreCommand:
                 assert rouge_score(cand, refs, metric.variant, filtered) == score
         assert result.output == expected
         if match:
-            assert [c["vocabulary"] for c in calls] == [{w for seq in (cand, *refs) for w in seq}]
+            vocabulary = {w for seq in (cand, *refs) for w in seq}
+            assert [set(c["vocabulary"]) for c in calls] == [vocabulary]
             assert calls[0]["table"].size < full.size
         else:
             assert calls == []
@@ -573,6 +571,64 @@ class TestMetaEvalCommand:
         assert not (out / "report.csv").exists()
 
 
+class TestReadOrder:
+    """Inputs are read in the order README gives, so of two broken inputs
+    the one read first is named, and the vector file is read last."""
+
+    @pytest.mark.parametrize("first", ["candidate", "reference"])
+    def test_score_reads_its_texts_before_the_stopwords(self, runner, weather_files, tmp_path,
+                                                        first):
+        cand, ref = weather_files
+        broken = tmp_path / f"{first}-bad.txt"
+        broken.write_bytes(b"It is \xff raining")
+        stop = tmp_path / "stop.txt"
+        stop.write_bytes(b"it\n\xfe\n")
+        args = [broken, ref] if first == "candidate" else [cand, broken]
+        result = runner.invoke(main, ["score", *map(str, args), "--stopwords", str(stop)])
+        assert result.exit_code == 1
+        assert f"{first} file {broken} is not valid UTF-8" in result.output
+
+    @pytest.mark.parametrize("first, second", [("corpus", "judgments"),
+                                               ("judgments", "stopwords"),
+                                               ("stopwords", "vectors")])
+    def test_meta_eval_names_the_input_read_first(self, runner, tiny_corpus, tmp_path,
+                                                  monkeypatch, first, second):
+        corpus, judgments = tiny_corpus
+        stop = tmp_path / "stop.txt"
+        stop.write_text("the\n", encoding="utf-8")
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("a 1 0\nb 0 1\n", encoding="utf-8")
+
+        def break_input(name: str) -> str:
+            """Break input ``name`` and return the error that names it."""
+            if name == "corpus":
+                shutil.rmtree(corpus)
+                corpus.mkdir()
+                return f"corpus {corpus} contains no topics"
+            if name == "judgments":
+                judgments.write_text("system_id,pyramid\ns1,0.9\n", encoding="utf-8")
+                return f"judgments file {judgments}: expected header"
+            if name == "stopwords":
+                stop.write_bytes(b"it\n\xfe\n")
+                return f"stopword file {stop} is not valid UTF-8"
+            vectors.write_text("a 1 0\nb nan 1\n", encoding="utf-8")
+            return "failed to load embeddings"
+
+        expected = break_input(first)
+        break_input(second)
+        calls = spy_on_loader(monkeypatch, "text")
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),
+            "--out", str(out), "--stopwords", str(stop), "--match", "we",
+            "--embeddings", str(vectors), "--embeddings-format", "text",
+        ])
+        assert result.exit_code == 1
+        assert expected in result.output
+        assert calls == []
+        assert not out.exists()
+
+
 class TestConfigFile:
     def test_config_file_supplies_defaults(self, runner, weather_files, tmp_path):
         cand, ref = weather_files
@@ -641,6 +697,20 @@ class TestConfigFile:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert f"config file {config} is not valid UTF-8 (byte offset 20)" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("text, message", [
+        ('["rouge-1"]', "config file {} must hold a JSON object"),
+        ('{"metrics": ', "cannot read config file {}: "),
+    ], ids=["list", "invalid"])
+    def test_config_that_is_no_json_object_exits_1(self, runner, weather_files, tmp_path,
+                                                   text, message):
+        cand, ref = weather_files
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        result = runner.invoke(main, ["score", str(cand), str(ref), "--config", str(config)])
+        assert result.exit_code == 1
+        assert message.format(config) in result.output
         assert "Traceback" not in result.output
 
     def test_per_metric_schema_objects(self, runner, weather_files, toy_embeddings_text, tmp_path):
@@ -943,19 +1013,6 @@ class TestHelp:
         assert result.exit_code == 2
         assert "No such option" in result.output and flag in result.output
         assert not (tmp_path / "out").exists()
-
-    def test_readme_flags_table_matches_options(self):
-        """The README's Flags table lists exactly the options that score and
-        meta-eval share, each as its flags are spelled."""
-        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        section = readme.split("\n### Flags\n", 1)[1].split("\n#", 1)[0]
-        table = {cell.split()[0] for cell in re.findall(r"^\| `([^`]+)` \|", section, re.M)}
-
-        def flags(command):
-            return {"/".join(p.opts + p.secondary_opts) for p in command.params
-                    if isinstance(p, click.Option)}
-
-        assert table == flags(cli.score) & flags(cli.meta_eval)
 
     def test_inspect_help(self, runner):
         result = runner.invoke(main, ["embeddings", "inspect", "--help"])

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import greedy_oracle
 import load_oracle
 from rougewe import embeddings
 from rougewe.embeddings import (
@@ -173,6 +174,13 @@ class TestLoadBinary:
         with pytest.raises(EmbeddingFormatError, match="header"):
             load_binary(path)
 
+    @pytest.mark.parametrize("header", [b"-1 4", b"2 0"])
+    def test_header_out_of_range(self, tmp_path, header):
+        path = tmp_path / "v.bin"
+        path.write_bytes(header + b"\n")
+        with pytest.raises(EmbeddingFormatError, match=f"^malformed header {header!r}"):
+            load_binary(path)
+
     def test_missing_header_newline(self, tmp_path):
         path = tmp_path / "v.bin"
         path.write_bytes(b"2 3")
@@ -286,6 +294,7 @@ class TestLookupAndCompose:
         table = make_table({"a": [0.6, 0.8], "b": [0.8, 0.6]})
         composed = table.compose(("a", "b"))
         assert composed == pytest.approx([1 / math.sqrt(2)] * 2, abs=1e-6)
+        assert composed.dtype == np.float64 and not composed.flags.writeable
 
     def test_compose_oov_propagates(self):
         table = make_table({"a": [1, 0]})
@@ -328,14 +337,14 @@ class TestComposeMany:
     @settings(max_examples=150, deadline=None)
     def test_matches_compose(self, table, length, data):
         # "missing" is never in the table; repeated words such as (p, p) are
-        # drawn too. Each unit's rows go in sorted word order, the order
-        # ``compose`` multiplies in; four words is the shortest unit whose
-        # factor order can change a bit of the product.
+        # drawn too. Each unit's rows go in sorted word order, the order the
+        # oracle's ``compose`` multiplies in; four words is the shortest unit
+        # whose factor order can change a bit of the product.
         word = st.sampled_from(COMPOSE_WORDS + ["missing"])
         units = data.draw(st.lists(st.tuples(*[word] * length), max_size=10))
         ids = np.array([table.rows(sorted(unit)) for unit in units], np.intp)
         rows, known = table.compose_many(ids.reshape(len(units), length))
-        expected = [table.compose(unit) for unit in units]
+        expected = [greedy_oracle.compose(table, unit) for unit in units]
         assert known.tolist() == [vec is not None for vec in expected]
         assert rows.dtype == np.float64 and rows.shape == (int(known.sum()), table.dim)
         for row, vec in zip(rows, (vec for vec in expected if vec is not None)):

@@ -133,6 +133,17 @@ class TestLoadJudgments:
         with pytest.raises(JudgmentsFormatError, match="header"):
             load_judgments(path)
 
+    @pytest.mark.parametrize("text, fault", [
+        ("", "empty"),
+        ("system_id,pyramid,responsiveness,readability\nsys1,1,1\n",
+         "row 2: expected 4 fields, found 3"),
+    ], ids=["empty", "short-row"])
+    def test_malformed_file_names_the_fault(self, tmp_path, text, fault):
+        path = tmp_path / "j.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(JudgmentsFormatError, match=f"^judgments file {path}: {fault}$"):
+            load_judgments(path)
+
     def test_non_utf8_names_file_and_offset(self, tmp_path):
         path = tmp_path / "j.csv"
         header = b"system_id,pyramid,responsiveness,readability\n"

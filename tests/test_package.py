@@ -1,16 +1,19 @@
 """The names the package itself exports: those of the README's library
 example and those the benchmark's sample check calls; the names the
-benchmark's tracer and sample check reach into beyond them; and no
-top-level import, or private top-level name, in the package that nothing
-reads."""
+benchmark's tracer and sample check reach into beyond them; no top-level
+import, or private top-level name, in the package that nothing reads; and
+a README flags table that lists the scoring commands' options as they are."""
 
 import ast
 import dataclasses
 import inspect
+import re
 from pathlib import Path
 
+import click
+
 import rougewe
-from rougewe import embeddings, rouge
+from rougewe import cli, embeddings, rouge
 
 EXPORTED = ["MatchFunction", "ROUGE_SU4", "RougeVariant", "__version__", "load_binary",
             "rouge_score", "tokenize"]
@@ -30,7 +33,8 @@ def test_names_the_benchmark_reaches_into():
     """``perfbench/`` cannot run without these names: its tracer rebinds
     ``EmbeddingTable.compose``, and its sample check passes ``tokenize`` a
     ``source_id`` and reads four ``RougeScore`` fields. If one of them goes,
-    what breaks is the tier-1 self-test's traced quick run."""
+    what breaks is the tier-1 self-test's traced quick run. ``compose`` is
+    ``compose_many`` of one unit; only its name waits for ROADMAP item 1."""
     missing = []
     if not callable(getattr(embeddings.EmbeddingTable, "compose", None)):
         missing.append("EmbeddingTable.compose")
@@ -108,3 +112,27 @@ def test_package_reads_every_private_name():
     found = {path.name: unread_private_names(path.read_text(encoding="utf-8"))
              for path in sorted(Path(rougewe.__file__).parent.glob("*.py"))}
     assert not {name: names for name, names in found.items() if names}
+
+
+def readme_flags_table() -> dict[str, str]:
+    """Each row of README's Flags table: its flag, as the option spells it,
+    and its default cell, without backticks."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Flags\n", 1)[1].split("\n#", 1)[0]
+    return {flag.split()[0]: default.strip().strip("`")
+            for flag, default in re.findall(r"^\| `([^`]+)` \|([^|]*)\|", section, re.M)}
+
+
+def test_readme_flags_table_lists_the_common_options():
+    """README's Flags table lists exactly the options that ``score`` and
+    ``meta-eval`` share, those of ``cli._common_options``, each with its
+    default: off or on for a boolean flag, blank where there is none."""
+    def default(option: click.Option) -> str:
+        value = option.to_info_dict()["default"]
+        if option.is_flag:
+            return "on" if value else "off"
+        return "" if value is None else str(value)
+
+    options = click.command()(cli._common_options(lambda **settings: None)).params
+    assert readme_flags_table() == {"/".join(option.opts + option.secondary_opts): default(option)
+                                    for option in options}

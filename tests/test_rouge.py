@@ -405,6 +405,12 @@ class TestRougeScore:
         with pytest.raises(ValueError):
             rouge_score(seq("a"), [seq("a")], ROUGE_1, MatchFunction.exact(), multiref="best")
 
+    def test_embedding_batch_without_rows_rejected(self):
+        words, ids = encode_tokens([seq("a b"), seq("a c")])
+        match = MatchFunction.we(make_table({"a": [1, 0], "b": [0, 1]}))
+        with pytest.raises(ValueError, match="embedding matching needs each word's table row"):
+            score_batch(ids[:1], ids[1:], ROUGE_1, match)
+
     def test_empty_candidate_scores_zero(self):
         score = rouge_score(seq(""), [seq("a b")], ROUGE_1, MatchFunction.exact())
         assert (score.recall, score.precision, score.f1) == (0.0, 0.0, 0.0)
