@@ -206,9 +206,10 @@ def score(candidate, references, **settings):
     if config.uses_embeddings:
         table = config.load_table(words)
         rows = table.rows(words)
+    shared = {}  # each unit span scored once for every metric that holds it
     for metric in config.metrics:
         result, = score_batch(refs, [cand], metric.variant, metric.match_function(table),
-                              metric.multiref, rows)
+                              metric.multiref, rows, shared)
         click.echo(f"{metric.name} R={result.recall:.6f} P={result.precision:.6f} "
                    f"F={result.f1:.6f}")
 

@@ -159,8 +159,9 @@ def load_corpus(root: str | Path) -> list[Topic]:
 
 
 def load_judgments(path: str | Path) -> HumanJudgments:
-    """Parse the judgments CSV; duplicates and non-numeric or non-finite
-    (nan, inf) scores are errors, each naming the file."""
+    """Parse the judgments CSV; empty or duplicate system ids and
+    non-numeric or non-finite (nan, inf) scores are errors, each naming the
+    file."""
     scores: dict[str, dict[str, float]] = {}
 
     def error(message: str) -> JudgmentsFormatError:
@@ -185,6 +186,8 @@ def load_judgments(path: str | Path) -> HumanJudgments:
         if len(row) != 4:
             raise error(f"row {rownum}: expected 4 fields, found {len(row)}")
         system_id = row[0].strip()
+        if not system_id:
+            raise error(f"row {rownum}: empty system_id")
         if system_id in scores:
             raise error(f"row {rownum}: duplicate system_id {system_id!r}")
         try:
@@ -228,10 +231,10 @@ def score_corpus(
     each metric, all of a topic's system summaries are scored against its
     model summaries in one ``score_batch`` call, which gives the topic's
     per-system vector; every score is bitwise what ``rouge_score`` gives
-    for that pair. Under embedding matching a topic's unigram span is
-    scored once per OOV policy, by the first of rouge-1 and the rouge-SU
-    metrics to reach it, and its soft counts serve the others
-    (``score_batch``'s ``shared``, one dict per topic, dropped after it).
+    for that pair. Each unit span of a topic is scored once per match kind
+    and OOV policy, so the unigrams of rouge-1 and every rouge-SU once,
+    and its counts serve every metric that holds it (``score_batch``'s
+    ``shared``, one dict per topic, dropped after it).
     A system missing a topic's summary contributes 0 for that topic under
     every metric, and is logged once, in topic then system order. A batch
     that fails to score raises ``MetaEvalError`` naming the metric and
@@ -278,8 +281,8 @@ def score_corpus(
         refs, cands = model_seqs[topic.topic_id], system_seqs[topic.topic_id]
         present = [system_id for system_id in system_ids if system_id in cands]
         batch = [cands[system_id] for system_id in present]
-        # The batch's unigram soft counts, per OOV policy, shared by the
-        # metrics that score them; a summary scored again alone is given none.
+        # The batch's span counts, shared by the metrics that hold each
+        # span; a summary scored again alone is given none.
         shared = {}
         for metric, match, per_system in zip(metrics, matches, values):
             try:

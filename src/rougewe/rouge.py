@@ -5,16 +5,17 @@ replace the 0/1 word-identity test with cosine similarity of composed
 n-gram vectors, scored through a greedy one-to-one soft assignment.
 Matching never crosses unit types: unigrams pair with unigrams, bigrams
 with bigrams, so the embedding metrics reduce exactly to the classic ones
-when the similarity degenerates to an identity test. Both kinds find
-units the same way: as integer codes built from the summaries' word ids
-(``textpipe.encode``, which numbers a corpus's words once for every metric),
-counted into one matrix over the codes the summaries hold, whose columns
-run in sorted word-tuple order within each unit length. Under exact
-matching the references are coded first, and a whole batch of candidates
-is coded by the same steps, finds its columns by a table gather or a
-binary search, and is counted and clipped against them at once. Under
-embedding matching the references and the batch are coded together; each
-unit length's columns are read back as word ids, mapped to the table rows
+when the similarity degenerates to an identity test. A metric is the sum
+of its unit spans: rouge-N's n-grams, or rouge-SU's unigrams and its
+skip-bigrams. Both kinds find a span's units the same way: as integer
+codes built from the summaries' word ids (``textpipe.encode``, which
+numbers a corpus's words once for every metric), counted into one matrix
+over the codes the summaries hold, whose columns run in sorted word-tuple
+order. Under exact matching the references are coded first, and a whole
+batch of candidates is coded by the same steps, finds its columns by a
+table gather or a binary search, and is counted and clipped against them
+at once. Under embedding matching the references and the batch are coded
+together; the columns are read back as word ids, mapped to the table rows
 looked up once per word list, and each side's vectors composed in one
 gather and product (``EmbeddingTable.compose_many``). One ``score_batch``
 call scores a batch of candidates against one topic's references, and its
@@ -132,8 +133,11 @@ class RougeScore:
 
 
 class _UnitCodes:
-    """Summaries' units coded as integers, and one count matrix over the
-    codes they hold: the package's only unit finder, for both kinds of matching.
+    """One unit span of summaries coded as integers, and one count matrix
+    over the codes they hold: the package's only unit finder, for both
+    kinds of matching. A ``rouge-N`` coder codes the n-grams, and a
+    ``rouge-suK`` coder the skip-bigrams within K + 1 places; the unigrams
+    of ROUGE-SU are a ``ROUGE_1`` coder's span.
 
     The summaries come as arrays of word ids over one word list in sorted
     order (``textpipe.encode``). ``words`` holds the ids they use, and
@@ -142,14 +146,13 @@ class _UnitCodes:
     coded one word at a time: its first word's number is its first rank,
     and each next word makes the code ``rank * base + word number``, whose
     rank is its place in that level's ``keys`` (the sorted codes the
-    summaries hold, closed by a sentinel) counted from ``first``, or 0 when
-    no summary holds it. A code stays below (ranks + 1) * base, so it fits
-    in int64 for any n. A unit's column is its last rank: a unigram's is
-    its word number, and a longer unit's comes after the word columns
-    under ROUGE-SU. So each unit length's columns run in sorted word-tuple
-    order, the assignment's tie-break. Row i of ``counts`` is summary i's
-    count in each column; column 0, the sink, is 0 for every summary, so a
-    unit no summary has lands there and clips to 0.
+    summaries hold, closed by a sentinel) counted from 1, or 0 when no
+    summary holds it. A code stays below (ranks + 1) * base, so it fits in
+    int64 for any n. A unit's column is its last rank, so the columns run
+    in sorted word-tuple order, the assignment's tie-break. Row i of
+    ``counts`` is summary i's count in each column; column 0, the sink, is
+    0 for every summary, so a unit no summary has lands there and clips
+    to 0.
 
     Candidates are coded against the keys by the same steps. A level's rank
     is one gather from a dense int32 table over (prefix rank, word id) when
@@ -161,8 +164,8 @@ class _UnitCodes:
     n or the skip distance.
     """
 
-    __slots__ = ("variant", "reach", "words", "remap", "base", "first", "keys", "width",
-                 "counts", "totals")
+    __slots__ = ("variant", "reach", "words", "remap", "base", "keys", "width", "counts",
+                 "totals")
 
     def __init__(self, summaries: Sequence[np.ndarray], variant: RougeVariant):
         self.variant = variant
@@ -177,12 +180,10 @@ class _UnitCodes:
         self.remap = np.zeros(len(held), dtype=np.intp)
         self.remap[self.words] = np.arange(1, len(self.words) + 1)
         self.base = np.int64(len(self.words) + 1)
-        self.first = self.base if variant.family == "su" else 1
         self.keys: list[np.ndarray] = []
         cols, lengths = self._columns(summaries, 0)
-        # The sink and the word columns, or the sink and the last level's
-        # ranks, after the word columns under ROUGE-SU.
-        self.width = int(self.first - 1 + len(self.keys[-1]) if self.keys else self.base)
+        # The sink and the word columns, or the sink and the last level's ranks.
+        self.width = int(len(self.keys[-1]) if self.keys else self.base)
         self.counts = self._count(cols, lengths)
         self.counts[:, 0] = 0
         self.totals = self._totals(lengths)
@@ -203,9 +204,9 @@ class _UnitCodes:
         size = (self.base if level == 1 else len(self.keys[level - 2])) * self.base
         if 4 * size > budget:
             found = np.searchsorted(keys, codes)
-            return np.where(keys[found] == codes, found + self.first, 0)
+            return np.where(keys[found] == codes, found + 1, 0)
         table = np.zeros(size, dtype=np.int32)
-        table[keys[:-1]] = np.arange(self.first, self.first + len(keys) - 1)
+        table[keys[:-1]] = np.arange(1, len(keys))
         return table[codes]
 
     def _pad(self, lengths: np.ndarray) -> int:
@@ -238,8 +239,7 @@ class _UnitCodes:
                 rank = self._rank(level, rank * self.base + ids[level:level + n], budget)
             return rank[None], lengths
         pairs = np.array([ids[skip:skip + n] for skip in range(1, len(pad) + 1)], np.int64)
-        codes = rank * self.base + pairs.reshape(len(pad), n)
-        return np.vstack([rank, self._rank(1, codes, budget)]), lengths
+        return self._rank(1, rank * self.base + pairs.reshape(len(pad), n), budget), lengths
 
     def _count(self, cols: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """Each summary's count in each column, a (summaries × columns) matrix
@@ -251,28 +251,27 @@ class _UnitCodes:
 
     def _totals(self, lengths: np.ndarray) -> np.ndarray:
         """Each summary's unit total, from its length: its n-grams, or its
-        unigrams and the pairs within ``max_skip + 1`` places."""
+        pairs within ``max_skip + 1`` places."""
         if self.variant.family == "n":
             return np.maximum(lengths - self.reach, 0)
-        starts = np.minimum(lengths, self.reach + 1)  # offsets 0, 1, ... that fit
-        return starts * lengths - starts * (starts - 1) // 2
+        skips = np.clip(lengths - 1, 0, self.reach)  # offsets 1, 2, ... that fit
+        return skips * lengths - skips * (skips + 1) // 2
 
-    def spans(self) -> list[tuple[int, np.ndarray]]:
-        """Each unit length's first column and its units' word ids, one
-        column a row in column order: under ROUGE-SU the unigrams, then
-        the skip-bigrams. Each level's keys are read back by one
-        ``divmod`` into the prefix's rank and the last word's id."""
+    def units(self) -> np.ndarray:
+        """Each column's unit as its words' numbers, one column a row from
+        column 1: each level's keys read back by one ``divmod`` into the
+        prefix's rank and the last word's number."""
         words = np.arange(1, self.base)[:, None]
-        spans = [(1, words)] if self.variant.family == "su" else []
         for keys in self.keys:
             prefix, last = divmod(keys[:-1], self.base)
-            # A prefix's rank counts from 1: a word id, or an n-gram's column.
+            # A prefix's rank counts from 1: a word number, or an n-gram's column.
             words = np.column_stack([words[prefix - 1], last])
-        return spans + [(int(self.first), words)]
+        return words
 
-    def overlaps(self, cands: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    def overlaps(self, cands: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each candidate's clipped count against each reference, as a
-        (candidates × references) array, and each candidate's total.
+        (candidates × references) array, and the references' and the
+        candidates' unit totals.
 
         The candidates are counted into one (candidates × columns) matrix,
         whose size is the budget for the lookup tables. Each reference then
@@ -286,7 +285,7 @@ class _UnitCodes:
         for ref_counts, overlap in zip(self.counts, overlaps):
             np.minimum(cand_counts, ref_counts, out=clipped)
             clipped.sum(axis=1, out=overlap)
-        return overlaps.T, self._totals(lengths)
+        return overlaps.T, self.totals, self._totals(lengths)
 
 
 def _greedy_assign(sims: np.ndarray, ref_counts: np.ndarray, cand_counts: np.ndarray,
@@ -427,24 +426,25 @@ def score_batch(
 
     Every summary comes as its word ids over one word list in sorted order,
     as ``textpipe.encode`` gives them, and under embedding matching ``rows``
-    holds each word's table row (``EmbeddingTable.rows`` of the list). Under
-    exact matching the references are coded, then the batch against their
-    codes at once, counted into one (candidates × columns) matrix and
-    clipped against each reference in one step. Under embedding matching
-    the references and the batch are coded together. Per unit length each
-    reference's units are composed once and each candidate's in turn; a
-    pair costs its product, clip, shared-OOV count and assignment. Either
-    way the whole batch's scores are combined as arrays, and each is
-    bitwise that of a batch of one.
+    holds each word's table row (``EmbeddingTable.rows`` of the list). A
+    metric is the sum of its unit spans (Lin 2004): rouge-N's n-grams, or
+    rouge-SUK's unigrams and then its skip-bigrams. Each span gives every
+    pair's match count and both sides' unit totals. Under exact matching
+    the references are coded, then the batch against their codes at once,
+    counted into one (candidates × columns) matrix and clipped against each
+    reference in one step. Under embedding matching the references and the
+    batch are coded together; each reference's units are composed once and
+    each candidate's in turn, and a pair costs its product, clip,
+    shared-OOV count and assignment. The spans are summed from 0 in span
+    order, as one pair's counts are, and the whole batch's scores are
+    combined as arrays, each bitwise that of a batch of one.
 
     ``shared`` is a dict that the caller keeps for one batch of one topic,
-    passed to each metric's call that scores that batch. Under embedding
-    matching rouge-1's one span and every rouge-SU's first are the
-    unigrams, scored alike: the first such metric keeps their (candidates ×
-    references) soft counts there under its OOV policy, and the others read
-    them instead of scoring the span again. Only that array is kept, no
-    composed rows. A batch that is not the one the dict was kept for must
-    not be given it.
+    passed to each metric's call that scores that batch. Each span is
+    scored once and kept there under (span, match kind, OOV policy): its
+    counts and totals only, no composed rows, so rouge-1 and every rouge-SU
+    score the unigrams once. A batch that is not the one the dict was kept
+    for must not be given it.
     """
     if not refs:
         raise ValueError("at least one reference is required")
@@ -452,43 +452,37 @@ def score_batch(
         raise ValueError(f"unknown multiref policy {multiref!r}")
     if match.kind == "embedding" and rows is None:
         raise ValueError("embedding matching needs each word's table row")
-    if match.kind == "exact":
-        codes = _UnitCodes(refs, variant)
-        overlaps, cand_totals = codes.overlaps(cands)
-        return _combine(overlaps.astype(np.float64), codes.totals, cand_totals, multiref)
-    codes = _UnitCodes([*refs, *cands], variant)
-    # Each word's table row by its number here; the numbers of a unit,
-    # sorted, are its words in sorted order, as ``compose`` multiplies them.
-    rows = np.append(-1, rows[codes.words])
-    spans = codes.spans()
-    soft = []
-    if variant.family == "su" or variant.n == 1:
-        shared = {} if shared is None else shared
-        key = match.oov_policy
+    shared = {} if shared is None else shared
+    parts = []
+    for span in (variant,) if variant.family == "n" else (ROUGE_1, variant):
+        key = (span, match.kind, match.oov_policy)
         if key not in shared:
-            shared[key] = _soft_counts(codes, len(refs), match, rows, *spans[0])
-        soft.append(shared[key])
-        spans = spans[1:]
-    soft += [_soft_counts(codes, len(refs), match, rows, first, words) for first, words in spans]
-    # Summed span by span from 0, as one pair's counts are.
-    return _combine(sum(soft), codes.totals[:len(refs)], codes.totals[len(refs):], multiref)
+            shared[key] = (_UnitCodes(refs, span).overlaps(cands) if match.kind == "exact"
+                           else _soft_counts(refs, cands, span, match, rows))
+        parts.append(shared[key])
+    return _combine(*(sum(part) for part in zip(*parts)), multiref)
 
 
-def _soft_counts(codes: _UnitCodes, n_refs: int, match: MatchFunction, rows: np.ndarray,
-                 first: int, words: np.ndarray) -> np.ndarray:
+def _soft_counts(refs: Sequence[np.ndarray], cands: Sequence[np.ndarray], span: RougeVariant,
+                 match: MatchFunction, rows: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each candidate's soft count against each reference (candidates ×
-    references) over the span of ``codes`` whose columns start at
-    ``first`` and hold ``words``; the first ``n_refs`` summaries coded are
-    the references, and ``rows`` maps word numbers to table rows."""
+    references) over the units of ``span``, coded for the references and
+    candidates together, and the references' and the candidates' unit
+    totals; ``rows`` holds each word id's table row."""
     table = match.table
     fallback = match.oov_policy == "exact-fallback"
-    units = rows[np.sort(words, axis=1)]
-    counts = codes.counts[:, first:first + len(units)]
-    refs = [_side(units, ref_counts, table) for ref_counts in counts[:n_refs]]
+    codes = _UnitCodes([*refs, *cands], span)
+    # Each word's table row by its number here; the numbers of a unit,
+    # sorted, are its words in sorted order, as ``compose`` multiplies them.
+    units = np.append(-1, rows[codes.words])[np.sort(codes.units(), axis=1)]
+    counts = codes.counts[:, 1:]
+    n_refs = len(refs)
+    ref_sides = [_side(units, ref_counts, table) for ref_counts in counts[:n_refs]]
     soft = np.empty((len(counts) - n_refs, n_refs))
     for cand_counts, pair_soft in zip(counts[n_refs:], soft):
         matrix, held, _ = _side(units, cand_counts, table)
-        for i, (ref_matrix, ref_held, oov) in enumerate(refs):
+        for i, (ref_matrix, ref_held, oov) in enumerate(ref_sides):
             # An out-of-vocabulary unit is similar 0 to every other unit,
             # or under exact-fallback 1 to itself: such pairs share no
             # row or column, so they match outside ``sims``. Similarities
@@ -501,7 +495,7 @@ def _soft_counts(codes: _UnitCodes, n_refs: int, match: MatchFunction, rows: np.
             # before the next candidate's: at most one of each is held.
             del sims
         del matrix
-    return soft
+    return soft, codes.totals[:n_refs], codes.totals[n_refs:]
 
 
 def rouge_score(

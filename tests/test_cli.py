@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from rougewe import cli, embeddings, harness
+from rougewe import cli, embeddings, harness, rouge
 from rougewe.cli import DEFAULT_METRICS, main
 from rougewe.embeddings import FORMATS, LoadSummary, load_binary
 from rougewe.harness import MetricConfig
@@ -109,6 +109,28 @@ class TestScoreCommand:
         ])
         assert result.exit_code == 0
         assert result.output == "rouge-we-1 R=0.933333 P=0.700000 F=0.800000\n"
+
+    def test_we_metrics_share_the_unigram_span(self, runner, weather_files, toy_embeddings_text,
+                                               monkeypatch):
+        # rouge-su4's unigrams are rouge-1's span: one assignment for them,
+        # one for the skip-bigrams, and each line as the metric alone prints it.
+        cand, ref = weather_files
+        calls = []
+        real = rouge._greedy_assign
+        monkeypatch.setattr(rouge, "_greedy_assign",
+                            lambda *args: calls.append(args[0].shape) or real(*args))
+
+        def score(metrics):
+            result = runner.invoke(main, [
+                "score", str(cand), str(ref), "--metrics", metrics, "--match", "we",
+                "--embeddings", str(toy_embeddings_text), "--embeddings-format", "text",
+            ])
+            assert result.exit_code == 0
+            return result.output
+
+        together = score("rouge-1,rouge-su4")
+        assert len(calls) == 2
+        assert together == score("rouge-1") + score("rouge-su4")
 
     def test_unknown_metric_fails(self, runner, weather_files):
         cand, ref = weather_files

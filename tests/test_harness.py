@@ -137,7 +137,11 @@ class TestLoadJudgments:
         ("", "empty"),
         ("system_id,pyramid,responsiveness,readability\nsys1,1,1\n",
          "row 2: expected 4 fields, found 3"),
-    ], ids=["empty", "short-row"])
+        # No corpus system has an empty id, so such a row would drop out
+        # of every correlation without a trace.
+        ("system_id,pyramid,responsiveness,readability\nsys1,1,1,1\n ,0.1,0.2,0.3\n",
+         "row 3: empty system_id"),
+    ], ids=["empty", "short-row", "empty-system-id"])
     def test_malformed_file_names_the_fault(self, tmp_path, text, fault):
         path = tmp_path / "j.csv"
         path.write_text(text, encoding="utf-8")

@@ -1,8 +1,9 @@
 """The names the package itself exports: those of the README's library
 example and those the benchmark's sample check calls; the names the
 benchmark's tracer and sample check reach into beyond them; no top-level
-import, or private top-level name, in the package that nothing reads; and
-a README flags table that lists the scoring commands' options as they are."""
+import, private top-level name, or attribute of a private class, in the
+package that nothing reads; and a README flags table that lists the
+scoring commands' options as they are."""
 
 import ast
 import dataclasses
@@ -89,6 +90,31 @@ def unread_private_names(source: str) -> list[str]:
             if name.startswith("_") and not name.endswith("__") and name not in read]
 
 
+def unread_private_attributes(source: str) -> list[str]:
+    """The attributes that a module's private classes (``_X``) assign on
+    ``self`` or list in ``__slots__`` and that the module never reads."""
+    tree = ast.parse(source)
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef) and cls.name.startswith("_")):
+            continue
+        bound = {}
+        for node in ast.walk(cls):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                bound.setdefault(node.attr, node.lineno)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__slots__"
+                    for target in node.targets):
+                for name in ast.literal_eval(node.value):
+                    bound.setdefault(name, node.lineno)
+        found += [f"line {line}: {cls.name}.{name}" for name, line in bound.items()
+                  if name not in read]
+    return found
+
+
 def test_unused_imports_finds_a_planted_import():
     source = "from itertools import chain, count\nimport os.path\n__all__ = ['count']\n"
     assert unused_imports(source) == ["line 1: chain", "line 2: os"]
@@ -110,6 +136,21 @@ def test_unread_private_names_finds_a_planted_helper():
 
 def test_package_reads_every_private_name():
     found = {path.name: unread_private_names(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(rougewe.__file__).parent.glob("*.py"))}
+    assert not {name: names for name, names in found.items() if names}
+
+
+def test_unread_private_attributes_finds_a_planted_slot():
+    source = ("class _Box:\n    __slots__ = ('size', 'first')\n\n    def __init__(self, size):\n"
+              "        self.size = size\n        self.first = 1\n        self.spare = None\n\n\n"
+              "class Open:\n    def __init__(self):\n        self.free = 0\n\n\n"
+              "def width(box):\n    return box.size\n")
+    assert unread_private_attributes(source) == ["line 2: _Box.first", "line 7: _Box.spare"]
+    assert unread_private_attributes(source + "_Box(1).first, _Box(1).spare\n") == []
+
+
+def test_package_reads_every_private_attribute():
+    found = {path.name: unread_private_attributes(path.read_text(encoding="utf-8"))
              for path in sorted(Path(rougewe.__file__).parent.glob("*.py"))}
     assert not {name: names for name, names in found.items() if names}
 

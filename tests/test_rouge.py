@@ -3,7 +3,6 @@ import random
 import tracemalloc
 from collections import Counter
 from functools import reduce
-from itertools import accumulate
 from operator import xor
 from statistics import fmean
 from unittest import mock
@@ -593,16 +592,16 @@ we_summaries = st.lists(st.sampled_from(UNIT_WORDS), max_size=6).map(
     lambda w: TokenSequence(tuple(w)))
 
 
-def column_units(exact: _UnitCodes, words: list[str]) -> dict[int, tuple[str, ...]]:
-    """Each column of an exact engine but the sink, read back from its codes
+def column_units(codes: _UnitCodes, words: list[str]) -> dict[int, tuple[str, ...]]:
+    """Each column of a coder but the sink, read back from its codes
     through the word list its summaries were coded over as the word tuple
     it counts."""
-    names = {i: words[w] for i, w in enumerate(exact.words.tolist(), 1)}
-    unigrams = ranks = {i: (word,) for i, word in names.items()}
-    for keys in exact.keys:
-        ranks = {rank: ranks[code // exact.base] + (names[code % exact.base],)
-                 for rank, code in enumerate(keys[:-1].tolist(), int(exact.first))}
-    return {**unigrams, **ranks} if exact.variant.family == "su" else ranks
+    names = {i: words[w] for i, w in enumerate(codes.words.tolist(), 1)}
+    ranks = {i: (word,) for i, word in names.items()}
+    for keys in codes.keys:
+        ranks = {rank: ranks[code // codes.base] + (names[code % codes.base],)
+                 for rank, code in enumerate(keys[:-1].tolist(), 1)}
+    return ranks
 
 
 class TestExactEngineMatchesOracle:
@@ -659,41 +658,95 @@ class TestExactEngineMatchesOracle:
     @settings(max_examples=200, deadline=None)
     def test_unit_stream_is_extract_units(self, cand, refs, variant, budget):
         # The engine's coded units, read back as words, are the oracle's
-        # units: each reference's counts row, and a candidate's columns,
-        # searched or gathered.
+        # units: each reference's counts rows, and a candidate's columns,
+        # searched or gathered, summed over the variant's spans: rouge-N's
+        # n-grams, or rouge-SU's unigrams and its skip-bigrams.
         words, ids = encode_tokens([*refs, cand])
-        exact = _UnitCodes(ids[:-1], variant)
-        unit_at = column_units(exact, words)
-        assert exact.counts.shape[1] == len(unit_at) + 1
-        for row, ref in zip(exact.counts.tolist(), refs):
-            assert row[0] == 0
-            assert Counter({unit_at[c]: k for c, k in enumerate(row) if k}) == units(ref, variant)
-        assert exact.totals.tolist() == [units(ref, variant).total() for ref in refs]
-        held = set(unit_at.values())
-        cols, lengths = exact._columns(ids[-1:], budget)
-        assert Counter(unit_at[c] for c in cols.ravel().tolist() if c) == Counter(
-            {unit: k for unit, k in units(cand, variant).items() if unit in held})
-        assert exact._totals(lengths).tolist() == [units(cand, variant).total()]
-        # Coded together, as embedding matching codes them, every unit has a
-        # column, and each unit length's columns read back through the
-        # vocabulary in sorted word-tuple order.
         summaries = [*refs, cand]
-        joint = _UnitCodes(ids, variant)
-        vocabulary = [words[w] for w in joint.words.tolist()]
-        assert vocabulary == sorted(set().union(*map(set, summaries)))
-        spans = joint.spans()
-        assert [first for first, _ in spans] + [joint.width] == list(
-            accumulate([len(words) for _, words in spans], initial=1))
-        for row, summary in zip(joint.counts, summaries):
-            found = Counter()
-            for first, words in spans:
-                held = np.flatnonzero(row[first:first + len(words)])
-                tuples = [tuple(vocabulary[w - 1] for w in unit) for unit in words[held].tolist()]
+        ref_units = [Counter() for _ in refs]
+        joint_units = [Counter() for _ in summaries]
+        cand_units = Counter()
+        ref_totals, cand_total, joint_totals = 0, 0, 0
+        for span in (variant,) if variant.family == "n" else (ROUGE_1, variant):
+            exact = _UnitCodes(ids[:-1], span)
+            unit_at = column_units(exact, words)
+            assert exact.counts.shape[1] == len(unit_at) + 1
+            # One span a coder: its n-grams, or only its skip-bigrams.
+            assert {len(unit) for unit in unit_at.values()} <= {span.n or 2}
+            for row, found in zip(exact.counts.tolist(), ref_units):
+                assert row[0] == 0
+                found.update({unit_at[c]: k for c, k in enumerate(row) if k})
+            ref_totals += exact.totals
+            cols, lengths = exact._columns(ids[-1:], budget)
+            cand_units.update(unit_at[c] for c in cols.ravel().tolist() if c)
+            cand_total += exact._totals(lengths)
+            # Coded together, as embedding matching codes them, every unit
+            # has a column, and the columns read back through the
+            # vocabulary in sorted word-tuple order.
+            joint = _UnitCodes(ids, span)
+            vocabulary = [words[w] for w in joint.words.tolist()]
+            assert vocabulary == sorted(set().union(*map(set, summaries)))
+            column_words = joint.units()
+            assert len(column_words) + 1 == joint.width
+            for row, found in zip(joint.counts, joint_units):
+                held = np.flatnonzero(row[1:])
+                tuples = [tuple(vocabulary[w - 1] for w in unit)
+                          for unit in column_words[held].tolist()]
                 assert tuples == sorted(tuples)
-                found.update(dict(zip(tuples, row[first + held].tolist())))
-            assert found == units(summary, variant)
-        assert joint.totals.tolist() == [units(s, variant).total() for s in summaries]
+                found.update(dict(zip(tuples, row[1 + held].tolist())))
+            joint_totals += joint.totals
+        assert ref_units == [units(ref, variant) for ref in refs]
+        assert ref_totals.tolist() == [units(ref, variant).total() for ref in refs]
+        assert cand_units == Counter({unit: k for unit, k in units(cand, variant).items()
+                                      if any(unit in found for found in ref_units)})
+        assert cand_total.tolist() == [units(cand, variant).total()]
+        assert joint_units == [units(summary, variant) for summary in summaries]
+        assert joint_totals.tolist() == [units(s, variant).total() for s in summaries]
 
+
+SHARED_METRICS = [ROUGE_1, ROUGE_2, *(RougeVariant("su", max_skip=k) for k in range(5))]
+
+
+class TestSharedSpans:
+    """A span kept in ``score_batch``'s ``shared`` dict gives every metric
+    that holds it the scores that a call given no dict gets."""
+
+    @given(cands=st.lists(we_summaries, max_size=4),
+           refs=st.lists(we_summaries, min_size=1, max_size=3),
+           variants=st.lists(st.sampled_from(SHARED_METRICS), min_size=1, max_size=5),
+           kind=st.sampled_from(["exact", "zero", "exact-fallback"]),
+           multiref=st.sampled_from(["average", "jackknife"]),
+           table_seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_shared_equals_alone(self, cands, refs, variants, kind, multiref, table_seed):
+        match = (MatchFunction.exact() if kind == "exact"
+                 else MatchFunction.we(sign_table(table_seed, TABLE_WORDS), oov_policy=kind))
+        words, ids = encode_tokens([*refs, *cands])
+        rows = match.table.rows(words) if match.table else None
+        shared = {}
+        for variant in variants:
+            args = (ids[:len(refs)], ids[len(refs):], variant, match, multiref, rows)
+            assert score_batch(*args, shared) == score_batch(*args)
+
+    def test_match_kinds_and_policies_keep_their_own_spans(self):
+        table = make_table({"a": [1.0, 0.0], "b": [0.6, 0.8], "c": [0.8, 0.6]})
+        words, ids = encode_tokens([seq("a ghost b"), seq("ghost c a")])
+        exact, zero = MatchFunction.exact(), MatchFunction.we(table)
+        fallback = MatchFunction.we(table, oov_policy="exact-fallback")
+        metrics = [(ROUGE_1, exact), (ROUGE_SU4, zero), (ROUGE_1, fallback),
+                   (ROUGE_SU4, exact), (ROUGE_1, zero), (ROUGE_SU4, fallback)]
+        shared = {}
+        together = [score_batch(ids[:1], ids[1:], variant, match, rows=table.rows(words),
+                                shared=shared) for variant, match in metrics]
+        alone = [score_batch(ids[:1], ids[1:], variant, match, rows=table.rows(words))
+                 for variant, match in metrics]
+        assert together == alone
+        # The unigram spans differ (a and ghost match exactly; b and c are
+        # similar 0.96 in float32, and ghost matches ghost only under
+        # exact-fallback), so a span kept under a key without the match
+        # kind or the OOV policy would change a score.
+        assert [round(score.soft_match_count, 6) for (variant, _), [score] in zip(metrics, alone)
+                if variant == ROUGE_1] == [2.0, 2.96, 1.96]
 
 
 class TestExactEdgeCases:
