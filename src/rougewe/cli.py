@@ -23,20 +23,23 @@ from .embeddings import FORMATS, EmbeddingFormatError, EmbeddingTable
 from .harness import (
     MATCH_KINDS,
     REPORT_COMPONENTS,
+    Coding,
     CorpusLoadError,
     JudgmentsFormatError,
     MetaEvalError,
     MetricConfig,
+    Topic,
     encode_corpus,
     format_table,
     load_corpus,
     load_judgments,
     meta_evaluate,
     score_corpus,
+    score_pairs,
     write_reports,
 )
-from .rouge import MULTIREF_POLICIES, OOV_POLICIES, score_batch
-from .textpipe import DEFAULT_CONFIG, TokenizeConfig, encode, load_stopwords, read_text
+from .rouge import MULTIREF_POLICIES, OOV_POLICIES
+from .textpipe import TokenizeConfig, load_stopwords, read_text
 
 DEFAULT_METRICS = "rouge-1,rouge-2,rouge-su4"
 
@@ -58,22 +61,25 @@ class RunConfig:
     def to_dict(self) -> dict:
         return {**asdict(self), "metrics": [m.to_dict() for m in self.metrics]}
 
-    def tokenize_config(self) -> TokenizeConfig:
+    @property
+    def uses_embeddings(self) -> bool:
+        return any(m.match == "we" for m in self.metrics)
+
+    def code(self, topics: list[Topic]) -> tuple[Coding, EmbeddingTable | None]:
+        """``topics`` coded under the run's tokenization, after its stopword
+        list is read, and under WE the vectors of their words, the only ones
+        scoring looks up (``None`` for an exact run): the one path by which
+        both ``score`` and ``meta-eval`` code and load."""
         stopwords = None
         if self.stopwords:
             try:
                 stopwords = load_stopwords(self.stopwords)
             except UnicodeDecodeError as exc:
                 raise _not_utf8("stopword file", self.stopwords, exc) from None
-        return TokenizeConfig(stem=self.stem, stopwords=stopwords)
-
-    @property
-    def uses_embeddings(self) -> bool:
-        return any(m.match == "we" for m in self.metrics)
-
-    def load_table(self, vocabulary: Collection[str]) -> EmbeddingTable:
-        """The vectors of the words in ``vocabulary``, the only ones scoring looks up."""
-        return _load_vectors(self.embeddings, self.embeddings_format, vocabulary=vocabulary)
+        coding = encode_corpus(topics, TokenizeConfig(stem=self.stem, stopwords=stopwords))
+        if not self.uses_embeddings:
+            return coding, None
+        return coding, _load_vectors(self.embeddings, self.embeddings_format, vocabulary=coding[0])
 
 
 def _load_vectors(path: str, fmt: str,
@@ -197,19 +203,21 @@ def score(candidate, references, **settings):
     Prints one line per metric: '<metric> R=<recall> P=<precision> F=<f1>'.
     The candidate, the references and the stopword list are read in that
     order, before the vector file, of which only the texts' words are loaded.
+    The files are scored as meta-eval scores a corpus, as one topic named
+    'references': the references are its model summaries and the candidate,
+    named by its path, its only system. So a metric given twice, or a pair
+    that fails to score, exits 1 as in meta-eval.
     """
     config = _build_run_config("score", **settings)
-    texts = [_read_utf8(candidate, "candidate file"),
-             *(_read_utf8(r, "reference file") for r in references)]
-    words, (cand, *refs) = encode(texts, config.tokenize_config())
-    table = rows = None
-    if config.uses_embeddings:
-        table = config.load_table(words)
-        rows = table.rows(words)
-    shared = {}  # each unit span scored once for every metric that holds it
+    system = (candidate, _read_utf8(candidate, "candidate file"))
+    topic = Topic("references", [(r, _read_utf8(r, "reference file")) for r in references],
+                  [system])
+    try:
+        pairs = score_pairs([topic], config.metrics, *config.code([topic]))
+    except MetaEvalError as exc:
+        raise click.ClickException(str(exc)) from exc
     for metric in config.metrics:
-        result, = score_batch(refs, [cand], metric.variant, metric.match_function(table),
-                              metric.multiref, rows, shared)
+        result = pairs[metric.name][candidate][topic.topic_id]
         click.echo(f"{metric.name} R={result.recall:.6f} P={result.precision:.6f} "
                    f"F={result.f1:.6f}")
 
@@ -234,17 +242,7 @@ def meta_eval(**settings):
         if not topics:
             raise click.ClickException(f"corpus {config.corpus} contains no topics")
         human = load_judgments(config.judgments)
-        tok_config = config.tokenize_config()
-        table = coding = None
-        # score_corpus codes a corpus under the default tokenization; one
-        # tokenized otherwise is coded here. So is one scored under WE: the
-        # table holds only the corpus's words, so the corpus is coded before
-        # the load, once, and scored from that coding.
-        if config.uses_embeddings or tok_config != DEFAULT_CONFIG:
-            coding = encode_corpus(topics, tok_config)
-        if config.uses_embeddings:
-            table = config.load_table(coding[0])
-        scores = score_corpus(topics, config.metrics, table=table, coding=coding)
+        scores = score_corpus(topics, config.metrics, *config.code(topics))
         report = meta_evaluate(scores, human)
     except (CorpusLoadError, JudgmentsFormatError, MetaEvalError, UndefinedCorrelationError) as exc:
         raise click.ClickException(str(exc)) from exc

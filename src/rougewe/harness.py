@@ -29,7 +29,8 @@ from .correlation import (
     correlation_triple,
 )
 from .embeddings import EmbeddingTable
-from .rouge import MULTIREF_POLICIES, OOV_POLICIES, MatchFunction, RougeVariant, score_batch
+from .rouge import (MULTIREF_POLICIES, OOV_POLICIES, MatchFunction, RougeScore, RougeVariant,
+                    score_batch)
 from .textpipe import DEFAULT_CONFIG, TokenizeConfig, encode, read_text
 
 logger = logging.getLogger(__name__)
@@ -38,6 +39,8 @@ JUDGMENT_TYPES = ("pyramid", "responsiveness", "readability")
 JUDGMENTS_HEADER = ("system_id", "pyramid", "responsiveness", "readability")
 MATCH_KINDS = ("exact", "we")
 REPORT_COMPONENTS = ("recall", "precision", "f1")
+# A corpus's sorted word list and each summary's word ids (``encode_corpus``).
+Coding = tuple[list[str], list[np.ndarray]]
 
 
 class CorpusLoadError(Exception):
@@ -200,57 +203,46 @@ def load_judgments(path: str | Path) -> HumanJudgments:
     return HumanJudgments(scores)
 
 
-def _texts(topics: Sequence[Topic]) -> list[str]:
-    """Every summary's text, each topic's models and then its systems."""
-    return [text for t in topics for _, text in (*t.model_summaries, *t.system_summaries)]
-
-
 def encode_corpus(topics: Sequence[Topic], tokenize_config: TokenizeConfig = DEFAULT_CONFIG
-                  ) -> tuple[list[str], list[np.ndarray]]:
+                  ) -> Coding:
     """The corpus coded by ``textpipe.encode`` under ``tokenize_config``:
     its words in sorted order, the only ones that scoring looks up in an
     embedding table, and each summary's word ids, each topic's models and
     then its systems, in ``topics`` order."""
-    return encode(_texts(topics), tokenize_config)
+    return encode([text for t in topics for _, text in (*t.model_summaries, *t.system_summaries)],
+                  tokenize_config)
 
 
-def score_corpus(
-    topics: Sequence[Topic],
-    metrics: Sequence[MetricConfig],
-    table: EmbeddingTable | None = None,
-    coding: tuple[list[str], list[np.ndarray]] | None = None,
-) -> dict[str, ScoreVector]:
-    """Per-metric mean score of every system over all topics.
+def score_pairs(topics: Sequence[Topic], metrics: Sequence[MetricConfig], coding: Coding,
+                table: EmbeddingTable | None = None
+                ) -> dict[str, dict[str, dict[str, RougeScore | None]]]:
+    """Every system's score on every topic under every metric:
+    ``pairs[metric name][system id][topic id]``, systems in sorted order and
+    topics in ``topic_id`` order, ``None`` where a system has no summary for
+    a topic (logged once, in topic then system order).
 
-    The summaries are coded once for every metric (``coding``, by default
-    ``encode_corpus(topics)``; a caller that tokenizes otherwise codes
-    ``topics`` under its own config): each distinct chunk of text is
-    normalized once, and each summary becomes one array of word ids over
-    the corpus's sorted word list, whose table rows are looked up once
-    under embedding matching. The topics are scored one at a time: for
-    each metric, all of a topic's system summaries are scored against its
-    model summaries in one ``score_batch`` call, which gives the topic's
-    per-system vector; every score is bitwise what ``rouge_score`` gives
-    for that pair. Each unit span of a topic is scored once per match kind
-    and OOV policy, so the unigrams of rouge-1 and every rouge-SU once,
-    and its counts serve every metric that holds it (``score_batch``'s
-    ``shared``, one dict per topic, dropped after it).
-    A system missing a topic's summary contributes 0 for that topic under
-    every metric, and is logged once, in topic then system order. A batch
-    that fails to score raises ``MetaEvalError`` naming the metric and
-    topic, and the model summaries or the system whose summary fails when
-    scored alone, chained from the cause (the references and then each
+    ``coding`` is ``encode_corpus(topics, ...)`` under the run's
+    tokenization: each summary one array of word ids over the corpus's
+    sorted word list, whose table rows are looked up once under embedding
+    matching, where ``table`` must hold the words' vectors. The topics are
+    scored one at a time: for each metric, all of a topic's system summaries
+    are scored against its model summaries in one ``score_batch`` call, and
+    every score is bitwise what ``rouge_score`` gives for that pair. Each
+    unit span of a topic is scored once per match kind and OOV policy, so
+    the unigrams of rouge-1 and every rouge-SU once, and its counts serve
+    every metric that holds it (``score_batch``'s ``shared``, one dict per
+    topic, dropped after it).
+    A batch that fails to score raises ``MetaEvalError`` naming the metric
+    and topic, and the model summaries or the system whose summary fails
+    when scored alone, chained from the cause (the references and then each
     summary are scored again on their own, with nothing shared, to find
     it): a zero in its place would bias the correlations without a trace.
     Two metrics with the same name would share one set of report rows, and
     two topics with the same id one set of summaries, so either raises
-    ``MetaEvalError`` too. Each system's mean is a sequential sum over
-    topics in ``topic_id`` order, so no input order changes a bit.
+    ``MetaEvalError`` too.
     """
     if not topics:
         raise ValueError("no topics to score")
-    if any(m.match == "we" for m in metrics) and table is None:
-        raise ValueError("embedding-based metrics require an embedding table")
     for what, names in (("topic", [t.topic_id for t in topics]),
                         ("metric", [m.name for m in metrics])):
         for name in names:
@@ -258,33 +250,25 @@ def score_corpus(
                 raise MetaEvalError(f"{what} {name} is given more than once; "
                                     f"each {what} needs a distinct name")
 
-    words, ids = encode_corpus(topics) if coding is None else coding
-    rows = table.rows(words) if any(m.match == "we" for m in metrics) else None
-    del words  # scoring needs the ids and rows only
-    ids = iter(ids)  # in ``_texts`` order
-    model_seqs, system_seqs = {}, {}
-    for t in topics:
-        model_seqs[t.topic_id] = [next(ids) for _ in t.model_summaries]
-        system_seqs[t.topic_id] = {sid: next(ids) for sid, _ in t.system_summaries}
-    system_ids = sorted({sid for t in topics for sid, _ in t.system_summaries})
-    topics = sorted(topics, key=lambda t: t.topic_id)
-    for topic in topics:
-        for system_id in system_ids:
-            if system_id not in system_seqs[topic.topic_id]:
-                logger.warning("system %s has no summary for topic %s; scoring 0",
-                               system_id, topic.topic_id)
-
     matches = [metric.match_function(table) for metric in metrics]
-    # Each metric's values for each system, one a topic in topic order.
-    values = [{system_id: [] for system_id in system_ids} for _ in metrics]
-    for topic in topics:
-        refs, cands = model_seqs[topic.topic_id], system_seqs[topic.topic_id]
-        present = [system_id for system_id in system_ids if system_id in cands]
+    rows = table.rows(coding[0]) if any(m.match == "we" for m in metrics) else None
+    ids = iter(coding[1])  # in ``encode_corpus`` order
+    # Each topic's model summaries, and its system summaries by system id.
+    seqs = {t.topic_id: ([next(ids) for _ in t.model_summaries],
+                         {sid: next(ids) for sid, _ in t.system_summaries}) for t in topics}
+    system_ids = sorted({sid for t in topics for sid, _ in t.system_summaries})
+    pairs = {metric.name: {system_id: {} for system_id in system_ids} for metric in metrics}
+    for topic in sorted(topics, key=lambda t: t.topic_id):
+        refs, cands = seqs[topic.topic_id]
+        for system_id in sorted(set(system_ids).difference(cands)):
+            logger.warning("system %s has no summary for topic %s; scoring 0",
+                           system_id, topic.topic_id)
+        present = sorted(cands)
         batch = [cands[system_id] for system_id in present]
         # The batch's span counts, shared by the metrics that hold each
         # span; a summary scored again alone is given none.
         shared = {}
-        for metric, match, per_system in zip(metrics, matches, values):
+        for metric, match in zip(metrics, matches):
             try:
                 scores = score_batch(refs, batch, metric.variant, match, metric.multiref, rows,
                                      shared)
@@ -301,13 +285,25 @@ def score_corpus(
                 raise MetaEvalError(f"scoring failed for metric {metric.name}, topic "
                                     f"{topic.topic_id} (system summaries): {exc}") from exc
             scored = dict(zip(present, scores))
-            for system_id, topic_values in per_system.items():
-                score = scored.get(system_id)
-                topic_values.append(0.0 if score is None else getattr(score, metric.component))
-    return {metric.name: ScoreVector(tuple(sum(topic_values) / len(topics)
-                                           for topic_values in per_system.values()),
-                                     tuple(system_ids))
-            for metric, per_system in zip(metrics, values)}
+            for system_id, by_topic in pairs[metric.name].items():
+                by_topic[topic.topic_id] = scored.get(system_id)
+    return pairs
+
+
+def score_corpus(topics: Sequence[Topic], metrics: Sequence[MetricConfig], coding: Coding,
+                 table: EmbeddingTable | None = None) -> dict[str, ScoreVector]:
+    """Per-metric mean score of every system over all topics: the mean of
+    the metric's report component over the system's ``score_pairs`` cells,
+    a missing summary counting 0. Each mean is a sequential sum over topics
+    in ``topic_id`` order, so no input order changes a bit.
+    """
+    pairs = score_pairs(topics, metrics, coding, table)
+    return {metric.name: ScoreVector(
+                tuple(sum(0.0 if score is None else getattr(score, metric.component)
+                          for score in by_topic.values()) / len(by_topic)
+                      for by_topic in pairs[metric.name].values()),
+                tuple(pairs[metric.name]))
+            for metric in metrics}
 
 
 @dataclass
@@ -328,9 +324,20 @@ def meta_evaluate(system_scores: dict[str, ScoreVector], judgments: HumanJudgmen
     """Correlate each metric's per-system scores with each judgment column.
 
     Only systems present on both sides enter the correlations; fewer than
-    2 common systems is an error. A constant side raises
+    2 common systems is an error. The systems left out on either side are
+    logged in one warning, which flags those whose ids differ only in case
+    from another system's. A constant side raises
     ``UndefinedCorrelationError`` naming the metric and the judgment.
     """
+    scored = {label for scores in system_scores.values() for label in scores.labels}
+    judged = set(judgments.scores)
+    if scored != judged:
+        folded = [s.lower() for s in scored | judged]
+        logger.warning("systems left out of the correlations: judged but not scored: %s; "
+                       "scored but not judged: %s; differing only in case from another: %s",
+                       *(", ".join(ids) or "none" for ids in (
+                           sorted(judged - scored), sorted(scored - judged),
+                           [s for s in sorted(scored ^ judged) if folded.count(s.lower()) > 1])))
     report = MetaEvalReport()
     for metric_name, scores in system_scores.items():
         for judgment in JUDGMENT_TYPES:

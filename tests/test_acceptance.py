@@ -17,7 +17,8 @@ from click.testing import CliRunner
 from rougewe.cli import main as cli_main
 from rougewe.correlation import kendall, pearson, spearman
 from rougewe.embeddings import load_binary
-from rougewe.harness import MetricConfig, load_corpus, load_judgments, meta_evaluate, score_corpus
+from rougewe.harness import (MetricConfig, encode_corpus, load_corpus, load_judgments,
+                             meta_evaluate, score_corpus)
 from rougewe.rouge import (
     ROUGE_1,
     ROUGE_2,
@@ -220,7 +221,7 @@ def test_criterion_6_synthetic_meta_eval(synthetic):
     start = time.monotonic()
     topics = load_corpus(corpus_dir)
     metrics = [MetricConfig(v) for v in (ROUGE_1, ROUGE_2, ROUGE_SU4)]
-    scores = score_corpus(topics, metrics)
+    scores = score_corpus(topics, metrics, coding=encode_corpus(topics))
     rhos = {}
     for metric in metrics:
         vec = scores[metric.name]

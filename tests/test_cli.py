@@ -234,6 +234,38 @@ class TestScoreCommand:
         second = runner.invoke(main, args)
         assert first.output == second.output
 
+    def test_duplicate_metric_exits_1(self, runner, weather_files):
+        # One report line a metric name, as meta-eval has one set of rows.
+        cand, ref = weather_files
+        result = runner.invoke(main, ["score", str(cand), str(ref), "--metrics", "rouge-1,rouge-1"])
+        assert result.exit_code == 1
+        assert result.output == ("Error: metric rouge-1 is given more than once; "
+                                 "each metric needs a distinct name\n")
+
+    @pytest.mark.parametrize("match", [[], ["--match", "we"]], ids=["exact", "we"])
+    def test_scoring_failure_exits_1_naming_the_candidate(self, runner, weather_files,
+                                                           toy_embeddings_text, monkeypatch,
+                                                           match):
+        # score scores through the corpus driver, so a failing pair is named
+        # as meta-eval names it: the candidate is the topic's one system.
+        cand, ref = weather_files
+        real = harness.score_batch
+
+        def fail_for_candidate(refs, cands, *args):
+            if cands:
+                raise RuntimeError("scorer bug")
+            return real(refs, cands, *args)
+
+        monkeypatch.setattr(harness, "score_batch", fail_for_candidate)
+        result = runner.invoke(main, ["score", str(cand), str(ref), "--metrics", "rouge-2",
+                                      "--embeddings", str(toy_embeddings_text),
+                                      "--embeddings-format", "text", *match])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        name = "rouge-we-2" if match else "rouge-2"
+        assert result.output == (f"Error: scoring failed for metric {name}, system {cand}, "
+                                 "topic references: scorer bug\n")
+
 
 BOM = "\ufeff".encode("utf-8")
 
@@ -369,7 +401,8 @@ class TestMetaEvalCommand:
         # Without "a", s2 matches one of m1's three words in t1, not two of four.
         assert scored == [real(topics, [MetricConfig(RougeVariant.parse("rouge-1"))],
                                coding=coding)]
-        assert scored != [real(topics, [MetricConfig(RougeVariant.parse("rouge-1"))])]
+        assert scored != [real(topics, [MetricConfig(RougeVariant.parse("rouge-1"))],
+                               coding=harness.encode_corpus(topics))]
 
     def test_missing_judgments_file(self, runner, tiny_corpus, tmp_path):
         corpus, _ = tiny_corpus

@@ -26,6 +26,7 @@ from rougewe.harness import (
     load_judgments,
     meta_evaluate,
     score_corpus,
+    score_pairs,
     write_reports,
 )
 from rougewe.rouge import ROUGE_1, ROUGE_2, ROUGE_SU4, MatchFunction, RougeVariant, rouge_score
@@ -227,7 +228,8 @@ class TestScoreCorpus:
         write_corpus(tmp_path, {
             "t1": ({"m1": "a b c d", "m2": "a b x y"}, {"s1": "a b c d"}),
         })
-        scores = score_corpus(load_corpus(tmp_path), [R1])
+        topics = load_corpus(tmp_path)
+        scores = score_corpus(topics, [R1], coding=encode_corpus(topics))
         # recall 1.0 vs m1, 0.5 vs m2, averaged
         assert scores["rouge-1"].values == (0.75,)
 
@@ -238,7 +240,8 @@ class TestScoreCorpus:
             # recall 0.7: seven of ten matched
             "t2": ({"m1": "a b c d e f g h i j"}, {"s1": "a b c d e f g q r s"}),
         })
-        scores = score_corpus(load_corpus(tmp_path), [R1])
+        topics = load_corpus(tmp_path)
+        scores = score_corpus(topics, [R1], coding=encode_corpus(topics))
         assert scores["rouge-1"].values == pytest.approx((0.6,))
 
     def test_mean_is_a_sum_in_topic_id_order(self):
@@ -247,7 +250,8 @@ class TestScoreCorpus:
         ref = "a b c d e f g h i j"
         topics = [Topic(f"t{k}", [("m1", ref)], [("s1", " ".join(ref.split()[:k]))])
                   for k in (2, 3, 1)]
-        assert score_corpus(topics, [R1])["rouge-1"].values == ((0.1 + 0.2 + 0.3) / 3,)
+        scores = score_corpus(topics, [R1], coding=encode_corpus(topics))
+        assert scores["rouge-1"].values == ((0.1 + 0.2 + 0.3) / 3,)
         assert (0.1 + 0.2 + 0.3) / 3 != (0.3 + 0.2 + 0.1) / 3 == (0.2 + 0.3 + 0.1) / 3
 
     def test_missing_summary_scores_zero(self, tmp_path, caplog):
@@ -257,8 +261,9 @@ class TestScoreCorpus:
             "t2": ({"m1": "a b"}, {"s1": "a b"}),
         })
         metrics = [R1, MetricConfig(ROUGE_2), MetricConfig(RougeVariant.parse("rouge-su4"))]
+        topics = load_corpus(tmp_path)
         with caplog.at_level(logging.WARNING):
-            scores = score_corpus(load_corpus(tmp_path), metrics)
+            scores = score_corpus(topics, metrics, coding=encode_corpus(topics))
         for vec in scores.values():
             assert dict(zip(vec.labels, vec.values)) == {"s1": 1.0, "s2": 0.5}
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
@@ -270,8 +275,9 @@ class TestScoreCorpus:
             "t1": ({"m1": "a b"}, {"s2": "a b"}),
             "t3": ({"m1": "a b"}, {"s3": "a b"}),
         })
+        topics = load_corpus(tmp_path)
         with caplog.at_level(logging.WARNING):
-            score_corpus(load_corpus(tmp_path), [R1, MetricConfig(ROUGE_2)])
+            score_corpus(topics, [R1, MetricConfig(ROUGE_2)], coding=encode_corpus(topics))
         missing = [(r.args[1], r.args[0]) for r in caplog.records if r.levelno == logging.WARNING]
         assert missing == [("t1", "s1"), ("t1", "s3"), ("t2", "s2"), ("t2", "s3"),
                            ("t3", "s1"), ("t3", "s2")]
@@ -288,9 +294,10 @@ class TestScoreCorpus:
             return real(summaries, variant)
 
         monkeypatch.setattr(rouge, "_UnitCodes", fail_for_m1)
+        topics = load_corpus(tmp_path)
         with pytest.raises(MetaEvalError, match=r", topic t1 \(model summaries\): coder bug"):
-            score_corpus(load_corpus(tmp_path), [MetricConfig(ROUGE_1, match=match)],
-                         table=identity_table(["a", "b", "c"]))
+            score_corpus(topics, [MetricConfig(ROUGE_1, match=match)],
+                         coding=encode_corpus(topics), table=identity_table(["a", "b", "c"]))
 
     def test_scoring_failure_raises_naming_the_pair(self, tmp_path, monkeypatch):
         write_corpus(tmp_path, {"t1": ({"m1": "a b"}, {"s1": "a b", "s2": "a c", "s3": "b c"})})
@@ -306,11 +313,12 @@ class TestScoreCorpus:
 
         monkeypatch.setattr(harness, "score_batch", fail_for_s2)
         table = identity_table(["a", "b", "c"])
+        topics = load_corpus(tmp_path)
         for metric in (R1, MetricConfig(ROUGE_1, match="we")):
             batches.clear()
             with pytest.raises(MetaEvalError, match=f"metric {metric.name}, system s2, topic t1"
                                ) as info:
-                score_corpus(load_corpus(tmp_path), [metric], table=table)
+                score_corpus(topics, [metric], coding=encode_corpus(topics), table=table)
             assert isinstance(info.value.__cause__, RuntimeError)
             # The references alone, then each summary alone, until one fails.
             # Only the batch is given the topic's shared spans: what is scored
@@ -328,39 +336,44 @@ class TestScoreCorpus:
             return real(refs, cands, *args)
 
         monkeypatch.setattr(harness, "score_batch", fail_batches)
+        topics = load_corpus(tmp_path)
         for metric in (R1, MetricConfig(ROUGE_1, match="we")):
             with pytest.raises(MetaEvalError, match=rf"metric {metric.name}, topic t1 "
                                                     r"\(system summaries\): batch bug") as info:
-                score_corpus(load_corpus(tmp_path), [metric], table=identity_table(["a", "b", "c"]))
+                score_corpus(topics, [metric], coding=encode_corpus(topics),
+                             table=identity_table(["a", "b", "c"]))
             assert isinstance(info.value.__cause__, RuntimeError)
 
     def test_embedding_metric_requires_table(self, tmp_path):
         write_corpus(tmp_path, {"t1": ({"m1": "a"}, {"s1": "a"})})
+        topics = load_corpus(tmp_path)
         with pytest.raises(ValueError, match="table"):
-            score_corpus(load_corpus(tmp_path), [MetricConfig(ROUGE_1, match="we")])
+            score_corpus(topics, [MetricConfig(ROUGE_1, match="we")], coding=encode_corpus(topics))
 
     def test_we_metric_scores(self, tmp_path):
         write_corpus(tmp_path, {"t1": ({"m1": "rain"}, {"s1": "pour"})})
         table = make_table({"rain": [0.6, 0.8], "pour": [0.8, 0.6]})
-        scores = score_corpus(load_corpus(tmp_path), [MetricConfig(ROUGE_1, match="we")],
-                              table=table)
+        topics = load_corpus(tmp_path)
+        scores = score_corpus(topics, [MetricConfig(ROUGE_1, match="we")],
+                              coding=encode_corpus(topics), table=table)
         assert scores["rouge-we-1"].values == pytest.approx((0.96,), abs=1e-6)
 
     def test_no_topics_rejected(self):
         with pytest.raises(ValueError):
-            score_corpus([], [R1])
+            score_corpus([], [R1], coding=encode_corpus([]))
 
     def test_duplicate_metric_name_rejected(self, tmp_path):
         write_corpus(tmp_path, {"t1": ({"m1": "a b"}, {"s1": "a b", "s2": "a c"})})
         metrics = [MetricConfig(ROUGE_1), MetricConfig(ROUGE_1, component="f1")]
+        topics = load_corpus(tmp_path)
         with pytest.raises(MetaEvalError, match="metric rouge-1 is given more than once"):
-            score_corpus(load_corpus(tmp_path), metrics)
+            score_corpus(topics, metrics, coding=encode_corpus(topics))
 
     def test_duplicate_topic_id_rejected(self):
         topics = [Topic("t1", [("m1", "a b")], [("s1", "a b")]),
                   Topic("t1", [("m1", "c d")], [("s1", "x y")])]
         with pytest.raises(MetaEvalError, match="topic t1 is given more than once"):
-            score_corpus(topics, [R1])
+            score_corpus(topics, [R1], coding=encode_corpus(topics))
 
     def test_permutation_fairness(self, tmp_path):
         # systems hold the model texts, shuffled among systems per topic
@@ -368,7 +381,8 @@ class TestScoreCorpus:
             "t1": ({"m1": "a b c", "m2": "d e f"}, {"s1": "a b c", "s2": "d e f", "s3": "a b c"}),
             "t2": ({"m1": "g h i", "m2": "j k l"}, {"s1": "j k l", "s2": "g h i", "s3": "j k l"}),
         })
-        scores = score_corpus(load_corpus(tmp_path), [R1])
+        topics = load_corpus(tmp_path)
+        scores = score_corpus(topics, [R1], coding=encode_corpus(topics))
         by_system = dict(zip(scores["rouge-1"].labels, scores["rouge-1"].values))
         assert by_system["s1"] == by_system["s3"]  # identical texts, identical scores
 
@@ -417,28 +431,39 @@ def oracle_score_pair(cand, refs, metric, table):
     return oracle_rouge_score(cand, refs, metric.variant, metric.multiref)
 
 
+def pair_by_pair(topics, metrics, table, score_pair=rouge_score_pair, config=DEFAULT_CONFIG
+                 ) -> list[tuple[str, str, str, object]]:
+    """score_pairs spelled out through a per-pair scorer, as a list of
+    (metric, system, topic, score) cells in its order: metrics as given,
+    systems sorted, topics by id. Every pair is tokenized under ``config``
+    and scored on its own, by default through rouge_score with a fresh
+    MatchFunction; a system without a summary for the topic scores None."""
+    system_ids = sorted({sid for t in topics for sid, _ in t.system_summaries})
+    cells = []
+    for metric in metrics:
+        for system_id in system_ids:
+            for topic in sorted(topics, key=lambda t: t.topic_id):
+                text = dict(topic.system_summaries).get(system_id)
+                score = None if text is None else score_pair(
+                    tokenize(text, config),
+                    [tokenize(model, config) for _, model in topic.model_summaries], metric, table)
+                cells.append((metric.name, system_id, topic.topic_id, score))
+    return cells
+
+
 def score_pair_by_pair(topics, metrics, table, score_pair=rouge_score_pair,
                        config=DEFAULT_CONFIG) -> dict[str, ScoreVector]:
-    """score_corpus spelled out through a per-pair scorer: every (metric,
-    system, topic) tokenized under ``config`` and scored on its own, by
-    default through rouge_score with a fresh MatchFunction."""
-    system_ids = sorted({sid for t in topics for sid, _ in t.system_summaries})
+    """score_corpus spelled out: each system's mean of the metric's report
+    component over its ``pair_by_pair`` cells, a missing summary counting 0,
+    summed in topic-id order."""
     results = {}
     for metric in metrics:
-        means = []
-        for system_id in system_ids:
-            values = []
-            for topic in topics:
-                texts_by_system = dict(topic.system_summaries)
-                if system_id not in texts_by_system:
-                    values.append(0.0)
-                    continue
-                score = score_pair(tokenize(texts_by_system[system_id], config),
-                                   [tokenize(text, config) for _, text in topic.model_summaries],
-                                   metric, table)
-                values.append(getattr(score, metric.component))
-            means.append(sum(values) / len(topics))
-        results[metric.name] = ScoreVector(tuple(means), tuple(system_ids))
+        values = {}
+        for _, system_id, _, score in pair_by_pair(topics, [metric], table, score_pair, config):
+            values.setdefault(system_id, []).append(
+                0.0 if score is None else getattr(score, metric.component))
+        results[metric.name] = ScoreVector(tuple(sum(v) / len(topics) for v in values.values()),
+                                           tuple(values))
     return results
 
 
@@ -467,8 +492,16 @@ class TestScoreCorpusDifferential:
         # None: a one-hot table, where every positive similarity ties at 1.
         table = (identity_table(TABLE_WORDS) if table_seed is None
                  else random_table(table_seed, TABLE_WORDS))
-        assert score_corpus(topics, metrics, table=table, coding=encode_corpus(topics, config)
+        coding = encode_corpus(topics, config)
+        assert score_corpus(topics, metrics, table=table, coding=coding
                             ) == score_pair_by_pair(topics, metrics, table, config=config)
+        # Every cell is its pair's rouge_score, None where the system has no
+        # summary, in metric, system, topic order.
+        pairs = score_pairs(topics, metrics, coding, table)
+        assert [(name, system_id, topic_id, score) for name, by_system in pairs.items()
+                for system_id, by_topic in by_system.items()
+                for topic_id, score in by_topic.items()] == pair_by_pair(topics, metrics, table,
+                                                                         config=config)
 
     @given(topics=corpora(), metrics=metric_lists(match=st.just("exact")),
            config=st.sampled_from(TOKENIZE_CONFIGS))
@@ -483,15 +516,17 @@ class TestScoreCorpusDifferential:
     @settings(max_examples=100, deadline=None)
     def test_order_independent(self, topics, metrics, table_seed, random_table, shuffle_seed):
         table = random_table(table_seed, TABLE_WORDS)
-        assert score_corpus(reorder(topics, shuffle_seed), metrics, table=table) == score_corpus(
-            topics, metrics, table=table)
+        shuffled = reorder(topics, shuffle_seed)
+        assert score_corpus(shuffled, metrics, coding=encode_corpus(shuffled), table=table) == (
+            score_corpus(topics, metrics, coding=encode_corpus(topics), table=table))
 
     @given(topics=corpora(), metrics=metric_lists(match=st.just("exact")),
            shuffle_seed=st.none() | st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_exact_order_independent(self, topics, metrics, shuffle_seed):
-        assert score_corpus(reorder(topics, shuffle_seed), metrics) == score_corpus(topics,
-                                                                                    metrics)
+        shuffled = reorder(topics, shuffle_seed)
+        assert score_corpus(shuffled, metrics, coding=encode_corpus(shuffled)) == score_corpus(
+            topics, metrics, coding=encode_corpus(topics))
 
 
 # Thirty words with vectors and three without, which exact-fallback matches
@@ -538,24 +573,26 @@ class TestSharedUnigramSpan:
     @pytest.mark.parametrize("oov", ["zero", "exact-fallback"])
     def test_together_equals_alone_and_pair_by_pair(self, seed, oov):
         topics, table = gaussian_corpus(seed)
+        coding = encode_corpus(topics)
         metrics = we_metrics(self.NAMES, oov)
         alone = {}
         for metric in metrics:
-            alone |= hexed(score_corpus(topics, [metric], table=table))
+            alone |= hexed(score_corpus(topics, [metric], coding, table))
         assert hexed(score_pair_by_pair(topics, metrics, table)) == alone
         for order in self.ORDERS:
-            assert hexed(score_corpus(topics, we_metrics(order, oov), table=table)) == alone
+            assert hexed(score_corpus(topics, we_metrics(order, oov), coding, table)) == alone
 
     def test_no_sharing_across_oov_policies(self):
         topics, table = gaussian_corpus(2)
+        coding = encode_corpus(topics)
         one_zero = we_metrics(["rouge-1"], "zero")
         su4_fallback = we_metrics(["rouge-su4"], "exact-fallback")
-        together = hexed(score_corpus(topics, one_zero + su4_fallback, table=table))
-        assert together == (hexed(score_corpus(topics, one_zero, table=table))
-                            | hexed(score_corpus(topics, su4_fallback, table=table)))
+        together = hexed(score_corpus(topics, one_zero + su4_fallback, coding, table))
+        assert together == (hexed(score_corpus(topics, one_zero, coding, table))
+                            | hexed(score_corpus(topics, su4_fallback, coding, table)))
         # The policies differ on this corpus's unigrams, so a span shared
         # across them would change the rouge-su4 means.
-        su4_zero = hexed(score_corpus(topics, we_metrics(["rouge-su4"], "zero"), table=table))
+        su4_zero = hexed(score_corpus(topics, we_metrics(["rouge-su4"], "zero"), coding, table))
         assert su4_zero != {"rouge-we-su4": together["rouge-we-su4"]}
 
     @pytest.mark.parametrize("metrics, per_pair", [
@@ -580,7 +617,7 @@ class TestSharedUnigramSpan:
         monkeypatch.setattr(rouge, "_greedy_assign", spy)
         configs = [we_metrics([name], *oov)[0] for name, *oov in
                    (entry.split(":") for entry in metrics.split())]
-        score_corpus(topics, configs, table=table)
+        score_corpus(topics, configs, coding=encode_corpus(topics), table=table)
         pairs = sum(len(t.model_summaries) * len(t.system_summaries) for t in topics)
         assert len(calls) == per_pair * pairs
 
@@ -624,7 +661,8 @@ class TestScoreCorpusKeepsNoState:
                           [(f"s{k}", " ".join(rng.choices(chunks, k=300))) for k in range(5)])
                     for t in range(3)]
 
-        score_corpus(corpus("Warm"), self.METRICS[:2])  # the first call's one-off allocations
+        warm = corpus("Warm")  # the first call's one-off allocations
+        score_corpus(warm, self.METRICS[:2], coding=encode_corpus(warm))
         for stem, config in (("Word", self.STOP), ("Text", DEFAULT_CONFIG)):
             topics = corpus(stem)
             tracemalloc.start()
@@ -663,10 +701,11 @@ class TestScoreCorpusMemory:
                        for k in range(n_systems)]
             columns = 1 + len(set().union(*(units(tokenize(text), variant) for _, text in refs)))
             matrix_bytes = n_systems * columns * 8
+            topics = [Topic("t1", refs, systems)]
             with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
                 tracemalloc.start()
                 try:
-                    score_corpus([Topic("t1", refs, systems)], [MetricConfig(variant)])
+                    score_corpus(topics, [MetricConfig(variant)], coding=encode_corpus(topics))
                     _, peak = tracemalloc.get_traced_memory()
                 finally:
                     tracemalloc.stop()
@@ -699,10 +738,11 @@ class TestScoreCorpusMemory:
         pairs = [[unit for unit in found_units if len(unit) == 2] for found_units in found]
         sides = 8 * table.dim * (sum(map(len, pairs[:4])) + max(map(len, pairs[4:])))
         counts = 8 * len(found) * (1 + len(set().union(*found)))
+        topics = [Topic("t1", refs, systems)]
         tracemalloc.start()
         try:
-            score_corpus([Topic("t1", refs, systems)],
-                         [MetricConfig(variant, match="we") for variant in variants], table=table)
+            score_corpus(topics, [MetricConfig(variant, match="we") for variant in variants],
+                         coding=encode_corpus(topics), table=table)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -710,6 +750,32 @@ class TestScoreCorpusMemory:
 
 
 class TestMetaEvaluate:
+    @pytest.mark.parametrize("corpus_extra, judged_extra, left_out", [
+        ([], ["S1", "ghost"], "judged but not scored: S1, ghost; scored but not judged: none; "
+                              "differing only in case from another: S1"),
+        (["Ghost", "s4"], ["ghost"], "judged but not scored: ghost; scored but not judged: "
+                                     "Ghost, s4; differing only in case from another: Ghost, ghost"),
+    ], ids=["judged-only", "both-sides"])
+    def test_systems_left_out_are_logged_once(self, caplog, corpus_extra, judged_extra,
+                                              left_out):
+        # Corpus systems s1, s2, s3 are judged; the rows are those of these
+        # three alone, and only the run with systems left out logs.
+        values = {"s1": 0.3, "s2": 0.1, "s3": 0.8}
+        common = {s: (v, 1 + v, 2 * v) for s, v in values.items()}
+        scored = {**values, **dict.fromkeys(corpus_extra, 0.5)}
+        scores = {name: ScoreVector(tuple(scored.values()), tuple(scored))
+                  for name in ("rouge-1", "rouge-2")}
+        judgments = judgments_from({**common, **dict.fromkeys(judged_extra, (0.5, 0.5, 0.5))})
+        with caplog.at_level(logging.WARNING):
+            report = meta_evaluate(scores, judgments)
+            assert report == meta_evaluate({name: ScoreVector(tuple(values.values()),
+                                                              tuple(values)) for name in scores},
+                                           judgments_from(common))
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("rougewe.harness", logging.WARNING,
+             f"systems left out of the correlations: {left_out}")]
+        assert report.n_systems == 3
+
     def test_co_monotone_rank_correlations(self):
         scores = {"m": ScoreVector((0.1, 0.2, 0.3, 0.4, 0.5), ("a", "b", "c", "d", "e"))}
         judgments = judgments_from({

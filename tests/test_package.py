@@ -2,8 +2,9 @@
 example and those the benchmark's sample check calls; the names the
 benchmark's tracer and sample check reach into beyond them; no top-level
 import, private top-level name, or attribute of a private class, in the
-package that nothing reads; and a README flags table that lists the
-scoring commands' options as they are."""
+package that nothing reads; one module that scores, which both commands go
+through; and a README flags table that lists the scoring commands' options
+as they are."""
 
 import ast
 import dataclasses
@@ -73,6 +74,12 @@ def read_names(tree: ast.Module) -> set[str]:
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
+def read_attributes(tree: ast.Module) -> set[str]:
+    """The attribute names a module reads anywhere in it."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def unread_private_names(source: str) -> list[str]:
     """The private names (``_x``, not ``__x__``) that a module's top-level
     functions, classes and assignments bind and that the module never reads."""
@@ -94,8 +101,7 @@ def unread_private_attributes(source: str) -> list[str]:
     """The attributes that a module's private classes (``_X``) assign on
     ``self`` or list in ``__slots__`` and that the module never reads."""
     tree = ast.parse(source)
-    read = {node.attr for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    read = read_attributes(tree)
     found = []
     for cls in ast.walk(tree):
         if not (isinstance(cls, ast.ClassDef) and cls.name.startswith("_")):
@@ -177,3 +183,39 @@ def test_readme_flags_table_lists_the_common_options():
     options = click.command()(cli._common_options(lambda **settings: None)).params
     assert readme_flags_table() == {"/".join(option.opts + option.secondary_opts): default(option)
                                     for option in options}
+
+
+def readers(sources: dict[str, str], names: list[str]) -> dict[str, list[str]]:
+    """For each of ``names``, the modules among ``sources`` (file name to
+    source) that read it, as a name or as an attribute, in sorted order."""
+    read = {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        read[module] = read_names(tree) | read_attributes(tree)
+    return {name: sorted(module for module, found in read.items() if name in found)
+            for name in names}
+
+
+def test_readers_finds_a_planted_second_driver():
+    sources = {
+        "harness.py": ("from .rouge import score_batch\n\n\n"
+                       "def score(metric, table):\n"
+                       "    return score_batch(metric.match_function(table))\n"),
+        "cli.py": "from .rouge import score_batch\nfrom .textpipe import encode\nscore_batch\n",
+        "rouge.py": "def score_batch():\n    pass\n",
+    }
+    assert readers(sources, ["score_batch", "match_function", "encode"]) == {
+        "score_batch": ["cli.py", "harness.py"], "match_function": ["harness.py"], "encode": []}
+
+
+def test_one_scoring_driver():
+    """Only the harness scores and builds matchers: ``score`` and
+    ``meta-eval`` both go through it, and the CLI codes nothing itself.
+    ``rouge.py`` reads ``score_batch`` too, as ``rouge_score`` is its batch
+    of one."""
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in Path(rougewe.__file__).parent.glob("*.py")}
+    assert readers(sources, ["score_batch", "match_function"]) == {
+        "score_batch": ["harness.py", "rouge.py"], "match_function": ["harness.py"]}
+    assert readers({"cli.py": sources["cli.py"]}, ["encode", "score_batch"]) == {
+        "encode": [], "score_batch": []}
