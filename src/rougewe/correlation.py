@@ -1,4 +1,4 @@
-"""Pearson, Spearman, and Kendall tau-b over per-system score vectors.
+"""Pearson, Spearman, and Kendall tau-b over paired per-system scores.
 
 Undefined correlations (a constant side) raise instead of returning 0,
 so a degenerate metric cannot silently corrupt a meta-evaluation table.
@@ -15,29 +15,9 @@ class UndefinedCorrelationError(ValueError):
     """Raised when a correlation has no defined value (constant input)."""
 
 
-@dataclass(frozen=True)
-class ScoreVector:
-    """Parallel per-system values and unique system labels."""
-
-    values: tuple[float, ...]
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.values) != len(self.labels):
-            raise ValueError("values and labels must have equal length")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("labels must be unique")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(x, ScoreVector) and isinstance(y, ScoreVector):
-        if x.labels != y.labels:
-            raise ValueError("score vectors are not aligned by label")
-    xv = np.asarray(x.values if isinstance(x, ScoreVector) else x, dtype=np.float64)
-    yv = np.asarray(y.values if isinstance(y, ScoreVector) else y, dtype=np.float64)
+    xv = np.asarray(x, dtype=np.float64)
+    yv = np.asarray(y, dtype=np.float64)
     if xv.shape != yv.shape or xv.ndim != 1:
         raise ValueError("inputs must be 1-d and of equal length")
     if len(xv) < 2:
@@ -124,14 +104,3 @@ class CorrelationTriple:
 
 def correlation_triple(x, y) -> CorrelationTriple:
     return CorrelationTriple(pearson(x, y), spearman(x, y), kendall(x, y))
-
-
-def align_by_label(x: ScoreVector, y: ScoreVector) -> tuple[ScoreVector, ScoreVector]:
-    """Restrict both vectors to their common labels, in sorted label order."""
-    common = sorted(set(x.labels) & set(y.labels))
-    xmap = dict(zip(x.labels, x.values))
-    ymap = dict(zip(y.labels, y.values))
-    return (
-        ScoreVector(tuple(xmap[l] for l in common), tuple(common)),
-        ScoreVector(tuple(ymap[l] for l in common), tuple(common)),
-    )

@@ -21,13 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .correlation import (
-    CorrelationTriple,
-    ScoreVector,
-    UndefinedCorrelationError,
-    align_by_label,
-    correlation_triple,
-)
+from .correlation import CorrelationTriple, UndefinedCorrelationError, correlation_triple
 from .embeddings import EmbeddingTable
 from .rouge import (MULTIREF_POLICIES, OOV_POLICIES, MatchFunction, RougeScore, RougeVariant,
                     score_batch)
@@ -60,17 +54,6 @@ class Topic:
     topic_id: str
     model_summaries: list[tuple[str, str]]
     system_summaries: list[tuple[str, str]]
-
-
-@dataclass
-class HumanJudgments:
-    """Per-system scores for each human judgment type."""
-
-    scores: dict[str, dict[str, float]]
-
-    def column(self, judgment: str) -> ScoreVector:
-        ids = sorted(self.scores)
-        return ScoreVector(tuple(self.scores[s][judgment] for s in ids), tuple(ids))
 
 
 @dataclass(frozen=True)
@@ -161,10 +144,10 @@ def load_corpus(root: str | Path) -> list[Topic]:
     return topics
 
 
-def load_judgments(path: str | Path) -> HumanJudgments:
-    """Parse the judgments CSV; empty or duplicate system ids and
-    non-numeric or non-finite (nan, inf) scores are errors, each naming the
-    file."""
+def load_judgments(path: str | Path) -> dict[str, dict[str, float]]:
+    """Parse the judgments CSV into ``judgments[system id][judgment]``, in
+    file order; empty or duplicate system ids and non-numeric or non-finite
+    (nan, inf) scores are errors, each naming the file."""
     scores: dict[str, dict[str, float]] = {}
 
     def error(message: str) -> JudgmentsFormatError:
@@ -200,7 +183,7 @@ def load_judgments(path: str | Path) -> HumanJudgments:
         if not all(map(math.isfinite, values)):
             raise error(f"row {rownum}: non-finite score")
         scores[system_id] = dict(zip(JUDGMENT_TYPES, values))
-    return HumanJudgments(scores)
+    return scores
 
 
 def encode_corpus(topics: Sequence[Topic], tokenize_config: TokenizeConfig = DEFAULT_CONFIG
@@ -291,18 +274,17 @@ def score_pairs(topics: Sequence[Topic], metrics: Sequence[MetricConfig], coding
 
 
 def score_corpus(topics: Sequence[Topic], metrics: Sequence[MetricConfig], coding: Coding,
-                 table: EmbeddingTable | None = None) -> dict[str, ScoreVector]:
-    """Per-metric mean score of every system over all topics: the mean of
-    the metric's report component over the system's ``score_pairs`` cells,
-    a missing summary counting 0. Each mean is a sequential sum over topics
-    in ``topic_id`` order, so no input order changes a bit.
+                 table: EmbeddingTable | None = None) -> dict[str, dict[str, float]]:
+    """Per-metric mean score of every system over all topics,
+    ``means[metric name][system id]`` with systems in sorted order: the mean
+    of the metric's report component over the system's ``score_pairs``
+    cells, a missing summary counting 0. Each mean is a sequential sum over
+    topics in ``topic_id`` order, so no input order changes a bit.
     """
     pairs = score_pairs(topics, metrics, coding, table)
-    return {metric.name: ScoreVector(
-                tuple(sum(0.0 if score is None else getattr(score, metric.component)
-                          for score in by_topic.values()) / len(by_topic)
-                      for by_topic in pairs[metric.name].values()),
-                tuple(pairs[metric.name]))
+    return {metric.name: {system_id: sum(0.0 if score is None else getattr(score, metric.component)
+                                         for score in by_topic.values()) / len(by_topic)
+                          for system_id, by_topic in pairs[metric.name].items()}
             for metric in metrics}
 
 
@@ -320,17 +302,20 @@ class MetaEvalReport:
     n_systems: int = 0
 
 
-def meta_evaluate(system_scores: dict[str, ScoreVector], judgments: HumanJudgments) -> MetaEvalReport:
+def meta_evaluate(system_scores: dict[str, dict[str, float]],
+                  judgments: dict[str, dict[str, float]]) -> MetaEvalReport:
     """Correlate each metric's per-system scores with each judgment column.
 
-    Only systems present on both sides enter the correlations; fewer than
-    2 common systems is an error. The systems left out on either side are
-    logged in one warning, which flags those whose ids differ only in case
-    from another system's. A constant side raises
-    ``UndefinedCorrelationError`` naming the metric and the judgment.
+    Every metric's dict must hold the same systems, as ``score_corpus``
+    gives. The systems present on both sides are taken once, in sorted
+    order, and every correlation runs over them; fewer than 2 common
+    systems is an error. The systems left out on either side are logged
+    in one warning, which flags those whose ids differ only in case from
+    another system's. A constant side raises ``UndefinedCorrelationError``
+    naming the metric and the judgment.
     """
-    scored = {label for scores in system_scores.values() for label in scores.labels}
-    judged = set(judgments.scores)
+    scored = {system_id for scores in system_scores.values() for system_id in scores}
+    judged = set(judgments)
     if scored != judged:
         folded = [s.lower() for s in scored | judged]
         logger.warning("systems left out of the correlations: judged but not scored: %s; "
@@ -338,22 +323,23 @@ def meta_evaluate(system_scores: dict[str, ScoreVector], judgments: HumanJudgmen
                        *(", ".join(ids) or "none" for ids in (
                            sorted(judged - scored), sorted(scored - judged),
                            [s for s in sorted(scored ^ judged) if folded.count(s.lower()) > 1])))
-    report = MetaEvalReport()
+    common = sorted(scored & judged)
+    if len(common) < 2:
+        raise MetaEvalError(
+            f"only {len(common)} system(s) common to scores and judgments; need at least 2"
+        )
+    columns = {judgment: [judgments[s][judgment] for s in common] for judgment in JUDGMENT_TYPES}
+    report = MetaEvalReport(n_systems=len(common))
     for metric_name, scores in system_scores.items():
-        for judgment in JUDGMENT_TYPES:
-            x, y = align_by_label(scores, judgments.column(judgment))
-            if len(x) < 2:
-                raise MetaEvalError(
-                    f"only {len(x)} system(s) common to scores and judgments; need at least 2"
-                )
+        x = [scores[s] for s in common]
+        for judgment, y in columns.items():
             try:
                 triple = correlation_triple(x, y)
             except UndefinedCorrelationError as exc:
                 raise UndefinedCorrelationError(
                     f"metric {metric_name} against {judgment}: {exc}"
                 ) from exc
-            report.rows.append(ReportRow(metric_name, judgment, triple, len(x)))
-            report.n_systems = len(x)
+            report.rows.append(ReportRow(metric_name, judgment, triple, len(common)))
     return report
 
 

@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 import rougewe
 from rougewe.correlation import (
     CorrelationTriple,
-    ScoreVector,
     UndefinedCorrelationError,
     _average_ranks,
-    align_by_label,
     correlation_triple,
     kendall,
     pearson,
@@ -203,32 +201,7 @@ class TestProperties:
         assert spearman(x, y) == expected
 
 
-class TestScoreVector:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ScoreVector((1.0, 2.0), ("a",))
-        with pytest.raises(ValueError):
-            ScoreVector((1.0, 2.0), ("a", "a"))
-
-    def test_label_alignment_required(self):
-        x = ScoreVector((1.0, 2.0), ("a", "b"))
-        y = ScoreVector((1.0, 2.0), ("a", "c"))
-        with pytest.raises(ValueError, match="aligned"):
-            pearson(x, y)
-
-    def test_aligned_vectors_accepted(self):
-        x = ScoreVector((1.0, 2.0, 3.0), ("a", "b", "c"))
-        y = ScoreVector((2.0, 4.0, 6.0), ("a", "b", "c"))
-        assert pearson(x, y) == 1.0
-
-    def test_align_by_label_intersects_and_sorts(self):
-        x = ScoreVector((1.0, 2.0, 3.0), ("s3", "s1", "s2"))
-        y = ScoreVector((9.0, 8.0), ("s2", "s3"))
-        ax, ay = align_by_label(x, y)
-        assert ax.labels == ("s2", "s3") == ay.labels
-        assert ax.values == (3.0, 1.0)
-        assert ay.values == (9.0, 8.0)
-
+class TestCorrelationTriple:
     def test_triple(self):
         triple = correlation_triple([1, 2, 3, 4], [1, 3, 2, 4])
         assert isinstance(triple, CorrelationTriple)

@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rougewe import harness, rouge
-from rougewe.correlation import ScoreVector, UndefinedCorrelationError
+from rougewe.correlation import UndefinedCorrelationError
 from rougewe.embeddings import EmbeddingTable
 from rougewe.harness import (
     JUDGMENT_TYPES,
     MATCH_KINDS,
     CorpusLoadError,
-    HumanJudgments,
     JudgmentsFormatError,
     MetaEvalError,
     MetricConfig,
@@ -38,10 +37,8 @@ from exact_oracle import oracle_rouge_score, units
 R1 = MetricConfig(ROUGE_1)
 
 
-def judgments_from(rows: dict[str, tuple[float, float, float]]) -> HumanJudgments:
-    return HumanJudgments({
-        system: dict(zip(JUDGMENT_TYPES, values)) for system, values in rows.items()
-    })
+def judgments_from(rows: dict[str, tuple[float, float, float]]) -> dict[str, dict[str, float]]:
+    return {system: dict(zip(JUDGMENT_TYPES, values)) for system, values in rows.items()}
 
 
 class TestLoadCorpus:
@@ -97,8 +94,8 @@ class TestLoadJudgments:
             encoding="utf-8",
         )
         judgments = load_judgments(path)
-        assert len(judgments.scores) == 3
-        assert judgments.scores["sys1"] == {"pyramid": 0.45, "responsiveness": 3.2, "readability": 3.0}
+        assert len(judgments) == 3
+        assert judgments["sys1"] == {"pyramid": 0.45, "responsiveness": 3.2, "readability": 3.0}
 
     def test_duplicate_system(self, tmp_path):
         path = tmp_path / "j.csv"
@@ -163,14 +160,7 @@ class TestLoadJudgments:
         path.write_bytes(b"system_id,pyramid,responsiveness,readability\r\n"
                          b"sys1,0.5,3,2\r\n\r\nsys2,0.25,1,1\r\n")
         judgments = load_judgments(path)
-        assert judgments.scores["sys2"] == {"pyramid": 0.25, "responsiveness": 1.0,
-                                            "readability": 1.0}
-
-    def test_column_vector(self):
-        judgments = judgments_from({"b": (2, 0, 0), "a": (1, 0, 0)})
-        column = judgments.column("pyramid")
-        assert column.labels == ("a", "b")
-        assert column.values == (1.0, 2.0)
+        assert judgments["sys2"] == {"pyramid": 0.25, "responsiveness": 1.0, "readability": 1.0}
 
 
 class TestMetricConfig:
@@ -231,7 +221,7 @@ class TestScoreCorpus:
         topics = load_corpus(tmp_path)
         scores = score_corpus(topics, [R1], coding=encode_corpus(topics))
         # recall 1.0 vs m1, 0.5 vs m2, averaged
-        assert scores["rouge-1"].values == (0.75,)
+        assert scores["rouge-1"] == {"s1": 0.75}
 
     def test_two_topic_mean(self, tmp_path):
         write_corpus(tmp_path, {
@@ -242,7 +232,7 @@ class TestScoreCorpus:
         })
         topics = load_corpus(tmp_path)
         scores = score_corpus(topics, [R1], coding=encode_corpus(topics))
-        assert scores["rouge-1"].values == pytest.approx((0.6,))
+        assert scores["rouge-1"] == pytest.approx({"s1": 0.6})
 
     def test_mean_is_a_sum_in_topic_id_order(self):
         # Recalls 0.1, 0.2 and 0.3, given rotated: summed in topic-id order
@@ -251,7 +241,7 @@ class TestScoreCorpus:
         topics = [Topic(f"t{k}", [("m1", ref)], [("s1", " ".join(ref.split()[:k]))])
                   for k in (2, 3, 1)]
         scores = score_corpus(topics, [R1], coding=encode_corpus(topics))
-        assert scores["rouge-1"].values == ((0.1 + 0.2 + 0.3) / 3,)
+        assert scores["rouge-1"] == {"s1": (0.1 + 0.2 + 0.3) / 3}
         assert (0.1 + 0.2 + 0.3) / 3 != (0.3 + 0.2 + 0.1) / 3 == (0.2 + 0.3 + 0.1) / 3
 
     def test_missing_summary_scores_zero(self, tmp_path, caplog):
@@ -264,8 +254,8 @@ class TestScoreCorpus:
         topics = load_corpus(tmp_path)
         with caplog.at_level(logging.WARNING):
             scores = score_corpus(topics, metrics, coding=encode_corpus(topics))
-        for vec in scores.values():
-            assert dict(zip(vec.labels, vec.values)) == {"s1": 1.0, "s2": 0.5}
+        for means in scores.values():
+            assert means == {"s1": 1.0, "s2": 0.5}
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
             "system s2 has no summary for topic t2; scoring 0"]
 
@@ -356,7 +346,7 @@ class TestScoreCorpus:
         topics = load_corpus(tmp_path)
         scores = score_corpus(topics, [MetricConfig(ROUGE_1, match="we")],
                               coding=encode_corpus(topics), table=table)
-        assert scores["rouge-we-1"].values == pytest.approx((0.96,), abs=1e-6)
+        assert scores["rouge-we-1"] == pytest.approx({"s1": 0.96}, abs=1e-6)
 
     def test_no_topics_rejected(self):
         with pytest.raises(ValueError):
@@ -383,8 +373,8 @@ class TestScoreCorpus:
         })
         topics = load_corpus(tmp_path)
         scores = score_corpus(topics, [R1], coding=encode_corpus(topics))
-        by_system = dict(zip(scores["rouge-1"].labels, scores["rouge-1"].values))
-        assert by_system["s1"] == by_system["s3"]  # identical texts, identical scores
+        # identical texts, identical scores
+        assert scores["rouge-1"]["s1"] == scores["rouge-1"]["s3"]
 
 
 TABLE_WORDS = ["a", "b", "c", "d", "e", "dog"]
@@ -452,7 +442,7 @@ def pair_by_pair(topics, metrics, table, score_pair=rouge_score_pair, config=DEF
 
 
 def score_pair_by_pair(topics, metrics, table, score_pair=rouge_score_pair,
-                       config=DEFAULT_CONFIG) -> dict[str, ScoreVector]:
+                       config=DEFAULT_CONFIG) -> dict[str, dict[str, float]]:
     """score_corpus spelled out: each system's mean of the metric's report
     component over its ``pair_by_pair`` cells, a missing summary counting 0,
     summed in topic-id order."""
@@ -462,9 +452,14 @@ def score_pair_by_pair(topics, metrics, table, score_pair=rouge_score_pair,
         for _, system_id, _, score in pair_by_pair(topics, [metric], table, score_pair, config):
             values.setdefault(system_id, []).append(
                 0.0 if score is None else getattr(score, metric.component))
-        results[metric.name] = ScoreVector(tuple(sum(v) / len(topics) for v in values.values()),
-                                           tuple(values))
+        results[metric.name] = {system_id: sum(v) / len(topics) for system_id, v in values.items()}
     return results
+
+
+def in_order(scores: dict[str, dict[str, float]]) -> dict[str, list[tuple[str, float]]]:
+    """Each metric's (system, mean) pairs as a list, so ``==`` compares
+    the order of the systems too, which dict ``==`` does not."""
+    return {name: list(means.items()) for name, means in scores.items()}
 
 
 def reorder(topics, shuffle_seed):
@@ -493,8 +488,8 @@ class TestScoreCorpusDifferential:
         table = (identity_table(TABLE_WORDS) if table_seed is None
                  else random_table(table_seed, TABLE_WORDS))
         coding = encode_corpus(topics, config)
-        assert score_corpus(topics, metrics, table=table, coding=coding
-                            ) == score_pair_by_pair(topics, metrics, table, config=config)
+        assert in_order(score_corpus(topics, metrics, table=table, coding=coding)) == in_order(
+            score_pair_by_pair(topics, metrics, table, config=config))
         # Every cell is its pair's rouge_score, None where the system has no
         # summary, in metric, system, topic order.
         pairs = score_pairs(topics, metrics, coding, table)
@@ -507,8 +502,8 @@ class TestScoreCorpusDifferential:
            config=st.sampled_from(TOKENIZE_CONFIGS))
     @settings(max_examples=150, deadline=None)
     def test_exact_score_corpus_equals_oracle(self, topics, metrics, config):
-        assert score_corpus(topics, metrics, coding=encode_corpus(topics, config)) == (
-            score_pair_by_pair(topics, metrics, None, oracle_score_pair, config))
+        assert in_order(score_corpus(topics, metrics, coding=encode_corpus(topics, config))) == (
+            in_order(score_pair_by_pair(topics, metrics, None, oracle_score_pair, config)))
 
     @given(topics=corpora(), metrics=metric_lists(), table_seed=st.integers(0, 2**32 - 1),
            random_table=st.sampled_from([sign_table, gaussian_table]),
@@ -517,16 +512,17 @@ class TestScoreCorpusDifferential:
     def test_order_independent(self, topics, metrics, table_seed, random_table, shuffle_seed):
         table = random_table(table_seed, TABLE_WORDS)
         shuffled = reorder(topics, shuffle_seed)
-        assert score_corpus(shuffled, metrics, coding=encode_corpus(shuffled), table=table) == (
-            score_corpus(topics, metrics, coding=encode_corpus(topics), table=table))
+        assert in_order(score_corpus(shuffled, metrics, coding=encode_corpus(shuffled),
+                                     table=table)) == (
+            in_order(score_corpus(topics, metrics, coding=encode_corpus(topics), table=table)))
 
     @given(topics=corpora(), metrics=metric_lists(match=st.just("exact")),
            shuffle_seed=st.none() | st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_exact_order_independent(self, topics, metrics, shuffle_seed):
         shuffled = reorder(topics, shuffle_seed)
-        assert score_corpus(shuffled, metrics, coding=encode_corpus(shuffled)) == score_corpus(
-            topics, metrics, coding=encode_corpus(topics))
+        assert in_order(score_corpus(shuffled, metrics, coding=encode_corpus(shuffled))) == (
+            in_order(score_corpus(topics, metrics, coding=encode_corpus(topics))))
 
 
 # Thirty words with vectors and three without, which exact-fallback matches
@@ -549,10 +545,10 @@ def gaussian_corpus(seed: int) -> tuple[list[Topic], EmbeddingTable]:
     return topics, gaussian_table(seed, GAUSSIAN_WORDS)
 
 
-def hexed(scores: dict[str, ScoreVector]) -> dict[str, tuple]:
-    """Each metric's system means as float hex, labelled."""
-    return {name: (vector.labels, tuple(map(float.hex, vector.values)))
-            for name, vector in scores.items()}
+def hexed(scores: dict[str, dict[str, float]]) -> dict[str, list[tuple[str, str]]]:
+    """Each metric's (system, mean as float hex) pairs, in the order given."""
+    return {name: [(system_id, float.hex(mean)) for system_id, mean in pairs]
+            for name, pairs in in_order(scores).items()}
 
 
 def we_metrics(names: list[str], oov: str = "exact-fallback") -> list[MetricConfig]:
@@ -763,21 +759,45 @@ class TestMetaEvaluate:
         values = {"s1": 0.3, "s2": 0.1, "s3": 0.8}
         common = {s: (v, 1 + v, 2 * v) for s, v in values.items()}
         scored = {**values, **dict.fromkeys(corpus_extra, 0.5)}
-        scores = {name: ScoreVector(tuple(scored.values()), tuple(scored))
-                  for name in ("rouge-1", "rouge-2")}
+        scores = {name: scored for name in ("rouge-1", "rouge-2")}
         judgments = judgments_from({**common, **dict.fromkeys(judged_extra, (0.5, 0.5, 0.5))})
         with caplog.at_level(logging.WARNING):
             report = meta_evaluate(scores, judgments)
-            assert report == meta_evaluate({name: ScoreVector(tuple(values.values()),
-                                                              tuple(values)) for name in scores},
+            assert report == meta_evaluate({name: values for name in scores},
                                            judgments_from(common))
         assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
             ("rougewe.harness", logging.WARNING,
              f"systems left out of the correlations: {left_out}")]
         assert report.n_systems == 3
 
+    def test_common_systems_taken_once_in_sorted_order(self, tmp_path, monkeypatch):
+        # The scores list their systems out of order, the judgments in
+        # another order and with a judged-only id that sorts first: every
+        # correlation runs over the common systems in sorted order, so the
+        # report is that of the sorted, intersected input, to the byte.
+        values = {"s5": 0.41, "s2": 0.13, "s7": 0.97, "s1": 0.3, "s4": 0.29, "s3": 0.83,
+                  "s6": 0.5}
+        rows = {s: (v * v, (7 * v) % 1, 3 - v) for s, v in sorted(values.items(), reverse=True)}
+        rows["s0"] = (0.7, 0.2, 0.1)
+        common = sorted(values)
+        scores = {name: values for name in ("rouge-1", "rouge-su4")}
+        calls = []
+        real = harness.correlation_triple
+        monkeypatch.setattr(harness, "correlation_triple",
+                            lambda x, y: calls.append((list(x), list(y))) or real(x, y))
+        report = meta_evaluate(scores, judgments_from(rows))
+        assert calls == [([values[s] for s in common], [rows[s][k] for s in common])
+                         for _ in scores for k in range(len(JUDGMENT_TYPES))]
+        expected = meta_evaluate({name: {s: values[s] for s in common} for name in scores},
+                                 judgments_from({s: rows[s] for s in common}))
+        assert report == expected and report.n_systems == 7
+        paths = [write_reports(r, tmp_path / name) for name, r in
+                 (("given", report), ("sorted", expected))]
+        for given, in_sorted in zip(*paths):
+            assert given.read_bytes() == in_sorted.read_bytes()
+
     def test_co_monotone_rank_correlations(self):
-        scores = {"m": ScoreVector((0.1, 0.2, 0.3, 0.4, 0.5), ("a", "b", "c", "d", "e"))}
+        scores = {"m": dict(zip("abcde", (0.1, 0.2, 0.3, 0.4, 0.5)))}
         judgments = judgments_from({
             s: (v, 2 * v, v + 1) for s, v in zip("abcde", (1.0, 2.0, 4.0, 4.5, 9.0))
         })
@@ -788,19 +808,19 @@ class TestMetaEvaluate:
 
     def test_equal_scores_give_pearson_one(self):
         values = (0.3, 0.1, 0.8, 0.5)
-        scores = {"m": ScoreVector(values, ("a", "b", "c", "d"))}
+        scores = {"m": dict(zip("abcd", values))}
         judgments = judgments_from({s: (v, 1 + v, 2 * v) for s, v in zip("abcd", values)})
         report = meta_evaluate(scores, judgments)
         assert report.rows[0].triple.pearson == pytest.approx(1.0, abs=1e-12)
 
     def test_adjacent_swap_kendall(self):
-        scores = {"m": ScoreVector((1.0, 3.0, 2.0, 4.0), ("a", "b", "c", "d"))}
+        scores = {"m": dict(zip("abcd", (1.0, 3.0, 2.0, 4.0)))}
         judgments = judgments_from({s: (v, v, v) for s, v in zip("abcd", (1.0, 2.0, 3.0, 4.0))})
         report = meta_evaluate(scores, judgments)
         assert report.rows[0].triple.kendall == pytest.approx(2 / 3)
 
     def test_intersection_discipline(self):
-        scores = {"m": ScoreVector((1.0, 2.0, 3.0), ("a", "b", "c"))}
+        scores = {"m": dict(zip("abc", (1.0, 2.0, 3.0)))}
         judgments = judgments_from({
             "a": (1, 1, 1), "b": (2, 2, 2), "c": (3, 3, 3), "ghost": (9, 9, 9),
         })
@@ -809,21 +829,21 @@ class TestMetaEvaluate:
         assert all(row.n == 3 for row in report.rows)
 
     def test_fewer_than_two_common_systems(self):
-        scores = {"m": ScoreVector((1.0, 2.0), ("a", "b"))}
+        scores = {"m": {"a": 1.0, "b": 2.0}}
         judgments = judgments_from({"b": (1, 1, 1), "z": (2, 2, 2)})
         with pytest.raises(MetaEvalError):
             meta_evaluate(scores, judgments)
 
     def test_constant_metric_raises_not_zero(self):
-        scores = {"m": ScoreVector((0.5, 0.5, 0.5), ("a", "b", "c"))}
+        scores = {"m": dict.fromkeys("abc", 0.5)}
         judgments = judgments_from({"a": (1, 1, 1), "b": (2, 2, 2), "c": (3, 3, 3)})
         with pytest.raises(UndefinedCorrelationError, match="metric m against pyramid"):
             meta_evaluate(scores, judgments)
 
     def test_row_order_and_shape(self):
         scores = {
-            "rouge-1": ScoreVector((1.0, 2.0, 3.0), ("a", "b", "c")),
-            "rouge-2": ScoreVector((1.0, 2.0, 4.0), ("a", "b", "c")),
+            "rouge-1": dict(zip("abc", (1.0, 2.0, 3.0))),
+            "rouge-2": dict(zip("abc", (1.0, 2.0, 4.0))),
         }
         judgments = judgments_from({"a": (1, 1, 1), "b": (2, 2, 2), "c": (3, 3, 3)})
         report = meta_evaluate(scores, judgments)
@@ -835,7 +855,7 @@ class TestMetaEvaluate:
 class TestReports:
     @pytest.fixture
     def report(self):
-        scores = {"rouge-1": ScoreVector((1.0, 2.0, 3.0), ("a", "b", "c"))}
+        scores = {"rouge-1": dict(zip("abc", (1.0, 2.0, 3.0)))}
         judgments = judgments_from({"a": (1, 1, 1), "b": (2, 2, 2), "c": (3, 3, 3)})
         return meta_evaluate(scores, judgments)
 
