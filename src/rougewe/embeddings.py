@@ -199,33 +199,26 @@ class _TableBuilder:
             compress(range(n), map(self._wanted.__contains__, map(str.lower, words))), np.intp)
         rows = wanted[norms[wanted] >= ZERO_NORM_TOLERANCE]
         self.summary.zero_dropped += len(wanted) - len(rows)
-        start = len(self._index)
-        firsts, repeats = self._key_rules(words, rows.tolist())
+        filled = self._key_rules(words, rows.tolist())
         if len(self._index) > len(self._matrix):
-            grown = np.empty((max(len(self._index), 2 * len(self._matrix)), self.dim),
-                             dtype=np.float32)
-            grown[:len(self._matrix)] = self._matrix
-            self._matrix = grown
-        # New wanted keys take the next slots in file order. A repeat comes
-        # after the first row of its key, so it is copied last.
-        self._copy_out(np.arange(start, len(self._index)), np.array(firsts, np.intp),
-                       block, wide, norms)
-        if repeats:
-            self._copy_out(np.fromiter(repeats.keys(), np.intp, len(repeats)),
-                           np.fromiter(repeats.values(), np.intp, len(repeats)),
-                           block, wide, norms)
+            self._matrix.resize((max(len(self._index), 2 * len(self._matrix)), self.dim),
+                                refcheck=False)
+        slots = np.fromiter(filled.keys(), np.intp, len(filled))
+        rows = np.fromiter(filled.values(), np.intp, len(filled))
+        self._matrix[slots] = block[rows]
+        off = np.abs(norms[rows] - 1.0) > NORM_TOLERANCE
+        slots, rows = slots[off], rows[off]
+        self._matrix[slots] = wide[rows] / norms[rows, None]
         self.entries += n
 
-    def _key_rules(self, words: list[str], rows: list[int]) -> tuple[list[int], dict[int, int]]:
+    def _key_rules(self, words: list[str], rows: list[int]) -> dict[int, int]:
         """Apply the key rules to the block's kept ``rows``, in file order.
 
-        Gives each key new to the load the next slot, and returns the rows of
-        those keys' first forms and, for each slot whose key a later row
-        repeats exactly, the last such row.
+        Gives each key new to the load the next slot, and returns, for each
+        slot the block fills, the last row of its key's first form.
         """
         index, cased, summary = self._index, self._cased, self.summary
-        firsts: list[int] = []
-        repeats: dict[int, int] = {}  # slot -> row; a later duplicate replaces
+        slots: dict[int, int] = {}
         for row in rows:
             word = words[row]
             key = word.lower()
@@ -233,23 +226,13 @@ class _TableBuilder:
                 if key != word:
                     cased[key] = word
                 index[key] = len(index)
-                firsts.append(row)
             elif cased.get(key, key) == word:
                 summary.duplicates += 1
-                repeats[index[key]] = row
             else:
                 summary.case_collisions += 1
-        return firsts, repeats
-
-    def _copy_out(self, slots: np.ndarray, rows: np.ndarray, block: np.ndarray,
-                  wide: np.ndarray, norms: np.ndarray) -> None:
-        """Copy block ``rows`` to output ``slots``, renormalized unless unit."""
-        if not len(rows):
-            return
-        self._matrix[slots] = block[rows]
-        off = np.abs(norms[rows] - 1.0) > NORM_TOLERANCE
-        slots, rows = slots[off], rows[off]
-        self._matrix[slots] = wide[rows] / norms[rows, None]
+                continue
+            slots[index[key]] = row
+        return slots
 
     def table(self) -> EmbeddingTable:
         summary = self.summary
@@ -260,7 +243,10 @@ class _TableBuilder:
                 "the whole file" if self._wanted is None else "the words looked up",
                 summary.duplicates, summary.case_collisions, summary.zero_dropped,
             )
-        matrix = self._matrix[:len(self._index)]
+        # No view of the matrix exists before the table's, so ``take`` grows it
+        # and this trims it to exactly its rows in place.
+        matrix = self._matrix
+        matrix.resize((len(self._index), self.dim), refcheck=False)
         matrix.setflags(write=False)
         return EmbeddingTable(dim=self.dim, _matrix=matrix, _index=self._index,
                               load_summary=summary)

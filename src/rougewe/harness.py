@@ -293,7 +293,6 @@ class ReportRow:
     metric: str
     judgment: str
     triple: CorrelationTriple
-    n: int
 
 
 @dataclass
@@ -339,7 +338,7 @@ def meta_evaluate(system_scores: dict[str, dict[str, float]],
                 raise UndefinedCorrelationError(
                     f"metric {metric_name} against {judgment}: {exc}"
                 ) from exc
-            report.rows.append(ReportRow(metric_name, judgment, triple, len(common)))
+            report.rows.append(ReportRow(metric_name, judgment, triple))
     return report
 
 
@@ -357,7 +356,7 @@ def write_reports(report: MetaEvalReport, out_dir: str | Path, config: dict | No
             writer.writerow([
                 row.metric, row.judgment,
                 f"{row.triple.pearson:.4f}", f"{row.triple.spearman:.4f}",
-                f"{row.triple.kendall:.4f}", row.n,
+                f"{row.triple.kendall:.4f}", report.n_systems,
             ])
 
     payload = {
@@ -370,7 +369,7 @@ def write_reports(report: MetaEvalReport, out_dir: str | Path, config: dict | No
                 "pearson": row.triple.pearson,
                 "spearman": row.triple.spearman,
                 "kendall": row.triple.kendall,
-                "n": row.n,
+                "n": report.n_systems,
             }
             for row in report.rows
         ],
@@ -385,6 +384,6 @@ def format_table(report: MetaEvalReport) -> str:
     for row in report.rows:
         lines.append(
             f"{row.metric:<14} {row.judgment:<15} {row.triple.pearson:>8.4f} "
-            f"{row.triple.spearman:>8.4f} {row.triple.kendall:>8.4f} {row.n:>4}"
+            f"{row.triple.spearman:>8.4f} {row.triple.kendall:>8.4f} {report.n_systems:>4}"
         )
     return "\n".join(lines)

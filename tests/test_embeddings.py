@@ -195,12 +195,15 @@ class TestLoadBinary:
 
     def test_duplicate_word_last_wins(self, tmp_path):
         """Of three rows of one word, the third is kept, in both formats, with
-        and without a vocabulary, whether the repeats share a block or not."""
-        entries = [("cat", [1, 0]), ("dog", [0, 1]), ("cat", [0, -1]), ("cat", [-1, 0])]
+        and without a vocabulary, whether the repeats share a block or not; a
+        case collision between them is counted and skipped."""
+        entries = [("cat", [1, 0]), ("dog", [0, 1]), ("cat", [0, -1]), ("CAT", [1, 1]),
+                   ("cat", [-1, 0])]
         binary = write_binary(tmp_path / "v.bin", entries)
         text = tmp_path / "v.txt"
         text.write_text("".join(f"{w} {x} {y}\n" for w, (x, y) in entries), encoding="utf-8")
-        # Blocks of all four rows, of two (both repeats in the second) and of one.
+        # Blocks of all five rows, of two (the first repeat shares the second
+        # with the collision, the last repeat is alone in the third) and of one.
         for chunk in (embeddings.CHUNK_BYTES, 256, 64):
             for path, load in ((binary, load_binary), (text, load_text)):
                 for vocabulary in (None, {"cat"}):
@@ -208,6 +211,7 @@ class TestLoadBinary:
                         table = load(path, vocabulary=vocabulary)
                     assert table.lookup("cat").tolist() == [-1, 0], (chunk, path, vocabulary)
                     assert table.load_summary.duplicates == 2
+                    assert table.load_summary.case_collisions == 1
 
     def test_case_collision_first_wins(self, tmp_path):
         path = write_binary(tmp_path / "v.bin", [("Cat", [1, 0]), ("cat", [0, 1])])
@@ -257,8 +261,13 @@ class TestLoadBinary:
 
 class TestRoundTrip:
     def test_load_save_load_fixed_point(self, tmp_path):
-        path = write_binary(tmp_path / "v.bin", [("cat", [0.3, -1.2, 0.05]), ("dog", [2, 2, 1])])
+        # "owl" is unit within NORM_TOLERANCE but not to the last bit, so it
+        # is stored as written; renormalizing it would change its bits.
+        owl = np.array([0.6, 0.8000005, 0], dtype=np.float32)
+        path = write_binary(tmp_path / "v.bin", [("cat", [0.3, -1.2, 0.05]), ("dog", [2, 2, 1]),
+                                                 ("owl", owl.tolist())])
         first = load_binary(path)
+        assert first.lookup("owl").tobytes() == owl.tobytes()
         out = tmp_path / "copy.bin"
         save_binary(first, out)
         second = load_binary(out)
@@ -662,6 +671,34 @@ class TestBoundedMemory:
         assert peak[60_000] < payload[60_000] / 3
         index_growth = key_index_peak(60_000) - key_index_peak(20_000)
         assert peak[60_000] - peak[20_000] <= 0.1 * index_growth
+
+
+    def test_headerless_text_table_keeps_only_its_rows(self, tmp_path):
+        """A text file without a header grows its matrix as it reads, yet its
+        table holds no more than that of the same file with a header. 129 rows
+        are one past a doubling, so a matrix kept at its grown size would hold
+        almost twice the payload."""
+        n, dim = 129, 64
+        vectors = np.random.default_rng(n).standard_normal((n, dim)).astype(np.float32)
+        lines = "".join(f"w{i:03d} " + " ".join(map(str, row)) + "\n"
+                        for i, row in enumerate(vectors.tolist()))
+        held = {}
+        for header in ("", f"{n} {dim}\n"):
+            path = tmp_path / f"{len(header)}.txt"
+            path.write_text(header + lines, encoding="utf-8")
+            with mock.patch.object(embeddings, "CHUNK_BYTES", 1 << 16):
+                load_text(path)  # warms the loader's one-off caches untraced
+                tracemalloc.start()
+                try:
+                    table = load_text(path)
+                    held[bool(header)] = tracemalloc.get_traced_memory()[0]
+                finally:
+                    tracemalloc.stop()
+            assert table.size == n
+            del table
+        payload = vectors.nbytes
+        assert held[True] >= payload
+        assert abs(held[False] - held[True]) <= 0.1 * payload
 
 
 def key_index_peak(n: int) -> int:

@@ -826,7 +826,6 @@ class TestMetaEvaluate:
         })
         report = meta_evaluate(scores, judgments)
         assert report.n_systems == 3
-        assert all(row.n == 3 for row in report.rows)
 
     def test_fewer_than_two_common_systems(self):
         scores = {"m": {"a": 1.0, "b": 2.0}}
