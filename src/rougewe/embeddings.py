@@ -17,12 +17,13 @@ file into one buffer of ``CHUNK_BYTES``, reused for the whole load: one regex
 scan finds the complete entries of each fill, their words are decoded in one
 call, and one numpy gather per block copies their vectors out of the buffer.
 The text loader parses line by line into a reused block. The build step, the
-same for both formats, fails on a NaN or infinity anywhere in the file naming
-its entry or line. Given a ``vocabulary``, it then keeps only the rows whose
-lowercased word is in it: a filtered load is the full load of the file's
+same for both formats, fails on a NaN or infinity in any row of the file,
+naming its entry or line. Given a ``vocabulary``, it then keeps only the rows
+whose lowercased word is in it: a filtered load is the full load of the file's
 wanted entries, with the same words in file order, bitwise the same vectors,
-and a ``load_summary`` that counts only those rows. It drops zero vectors and
-applies the key rules in one pass over a block's kept rows, in file order.
+and a ``load_summary`` that counts only those rows. It widens only those rows
+to float64, drops zero vectors and applies the key rules in one pass over a
+block's kept rows, in file order.
 Keys are lowercased: an exact repeat of one source form is last-wins,
 distinct forms that collide after lowercasing are first-wins (pre-trained
 files list higher-frequency forms first). Only then are rows copied out,
@@ -157,19 +158,16 @@ class _TableBuilder:
     """Applies the load rules to entries handed over a block at a time.
 
     A loader passes at most ``rows`` entries per ``take``: their float32
-    vectors as the rows of a block and their words. The float64 copy of a
-    block and its norms live in buffers reused for the whole load.
+    vectors as the rows of a block and their words. Every row is checked to
+    be finite; only the rows of wanted keys are widened to float64.
     """
 
     def __init__(self, dim: int, vocabulary: Collection[str] | None, capacity: int):
-        # 256 KiB of float32 rows, so that a block and its float64 copy stay in
-        # cache from the read to the norms: on a Xeon with 2 MiB of L2 per
-        # core, 1 MiB blocks loaded about 15 % slower.
+        # 256 KiB of float32 rows: a block bounds the binary loader's gather of
+        # vector bytes and the finite mask, whatever the size of the file.
         self.rows = max(1, CHUNK_BYTES // (64 * max(1, dim)))
         self.dim = dim
         self.entries = 0  # entries taken so far
-        self._wide = np.empty((self.rows, dim))
-        self._norms = np.empty(self.rows)
         self._wanted = None if vocabulary is None else frozenset(vocabulary)
         if self._wanted is not None:
             capacity = min(capacity, len(self._wanted))
@@ -184,21 +182,19 @@ class _TableBuilder:
         n = len(words)
         if not n:
             return
-        wide, norms = self._wide[:n], self._norms[:n]
-        np.copyto(wide, block)
-        np.einsum("ij,ij->i", wide, wide, out=norms)
-        np.sqrt(norms, out=norms)
-        # float32 squares cannot overflow float64, so a row's norm is finite
-        # exactly when its values are.
-        bad = np.flatnonzero(~np.isfinite(norms))
+        bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
         if bad.size:
             raise EmbeddingFormatError(f"non-finite vector value at {where(int(bad[0]))}")
         # The load rules see only the rows of wanted keys, as if the file held
         # no others; the other rows were only checked to be finite.
-        wanted = np.arange(n) if self._wanted is None else np.fromiter(
-            compress(range(n), map(self._wanted.__contains__, map(str.lower, words))), np.intp)
-        rows = wanted[norms[wanted] >= ZERO_NORM_TOLERANCE]
-        self.summary.zero_dropped += len(wanted) - len(rows)
+        if self._wanted is not None:
+            keep = list(map(self._wanted.__contains__, map(str.lower, words)))
+            block, words = block[keep], list(compress(words, keep))
+        # float32 squares cannot overflow float64, so every norm is finite.
+        wide = block.astype(np.float64)
+        norms = np.sqrt(np.einsum("ij,ij->i", wide, wide))
+        rows = np.flatnonzero(norms >= ZERO_NORM_TOLERANCE)
+        self.summary.zero_dropped += len(words) - len(rows)
         filled = self._key_rules(words, rows.tolist())
         if len(self._index) > len(self._matrix):
             self._matrix.resize((max(len(self._index), 2 * len(self._matrix)), self.dim),

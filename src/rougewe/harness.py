@@ -146,8 +146,8 @@ def load_corpus(root: str | Path) -> list[Topic]:
 
 def load_judgments(path: str | Path) -> dict[str, dict[str, float]]:
     """Parse the judgments CSV into ``judgments[system id][judgment]``, in
-    file order; empty or duplicate system ids and non-numeric or non-finite
-    (nan, inf) scores are errors, each naming the file."""
+    file order; an unreadable file, empty or duplicate system ids and
+    non-numeric or non-finite (nan, inf) scores are errors naming the file."""
     scores: dict[str, dict[str, float]] = {}
 
     def error(message: str) -> JudgmentsFormatError:
@@ -155,6 +155,8 @@ def load_judgments(path: str | Path) -> dict[str, dict[str, float]]:
 
     try:
         text = read_text(path)
+    except OSError as exc:
+        raise JudgmentsFormatError(f"unreadable judgments file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise JudgmentsFormatError(
             f"judgments file {path} is not valid UTF-8 (byte offset {exc.start})"

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import re
@@ -602,16 +603,58 @@ class TestLoadersMatchOracle:
 
     @pytest.mark.parametrize("text", [False, True])
     def test_non_finite_outside_vocabulary_fails(self, tmp_path, text):
-        if text:
-            path = tmp_path / "v.txt"
-            path.write_text("cat 1 0\ndog nan 0\n", encoding="utf-8")
-        else:
-            path = write_binary(tmp_path / "v.bin", [("cat", [1, 0]), ("dog", [math.nan, 0])])
-        load = load_text if text else load_binary
-        where = "line 2" if text else "entry 1 ('dog')"
+        """A NaN in an entry no wanted word reaches fails the load, also in a
+        later fill and in a block that holds no wanted row."""
+        entries = [(f"w{i:03d}", [1.0, 0.0, 0.0, 0.0]) for i in range(60)]
+        entries[41] = ("w041", [0.0, math.nan, 0.0, 0.0])
+        path = write_entries(tmp_path, entries, text)
+        where = "line 42" if text else "entry 41 ('w041')"
         message = re.escape(f"non-finite vector value at {where}")
-        with pytest.raises(EmbeddingFormatError, match=message):
-            load(path, vocabulary={"cat"})
+        # 64 B: one-row blocks and fills of two binary entries; 512 B: two-row
+        # blocks, and the bad entry in the second fill; 4096 B: 16-row blocks
+        # in one fill; the default: one block of every row.
+        for chunk in (64, 512, 4096, embeddings.CHUNK_BYTES):
+            with mock.patch.object(embeddings, "CHUNK_BYTES", chunk):
+                with pytest.raises(EmbeddingFormatError, match=message):
+                    (load_text if text else load_binary)(path, vocabulary={"w000", "w059"})
+
+    @pytest.mark.parametrize("vocabulary", [None, {"big", "mixed"}])
+    @pytest.mark.parametrize("text", [False, True])
+    def test_finite_rows_whose_sum_overflows_load(self, tmp_path, text, vocabulary):
+        """Finite values whose float32 sum (or sum of squares) overflows are
+        finite rows: they load and are renormalized as the oracle does. "cat"
+        comes first, so a filtered load's rows are not the block's rows."""
+        entries = [("cat", [1.0, 0.0]), ("big", [3e38, 3e38]), ("mixed", [-3e38, 3e38])]
+        path = write_entries(tmp_path, entries, text)
+        table = (load_text if text else load_binary)(path, vocabulary=vocabulary)
+        want = (load_oracle.load_text if text else load_oracle.load_binary)(path, vocabulary)
+        assert list(table.words()) == list(want.words())
+        half = np.float32(math.sqrt(0.5))
+        for word, expected in (("big", [half, half]), ("mixed", [-half, half])):
+            assert table.lookup(word).tobytes() == np.array(expected, np.float32).tobytes()
+            assert within_one_ulp(table.lookup(word), want.lookup(word))
+
+    @pytest.mark.parametrize("vocabulary", [None, {"cat", "zero"}])
+    @pytest.mark.parametrize("text", [False, True])
+    def test_load_summary_counts_are_python_ints(self, tmp_path, text, vocabulary):
+        """Every count is a Python int: a numpy integer fails ``json.dump``."""
+        entries = [("cat", [1.0, 0.0]), ("Cat", [0.0, 1.0]), ("cat", [0.0, 2.0]),
+                   ("zero", [0.0, 0.0]), ("dog", [3.0, 4.0])]
+        path = write_entries(tmp_path, entries, text)
+        summary = (load_text if text else load_binary)(path, vocabulary=vocabulary).load_summary
+        assert dataclasses.asdict(summary) == {"duplicates": 1, "case_collisions": 1,
+                                               "zero_dropped": 1}
+        assert all(type(count) is int for count in dataclasses.asdict(summary).values())
+
+
+def write_entries(tmp_path, entries, text: bool) -> Path:
+    """``entries`` as a headerless text file or as a binary file."""
+    if not text:
+        return write_binary(tmp_path / "v.bin", entries)
+    path = tmp_path / "v.txt"
+    path.write_text("".join(" ".join([word, *map(repr, np.float32(values).tolist())]) + "\n"
+                            for word, values in entries), encoding="utf-8")
+    return path
 
 
 def write_random_binary(path, n: int, dim: int = 300) -> int:

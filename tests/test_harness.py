@@ -1,5 +1,6 @@
 import logging
 import random
+import re
 import tracemalloc
 from unittest import mock
 
@@ -153,6 +154,13 @@ class TestLoadJudgments:
         offset = len(header) + len(b"sys1,1,1,1\nsys")
         with pytest.raises(JudgmentsFormatError,
                            match=rf"j\.csv is not valid UTF-8 \(byte offset {offset}\)"):
+            load_judgments(path)
+
+    @pytest.mark.parametrize("directory", [True, False], ids=["directory", "missing"])
+    def test_unreadable_file_names_the_file(self, tmp_path, directory):
+        path = tmp_path if directory else tmp_path / "missing.csv"
+        message = f"^unreadable judgments file {re.escape(str(path))}: "
+        with pytest.raises(JudgmentsFormatError, match=message):
             load_judgments(path)
 
     def test_crlf_rows(self, tmp_path):
