@@ -246,7 +246,10 @@ def meta_eval(**settings):
         report = meta_evaluate(scores, human)
     except (CorpusLoadError, JudgmentsFormatError, MetaEvalError, UndefinedCorrelationError) as exc:
         raise click.ClickException(str(exc)) from exc
-    csv_path, json_path = write_reports(report, config.out, config.to_dict())
+    try:
+        csv_path, json_path = write_reports(report, config.out, config.to_dict())
+    except OSError as exc:
+        raise click.ClickException(f"cannot write reports to {config.out}: {exc}") from exc
     click.echo(format_table(report))
     click.echo(f"wrote {csv_path} and {json_path}")
 

@@ -1,12 +1,12 @@
 """Pearson, Spearman, and Kendall tau-b over paired per-system scores.
 
-Undefined correlations (a constant side) raise instead of returning 0,
-so a degenerate metric cannot silently corrupt a meta-evaluation table.
+``correlation_triple`` checks its inputs once and gives all three.
+Undefined correlations (a constant side, or a NaN coefficient) raise
+instead of returning 0, so a degenerate metric cannot silently corrupt a
+meta-evaluation table. Pearson does not depend on either side's scale.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +15,13 @@ class UndefinedCorrelationError(ValueError):
     """Raised when a correlation has no defined value (constant input)."""
 
 
-def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
+def correlation_triple(x, y) -> tuple[float, float, float]:
+    """``(pearson, spearman, kendall)`` of paired scores, as Python floats.
+
+    ``x`` and ``y`` must be 1-d and of equal length, hold at least 2 points
+    and be finite (each a ``ValueError``), and neither may be constant
+    (``UndefinedCorrelationError``, x checked first).
+    """
     xv = np.asarray(x, dtype=np.float64)
     yv = np.asarray(y, dtype=np.float64)
     if xv.shape != yv.shape or xv.ndim != 1:
@@ -24,33 +30,34 @@ def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("correlation requires at least 2 points")
     if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
         raise ValueError("inputs must be finite")
-    return xv, yv
-
-
-def _require_varying(v: np.ndarray, side: str) -> None:
-    if np.all(v == v[0]):
-        raise UndefinedCorrelationError(f"{side} input is constant; correlation is undefined")
+    for side, v in (("x", xv), ("y", yv)):
+        if np.all(v == v[0]):
+            raise UndefinedCorrelationError(f"{side} input is constant; correlation is undefined")
+    return _pearson(xv, yv), _pearson(_average_ranks(xv), _average_ranks(yv)), _kendall(xv, yv)
 
 
 def _clamp(value: float) -> float:
     """Keep rounding noise from pushing a coefficient past the [-1, 1] range.
 
-    A NaN coefficient (from an overflowing product) raises rather than
-    clamping to an end of the range.
+    A NaN coefficient raises rather than clamping to an end of the range.
     """
     if np.isnan(value):
         raise UndefinedCorrelationError("correlation is not a number")
-    return min(1.0, max(-1.0, value))
+    return min(1.0, max(-1.0, float(value)))
 
 
-def pearson(x, y) -> float:
-    """Product-moment correlation."""
-    xv, yv = _paired(x, y)
-    _require_varying(xv, "x")
-    _require_varying(yv, "y")
-    xc = xv - xv.mean()
-    yc = yv - yv.mean()
-    return _clamp(float(xc.dot(yc) / np.sqrt(xc.dot(xc) * yc.dot(yc))))
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Product-moment correlation.
+
+    Each side is first scaled by a power of two to a largest magnitude in
+    [0.5, 1). That is exact, so a coefficient whose arithmetic stays in the
+    normal range keeps its bits, and no mean, dot product or product of
+    sums of squares can over- or underflow at any finite scale.
+    """
+    x, y = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (x, y))
+    xc = x - x.mean()
+    yc = y - y.mean()
+    return _clamp(xc.dot(yc) / np.sqrt(xc.dot(xc) * yc.dot(yc)))
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
@@ -68,39 +75,17 @@ def _average_ranks(v: np.ndarray) -> np.ndarray:
     return 0.5 * (count[dense] + count[dense - 1] + 1)
 
 
-def spearman(x, y) -> float:
-    """Pearson correlation of average-rank-transformed values."""
-    xv, yv = _paired(x, y)
-    _require_varying(xv, "x")
-    _require_varying(yv, "y")
-    return pearson(_average_ranks(xv), _average_ranks(yv))
-
-
-def kendall(x, y) -> float:
+def _kendall(x: np.ndarray, y: np.ndarray) -> float:
     """Tau-b: (concordant - discordant) / sqrt((n0 - n1) (n0 - n2)).
 
-    n1 and n2 count tied pairs on each side; a side where every pair is
-    tied leaves the coefficient undefined.
+    n1 and n2 count tied pairs on each side.
     """
-    xv, yv = _paired(x, y)
-    _require_varying(xv, "x")
-    _require_varying(yv, "y")
-    iu = np.triu_indices(len(xv), k=1)
-    sx = np.sign(xv[:, None] - xv[None, :])[iu]
-    sy = np.sign(yv[:, None] - yv[None, :])[iu]
+    iu = np.triu_indices(len(x), k=1)
+    with np.errstate(over="ignore"):  # an overflowing difference keeps its sign
+        sx = np.sign(x[:, None] - x[None, :])[iu]
+        sy = np.sign(y[:, None] - y[None, :])[iu]
     con_minus_dis = int(np.sum(sx * sy))
     n0 = len(sx)
     n1 = int(np.sum(sx == 0))
     n2 = int(np.sum(sy == 0))
     return _clamp(con_minus_dis / np.sqrt((n0 - n1) * (n0 - n2)))
-
-
-@dataclass(frozen=True)
-class CorrelationTriple:
-    pearson: float
-    spearman: float
-    kendall: float
-
-
-def correlation_triple(x, y) -> CorrelationTriple:
-    return CorrelationTriple(pearson(x, y), spearman(x, y), kendall(x, y))

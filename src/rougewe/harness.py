@@ -15,13 +15,13 @@ import io
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .correlation import CorrelationTriple, UndefinedCorrelationError, correlation_triple
+from .correlation import UndefinedCorrelationError, correlation_triple
 from .embeddings import EmbeddingTable
 from .rouge import (MULTIREF_POLICIES, OOV_POLICIES, MatchFunction, RougeScore, RougeVariant,
                     score_batch)
@@ -294,7 +294,13 @@ def score_corpus(topics: Sequence[Topic], metrics: Sequence[MetricConfig], codin
 class ReportRow:
     metric: str
     judgment: str
-    triple: CorrelationTriple
+    pearson: float
+    spearman: float
+    kendall: float
+
+
+# ``correlation_triple``'s coefficients, in its order: the report columns.
+COEFFICIENTS = tuple(f.name for f in fields(ReportRow))[2:]
 
 
 @dataclass
@@ -312,8 +318,10 @@ def meta_evaluate(system_scores: dict[str, dict[str, float]],
     order, and every correlation runs over them; fewer than 2 common
     systems is an error. The systems left out on either side are logged
     in one warning, which flags those whose ids differ only in case from
-    another system's. A constant side raises ``UndefinedCorrelationError``
-    naming the metric and the judgment.
+    another system's. Each row holds a metric, a judgment and their
+    ``correlation_triple``, whose Pearson does not depend on either side's
+    scale. A constant side raises ``UndefinedCorrelationError`` naming the
+    metric and the judgment.
     """
     scored = {system_id for scores in system_scores.values() for system_id in scores}
     judged = set(judgments)
@@ -335,17 +343,18 @@ def meta_evaluate(system_scores: dict[str, dict[str, float]],
         x = [scores[s] for s in common]
         for judgment, y in columns.items():
             try:
-                triple = correlation_triple(x, y)
+                coefficients = correlation_triple(x, y)
             except UndefinedCorrelationError as exc:
                 raise UndefinedCorrelationError(
                     f"metric {metric_name} against {judgment}: {exc}"
                 ) from exc
-            report.rows.append(ReportRow(metric_name, judgment, triple))
+            report.rows.append(ReportRow(metric_name, judgment, *coefficients))
     return report
 
 
 def write_reports(report: MetaEvalReport, out_dir: str | Path, config: dict | None = None) -> tuple[Path, Path]:
-    """Emit report.csv and report.json; returns their paths."""
+    """Emit report.csv and report.json into ``out_dir``, made if missing,
+    and return their paths; failing to make or write them raises ``OSError``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "report.csv"
@@ -353,28 +362,15 @@ def write_reports(report: MetaEvalReport, out_dir: str | Path, config: dict | No
 
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metric", "judgment", "pearson", "spearman", "kendall", "n"])
+        writer.writerow(["metric", "judgment", *COEFFICIENTS, "n"])
         for row in report.rows:
-            writer.writerow([
-                row.metric, row.judgment,
-                f"{row.triple.pearson:.4f}", f"{row.triple.spearman:.4f}",
-                f"{row.triple.kendall:.4f}", report.n_systems,
-            ])
+            writer.writerow([row.metric, row.judgment,
+                             *(f"{getattr(row, c):.4f}" for c in COEFFICIENTS), report.n_systems])
 
     payload = {
         "config": config or {},
         "n_systems": report.n_systems,
-        "rows": [
-            {
-                "metric": row.metric,
-                "judgment": row.judgment,
-                "pearson": row.triple.pearson,
-                "spearman": row.triple.spearman,
-                "kendall": row.triple.kendall,
-                "n": report.n_systems,
-            }
-            for row in report.rows
-        ],
+        "rows": [{**asdict(row), "n": report.n_systems} for row in report.rows],
     }
     json_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return csv_path, json_path
@@ -382,10 +378,9 @@ def write_reports(report: MetaEvalReport, out_dir: str | Path, config: dict | No
 
 def format_table(report: MetaEvalReport) -> str:
     """Fixed-width correlation table for terminal output."""
-    lines = [f"{'metric':<14} {'judgment':<15} {'P':>8} {'S':>8} {'K':>8} {'n':>4}"]
+    heads = " ".join(f"{c[0].upper():>8}" for c in COEFFICIENTS)
+    lines = [f"{'metric':<14} {'judgment':<15} {heads} {'n':>4}"]
     for row in report.rows:
-        lines.append(
-            f"{row.metric:<14} {row.judgment:<15} {row.triple.pearson:>8.4f} "
-            f"{row.triple.spearman:>8.4f} {row.triple.kendall:>8.4f} {report.n_systems:>4}"
-        )
+        values = " ".join(f"{getattr(row, c):>8.4f}" for c in COEFFICIENTS)
+        lines.append(f"{row.metric:<14} {row.judgment:<15} {values} {report.n_systems:>4}")
     return "\n".join(lines)

@@ -15,7 +15,7 @@ import scipy.stats
 from click.testing import CliRunner
 
 from rougewe.cli import main as cli_main
-from rougewe.correlation import kendall, pearson, spearman
+from rougewe.correlation import correlation_triple
 from rougewe.embeddings import load_binary
 from rougewe.harness import (MetricConfig, encode_corpus, load_corpus, load_judgments,
                              meta_evaluate, score_corpus)
@@ -169,15 +169,15 @@ def test_criterion_4_correlation_oracles():
         if np.all(x == x[0]) or np.all(y == y[0]):
             continue
         checked += 1
-        if kendall(x, y) != _brute_force_tau_b(x, y):
+        _, spearman, kendall = correlation_triple(x, y)
+        if kendall != _brute_force_tau_b(x, y):
             kendall_exact = False
-        ranks = pearson(scipy.stats.rankdata(x), scipy.stats.rankdata(y))
-        spearman_worst = max(spearman_worst, abs(spearman(x, y) - ranks))
+        ranks = correlation_triple(scipy.stats.rankdata(x), scipy.stats.rankdata(y))[0]
+        spearman_worst = max(spearman_worst, abs(spearman - ranks))
 
     closed_forms = (
-        pearson([1, 2, 3, 4], [1, 3, 2, 4]) == 0.8
-        and spearman([1, 2, 3], [1, 3, 2]) == 0.5
-        and kendall([1, 2, 3], [1, 3, 2]) == 1 / 3
+        correlation_triple([1, 2, 3, 4], [1, 3, 2, 4])[0] == 0.8
+        and correlation_triple([1, 2, 3], [1, 3, 2])[1:] == (0.5, 1 / 3)
     )
     _criterion(4, "correlation oracles",
                kendall_exact and spearman_worst <= 1e-12 and closed_forms,
@@ -226,7 +226,7 @@ def test_criterion_6_synthetic_meta_eval(synthetic):
     for metric in metrics:
         vec = scores[metric.name]
         assert list(vec) == list(system_ids)
-        rhos[metric.name] = spearman(list(vec.values()), quality)
+        rhos[metric.name] = correlation_triple(list(vec.values()), quality)[1]
     report = meta_evaluate(scores, load_judgments(judgments_path))
     elapsed = time.monotonic() - start
 

@@ -626,6 +626,51 @@ class TestMetaEvalCommand:
         assert not (out / "report.csv").exists()
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_judgment_scale_leaves_the_report(self, runner, tmp_path, scale):
+        # The product of the judgments' and the scores' sums of squares
+        # over- or underflows at these scales; Pearson is taken again from
+        # rescaled columns, so the report is that of the unscaled judgments.
+        corpus = tmp_path / "corpus"
+        write_corpus(corpus, {"t1": ({"m1": "a b c d e f"}, {
+            "s1": "a b c d e x", "s2": "a b c x y z", "s3": "a x y z w v",
+            "s4": "a b x y z w", "s5": "a b c d x y"})})
+        human = {"s1": (0.9, 4.5, 3.1), "s2": (0.4, 3.0, 3.9), "s3": (0.2, 2.1, 1.5),
+                 "s4": (0.5, 2.4, 2.2), "s5": (0.6, 4.1, 2.8)}
+        reports = []
+        for name, factor in (("unscaled", 1.0), ("scaled", scale)):
+            judgments = tmp_path / f"{name}.csv"
+            judgments.write_text("system_id,pyramid,responsiveness,readability\n" + "".join(
+                f"{s},{','.join(repr(v * factor) for v in values)}\n"
+                for s, values in human.items()), encoding="utf-8")
+            out = tmp_path / name
+            result = runner.invoke(main, ["meta-eval", "--corpus", str(corpus), "--judgments",
+                                          str(judgments), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            reports.append(((out / "report.csv").read_bytes(),
+                            json.loads((out / "report.json").read_text(encoding="utf-8"))["rows"]))
+        (csv_plain, rows_plain), (csv_scaled, rows_scaled) = reports
+        assert csv_scaled == csv_plain
+        assert {row["pearson"] for row in rows_plain} != {1.0}
+        for plain, scaled in zip(rows_plain, rows_scaled, strict=True):
+            assert scaled == pytest.approx(plain, rel=0, abs=1e-12)
+
+    def test_unwritable_out_exits_1(self, runner, tiny_corpus, tmp_path):
+        corpus, judgments = tiny_corpus
+        blocker = tmp_path / "a-file"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker / "sub"
+        result = runner.invoke(main, [
+            "meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),
+            "--out", str(out),
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: cannot write reports to {out}: " in result.output
+        assert "Traceback" not in result.output
+
+
 class TestReadOrder:
     """Inputs are read in the order README gives, so of two broken inputs
     the one read first is named, and the vector file is read last."""

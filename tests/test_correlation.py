@@ -10,15 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rougewe
-from rougewe.correlation import (
-    CorrelationTriple,
-    UndefinedCorrelationError,
-    _average_ranks,
-    correlation_triple,
-    kendall,
-    pearson,
-    spearman,
-)
+from rougewe.correlation import (UndefinedCorrelationError, _average_ranks, _clamp,
+                                 correlation_triple)
+
+
+# Each coefficient of ``correlation_triple``, which checks its inputs once.
+def pearson(x, y):
+    return correlation_triple(x, y)[0]
+
+
+def spearman(x, y):
+    return correlation_triple(x, y)[1]
+
+
+def kendall(x, y):
+    return correlation_triple(x, y)[2]
 
 
 class TestPearson:
@@ -41,21 +47,61 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson([1], [2])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_products_raise_not_clamp(self):
-        # xc.dot(yc) and the norm product both overflow to inf, so the
-        # quotient is NaN, which must not be clamped to -1.
-        big = [1e200, -1e200, 0.0]
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                UndefinedCorrelationError, match="not a number"):
-            pearson(big, big)
+        # Unscaled, the mean of these overflows to inf and the coefficient
+        # would be NaN; scaled by a power of two first, it is the defined 1.
+        big = [1e308, 1e308, -1e308]
+        assert correlation_triple(big, big) == (1.0, 1.0, 1.0)
+        # A NaN coefficient must raise, not be clamped to -1 or 1.
+        with pytest.raises(UndefinedCorrelationError, match="not a number"):
+            _clamp(float("nan"))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x_scale, y_scale",
+                             [(1, 1e160), (1, 1e-170), (1, 1e300), (1, 1e-300), (1e-158, 1e150)])
+    def test_any_finite_scale(self, x_scale, y_scale):
+        # Unscaled, the sums of squares or their product over- or underflow
+        # at these scales (at 1e-158 and 1e150 a sum of squares is subnormal
+        # while the product is in range); the coefficient is that of the
+        # unscaled values.
+        x, y = [0.2, 0.5, 0.1, 0.9, 0.4], [0.3, 0.35, 0.2, 0.6, 0.5]
+        want = correlation_triple(x, y)
+        xs, ys = [v * x_scale for v in x], [v * y_scale for v in y]
+        for got in (correlation_triple(xs, ys), correlation_triple(ys, xs)):
+            assert got[0] == pytest.approx(want[0], abs=1e-12)
+            assert got[1:] == want[1:]
+
+    def test_in_range_products_keep_their_bits(self):
+        # Columns divided by their largest magnitudes would give a quotient
+        # one ulp away here; scaling by powers of two keeps every bit.
+        x, y = [0.6, 0.4, 1.0, 1.0], [0.7, 0.7, 0.7, 0.4]
+        xc, yc = np.subtract(x, np.mean(x)), np.subtract(y, np.mean(y))
+        assert pearson(x, y) == float(xc.dot(yc) / np.sqrt(xc.dot(xc) * yc.dot(yc)))
+        rng = np.random.default_rng(0)
+        for scale in (1e-30, 1e-3, 1.0, 7.0, 1e3, 1e30):
+            x, y = rng.random(12) * scale - scale / 2, rng.random(12)
+            xc, yc = x - x.mean(), y - y.mean()
+            assert pearson(x, y) == float(xc.dot(yc) / np.sqrt(xc.dot(xc) * yc.dot(yc)))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_inputs_rejected(self, bad):
-        for fn in (pearson, spearman, kendall):
-            with pytest.raises(ValueError, match="finite"):
-                fn([1.0, bad, 3.0], [1.0, 2.0, 3.0])
-            with pytest.raises(ValueError, match="finite"):
-                fn([1.0, 2.0, 3.0], [bad, 2.0, 3.0])
+        with pytest.raises(ValueError, match="finite"):
+            correlation_triple([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="finite"):
+            correlation_triple([1.0, 2.0, 3.0], [bad, 2.0, 3.0])
+
+    def test_checks_run_in_order(self):
+        # Each pair but the last also fails a later check, so only the order
+        # of the checks decides which message is raised.
+        for x, y, message in (([[1, 1]], [[1, 1]], "1-d and of equal length"),
+                              ([1], [1], "at least 2 points"),
+                              ([1, 1, 1], [1, float("nan"), 1], "finite"),
+                              ([1, 1, 1], [2, 2, 2], "x input is constant"),
+                              ([1, 2, 3], [2, 2, 2], "y input is constant")):
+            with pytest.raises(ValueError) as info:
+                correlation_triple(x, y)
+            assert message in str(info.value)
 
 
 class TestSpearman:
@@ -204,5 +250,12 @@ class TestProperties:
 class TestCorrelationTriple:
     def test_triple(self):
         triple = correlation_triple([1, 2, 3, 4], [1, 3, 2, 4])
-        assert isinstance(triple, CorrelationTriple)
-        assert triple.pearson == 0.8
+        assert type(triple) is tuple and [type(v) for v in triple] == [float] * 3
+        assert triple == (0.8, 0.8, 2 / 3)
+
+    def test_only_the_triple_is_public(self):
+        import rougewe.correlation as module
+
+        public = {name for name in vars(module) if not name.startswith("_")}
+        assert public - {"annotations", "np"} == {"UndefinedCorrelationError",
+                                                  "correlation_triple"}

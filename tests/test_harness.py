@@ -18,7 +18,9 @@ from rougewe.harness import (
     CorpusLoadError,
     JudgmentsFormatError,
     MetaEvalError,
+    MetaEvalReport,
     MetricConfig,
+    ReportRow,
     Topic,
     encode_corpus,
     format_table,
@@ -811,21 +813,21 @@ class TestMetaEvaluate:
         })
         report = meta_evaluate(scores, judgments)
         for row in report.rows:
-            assert row.triple.spearman == 1.0
-            assert row.triple.kendall == 1.0
+            assert row.spearman == 1.0
+            assert row.kendall == 1.0
 
     def test_equal_scores_give_pearson_one(self):
         values = (0.3, 0.1, 0.8, 0.5)
         scores = {"m": dict(zip("abcd", values))}
         judgments = judgments_from({s: (v, 1 + v, 2 * v) for s, v in zip("abcd", values)})
         report = meta_evaluate(scores, judgments)
-        assert report.rows[0].triple.pearson == pytest.approx(1.0, abs=1e-12)
+        assert report.rows[0].pearson == pytest.approx(1.0, abs=1e-12)
 
     def test_adjacent_swap_kendall(self):
         scores = {"m": dict(zip("abcd", (1.0, 3.0, 2.0, 4.0)))}
         judgments = judgments_from({s: (v, v, v) for s, v in zip("abcd", (1.0, 2.0, 3.0, 4.0))})
         report = meta_evaluate(scores, judgments)
-        assert report.rows[0].triple.kendall == pytest.approx(2 / 3)
+        assert report.rows[0].kendall == pytest.approx(2 / 3)
 
     def test_intersection_discipline(self):
         scores = {"m": dict(zip("abc", (1.0, 2.0, 3.0)))}
@@ -888,3 +890,18 @@ class TestReports:
         assert "metric" in table.splitlines()[0]
         assert "rouge-1" in table
         assert "1.0000" in table
+
+    def test_every_writer_orders_the_coefficients_alike(self, tmp_path):
+        import json
+
+        report = MetaEvalReport([ReportRow("rouge-su4", "readability", 0.125, -0.5, 0.75)], 5)
+        csv_path, json_path = write_reports(report, tmp_path)
+        assert csv_path.read_text(encoding="utf-8").splitlines()[1:] == [
+            "rouge-su4,readability,0.1250,-0.5000,0.7500,5"]
+        rows = json.loads(json_path.read_text(encoding="utf-8"))["rows"]
+        assert [list(row.items()) for row in rows] == [[
+            ("metric", "rouge-su4"), ("judgment", "readability"), ("pearson", 0.125),
+            ("spearman", -0.5), ("kendall", 0.75), ("n", 5)]]
+        assert format_table(report).splitlines() == [
+            "metric         judgment               P        S        K    n",
+            "rouge-su4      readability       0.1250  -0.5000   0.7500    5"]
