@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import Collection
 
 import click
@@ -24,22 +26,22 @@ from .harness import (
     MATCH_KINDS,
     REPORT_COMPONENTS,
     Coding,
-    CorpusLoadError,
-    JudgmentsFormatError,
     MetaEvalError,
     MetricConfig,
     Topic,
+    common_systems,
     encode_corpus,
     format_table,
     load_corpus,
     load_judgments,
     meta_evaluate,
+    require_distinct,
     score_corpus,
     score_pairs,
     write_reports,
 )
 from .rouge import MULTIREF_POLICIES, OOV_POLICIES
-from .textpipe import TokenizeConfig, load_stopwords, read_text
+from .textpipe import InputError, TokenizeConfig, load_stopwords, read_text
 
 DEFAULT_METRICS = "rouge-1,rouge-2,rouge-su4"
 
@@ -70,12 +72,7 @@ class RunConfig:
         list is read, and under WE the vectors of their words, the only ones
         scoring looks up (``None`` for an exact run): the one path by which
         both ``score`` and ``meta-eval`` code and load."""
-        stopwords = None
-        if self.stopwords:
-            try:
-                stopwords = load_stopwords(self.stopwords)
-            except UnicodeDecodeError as exc:
-                raise _not_utf8("stopword file", self.stopwords, exc) from None
+        stopwords = load_stopwords(self.stopwords) if self.stopwords else None
         coding = encode_corpus(topics, TokenizeConfig(stem=self.stem, stopwords=stopwords))
         if not self.uses_embeddings:
             return coding, None
@@ -93,15 +90,12 @@ def _load_vectors(path: str, fmt: str,
         raise click.ClickException(f"failed to load embeddings: {exc}") from exc
 
 
-def _not_utf8(what: str, path: str, exc: UnicodeDecodeError) -> click.ClickException:
-    return click.ClickException(f"{what} {path} is not valid UTF-8 (byte offset {exc.start})")
-
-
-def _read_utf8(path: str, what: str) -> str:
-    try:
-        return read_text(path)
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(what, path, exc) from None
+def _check_out(out: str) -> None:
+    """Fail, making nothing, unless ``out`` or its nearest existing ancestor is a directory."""
+    path = Path(out)
+    found = next(p for p in (path, *path.parents) if os.path.lexists(p))
+    if not os.path.isdir(found):
+        raise click.ClickException(f"cannot write reports to {out}: {found} is not a directory")
 
 
 def _apply_config_file(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
@@ -109,9 +103,11 @@ def _apply_config_file(ctx: click.Context, param: click.Parameter, path: str | N
     if path is None:
         return
     try:
-        data = json.loads(_read_utf8(path, "config file"))
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(read_text(path, "config file"))
+    except json.JSONDecodeError as exc:
         raise click.ClickException(f"cannot read config file {path}: {exc}") from exc
+    except InputError as exc:
+        raise click.ClickException(str(exc)) from exc
     if not isinstance(data, dict):
         raise click.ClickException(f"config file {path} must hold a JSON object")
     # The keys are the options' names. Inputs are named on the command line
@@ -148,7 +144,8 @@ def _build_run_config(command: str, metrics: list[dict], match: str, oov: str, m
     try:
         metrics = [MetricConfig.from_dict(entry, match=match, oov=oov, multiref=multiref,
                                           component=report_component) for entry in metrics]
-    except ValueError as exc:
+        require_distinct("metric", [m.name for m in metrics])
+    except (ValueError, MetaEvalError) as exc:
         raise click.ClickException(str(exc)) from exc
     config = RunConfig(command, metrics, **settings)
     if config.uses_embeddings and not config.embeddings:
@@ -201,20 +198,21 @@ def score(candidate, references, **settings):
     """Score CANDIDATE against one or more REFERENCES files.
 
     Prints one line per metric: '<metric> R=<recall> P=<precision> F=<f1>'.
-    The candidate, the references and the stopword list are read in that
-    order, before the vector file, of which only the texts' words are loaded.
+    A metric given twice exits 1 before any file is read. The candidate,
+    the references and the stopword list are then read in that order,
+    before the vector file, of which only the texts' words are loaded.
     The files are scored as meta-eval scores a corpus, as one topic named
     'references': the references are its model summaries and the candidate,
-    named by its path, its only system. So a metric given twice, or a pair
-    that fails to score, exits 1 as in meta-eval.
+    named by its path, its only system. So a pair that fails to score exits
+    1 as in meta-eval.
     """
     config = _build_run_config("score", **settings)
-    system = (candidate, _read_utf8(candidate, "candidate file"))
-    topic = Topic("references", [(r, _read_utf8(r, "reference file")) for r in references],
-                  [system])
     try:
+        system = (candidate, read_text(candidate, "candidate file"))
+        topic = Topic("references", [(r, read_text(r, "reference file")) for r in references],
+                      [system])
         pairs = score_pairs([topic], config.metrics, *config.code([topic]))
-    except MetaEvalError as exc:
+    except (InputError, MetaEvalError) as exc:
         raise click.ClickException(str(exc)) from exc
     for metric in config.metrics:
         result = pairs[metric.name][candidate][topic.topic_id]
@@ -233,18 +231,19 @@ def score(candidate, references, **settings):
 def meta_eval(**settings):
     """Score a corpus with every configured metric and correlate with judgments.
 
-    The corpus and the judgments are read before the vector file, and only
-    the vectors of the corpus's words are loaded.
+    The metric names and --out are checked first, then the corpus and the
+    judgments are read and their common systems decided, and only then the
+    stopword list and the vectors of the corpus's words.
     """
     config = _build_run_config("meta-eval", **settings)
+    _check_out(config.out)
     try:
         topics = load_corpus(config.corpus)
-        if not topics:
-            raise click.ClickException(f"corpus {config.corpus} contains no topics")
         human = load_judgments(config.judgments)
+        systems = common_systems({sid for t in topics for sid, _ in t.system_summaries}, human)
         scores = score_corpus(topics, config.metrics, *config.code(topics))
-        report = meta_evaluate(scores, human)
-    except (CorpusLoadError, JudgmentsFormatError, MetaEvalError, UndefinedCorrelationError) as exc:
+        report = meta_evaluate(scores, human, systems)
+    except (InputError, MetaEvalError, UndefinedCorrelationError) as exc:
         raise click.ClickException(str(exc)) from exc
     try:
         csv_path, json_path = write_reports(report, config.out, config.to_dict())

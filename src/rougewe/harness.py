@@ -17,7 +17,7 @@ import logging
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .correlation import UndefinedCorrelationError, correlation_triple
 from .embeddings import EmbeddingTable
 from .rouge import (MULTIREF_POLICIES, OOV_POLICIES, MatchFunction, RougeScore, RougeVariant,
                     score_batch)
-from .textpipe import DEFAULT_CONFIG, TokenizeConfig, encode, read_text
+from .textpipe import DEFAULT_CONFIG, InputError, TokenizeConfig, encode, read_text
 
 logger = logging.getLogger(__name__)
 
@@ -35,14 +35,6 @@ MATCH_KINDS = ("exact", "we")
 REPORT_COMPONENTS = ("recall", "precision", "f1")
 # A corpus's sorted word list and each summary's word ids (``encode_corpus``).
 Coding = tuple[list[str], list[np.ndarray]]
-
-
-class CorpusLoadError(Exception):
-    pass
-
-
-class JudgmentsFormatError(Exception):
-    pass
 
 
 class MetaEvalError(Exception):
@@ -110,58 +102,44 @@ class MetricConfig:
         return cls(RougeVariant.parse(data["variant"]), **{**defaults, **given})
 
 
-def _read_text(path: Path) -> str:
-    try:
-        return read_text(path)
-    except OSError as exc:
-        raise CorpusLoadError(f"unreadable file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise CorpusLoadError(f"file {path} is not valid UTF-8 (byte offset {exc.start})") from None
-
-
 def _read_dir(directory: Path) -> list[tuple[str, str]]:
     entries = sorted(p for p in directory.iterdir() if p.is_file() and p.suffix == ".txt")
-    return [(p.stem, _read_text(p)) for p in entries]
+    return [(p.stem, read_text(p)) for p in entries]
 
 
 def load_corpus(root: str | Path) -> list[Topic]:
     """Load all topics under ``root``. Texts stay raw; normalization is the
-    scorer's job."""
-    root = Path(root)
-    if not root.is_dir():
-        raise CorpusLoadError(f"corpus root {root} is not a directory")
+    scorer's job. No topic, a topic without model summaries or a summary
+    that cannot be read raises ``InputError``."""
+    path = Path(root)
+    if not path.is_dir():
+        raise InputError(f"corpus root {path} is not a directory")
     topics = []
-    for topic_dir in sorted(p for p in root.iterdir() if p.is_dir()):
+    for topic_dir in sorted(p for p in path.iterdir() if p.is_dir()):
         models_dir = topic_dir / "models"
         if not models_dir.is_dir():
-            raise CorpusLoadError(f"topic {topic_dir.name!r} has no models/ directory")
+            raise InputError(f"topic {topic_dir.name!r} has no models/ directory")
         models = _read_dir(models_dir)
         if not models:
-            raise CorpusLoadError(f"topic {topic_dir.name!r} has no model summaries")
+            raise InputError(f"topic {topic_dir.name!r} has no model summaries")
         systems_dir = topic_dir / "systems"
         systems = _read_dir(systems_dir) if systems_dir.is_dir() else []
         topics.append(Topic(topic_dir.name, models, systems))
+    if not topics:
+        raise InputError(f"corpus {root} contains no topics")
     return topics
 
 
 def load_judgments(path: str | Path) -> dict[str, dict[str, float]]:
     """Parse the judgments CSV into ``judgments[system id][judgment]``, in
     file order; an unreadable file, empty or duplicate system ids and
-    non-numeric or non-finite (nan, inf) scores are errors naming the file."""
+    non-numeric or non-finite (nan, inf) scores raise ``InputError`` naming the file."""
     scores: dict[str, dict[str, float]] = {}
 
-    def error(message: str) -> JudgmentsFormatError:
-        return JudgmentsFormatError(f"judgments file {path}: {message}")
+    def error(message: str) -> InputError:
+        return InputError(f"judgments file {path}: {message}")
 
-    try:
-        text = read_text(path)
-    except OSError as exc:
-        raise JudgmentsFormatError(f"unreadable judgments file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise JudgmentsFormatError(
-            f"judgments file {path} is not valid UTF-8 (byte offset {exc.start})"
-        ) from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(read_text(path, "judgments file"), newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -198,6 +176,14 @@ def encode_corpus(topics: Sequence[Topic], tokenize_config: TokenizeConfig = DEF
                   tokenize_config)
 
 
+def require_distinct(what: str, names: Sequence[str]) -> None:
+    """Raise ``MetaEvalError`` naming the first of ``names`` given twice."""
+    for name in names:
+        if names.count(name) > 1:
+            raise MetaEvalError(f"{what} {name} is given more than once; "
+                                f"each {what} needs a distinct name")
+
+
 def score_pairs(topics: Sequence[Topic], metrics: Sequence[MetricConfig], coding: Coding,
                 table: EmbeddingTable | None = None
                 ) -> dict[str, dict[str, dict[str, RougeScore | None]]]:
@@ -224,16 +210,12 @@ def score_pairs(topics: Sequence[Topic], metrics: Sequence[MetricConfig], coding
     it): a zero in its place would bias the correlations without a trace.
     Two metrics with the same name would share one set of report rows, and
     two topics with the same id one set of summaries, so either raises
-    ``MetaEvalError`` too.
+    ``MetaEvalError`` too (``require_distinct``), before anything is scored.
     """
     if not topics:
         raise ValueError("no topics to score")
-    for what, names in (("topic", [t.topic_id for t in topics]),
-                        ("metric", [m.name for m in metrics])):
-        for name in names:
-            if names.count(name) > 1:
-                raise MetaEvalError(f"{what} {name} is given more than once; "
-                                    f"each {what} needs a distinct name")
+    require_distinct("topic", [t.topic_id for t in topics])
+    require_distinct("metric", [m.name for m in metrics])
 
     matches = [metric.match_function(table) for metric in metrics]
     rows = table.rows(coding[0]) if any(m.match == "we" for m in metrics) else None
@@ -309,21 +291,13 @@ class MetaEvalReport:
     n_systems: int = 0
 
 
-def meta_evaluate(system_scores: dict[str, dict[str, float]],
-                  judgments: dict[str, dict[str, float]]) -> MetaEvalReport:
-    """Correlate each metric's per-system scores with each judgment column.
-
-    Every metric's dict must hold the same systems, as ``score_corpus``
-    gives. The systems present on both sides are taken once, in sorted
-    order, and every correlation runs over them; fewer than 2 common
-    systems is an error. The systems left out on either side are logged
+def common_systems(scored_ids: Iterable[str], judgments: dict[str, dict[str, float]]) -> list[str]:
+    """The systems both scored and judged, in sorted order: the axis of every
+    correlation. ``scored_ids`` are the corpus's systems, the keys of
+    ``score_corpus``'s means. The systems left out on either side are logged
     in one warning, which flags those whose ids differ only in case from
-    another system's. Each row holds a metric, a judgment and their
-    ``correlation_triple``, whose Pearson does not depend on either side's
-    scale. A constant side raises ``UndefinedCorrelationError`` naming the
-    metric and the judgment.
-    """
-    scored = {system_id for scores in system_scores.values() for system_id in scores}
+    another system's; fewer than 2 common systems raise ``MetaEvalError``."""
+    scored = set(scored_ids)
     judged = set(judgments)
     if scored != judged:
         folded = [s.lower() for s in scored | judged]
@@ -337,10 +311,21 @@ def meta_evaluate(system_scores: dict[str, dict[str, float]],
         raise MetaEvalError(
             f"only {len(common)} system(s) common to scores and judgments; need at least 2"
         )
-    columns = {judgment: [judgments[s][judgment] for s in common] for judgment in JUDGMENT_TYPES}
-    report = MetaEvalReport(n_systems=len(common))
+    return common
+
+
+def meta_evaluate(system_scores: dict[str, dict[str, float]],
+                  judgments: dict[str, dict[str, float]], systems: list[str]) -> MetaEvalReport:
+    """Correlate each metric's scores with each judgment column over
+    ``systems``, the axis ``common_systems`` gives, so no order of systems on
+    either side changes a bit of the report. Each row holds a metric, a
+    judgment and their ``correlation_triple``, whose Pearson does not depend
+    on either side's scale. A constant side raises
+    ``UndefinedCorrelationError`` naming the metric and the judgment."""
+    columns = {judgment: [judgments[s][judgment] for s in systems] for judgment in JUDGMENT_TYPES}
+    report = MetaEvalReport(n_systems=len(systems))
     for metric_name, scores in system_scores.items():
-        x = [scores[s] for s in common]
+        x = [scores[s] for s in systems]
         for judgment, y in columns.items():
             try:
                 coefficients = correlation_triple(x, y)

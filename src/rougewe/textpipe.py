@@ -53,16 +53,26 @@ class TokenSequence:
         return iter(self.tokens)
 
 
-def read_text(path: str | Path) -> str:
-    """A UTF-8 file's text, less one leading byte-order mark (U+FEFF); a
-    decoding error's offsets count the mark's bytes, as the file does."""
-    return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+class InputError(ValueError):
+    """An input file that cannot be used; the message names the file."""
+
+
+def read_text(path: str | Path, what: str = "file") -> str:
+    """A UTF-8 file's text, less one leading byte-order mark (U+FEFF): every
+    text input is read here. A file that cannot be read or decoded raises
+    ``InputError`` naming it as ``what``; a bad byte's offset counts the mark."""
+    try:
+        return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+    except OSError as exc:
+        raise InputError(f"unreadable {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{what} {path} is not valid UTF-8 (byte offset {exc.start})") from None
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a stopword list: one word per line, blanks ignored, lowercased."""
     words = []
-    for line in read_text(path).splitlines():
+    for line in read_text(path, "stopword file").splitlines():
         word = line.strip()
         if word:
             words.append(word.lower())

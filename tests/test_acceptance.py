@@ -17,8 +17,8 @@ from click.testing import CliRunner
 from rougewe.cli import main as cli_main
 from rougewe.correlation import correlation_triple
 from rougewe.embeddings import load_binary
-from rougewe.harness import (MetricConfig, encode_corpus, load_corpus, load_judgments,
-                             meta_evaluate, score_corpus)
+from rougewe.harness import (MetricConfig, common_systems, encode_corpus, load_corpus,
+                             load_judgments, meta_evaluate, score_corpus)
 from rougewe.rouge import (
     ROUGE_1,
     ROUGE_2,
@@ -227,7 +227,8 @@ def test_criterion_6_synthetic_meta_eval(synthetic):
         vec = scores[metric.name]
         assert list(vec) == list(system_ids)
         rhos[metric.name] = correlation_triple(list(vec.values()), quality)[1]
-    report = meta_evaluate(scores, load_judgments(judgments_path))
+    judgments = load_judgments(judgments_path)
+    report = meta_evaluate(scores, judgments, common_systems(system_ids, judgments))
     elapsed = time.monotonic() - start
 
     ok = all(rho >= 0.9 for rho in rhos.values()) and len(report.rows) == 9 and elapsed < 60.0

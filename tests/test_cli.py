@@ -688,6 +688,17 @@ class TestReadOrder:
         assert result.exit_code == 1
         assert f"{first} file {broken} is not valid UTF-8" in result.output
 
+    def test_score_checks_metric_names_before_reading_a_text(self, runner, weather_files,
+                                                             tmp_path):
+        _, ref = weather_files
+        broken = tmp_path / "candidate-bad.txt"
+        broken.write_bytes(b"It is \xff raining")
+        result = runner.invoke(main, ["score", str(broken), str(ref),
+                                      "--metrics", "rouge-1,rouge-1"])
+        assert result.exit_code == 1
+        assert result.output == ("Error: metric rouge-1 is given more than once; "
+                                 "each metric needs a distinct name\n")
+
     @pytest.mark.parametrize("first, second", [("corpus", "judgments"),
                                                ("judgments", "stopwords"),
                                                ("stopwords", "vectors")])
@@ -726,6 +737,46 @@ class TestReadOrder:
         assert result.exit_code == 1
         assert expected in result.output
         assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", ["duplicate-metric", "one-common-system",
+                                       "out-under-a-file"])
+    def test_meta_eval_fails_before_reading_stopwords_or_vectors(self, runner, tiny_corpus,
+                                                                 tmp_path, monkeypatch, fault):
+        """A run that cannot give a report fails before the stopword list or
+        the vector file is read and before anything is scored."""
+        corpus, judgments = tiny_corpus
+        stop = tmp_path / "stop.txt"
+        stop.write_text("the\n", encoding="utf-8")
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("a 1 0\nb 0 1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        metrics = "rouge-1,rouge-2"
+        if fault == "duplicate-metric":
+            metrics = "rouge-1,rouge-1"
+            expected = ("Error: metric rouge-we-1 is given more than once; "
+                        "each metric needs a distinct name\n")
+        elif fault == "one-common-system":
+            judgments.write_text("system_id,pyramid,responsiveness,readability\n"
+                                 "s1,0.9,4.5,4.0\nghost,0.5,3.0,3.2\n", encoding="utf-8")
+            expected = "Error: only 1 system(s) common to scores and judgments; need at least 2\n"
+        else:
+            blocker = tmp_path / "a-file"
+            blocker.write_text("", encoding="utf-8")
+            out = blocker / "sub"
+            expected = f"Error: cannot write reports to {out}: {blocker} is not a directory\n"
+        calls = spy_on_loader(monkeypatch, "text")
+        read = []
+        monkeypatch.setattr(cli, "load_stopwords", lambda path: read.append(path))
+        monkeypatch.setattr(cli, "score_corpus", lambda *args, **kwargs: read.append(args))
+        result = runner.invoke(main, [
+            "meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),
+            "--out", str(out), "--stopwords", str(stop), "--metrics", metrics, "--match", "we",
+            "--embeddings", str(vectors), "--embeddings-format", "text",
+        ])
+        assert result.exit_code == 1
+        assert result.output.endswith(expected)
+        assert calls == [] and read == []
         assert not out.exists()
 
 

@@ -15,13 +15,12 @@ from rougewe.embeddings import EmbeddingTable
 from rougewe.harness import (
     JUDGMENT_TYPES,
     MATCH_KINDS,
-    CorpusLoadError,
-    JudgmentsFormatError,
     MetaEvalError,
     MetaEvalReport,
     MetricConfig,
     ReportRow,
     Topic,
+    common_systems,
     encode_corpus,
     format_table,
     load_corpus,
@@ -32,7 +31,7 @@ from rougewe.harness import (
     write_reports,
 )
 from rougewe.rouge import ROUGE_1, ROUGE_2, ROUGE_SU4, MatchFunction, RougeVariant, rouge_score
-from rougewe.textpipe import DEFAULT_CONFIG, TokenizeConfig, tokenize
+from rougewe.textpipe import DEFAULT_CONFIG, InputError, TokenizeConfig, tokenize
 
 from conftest import gaussian_table, identity_table, make_table, sign_table, write_corpus
 from exact_oracle import oracle_rouge_score, units
@@ -57,16 +56,18 @@ class TestLoadCorpus:
         assert topics[0].model_summaries[0] == ("m1", "a b")
 
     def test_empty_root(self, tmp_path):
-        assert load_corpus(tmp_path) == []
+        with pytest.raises(InputError, match=f"^corpus {re.escape(str(tmp_path))} contains no "
+                                             "topics$"):
+            load_corpus(tmp_path)
 
     def test_missing_models_dir(self, tmp_path):
         (tmp_path / "t1" / "systems").mkdir(parents=True)
-        with pytest.raises(CorpusLoadError, match="models"):
+        with pytest.raises(InputError, match="models"):
             load_corpus(tmp_path)
 
     def test_empty_models_dir(self, tmp_path):
         (tmp_path / "t1" / "models").mkdir(parents=True)
-        with pytest.raises(CorpusLoadError, match="no model summaries"):
+        with pytest.raises(InputError, match="no model summaries"):
             load_corpus(tmp_path)
 
     def test_missing_systems_dir_is_empty(self, tmp_path):
@@ -77,14 +78,14 @@ class TestLoadCorpus:
         assert topics[0].system_summaries == []
 
     def test_nonexistent_root(self, tmp_path):
-        with pytest.raises(CorpusLoadError):
+        with pytest.raises(InputError):
             load_corpus(tmp_path / "nope")
 
     def test_non_utf8_summary_names_file_and_offset(self, tmp_path):
         write_corpus(tmp_path, {"t1": ({"m1": "a b"}, {"s1": "a b"})})
         bad = tmp_path / "t1" / "systems" / "s1.txt"
         bad.write_bytes(b"word " * 2000 + b"\xff tail")  # past any decoder chunk
-        with pytest.raises(CorpusLoadError, match=r"s1\.txt is not valid UTF-8 \(byte offset 10000\)"):
+        with pytest.raises(InputError, match=r"s1\.txt is not valid UTF-8 \(byte offset 10000\)"):
             load_corpus(tmp_path)
 
 
@@ -106,7 +107,7 @@ class TestLoadJudgments:
             "system_id,pyramid,responsiveness,readability\nsys1,1,1,1\nsys1,2,2,2\n",
             encoding="utf-8",
         )
-        with pytest.raises(JudgmentsFormatError, match="duplicate"):
+        with pytest.raises(InputError, match="duplicate"):
             load_judgments(path)
 
     def test_non_numeric_names_row(self, tmp_path):
@@ -115,7 +116,7 @@ class TestLoadJudgments:
             "system_id,pyramid,responsiveness,readability\nsys1,1,1,1\nsys2,oops,2,2\n",
             encoding="utf-8",
         )
-        with pytest.raises(JudgmentsFormatError, match="row 3"):
+        with pytest.raises(InputError, match="row 3"):
             load_judgments(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "NaN"])
@@ -125,13 +126,13 @@ class TestLoadJudgments:
             f"system_id,pyramid,responsiveness,readability\nsys1,1,1,1\nsys2,2,{value},2\n",
             encoding="utf-8",
         )
-        with pytest.raises(JudgmentsFormatError, match=f"{path}: row 3: non-finite score"):
+        with pytest.raises(InputError, match=f"{path}: row 3: non-finite score"):
             load_judgments(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "j.csv"
         path.write_text("id,p,r,f\n", encoding="utf-8")
-        with pytest.raises(JudgmentsFormatError, match="header"):
+        with pytest.raises(InputError, match="header"):
             load_judgments(path)
 
     @pytest.mark.parametrize("text, fault", [
@@ -146,7 +147,7 @@ class TestLoadJudgments:
     def test_malformed_file_names_the_fault(self, tmp_path, text, fault):
         path = tmp_path / "j.csv"
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(JudgmentsFormatError, match=f"^judgments file {path}: {fault}$"):
+        with pytest.raises(InputError, match=f"^judgments file {path}: {fault}$"):
             load_judgments(path)
 
     def test_non_utf8_names_file_and_offset(self, tmp_path):
@@ -154,7 +155,7 @@ class TestLoadJudgments:
         header = b"system_id,pyramid,responsiveness,readability\n"
         path.write_bytes(header + b"sys1,1,1,1\nsys\xff,2,2,2\n")
         offset = len(header) + len(b"sys1,1,1,1\nsys")
-        with pytest.raises(JudgmentsFormatError,
+        with pytest.raises(InputError,
                            match=rf"j\.csv is not valid UTF-8 \(byte offset {offset}\)"):
             load_judgments(path)
 
@@ -162,7 +163,7 @@ class TestLoadJudgments:
     def test_unreadable_file_names_the_file(self, tmp_path, directory):
         path = tmp_path if directory else tmp_path / "missing.csv"
         message = f"^unreadable judgments file {re.escape(str(path))}: "
-        with pytest.raises(JudgmentsFormatError, match=message):
+        with pytest.raises(InputError, match=message):
             load_judgments(path)
 
     def test_crlf_rows(self, tmp_path):
@@ -755,6 +756,14 @@ class TestScoreCorpusMemory:
         assert peak < 1.5 * (sides + counts)
 
 
+def correlate(scores: dict[str, dict[str, float]],
+              judgments: dict[str, dict[str, float]]) -> MetaEvalReport:
+    """``meta_evaluate`` over the axis that ``common_systems`` gives, as
+    ``meta-eval`` runs it; every metric of ``scores`` holds the same systems."""
+    systems = common_systems(next(iter(scores.values())), judgments)
+    return meta_evaluate(scores, judgments, systems)
+
+
 class TestMetaEvaluate:
     @pytest.mark.parametrize("corpus_extra, judged_extra, left_out", [
         ([], ["S1", "ghost"], "judged but not scored: S1, ghost; scored but not judged: none; "
@@ -772,9 +781,9 @@ class TestMetaEvaluate:
         scores = {name: scored for name in ("rouge-1", "rouge-2")}
         judgments = judgments_from({**common, **dict.fromkeys(judged_extra, (0.5, 0.5, 0.5))})
         with caplog.at_level(logging.WARNING):
-            report = meta_evaluate(scores, judgments)
-            assert report == meta_evaluate({name: values for name in scores},
-                                           judgments_from(common))
+            report = correlate(scores, judgments)
+            assert report == correlate({name: values for name in scores},
+                                       judgments_from(common))
         assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
             ("rougewe.harness", logging.WARNING,
              f"systems left out of the correlations: {left_out}")]
@@ -795,11 +804,11 @@ class TestMetaEvaluate:
         real = harness.correlation_triple
         monkeypatch.setattr(harness, "correlation_triple",
                             lambda x, y: calls.append((list(x), list(y))) or real(x, y))
-        report = meta_evaluate(scores, judgments_from(rows))
+        report = correlate(scores, judgments_from(rows))
         assert calls == [([values[s] for s in common], [rows[s][k] for s in common])
                          for _ in scores for k in range(len(JUDGMENT_TYPES))]
-        expected = meta_evaluate({name: {s: values[s] for s in common} for name in scores},
-                                 judgments_from({s: rows[s] for s in common}))
+        expected = correlate({name: {s: values[s] for s in common} for name in scores},
+                             judgments_from({s: rows[s] for s in common}))
         assert report == expected and report.n_systems == 7
         paths = [write_reports(r, tmp_path / name) for name, r in
                  (("given", report), ("sorted", expected))]
@@ -811,7 +820,7 @@ class TestMetaEvaluate:
         judgments = judgments_from({
             s: (v, 2 * v, v + 1) for s, v in zip("abcde", (1.0, 2.0, 4.0, 4.5, 9.0))
         })
-        report = meta_evaluate(scores, judgments)
+        report = correlate(scores, judgments)
         for row in report.rows:
             assert row.spearman == 1.0
             assert row.kendall == 1.0
@@ -820,13 +829,13 @@ class TestMetaEvaluate:
         values = (0.3, 0.1, 0.8, 0.5)
         scores = {"m": dict(zip("abcd", values))}
         judgments = judgments_from({s: (v, 1 + v, 2 * v) for s, v in zip("abcd", values)})
-        report = meta_evaluate(scores, judgments)
+        report = correlate(scores, judgments)
         assert report.rows[0].pearson == pytest.approx(1.0, abs=1e-12)
 
     def test_adjacent_swap_kendall(self):
         scores = {"m": dict(zip("abcd", (1.0, 3.0, 2.0, 4.0)))}
         judgments = judgments_from({s: (v, v, v) for s, v in zip("abcd", (1.0, 2.0, 3.0, 4.0))})
-        report = meta_evaluate(scores, judgments)
+        report = correlate(scores, judgments)
         assert report.rows[0].kendall == pytest.approx(2 / 3)
 
     def test_intersection_discipline(self):
@@ -834,20 +843,20 @@ class TestMetaEvaluate:
         judgments = judgments_from({
             "a": (1, 1, 1), "b": (2, 2, 2), "c": (3, 3, 3), "ghost": (9, 9, 9),
         })
-        report = meta_evaluate(scores, judgments)
+        report = correlate(scores, judgments)
         assert report.n_systems == 3
 
     def test_fewer_than_two_common_systems(self):
         scores = {"m": {"a": 1.0, "b": 2.0}}
         judgments = judgments_from({"b": (1, 1, 1), "z": (2, 2, 2)})
         with pytest.raises(MetaEvalError):
-            meta_evaluate(scores, judgments)
+            correlate(scores, judgments)
 
     def test_constant_metric_raises_not_zero(self):
         scores = {"m": dict.fromkeys("abc", 0.5)}
         judgments = judgments_from({"a": (1, 1, 1), "b": (2, 2, 2), "c": (3, 3, 3)})
         with pytest.raises(UndefinedCorrelationError, match="metric m against pyramid"):
-            meta_evaluate(scores, judgments)
+            correlate(scores, judgments)
 
     def test_row_order_and_shape(self):
         scores = {
@@ -855,7 +864,7 @@ class TestMetaEvaluate:
             "rouge-2": dict(zip("abc", (1.0, 2.0, 4.0))),
         }
         judgments = judgments_from({"a": (1, 1, 1), "b": (2, 2, 2), "c": (3, 3, 3)})
-        report = meta_evaluate(scores, judgments)
+        report = correlate(scores, judgments)
         assert [(r.metric, r.judgment) for r in report.rows] == [
             (m, j) for m in ("rouge-1", "rouge-2") for j in JUDGMENT_TYPES
         ]
@@ -866,7 +875,7 @@ class TestReports:
     def report(self):
         scores = {"rouge-1": dict(zip("abc", (1.0, 2.0, 3.0)))}
         judgments = judgments_from({"a": (1, 1, 1), "b": (2, 2, 2), "c": (3, 3, 3)})
-        return meta_evaluate(scores, judgments)
+        return correlate(scores, judgments)
 
     def test_csv_shape(self, tmp_path, report):
         csv_path, _ = write_reports(report, tmp_path)

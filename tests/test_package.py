@@ -3,11 +3,12 @@ example and those the benchmark's sample check calls; the names the
 benchmark's tracer and sample check reach into beyond them; no top-level
 import, private top-level name, or attribute of a private class, in the
 package that nothing reads; one module that scores, which both commands go
-through; and a README flags table that lists the scoring commands' options
-as they are."""
+through; one reader that decodes text inputs; and a README flags table that
+lists the scoring commands' options as they are."""
 
 import ast
 import dataclasses
+import importlib.util
 import inspect
 import re
 from pathlib import Path
@@ -219,3 +220,32 @@ def test_one_scoring_driver():
         "score_batch": ["harness.py", "rouge.py"], "match_function": ["harness.py"]}
     assert readers({"cli.py": sources["cli.py"]}, ["encode", "score_batch"]) == {
         "encode": [], "score_batch": []}
+
+
+def test_one_text_reader():
+    """Every text input is decoded by ``textpipe.read_text``, which turns a
+    bad byte into the one ``InputError`` message. Only the vector loaders
+    decode on their own, so that an error keeps its entry and line."""
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in Path(rougewe.__file__).parent.glob("*.py")}
+    assert readers(sources, ["UnicodeDecodeError"]) == {
+        "UnicodeDecodeError": ["embeddings.py", "textpipe.py"]}
+
+
+def test_src_lines_counts_code_without_docstrings_or_comments(tmp_path, capsys):
+    """``tools/src_lines.py`` gives the line counts each change reports."""
+    spec = importlib.util.spec_from_file_location(
+        "src_lines", Path(__file__).parents[1] / "tools" / "src_lines.py")
+    src_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_lines)
+    source = ('"""A module\n\nof two lines."""\n\n# A comment.\nimport os\n\n\n'
+              'def join(*parts):\n    """Join ``parts``."""\n'
+              '    return os.path.join(  # a comment after code\n        *parts,\n    )\n')
+    assert src_lines.count_lines(source) == (13, 5)
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(source, encoding="utf-8")
+    (tmp_path / "pkg" / "b.py").write_text("x = '''\n\n'''\n", encoding="utf-8")
+    assert src_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        " lines   code  module", "    13      5  pkg/a.py", "     3      3  pkg/b.py",
+        "    16      8  total"]

@@ -9,6 +9,7 @@ from rougewe.rouge import RougeVariant
 from rougewe.textpipe import (
     _STRIP_CHARS,
     DEFAULT_CONFIG,
+    InputError,
     TokenizeConfig,
     TokenSequence,
     encode,
@@ -149,9 +150,15 @@ class TestReadText:
     def test_error_offset_counts_the_mark(self, tmp_path):
         path = tmp_path / "f.txt"
         path.write_bytes(BOM + b"ab\xff")
-        with pytest.raises(UnicodeDecodeError) as err:
+        with pytest.raises(InputError) as err:
             read_text(path)
-        assert err.value.start == 5
+        assert str(err.value) == f"file {path} is not valid UTF-8 (byte offset 5)"
+
+    def test_unreadable_file_names_it_as_what(self, tmp_path):
+        with pytest.raises(InputError) as err:
+            read_text(tmp_path, "stopword file")
+        assert str(err.value).startswith(f"unreadable stopword file {tmp_path}: ")
+        assert isinstance(err.value.__cause__, OSError)
 
 
 def ngram_units(seq: TokenSequence, n: int) -> Counter:
