@@ -13,24 +13,33 @@ layouts are supported:
 
 Both loaders hand the file's entries to one build step in blocks of at most
 ``CHUNK_BYTES / 16`` (256 KiB) of float32 rows. The binary loader reads the
-file into one buffer of ``CHUNK_BYTES``, reused for the whole load: one regex
-scan finds the complete entries of each fill, their words are decoded in one
-call, and one numpy gather per block copies their vectors out of the buffer.
-The text loader parses line by line into a reused block. The build step, the
-same for both formats, fails on a NaN or infinity in any row of the file,
-naming its entry or line. Given a ``vocabulary``, it then keeps only the rows
-whose lowercased word is in it: a filtered load is the full load of the file's
-wanted entries, with the same words in file order, bitwise the same vectors,
-and a ``load_summary`` that counts only those rows. It widens only those rows
-to float64, drops zero vectors and applies the key rules in one pass over a
-block's kept rows, in file order.
+file into one buffer of ``CHUNK_BYTES``, reused for the whole load, and does
+its Python work once per fill of the buffer, not once per entry: one regex
+scan gives each complete entry's leading newlines and word as one ``bytes``;
+one join of them and one numpy pass over the separators give every entry's
+offsets; one decode gives the fill's words as one text, from which one
+replace drops their leading newlines; one split of that text gives the words
+of a full load, or, given a ``vocabulary``, one split of its lowercase the
+keys, and one membership pass the wanted rows. Every row of the fill is
+checked in blocks, with one ``np.isfinite(block).all()`` each, and a NaN or
+infinity fails naming its entry; only the wanted rows (every row, without a
+vocabulary) are then gathered out of the buffer and handed on, with their
+words (a filtered load decodes each kept word on its own). The text loader
+parses line by line into a reused block, which the build step checks the same
+way and filters by the vocabulary. Either way a filtered load is the full
+load of the file's wanted entries, with the same words in file order,
+bitwise the same vectors, and a ``load_summary`` that counts only those
+rows. The build step widens only those rows to float64, drops zero
+vectors and applies the key rules in one pass over the rows handed to it, in
+file order.
 Keys are lowercased: an exact repeat of one source form is last-wins,
 distinct forms that collide after lowercasing are first-wins (pre-trained
 files list higher-frequency forms first). Only then are rows copied out,
 renormalized unless already unit norm within 1e-6 (so a loaded table saved
 in the binary layout loads bitwise the same). Peak memory is the kept rows and
-keys, the read buffer and the parsed entries of one fill: about the float32
-payload for a full load, and for a corpus's vocabulary a bound set by CHUNK_BYTES.
+keys, the read buffer and one fill's joined words, their text and its split:
+about the float32 payload for a full load, and for a corpus's vocabulary a
+bound set by CHUNK_BYTES.
 """
 
 from __future__ import annotations
@@ -40,12 +49,10 @@ import os
 import re
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 logger = logging.getLogger(__name__)
 
@@ -157,9 +164,11 @@ class EmbeddingTable:
 class _TableBuilder:
     """Applies the load rules to entries handed over a block at a time.
 
-    A loader passes at most ``rows`` entries per ``take``: their float32
-    vectors as the rows of a block and their words. Every row is checked to
-    be finite; only the rows of wanted keys are widened to float64.
+    A block holds at most ``rows`` float32 vectors as its rows. ``take``
+    checks every row of a block to be finite, then adds the rows of
+    ``wanted`` keys; a loader that checks the rows and picks the wanted ones
+    itself hands only those to ``add``. Only added rows are widened to
+    float64.
     """
 
     def __init__(self, dim: int, vocabulary: Collection[str] | None, capacity: int):
@@ -167,29 +176,31 @@ class _TableBuilder:
         # vector bytes and the finite mask, whatever the size of the file.
         self.rows = max(1, CHUNK_BYTES // (64 * max(1, dim)))
         self.dim = dim
-        self.entries = 0  # entries taken so far
-        self._wanted = None if vocabulary is None else frozenset(vocabulary)
-        if self._wanted is not None:
-            capacity = min(capacity, len(self._wanted))
+        self.entries = 0  # entries ``take`` has checked
+        self.wanted = None if vocabulary is None else frozenset(vocabulary)
+        if self.wanted is not None:
+            capacity = min(capacity, len(self.wanted))
         self._index: dict[str, int] = {}  # every wanted key -> its output row
         self._cased: dict[str, str] = {}  # key -> its first source form, where they differ
         self._matrix = np.empty((capacity, dim), dtype=np.float32)
         self.summary = LoadSummary()
 
     def take(self, block: np.ndarray, words: list[str], where: Callable[[int], str]) -> None:
-        """Check the rows of ``block``, apply the load rules and copy out the
-        wanted rows; ``words`` are the rows' words, ``where(i)`` names row ``i``."""
-        n = len(words)
-        if not n:
-            return
-        bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
-        if bad.size:
-            raise EmbeddingFormatError(f"non-finite vector value at {where(int(bad[0]))}")
-        # The load rules see only the rows of wanted keys, as if the file held
-        # no others; the other rows were only checked to be finite.
-        if self._wanted is not None:
-            keep = list(map(self._wanted.__contains__, map(str.lower, words)))
+        """Check the rows of ``block`` and add those of wanted keys; ``words``
+        are the rows' words, ``where(i)`` names row ``i``."""
+        _check_finite(block, where)
+        self.entries += len(words)
+        if self.wanted is not None:
+            keep = np.fromiter(map(self.wanted.__contains__, map(str.lower, words)), bool,
+                               len(words))
             block, words = block[keep], list(compress(words, keep))
+        self.add(block, words)
+
+    def add(self, block: np.ndarray, words: list[str]) -> None:
+        """Apply the load rules to the finite, wanted rows of ``block`` and copy
+        them out; ``words`` are the rows' words."""
+        if not words:
+            return
         # float32 squares cannot overflow float64, so every norm is finite.
         wide = block.astype(np.float64)
         norms = np.sqrt(np.einsum("ij,ij->i", wide, wide))
@@ -205,7 +216,6 @@ class _TableBuilder:
         off = np.abs(norms[rows] - 1.0) > NORM_TOLERANCE
         slots, rows = slots[off], rows[off]
         self._matrix[slots] = wide[rows] / norms[rows, None]
-        self.entries += n
 
     def _key_rules(self, words: list[str], rows: list[int]) -> dict[int, int]:
         """Apply the key rules to the block's kept ``rows``, in file order.
@@ -236,7 +246,7 @@ class _TableBuilder:
             logger.warning(
                 "embedding load, counted over %s: %d duplicate words (last kept), "
                 "%d case collisions (first kept), %d zero vectors dropped",
-                "the whole file" if self._wanted is None else "the words looked up",
+                "the whole file" if self.wanted is None else "the words looked up",
                 summary.duplicates, summary.case_collisions, summary.zero_dropped,
             )
         # No view of the matrix exists before the table's, so ``take`` grows it
@@ -276,21 +286,31 @@ def load_binary(path: str | Path, vocabulary: Collection[str] | None = None) -> 
     return builder.table()
 
 
+def _check_finite(block: np.ndarray, where: Callable[[int], str]) -> None:
+    """Fail on the first row of ``block`` that holds a NaN or an infinity,
+    naming it ``where(row)``. Only a failing block is searched for its row."""
+    if not np.isfinite(block).all():
+        row = int(np.flatnonzero(~np.isfinite(block).all(axis=1))[0])
+        raise EmbeddingFormatError(f"non-finite vector value at {where(row)}")
+
+
 def _read_entries(fh: BinaryIO, offset: int, count: int, builder: _TableBuilder) -> None:
     """Stream ``count`` binary entries from ``fh`` through ``builder``.
 
     ``offset`` is the file position of the next byte of ``fh``. The file is
     read into one buffer of CHUNK_BYTES, reused for the whole load. One regex
-    scan finds every complete entry of the buffer; the unparsed tail is moved
-    to the front and the rest of the buffer is filled again. The buffer grows
-    only when one entry does not fit in it.
+    scan finds every complete entry of the buffer as one ``bytes`` per entry,
+    its leading newlines and word; the unparsed tail is moved to the front
+    and the rest of the buffer is filled again. The buffer grows only when
+    one entry does not fit in it.
     """
     vector_bytes = 4 * builder.dim
-    # An entry: the newlines before it, its word (matched empty only to report
-    # it), one space and the vector. Where no complete entry starts, the last
-    # alternative takes the rest of the buffer at once, so the matches tile the
-    # buffer and the scan never retries its tail byte by byte.
-    scan = re.compile(rb"(\n*)((?:[^ \n][^ ]*)?) .{%d}|(.+)" % vector_bytes, re.DOTALL).findall
+    # An entry: the newlines before it and its word (matched empty only to
+    # report it) as the one group, then one space and the vector. Where no
+    # complete entry starts, the last alternative takes the rest of the buffer
+    # at once, so the matches tile the buffer and the scan never retries its
+    # tail byte by byte; its group is empty, as an empty word's is.
+    scan = re.compile(rb"([^ ]*) .{%d}|.+" % vector_bytes, re.DOTALL).findall
     buf = bytearray(CHUNK_BYTES)
     held = 0  # bytes of ``buf`` in use; ``buf[0]`` is at file position ``offset``
     done = 0  # entries taken so far
@@ -300,11 +320,10 @@ def _read_entries(fh: BinaryIO, offset: int, count: int, builder: _TableBuilder)
         with memoryview(buf) as view, view[held:] as free:
             got = fh.readinto(free)
         held += got
-        found = scan(buf, 0, held)
-        if found and found[-1][2]:
-            found.pop()
-        end = _take_entries(buf, held, found[:count - done], offset, done, builder)
-        done += min(len(found), count - done)
+        # Joined at once, the scan's list is freed before the words are decoded.
+        end, taken = _take_entries(buf, held, b" ".join(scan(buf, 0, held)), count - done,
+                                   offset, done, builder)
+        done += taken
         if done == count:
             tail = buf[end:held]
             while not tail.strip(b"\n"):
@@ -320,59 +339,100 @@ def _read_entries(fh: BinaryIO, offset: int, count: int, builder: _TableBuilder)
         held -= end
 
 
-def _take_entries(buf: bytearray, held: int, found: list[tuple[bytes, bytes, bytes]],
-                  offset: int, done: int, builder: _TableBuilder) -> int:
-    """Hand the scanned entries ``found`` of ``buf`` to ``builder`` a block at a
-    time and return the end of the last one. ``done`` entries come before them.
+def _take_entries(buf: bytearray, held: int, joined: bytes, left: int, offset: int,
+                  done: int, builder: _TableBuilder) -> tuple[int, int]:
+    """Hand up to ``left`` of the entries the scan found in ``buf[:held]`` to
+    ``builder``; return the end of the last one taken and their count.
+    ``joined`` is the scan's groups joined by spaces, and ``done`` entries
+    come before them.
 
-    An empty or non-UTF-8 word fails after the entries before it are taken,
-    so that a non-finite value in those is reported first.
+    Every row is checked to be finite, one block at a time. Only then are
+    the rows of wanted keys (every row, without a vocabulary) gathered and
+    handed to the builder, at most a block of them at a time, so a filtered
+    load makes no call for a fill without a wanted word. An empty or
+    non-UTF-8 word fails after the entries before it are taken, so that a
+    non-finite value in those is reported first.
     """
-    if not found:
-        return 0
     vector_bytes = 4 * builder.dim
-    words = list(map(itemgetter(1), found))
-    word_len = np.fromiter(map(len, words), np.intp, len(words))
-    ends = np.cumsum(np.fromiter(map(len, map(itemgetter(0), found)), np.intp, len(found))
-                     + word_len + (1 + vector_bytes))
-    vectors = ends - vector_bytes
-    names, error = _decode_words(words, vectors - 1 - word_len, offset, done)
-    if names:
-        windows = sliding_window_view(np.frombuffer(buf, np.uint8, held), vector_bytes)
+    # Words hold no space, so the separators of ``joined`` end its groups.
+    # Group i ends i * vector_bytes bytes further into ``buf`` than into
+    # ``joined``: there each group before it is followed by its space and
+    # vector, here by one separator.
+    ends = np.append(np.flatnonzero(np.frombuffer(joined, np.uint8) == 0x20), len(joined))
+    word_ends = ends + vector_bytes * np.arange(len(ends))
+    stops = word_ends + (1 + vector_bytes)
+    if not joined or joined.endswith(b" "):
+        # An empty last group is the unfinished tail, or an entry with an
+        # empty word that ends the buffer. Either waits for the next fill; the
+        # empty word then fails there, or at the end of the file, as here.
+        stops = stops[:-1]
+    n = min(len(stops), left)
+    if not n:
+        return 0, 0
+    # A full load needs every word; a filtered one, the keys.
+    parts, error = _decode_words(joined[:ends[n - 1]], word_ends, vector_bytes, offset, done,
+                                 lower=builder.wanted is not None)
+    n = len(parts)
+    if not n:  # the first word failed
+        raise error
 
-        def where(row: int) -> str:  # row of the block from entry ``done + i``
-            return f"entry {done + i + row} ({names[i + row]!r})"
+    def name(row: int) -> str:
+        """The word of entry ``done + row``, decoded on its own."""
+        return joined[ends[row - 1] + 1 if row else 0:ends[row]].lstrip(b"\n").decode("utf-8")
 
-        for i in range(0, len(names), builder.rows):
-            j = min(len(names), i + builder.rows)
-            builder.take(windows[vectors[i:j]].view("<f4"), names[i:j], where)
+    # Row i of ``windows`` is the vector_bytes bytes from buf[i] on.
+    windows = np.ndarray((held - vector_bytes + 1, vector_bytes), np.uint8, buf, strides=(1, 1))
+    vectors = stops[:n] - vector_bytes
+    for i in range(0, n, builder.rows):
+        _check_finite(windows[vectors[i:i + builder.rows]].view("<f4"),
+                      lambda row: f"entry {done + i + row} ({name(i + row)!r})")
+    if builder.wanted is None:
+        kept, word = np.arange(n), parts.__getitem__
+    else:
+        kept, word = np.flatnonzero(np.fromiter(map(builder.wanted.__contains__, parts), bool,
+                                                n)), name
+    for i in range(0, len(kept), builder.rows):
+        rows = kept[i:i + builder.rows]
+        builder.add(windows[vectors[rows]].view("<f4"), list(map(word, rows.tolist())))
     if error is not None:
         raise error
-    return int(ends[-1])
+    return int(stops[n - 1]), n
 
 
-def _decode_words(words: list[bytes], starts: Sequence[int], offset: int,
-                  done: int) -> tuple[list[str], EmbeddingFormatError | None]:
-    """Decode ``words`` in one call, up to the first that is empty or not
-    UTF-8, and return them with that word's error. The words are at file
-    positions ``offset + starts`` and follow ``done`` entries."""
-    good = words.index(b"") if b"" in words else len(words)
+def _decode_words(joined: bytes, word_ends: Sequence[int], vector_bytes: int, offset: int,
+                  done: int, lower: bool = False) -> tuple[list[str], EmbeddingFormatError | None]:
+    """Decode the space-separated groups of ``joined``, each an entry's
+    leading newlines and word, up to the first word that is empty or not
+    UTF-8. Return the words without the newlines, lowercased if ``lower``,
+    and that word's error. The groups follow ``done`` entries; group i ends
+    at file position ``offset + word_ends[i]``, and its byte ``joined[j]``
+    is at ``offset + j + i * vector_bytes``."""
     error = None
-    if good < len(words):
-        error = EmbeddingFormatError(
-            f"entry {done + good}: empty word at byte {offset + starts[good]}")
-    joined = b" ".join(words[:good])
     try:
         text = joined.decode("utf-8")
     except UnicodeDecodeError as exc:
         # Words hold no space, so the spaces before the bad byte count the
         # words before its own.
-        good = joined.count(b" ", 0, exc.start)
-        at = offset + starts[good] + exc.start - joined.rfind(b" ", 0, exc.start) - 1
+        bad = joined.count(b" ", 0, exc.start)
         error = EmbeddingFormatError(
-            f"entry {done + good}: word bytes are not valid UTF-8 (byte offset {at})")
+            f"entry {done + bad}: word bytes are not valid UTF-8 "
+            f"(byte offset {offset + exc.start + bad * vector_bytes})")
+        if not bad:
+            return [], error
         text = joined[:exc.start].rpartition(b" ")[0].decode("utf-8")
-    return (text.split(" ") if good else []), error
+    # Drop each word's leading newlines. Most entries start with the one that
+    # ends the entry before, which one replace drops; a regex drops the rest
+    # of a longer run.
+    text = text.lstrip("\n").replace(" \n", " ")
+    if " \n" in text:
+        text = re.sub(" \n+", " ", text)
+    words = (text.lower() if lower else text).split(" ")
+    if "" in words:
+        bad = words.index("")
+        error = EmbeddingFormatError(
+            f"entry {done + bad}: empty word at byte {offset + int(word_ends[bad])}")
+        del words[bad:]
+    return words, error
 
 
 def _raise_truncated(tail: bytes, offset: int, entry: int) -> None:
@@ -383,7 +443,7 @@ def _raise_truncated(tail: bytes, offset: int, entry: int) -> None:
     if space < 0:
         raise EmbeddingTruncationError(f"file ends inside word of entry {entry}",
                                        offset + start)
-    names, error = _decode_words([tail[start:space]], [start], offset, entry)
+    names, error = _decode_words(tail[:space], [space], 0, offset, entry)
     if error is not None:
         raise error
     raise EmbeddingTruncationError(f"file ends inside vector of entry {entry} ({names[0]!r})",

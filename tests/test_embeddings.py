@@ -253,6 +253,26 @@ class TestLoadBinary:
         with pytest.raises(EmbeddingFormatError, match=re.escape(message)):
             load_oracle.load_binary(path)
 
+    @pytest.mark.parametrize("eol", [b"", b"\n"])
+    def test_empty_word_at_every_fill_boundary(self, tmp_path, eol):
+        """Without a newline before it, an empty word's entry scans to an empty
+        group, as the unfinished tail of a fill does. Across chunk sizes the
+        fills end before, inside and just after it, and each load names it
+        as the oracle does."""
+        values = struct.pack("<4f", 1.0, 0.0, 0.0, 0.0)
+        words = [f"w{i:03d}".encode() for i in range(60)]
+        words[41] = b""
+        path = tmp_path / "v.bin"
+        path.write_bytes(b"60 4\n" + b"".join(word + b" " + values + eol for word in words))
+        with pytest.raises(EmbeddingFormatError) as want:
+            load_oracle.load_binary(path)
+        assert re.fullmatch(r"entry 41: empty word at byte \d+", str(want.value))
+        for chunk in range(24, 201):
+            with mock.patch.object(embeddings, "CHUNK_BYTES", chunk):
+                with pytest.raises(EmbeddingFormatError) as got:
+                    load_binary(path)
+            assert str(got.value) == str(want.value), chunk
+
     def test_header_count_beyond_file_size(self, tmp_path):
         path = tmp_path / "v.bin"
         path.write_bytes(b"1000000000000 300\n" + binary_entry("cat", [1.0] * 300))
@@ -401,13 +421,21 @@ class TestSimilarity:
 WORDS = ["cat", "Cat", "CAT", "dog", "Dog", "\u00e9t\u00e9", "\u00c9t\u00e9", "x",
          "\u039f\u0394\u039f\u03a3", "\u039f\u03b4\u03bf\u03c2", "\u0130", "i\u0307",
          "\U00010400", "\U00010428"]
+# Binary files also hold words no text line can: a newline after the first
+# byte, and the Kelvin sign, a 3-byte capital that lowers to the 1-byte "k",
+# with "k" itself, so the two collide as a case pair. A decode that strips
+# every newline, or keys or names sliced as if lowering kept byte lengths,
+# differ from the oracle.
+BINARY_WORDS = [*WORDS, "a\nb", "\u212a", "k"]
 # Word bytes that are not UTF-8, each past the word's first byte: a sequence
 # cut short, a stray continuation byte, and an encoded surrogate.
 NOT_UTF8 = [b"ca\xc3", b"c\x80t", b"x\xed\xa0\x80"]
+# The word of at most one entry of a binary file may be one of these, or empty.
+BAD_WORDS = [*NOT_UTF8, b""]
 
 
 @st.composite
-def vector_entries(draw, max_entries=8):
+def vector_entries(draw, max_entries=8, words=WORDS):
     dim = draw(st.integers(1, 4))
     unit = st.builds(lambda k, sign: [sign * float(i == k) for i in range(dim)],
                      st.integers(0, dim - 1), st.sampled_from([1.0, -1.0]))
@@ -421,7 +449,7 @@ def vector_entries(draw, max_entries=8):
                            any_values, st.integers(0, dim - 1),
                            st.sampled_from([math.nan, math.inf, -math.inf]))
     vector = st.one_of(unit, near_unit, zero, any_values, any_values, non_finite)
-    entries = draw(st.lists(st.tuples(st.sampled_from(WORDS), vector), max_size=max_entries))
+    entries = draw(st.lists(st.tuples(st.sampled_from(words), vector), max_size=max_entries))
     return dim, entries
 
 
@@ -431,7 +459,7 @@ def binary_blob(draw, dim, entries) -> bytes:
     blob = f"{max(declared, 0)} {dim}\n".encode()
     blob += b"\n" * draw(st.integers(0, 2))
     for i, (word, values) in enumerate(entries):
-        raw = draw(st.sampled_from(NOT_UTF8)) if i == bad else word.encode("utf-8")
+        raw = draw(st.sampled_from(BAD_WORDS)) if i == bad else word.encode("utf-8")
         blob += raw + b" " + struct.pack(f"<{dim}f", *values)
         blob += b"\n" * draw(st.integers(0, 2))
     return blob
@@ -505,10 +533,10 @@ def check_against_oracle(path, blob, entries, text, chunk):
         assert np.array_equal(have, ref) if stored_as_found else within_one_ulp(have, ref)
 
 
-def vocabularies():
+def vocabularies(words=WORDS):
     """Corpus vocabularies: lowercased file words, words no file holds, and a
     capitalized token, which matches no key because keys are lowercased."""
-    return st.frozensets(st.sampled_from(sorted({w.lower() for w in WORDS}) + ["absent", "Cat"]))
+    return st.frozensets(st.sampled_from(sorted({w.lower() for w in words}) + ["absent", "Cat"]))
 
 
 def check_filter_against_full(path, blob, text, chunk, vocabulary):
@@ -543,7 +571,7 @@ FILTER_CHUNKS = st.integers(1, 48) | st.integers(64, 2048)
 
 class TestLoadersMatchOracle:
     @settings(max_examples=200, deadline=None)
-    @given(st.data(), vector_entries(), st.integers(1, 48))
+    @given(st.data(), vector_entries(words=BINARY_WORDS), st.integers(1, 48))
     def test_binary(self, data, drawn, chunk):
         dim, entries = drawn
         with tempfile.TemporaryDirectory() as tmp:
@@ -559,26 +587,27 @@ class TestLoadersMatchOracle:
                                  entries, True, chunk)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.data(), vector_entries(max_entries=4), st.integers(1, 24), st.booleans())
-    def test_truncated_at_every_byte(self, data, drawn, chunk, text):
-        dim, entries = drawn
+    @given(st.data(), st.integers(1, 24), st.booleans())
+    def test_truncated_at_every_byte(self, data, chunk, text):
+        dim, entries = data.draw(vector_entries(4, WORDS if text else BINARY_WORDS))
         blob = (text_blob if text else binary_blob)(data.draw, dim, entries)
         with tempfile.TemporaryDirectory() as tmp:
             for cut in range(len(blob) + 1):
                 check_against_oracle(Path(tmp) / "v", blob[:cut], entries, text, chunk)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.data(), vector_entries(max_entries=12), st.integers(64, 2048), st.booleans())
-    def test_multi_row_blocks(self, data, drawn, chunk, text):
+    @given(st.data(), st.integers(64, 2048), st.booleans())
+    def test_multi_row_blocks(self, data, chunk, text):
         """Chunks of 64 B and more give blocks of several rows, so the load
         rules also meet duplicates and collisions inside one block."""
-        dim, entries = drawn
+        dim, entries = data.draw(vector_entries(12, WORDS if text else BINARY_WORDS))
         blob = (text_blob if text else binary_blob)(data.draw, dim, entries)
         with tempfile.TemporaryDirectory() as tmp:
             check_against_oracle(Path(tmp) / "v", blob, entries, text, chunk)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.data(), vector_entries(), FILTER_CHUNKS, vocabularies())
+    @given(st.data(), vector_entries(words=BINARY_WORDS), FILTER_CHUNKS,
+           vocabularies(BINARY_WORDS))
     def test_vocabulary_filter_binary(self, data, drawn, chunk, vocabulary):
         dim, entries = drawn
         with tempfile.TemporaryDirectory() as tmp:
@@ -592,6 +621,18 @@ class TestLoadersMatchOracle:
         with tempfile.TemporaryDirectory() as tmp:
             check_filter_against_full(Path(tmp) / "v.txt", text_blob(data.draw, dim, entries),
                                       True, chunk, vocabulary)
+
+    def test_words_whose_lowercase_changes_length(self, tmp_path):
+        """The binary-only words in a fixed file: keys and names sliced at the
+        words' places in the file's text would shift after the Kelvin sign
+        (3 bytes, lowered to 1) and "\u0130" (1 character, lowered to 2)."""
+        entries = [("\u212a", [1.0, 0.0]), ("cat", [0.0, 1.0]), ("a\nb", [3.0, 4.0]),
+                   ("\u0130", [0.0, -1.0]), ("k", [-1.0, 0.0]), ("dog", [0.6, 0.8])]
+        blob = b"6 2\n" + b"".join(binary_entry(word, values) for word, values in entries)
+        for chunk in (32, embeddings.CHUNK_BYTES):
+            check_against_oracle(tmp_path / "v.bin", blob, entries, False, chunk)
+            check_filter_against_full(tmp_path / "v.bin", blob, False, chunk,
+                                      frozenset({"k", "cat", "a\nb", "dog"}))
 
     @pytest.mark.parametrize("text", [False, True])
     def test_non_finite_reported_before_a_later_format_error(self, tmp_path, text):

@@ -7,16 +7,21 @@ library and what ``perfbench/`` needs. For aesop-exact and aesop-we, each
 with seeds 5 and 7, it makes the inputs with ``perfbench/prepare.py`` in a
 temporary directory, then runs the benchmark's ``meta-eval`` command line
 once with the ``src/`` of a ``git archive`` of REV and once with this
-tree's, both with the same ``--out``. It prints one line per case and exits
-1 if in any case ``report.csv``, ``report.json``, stdout, stderr or the
-exit code differ, either side exits nonzero, or either side writes no
-report: the benchmark's inputs always give a report.
+tree's, both with the same ``--out``. ``meta-eval`` loads only the vectors
+of the corpus's words, so for aesop-we it also loads the whole
+``vectors.bin``, without a vocabulary, on both sides. It prints one line per
+case and exits 1 if in any case ``report.csv``, ``report.json``, stdout,
+stderr or the exit code differ, either side exits nonzero, or either side
+writes no report: the benchmark's inputs always give a report; or if the
+full loads differ in their words in order, the sha256 of their vectors in
+that order, or their load summary.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import json
 import os
 import shutil
 import subprocess
@@ -33,6 +38,20 @@ from workloads import WORKLOADS  # noqa: E402
 
 CASES = [(workload, seed) for workload in ("aesop-exact", "aesop-we") for seed in (5, 7)]
 REPORTS = ("report.csv", "report.json")
+# Prints one JSON line describing the full load of the binary file argv[1].
+FULL_LOAD = """
+import dataclasses, hashlib, json, sys
+from rougewe.embeddings import load_binary
+table = load_binary(sys.argv[1])
+words = list(table.words())
+vectors = hashlib.sha256()
+for word in words:
+    vectors.update(table.lookup(word).tobytes())
+print(json.dumps({"words": len(words),
+                  "words_sha256": hashlib.sha256(json.dumps(words).encode()).hexdigest(),
+                  "vectors_sha256": vectors.hexdigest(),
+                  "load_summary": dataclasses.asdict(table.load_summary)}))
+"""
 OUTPUTS = ("exit code", "stdout", "stderr", *REPORTS)
 MISSING = b"(missing)"
 
@@ -69,6 +88,29 @@ def meta_eval(src: Path, args: list[str], out: Path) -> dict[str, bytes]:
     return outputs
 
 
+def full_load(src: Path, vectors: Path) -> dict[str, object]:
+    """Load all of ``vectors`` with the program in ``src``; what the load
+    gave, or its exit code and stderr."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", FULL_LOAD, str(vectors)], capture_output=True,
+                          stdin=subprocess.DEVNULL, env=env, text=True)
+    if done.returncode != 0:
+        return {"exit code": done.returncode, "stderr": done.stderr[-2000:]}
+    return json.loads(done.stdout)
+
+
+def compare_full_loads(rev_src: Path, vectors: Path) -> list[str]:
+    """The differences between REV's and this tree's full load of ``vectors``."""
+    sides = {"REV": full_load(rev_src, vectors), "tree": full_load(TREE / "src", vectors)}
+    problems = [f"{side} exit code {got['exit code']}: {got['stderr']}"
+                for side, got in sides.items() if "exit code" in got]
+    if not problems:
+        changed = [name for name in sides["REV"] if sides["REV"][name] != sides["tree"][name]]
+        if changed:
+            problems.append(f"different {', '.join(changed)}")
+    return problems
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to compare this tree with")
@@ -96,6 +138,12 @@ def main() -> int:
                 problems.append(f"different {', '.join(changed)}")
             failing += bool(problems)
             print(f"{workload} seed {seed}: {'; '.join(problems) or 'same outputs'}", flush=True)
+            if WORKLOADS[workload].match == "we":
+                problems = compare_full_loads(work / "rev" / "src", inputs / "vectors.bin")
+                failing += bool(problems)
+                same = "same words, vectors and load summary"
+                print(f"{workload} seed {seed} full load: {'; '.join(problems) or same}",
+                      flush=True)
             shutil.rmtree(inputs)
     print(f"{failing} case(s) failing")
     return 1 if failing else 0
