@@ -58,12 +58,12 @@ logger = logging.getLogger(__name__)
 
 NORM_TOLERANCE = 1e-6
 ZERO_NORM_TOLERANCE = 1e-12
-# glibc raises its mmap threshold to the size of the largest mmapped block
-# freed. The binary loader's one read buffer is freed when the load ends,
-# which lifts the threshold to its size, so scoring after the load finds its
-# matrices on the heap: four WE scorings of the aesop-we benchmark corpus
-# after a filtered load took ~1.8k minor page faults, against ~25k with a
-# 1 MiB buffer, whose lower threshold sends larger matrices to fresh mmaps.
+# The binary loader's read buffer. Each fill costs a fixed amount of Python
+# work (one scan, join, decode and split), which a larger buffer spreads over
+# more entries (about 3.5k 300-d entries a fill); a filtered load's peak
+# grows with one fill's words and their text. The allocator thresholds that
+# decide where scoring's arrays come from after a load are the CLI's
+# (``cli._hold_heap``), not this size's.
 CHUNK_BYTES = 1 << 22
 
 

@@ -1,11 +1,18 @@
 import json
+import os
+import platform
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import rougewe
 from rougewe import cli, embeddings, harness, rouge
 from rougewe.cli import DEFAULT_METRICS, main
 from rougewe.embeddings import FORMATS, LoadSummary, load_binary
@@ -1112,6 +1119,124 @@ class TestEmbeddingsInspect:
         assert isinstance(result.exception, SystemExit)
         assert "line 2: not valid UTF-8 (byte offset 7)" in result.output
         assert "Traceback" not in result.output
+
+
+ON_GLIBC = platform.libc_ver()[0] == "glibc"
+# Scores a generated exact corpus of 4 topics, 20 systems and 4 models each
+# twice, the first time after the CLI's heap policy when ARGV[1] is "policy";
+# prints the minor page faults of the second scoring.
+TWICE_SCORED = """
+import resource, sys
+import numpy as np
+from rougewe import cli
+from rougewe.harness import MetricConfig, Topic, encode_corpus, score_corpus
+from rougewe.rouge import RougeVariant
+if sys.argv[1] == "policy" and not cli._hold_heap():
+    sys.exit("heap policy not applied")
+rng = np.random.default_rng(7)
+weights = 1 / np.arange(1, 3001)
+words = np.array([f"w{i}" for i in range(3000)])
+def text():
+    return " ".join(rng.choice(words, 100, p=weights / weights.sum()))
+topics = [Topic(f"t{t}", [(f"m{m}", text()) for m in range(4)],
+                [(f"s{s}", text()) for s in range(20)]) for t in range(4)]
+metrics = [MetricConfig(RougeVariant.parse(name)) for name in ("rouge-1", "rouge-2", "rouge-su4")]
+coding = encode_corpus(topics)
+score_corpus(topics, metrics, coding)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+score_corpus(topics, metrics, coding)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestHeapPolicy:
+    """The CLI fixes glibc's mmap and trim thresholds once, before any command."""
+
+    @pytest.fixture
+    def libc(self, monkeypatch):
+        """A glibc process whose C library records the CLI's calls: the
+        names it opens, and each mallopt call with the signature declared
+        for it, answered with ``mallopt.answer`` (1, glibc's success)."""
+        def mallopt(param, value):
+            libc.calls.append((param, value, mallopt.argtypes, mallopt.restype))
+            return mallopt.answer
+
+        mallopt.answer = 1
+        libc = SimpleNamespace(opened=[], calls=[], mallopt=mallopt)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc.opened.append(name) or libc)
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+        for name in cli._MALLOC_ENV:
+            monkeypatch.delenv(name, raising=False)
+        return libc
+
+    def test_sets_both_thresholds_on_glibc(self, libc):
+        signature = ((cli.ctypes.c_int, cli.ctypes.c_int), cli.ctypes.c_int)
+        assert cli._hold_heap() is True
+        assert libc.opened == [None]
+        assert libc.calls == [(-3, 32 << 20, *signature), (-1, 64 << 20, *signature)]
+
+    def test_refused_mmap_threshold_leaves_trim_alone(self, libc):
+        libc.mallopt.answer = 0
+        assert cli._hold_heap() is False
+        assert [param for param, *_ in libc.calls] == [-3]
+
+    @pytest.mark.skipif(not ON_GLIBC, reason="the policy acts only on glibc")
+    def test_glibc_accepts_both_thresholds(self, monkeypatch):
+        for name in cli._MALLOC_ENV:
+            monkeypatch.delenv(name, raising=False)
+        assert cli._hold_heap() is True
+
+    @staticmethod
+    def _confstr_raising(exc):
+        def confstr(name):
+            raise exc
+        return confstr
+
+    @pytest.mark.parametrize("guard", ["confstr-fails", "unknown-name", "not-glibc", "no-confstr",
+                                       *cli._MALLOC_ENV])
+    def test_guard_calls_nothing(self, libc, monkeypatch, guard):
+        if guard == "confstr-fails":
+            monkeypatch.setattr(os, "confstr", self._confstr_raising(OSError(22, "Invalid")))
+        elif guard == "unknown-name":
+            monkeypatch.setattr(os, "confstr", self._confstr_raising(ValueError(guard)))
+        elif guard == "not-glibc":
+            monkeypatch.setattr(os, "confstr", lambda name: None)
+        elif guard == "no-confstr":
+            monkeypatch.delattr(os, "confstr")
+        else:
+            monkeypatch.setenv(guard, "131072")
+        assert cli._hold_heap() is False
+        assert libc.opened == [] and libc.calls == []
+
+    @pytest.mark.parametrize("command", ["score", "meta-eval", "embeddings inspect"])
+    def test_every_command_applies_it(self, runner, weather_files, tiny_corpus,
+                                      toy_embeddings_text, tmp_path, monkeypatch, command):
+        applied = []
+        monkeypatch.setattr(cli, "_hold_heap", lambda: applied.append(command))
+        corpus, judgments = tiny_corpus
+        args = {
+            "score": ["score", *map(str, weather_files)],
+            "meta-eval": ["meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),
+                          "--out", str(tmp_path / "out")],
+            "embeddings inspect": ["embeddings", "inspect", str(toy_embeddings_text),
+                                   "--format", "text"],
+        }[command]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert applied == [command]
+
+    @pytest.mark.skipif(not ON_GLIBC, reason="the policy acts only on glibc")
+    def test_policy_stops_scoring_from_faulting_pages(self):
+        """Scoring a corpus again reuses the heap the first scoring left:
+        with the policy, it takes under half the minor page faults."""
+        env = {name: value for name, value in os.environ.items() if name not in cli._MALLOC_ENV}
+        env["PYTHONPATH"] = str(Path(rougewe.__file__).parents[1])
+        faults = {side: int(subprocess.run([sys.executable, "-c", TWICE_SCORED, side],
+                                           capture_output=True, text=True, env=env,
+                                           check=True).stdout)
+                  for side in ("policy", "default")}
+        assert faults["policy"] < faults["default"] / 2, faults
+
 
 class TestHelp:
     def test_top_level_help(self, runner):

@@ -14,7 +14,10 @@ case and exits 1 if in any case ``report.csv``, ``report.json``, stdout,
 stderr or the exit code differ, either side exits nonzero, or either side
 writes no report: the benchmark's inputs always give a report; or if the
 full loads differ in their words in order, the sha256 of their vectors in
-that order, or their load summary.
+that order, or their load summary. For each ``meta-eval`` case it also
+prints each side's peak RSS and minor page faults (``ru_maxrss`` and
+``ru_minflt`` from ``os.wait4``); they are for reading only and decide
+nothing.
 """
 
 from __future__ import annotations
@@ -72,20 +75,26 @@ def extract_src(rev: str, dest: Path) -> None:
                 path.write_bytes(tar.extractfile(member).read())
 
 
-def meta_eval(src: Path, args: list[str], out: Path) -> dict[str, bytes]:
-    """Run ``meta-eval`` with the program in ``src``; its outputs by name.
-    ``out`` is emptied first and after."""
+def meta_eval(src: Path, args: list[str], out: Path) -> tuple[dict[str, bytes], str]:
+    """Run ``meta-eval`` with the program in ``src``; its outputs by name,
+    and its peak RSS and minor page faults. ``out`` is emptied first and after."""
     shutil.rmtree(out, ignore_errors=True)
     env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-m", "rougewe.cli", *args], capture_output=True,
-                          stdin=subprocess.DEVNULL, env=env, cwd=out.parent)
-    outputs = {"exit code": str(done.returncode).encode(), "stdout": done.stdout,
-               "stderr": done.stderr}
+    with tempfile.TemporaryFile() as stdout, tempfile.TemporaryFile() as stderr:
+        proc = subprocess.Popen([sys.executable, "-m", "rougewe.cli", *args],
+                                stdin=subprocess.DEVNULL, stdout=stdout, stderr=stderr, env=env,
+                                cwd=out.parent)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        stdout.seek(0)
+        stderr.seek(0)
+        outputs = {"exit code": str(proc.returncode).encode(), "stdout": stdout.read(),
+                   "stderr": stderr.read()}
     for name in REPORTS:
         path = out / name
         outputs[name] = path.read_bytes() if path.is_file() else MISSING
     shutil.rmtree(out, ignore_errors=True)
-    return outputs
+    return outputs, f"{usage.ru_maxrss / 1024:.2f} MB peak RSS, {usage.ru_minflt:,} minor faults"
 
 
 def full_load(src: Path, vectors: Path) -> dict[str, object]:
@@ -127,8 +136,9 @@ def main() -> int:
                            stdin=subprocess.DEVNULL, check=True)
             out = work / "out"
             args = cli_args(WORKLOADS[workload], Prepared(inputs, {}), out)
-            sides = {"REV": meta_eval(work / "rev" / "src", args, out),
-                     "tree": meta_eval(TREE / "src", args, out)}
+            runs = {"REV": meta_eval(work / "rev" / "src", args, out),
+                    "tree": meta_eval(TREE / "src", args, out)}
+            sides = {side: outputs for side, (outputs, _) in runs.items()}
             problems = [f"{side} exit code {outputs['exit code'].decode()}"
                         for side, outputs in sides.items() if outputs["exit code"] != b"0"]
             problems += [f"{side} wrote no {name}" for side, outputs in sides.items()
@@ -138,6 +148,8 @@ def main() -> int:
                 problems.append(f"different {', '.join(changed)}")
             failing += bool(problems)
             print(f"{workload} seed {seed}: {'; '.join(problems) or 'same outputs'}", flush=True)
+            print(f"{workload} seed {seed} memory: "
+                  + "; ".join(f"{side} {memory}" for side, (_, memory) in runs.items()), flush=True)
             if WORKLOADS[workload].match == "we":
                 problems = compare_full_loads(work / "rev" / "src", inputs / "vectors.bin")
                 failing += bool(problems)
