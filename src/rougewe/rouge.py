@@ -7,18 +7,17 @@ Matching never crosses unit types: unigrams pair with unigrams, bigrams
 with bigrams, so the embedding metrics reduce exactly to the classic ones
 when the similarity degenerates to an identity test. A metric is the sum
 of its unit spans: rouge-N's n-grams, or rouge-SU's unigrams and its
-skip-bigrams. Both kinds find a span's units the same way: as integer
-codes built from the summaries' word ids (``textpipe.encode``, which
-numbers a corpus's words once for every metric), counted into one matrix
-over the codes the summaries hold, whose columns run in sorted word-tuple
-order. Under exact matching the references are coded first, and a whole
-batch of candidates is coded by the same steps, finds its columns by a
-table gather or a binary search, and is counted and clipped against them
-at once. Under embedding matching the references and the batch are coded
-together; the columns are read back as word ids, mapped to the table rows
-looked up once per word list, and each side's vectors composed in one
-gather and product (``EmbeddingTable.compose_many``). One ``score_batch``
-call scores a batch of candidates against one topic's references, and its
+skip-bigrams. Both kinds code a span's units of the references and of a
+whole batch of candidates in one pass, as integer codes built from the
+summaries' word ids (``textpipe.encode``, which numbers a corpus's words
+once for every metric), counted into one matrix whose columns, in sorted
+word-tuple order, are the units the references hold under exact matching
+and those any summary holds under embedding matching. Exact matching clips
+every candidate's row against each reference's at once. Embedding matching
+reads the columns back as word ids, maps them to the table rows looked up
+once per word list, and composes each side's vectors in one gather and
+product (``EmbeddingTable.compose_many``). One ``score_batch`` call scores
+a batch of candidates against one topic's references, and its
 per-reference counts become recall, precision and f1 as arrays; a
 candidate's score does not depend on the rest of its batch. The per-pair
 reference definitions are the test suite's oracles.
@@ -133,76 +132,76 @@ class RougeScore:
 
 
 class _UnitCodes:
-    """One unit span of summaries coded as integers, and one count matrix
-    over the codes they hold: the package's only unit finder, for both
-    kinds of matching. A ``rouge-N`` coder codes the n-grams, and a
-    ``rouge-suK`` coder the skip-bigrams within K + 1 places; the unigrams
-    of ROUGE-SU are a ``ROUGE_1`` coder's span.
+    """One unit span of a batch of summaries coded as integers in one pass,
+    and one count matrix over the units its first ``keyed`` summaries hold:
+    the package's only unit finder. A ``rouge-N`` coder codes the n-grams,
+    and a ``rouge-suK`` coder the skip-bigrams within K + 1 places; the
+    unigrams of ROUGE-SU are a ``ROUGE_1`` coder's span. Exact matching
+    keys the references, as a unit no reference holds clips to 0, and
+    embedding matching every summary, as such a unit can still match.
 
     The summaries come as arrays of word ids over one word list in sorted
-    order (``textpipe.encode``). ``words`` holds the ids they use, and
-    ``remap`` numbers those words from 1 by one gather, so the numbering
-    too runs in sorted word order; 0 is a word in none of them. A unit is
-    coded one word at a time: its first word's number is its first rank,
-    and each next word makes the code ``rank * base + word number``, whose
-    rank is its place in that level's ``keys`` (the sorted codes the
-    summaries hold, closed by a sentinel) counted from 1, or 0 when no
-    summary holds it. A code stays below (ranks + 1) * base, so it fits in
-    int64 for any n. A unit's column is its last rank, so the columns run
-    in sorted word-tuple order, the assignment's tie-break. Row i of
-    ``counts`` is summary i's count in each column; column 0, the sink, is
-    0 for every summary, so a unit no summary has lands there and clips
-    to 0.
+    order (``textpipe.encode``). ``words`` holds the ids the keyed
+    summaries use, and ``remap`` numbers those words from 1 by one gather,
+    so the numbering too runs in sorted word order; 0 is a word in none of
+    them. A unit is coded one word at a time: its first word's number is
+    its first rank, and each next word makes the code ``rank * base + word
+    number``, whose rank is its place in that level's ``keys`` (the sorted
+    codes the keyed summaries hold, closed by a sentinel) counted from 1,
+    or 0 when none holds it. A code stays below (ranks + 1) * base, so it
+    fits in int64 for any n. A unit's column is its last rank, so the
+    columns run in sorted word-tuple order, the assignment's tie-break. Row
+    i of ``counts`` is summary i's count in each column; column 0, the
+    sink, is 0 for every summary, so a unit no keyed summary has lands
+    there and clips to 0.
 
-    Candidates are coded against the keys by the same steps. A level's rank
-    is one gather from a dense int32 table over (prefix rank, word id) when
-    the batch's own count matrix is at least the table's size, and a binary
-    search in its keys otherwise. A table is made for one level's lookup
-    and dropped after it, so a batch holds at most one, never larger than
-    its count matrix. No unit outgrows the longest summary coded, and
-    neither do the levels walked or the pads between summaries, whatever
-    n or the skip distance.
+    Each level makes its keys from the keyed summaries' codes, then ranks
+    every code by one gather from a dense int32 table over (prefix rank,
+    word number) when it is no larger than the count matrix of the level's
+    keys for the whole batch, and by a binary search in the keys otherwise.
+    A table is dropped after its level, so a batch holds at most one. No
+    unit outgrows the longest summary coded, nor do the levels walked or
+    the pads between summaries, whatever n or the skip distance.
     """
 
     __slots__ = ("variant", "reach", "words", "remap", "base", "keys", "width", "counts",
                  "totals")
 
-    def __init__(self, summaries: Sequence[np.ndarray], variant: RougeVariant):
+    def __init__(self, summaries: Sequence[np.ndarray], variant: RougeVariant, keyed: int):
         self.variant = variant
         # How far past its first word a unit reaches.
         self.reach = variant.n - 1 if variant.family == "n" else variant.max_skip + 1
-        ids = np.concatenate([_NO_IDS, *summaries], dtype=np.intp)
+        ids = np.concatenate([_NO_IDS, *summaries[:keyed]], dtype=np.intp)
         held = np.zeros(int(ids.max(initial=-1)) + 2, dtype=bool)
         held[ids] = True
         self.words = held.nonzero()[0]
-        # Each word id's number here, 0 for a word no summary holds; the
-        # last entry is 0, and ids past it clip to it.
+        # Each word id's number here, 0 for a word no keyed summary holds;
+        # the last entry is 0, and ids past it clip to it.
         self.remap = np.zeros(len(held), dtype=np.intp)
         self.remap[self.words] = np.arange(1, len(self.words) + 1)
         self.base = np.int64(len(self.words) + 1)
         self.keys: list[np.ndarray] = []
-        cols, lengths = self._columns(summaries, 0)
+        cols, lengths = self._columns(summaries, keyed)
         # The sink and the word columns, or the sink and the last level's ranks.
         self.width = int(len(self.keys[-1]) if self.keys else self.base)
         self.counts = self._count(cols, lengths)
         self.counts[:, 0] = 0
         self.totals = self._totals(lengths)
 
-    def _rank(self, level: int, codes: np.ndarray, budget: int) -> np.ndarray:
-        """Each code's rank at ``level`` (the unit's word ``level``, from 0),
-        0 for a code no summary holds. The first codes to reach a level
-        are the coder's own summaries', and they make its keys."""
-        if level > len(self.keys):
-            # Sorted and deduplicated by hand: under numpy 2.4, np.unique's
-            # hash path costs about 1.5 MB of resident memory on first use.
-            held = np.sort(codes[(codes >= self.base) & (codes % self.base > 0)])
-            # The first code, each code unlike the one before it, the sentinel.
-            self.keys.append(np.concatenate((held[:1], held[1:][held[1:] != held[:-1]],
-                                             _NO_CODES)))
-        keys = self.keys[level - 1]
-        # Prefix ranks run to the previous level's: word ids at level 1.
-        size = (self.base if level == 1 else len(self.keys[level - 2])) * self.base
-        if 4 * size > budget:
+    def _rank(self, codes: np.ndarray, keyed: int, rows: int) -> np.ndarray:
+        """Each code's rank in the keys that the codes at the first ``keyed``
+        positions make, or 0; the batch has ``rows`` summaries."""
+        # Prefix ranks run to the previous level's: word numbers at the first.
+        size = (len(self.keys[-1]) if self.keys else self.base) * self.base
+        held = codes[..., :keyed]
+        # Sorted and deduplicated by hand: under numpy 2.4, np.unique's hash
+        # path costs about 1.5 MB of resident memory on first use.
+        held = np.sort(held[(held >= self.base) & (held % self.base > 0)])
+        # The first code, each code unlike the one before it, the sentinel.
+        keys = np.concatenate((held[:1], held[1:][held[1:] != held[:-1]], _NO_CODES))
+        self.keys.append(keys)
+        # An int32 table against the int64 (rows x keys) count matrix.
+        if size > 2 * rows * len(keys):
             found = np.searchsorted(keys, codes)
             return np.where(keys[found] == codes, found + 1, 0)
         table = np.zeros(size, dtype=np.int32)
@@ -214,7 +213,7 @@ class _UnitCodes:
         spans two summaries, and no more than the longest summary."""
         return min(self.reach, max(lengths.tolist(), default=0))
 
-    def _columns(self, seqs: Sequence[np.ndarray], budget: int) -> tuple[np.ndarray, np.ndarray]:
+    def _columns(self, seqs: Sequence[np.ndarray], keyed: int) -> tuple[np.ndarray, np.ndarray]:
         """The column of every unit window of ``seqs``, as a (windows per
         position × positions) array, and each summary's length.
 
@@ -222,8 +221,9 @@ class _UnitCodes:
         in one array, each followed by ``_pad`` zeros, so no window spans
         two summaries: a window that runs past its summary's end holds a 0
         and lands in the sink. A position belongs to the summary it starts
-        in. The walk through the levels stops once no window is held, which
-        is at the latest at the longest summary's length.
+        in, so the first ``keyed`` summaries' positions, pads included, are
+        the array's ``head``. The levels are walked until no window is held,
+        at the latest to the longest summary's length.
         """
         lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
         # Ids past every word: they clip to the last entry of ``remap``, 0.
@@ -231,15 +231,16 @@ class _UnitCodes:
         ids = self.remap.take(np.concatenate([_NO_IDS, *chain.from_iterable(
             zip(seqs, repeat(pad)))], dtype=np.intp), mode="clip")
         n = len(ids) - len(pad)
+        head = int((lengths[:keyed] + len(pad)).sum())
         rank = ids[:n]
         if self.variant.family == "n":
             for level in range(1, self.variant.n):
                 if not rank.any():
                     break
-                rank = self._rank(level, rank * self.base + ids[level:level + n], budget)
+                rank = self._rank(rank * self.base + ids[level:level + n], head, len(seqs))
             return rank[None], lengths
         pairs = np.array([ids[skip:skip + n] for skip in range(1, len(pad) + 1)], np.int64)
-        return self._rank(1, rank * self.base + pairs.reshape(len(pad), n), budget), lengths
+        return self._rank(rank * self.base + pairs.reshape(len(pad), n), head, len(seqs)), lengths
 
     def _count(self, cols: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """Each summary's count in each column, a (summaries × columns) matrix
@@ -268,24 +269,23 @@ class _UnitCodes:
             words = np.column_stack([words[prefix - 1], last])
         return words
 
-    def overlaps(self, cands: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def overlaps(self, n_refs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each candidate's clipped count against each reference, as a
         (candidates × references) array, and the references' and the
-        candidates' unit totals.
+        candidates' unit totals; the first ``n_refs`` summaries are the
+        references, and the rest the candidates.
 
-        The candidates are counted into one (candidates × columns) matrix,
-        whose size is the budget for the lookup tables. Each reference then
-        takes one element-wise minimum with it, into one reused buffer, and
-        one row sum; no (candidates × references × columns) array is made.
+        Each reference takes one element-wise minimum with the candidates'
+        rows of the count matrix, into one reused buffer, and one row sum;
+        no (candidates × references × columns) array is made.
         """
-        cols, lengths = self._columns(cands, len(cands) * self.width * 8)
-        cand_counts = self._count(cols, lengths)
+        cand_counts = self.counts[n_refs:]
         clipped = np.empty_like(cand_counts)
-        overlaps = np.empty((len(self.counts), len(cands)), dtype=np.int64)
-        for ref_counts, overlap in zip(self.counts, overlaps):
+        overlaps = np.empty((n_refs, len(cand_counts)), dtype=np.int64)
+        for ref_counts, overlap in zip(self.counts[:n_refs], overlaps):
             np.minimum(cand_counts, ref_counts, out=clipped)
             clipped.sum(axis=1, out=overlap)
-        return overlaps.T, self.totals, self._totals(lengths)
+        return overlaps.T, self.totals[:n_refs], self.totals[n_refs:]
 
 
 def _greedy_assign(sims: np.ndarray, ref_counts: np.ndarray, cand_counts: np.ndarray,
@@ -429,13 +429,14 @@ def score_batch(
     holds each word's table row (``EmbeddingTable.rows`` of the list). A
     metric is the sum of its unit spans (Lin 2004): rouge-N's n-grams, or
     rouge-SUK's unigrams and then its skip-bigrams. Each span gives every
-    pair's match count and both sides' unit totals. Under exact matching
-    the references are coded, then the batch against their codes at once,
-    counted into one (candidates × columns) matrix and clipped against each
-    reference in one step. Under embedding matching the references and the
-    batch are coded together; each reference's units are composed once and
-    each candidate's in turn, and a pair costs its product, clip,
-    shared-OOV count and assignment. The spans are summed from 0 in span
+    pair's match count and both sides' unit totals. Each span codes the
+    references and the batch together in one ``_UnitCodes`` pass, keyed by
+    the references under exact matching and by every summary under
+    embedding matching. Under exact matching the batch's rows of that
+    count matrix are clipped against each reference in one step. Under
+    embedding matching each reference's units are composed once and each
+    candidate's in turn, and a pair costs its product, clip, shared-OOV
+    count and assignment. The spans are summed from 0 in span
     order, as one pair's counts are, and the whole batch's scores are
     combined as arrays, each bitwise that of a batch of one.
 
@@ -453,31 +454,30 @@ def score_batch(
     if match.kind == "embedding" and rows is None:
         raise ValueError("embedding matching needs each word's table row")
     shared = {} if shared is None else shared
-    parts = []
+    exact, parts = match.kind == "exact", []
     for span in (variant,) if variant.family == "n" else (ROUGE_1, variant):
         key = (span, match.kind, match.oov_policy)
         if key not in shared:
-            shared[key] = (_UnitCodes(refs, span).overlaps(cands) if match.kind == "exact"
-                           else _soft_counts(refs, cands, span, match, rows))
+            codes = _UnitCodes([*refs, *cands], span, len(refs) + (0 if exact else len(cands)))
+            shared[key] = (codes.overlaps(len(refs)) if exact
+                           else _soft_counts(codes, len(refs), match, rows))
         parts.append(shared[key])
     return _combine(*(sum(part) for part in zip(*parts)), multiref)
 
 
-def _soft_counts(refs: Sequence[np.ndarray], cands: Sequence[np.ndarray], span: RougeVariant,
-                 match: MatchFunction, rows: np.ndarray
+def _soft_counts(codes: _UnitCodes, n_refs: int, match: MatchFunction, rows: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each candidate's soft count against each reference (candidates ×
-    references) over the units of ``span``, coded for the references and
-    candidates together, and the references' and the candidates' unit
-    totals; ``rows`` holds each word id's table row."""
+    references) over the units of ``codes``, keyed by every summary, whose
+    first ``n_refs`` summaries are the references and the rest the
+    candidates, and the references' and the candidates' unit totals;
+    ``rows`` holds each word id's table row."""
     table = match.table
     fallback = match.oov_policy == "exact-fallback"
-    codes = _UnitCodes([*refs, *cands], span)
     # Each word's table row by its number here; the numbers of a unit,
     # sorted, are its words in sorted order, as ``compose`` multiplies them.
     units = np.append(-1, rows[codes.words])[np.sort(codes.units(), axis=1)]
     counts = codes.counts[:, 1:]
-    n_refs = len(refs)
     ref_sides = [_side(units, ref_counts, table) for ref_counts in counts[:n_refs]]
     soft = np.empty((len(counts) - n_refs, n_refs))
     for cand_counts, pair_soft in zip(counts[n_refs:], soft):

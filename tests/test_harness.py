@@ -289,10 +289,10 @@ class TestScoreCorpus:
         write_corpus(tmp_path, {"t1": ({"m1": "a b"}, {"s1": "b c", "s2": "a c"})})
         real = rouge._UnitCodes
 
-        def fail_for_m1(summaries, variant):
+        def fail_for_m1(summaries, variant, keyed):
             if any(summary.tolist() == [0, 1] for summary in summaries):
                 raise RuntimeError("coder bug")
-            return real(summaries, variant)
+            return real(summaries, variant, keyed)
 
         monkeypatch.setattr(rouge, "_UnitCodes", fail_for_m1)
         topics = load_corpus(tmp_path)
@@ -683,24 +683,25 @@ class TestScoreCorpusKeepsNoState:
 
 class TestScoreCorpusMemory:
     def test_exact_batch_stays_near_two_count_matrices(self):
-        # Scoring a batch needs its (systems x columns) counts and one clip
-        # buffer of that size; taking the minimum against every reference at
-        # once would hold four more. Four long references with no word in
-        # common give one column per distinct reference unit, and a dense
-        # (word x word) lookup table would be 8,001 x 8,001 int32 entries,
-        # 256 MB, so every level is searched, for the references and again
-        # for the systems. Over 30 words, four references as long hold about
-        # 8,000 distinct 4-grams but only about 900 bigrams and 7,000
-        # trigrams, so each level's table is below the count matrix: only
-        # the references search, and the systems gather, one table at a time.
+        # Scoring a batch needs its (summaries x columns) counts and one clip
+        # buffer of the systems' rows; taking the minimum against every
+        # reference at once would hold four more. Four long references with
+        # no word in common give one column per distinct reference unit, and
+        # a dense (word x word) lookup table would be 8,001 x 8,001 int32
+        # entries, 256 MB, so every level is searched, once for the
+        # references and the systems together. Over 30 words, four
+        # references as long hold about 8,000 distinct 4-grams but only about
+        # 900 bigrams and 7,000 trigrams, so each level's table is below the
+        # count matrix its keys make, and every level gathers, one table at
+        # a time.
         rng = random.Random(0)
         n_refs, ref_len, n_systems = 4, 2000, 51
         disjoint = [(f"m{r}", " ".join(f"w{r * ref_len + i}" for i in range(ref_len)))
                     for r in range(n_refs)]
         few_words = [(f"m{r}", " ".join(rng.choices([f"w{i}" for i in range(30)], k=ref_len)))
                      for r in range(n_refs)]
-        cases = [(disjoint, "rouge-1", 0), (disjoint, "rouge-2", 2), (disjoint, "rouge-3", 4),
-                 (disjoint, "rouge-su4", 2), (few_words, "rouge-4", 3)]
+        cases = [(disjoint, "rouge-1", 0), (disjoint, "rouge-2", 1), (disjoint, "rouge-3", 2),
+                 (disjoint, "rouge-su4", 1), (few_words, "rouge-4", 0)]
         for refs, name, searches in cases:
             variant = RougeVariant.parse(name)
             vocab = [word for _, text in refs for word in text.split()]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rougewe import rouge
 from rougewe.embeddings import EmbeddingTable
 from rougewe.rouge import (
     ROUGE_1,
@@ -654,47 +655,57 @@ class TestExactEngineMatchesOracle:
         assert type(got) is float
 
     @given(cand=cand_summaries, refs=st.lists(summaries, min_size=1, max_size=3),
-           variant=st.sampled_from(EXACT_VARIANTS), budget=st.sampled_from([0, 2**30]))
+           variant=st.sampled_from(EXACT_VARIANTS), rows=st.sampled_from([0, 2**40]))
     @settings(max_examples=200, deadline=None)
-    def test_unit_stream_is_extract_units(self, cand, refs, variant, budget):
+    def test_unit_stream_is_extract_units(self, cand, refs, variant, rows):
         # The engine's coded units, read back as words, are the oracle's
-        # units: each reference's counts rows, and a candidate's columns,
-        # searched or gathered, summed over the variant's spans: rouge-N's
-        # n-grams, or rouge-SU's unigrams and its skip-bigrams.
+        # units: each reference's counts rows, and the candidate's row of
+        # the coder keyed by the references, summed over the variant's
+        # spans: rouge-N's n-grams, or rouge-SU's unigrams and its
+        # skip-bigrams. Every level is ranked with ``rows`` in place of the
+        # batch's summaries, so by a binary search at 0 and by a table
+        # gather at 2**40, on the same input.
         words, ids = encode_tokens([*refs, cand])
         summaries = [*refs, cand]
         ref_units = [Counter() for _ in refs]
         joint_units = [Counter() for _ in summaries]
         cand_units = Counter()
-        ref_totals, cand_total, joint_totals = 0, 0, 0
-        for span in (variant,) if variant.family == "n" else (ROUGE_1, variant):
-            exact = _UnitCodes(ids[:-1], span)
-            unit_at = column_units(exact, words)
-            assert exact.counts.shape[1] == len(unit_at) + 1
-            # One span a coder: its n-grams, or only its skip-bigrams.
-            assert {len(unit) for unit in unit_at.values()} <= {span.n or 2}
-            for row, found in zip(exact.counts.tolist(), ref_units):
-                assert row[0] == 0
-                found.update({unit_at[c]: k for c, k in enumerate(row) if k})
-            ref_totals += exact.totals
-            cols, lengths = exact._columns(ids[-1:], budget)
-            cand_units.update(unit_at[c] for c in cols.ravel().tolist() if c)
-            cand_total += exact._totals(lengths)
-            # Coded together, as embedding matching codes them, every unit
-            # has a column, and the columns read back through the
-            # vocabulary in sorted word-tuple order.
-            joint = _UnitCodes(ids, span)
-            vocabulary = [words[w] for w in joint.words.tolist()]
-            assert vocabulary == sorted(set().union(*map(set, summaries)))
-            column_words = joint.units()
-            assert len(column_words) + 1 == joint.width
-            for row, found in zip(joint.counts, joint_units):
-                held = np.flatnonzero(row[1:])
-                tuples = [tuple(vocabulary[w - 1] for w in unit)
-                          for unit in column_words[held].tolist()]
-                assert tuples == sorted(tuples)
-                found.update(dict(zip(tuples, row[1 + held].tolist())))
-            joint_totals += joint.totals
+        ref_totals, cand_total, joint_totals, levels = 0, 0, 0, 0
+        rank = _UnitCodes._rank
+
+        def forced(coder, codes, keyed, _):
+            return rank(coder, codes, keyed, rows)
+
+        with (mock.patch.object(_UnitCodes, "_rank", forced),
+              mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search):
+            for span in (variant,) if variant.family == "n" else (ROUGE_1, variant):
+                exact = _UnitCodes(ids, span, len(refs))
+                unit_at = column_units(exact, words)
+                assert exact.counts.shape[1] == len(unit_at) + 1
+                # One span a coder: its n-grams, or only its skip-bigrams.
+                assert {len(unit) for unit in unit_at.values()} <= {span.n or 2}
+                for row, found in zip(exact.counts.tolist(), [*ref_units, cand_units]):
+                    assert row[0] == 0
+                    found.update({unit_at[c]: k for c, k in enumerate(row) if k})
+                ref_totals += exact.totals[:-1]
+                cand_total += exact.totals[-1:]
+                # Keyed by every summary, as embedding matching codes them,
+                # every unit has a column, and the columns read back
+                # through the vocabulary in sorted word-tuple order.
+                joint = _UnitCodes(ids, span, len(ids))
+                vocabulary = [words[w] for w in joint.words.tolist()]
+                assert vocabulary == sorted(set().union(*map(set, summaries)))
+                column_words = joint.units()
+                assert len(column_words) + 1 == joint.width
+                for row, found in zip(joint.counts, joint_units):
+                    held = np.flatnonzero(row[1:])
+                    tuples = [tuple(vocabulary[w - 1] for w in unit)
+                              for unit in column_words[held].tolist()]
+                    assert tuples == sorted(tuples)
+                    found.update(dict(zip(tuples, row[1 + held].tolist())))
+                joint_totals += joint.totals
+                levels += len(exact.keys) + len(joint.keys)
+        assert search.call_count == (levels if rows == 0 else 0)
         assert ref_units == [units(ref, variant) for ref in refs]
         assert ref_totals.tolist() == [units(ref, variant).total() for ref in refs]
         assert cand_units == Counter({unit: k for unit, k in units(cand, variant).items()
@@ -702,6 +713,42 @@ class TestExactEngineMatchesOracle:
         assert cand_total.tolist() == [units(cand, variant).total()]
         assert joint_units == [units(summary, variant) for summary in summaries]
         assert joint_totals.tolist() == [units(s, variant).total() for s in summaries]
+
+    @given(refs=st.lists(summaries, min_size=1, max_size=4), cands=batches(), more=batches(),
+           variant=st.sampled_from(EXACT_VARIANTS))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_coders_are_keyed_by_the_references(self, refs, cands, more, variant):
+        # Under exact matching the coders a batch is scored with, one a
+        # span, are keyed by the references: their words, keys, reference
+        # rows and totals are those of the references scored alone,
+        # whatever candidates the batch holds, and each candidate's row is
+        # the one it gets in a batch of its own.
+        _, ids = encode_tokens([*refs, *cands, *more])
+        n, k = len(refs), len(cands)
+        refs, cands, more = ids[:n], ids[n:n + k], ids[n + k:]
+
+        def coders(batch: list[np.ndarray]) -> list[_UnitCodes]:
+            made = []
+
+            def keep(*args):
+                made.append(_UnitCodes(*args))
+                return made[-1]
+
+            with mock.patch.object(rouge, "_UnitCodes", keep):
+                score_batch(refs, batch, variant, MatchFunction.exact())
+            return made
+
+        alone = coders([])
+        for batch in (cands, cands[::-1], cands + more):
+            singles = [coders([cand]) for cand in batch]
+            for span, (codes, own) in enumerate(zip(coders(batch), alone, strict=True)):
+                assert codes.words.tolist() == own.words.tolist()
+                assert list(map(np.ndarray.tolist, codes.keys)) == list(
+                    map(np.ndarray.tolist, own.keys))
+                assert codes.counts[:n].tolist() == own.counts.tolist()
+                assert codes.totals[:n].tolist() == own.totals.tolist()
+                assert codes.counts[n:].tolist() == [
+                    single[span].counts[-1].tolist() for single in singles]
 
 
 SHARED_METRICS = [ROUGE_1, ROUGE_2, *(RougeVariant("su", max_skip=k) for k in range(5))]
@@ -767,31 +814,30 @@ class TestExactEdgeCases:
     def test_references_shorter_than_n(self):
         words, ids = encode_tokens([seq("a b"), seq("a"), seq(""), seq("a b a b")])
         variant = RougeVariant.parse("rouge-3")
-        codes = _UnitCodes(ids[:3], variant)
+        codes = _UnitCodes(ids, variant, 3)
         # No code reaches a unit's third word, so the sink is the only column.
         assert column_units(codes, words) == {}
-        assert codes.counts.tolist() == [[0], [0], [0]]
+        assert codes.counts.tolist() == [[0], [0], [0], [0]]
         [score] = score_batch(ids[:3], ids[3:], variant, MatchFunction.exact())
         assert (score.recall, score.precision, score.soft_match_count) == (0.0, 0.0, 0.0)
         assert (score.ref_total, score.cand_total) == (0, 2)
 
     def test_lookup_tables_follow_the_batch_budget(self):
-        # Seven bigram columns and a 7 x 7 int32 table (196 bytes): a batch
-        # of one has a 64-byte count matrix and searches, a batch of four
-        # has 256 bytes and gathers from a table made for that batch.
+        # Six words and seven bigram columns: the 7 x 7 int32 table (196
+        # bytes) is made only when the count matrix of the level's eight
+        # keys for the whole batch is at least as large. The references
+        # alone (2 rows of int64, 128 bytes) and a batch of one (3 rows, 192
+        # bytes) search; the batch of four (6 rows, 384 bytes) gathers.
         refs = [seq("a b c d e f"), seq("b c a f")]
         cands = [seq("a b c a f"), seq("x b c"), seq(""), seq("f e d c b a")]
         score, ids = batch_scorer(refs, cands, ROUGE_2, MatchFunction.exact())
         expected = [oracle_rouge_score(cand, refs, ROUGE_2) for cand in cands]
         with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
-            # Each call codes the references too, with no budget: they search
-            # their one level, and the candidates' searches come on top.
-            assert score([]) == []
-            assert search.call_count == 1
-            for batch, searches in ((slice(0, 1), 1), (slice(None), 0), (slice(1, 2), 1)):
+            for batch, searches in ((slice(0), 1), (slice(0, 1), 1), (slice(None), 0),
+                                    (slice(1, 2), 1)):
                 search.reset_mock()
                 assert score(ids[batch]) == expected[batch]
-                assert search.call_count - 1 == searches
+                assert search.call_count == searches
 
     def test_soft_overlap_counts_above_one(self):
         cand = Counter({("a",): 3, ("b",): 1, ("c", "d"): 2, ("e",): 4})
@@ -801,9 +847,9 @@ class TestExactEdgeCases:
 
     def test_columns_span_every_reference(self):
         words, ids = encode_tokens([seq("a b"), seq("c"), seq("c b"), seq("c c")])
-        codes = _UnitCodes(ids[:3], ROUGE_1)
+        codes = _UnitCodes(ids, ROUGE_1, 3)
         assert column_units(codes, words) == {1: ("a",), 2: ("b",), 3: ("c",)}
-        assert codes.counts.tolist() == [[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 1, 1]]
+        assert codes.counts.tolist() == [[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 1, 1], [0, 0, 0, 2]]
         [score] = score_batch(ids[:3], ids[3:], ROUGE_1, MatchFunction.exact())
         assert score.soft_match_count == (0 + 1 + 1) / 3
 

@@ -1,4 +1,4 @@
-"""Check that ``rougewe meta-eval`` gives the same outputs at REV as in this tree.
+"""Check that ``rougewe meta-eval`` and ``score`` give the same outputs at REV as here.
 
     python3 tools/same_outputs.py REV
 
@@ -14,8 +14,11 @@ case and exits 1 if in any case ``report.csv``, ``report.json``, stdout,
 stderr or the exit code differ, either side exits nonzero, or either side
 writes no report: the benchmark's inputs always give a report; or if the
 full loads differ in their words in order, the sha256 of their vectors in
-that order, or their load summary. For each ``meta-eval`` case it also
-prints each side's peak RSS and minor page faults (``ru_maxrss`` and
+that order, or their load summary. Each case also runs ``rougewe score`` of
+the first topic's first system against its model summaries, with the
+case's metric flags, on both sides, and fails if stdout, stderr or the exit
+code differ or either side exits nonzero. For each ``meta-eval`` case it
+also prints each side's peak RSS and minor page faults (``ru_maxrss`` and
 ``ru_minflt`` from ``os.wait4``); they are for reading only and decide
 nothing.
 """
@@ -55,7 +58,8 @@ print(json.dumps({"words": len(words),
                   "vectors_sha256": vectors.hexdigest(),
                   "load_summary": dataclasses.asdict(table.load_summary)}))
 """
-OUTPUTS = ("exit code", "stdout", "stderr", *REPORTS)
+STREAMS = ("exit code", "stdout", "stderr")
+OUTPUTS = (*STREAMS, *REPORTS)
 MISSING = b"(missing)"
 
 
@@ -75,26 +79,56 @@ def extract_src(rev: str, dest: Path) -> None:
                 path.write_bytes(tar.extractfile(member).read())
 
 
-def meta_eval(src: Path, args: list[str], out: Path) -> tuple[dict[str, bytes], str]:
-    """Run ``meta-eval`` with the program in ``src``; its outputs by name,
-    and its peak RSS and minor page faults. ``out`` is emptied first and after."""
-    shutil.rmtree(out, ignore_errors=True)
+def run_cli(src: Path, args: list[str], cwd: Path) -> tuple[dict[str, bytes], str]:
+    """Run ``rougewe`` with the program in ``src``; its exit code, stdout
+    and stderr by name, and its peak RSS and minor page faults."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     with tempfile.TemporaryFile() as stdout, tempfile.TemporaryFile() as stderr:
         proc = subprocess.Popen([sys.executable, "-m", "rougewe.cli", *args],
                                 stdin=subprocess.DEVNULL, stdout=stdout, stderr=stderr, env=env,
-                                cwd=out.parent)
+                                cwd=cwd)
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
         stdout.seek(0)
         stderr.seek(0)
         outputs = {"exit code": str(proc.returncode).encode(), "stdout": stdout.read(),
                    "stderr": stderr.read()}
+    return outputs, f"{usage.ru_maxrss / 1024:.2f} MB peak RSS, {usage.ru_minflt:,} minor faults"
+
+
+def meta_eval(src: Path, args: list[str], out: Path) -> tuple[dict[str, bytes], str]:
+    """Run ``meta-eval`` with the program in ``src``; its outputs by name,
+    and its peak RSS and minor page faults. ``out`` is emptied first and after."""
+    shutil.rmtree(out, ignore_errors=True)
+    outputs, memory = run_cli(src, args, out.parent)
     for name in REPORTS:
         path = out / name
         outputs[name] = path.read_bytes() if path.is_file() else MISSING
     shutil.rmtree(out, ignore_errors=True)
-    return outputs, f"{usage.ru_maxrss / 1024:.2f} MB peak RSS, {usage.ru_minflt:,} minor faults"
+    return outputs, memory
+
+
+def score_args(meta_eval_args: list[str]) -> list[str]:
+    """``rougewe score`` of the first topic's first system against the
+    topic's model summaries, with the metric flags of ``meta_eval_args``
+    (``meta-eval`` and then options that each take one value)."""
+    options = dict(zip(meta_eval_args[1::2], meta_eval_args[2::2]))
+    topic = min(path for path in Path(options.pop("--corpus")).iterdir() if path.is_dir())
+    flags = [arg for name, value in options.items() if name not in ("--judgments", "--out")
+             for arg in (name, value)]
+    return ["score", str(min((topic / "systems").glob("*.txt"))),
+            *map(str, sorted((topic / "models").glob("*.txt"))), *flags]
+
+
+def compare_score(rev_src: Path, args: list[str], cwd: Path) -> list[str]:
+    """The differences between REV's and this tree's ``rougewe score``."""
+    sides = {"REV": run_cli(rev_src, args, cwd)[0], "tree": run_cli(TREE / "src", args, cwd)[0]}
+    problems = [f"{side} exit code {outputs['exit code'].decode()}"
+                for side, outputs in sides.items() if outputs["exit code"] != b"0"]
+    changed = [name for name in STREAMS if sides["REV"][name] != sides["tree"][name]]
+    if changed:
+        problems.append(f"different {', '.join(changed)}")
+    return problems
 
 
 def full_load(src: Path, vectors: Path) -> dict[str, object]:
@@ -150,6 +184,10 @@ def main() -> int:
             print(f"{workload} seed {seed}: {'; '.join(problems) or 'same outputs'}", flush=True)
             print(f"{workload} seed {seed} memory: "
                   + "; ".join(f"{side} {memory}" for side, (_, memory) in runs.items()), flush=True)
+            problems = compare_score(work / "rev" / "src", score_args(args), work)
+            failing += bool(problems)
+            print(f"{workload} seed {seed} score: {'; '.join(problems) or 'same outputs'}",
+                  flush=True)
             if WORKLOADS[workload].match == "we":
                 problems = compare_full_loads(work / "rev" / "src", inputs / "vectors.bin")
                 failing += bool(problems)
