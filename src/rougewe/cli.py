@@ -250,13 +250,12 @@ def score(candidate, references, **settings):
         system = (candidate, read_text(candidate, "candidate file"))
         topic = Topic("references", [(r, read_text(r, "reference file")) for r in references],
                       [system])
-        pairs = score_pairs([topic], config.metrics, *config.code([topic]))
+        scored = score_pairs([topic], config.metrics, *config.code([topic]), REPORT_COMPONENTS)
     except (InputError, MetaEvalError) as exc:
         raise click.ClickException(str(exc)) from exc
     for metric in config.metrics:
-        result = pairs[metric.name][candidate][topic.topic_id]
-        click.echo(f"{metric.name} R={result.recall:.6f} P={result.precision:.6f} "
-                   f"F={result.f1:.6f}")
+        recall, precision, f1 = scored.scores[metric.name][:, 0, 0].tolist()
+        click.echo(f"{metric.name} R={recall:.6f} P={precision:.6f} F={f1:.6f}")
 
 
 @main.command("meta-eval")

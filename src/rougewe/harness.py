@@ -17,14 +17,14 @@ import logging
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .correlation import UndefinedCorrelationError, correlation_triple
 from .embeddings import EmbeddingTable
-from .rouge import (MULTIREF_POLICIES, OOV_POLICIES, MatchFunction, RougeScore, RougeVariant,
-                    score_batch)
+from .rouge import (MULTIREF_POLICIES, OOV_POLICIES, SCORE_FIELDS, MatchFunction, RougeVariant,
+                    score_fields)
 from .textpipe import DEFAULT_CONFIG, InputError, TokenizeConfig, encode, read_text
 
 logger = logging.getLogger(__name__)
@@ -184,24 +184,39 @@ def require_distinct(what: str, names: Sequence[str]) -> None:
                                 f"each {what} needs a distinct name")
 
 
+class PairScores(NamedTuple):
+    """``score_pairs``'s cells, over one system axis, ``systems`` in sorted
+    order, and one topic axis, ``topics`` by id: ``present`` marks the
+    (system, topic) cells with a summary, and ``scores`` holds per metric
+    name a (fields × systems × topics) float64 array, 0.0 in every field of
+    a cell without a summary."""
+
+    systems: list[str]
+    topics: list[str]
+    present: np.ndarray
+    scores: dict[str, np.ndarray]
+
+
 def score_pairs(topics: Sequence[Topic], metrics: Sequence[MetricConfig], coding: Coding,
-                table: EmbeddingTable | None = None
-                ) -> dict[str, dict[str, dict[str, RougeScore | None]]]:
-    """Every system's score on every topic under every metric:
-    ``pairs[metric name][system id][topic id]``, systems in sorted order and
-    topics in ``topic_id`` order, ``None`` where a system has no summary for
-    a topic (logged once, in topic then system order).
+                table: EmbeddingTable | None = None, fields: Sequence[str] | None = None
+                ) -> PairScores:
+    """Every system's score on every topic under every metric, as arrays
+    (``PairScores``): of each metric, the ``RougeScore`` fields named by
+    ``fields``, in that order, or its report component alone when
+    ``fields`` is None; a name that is not a field raises ``ValueError``
+    before anything is scored. A system without a summary for a topic is
+    logged once, in topic then system order.
 
     ``coding`` is ``encode_corpus(topics, ...)`` under the run's
     tokenization: each summary one array of word ids over the corpus's
     sorted word list, whose table rows are looked up once under embedding
     matching, where ``table`` must hold the words' vectors. The topics are
     scored one at a time: for each metric, all of a topic's system summaries
-    are scored against its model summaries in one ``score_batch`` call, and
-    every score is bitwise what ``rouge_score`` gives for that pair. Each
-    unit span of a topic is scored once per match kind and OOV policy, so
-    the unigrams of rouge-1 and every rouge-SU once, and its counts serve
-    every metric that holds it (``score_batch``'s ``shared``, one dict per
+    are scored against its model summaries in one ``score_fields`` call,
+    and every value is bitwise that field of ``rouge_score`` for that pair.
+    Each unit span of a topic is scored once per match kind and OOV policy,
+    so the unigrams of rouge-1 and every rouge-SU once, and its counts serve
+    every metric that holds it (``score_fields``'s ``shared``, one dict per
     topic, dropped after it).
     A batch that fails to score raises ``MetaEvalError`` naming the metric
     and topic, and the model summaries or the system whose summary fails
@@ -214,6 +229,9 @@ def score_pairs(topics: Sequence[Topic], metrics: Sequence[MetricConfig], coding
     """
     if not topics:
         raise ValueError("no topics to score")
+    for name in fields or ():
+        if name not in SCORE_FIELDS:
+            raise ValueError(f"unknown score field {name!r}")
     require_distinct("topic", [t.topic_id for t in topics])
     require_distinct("metric", [m.name for m in metrics])
 
@@ -224,37 +242,44 @@ def score_pairs(topics: Sequence[Topic], metrics: Sequence[MetricConfig], coding
     seqs = {t.topic_id: ([next(ids) for _ in t.model_summaries],
                          {sid: next(ids) for sid, _ in t.system_summaries}) for t in topics}
     system_ids = sorted({sid for t in topics for sid, _ in t.system_summaries})
-    pairs = {metric.name: {system_id: {} for system_id in system_ids} for metric in metrics}
-    for topic in sorted(topics, key=lambda t: t.topic_id):
-        refs, cands = seqs[topic.topic_id]
+    column = {system_id: i for i, system_id in enumerate(system_ids)}
+    topic_ids = sorted(seqs)
+    asked = [(metric.component,) if fields is None else tuple(fields) for metric in metrics]
+    scored = PairScores(system_ids, topic_ids,
+                        np.zeros((len(system_ids), len(topic_ids)), dtype=bool),
+                        {metric.name: np.zeros((len(names), len(system_ids), len(topic_ids)))
+                         for metric, names in zip(metrics, asked)})
+    for t, topic_id in enumerate(topic_ids):
+        refs, cands = seqs[topic_id]
         for system_id in sorted(set(system_ids).difference(cands)):
             logger.warning("system %s has no summary for topic %s; scoring 0",
-                           system_id, topic.topic_id)
+                           system_id, topic_id)
         present = sorted(cands)
+        cells = [column[system_id] for system_id in present]
+        scored.present[cells, t] = True
         batch = [cands[system_id] for system_id in present]
         # The batch's span counts, shared by the metrics that hold each
         # span; a summary scored again alone is given none.
         shared = {}
-        for metric, match in zip(metrics, matches):
+        for metric, match, names in zip(metrics, matches, asked):
             try:
-                scores = score_batch(refs, batch, metric.variant, match, metric.multiref, rows,
-                                     shared)
+                values = score_fields(refs, batch, metric.variant, match, metric.multiref, rows,
+                                      shared, names)
             except Exception as exc:
-                suspects = [(f"topic {topic.topic_id} (model summaries)", [])]
-                suspects += [(f"system {system_id}, topic {topic.topic_id}", [cands[system_id]])
+                suspects = [(f"topic {topic_id} (model summaries)", [])]
+                suspects += [(f"system {system_id}, topic {topic_id}", [cands[system_id]])
                              for system_id in present]
                 for name, alone in suspects:
                     try:
-                        score_batch(refs, alone, metric.variant, match, metric.multiref, rows)
+                        score_fields(refs, alone, metric.variant, match, metric.multiref, rows,
+                                     None, names)
                     except Exception as one:
                         raise MetaEvalError(f"scoring failed for metric {metric.name}, {name}: "
                                             f"{one}") from one
                 raise MetaEvalError(f"scoring failed for metric {metric.name}, topic "
-                                    f"{topic.topic_id} (system summaries): {exc}") from exc
-            scored = dict(zip(present, scores))
-            for system_id, by_topic in pairs[metric.name].items():
-                by_topic[topic.topic_id] = scored.get(system_id)
-    return pairs
+                                    f"{topic_id} (system summaries): {exc}") from exc
+            scored.scores[metric.name][:, cells, t] = values
+    return scored
 
 
 def score_corpus(topics: Sequence[Topic], metrics: Sequence[MetricConfig], coding: Coding,
@@ -262,14 +287,20 @@ def score_corpus(topics: Sequence[Topic], metrics: Sequence[MetricConfig], codin
     """Per-metric mean score of every system over all topics,
     ``means[metric name][system id]`` with systems in sorted order: the mean
     of the metric's report component over the system's ``score_pairs``
-    cells, a missing summary counting 0. Each mean is a sequential sum over
-    topics in ``topic_id`` order, so no input order changes a bit.
+    cells, a missing summary counting 0. The component is folded over the
+    topics in ``topic_id`` order by one element-wise add per topic from 0,
+    then divided by their number: bitwise each system's Python ``sum`` over
+    its topics, so no input order changes a bit. (``np.sum`` over the topic
+    axis would sum pairwise, which changes bits from 8 topics on.)
     """
-    pairs = score_pairs(topics, metrics, coding, table)
-    return {metric.name: {system_id: sum(0.0 if score is None else getattr(score, metric.component)
-                                         for score in by_topic.values()) / len(by_topic)
-                          for system_id, by_topic in pairs[metric.name].items()}
-            for metric in metrics}
+    scored = score_pairs(topics, metrics, coding, table)
+    means = {}
+    for name, (component,) in scored.scores.items():
+        total = np.zeros(len(scored.systems))
+        for column in component.T:
+            total += column
+        means[name] = dict(zip(scored.systems, (total / len(scored.topics)).tolist()))
+    return means
 
 
 @dataclass

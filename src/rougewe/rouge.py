@@ -16,17 +16,20 @@ and those any summary holds under embedding matching. Exact matching clips
 every candidate's row against each reference's at once. Embedding matching
 reads the columns back as word ids, maps them to the table rows looked up
 once per word list, and composes each side's vectors in one gather and
-product (``EmbeddingTable.compose_many``). One ``score_batch`` call scores
-a batch of candidates against one topic's references, and its
-per-reference counts become recall, precision and f1 as arrays; a
-candidate's score does not depend on the rest of its batch. The per-pair
-reference definitions are the test suite's oracles.
+product (``EmbeddingTable.compose_many``). One ``score_fields`` call scores
+a batch of candidates against one topic's references: its per-reference
+counts become every pair's recall, precision and f1 as arrays, and only
+the fields asked for are averaged over the references, into one (fields ×
+candidates) array; a candidate's score does not depend on the rest of its
+batch. ``score_batch`` and ``rouge_score`` wrap it as the per-pair API, one
+``RougeScore`` per candidate. The per-pair reference definitions are the
+test suite's oracles.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from itertools import chain, repeat
 from math import fsum
 from typing import Sequence
@@ -129,6 +132,11 @@ class RougeScore:
     soft_match_count: float
     ref_total: int
     cand_total: int
+
+
+# A score's fields: the planes ``_planes`` makes, in order, of which
+# ``score_fields`` averages those asked for.
+SCORE_FIELDS = tuple(field.name for field in dataclass_fields(RougeScore))
 
 
 class _UnitCodes:
@@ -363,38 +371,36 @@ def _side(units: np.ndarray, counts: np.ndarray, table: EmbeddingTable) -> tuple
     return matrix, counts[held[known]], held[~known]
 
 
-def _row_means(values: np.ndarray) -> list[float]:
+def _row_means(values: np.ndarray) -> np.ndarray:
     """``fmean`` of each row: its ``fsum`` over its length."""
-    return (np.fromiter(map(fsum, values.tolist()), np.float64, len(values))
-            / values.shape[1]).tolist()
+    return np.fromiter(map(fsum, values.tolist()), np.float64, len(values)) / values.shape[1]
 
 
-def _combine(soft: np.ndarray, ref_totals: np.ndarray, cand_totals: np.ndarray,
-             multiref: str) -> list[RougeScore]:
-    """One ``RougeScore`` per candidate from its soft match counts ``soft``
-    against each reference (candidates × references), per the multiref
-    policy (see ``rouge_score``).
+def _planes(soft: np.ndarray, ref_totals: np.ndarray, cand_totals: np.ndarray,
+            multiref: str) -> np.ndarray:
+    """Every pair's ``RougeScore`` fields, one (candidates × references)
+    plane each in ``SCORE_FIELDS`` order, from each candidate's soft match
+    counts ``soft`` against each reference (candidates × references); under
+    ``jackknife`` the last axis runs over the leave-one-out folds instead
+    (see ``rouge_score``).
 
     A count above min(ref total, cand total) fails, naming the first such
     pair. Recall is soft / ref_total, precision soft / cand_total (0.0 for
     a zero total), f1 2 * recall * precision / (recall + precision) (0.0
     for a zero sum): for every pair at once, the IEEE operations of scalar
-    arithmetic. ``average`` then takes each candidate's ``fmean`` over its
-    references. ``jackknife`` first puts in each fold's place the score
-    ``max`` would pick from that fold: the first reference, in index
-    order, with the highest (f1, recall, precision), other than the one
-    left out. One reference is its own mean under both policies.
+    arithmetic. ``jackknife`` puts in each fold's place the pair ``max``
+    would pick from that fold: the first reference, in index order, with
+    the highest (f1, recall, precision), other than the one left out. One
+    reference is its own fold under both policies.
     """
     bound = np.minimum(ref_totals, cand_totals[:, None])
     over = soft > bound + 1e-9
     if over.any():
         cand, ref = np.argwhere(over)[0]
         raise ValueError(f"match count {soft[cand, ref]} exceeds clip bound {bound[cand, ref]}")
-    # Recall, precision, f1, soft count and reference total of every pair,
-    # one (candidates × references) plane each, all averaged in one pass.
-    fields = np.empty((5, *soft.shape))
-    recall, precision, f1 = fields[:3]
-    fields[3], fields[4] = soft, ref_totals
+    planes = np.empty((len(SCORE_FIELDS), *soft.shape))
+    recall, precision, f1 = planes[:3]
+    planes[3], planes[4], planes[5] = soft, ref_totals, cand_totals[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         recall[:] = np.where(ref_totals > 0, soft / ref_totals, 0.0)
         precision[:] = np.where(cand_totals[:, None] > 0, soft / cand_totals[:, None], 0.0)
@@ -405,13 +411,11 @@ def _combine(soft: np.ndarray, ref_totals: np.ndarray, cand_totals: np.ndarray,
         order = np.lexsort((-precision, -recall, -f1), axis=-1)
         left_out = np.arange(soft.shape[1])
         best = np.where(order[:, :1] == left_out, order[:, 1:2], order[:, :1])
-        fields = np.take_along_axis(fields, best[None], axis=2)
-    means, k = _row_means(fields.reshape(-1, fields.shape[2])), len(soft)
-    *means, ref_total = (means[i * k:(i + 1) * k] for i in range(5))
-    return list(map(RougeScore, *means, map(round, ref_total), cand_totals.tolist()))
+        planes = np.take_along_axis(planes, best[None], axis=2)
+    return planes
 
 
-def score_batch(
+def score_fields(
     refs: Sequence[np.ndarray],
     cands: Sequence[np.ndarray],
     variant: RougeVariant,
@@ -419,10 +423,13 @@ def score_batch(
     multiref: str = "average",
     rows: np.ndarray | None = None,
     shared: dict | None = None,
-) -> list[RougeScore]:
+    fields: Sequence[str] = SCORE_FIELDS,
+) -> np.ndarray:
     """Score each candidate against every reference, combined per the
-    multiref policy (see ``rouge_score``); one score per candidate, in
-    order, and none for no candidates.
+    multiref policy (see ``rouge_score``): the ``RougeScore`` fields named
+    by ``fields`` as one (fields × candidates) float64 array, in order, with
+    no candidate column for no candidates. Each value is bitwise the field
+    of the candidate's ``score_batch`` score, an integer total as a float.
 
     Every summary comes as its word ids over one word list in sorted order,
     as ``textpipe.encode`` gives them, and under embedding matching ``rows``
@@ -436,9 +443,11 @@ def score_batch(
     count matrix are clipped against each reference in one step. Under
     embedding matching each reference's units are composed once and each
     candidate's in turn, and a pair costs its product, clip, shared-OOV
-    count and assignment. The spans are summed from 0 in span
-    order, as one pair's counts are, and the whole batch's scores are
-    combined as arrays, each bitwise that of a batch of one.
+    count and assignment. The spans are summed from 0 in span order, as
+    one pair's counts are. Every pair's fields are then made as arrays
+    (``_planes``), and only the fields asked for are averaged, each
+    candidate's ``fsum`` over its references or folds divided by their
+    number: bitwise a batch of one.
 
     ``shared`` is a dict that the caller keeps for one batch of one topic,
     passed to each metric's call that scores that batch. Each span is
@@ -462,7 +471,25 @@ def score_batch(
             shared[key] = (codes.overlaps(len(refs)) if exact
                            else _soft_counts(codes, len(refs), match, rows))
         parts.append(shared[key])
-    return _combine(*(sum(part) for part in zip(*parts)), multiref)
+    planes = _planes(*(sum(part) for part in zip(*parts)), multiref)
+    asked = planes[[SCORE_FIELDS.index(name) for name in fields]]
+    return _row_means(asked.reshape(-1, asked.shape[2])).reshape(len(fields), len(cands))
+
+
+def score_batch(
+    refs: Sequence[np.ndarray],
+    cands: Sequence[np.ndarray],
+    variant: RougeVariant,
+    match: MatchFunction,
+    multiref: str = "average",
+    rows: np.ndarray | None = None,
+    shared: dict | None = None,
+) -> list[RougeScore]:
+    """One ``RougeScore`` per candidate, in order, and none for no
+    candidates: ``score_fields`` of every field, with the same arguments."""
+    means = score_fields(refs, cands, variant, match, multiref, rows, shared).T.tolist()
+    return [RougeScore(*scores, round(ref_total), round(cand_total))
+            for *scores, ref_total, cand_total in means]
 
 
 def _soft_counts(codes: _UnitCodes, n_refs: int, match: MatchFunction, rows: np.ndarray

@@ -256,14 +256,14 @@ class TestScoreCommand:
         # score scores through the corpus driver, so a failing pair is named
         # as meta-eval names it: the candidate is the topic's one system.
         cand, ref = weather_files
-        real = harness.score_batch
+        real = harness.score_fields
 
         def fail_for_candidate(refs, cands, *args):
             if cands:
                 raise RuntimeError("scorer bug")
             return real(refs, cands, *args)
 
-        monkeypatch.setattr(harness, "score_batch", fail_for_candidate)
+        monkeypatch.setattr(harness, "score_fields", fail_for_candidate)
         result = runner.invoke(main, ["score", str(cand), str(ref), "--metrics", "rouge-2",
                                       "--embeddings", str(toy_embeddings_text),
                                       "--embeddings-format", "text", *match])
@@ -368,6 +368,49 @@ class TestMetaEvalCommand:
         # scores decrease s1 > s2 > s3 exactly like the judgments: rho = 1
         assert "1.0000" in result.output
 
+    def test_all_scoring_runs_inside_one_score_corpus_call(self, runner, tiny_corpus, tmp_path,
+                                                           monkeypatch):
+        # The benchmark times the scoring window by rebinding cli's
+        # score_corpus: the corpus is coded and its vectors loaded before
+        # it, every coder and assignment runs inside it, and the means are
+        # folded from arrays, with no per-pair RougeScore.
+        corpus, judgments = tiny_corpus
+        vectors = tmp_path / "vecs.txt"
+        vectors.write_text("".join(f"{word} {i % 3} {i % 2} 1\n"
+                                   for i, word in enumerate("abcdefghwxyz")), encoding="utf-8")
+        events = []
+
+        def logged(event, real):
+            def call(*args, **kwargs):
+                events.append(event)
+                return real(*args, **kwargs)
+            return call
+
+        def window(*args, **kwargs):
+            events.append("enter")
+            try:
+                return real_score_corpus(*args, **kwargs)
+            finally:
+                events.append("exit")
+
+        real_score_corpus = cli.score_corpus
+        monkeypatch.setattr(cli, "score_corpus", window)
+        monkeypatch.setattr(cli, "encode_corpus", logged("encode", cli.encode_corpus))
+        monkeypatch.setattr(embeddings, "load_text", logged("load", embeddings.load_text))
+        for name, event in (("_UnitCodes", "code"), ("_greedy_assign", "assign"),
+                            ("RougeScore", "score object")):
+            monkeypatch.setattr(rouge, name, logged(event, getattr(rouge, name)))
+        result = runner.invoke(main, [
+            "meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),
+            "--out", str(tmp_path / "out"), "--match", "we", "--embeddings", str(vectors),
+            "--embeddings-format", "text",
+        ])
+        assert result.exit_code == 0, result.output
+        assert events.count("enter") == 1
+        start, end = events.index("enter"), events.index("exit")
+        assert events[:start] == ["encode", "load"] and end == len(events) - 1
+        assert set(events[start + 1:end]) == {"code", "assign"}
+
     def test_resolved_config_echoed(self, runner, tiny_corpus, tmp_path):
         corpus, judgments = tiny_corpus
         out = tmp_path / "out"
@@ -434,7 +477,7 @@ class TestMetaEvalCommand:
     def test_scoring_failure_exits_1_without_report(self, runner, tiny_corpus, tmp_path,
                                                       monkeypatch):
         corpus, judgments = tiny_corpus
-        real = harness.score_batch
+        real = harness.score_fields
 
         def fail_for_s2(refs, cands, *args):
             # s2 sits between s1 and s3 in each topic's batch. The corpus's
@@ -444,7 +487,7 @@ class TestMetaEvalCommand:
                 raise RuntimeError("scorer bug")
             return real(refs, cands, *args)
 
-        monkeypatch.setattr(harness, "score_batch", fail_for_s2)
+        monkeypatch.setattr(harness, "score_fields", fail_for_s2)
         out = tmp_path / "out"
         result = runner.invoke(main, [
             "meta-eval", "--corpus", str(corpus), "--judgments", str(judgments),

@@ -15,6 +15,7 @@ from rougewe.embeddings import EmbeddingTable
 from rougewe.harness import (
     JUDGMENT_TYPES,
     MATCH_KINDS,
+    REPORT_COMPONENTS,
     MetaEvalError,
     MetaEvalReport,
     MetricConfig,
@@ -302,17 +303,18 @@ class TestScoreCorpus:
 
     def test_scoring_failure_raises_naming_the_pair(self, tmp_path, monkeypatch):
         write_corpus(tmp_path, {"t1": ({"m1": "a b"}, {"s1": "a b", "s2": "a c", "s3": "b c"})})
-        real = harness.score_batch
+        real = harness.score_fields
         batches = []
 
-        def fail_for_s2(refs, cands, variant, match, multiref="average", rows=None, shared=None):
+        def fail_for_s2(refs, cands, variant, match, multiref="average", rows=None, shared=None,
+                        fields=rouge.SCORE_FIELDS):
             # The corpus's words a, b, c have the ids 0, 1, 2: s2 is [0, 2].
             batches.append(([cand.tolist() for cand in cands], shared))
             if [0, 2] in batches[-1][0]:
                 raise RuntimeError("scorer bug")
-            return real(refs, cands, variant, match, multiref, rows, shared)
+            return real(refs, cands, variant, match, multiref, rows, shared, fields)
 
-        monkeypatch.setattr(harness, "score_batch", fail_for_s2)
+        monkeypatch.setattr(harness, "score_fields", fail_for_s2)
         table = identity_table(["a", "b", "c"])
         topics = load_corpus(tmp_path)
         for metric in (R1, MetricConfig(ROUGE_1, match="we")):
@@ -327,16 +329,22 @@ class TestScoreCorpus:
             assert batches == [([[0, 1], [0, 2], [1, 2]], {}), ([], None), ([[0, 1]], None),
                                ([[0, 2]], None)]
 
+    def test_unknown_field_fails_before_scoring(self, monkeypatch):
+        topics = [Topic("t1", [("m1", "a b")], [("s1", "a c")])]
+        monkeypatch.setattr(harness, "score_fields", None)  # never called
+        with pytest.raises(ValueError, match="^unknown score field 'recal'$"):
+            score_pairs(topics, [R1], encode_corpus(topics), fields=["recall", "recal"])
+
     def test_batch_failure_no_summary_repeats_names_the_topic(self, tmp_path, monkeypatch):
         write_corpus(tmp_path, {"t1": ({"m1": "a b"}, {"s1": "a b", "s2": "a c"})})
-        real = harness.score_batch
+        real = harness.score_fields
 
         def fail_batches(refs, cands, *args):
             if len(cands) > 1:
                 raise RuntimeError("batch bug")
             return real(refs, cands, *args)
 
-        monkeypatch.setattr(harness, "score_batch", fail_batches)
+        monkeypatch.setattr(harness, "score_fields", fail_batches)
         topics = load_corpus(tmp_path)
         for metric in (R1, MetricConfig(ROUGE_1, match="we")):
             with pytest.raises(MetaEvalError, match=rf"metric {metric.name}, topic t1 "
@@ -501,13 +509,21 @@ class TestScoreCorpusDifferential:
         coding = encode_corpus(topics, config)
         assert in_order(score_corpus(topics, metrics, table=table, coding=coding)) == in_order(
             score_pair_by_pair(topics, metrics, table, config=config))
-        # Every cell is its pair's rouge_score, None where the system has no
-        # summary, in metric, system, topic order.
-        pairs = score_pairs(topics, metrics, coding, table)
-        assert [(name, system_id, topic_id, score) for name, by_system in pairs.items()
-                for system_id, by_topic in by_system.items()
-                for topic_id, score in by_topic.items()] == pair_by_pair(topics, metrics, table,
-                                                                         config=config)
+        # Every present cell's recall, precision and f1 are its pair's
+        # rouge_score's, and the missing cells are where the pair-by-pair
+        # list has None, in metric, system, topic order; a missing cell
+        # holds 0.0 in every field.
+        scored = score_pairs(topics, metrics, coding, table, REPORT_COMPONENTS)
+        assert [(name, system_id, topic_id,
+                 tuple(values[:, s, t].tolist()) if scored.present[s, t] else None)
+                for name, values in scored.scores.items()
+                for s, system_id in enumerate(scored.systems)
+                for t, topic_id in enumerate(scored.topics)] == [
+            (name, system_id, topic_id,
+             None if score is None else (score.recall, score.precision, score.f1))
+            for name, system_id, topic_id, score in pair_by_pair(topics, metrics, table,
+                                                                 config=config)]
+        assert not any(values[:, ~scored.present].any() for values in scored.scores.values())
 
     @given(topics=corpora(), metrics=metric_lists(match=st.just("exact")),
            config=st.sampled_from(TOKENIZE_CONFIGS))
@@ -534,6 +550,32 @@ class TestScoreCorpusDifferential:
         shuffled = reorder(topics, shuffle_seed)
         assert in_order(score_corpus(shuffled, metrics, coding=encode_corpus(shuffled))) == (
             in_order(score_corpus(topics, metrics, coding=encode_corpus(topics))))
+
+
+class TestScoreCorpusFold:
+    def test_means_are_the_sequential_fold_over_twelve_topics(self):
+        # Topic i's model holds 3 + i distinct words, s1 one of them and s2
+        # two, so their rouge-1 recalls are 1 / (3 + i) and 2 / (3 + i),
+        # and s3 has a summary on every other topic only. Over twelve
+        # topics a pairwise sum (np.sum's) of such values gives a mean other
+        # than the sequential sum in topic-id order that the means are.
+        topics = [Topic(f"t{i:02d}", [("m1", " ".join(f"w{i}x{j}" for j in range(3 + i)))],
+                        [("s1", f"w{i}x0"), ("s2", f"w{i}x0 w{i}x1")]
+                        + ([("s3", f"w{i}x1 w{i}x2 z")] if i % 2 else []))
+                  for i in range(12)]
+        values = {"s1": [], "s2": [], "s3": []}
+        for topic in topics:
+            models = [tokenize(model) for _, model in topic.model_summaries]
+            for system_id, recalls in values.items():
+                text = dict(topic.system_summaries).get(system_id)
+                recalls.append(0.0 if text is None else rouge_score(
+                    tokenize(text), models, ROUGE_1, MatchFunction.exact()).recall)
+        assert any(sum(v) / len(v) != np.sum(v) / len(v) for v in values.values())
+        # Given in another order, the topics are still folded by id.
+        shuffled = reorder(topics, 0)
+        assert hexed(score_corpus(shuffled, [R1], encode_corpus(shuffled))) == {
+            "rouge-1": [(system_id, float.hex(sum(v) / len(v)))
+                        for system_id, v in values.items()]}
 
 
 # Thirty words with vectors and three without, which exact-fallback matches

@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 import rougewe
-from rougewe import cli, embeddings, rouge
+from rougewe import cli, embeddings, harness, rouge
 
 EXPORTED = ["MatchFunction", "ROUGE_SU4", "RougeVariant", "__version__", "load_binary",
             "rouge_score", "tokenize"]
@@ -33,12 +33,18 @@ def test_every_exported_name_imports_from_the_package():
 
 
 def test_names_the_benchmark_reaches_into():
-    """``perfbench/`` cannot run without these names: its tracer rebinds
-    ``EmbeddingTable.compose``, and its sample check passes ``tokenize`` a
-    ``source_id`` and reads four ``RougeScore`` fields. If one of them goes,
-    what breaks is the tier-1 self-test's traced quick run. ``compose`` is
-    ``compose_many`` of one unit; only its name waits for ROADMAP item 1."""
+    """``perfbench/`` cannot run without these names: its measured process
+    times the scoring window by rebinding ``score_corpus`` in every module
+    that holds ``harness.score_corpus``, of which the CLI calls its own
+    name; its tracer rebinds ``EmbeddingTable.compose``; and its sample
+    check passes ``tokenize`` a ``source_id`` and reads four ``RougeScore``
+    fields. If one of them goes, what breaks is the tier-1 self-test's
+    traced quick run, or, for ``score_corpus``, the timing of every round.
+    ``compose`` is ``compose_many`` of one unit; only its name waits for
+    ROADMAP item 1."""
     missing = []
+    if getattr(cli, "score_corpus", None) is not harness.score_corpus:
+        missing.append("cli's name score_corpus for harness.score_corpus")
     if not callable(getattr(embeddings.EmbeddingTable, "compose", None)):
         missing.append("EmbeddingTable.compose")
     if "source_id" not in inspect.signature(rougewe.tokenize).parameters:
@@ -212,14 +218,15 @@ def test_readers_finds_a_planted_second_driver():
 def test_one_scoring_driver():
     """Only the harness scores and builds matchers: ``score`` and
     ``meta-eval`` both go through it, and the CLI codes nothing itself.
-    ``rouge.py`` reads ``score_batch`` too, as ``rouge_score`` is its batch
-    of one."""
+    ``rouge.py`` reads ``score_fields`` too, as ``score_batch``, the
+    per-pair API, wraps it, and ``rouge_score`` is a batch of one."""
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in Path(rougewe.__file__).parent.glob("*.py")}
-    assert readers(sources, ["score_batch", "match_function"]) == {
-        "score_batch": ["harness.py", "rouge.py"], "match_function": ["harness.py"]}
-    assert readers({"cli.py": sources["cli.py"]}, ["encode", "score_batch"]) == {
-        "encode": [], "score_batch": []}
+    assert readers(sources, ["score_fields", "score_batch", "match_function"]) == {
+        "score_fields": ["harness.py", "rouge.py"], "score_batch": ["rouge.py"],
+        "match_function": ["harness.py"]}
+    assert readers({"cli.py": sources["cli.py"]}, ["encode", "score_fields"]) == {
+        "encode": [], "score_fields": []}
 
 
 def test_one_text_reader():

@@ -19,9 +19,10 @@ from rougewe.rouge import (
     ROUGE_2,
     ROUGE_SU4,
     MatchFunction,
+    RougeScore,
     RougeVariant,
-    _combine,
     _greedy_assign,
+    _planes,
     _UnitCodes,
     _row_means,
     rouge_score,
@@ -355,10 +356,9 @@ class TestRougeVariant:
 
 
 def combine_one(soft: float, ref_total: int, cand_total: int):
-    """``_combine`` of a single pair."""
-    [score] = _combine(np.array([[soft]]), np.array([ref_total]), np.array([cand_total]),
-                       "average")
-    return score
+    """The ``_planes`` of a single pair, as a ``RougeScore``."""
+    planes = _planes(np.array([[soft]]), np.array([ref_total]), np.array([cand_total]), "average")
+    return RougeScore(*planes[:, 0, 0].tolist())
 
 
 class TestRougeScore:
@@ -379,7 +379,7 @@ class TestRougeScore:
         # Every pair is checked, and the first over its bound is named.
         soft = np.array([[1.0, 1.0], [1.0, 2.0]])
         with pytest.raises(ValueError, match="match count 2.0 exceeds clip bound 1"):
-            _combine(soft, np.array([1, 1]), np.array([5, 5]), "average")
+            _planes(soft, np.array([1, 1]), np.array([5, 5]), "average")
 
     def test_identical_pair_rouge2(self):
         s = seq("it is pouring")
@@ -892,7 +892,7 @@ class TestMeanScores:
         rows = data.draw(st.lists(st.lists(st.floats(0.0, 1.0) | st.integers(0, 500),
                                            min_size=width, max_size=width), max_size=6))
         values = np.array(rows, dtype=np.float64).reshape(len(rows), width)
-        assert _row_means(values) == [fmean(row) for row in rows]
+        assert _row_means(values).tolist() == [fmean(row) for row in rows]
 
     @given(values=st.lists(st.floats(0.0, 1.0) | st.integers(0, 10**6), min_size=1, max_size=6))
     def test_fmean_of_list_is_fmean_of_generator(self, values):

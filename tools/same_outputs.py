@@ -7,9 +7,12 @@ library and what ``perfbench/`` needs. For aesop-exact and aesop-we, each
 with seeds 5 and 7, it makes the inputs with ``perfbench/prepare.py`` in a
 temporary directory, then runs the benchmark's ``meta-eval`` command line
 once with the ``src/`` of a ``git archive`` of REV and once with this
-tree's, both with the same ``--out``. ``meta-eval`` loads only the vectors
-of the corpus's words, so for aesop-we it also loads the whole
-``vectors.bin``, without a vocabulary, on both sides. It prints one line per
+tree's, both with the same ``--out``. On seed 5 it also runs that command
+line with flags the benchmark never gives: ``--multiref jackknife
+--report-component f1``, and ``--report-component precision``. ``meta-eval``
+loads only the vectors of the corpus's words, so for aesop-we it also loads
+the whole ``vectors.bin``, without a vocabulary, on both sides, once per
+seed. It prints one line per
 case and exits 1 if in any case ``report.csv``, ``report.json``, stdout,
 stderr or the exit code differ, either side exits nonzero, or either side
 writes no report: the benchmark's inputs always give a report; or if the
@@ -42,7 +45,11 @@ sys.path.insert(0, str(TREE / "perfbench"))
 from run import Prepared, cli_args  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-CASES = [(workload, seed) for workload in ("aesop-exact", "aesop-we") for seed in (5, 7)]
+# Flags added to the benchmark's command line, by seed: none, and on seed 5
+# the multiref policy and report components the benchmark never reaches.
+EXTRA_FLAGS = {5: ([], ["--multiref", "jackknife", "--report-component", "f1"],
+                   ["--report-component", "precision"]),
+               7: ([],)}
 REPORTS = ("report.csv", "report.json")
 # Prints one JSON line describing the full load of the binary file argv[1].
 FULL_LOAD = """
@@ -163,31 +170,33 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         work = Path(tmp)
         extract_src(rev, work / "rev")
-        for workload, seed in CASES:
+        for workload, seed in ((w, s) for w in ("aesop-exact", "aesop-we") for s in EXTRA_FLAGS):
             inputs = work / f"{workload}-s{seed}"
             subprocess.run([sys.executable, str(TREE / "perfbench" / "prepare.py"),
                             str(inputs), workload, str(seed)],
                            stdin=subprocess.DEVNULL, check=True)
             out = work / "out"
-            args = cli_args(WORKLOADS[workload], Prepared(inputs, {}), out)
-            runs = {"REV": meta_eval(work / "rev" / "src", args, out),
-                    "tree": meta_eval(TREE / "src", args, out)}
-            sides = {side: outputs for side, (outputs, _) in runs.items()}
-            problems = [f"{side} exit code {outputs['exit code'].decode()}"
-                        for side, outputs in sides.items() if outputs["exit code"] != b"0"]
-            problems += [f"{side} wrote no {name}" for side, outputs in sides.items()
-                         for name in REPORTS if outputs[name] == MISSING]
-            changed = [name for name in OUTPUTS if sides["REV"][name] != sides["tree"][name]]
-            if changed:
-                problems.append(f"different {', '.join(changed)}")
-            failing += bool(problems)
-            print(f"{workload} seed {seed}: {'; '.join(problems) or 'same outputs'}", flush=True)
-            print(f"{workload} seed {seed} memory: "
-                  + "; ".join(f"{side} {memory}" for side, (_, memory) in runs.items()), flush=True)
-            problems = compare_score(work / "rev" / "src", score_args(args), work)
-            failing += bool(problems)
-            print(f"{workload} seed {seed} score: {'; '.join(problems) or 'same outputs'}",
-                  flush=True)
+            for flags in EXTRA_FLAGS[seed]:
+                case = " ".join([workload, "seed", str(seed), *flags])
+                args = cli_args(WORKLOADS[workload], Prepared(inputs, {}), out) + flags
+                runs = {"REV": meta_eval(work / "rev" / "src", args, out),
+                        "tree": meta_eval(TREE / "src", args, out)}
+                sides = {side: outputs for side, (outputs, _) in runs.items()}
+                problems = [f"{side} exit code {outputs['exit code'].decode()}"
+                            for side, outputs in sides.items() if outputs["exit code"] != b"0"]
+                problems += [f"{side} wrote no {name}" for side, outputs in sides.items()
+                             for name in REPORTS if outputs[name] == MISSING]
+                changed = [name for name in OUTPUTS if sides["REV"][name] != sides["tree"][name]]
+                if changed:
+                    problems.append(f"different {', '.join(changed)}")
+                failing += bool(problems)
+                print(f"{case}: {'; '.join(problems) or 'same outputs'}", flush=True)
+                print(f"{case} memory: "
+                      + "; ".join(f"{side} {memory}" for side, (_, memory) in runs.items()),
+                      flush=True)
+                problems = compare_score(work / "rev" / "src", score_args(args), work)
+                failing += bool(problems)
+                print(f"{case} score: {'; '.join(problems) or 'same outputs'}", flush=True)
             if WORKLOADS[workload].match == "we":
                 problems = compare_full_loads(work / "rev" / "src", inputs / "vectors.bin")
                 failing += bool(problems)
