@@ -25,8 +25,9 @@ checked in blocks, with one ``np.isfinite(block).all()`` each, and a NaN or
 infinity fails naming its entry; only the wanted rows (every row, without a
 vocabulary) are then gathered out of the buffer and handed on, with their
 words (a filtered load decodes each kept word on its own). The text loader
-parses line by line into a reused block, which the build step checks the same
-way and filters by the vocabulary. Either way a filtered load is the full
+parses line by line into a reused block; it checks each row as it is parsed,
+so a NaN or infinity fails naming its line, and keeps only the rows of wanted
+keys. Either way a filtered load is the full
 load of the file's wanted entries, with the same words in file order,
 bitwise the same vectors, and a ``load_summary`` that counts only those
 rows. The build step widens only those rows to float64, drops zero
@@ -48,7 +49,7 @@ import logging
 import os
 import re
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Sequence
 
@@ -162,21 +163,20 @@ class EmbeddingTable:
 
 
 class _TableBuilder:
-    """Applies the load rules to entries handed over a block at a time.
+    """The load rules, applied to rows handed to ``add`` a block at a time.
 
-    A block holds at most ``rows`` float32 vectors as its rows. ``take``
-    checks every row of a block to be finite, then adds the rows of
-    ``wanted`` keys; a loader that checks the rows and picks the wanted ones
-    itself hands only those to ``add``. Only added rows are widened to
-    float64.
+    A block holds at most ``rows`` float32 vectors as its rows. A loader
+    checks every entry's row to be finite and hands over only the rows of
+    ``wanted`` keys (every row, without a vocabulary). Only those rows are
+    widened to float64.
     """
 
     def __init__(self, dim: int, vocabulary: Collection[str] | None, capacity: int):
         # 256 KiB of float32 rows: a block bounds the binary loader's gather of
-        # vector bytes and the finite mask, whatever the size of the file.
+        # vector bytes and the finite mask, and the text loader's parsed rows,
+        # whatever the size of the file.
         self.rows = max(1, CHUNK_BYTES // (64 * max(1, dim)))
         self.dim = dim
-        self.entries = 0  # entries ``take`` has checked
         self.wanted = None if vocabulary is None else frozenset(vocabulary)
         if self.wanted is not None:
             capacity = min(capacity, len(self.wanted))
@@ -184,17 +184,6 @@ class _TableBuilder:
         self._cased: dict[str, str] = {}  # key -> its first source form, where they differ
         self._matrix = np.empty((capacity, dim), dtype=np.float32)
         self.summary = LoadSummary()
-
-    def take(self, block: np.ndarray, words: list[str], where: Callable[[int], str]) -> None:
-        """Check the rows of ``block`` and add those of wanted keys; ``words``
-        are the rows' words, ``where(i)`` names row ``i``."""
-        _check_finite(block, where)
-        self.entries += len(words)
-        if self.wanted is not None:
-            keep = np.fromiter(map(self.wanted.__contains__, map(str.lower, words)), bool,
-                               len(words))
-            block, words = block[keep], list(compress(words, keep))
-        self.add(block, words)
 
     def add(self, block: np.ndarray, words: list[str]) -> None:
         """Apply the load rules to the finite, wanted rows of ``block`` and copy
@@ -249,7 +238,7 @@ class _TableBuilder:
                 "the whole file" if self.wanted is None else "the words looked up",
                 summary.duplicates, summary.case_collisions, summary.zero_dropped,
             )
-        # No view of the matrix exists before the table's, so ``take`` grows it
+        # No view of the matrix exists before the table's, so ``add`` grows it
         # and this trims it to exactly its rows in place.
         matrix = self._matrix
         matrix.resize((len(self._index), self.dim), refcheck=False)
@@ -477,74 +466,63 @@ def load_text(path: str | Path, vocabulary: Collection[str] | None = None) -> Em
     """
     declared: tuple[int, int] | None = None
     builder: _TableBuilder | None = None
-    block = np.empty((0, 0), dtype="<f4")  # the rows of the next take
+    block = np.empty((0, 0), dtype="<f4")  # the kept rows not yet added
     words: list[str] = []
-    linenos: list[int] = []  # the line of each row of the block
-
-    def where(row: int) -> str:
-        return f"line {linenos[row]}"
-
-    def flush() -> None:
-        builder.take(block[:len(words)], words, where)
-        words.clear()
-        linenos.clear()
-
+    entries = 0
     # Values that overflow float32 become infinities and fail as non-finite.
     with open(path, "rb") as fh, np.errstate(over="ignore"):
-        try:
-            for lineno, line in _text_lines(fh):
-                fields = line.split()
-                if lineno == 1 and len(fields) == 2:
-                    try:
-                        declared = (int(fields[0]), int(fields[1]))
-                    except ValueError:
-                        pass
-                    else:
-                        if declared[0] < 0 or declared[1] < 1:
-                            raise EmbeddingFormatError(f"line 1: malformed header {line.strip()!r}")
-                        continue
-                if not fields:
-                    continue
-                word, raw_values = fields[0], fields[1:]
-                if builder is None:
-                    dim = len(raw_values)
-                    if dim < 1:
-                        raise EmbeddingFormatError(f"line {lineno}: no vector values")
-                    if declared is not None and dim != declared[1]:
-                        raise EmbeddingFormatError(
-                            f"line {lineno}: dimension {dim} does not match header {declared[1]}"
-                        )
-                    # An entry takes at least a word and dim spaced values, so
-                    # the file's size caps the rows a header can make us allocate.
-                    capacity = 0 if declared is None else min(
-                        declared[0], os.fstat(fh.fileno()).st_size // (2 * dim + 1))
-                    builder = _TableBuilder(dim, vocabulary, capacity)
-                    block = np.empty((builder.rows, dim), dtype="<f4")
-                if len(raw_values) != builder.dim:
-                    raise EmbeddingFormatError(
-                        f"line {lineno}: expected {builder.dim} values, found {len(raw_values)}"
-                    )
+        for lineno, line in _text_lines(fh):
+            fields = line.split()
+            if lineno == 1 and len(fields) == 2:
                 try:
-                    block[len(words)] = list(map(float, raw_values))
+                    declared = (int(fields[0]), int(fields[1]))
                 except ValueError:
-                    raise EmbeddingFormatError(f"line {lineno}: non-numeric vector value") from None
-                words.append(word)
-                linenos.append(lineno)
-                if len(words) == len(block):
-                    flush()
+                    pass
+                else:
+                    if declared[0] < 0 or declared[1] < 1:
+                        raise EmbeddingFormatError(f"line 1: malformed header {line.strip()!r}")
+                    continue
+            if not fields:
+                continue
+            word, raw_values = fields[0], fields[1:]
             if builder is None:
-                builder = _TableBuilder(declared[1] if declared else 0, vocabulary, 0)
-            flush()
-            if declared is not None and builder.entries != declared[0]:
+                dim = len(raw_values)
+                if dim < 1:
+                    raise EmbeddingFormatError(f"line {lineno}: no vector values")
+                if declared is not None and dim != declared[1]:
+                    raise EmbeddingFormatError(
+                        f"line {lineno}: dimension {dim} does not match header {declared[1]}"
+                    )
+                # An entry takes at least a word and dim spaced values, so
+                # the file's size caps the rows a header can make us allocate.
+                capacity = 0 if declared is None else min(
+                    declared[0], os.fstat(fh.fileno()).st_size // (2 * dim + 1))
+                builder = _TableBuilder(dim, vocabulary, capacity)
+                block = np.empty((builder.rows, dim), dtype="<f4")
+            if len(raw_values) != builder.dim:
                 raise EmbeddingFormatError(
-                    f"header declares {declared[0]} entries but file has {builder.entries}"
+                    f"line {lineno}: expected {builder.dim} values, found {len(raw_values)}"
                 )
-        except EmbeddingFormatError:
-            # A bad value in an earlier line is reported first; when the error
-            # is that value's, this flush raises it again.
-            if builder is not None:
-                flush()
-            raise
+            # Parsed into the block's next free row, which an unwanted entry
+            # leaves free again.
+            row = block[len(words)]
+            try:
+                row[:] = list(map(float, raw_values))
+            except ValueError:
+                raise EmbeddingFormatError(f"line {lineno}: non-numeric vector value") from None
+            if not np.isfinite(row).all():
+                raise EmbeddingFormatError(f"non-finite vector value at line {lineno}")
+            entries += 1
+            if builder.wanted is None or word.lower() in builder.wanted:
+                words.append(word)
+                if len(words) == len(block):
+                    builder.add(block, words)
+                    words.clear()
+    if declared is not None and entries != declared[0]:
+        raise EmbeddingFormatError(f"header declares {declared[0]} entries but file has {entries}")
+    if builder is None:
+        builder = _TableBuilder(declared[1] if declared else 0, vocabulary, 0)
+    builder.add(block[:len(words)], words)
     return builder.table()
 
 

@@ -12,12 +12,17 @@ line with flags the benchmark never gives: ``--multiref jackknife
 --report-component f1``, and ``--report-component precision``. ``meta-eval``
 loads only the vectors of the corpus's words, so for aesop-we it also loads
 the whole ``vectors.bin``, without a vocabulary, on both sides, once per
-seed. It prints one line per
-case and exits 1 if in any case ``report.csv``, ``report.json``, stdout,
-stderr or the exit code differ, either side exits nonzero, or either side
-writes no report: the benchmark's inputs always give a report; or if the
-full loads differ in their words in order, the sha256 of their vectors in
-that order, or their load summary. Each case also runs ``rougewe score`` of
+seed. No workload reads the text layout, so for aesop-we it also writes the
+first TEXT_ENTRIES entries of ``vectors.bin`` as a text file with a header
+line and as one without, and loads each on both sides, in full and filtered
+by the workload's vocabulary; and it loads, in full, a text file whose NaN
+line is followed by a malformed line. It prints one line per case and exits
+1 if in any case ``report.csv``, ``report.json``, stdout, stderr or the exit
+code differ, either side exits nonzero, or either side writes no report: the
+benchmark's inputs always give a report; or if two loads differ in their
+words in order, the sha256 of their vectors in that order, their load
+summary or their error message, or either side fails to load a well-formed
+file or loads the malformed one. Each case also runs ``rougewe score`` of
 the first topic's first system against its model summaries, with the
 case's metric flags, on both sides, and fails if stdout, stderr or the exit
 code differ or either side exits nonzero. For each ``meta-eval`` case it
@@ -33,6 +38,7 @@ import io
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tarfile
@@ -51,11 +57,17 @@ EXTRA_FLAGS = {5: ([], ["--multiref", "jackknife", "--report-component", "f1"],
                    ["--report-component", "precision"]),
                7: ([],)}
 REPORTS = ("report.csv", "report.json")
-# Prints one JSON line describing the full load of the binary file argv[1].
-FULL_LOAD = """
+# Prints one JSON line describing the load of the argv[2] file argv[1], filtered
+# by the JSON word list in the file argv[3] if given: the table, or the error.
+LOAD = """
 import dataclasses, hashlib, json, sys
-from rougewe.embeddings import load_binary
-table = load_binary(sys.argv[1])
+from rougewe.embeddings import EmbeddingFormatError, load_binary, load_text
+vocabulary = json.load(open(sys.argv[3])) if len(sys.argv) > 3 else None
+try:
+    table = (load_text if sys.argv[2] == "text" else load_binary)(sys.argv[1], vocabulary)
+except EmbeddingFormatError as exc:
+    print(json.dumps({"error": str(exc)}))
+    sys.exit()
 words = list(table.words())
 vectors = hashlib.sha256()
 for word in words:
@@ -65,6 +77,12 @@ print(json.dumps({"words": len(words),
                   "vectors_sha256": vectors.hexdigest(),
                   "load_summary": dataclasses.asdict(table.load_summary)}))
 """
+# Entries of ``vectors.bin`` written as text: 23 blocks of the loaders' 218
+# 300-d rows, each load under a second on either side.
+TEXT_ENTRIES = 5000
+# The line of the text file that holds a NaN; the next line is malformed. Both
+# sit in one block of rows.
+NAN_LINE = 100
 STREAMS = ("exit code", "stdout", "stderr")
 OUTPUTS = (*STREAMS, *REPORTS)
 MISSING = b"(missing)"
@@ -138,27 +156,61 @@ def compare_score(rev_src: Path, args: list[str], cwd: Path) -> list[str]:
     return problems
 
 
-def full_load(src: Path, vectors: Path) -> dict[str, object]:
-    """Load all of ``vectors`` with the program in ``src``; what the load
-    gave, or its exit code and stderr."""
+def load(src: Path, args: list[str]) -> dict[str, object]:
+    """Run LOAD on ``args`` with the program in ``src``; what the load gave,
+    or its exit code and stderr."""
     env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-c", FULL_LOAD, str(vectors)], capture_output=True,
+    done = subprocess.run([sys.executable, "-c", LOAD, *args], capture_output=True,
                           stdin=subprocess.DEVNULL, env=env, text=True)
     if done.returncode != 0:
         return {"exit code": done.returncode, "stderr": done.stderr[-2000:]}
     return json.loads(done.stdout)
 
 
-def compare_full_loads(rev_src: Path, vectors: Path) -> list[str]:
-    """The differences between REV's and this tree's full load of ``vectors``."""
-    sides = {"REV": full_load(rev_src, vectors), "tree": full_load(TREE / "src", vectors)}
+def compare_loads(rev_src: Path, args: list[str], fails: bool) -> list[str]:
+    """The differences between REV's and this tree's LOAD of ``args``, and
+    each side's error, or, if the file ``fails`` to load, each side's table."""
+    sides = {"REV": load(rev_src, args), "tree": load(TREE / "src", args)}
     problems = [f"{side} exit code {got['exit code']}: {got['stderr']}"
                 for side, got in sides.items() if "exit code" in got]
     if not problems:
-        changed = [name for name in sides["REV"] if sides["REV"][name] != sides["tree"][name]]
+        problems = [f"{side} loaded the file" if fails else f"{side} {got['error']}"
+                    for side, got in sides.items() if ("error" in got) != fails]
+        rev, tree = sides["REV"], sides["tree"]
+        changed = [name for name in {**rev, **tree} if rev.get(name) != tree.get(name)]
         if changed:
             problems.append(f"different {', '.join(changed)}")
     return problems
+
+
+def write_text_vectors(vectors: Path, root: Path) -> tuple[Path, Path, Path]:
+    """Write the first TEXT_ENTRIES entries of the binary file ``vectors`` as
+    text: with a header line, without one, and with line NAN_LINE's first
+    value made a NaN and the next line's last value not a number."""
+    with open(vectors, "rb") as fh:
+        dim = int(fh.readline().split()[1])
+        data = fh.read(TEXT_ENTRIES * (4 * dim + 64))
+    lines: list[str] = []
+    pos = 0
+    while len(lines) < TEXT_ENTRIES:
+        while data[pos:pos + 1] == b"\n":
+            pos += 1
+        space = data.find(b" ", pos)
+        if space < 0 or space + 1 + 4 * dim > len(data):
+            break
+        values = struct.unpack_from(f"<{dim}f", data, space + 1)
+        lines.append(" ".join([data[pos:space].decode("utf-8"), *map(repr, values)]))
+        pos = space + 1 + 4 * dim
+    headed, headerless, broken = root / "headed.txt", root / "headerless.txt", root / "broken.txt"
+    headed.write_text(f"{len(lines)} {dim}\n" + "".join(f"{line}\n" for line in lines),
+                      encoding="utf-8")
+    headerless.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    bad = lines[:NAN_LINE + 1]
+    word, _, values = bad[NAN_LINE - 1].partition(" ")
+    bad[NAN_LINE - 1] = f"{word} nan {values.partition(' ')[2]}"
+    bad[NAN_LINE] = bad[NAN_LINE].rpartition(" ")[0] + " oops"
+    broken.write_text("".join(f"{line}\n" for line in bad), encoding="utf-8")
+    return headed, headerless, broken
 
 
 def main() -> int:
@@ -198,11 +250,22 @@ def main() -> int:
                 failing += bool(problems)
                 print(f"{case} score: {'; '.join(problems) or 'same outputs'}", flush=True)
             if WORKLOADS[workload].match == "we":
-                problems = compare_full_loads(work / "rev" / "src", inputs / "vectors.bin")
-                failing += bool(problems)
-                same = "same words, vectors and load summary"
-                print(f"{workload} seed {seed} full load: {'; '.join(problems) or same}",
-                      flush=True)
+                vocabulary = work / "vocabulary.json"
+                vocabulary.write_text(json.dumps(json.loads(
+                    (inputs / "expected.json").read_text(encoding="utf-8"))["vocab"]))
+                headed, headerless, broken = write_text_vectors(inputs / "vectors.bin", work)
+                loads = {"full load": ([str(inputs / "vectors.bin"), "binary"], False)}
+                for path in (headed, headerless):
+                    loads[f"text {path.stem} full load"] = ([str(path), "text"], False)
+                    loads[f"text {path.stem} filtered load"] = (
+                        [str(path), "text", str(vocabulary)], False)
+                loads["text NaN-then-malformed load"] = ([str(broken), "text"], True)
+                for name, (load_args, fails) in loads.items():
+                    problems = compare_loads(work / "rev" / "src", load_args, fails)
+                    failing += bool(problems)
+                    same = "same error" if fails else "same words, vectors and load summary"
+                    print(f"{workload} seed {seed} {name}: {'; '.join(problems) or same}",
+                          flush=True)
             shutil.rmtree(inputs)
     print(f"{failing} case(s) failing")
     return 1 if failing else 0
