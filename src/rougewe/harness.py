@@ -211,18 +211,18 @@ def score_pairs(topics: Sequence[Topic], metrics: Sequence[MetricConfig], coding
     tokenization: each summary one array of word ids over the corpus's
     sorted word list, whose table rows are looked up once under embedding
     matching, where ``table`` must hold the words' vectors. The topics are
-    scored one at a time: for each metric, all of a topic's system summaries
-    are scored against its model summaries in one ``score_fields`` call,
-    and every value is bitwise that field of ``rouge_score`` for that pair.
-    Each unit span of a topic is scored once per match kind and OOV policy,
-    so the unigrams of rouge-1 and every rouge-SU once, and its counts serve
-    every metric that holds it (``score_fields``'s ``shared``, one dict per
-    topic, dropped after it).
-    A batch that fails to score raises ``MetaEvalError`` naming the metric
-    and topic, and the model summaries or the system whose summary fails
-    when scored alone, chained from the cause (the references and then each
-    summary are scored again on their own, with nothing shared, to find
-    it): a zero in its place would bias the correlations without a trace.
+    scored one at a time: all of a topic's system summaries are scored
+    against its model summaries under every metric in one ``score_fields``
+    call, which scores each unit span once per match kind and OOV policy
+    (the unigrams of rouge-1 and every rouge-SU once), and every value is
+    bitwise that field of ``rouge_score`` for that pair.
+    A topic that fails to score raises ``MetaEvalError`` naming the first
+    metric, in ``metrics`` order, whose batch fails when scored alone, the
+    topic, and the model summaries or the system whose summary fails when
+    scored alone under that metric, chained from the cause (the references
+    and then each summary are scored again on their own to find it): a zero
+    in its place would bias the correlations without a trace. When no
+    metric's batch fails alone, the error names the topic alone.
     Two metrics with the same name would share one set of report rows, and
     two topics with the same id one set of summaries, so either raises
     ``MetaEvalError`` too (``require_distinct``), before anything is scored.
@@ -235,7 +235,8 @@ def score_pairs(topics: Sequence[Topic], metrics: Sequence[MetricConfig], coding
     require_distinct("topic", [t.topic_id for t in topics])
     require_distinct("metric", [m.name for m in metrics])
 
-    matches = [metric.match_function(table) for metric in metrics]
+    specs = [(metric.variant, metric.match_function(table), metric.multiref,
+              (metric.component,) if fields is None else tuple(fields)) for metric in metrics]
     rows = table.rows(coding[0]) if any(m.match == "we" for m in metrics) else None
     ids = iter(coding[1])  # in ``encode_corpus`` order
     # Each topic's model summaries, and its system summaries by system id.
@@ -244,11 +245,10 @@ def score_pairs(topics: Sequence[Topic], metrics: Sequence[MetricConfig], coding
     system_ids = sorted({sid for t in topics for sid, _ in t.system_summaries})
     column = {system_id: i for i, system_id in enumerate(system_ids)}
     topic_ids = sorted(seqs)
-    asked = [(metric.component,) if fields is None else tuple(fields) for metric in metrics]
     scored = PairScores(system_ids, topic_ids,
                         np.zeros((len(system_ids), len(topic_ids)), dtype=bool),
                         {metric.name: np.zeros((len(names), len(system_ids), len(topic_ids)))
-                         for metric, names in zip(metrics, asked)})
+                         for metric, (*_, names) in zip(metrics, specs)})
     for t, topic_id in enumerate(topic_ids):
         refs, cands = seqs[topic_id]
         for system_id in sorted(set(system_ids).difference(cands)):
@@ -258,28 +258,34 @@ def score_pairs(topics: Sequence[Topic], metrics: Sequence[MetricConfig], coding
         cells = [column[system_id] for system_id in present]
         scored.present[cells, t] = True
         batch = [cands[system_id] for system_id in present]
-        # The batch's span counts, shared by the metrics that hold each
-        # span; a summary scored again alone is given none.
-        shared = {}
-        for metric, match, names in zip(metrics, matches, asked):
-            try:
-                values = score_fields(refs, batch, metric.variant, match, metric.multiref, rows,
-                                      shared, names)
-            except Exception as exc:
-                suspects = [(f"topic {topic_id} (model summaries)", [])]
-                suspects += [(f"system {system_id}, topic {topic_id}", [cands[system_id]])
-                             for system_id in present]
-                for name, alone in suspects:
-                    try:
-                        score_fields(refs, alone, metric.variant, match, metric.multiref, rows,
-                                     None, names)
-                    except Exception as one:
-                        raise MetaEvalError(f"scoring failed for metric {metric.name}, {name}: "
-                                            f"{one}") from one
-                raise MetaEvalError(f"scoring failed for metric {metric.name}, topic "
-                                    f"{topic_id} (system summaries): {exc}") from exc
-            scored.scores[metric.name][:, cells, t] = values
+        try:
+            values = score_fields(refs, batch, specs, rows)
+        except Exception as exc:
+            # The first metric whose batch fails alone, and under it the
+            # first of these that fails alone, or else the batch.
+            suspects = [(f"topic {topic_id} (model summaries)", [])] + [
+                (f"system {sid}, topic {topic_id}", [cands[sid]]) for sid in present]
+            for metric, spec in zip(metrics, specs):
+                if (err := _failure(refs, batch, spec, rows)) is not None:
+                    for name, alone in suspects:
+                        if (one := _failure(refs, alone, spec, rows)) is not None:
+                            raise MetaEvalError(f"scoring failed for metric {metric.name}, "
+                                                f"{name}: {one}") from one
+                    raise MetaEvalError(f"scoring failed for metric {metric.name}, topic "
+                                        f"{topic_id} (system summaries): {err}") from err
+            raise MetaEvalError(f"scoring failed for topic {topic_id}: {exc}") from exc
+        for metric, value in zip(metrics, values):
+            scored.scores[metric.name][:, cells, t] = value
     return scored
+
+
+def _failure(refs: list, cands: list, spec: tuple, rows: np.ndarray | None) -> Exception | None:
+    """What scoring ``cands`` against ``refs`` under the one metric ``spec``
+    (a ``score_fields`` metric) raises, or None when it scores."""
+    try:
+        score_fields(refs, cands, [spec], rows)
+    except Exception as exc:
+        return exc
 
 
 def score_corpus(topics: Sequence[Topic], metrics: Sequence[MetricConfig], coding: Coding,

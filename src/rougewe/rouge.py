@@ -17,13 +17,14 @@ every candidate's row against each reference's at once. Embedding matching
 reads the columns back as word ids, maps them to the table rows looked up
 once per word list, and composes each side's vectors in one gather and
 product (``EmbeddingTable.compose_many``). One ``score_fields`` call scores
-a batch of candidates against one topic's references: its per-reference
-counts become every pair's recall, precision and f1 as arrays, and only
-the fields asked for are averaged over the references, into one (fields ×
-candidates) array; a candidate's score does not depend on the rest of its
-batch. ``score_batch`` and ``rouge_score`` wrap it as the per-pair API, one
-``RougeScore`` per candidate. The per-pair reference definitions are the
-test suite's oracles.
+a batch of candidates against one topic's references under every metric
+asked for, each span once: its per-reference counts become every pair's
+recall, precision and f1 as arrays, and only the fields asked for are
+averaged over the references, into one (fields × candidates) array per
+metric; a candidate's score depends neither on the rest of its batch nor
+on the other metrics. ``score_batch`` and ``rouge_score`` wrap it as the
+one-metric per-pair API, one ``RougeScore`` per candidate. The per-pair
+reference definitions are the test suite's oracles.
 """
 
 from __future__ import annotations
@@ -418,62 +419,61 @@ def _planes(soft: np.ndarray, ref_totals: np.ndarray, cand_totals: np.ndarray,
 def score_fields(
     refs: Sequence[np.ndarray],
     cands: Sequence[np.ndarray],
-    variant: RougeVariant,
-    match: MatchFunction,
-    multiref: str = "average",
+    metrics: Sequence[tuple[RougeVariant, MatchFunction, str, Sequence[str]]],
     rows: np.ndarray | None = None,
-    shared: dict | None = None,
-    fields: Sequence[str] = SCORE_FIELDS,
-) -> np.ndarray:
-    """Score each candidate against every reference, combined per the
-    multiref policy (see ``rouge_score``): the ``RougeScore`` fields named
-    by ``fields`` as one (fields × candidates) float64 array, in order, with
-    no candidate column for no candidates. Each value is bitwise the field
-    of the candidate's ``score_batch`` score, an integer total as a float.
+) -> list[np.ndarray]:
+    """Score each candidate against every reference under each of
+    ``metrics``, (variant, match, multiref policy, fields) tuples, combined
+    per the multiref policy (see ``rouge_score``): per metric, the
+    ``RougeScore`` fields it names as one (fields × candidates) float64
+    array, in order, with no candidate column for no candidates. Each value
+    is bitwise the field of the candidate's ``score_batch`` score, an
+    integer total as a float, whatever other metrics the call scores.
 
     Every summary comes as its word ids over one word list in sorted order,
     as ``textpipe.encode`` gives them, and under embedding matching ``rows``
-    holds each word's table row (``EmbeddingTable.rows`` of the list). A
+    holds each word's table row (``EmbeddingTable.rows`` of the list), so
+    every embedding metric's table must hold the words at those rows. A
     metric is the sum of its unit spans (Lin 2004): rouge-N's n-grams, or
     rouge-SUK's unigrams and then its skip-bigrams. Each span gives every
-    pair's match count and both sides' unit totals. Each span codes the
-    references and the batch together in one ``_UnitCodes`` pass, keyed by
-    the references under exact matching and by every summary under
-    embedding matching. Under exact matching the batch's rows of that
+    pair's match count and both sides' unit totals, and is scored once per
+    call under each (match kind, table, OOV policy): rouge-1 and every
+    rouge-SU score the unigrams once. The call keeps each span's counts and
+    totals, no composed rows, and drops them when it returns. Each span
+    codes the references and the batch together in one ``_UnitCodes``
+    pass, keyed by the references under exact matching and by every summary
+    under embedding matching. Under exact matching the batch's rows of that
     count matrix are clipped against each reference in one step. Under
     embedding matching each reference's units are composed once and each
     candidate's in turn, and a pair costs its product, clip, shared-OOV
-    count and assignment. The spans are summed from 0 in span order, as
-    one pair's counts are. Every pair's fields are then made as arrays
+    count and assignment. A metric's spans are summed from 0 in span order,
+    as one pair's counts are. Every pair's fields are then made as arrays
     (``_planes``), and only the fields asked for are averaged, each
     candidate's ``fsum`` over its references or folds divided by their
     number: bitwise a batch of one.
-
-    ``shared`` is a dict that the caller keeps for one batch of one topic,
-    passed to each metric's call that scores that batch. Each span is
-    scored once and kept there under (span, match kind, OOV policy): its
-    counts and totals only, no composed rows, so rouge-1 and every rouge-SU
-    score the unigrams once. A batch that is not the one the dict was kept
-    for must not be given it.
     """
     if not refs:
         raise ValueError("at least one reference is required")
-    if multiref not in MULTIREF_POLICIES:
-        raise ValueError(f"unknown multiref policy {multiref!r}")
-    if match.kind == "embedding" and rows is None:
-        raise ValueError("embedding matching needs each word's table row")
-    shared = {} if shared is None else shared
-    exact, parts = match.kind == "exact", []
-    for span in (variant,) if variant.family == "n" else (ROUGE_1, variant):
-        key = (span, match.kind, match.oov_policy)
-        if key not in shared:
-            codes = _UnitCodes([*refs, *cands], span, len(refs) + (0 if exact else len(cands)))
-            shared[key] = (codes.overlaps(len(refs)) if exact
-                           else _soft_counts(codes, len(refs), match, rows))
-        parts.append(shared[key])
-    planes = _planes(*(sum(part) for part in zip(*parts)), multiref)
-    asked = planes[[SCORE_FIELDS.index(name) for name in fields]]
-    return _row_means(asked.reshape(-1, asked.shape[2])).reshape(len(fields), len(cands))
+    spans, scored = {}, []
+    for variant, match, multiref, fields in metrics:
+        if multiref not in MULTIREF_POLICIES:
+            raise ValueError(f"unknown multiref policy {multiref!r}")
+        if match.kind == "embedding" and rows is None:
+            raise ValueError("embedding matching needs each word's table row")
+        exact, parts = match.kind == "exact", []
+        for span in (variant,) if variant.family == "n" else (ROUGE_1, variant):
+            # A table by identity: its equality compares matrices.
+            key = (span, match.kind, id(match.table), match.oov_policy)
+            if key not in spans:
+                codes = _UnitCodes([*refs, *cands], span, len(refs) + (0 if exact else len(cands)))
+                spans[key] = (codes.overlaps(len(refs)) if exact
+                              else _soft_counts(codes, len(refs), match, rows))
+                del codes  # before the next span's: one count matrix at a time
+            parts.append(spans[key])
+        planes = _planes(*(sum(part) for part in zip(*parts)), multiref)
+        asked = planes[[SCORE_FIELDS.index(name) for name in fields]]
+        scored.append(_row_means(asked.reshape(-1, asked.shape[2])).reshape(asked.shape[:2]))
+    return scored
 
 
 def score_batch(
@@ -483,13 +483,12 @@ def score_batch(
     match: MatchFunction,
     multiref: str = "average",
     rows: np.ndarray | None = None,
-    shared: dict | None = None,
 ) -> list[RougeScore]:
     """One ``RougeScore`` per candidate, in order, and none for no
-    candidates: ``score_fields`` of every field, with the same arguments."""
-    means = score_fields(refs, cands, variant, match, multiref, rows, shared).T.tolist()
+    candidates: ``score_fields`` of the one metric and every field."""
+    [means] = score_fields(refs, cands, [(variant, match, multiref, SCORE_FIELDS)], rows)
     return [RougeScore(*scores, round(ref_total), round(cand_total))
-            for *scores, ref_total, cand_total in means]
+            for *scores, ref_total, cand_total in means.T.tolist()]
 
 
 def _soft_counts(codes: _UnitCodes, n_refs: int, match: MatchFunction, rows: np.ndarray

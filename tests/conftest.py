@@ -20,10 +20,28 @@ from rougewe.textpipe import TokenSequence, encode_tokens
 
 # Tier-1 draws the same hypothesis inputs on every run of one tree, so its
 # verdict depends on the code alone; each test's example count is its own.
-# HYPOTHESIS_PROFILE=deep draws afresh on each run instead.
+# HYPOTHESIS_PROFILE=deep draws afresh on each run instead, DEEP_FACTOR
+# times each test's example count.
+PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "tier1")
+DEEP_FACTOR = 10
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.register_profile("deep")
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
+settings.load_profile(PROFILE)
+
+
+def deepen(tests: Sequence[Callable], factor: int) -> None:
+    """Multiply the example count of each hypothesis test among ``tests``
+    by ``factor``, once per test function, however many items share it."""
+    for test in {id(test): test for test in tests}.values():
+        own = getattr(test, "_hypothesis_internal_use_settings", None)
+        if own is not None and getattr(test, "is_hypothesis_test", False):
+            test._hypothesis_internal_use_settings = settings(
+                own, max_examples=own.max_examples * factor)
+
+
+def pytest_collection_modifyitems(items):
+    if PROFILE == "deep":
+        deepen([getattr(item, "function", None) for item in items], DEEP_FACTOR)
 
 
 def batch_scorer(refs: Sequence[TokenSequence], cands: Sequence[TokenSequence],

@@ -578,6 +578,14 @@ class TestLoadersMatchOracle:
             check_against_oracle(Path(tmp) / "v.bin", binary_blob(data.draw, dim, entries),
                                  entries, False, chunk)
 
+    def test_binary_word_that_holds_a_newline(self, tmp_path):
+        """The smallest input of ``test_binary`` that a decode stripping every
+        newline of the words, not only those before each word, fails: one
+        entry whose word is "a\\nb", with no newline after it, and
+        ``CHUNK_BYTES`` at 1. The tier1 profile's draws miss it."""
+        blob = b"1 1\na\nb " + struct.pack("<f", 1.0)
+        check_against_oracle(tmp_path / "v.bin", blob, [("a\nb", [1.0])], False, 1)
+
     @settings(max_examples=200, deadline=None)
     @given(st.data(), vector_entries(), st.integers(1, 48))
     def test_text(self, data, drawn, chunk):
@@ -621,6 +629,19 @@ class TestLoadersMatchOracle:
         with tempfile.TemporaryDirectory() as tmp:
             check_filter_against_full(Path(tmp) / "v.txt", text_blob(data.draw, dim, entries),
                                       True, chunk, vocabulary)
+
+    @pytest.mark.parametrize("text", [False, True])
+    def test_filtered_off_unit_row_after_an_unwanted_one(self, tmp_path, text):
+        """A smallest input of ``test_vocabulary_filter_text``, in both
+        layouts, that a filtered load fails if it renormalizes a kept row
+        from the unfiltered block's row at the kept row's place: "cat",
+        unwanted and zero, then "\u0130", whose key "i\u0307" is wanted and
+        whose norm is 2, in one two-row block. The tier1 profile's draws
+        miss it."""
+        entries = [("cat", [0.0]), ("\u0130", [2.0])]
+        blob = (b"cat 0.0\n\xc4\xb0 2.0" if text
+                else b"2 1\n" + b"".join(binary_entry(*entry) for entry in entries))
+        check_filter_against_full(tmp_path / "v", blob, text, 128, frozenset({"i\u0307"}))
 
     def test_words_whose_lowercase_changes_length(self, tmp_path):
         """The binary-only words in a fixed file: keys and names sliced at the

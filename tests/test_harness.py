@@ -304,30 +304,99 @@ class TestScoreCorpus:
     def test_scoring_failure_raises_naming_the_pair(self, tmp_path, monkeypatch):
         write_corpus(tmp_path, {"t1": ({"m1": "a b"}, {"s1": "a b", "s2": "a c", "s3": "b c"})})
         real = harness.score_fields
-        batches = []
+        calls = []
 
-        def fail_for_s2(refs, cands, variant, match, multiref="average", rows=None, shared=None,
-                        fields=rouge.SCORE_FIELDS):
-            # The corpus's words a, b, c have the ids 0, 1, 2: s2 is [0, 2].
-            batches.append(([cand.tolist() for cand in cands], shared))
-            if [0, 2] in batches[-1][0]:
+        def fail_for_s2(refs, cands, metrics, rows=None):
+            # The corpus's words a, b, c have the ids 0, 1, 2: s2 is [0, 2],
+            # and only rouge-su4 fails on it.
+            calls.append(([cand.tolist() for cand in cands],
+                          [variant.name for variant, *_ in metrics]))
+            if [0, 2] in calls[-1][0] and "rouge-su4" in calls[-1][1]:
                 raise RuntimeError("scorer bug")
-            return real(refs, cands, variant, match, multiref, rows, shared, fields)
+            return real(refs, cands, metrics, rows)
 
         monkeypatch.setattr(harness, "score_fields", fail_for_s2)
         table = identity_table(["a", "b", "c"])
         topics = load_corpus(tmp_path)
-        for metric in (R1, MetricConfig(ROUGE_1, match="we")):
-            batches.clear()
-            with pytest.raises(MetaEvalError, match=f"metric {metric.name}, system s2, topic t1"
-                               ) as info:
-                score_corpus(topics, [metric], coding=encode_corpus(topics), table=table)
+        for match in MATCH_KINDS:
+            metrics = [MetricConfig(ROUGE_1, match=match), MetricConfig(ROUGE_SU4, match=match)]
+            calls.clear()
+            with pytest.raises(MetaEvalError, match=f"metric {metrics[1].name}, system s2, "
+                                                    "topic t1: scorer bug$") as info:
+                score_corpus(topics, metrics, coding=encode_corpus(topics), table=table)
             assert isinstance(info.value.__cause__, RuntimeError)
-            # The references alone, then each summary alone, until one fails.
-            # Only the batch is given the topic's shared spans: what is scored
-            # again never reads what the batch kept.
-            assert batches == [([[0, 1], [0, 2], [1, 2]], {}), ([], None), ([[0, 1]], None),
-                               ([[0, 2]], None)]
+            # The topic under every metric, then each metric's batch alone
+            # until one fails, then under that metric the references alone
+            # and each summary alone, until one fails.
+            batch = [[0, 1], [0, 2], [1, 2]]
+            assert calls == [(batch, ["rouge-1", "rouge-su4"]), (batch, ["rouge-1"]),
+                             (batch, ["rouge-su4"]), ([], ["rouge-su4"]),
+                             ([[0, 1]], ["rouge-su4"]), ([[0, 2]], ["rouge-su4"])]
+
+    def test_failure_of_the_batch_alone_names_the_system_summaries(self, tmp_path, monkeypatch):
+        write_corpus(tmp_path, {"t1": ({"m1": "a b"}, {"s1": "a b", "s2": "a c"})})
+        real = harness.score_fields
+        calls = []
+
+        def fail_for_two(refs, cands, metrics, rows=None):
+            calls.append((len(cands), [variant.name for variant, *_ in metrics]))
+            if len(cands) > 1 and "rouge-su4" in calls[-1][1]:
+                raise RuntimeError("batch bug")
+            return real(refs, cands, metrics, rows)
+
+        monkeypatch.setattr(harness, "score_fields", fail_for_two)
+        topics = load_corpus(tmp_path)
+        with pytest.raises(MetaEvalError, match=r"^scoring failed for metric rouge-su4, topic t1 "
+                                                r"\(system summaries\): batch bug$") as info:
+            score_corpus(topics, [R1, MetricConfig(ROUGE_SU4)], coding=encode_corpus(topics))
+        assert isinstance(info.value.__cause__, RuntimeError)
+        # The failing metric's batch is scored once alone, then the
+        # references and each summary alone; none fails, so the error is
+        # the batch's, not scored again.
+        assert calls == [(2, ["rouge-1", "rouge-su4"]), (2, ["rouge-1"]), (2, ["rouge-su4"]),
+                         (0, ["rouge-su4"]), (1, ["rouge-su4"]), (1, ["rouge-su4"])]
+
+    def test_failure_of_the_metrics_together_names_the_topic(self, tmp_path, monkeypatch):
+        write_corpus(tmp_path, {"t1": ({"m1": "a b"}, {"s1": "a b", "s2": "a c"})})
+        real = harness.score_fields
+
+        def fail_together(refs, cands, metrics, rows=None):
+            if len(metrics) > 1:
+                raise RuntimeError("span cache bug")
+            return real(refs, cands, metrics, rows)
+
+        monkeypatch.setattr(harness, "score_fields", fail_together)
+        topics = load_corpus(tmp_path)
+        with pytest.raises(MetaEvalError,
+                           match=r"^scoring failed for topic t1: span cache bug$") as info:
+            score_corpus(topics, [R1, MetricConfig(ROUGE_SU4)], coding=encode_corpus(topics))
+        assert isinstance(info.value.__cause__, RuntimeError)
+
+    @pytest.mark.parametrize("match", MATCH_KINDS)
+    def test_one_scoring_call_codes_each_span_once_per_topic(self, monkeypatch, match):
+        # rouge-1, rouge-2 and rouge-su4 hold three spans: the unigrams,
+        # the bigrams and the skip-bigrams. Each is coded once per topic,
+        # in one ``score_fields`` call, and none again for another metric.
+        topics, table = gaussian_corpus(0)
+        calls, coded = [], []
+        real_score, real_codes = harness.score_fields, rouge._UnitCodes
+
+        def score_spy(refs, cands, metrics, rows=None):
+            calls.append(len(refs))
+            return real_score(refs, cands, metrics, rows)
+
+        def codes_spy(summaries, variant, keyed):
+            coded.append((len(calls), variant.name))
+            return real_codes(summaries, variant, keyed)
+
+        monkeypatch.setattr(harness, "score_fields", score_spy)
+        monkeypatch.setattr(rouge, "_UnitCodes", codes_spy)
+        metrics = [MetricConfig(RougeVariant.parse(name), match=match)
+                   for name in ("rouge-1", "rouge-2", "rouge-su4")]
+        score_corpus(topics, metrics, coding=encode_corpus(topics), table=table)
+        assert calls == [len(t.model_summaries) for t in sorted(topics, key=lambda t: t.topic_id)]
+        assert coded == [(call, name) for call in range(1, len(topics) + 1)
+                         for name in ("rouge-1", "rouge-2", "rouge-su4")]
 
     def test_unknown_field_fails_before_scoring(self, monkeypatch):
         topics = [Topic("t1", [("m1", "a b")], [("s1", "a c")])]

@@ -14,9 +14,13 @@ import re
 from pathlib import Path
 
 import click
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rougewe
 from rougewe import cli, embeddings, harness, rouge
+
+from conftest import DEEP_FACTOR, deepen
 
 EXPORTED = ["MatchFunction", "ROUGE_SU4", "RougeVariant", "__version__", "load_binary",
             "rouge_score", "tokenize"]
@@ -256,3 +260,24 @@ def test_src_lines_counts_code_without_docstrings_or_comments(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         " lines   code  module", "    13      5  pkg/a.py", "     3      3  pkg/b.py",
         "    16      8  total"]
+
+
+def test_deep_profile_multiplies_each_example_count_once():
+    """``HYPOTHESIS_PROFILE=deep`` runs each hypothesis test for
+    ``DEEP_FACTOR`` times its own example count (``conftest.deepen``), once
+    per test function however many collected items share it, and leaves
+    other tests alone."""
+    drawn = []
+
+    @settings(max_examples=7, database=None)
+    @given(st.integers())
+    def counted(value):
+        drawn.append(value)
+
+    def plain():
+        pass
+
+    deepen([counted, counted, plain, None], DEEP_FACTOR)
+    counted()
+    assert len(drawn) == 7 * DEEP_FACTOR == 70
+    assert not hasattr(plain, "_hypothesis_internal_use_settings")

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import tracemalloc
+import weakref
 from collections import Counter
 from functools import reduce
 from operator import xor
@@ -18,6 +19,7 @@ from rougewe.rouge import (
     ROUGE_1,
     ROUGE_2,
     ROUGE_SU4,
+    SCORE_FIELDS,
     MatchFunction,
     RougeScore,
     RougeVariant,
@@ -27,6 +29,7 @@ from rougewe.rouge import (
     _row_means,
     rouge_score,
     score_batch,
+    score_fields,
 )
 from rougewe.textpipe import TokenSequence, encode_tokens, tokenize
 
@@ -755,8 +758,9 @@ SHARED_METRICS = [ROUGE_1, ROUGE_2, *(RougeVariant("su", max_skip=k) for k in ra
 
 
 class TestSharedSpans:
-    """A span kept in ``score_batch``'s ``shared`` dict gives every metric
-    that holds it the scores that a call given no dict gets."""
+    """One ``score_fields`` call of several metrics, which scores each span
+    once, gives every metric bitwise the values that a call of it alone
+    gets."""
 
     @given(cands=st.lists(we_summaries, max_size=4),
            refs=st.lists(we_summaries, min_size=1, max_size=3),
@@ -770,30 +774,62 @@ class TestSharedSpans:
                  else MatchFunction.we(sign_table(table_seed, TABLE_WORDS), oov_policy=kind))
         words, ids = encode_tokens([*refs, *cands])
         rows = match.table.rows(words) if match.table else None
-        shared = {}
-        for variant in variants:
-            args = (ids[:len(refs)], ids[len(refs):], variant, match, multiref, rows)
-            assert score_batch(*args, shared) == score_batch(*args)
+        metrics = [(variant, match, multiref, SCORE_FIELDS) for variant in variants]
+        assert_together_equals_alone(ids[:len(refs)], ids[len(refs):], metrics, rows)
 
     def test_match_kinds_and_policies_keep_their_own_spans(self):
-        table = make_table({"a": [1.0, 0.0], "b": [0.6, 0.8], "c": [0.8, 0.6]})
+        # The other table holds the same words at the same rows.
+        vectors = {"a": [1.0, 0.0], "b": [0.6, 0.8], "c": [0.8, 0.6]}
+        table, other = make_table(vectors), make_table({**vectors, "c": [0.6, 0.8]})
         words, ids = encode_tokens([seq("a ghost b"), seq("ghost c a")])
         exact, zero = MatchFunction.exact(), MatchFunction.we(table)
         fallback = MatchFunction.we(table, oov_policy="exact-fallback")
-        metrics = [(ROUGE_1, exact), (ROUGE_SU4, zero), (ROUGE_1, fallback),
-                   (ROUGE_SU4, exact), (ROUGE_1, zero), (ROUGE_SU4, fallback)]
-        shared = {}
-        together = [score_batch(ids[:1], ids[1:], variant, match, rows=table.rows(words),
-                                shared=shared) for variant, match in metrics]
-        alone = [score_batch(ids[:1], ids[1:], variant, match, rows=table.rows(words))
-                 for variant, match in metrics]
-        assert together == alone
+        matches = [(ROUGE_1, exact), (ROUGE_SU4, zero), (ROUGE_1, fallback),
+                   (ROUGE_SU4, exact), (ROUGE_1, zero), (ROUGE_SU4, fallback),
+                   (ROUGE_1, MatchFunction.we(other))]
+        metrics = [(variant, match, "average", SCORE_FIELDS) for variant, match in matches]
+        alone = assert_together_equals_alone(ids[:1], ids[1:], metrics, table.rows(words))
+        soft = SCORE_FIELDS.index("soft_match_count")
         # The unigram spans differ (a and ghost match exactly; b and c are
-        # similar 0.96 in float32, and ghost matches ghost only under
-        # exact-fallback), so a span kept under a key without the match
-        # kind or the OOV policy would change a score.
-        assert [round(score.soft_match_count, 6) for (variant, _), [score] in zip(metrics, alone)
-                if variant == ROUGE_1] == [2.0, 2.96, 1.96]
+        # similar 0.96 in float32, 1 in the other table, and ghost matches
+        # ghost only under exact-fallback), so a span kept under a key
+        # without the match kind, the table or the OOV policy would change
+        # a score.
+        assert [round(float(values[soft, 0]), 6) for (variant, _), values in zip(matches, alone)
+                if variant == ROUGE_1] == [2.0, 2.96, 1.96, 2.0]
+
+    @pytest.mark.parametrize("kind", ["exact", "zero"])
+    def test_each_coder_is_dropped_before_the_next(self, kind):
+        # A span's coder holds the batch's count matrix; once its counts
+        # are kept, it is dropped, so a call holds one matrix at a time.
+        made = []
+
+        class Watched(_UnitCodes):
+            __slots__ = ("__weakref__",)
+
+            def __init__(self, *args):
+                assert [ref() for ref in made] == [None] * len(made)
+                super().__init__(*args)
+                made.append(weakref.ref(self))
+
+        table = sign_table(0, TABLE_WORDS)
+        match = MatchFunction.exact() if kind == "exact" else MatchFunction.we(table)
+        words, ids = encode_tokens([seq("a b c d a"), seq("b a d"), seq("c d e a")])
+        with mock.patch.object(rouge, "_UnitCodes", Watched):
+            score_fields(ids[:2], ids[2:], [(variant, match, "average", SCORE_FIELDS)
+                                            for variant in (ROUGE_1, ROUGE_2, ROUGE_SU4)],
+                         table.rows(words))
+        assert len(made) == 3
+
+
+def assert_together_equals_alone(refs, cands, metrics, rows) -> list[np.ndarray]:
+    """Require one ``score_fields`` call of ``metrics`` to give each metric
+    bitwise the array of a call of it alone, and return those arrays."""
+    together = score_fields(refs, cands, metrics, rows)
+    alone = [score_fields(refs, cands, [metric], rows)[0] for metric in metrics]
+    assert [(values.shape, values.tobytes()) for values in together] == [
+        (values.shape, values.tobytes()) for values in alone]
+    return alone
 
 
 class TestExactEdgeCases:

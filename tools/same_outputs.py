@@ -9,7 +9,11 @@ temporary directory, then runs the benchmark's ``meta-eval`` command line
 once with the ``src/`` of a ``git archive`` of REV and once with this
 tree's, both with the same ``--out``. On seed 5 it also runs that command
 line with flags the benchmark never gives: ``--multiref jackknife
---report-component f1``, and ``--report-component precision``. ``meta-eval``
+--report-component f1``, and ``--report-component precision``; and for
+aesop-we it runs it with a ``--config`` in place of the metric flags, whose
+metrics mix both match kinds and both OOV policies over spans that rouge-1
+and rouge-su4 share (MIXED_METRICS), so the scorer's per-call span cache
+meets every key it keeps apart. ``meta-eval``
 loads only the vectors of the corpus's words, so for aesop-we it also loads
 the whole ``vectors.bin``, without a vocabulary, on both sides, once per
 seed. No workload reads the text layout, so for aesop-we it also writes the
@@ -56,6 +60,14 @@ from workloads import WORKLOADS  # noqa: E402
 EXTRA_FLAGS = {5: ([], ["--multiref", "jackknife", "--report-component", "f1"],
                    ["--report-component", "precision"]),
                7: ([],)}
+# The metrics of the mixed ``--config`` case: the unigram span under exact
+# matching and under each OOV policy, and the skip-bigrams under both kinds.
+MIXED_METRICS = [{"variant": "rouge-1", "match": "exact"},
+                 {"variant": "rouge-su4", "match": "exact"},
+                 {"variant": "rouge-1", "match": "we", "oov": "zero"},
+                 {"variant": "rouge-su4", "match": "we", "oov": "exact-fallback"}]
+# The benchmark's flags that choose metrics, which a ``--config`` cannot override.
+METRIC_FLAGS = ("--metrics", "--match", "--oov")
 REPORTS = ("report.csv", "report.json")
 # Prints one JSON line describing the load of the argv[2] file argv[1], filtered
 # by the JSON word list in the file argv[3] if given: the table, or the error.
@@ -145,6 +157,14 @@ def score_args(meta_eval_args: list[str]) -> list[str]:
             *map(str, sorted((topic / "models").glob("*.txt"))), *flags]
 
 
+def mixed_args(args: list[str], config: Path) -> list[str]:
+    """``args`` (``meta-eval`` and then options that each take one value)
+    with ``--config config`` in place of the metric flags."""
+    options = [(name, value) for name, value in zip(args[1::2], args[2::2])
+               if name not in METRIC_FLAGS]
+    return [args[0], *(arg for option in options for arg in option), "--config", str(config)]
+
+
 def compare_score(rev_src: Path, args: list[str], cwd: Path) -> list[str]:
     """The differences between REV's and this tree's ``rougewe score``."""
     sides = {"REV": run_cli(rev_src, args, cwd)[0], "tree": run_cli(TREE / "src", args, cwd)[0]}
@@ -228,9 +248,15 @@ def main() -> int:
                             str(inputs), workload, str(seed)],
                            stdin=subprocess.DEVNULL, check=True)
             out = work / "out"
-            for flags in EXTRA_FLAGS[seed]:
-                case = " ".join([workload, "seed", str(seed), *flags])
-                args = cli_args(WORKLOADS[workload], Prepared(inputs, {}), out) + flags
+            base = cli_args(WORKLOADS[workload], Prepared(inputs, {}), out)
+            cases = [(" ".join([workload, "seed", str(seed), *flags]), base + flags)
+                     for flags in EXTRA_FLAGS[seed]]
+            if WORKLOADS[workload].match == "we" and seed == 5:
+                config = work / "mixed.json"
+                config.write_text(json.dumps({"metrics": MIXED_METRICS}), encoding="utf-8")
+                cases.append((f"{workload} seed {seed} mixed --config",
+                              mixed_args(base, config)))
+            for case, args in cases:
                 runs = {"REV": meta_eval(work / "rev" / "src", args, out),
                         "tree": meta_eval(TREE / "src", args, out)}
                 sides = {side: outputs for side, (outputs, _) in runs.items()}
