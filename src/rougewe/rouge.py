@@ -22,9 +22,9 @@ asked for, each span once: its per-reference counts become every pair's
 recall, precision and f1 as arrays, and only the fields asked for are
 averaged over the references, into one (fields × candidates) array per
 metric; a candidate's score depends neither on the rest of its batch nor
-on the other metrics. ``score_batch`` and ``rouge_score`` wrap it as the
-one-metric per-pair API, one ``RougeScore`` per candidate. The per-pair
-reference definitions are the test suite's oracles.
+on the other metrics. ``rouge_score`` is the one-metric per-pair API: one
+candidate's ``score_fields`` under one metric, as a ``RougeScore``. The
+per-pair reference definitions are the test suite's oracles.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .textpipe import TokenSequence, encode_tokens
+from .textpipe import encode_tokens
 
 OOV_POLICIES = ("zero", "exact-fallback")
 MULTIREF_POLICIES = ("average", "jackknife")
@@ -427,8 +427,8 @@ def score_fields(
     per the multiref policy (see ``rouge_score``): per metric, the
     ``RougeScore`` fields it names as one (fields × candidates) float64
     array, in order, with no candidate column for no candidates. Each value
-    is bitwise the field of the candidate's ``score_batch`` score, an
-    integer total as a float, whatever other metrics the call scores.
+    is bitwise the one the candidate gets in a batch of its own, whatever
+    other metrics the call scores; a unit total is the mean of integers.
 
     Every summary comes as its word ids over one word list in sorted order,
     as ``textpipe.encode`` gives them, and under embedding matching ``rows``
@@ -476,21 +476,6 @@ def score_fields(
     return scored
 
 
-def score_batch(
-    refs: Sequence[np.ndarray],
-    cands: Sequence[np.ndarray],
-    variant: RougeVariant,
-    match: MatchFunction,
-    multiref: str = "average",
-    rows: np.ndarray | None = None,
-) -> list[RougeScore]:
-    """One ``RougeScore`` per candidate, in order, and none for no
-    candidates: ``score_fields`` of the one metric and every field."""
-    [means] = score_fields(refs, cands, [(variant, match, multiref, SCORE_FIELDS)], rows)
-    return [RougeScore(*scores, round(ref_total), round(cand_total))
-            for *scores, ref_total, cand_total in means.T.tolist()]
-
-
 def _soft_counts(codes: _UnitCodes, n_refs: int, match: MatchFunction, rows: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each candidate's soft count against each reference (candidates ×
@@ -525,21 +510,28 @@ def _soft_counts(codes: _UnitCodes, n_refs: int, match: MatchFunction, rows: np.
 
 
 def rouge_score(
-    cand: TokenSequence,
-    refs: Sequence[TokenSequence],
+    cand: Sequence[str],
+    refs: Sequence[Sequence[str]],
     variant: RougeVariant,
     match: MatchFunction,
     multiref: str = "average",
 ) -> RougeScore:
-    """Score one candidate against one or more references.
+    """Score one candidate against one or more references, each given as
+    its words (``tokenize``); a ``str`` in place of words fails.
 
     Per-reference triples are combined per the multiref policy: ``average``
     is the component-wise mean; ``jackknife`` averages, over leave-one-out
     folds, the best per-reference score in each fold (best by f1, then
     recall, then precision). A single reference makes both policies the
     plain single-reference score. The texts are coded by
-    ``textpipe.encode_tokens`` and scored as a ``score_batch`` of one.
+    ``textpipe.encode_tokens`` and scored by ``score_fields`` as a batch of
+    one under this one metric; the unit totals are rounded to integers.
     """
+    for name, text in (("cand", cand), *((f"refs[{i}]", ref) for i, ref in enumerate(refs))):
+        if isinstance(text, str):
+            raise TypeError(f"{name} is a str; pass its words, as tokenize gives them")
     words, ids = encode_tokens([*refs, cand])
     rows = None if match.table is None else match.table.rows(words)
-    return score_batch(ids[:-1], ids[-1:], variant, match, multiref, rows)[0]
+    [means] = score_fields(ids[:-1], ids[-1:], [(variant, match, multiref, SCORE_FIELDS)], rows)
+    *scores, ref_total, cand_total = means[:, 0].tolist()
+    return RougeScore(*scores, round(ref_total), round(cand_total))

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from itertools import count, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -37,20 +37,6 @@ class TokenizeConfig:
 
 
 DEFAULT_CONFIG = TokenizeConfig()
-
-
-@dataclass(frozen=True)
-class TokenSequence:
-    """Normalized word tokens of one summary text, in original order."""
-
-    tokens: tuple[str, ...]
-    source_id: str = ""
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.tokens)
 
 
 class InputError(ValueError):
@@ -93,20 +79,20 @@ def _normalize(chunk: str, config: TokenizeConfig) -> str | None:
     return chunk if word == chunk else word
 
 
-def tokenize(raw: str, config: TokenizeConfig = DEFAULT_CONFIG, source_id: str = "") -> TokenSequence:
-    """Split raw text into normalized word tokens.
+def tokenize(raw: str, config: TokenizeConfig = DEFAULT_CONFIG, source_id: str = ""
+             ) -> tuple[str, ...]:
+    """The normalized words of raw text, in text order, as a tuple.
 
-    Tokens are whitespace-delimited chunks with leading/trailing
+    Words are whitespace-delimited chunks with leading/trailing
     punctuation stripped, then lowercased, as the embedding loaders key
     every word; chunks that are pure punctuation disappear. Empty or
-    whitespace-only input yields an empty sequence. Every kept token is
+    whitespace-only input yields an empty tuple. Every kept word is
     interned, so a word is one ``str`` object in all the texts it occurs in.
-    Nothing in the package reads ``source_id``; it stays only because the
-    benchmark's sample check passes it (ROADMAP item 1).
+    ``source_id`` is accepted and ignored: the benchmark's sample check
+    still passes it (ROADMAP item 1).
     """
     words = (_normalize(chunk, config) for chunk in raw.split())
-    return TokenSequence(tuple(sys.intern(word) for word in words if word is not None),
-                         source_id=source_id)
+    return tuple(sys.intern(word) for word in words if word is not None)
 
 
 def _code(chunk_lists: Iterable[Iterable[str]], word: Callable[[str], str | None]
@@ -153,8 +139,9 @@ def encode(texts: Iterable[str], config: TokenizeConfig = DEFAULT_CONFIG
     return _code((text.split() for text in texts), lambda chunk: _normalize(chunk, config))
 
 
-def encode_tokens(seqs: Iterable[TokenSequence]) -> tuple[list[str], list[np.ndarray]]:
-    """``encode`` of token sequences already normalized: their tokens are
-    the words, and ids rise with sorted word order as ``encode``'s do."""
-    return _code((seq.tokens for seq in seqs), lambda token: token)
+def encode_tokens(seqs: Iterable[Sequence[str]]) -> tuple[list[str], list[np.ndarray]]:
+    """``encode`` of word sequences already normalized, such as ``tokenize``
+    gives: their items are the words, and ids rise with sorted word order
+    as ``encode``'s do."""
+    return _code(seqs, lambda token: token)
 

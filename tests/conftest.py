@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from functools import partial
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
@@ -15,8 +14,10 @@ import pytest
 from hypothesis import settings
 
 from rougewe.embeddings import EmbeddingTable, _TableBuilder
-from rougewe.rouge import MatchFunction, RougeScore, RougeVariant, score_batch
-from rougewe.textpipe import TokenSequence, encode_tokens
+from rougewe.rouge import SCORE_FIELDS, MatchFunction, RougeVariant, score_fields
+from rougewe.textpipe import encode_tokens
+
+from exact_oracle import Words
 
 # Tier-1 draws the same hypothesis inputs on every run of one tree, so its
 # verdict depends on the code alone; each test's example count is its own.
@@ -44,31 +45,39 @@ def pytest_collection_modifyitems(items):
         deepen([getattr(item, "function", None) for item in items], DEEP_FACTOR)
 
 
-def batch_scorer(refs: Sequence[TokenSequence], cands: Sequence[TokenSequence],
-                 variant: RougeVariant, match: MatchFunction, multiref: str = "average"
-                 ) -> tuple[Callable[..., list[RougeScore]], list[np.ndarray]]:
-    """A ``score_batch`` that takes only the batch, bound to the word ids
+def batch_scorer(refs: Sequence[Words], cands: Sequence[Words], variant: RougeVariant,
+                 match: MatchFunction, multiref: str = "average"
+                 ) -> tuple[Callable[[Sequence[np.ndarray]], np.ndarray], list[np.ndarray]]:
+    """``score_fields`` of the one metric and every field, taking only the
+    batch and giving its (fields × candidates) array, bound to the word ids
     of ``refs``, and the word ids of ``cands``: all coded together, as
     ``score_corpus`` codes a corpus, and under embedding matching with
     each word's table row."""
     words, ids = encode_tokens([*refs, *cands])
     rows = None if match.table is None else match.table.rows(words)
-    return (partial(score_batch, ids[:len(refs)], variant=variant, match=match,
-                    multiref=multiref, rows=rows), ids[len(refs):])
+    metrics = [(variant, match, multiref, SCORE_FIELDS)]
+    return (lambda batch: score_fields(ids[:len(refs)], batch, metrics, rows)[0],
+            ids[len(refs):])
 
 
-def joined_units(units: Counter, length: int, joint: str) -> TokenSequence:
+def field_columns(scores: Sequence[Sequence[float]]) -> np.ndarray:
+    """Per-candidate field tuples in ``SCORE_FIELDS`` order laid out as
+    ``score_fields`` gives them: one (fields × candidates) float64 array."""
+    return np.array(scores, dtype=np.float64).reshape(len(scores), len(SCORE_FIELDS)).T
+
+
+def joined_units(units: Counter, length: int, joint: str) -> Words:
     """A summary whose ``length``-grams are the units of that length in
     ``units`` plus windows that hold ``joint``: the units laid end to end,
     one ``joint`` word after each."""
-    return TokenSequence(tuple(chain.from_iterable(
-        (*unit, joint) for unit in units.elements() if len(unit) == length)))
+    return tuple(chain.from_iterable(
+        (*unit, joint) for unit in units.elements() if len(unit) == length))
 
 
 def soft_overlap(cand: Counter, ref: Counter, match: MatchFunction) -> float:
     """Soft match count of two unit multisets, through the engine's own
     steps: per unit length n, in ascending order, ``cand``'s units of that
-    length are scored against ``ref``'s by a one-reference ``score_batch``
+    length are scored against ``ref``'s by a one-reference ``score_fields``
     under ROUGE-n, each side laid out by ``joined_units`` with a joint word
     the other side never holds and no table holds, so only the units
     themselves can match."""
@@ -76,7 +85,7 @@ def soft_overlap(cand: Counter, ref: Counter, match: MatchFunction) -> float:
     for n in sorted(set(map(len, cand)) & set(map(len, ref))):
         score, cands = batch_scorer([joined_units(ref, n, "\0ref")],
                                     [joined_units(cand, n, "\0cand")], RougeVariant("n", n), match)
-        total += score(cands)[0].soft_match_count
+        total += score(cands)[SCORE_FIELDS.index("soft_match_count"), 0].item()
     return total
 
 

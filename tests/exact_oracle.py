@@ -1,7 +1,7 @@
 """Clipped n-gram counting spelled out on ``Counter``s: the oracle for exact
 matching.
 
-Under exact matching ``rouge.score_batch`` codes a candidate's units as
+Under exact matching ``rouge.score_fields`` codes a candidate's units as
 integers, finds their columns in its references' codes and clips against
 every reference with one numpy step. This module is the per-pair
 definition it must agree with, built from the tokens with nothing of the
@@ -14,17 +14,19 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import astuple
 from typing import Sequence
 
 from rougewe.rouge import RougeScore, RougeVariant
-from rougewe.textpipe import TokenSequence
+
+Words = tuple[str, ...]
 
 
-def units(seq: TokenSequence, variant: RougeVariant) -> Counter:
+def units(toks: Words, variant: RougeVariant) -> Counter:
     """The units a variant scores over: every contiguous n-gram, or for
     ROUGE-SU every unigram and every ordered pair with at most ``max_skip``
     words between."""
-    toks, found = seq.tokens, Counter()
+    found = Counter()
     if variant.family == "n":
         for i in range(len(toks) - variant.n + 1):
             found[toks[i:i + variant.n]] += 1
@@ -54,30 +56,28 @@ def score_pair(soft: float, ref_total: int, cand_total: int) -> RougeScore:
     return RougeScore(recall, precision, f1, soft, ref_total, cand_total)
 
 
-def _mean(scores: Sequence[RougeScore]) -> RougeScore:
-    if len(scores) == 1:
-        return scores[0]
-
-    def mean(field: str) -> float:
-        values = [getattr(s, field) for s in scores]
-        return math.fsum(values) / len(values)
-
-    return RougeScore(mean("recall"), mean("precision"), mean("f1"), mean("soft_match_count"),
-                      round(mean("ref_total")), scores[0].cand_total)
-
-
-def oracle_rouge_score(cand: TokenSequence, refs: Sequence[TokenSequence],
-                       variant: RougeVariant, multiref: str = "average") -> RougeScore:
-    """``rouge_score`` under exact matching, one reference at a time."""
+def oracle_fields(cand: Words, refs: Sequence[Words], variant: RougeVariant,
+                  multiref: str = "average") -> tuple[float, ...]:
+    """Every ``RougeScore`` field of the candidate under exact matching, one
+    reference at a time, as ``score_fields`` gives it: each the ``fsum`` of
+    the references' or the folds' values over their number, the unit
+    totals too."""
     cand_units = units(cand, variant)
     per_ref = []
     for ref in refs:
         ref_units = units(ref, variant)
         per_ref.append(score_pair(float(clipped_count(cand_units, ref_units)),
                                   ref_units.total(), cand_units.total()))
-    if multiref == "average" or len(per_ref) == 1:
-        return _mean(per_ref)
-    folds = [max((s for i, s in enumerate(per_ref) if i != left_out),
-                 key=lambda s: (s.f1, s.recall, s.precision))
-             for left_out in range(len(per_ref))]
-    return _mean(folds)
+    if multiref == "jackknife" and len(per_ref) > 1:
+        per_ref = [max((s for i, s in enumerate(per_ref) if i != left_out),
+                       key=lambda s: (s.f1, s.recall, s.precision))
+                   for left_out in range(len(per_ref))]
+    return tuple(math.fsum(values) / len(values) for values in zip(*map(astuple, per_ref)))
+
+
+def oracle_rouge_score(cand: Words, refs: Sequence[Words], variant: RougeVariant,
+                       multiref: str = "average") -> RougeScore:
+    """``rouge_score`` under exact matching: ``oracle_fields`` with the unit
+    totals rounded."""
+    *scores, ref_total, cand_total = oracle_fields(cand, refs, variant, multiref)
+    return RougeScore(*scores, round(ref_total), round(cand_total))

@@ -26,7 +26,7 @@ from rougewe.rouge import (
     MatchFunction,
     rouge_score,
 )
-from rougewe.textpipe import TokenSequence, tokenize
+from rougewe.textpipe import tokenize
 
 from conftest import build_synthetic_corpus, identity_table, save_binary
 from greedy_oracle import greedy_soft_overlap, pair_similarity
@@ -49,8 +49,8 @@ def test_criterion_1_identity_embedding_oracle():
     start = time.monotonic()
     worst = 0.0
     for _ in range(1000):
-        cand = TokenSequence(tuple(rng.choice(vocab, size=rng.integers(0, 31))))
-        ref = TokenSequence(tuple(rng.choice(vocab, size=rng.integers(1, 31))))
+        cand = tuple(rng.choice(vocab, size=rng.integers(0, 31)))
+        ref = tuple(rng.choice(vocab, size=rng.integers(1, 31)))
         for variant in variants:
             a = rouge_score(cand, [ref], variant, exact)
             b = rouge_score(cand, [ref], variant, we)

@@ -1,5 +1,6 @@
 """Golden reports: ``meta-eval`` on a fixed synthetic corpus must write the
-committed ``report.csv`` and ``report.json`` byte for byte.
+committed ``report.csv`` and ``report.json`` byte for byte, and the same
+bytes whatever the hash seed or the order its input files were made in.
 
 The WE run uses a 16-d +-1/4 sign table written by ``conftest.save_binary``.
 Its cosines are multiples of 1/8, exact in any summation order, so the
@@ -15,7 +16,10 @@ Regenerate the goldens (only when a report change is intended) with
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -23,6 +27,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import rougewe
 from rougewe.cli import main
 
 from conftest import build_synthetic_corpus, save_binary, sign_table
@@ -96,6 +101,38 @@ def test_reports_match_golden_bytes(golden_root, name):
     csv_bytes, json_bytes = run_reports(golden_root, name)
     assert csv_bytes == (DATA / f"golden_{name}" / "report.csv").read_bytes()
     assert json_bytes == (DATA / f"golden_{name}" / "report.json").read_bytes()
+
+
+def test_identical_invocations_give_identical_bytes(tmp_path):
+    """``meta-eval`` of both golden runs' metrics at once, in fresh
+    processes under ``PYTHONHASHSEED`` 0 and 1, and on a copy of the inputs
+    whose files were created in reverse order, writes the same
+    ``report.csv``, ``report.json``, stdout and stderr, and exits 0 each
+    time. Every run names its inputs by the same relative paths and writes
+    to the same ``--out``, which ``report.json`` echoes."""
+    inputs, backwards, out = tmp_path / "inputs", tmp_path / "backwards", tmp_path / "out"
+    inputs.mkdir()
+    build_inputs(inputs)
+    config = {**RUNS["we"], "metrics": RUNS["exact"]["metrics"] + RUNS["we"]["metrics"]}
+    (inputs / "both.json").write_text(json.dumps(config), encoding="utf-8")
+    for path in sorted(inputs.rglob("*"), reverse=True):
+        if path.is_file():
+            copy = backwards / path.relative_to(inputs)
+            copy.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(path, copy)
+    args = [sys.executable, "-m", "rougewe.cli", "meta-eval", "--corpus", "corpus",
+            "--judgments", "judgments.csv", "--out", str(out), "--config", "both.json"]
+    runs = []
+    for root, seed in ((inputs, "0"), (inputs, "1"), (backwards, "0")):
+        shutil.rmtree(out, ignore_errors=True)
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": str(Path(rougewe.__file__).parents[1])}
+        done = subprocess.run(args, cwd=root, env=env, capture_output=True,
+                              stdin=subprocess.DEVNULL)
+        runs.append((done.returncode, done.stdout, done.stderr,
+                     *((out / name).read_bytes() for name in ("report.csv", "report.json"))))
+    assert runs[0][0] == 0, runs[0][2].decode(errors="replace")
+    assert runs[1:] == runs[:1] * 2
 
 
 def _regenerate() -> None:

@@ -41,11 +41,12 @@ def test_names_the_benchmark_reaches_into():
     times the scoring window by rebinding ``score_corpus`` in every module
     that holds ``harness.score_corpus``, of which the CLI calls its own
     name; its tracer rebinds ``EmbeddingTable.compose``; and its sample
-    check passes ``tokenize`` a ``source_id`` and reads four ``RougeScore``
+    check passes ``tokenize`` a ``source_id``, hands ``rouge_score`` the
+    tuples of words ``tokenize`` returns, and reads four ``RougeScore``
     fields. If one of them goes, what breaks is the tier-1 self-test's
     traced quick run, or, for ``score_corpus``, the timing of every round.
-    ``compose`` is ``compose_many`` of one unit; only its name waits for
-    ROADMAP item 1."""
+    ``compose`` is ``compose_many`` of one unit and ``tokenize`` ignores
+    ``source_id``; only their names wait for ROADMAP item 1."""
     missing = []
     if getattr(cli, "score_corpus", None) is not harness.score_corpus:
         missing.append("cli's name score_corpus for harness.score_corpus")
@@ -222,12 +223,13 @@ def test_readers_finds_a_planted_second_driver():
 def test_one_scoring_driver():
     """Only the harness scores and builds matchers: ``score`` and
     ``meta-eval`` both go through it, and the CLI codes nothing itself.
-    ``rouge.py`` reads ``score_fields`` too, as ``score_batch``, the
-    per-pair API, wraps it, and ``rouge_score`` is a batch of one."""
+    ``rouge.py`` reads ``score_fields`` too, as ``rouge_score``, the
+    per-pair API, calls it with its one metric; ``score_batch``, a second
+    per-pair entry that wrapped it, is read by no module."""
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in Path(rougewe.__file__).parent.glob("*.py")}
     assert readers(sources, ["score_fields", "score_batch", "match_function"]) == {
-        "score_fields": ["harness.py", "rouge.py"], "score_batch": ["rouge.py"],
+        "score_fields": ["harness.py", "rouge.py"], "score_batch": [],
         "match_function": ["harness.py"]}
     assert readers({"cli.py": sources["cli.py"]}, ["encode", "score_fields"]) == {
         "encode": [], "score_fields": []}

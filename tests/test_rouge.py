@@ -28,17 +28,17 @@ from rougewe.rouge import (
     _UnitCodes,
     _row_means,
     rouge_score,
-    score_batch,
     score_fields,
 )
-from rougewe.textpipe import TokenSequence, encode_tokens, tokenize
+from rougewe.textpipe import encode_tokens, tokenize
 
-from conftest import batch_scorer, identity_table, make_table, sign_table, soft_overlap
-from exact_oracle import clipped_count, oracle_rouge_score, units
+from conftest import (batch_scorer, field_columns, identity_table, make_table, sign_table,
+                      soft_overlap)
+from exact_oracle import Words, clipped_count, oracle_fields, oracle_rouge_score, units
 from greedy_oracle import _greedy_consume, greedy_soft_overlap, pair_similarity
 
 
-def seq(text: str) -> TokenSequence:
+def seq(text: str) -> Words:
     return tokenize(text)
 
 
@@ -313,9 +313,7 @@ class TestTieBreak:
     @pytest.mark.parametrize("cand, ref", [("q p", "x y"), ("y x", "q p"), ("p q", "y x")])
     def test_groups_are_taken_in_sorted_order(self, cand, ref):
         match = MatchFunction.we(self.TABLE)
-        score_cands, cands = batch_scorer([seq(ref)], [seq(cand)], ROUGE_1, match)
-        [score] = score_cands(cands)
-        assert score.soft_match_count == 0.5
+        assert rouge_score(seq(cand), [seq(ref)], ROUGE_1, match).soft_match_count == 0.5
         assert greedy_soft_overlap(units(seq(cand), ROUGE_1),
                                    units(seq(ref), ROUGE_1), pair_similarity(match)) == 0.5
 
@@ -412,7 +410,16 @@ class TestRougeScore:
         words, ids = encode_tokens([seq("a b"), seq("a c")])
         match = MatchFunction.we(make_table({"a": [1, 0], "b": [0, 1]}))
         with pytest.raises(ValueError, match="embedding matching needs each word's table row"):
-            score_batch(ids[:1], ids[1:], ROUGE_1, match)
+            score_fields(ids[:1], ids[1:], [(ROUGE_1, match, "average", SCORE_FIELDS)])
+
+    @pytest.mark.parametrize("cand, refs, name", [
+        ("a b", [seq("a b")], "cand"),
+        (seq("a b"), [seq("a"), "a b"], "refs\\[1\\]"),
+    ], ids=["candidate", "reference"])
+    def test_a_str_in_place_of_words_fails(self, cand, refs, name):
+        # A str would otherwise be scored as a sequence of one-letter words.
+        with pytest.raises(TypeError, match=f"^{name} is a str; pass its words"):
+            rouge_score(cand, refs, ROUGE_1, MatchFunction.exact())
 
     def test_empty_candidate_scores_zero(self):
         score = rouge_score(seq(""), [seq("a b")], ROUGE_1, MatchFunction.exact())
@@ -457,7 +464,7 @@ def token_pair(draw):
     vocab = "abcdefgh"
     cand = draw(st.lists(st.sampled_from(vocab), max_size=15))
     ref = draw(st.lists(st.sampled_from(vocab), min_size=1, max_size=15))
-    return TokenSequence(tuple(cand)), TokenSequence(tuple(ref))
+    return tuple(cand), tuple(ref)
 
 
 class TestScoreProperties:
@@ -473,7 +480,7 @@ class TestScoreProperties:
     @given(token_pair(), st.sampled_from([ROUGE_1, ROUGE_2, ROUGE_SU4]))
     def test_swap_exchanges_recall_precision(self, pair, variant):
         cand, ref = pair
-        if len(cand.tokens) == 0:
+        if len(cand) == 0:
             return
         forward = rouge_score(cand, [ref], variant, MatchFunction.exact())
         backward = rouge_score(ref, [cand], variant, MatchFunction.exact())
@@ -529,11 +536,10 @@ def hadamard_table(classes: dict[str, int]) -> EmbeddingTable:
 # 40 words in 12 synonym classes, and 4 words the table does not hold.
 CLASS_WORDS = [f"w{i:02d}" for i in range(40)]
 HADAMARD_WORDS = CLASS_WORDS + ["oov0", "oov1", "oov2", "oov3"]
-hadamard_summaries = st.lists(st.sampled_from(HADAMARD_WORDS), max_size=14).map(
-    lambda w: TokenSequence(tuple(w)))
+hadamard_summaries = st.lists(st.sampled_from(HADAMARD_WORDS), max_size=14).map(tuple)
 
 
-def class_units(seq: TokenSequence, variant: RougeVariant, classes: dict[str, int],
+def class_units(seq: Words, variant: RougeVariant, classes: dict[str, int],
                 policy: str) -> Counter:
     """The units of ``seq`` keyed by their length and the XOR of their words'
     classes; an out-of-vocabulary unit by its words under exact-fallback,
@@ -574,26 +580,23 @@ EXACT_VARIANTS = [RougeVariant.parse(f"rouge-{n}") for n in range(1, 10)] + [
 # Summaries of one-letter words. Few words, so units repeat within and
 # across summaries; or up to 40 tokens over 15 words, so a topic has
 # hundreds of columns.
-summaries = (st.text("abcd", max_size=6) | st.text("abcdefghijklmno", max_size=40)).map(
-    lambda w: TokenSequence(tuple(w)))
+summaries = (st.text("abcd", max_size=6) | st.text("abcdefghijklmno", max_size=40)).map(tuple)
 # Candidates also hold words that no reference can.
 cand_summaries = (st.text("abcdxy", max_size=6)
-                  | st.text("abcdefghijklmnoxy", max_size=40)).map(
-    lambda w: TokenSequence(tuple(w)))
+                  | st.text("abcdefghijklmnoxy", max_size=40)).map(tuple)
 
 
 @st.composite
 def batches(draw):
     """Candidates with an empty one and a one-token one among them."""
     cands = draw(st.lists(cand_summaries, max_size=8))
-    for short in (TokenSequence(()), TokenSequence((draw(st.sampled_from("ax")),))):
+    for short in ((), (draw(st.sampled_from("ax")),)):
         cands.insert(draw(st.integers(0, len(cands))), short)
     return cands
 
 
 # The same under embedding matching, with out-of-vocabulary words too.
-we_summaries = st.lists(st.sampled_from(UNIT_WORDS), max_size=6).map(
-    lambda w: TokenSequence(tuple(w)))
+we_summaries = st.lists(st.sampled_from(UNIT_WORDS), max_size=6).map(tuple)
 
 
 def column_units(codes: _UnitCodes, words: list[str]) -> dict[int, tuple[str, ...]]:
@@ -616,11 +619,12 @@ class TestExactEngineMatchesOracle:
            variant=st.sampled_from(EXACT_VARIANTS),
            multiref=st.sampled_from(["average", "jackknife"]))
     @settings(max_examples=400, deadline=None)
-    def test_score_batch(self, cand, refs, variant, multiref):
+    def test_score_one_candidate(self, cand, refs, variant, multiref):
         score, cands = batch_scorer(refs, [cand], variant, MatchFunction.exact(), multiref)
-        expected = oracle_rouge_score(cand, refs, variant, multiref)
-        assert score(cands) == [expected]
-        assert rouge_score(cand, refs, variant, MatchFunction.exact(), multiref) == expected
+        expected = oracle_fields(cand, refs, variant, multiref)
+        assert np.array_equal(score(cands), field_columns([expected]))
+        assert (rouge_score(cand, refs, variant, MatchFunction.exact(), multiref)
+                == oracle_rouge_score(cand, refs, variant, multiref))
 
     @given(cands=batches(), refs=st.lists(summaries, min_size=1, max_size=4),
            variant=st.sampled_from(EXACT_VARIANTS),
@@ -630,10 +634,10 @@ class TestExactEngineMatchesOracle:
         # A batch's count matrix sets the budget for the dense lookup tables:
         # batches of one mostly search, and the whole batch mostly gathers.
         score, ids = batch_scorer(refs, cands, variant, MatchFunction.exact(), multiref)
-        expected = [oracle_rouge_score(cand, refs, variant, multiref) for cand in cands]
-        assert [score([cand])[0] for cand in ids] == expected
-        assert score(ids) == expected
-        assert score([]) == []
+        expected = field_columns([oracle_fields(cand, refs, variant, multiref) for cand in cands])
+        assert np.array_equal(np.hstack([score([cand]) for cand in ids]), expected)
+        assert np.array_equal(score(ids), expected)
+        assert np.array_equal(score([]), field_columns([]))
 
     @given(cands=st.lists(we_summaries, max_size=6),
            refs=st.lists(we_summaries, min_size=1, max_size=4),
@@ -646,8 +650,9 @@ class TestExactEngineMatchesOracle:
                                                    table_seed, policy):
         match = MatchFunction.we(sign_table(table_seed, TABLE_WORDS), oov_policy=policy)
         score, ids = batch_scorer(refs, cands, variant, match, multiref)
-        assert score(ids) == [score([cand])[0] for cand in ids]
-        assert score([]) == []
+        alone = np.hstack([field_columns([]), *(score([cand]) for cand in ids)])
+        assert np.array_equal(score(ids), alone)
+        assert np.array_equal(score([]), field_columns([]))
 
     @given(cand=summaries, ref=summaries, variant=st.sampled_from(EXACT_VARIANTS))
     @settings(max_examples=200, deadline=None)
@@ -738,7 +743,8 @@ class TestExactEngineMatchesOracle:
                 return made[-1]
 
             with mock.patch.object(rouge, "_UnitCodes", keep):
-                score_batch(refs, batch, variant, MatchFunction.exact())
+                score_fields(refs, batch, [(variant, MatchFunction.exact(), "average",
+                                            SCORE_FIELDS)])
             return made
 
         alone = coders([])
@@ -836,16 +842,12 @@ class TestExactEdgeCases:
     def test_empty_candidate(self):
         score_cands, cands = batch_scorer([seq("a b c"), seq("a d")], [seq("")], ROUGE_1,
                                           MatchFunction.exact())
-        [score] = score_cands(cands)
-        assert (score.recall, score.precision, score.f1, score.soft_match_count) == (0, 0, 0, 0)
-        assert (score.ref_total, score.cand_total) == (round(2.5), 0)
+        assert np.array_equal(score_cands(cands), field_columns([(0, 0, 0, 0, 2.5, 0)]))
 
     def test_candidate_sharing_no_unit(self):
         score_cands, cands = batch_scorer([seq("a b c"), seq("a d")], [seq("x y x y")], ROUGE_2,
                                           MatchFunction.exact())
-        [score] = score_cands(cands)
-        assert score.soft_match_count == 0.0
-        assert score.cand_total == 3
+        assert np.array_equal(score_cands(cands), field_columns([(0, 0, 0, 0, 1.5, 3)]))
 
     def test_references_shorter_than_n(self):
         words, ids = encode_tokens([seq("a b"), seq("a"), seq(""), seq("a b a b")])
@@ -854,9 +856,9 @@ class TestExactEdgeCases:
         # No code reaches a unit's third word, so the sink is the only column.
         assert column_units(codes, words) == {}
         assert codes.counts.tolist() == [[0], [0], [0], [0]]
-        [score] = score_batch(ids[:3], ids[3:], variant, MatchFunction.exact())
-        assert (score.recall, score.precision, score.soft_match_count) == (0.0, 0.0, 0.0)
-        assert (score.ref_total, score.cand_total) == (0, 2)
+        [scores] = score_fields(ids[:3], ids[3:], [(variant, MatchFunction.exact(), "average",
+                                                    SCORE_FIELDS)])
+        assert np.array_equal(scores, field_columns([(0, 0, 0, 0, 0, 2)]))
 
     def test_lookup_tables_follow_the_batch_budget(self):
         # Six words and seven bigram columns: the 7 x 7 int32 table (196
@@ -867,12 +869,12 @@ class TestExactEdgeCases:
         refs = [seq("a b c d e f"), seq("b c a f")]
         cands = [seq("a b c a f"), seq("x b c"), seq(""), seq("f e d c b a")]
         score, ids = batch_scorer(refs, cands, ROUGE_2, MatchFunction.exact())
-        expected = [oracle_rouge_score(cand, refs, ROUGE_2) for cand in cands]
+        expected = field_columns([oracle_fields(cand, refs, ROUGE_2) for cand in cands])
         with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
             for batch, searches in ((slice(0), 1), (slice(0, 1), 1), (slice(None), 0),
                                     (slice(1, 2), 1)):
                 search.reset_mock()
-                assert score(ids[batch]) == expected[batch]
+                assert np.array_equal(score(ids[batch]), expected[:, batch])
                 assert search.call_count == searches
 
     def test_soft_overlap_counts_above_one(self):
@@ -886,8 +888,9 @@ class TestExactEdgeCases:
         codes = _UnitCodes(ids, ROUGE_1, 3)
         assert column_units(codes, words) == {1: ("a",), 2: ("b",), 3: ("c",)}
         assert codes.counts.tolist() == [[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 1, 1], [0, 0, 0, 2]]
-        [score] = score_batch(ids[:3], ids[3:], ROUGE_1, MatchFunction.exact())
-        assert score.soft_match_count == (0 + 1 + 1) / 3
+        [scores] = score_fields(ids[:3], ids[3:], [(ROUGE_1, MatchFunction.exact(), "average",
+                                                    ["soft_match_count"])])
+        assert scores.tolist() == [[(0 + 1 + 1) / 3]]
 
 
 class TestCostFollowsText:
@@ -903,8 +906,7 @@ class TestCostFollowsText:
         rng = random.Random(0)
         texts = [rng.choices(words, k=rng.randint(longest // 2, longest))
                  for _ in range(3 + n_cands)] + [rng.choices(words, k=longest)]
-        refs, cands = ([TokenSequence(tuple(text)) for text in part]
-                       for part in (texts[-4:], texts[:-4]))
+        refs, cands = ([tuple(text) for text in part] for part in (texts[-4:], texts[:-4]))
         # Every skip-bigram of a summary is within ``longest`` places; no
         # summary holds an n-gram past ``longest`` words.
         names = ((f"rouge-su{longest}", f"rouge-su{4 * longest}") if family == "su"
@@ -914,7 +916,7 @@ class TestCostFollowsText:
             tracemalloc.start()
             try:
                 score, ids = batch_scorer(refs, cands, RougeVariant.parse(name), matcher)
-                scores.append(score(ids))
+                scores.append(score(ids).tolist())
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

@@ -11,7 +11,6 @@ from rougewe.textpipe import (
     DEFAULT_CONFIG,
     InputError,
     TokenizeConfig,
-    TokenSequence,
     encode,
     encode_tokens,
     load_stopwords,
@@ -26,45 +25,45 @@ BOM = "\ufeff".encode("utf-8")
 
 class TestTokenize:
     def test_default_lowercase_and_punctuation(self):
-        assert tokenize("It is raining heavily.").tokens == ("it", "is", "raining", "heavily")
+        assert tokenize("It is raining heavily.") == ("it", "is", "raining", "heavily")
 
     def test_empty_input(self):
-        assert tokenize("").tokens == ()
-        assert tokenize("   \t\n ").tokens == ()
+        assert tokenize("") == ()
+        assert tokenize("   \t\n ") == ()
 
     def test_plain_words(self):
-        assert tokenize("It is pouring").tokens == ("it", "is", "pouring")
+        assert tokenize("It is pouring") == ("it", "is", "pouring")
 
     def test_strips_wrapping_punctuation_keeps_inner(self):
-        assert tokenize('("Hello," she said -- don\'t!)').tokens == ("hello", "she", "said", "don't")
+        assert tokenize('("Hello," she said -- don\'t!)') == ("hello", "she", "said", "don't")
 
     def test_pure_punctuation_chunks_vanish(self):
-        assert tokenize("a -- b ... !!").tokens == ("a", "b")
+        assert tokenize("a -- b ... !!") == ("a", "b")
 
     def test_always_lowercases(self):
         """No setting keeps case: the embedding loaders key every word lowercased."""
-        assert tokenize("It IS", TokenizeConfig(stem=False)).tokens == ("it", "is")
+        assert tokenize("It IS", TokenizeConfig(stem=False)) == ("it", "is")
         with pytest.raises(TypeError):
             TokenizeConfig(lowercase=False)
 
     def test_stopword_removal(self):
         config = TokenizeConfig(stopwords=frozenset({"it", "is"}))
-        assert tokenize("It is raining heavily.", config).tokens == ("raining", "heavily")
+        assert tokenize("It is raining heavily.", config) == ("raining", "heavily")
 
     def test_stemming(self):
         config = TokenizeConfig(stem=True)
-        assert tokenize("running dogs pounced", config).tokens == ("run", "dog", "pounc")
+        assert tokenize("running dogs pounced", config) == ("run", "dog", "pounc")
 
     def test_same_word_is_one_object_across_texts(self):
         # Both texts build "raining" afresh: one by lowercasing, one by
         # stripping a comma.
-        first = tokenize("It is RAINING heavily").tokens[2]
-        second = tokenize("raining, pouring").tokens[0]
+        first = tokenize("It is RAINING heavily")[2]
+        second = tokenize("raining, pouring")[0]
         assert first == second == "raining"
         assert first is second
 
-    def test_source_id_carried(self):
-        assert tokenize("x", source_id="sys1").source_id == "sys1"
+    def test_source_id_is_ignored(self):
+        assert tokenize("x y", source_id="sys1") == ("x", "y")
 
     def test_load_stopwords(self, tmp_path):
         path = tmp_path / "stop.txt"
@@ -74,8 +73,8 @@ class TestTokenize:
     @given(st.text(max_size=200))
     def test_idempotent_on_own_output(self, raw):
         first = tokenize(raw)
-        again = tokenize(" ".join(first.tokens))
-        assert again.tokens == first.tokens
+        again = tokenize(" ".join(first))
+        assert again == first
 
     @given(st.text(max_size=200))
     def test_tokens_are_clean(self, raw):
@@ -86,7 +85,7 @@ class TestTokenize:
     def test_idempotent_with_stopwords(self):
         config = TokenizeConfig(stopwords=frozenset({"the"}))
         first = tokenize("The cat, the hat.", config)
-        assert tokenize(" ".join(first.tokens), config).tokens == first.tokens
+        assert tokenize(" ".join(first), config) == first
 
 
 # Texts made of words that stemming or a stopword list changes, words whose
@@ -111,7 +110,7 @@ class TestEncode:
     @settings(max_examples=200, deadline=None)
     def test_decodes_to_tokenize(self, texts, config):
         words, ids = encode(texts, config)
-        tokens = [tokenize(text, config).tokens for text in texts]
+        tokens = [tokenize(text, config) for text in texts]
         assert words == sorted(set().union(*tokens))
         assert [tuple(words[i] for i in text.tolist()) for text in ids] == tokens
         assert all(text.dtype == np.int32 for text in ids)
@@ -125,8 +124,7 @@ class TestEncode:
             assert (words, [text.tolist() for text in ids]) == want
 
     def test_token_sequences(self):
-        seqs = [TokenSequence(("b", "A,", "b")), TokenSequence(()), TokenSequence(("A,",))]
-        words, ids = encode_tokens(seqs)
+        words, ids = encode_tokens(iter([("b", "A,", "b"), (), ["A,"]]))
         assert words == ["A,", "b"]
         assert [text.tolist() for text in ids] == [[1, 0, 1], [], [0]]
 
@@ -161,12 +159,12 @@ class TestReadText:
         assert isinstance(err.value.__cause__, OSError)
 
 
-def ngram_units(seq: TokenSequence, n: int) -> Counter:
+def ngram_units(seq: tuple[str, ...], n: int) -> Counter:
     """The exact oracle's ROUGE-n units."""
     return units(seq, RougeVariant("n", n=n))
 
 
-def skip_bigram_units(seq: TokenSequence, max_skip: int) -> Counter:
+def skip_bigram_units(seq: tuple[str, ...], max_skip: int) -> Counter:
     """The exact oracle's ROUGE-SU units less the unigrams they pool."""
     return Counter({unit: k for unit, k in units(seq, RougeVariant("su", max_skip=max_skip)).items()
                     if len(unit) == 2})
@@ -177,16 +175,16 @@ class TestExtractNgrams:
     that the engine's coded units are checked against."""
 
     def test_bigrams(self):
-        ms = ngram_units(TokenSequence(("it", "is", "pouring")), 2)
+        ms = ngram_units(("it", "is", "pouring"), 2)
         assert ms == {("it", "is"): 1, ("is", "pouring"): 1}
 
     def test_multiplicity(self):
-        ms = ngram_units(TokenSequence(("a", "a", "a")), 1)
+        ms = ngram_units(("a", "a", "a"), 1)
         assert ms == {("a",): 3}
         assert ms.total() == 3
 
     def test_four_token_bigrams(self):
-        ms = ngram_units(TokenSequence(("police", "killed", "the", "gunman")), 2)
+        ms = ngram_units(("police", "killed", "the", "gunman"), 2)
         assert ms == {
             ("police", "killed"): 1,
             ("killed", "the"): 1,
@@ -194,19 +192,19 @@ class TestExtractNgrams:
         }
 
     def test_pooled_units_sum_counts(self):
-        left = ngram_units(TokenSequence(("a", "b")), 1)
-        right = ngram_units(TokenSequence(("b", "c")), 1)
+        left = ngram_units(("a", "b"), 1)
+        right = ngram_units(("b", "c"), 1)
         left.update(right)
         assert left == {("a",): 1, ("b",): 2, ("c",): 1}
         assert left.total() == 4
 
     def test_too_short_sequence(self):
-        assert ngram_units(TokenSequence(("a",)), 2).total() == 0
-        assert ngram_units(TokenSequence(()), 1).total() == 0
+        assert ngram_units(("a",), 2).total() == 0
+        assert ngram_units((), 1).total() == 0
 
     @given(st.lists(st.sampled_from("abcde"), max_size=30), st.integers(1, 5))
     def test_total_formula(self, tokens, n):
-        seq = TokenSequence(tuple(tokens))
+        seq = tuple(tokens)
         assert ngram_units(seq, n).total() == max(0, len(tokens) - n + 1)
 
 
@@ -215,7 +213,7 @@ class TestExtractSkipBigrams:
     of length 2."""
 
     def test_all_pairs_within_skip(self):
-        ms = skip_bigram_units(TokenSequence(("police", "killed", "the", "gunman")), 4)
+        ms = skip_bigram_units(("police", "killed", "the", "gunman"), 4)
         assert ms.total() == 6
         assert ms == {
             ("police", "killed"): 1,
@@ -227,25 +225,25 @@ class TestExtractSkipBigrams:
         }
 
     def test_adjacent_only(self):
-        ms = skip_bigram_units(TokenSequence(("a", "b")), 0)
+        ms = skip_bigram_units(("a", "b"), 0)
         assert ms == {("a", "b"): 1}
 
     def test_single_token_no_pairs(self):
-        assert skip_bigram_units(TokenSequence(("a",)), 4).total() == 0
+        assert skip_bigram_units(("a",), 4).total() == 0
 
     def test_window_larger_than_sequence(self):
-        seq = TokenSequence(("a", "b", "c"))
+        seq = ("a", "b", "c")
         assert skip_bigram_units(seq, 10**12) == skip_bigram_units(seq, 1)
 
     @given(st.lists(st.sampled_from("abc"), min_size=2, max_size=20))
     def test_unbounded_skip_total(self, tokens):
-        seq = TokenSequence(tuple(tokens))
+        seq = tuple(tokens)
         n = len(tokens)
         assert skip_bigram_units(seq, n - 2).total() == n * (n - 1) // 2
 
     @given(st.lists(st.sampled_from("abc"), max_size=20))
     def test_zero_skip_equals_bigrams_modulo_gap(self, tokens):
-        seq = TokenSequence(tuple(tokens))
+        seq = tuple(tokens)
         assert skip_bigram_units(seq, 0) == ngram_units(seq, 2)
 
     @settings(max_examples=100)
@@ -258,4 +256,4 @@ class TestExtractSkipBigrams:
             for j in range(i + 1, len(tokens))
             if j <= i + max_skip + 1
         )
-        assert skip_bigram_units(TokenSequence(tuple(tokens)), max_skip) == expected
+        assert skip_bigram_units(tuple(tokens), max_skip) == expected

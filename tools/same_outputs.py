@@ -29,17 +29,24 @@ summary or their error message, or either side fails to load a well-formed
 file or loads the malformed one. Each case also runs ``rougewe score`` of
 the first topic's first system against its model summaries, with the
 case's metric flags, on both sides, and fails if stdout, stderr or the exit
-code differ or either side exits nonzero. For each ``meta-eval`` case it
-also prints each side's peak RSS and minor page faults (``ru_maxrss`` and
-``ru_minflt`` from ``os.wait4``); they are for reading only and decide
-nothing.
+code differ or either side exits nonzero. For each workload and seed it
+also scores the sampled pairs of the inputs' ``expected.json`` through the
+library, ``rougewe.tokenize`` and then ``rougewe.rouge_score``, under the
+workload's match kind and OOV policy (PAIRS), on both sides, and fails if
+any field of any score differs in its ``repr`` or either side exits
+nonzero. For each ``meta-eval`` case it also prints each side's peak RSS
+and minor page faults (``ru_maxrss`` and ``ru_minflt`` from ``os.wait4``);
+they are for reading only and decide nothing. A child's ``ru_maxrss``
+counts the peak of this process, so this process holds no whole input.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
+import operator
 import os
 import shutil
 import struct
@@ -48,6 +55,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 TREE = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(TREE / "perfbench"))
@@ -88,6 +96,37 @@ print(json.dumps({"words": len(words),
                   "words_sha256": hashlib.sha256(json.dumps(words).encode()).hexdigest(),
                   "vectors_sha256": vectors.hexdigest(),
                   "load_summary": dataclasses.asdict(table.load_summary)}))
+"""
+# Prints, as one JSON line, the ``repr`` of every ``RougeScore`` field that
+# ``rouge_score`` gives each sampled pair of the ``expected.json`` argv[1] over
+# the corpus argv[2]: the system's summary against its sampled model summary
+# alone, as the benchmark's sample check scores it, and against all the
+# topic's model summaries under jackknife. Given the OOV policy argv[3] and the
+# vector file argv[4], it matches by embeddings, over the vectors of the
+# workload's vocabulary.
+PAIRS = """
+import dataclasses, json, sys
+from pathlib import Path
+import rougewe
+expected = json.load(open(sys.argv[1]))
+corpus = Path(sys.argv[2])
+match = rougewe.MatchFunction.exact()
+if len(sys.argv) > 3:
+    table = rougewe.load_binary(sys.argv[4], expected["vocab"])
+    match = rougewe.MatchFunction.we(table, oov_policy=sys.argv[3])
+def read(path):
+    return rougewe.tokenize(path.read_text(encoding="utf-8"), source_id=str(path))
+scores = []
+for want in expected["sample"]:
+    topic = corpus / want["topic"]
+    cand = read(topic / "systems" / f"{want['system']}.txt")
+    model = [read(topic / "models" / f"m{want['model']}.txt")]
+    models = [read(path) for path in sorted((topic / "models").glob("*.txt"))]
+    variant = rougewe.RougeVariant.parse(want["variant"])
+    for refs, multiref in ((model, "average"), (models, "jackknife")):
+        score = rougewe.rouge_score(cand, refs, variant, match, multiref)
+        scores.append([repr(value) for value in dataclasses.astuple(score)])
+print(json.dumps(scores))
 """
 # Entries of ``vectors.bin`` written as text: 23 blocks of the loaders' 218
 # 300-d rows, each load under a second on either side.
@@ -187,6 +226,23 @@ def load(src: Path, args: list[str]) -> dict[str, object]:
     return json.loads(done.stdout)
 
 
+def compare_pairs(rev_src: Path, args: list[str]) -> tuple[list[str], int]:
+    """The differences between REV's and this tree's PAIRS of ``args``, and
+    the number of scores compared."""
+    sides = {}
+    for side, src in (("REV", rev_src), ("tree", TREE / "src")):
+        done = subprocess.run([sys.executable, "-c", PAIRS, *args], capture_output=True,
+                              stdin=subprocess.DEVNULL, env={**os.environ, "PYTHONPATH": str(src)},
+                              text=True)
+        sides[side] = (json.loads(done.stdout) if done.returncode == 0
+                       else f"{side} exit code {done.returncode}: {done.stderr[-2000:]}")
+    problems = [got for got in sides.values() if isinstance(got, str)]
+    if not problems and sides["REV"] != sides["tree"]:
+        problems.append(f"different fields in {sum(map(operator.ne, *sides.values()))} of "
+                        f"{len(sides['REV'])} scores")
+    return problems, len(sides["REV"])
+
+
 def compare_loads(rev_src: Path, args: list[str], fails: bool) -> list[str]:
     """The differences between REV's and this tree's LOAD of ``args``, and
     each side's error, or, if the file ``fails`` to load, each side's table."""
@@ -203,29 +259,39 @@ def compare_loads(rev_src: Path, args: list[str], fails: bool) -> list[str]:
     return problems
 
 
+def text_lines(fh, dim: int) -> Iterator[str]:
+    """The entries of the binary vector file ``fh``, read past its header,
+    as text lines without their newline, one entry at a time."""
+    while True:
+        word = bytearray()
+        while (byte := fh.read(1)) != b" ":
+            if not byte:
+                return
+            if word or byte != b"\n":
+                word += byte
+        values = fh.read(4 * dim)
+        if len(values) < 4 * dim:
+            return
+        yield " ".join([word.decode("utf-8"), *map(repr, struct.unpack(f"<{dim}f", values))])
+
+
 def write_text_vectors(vectors: Path, root: Path) -> tuple[Path, Path, Path]:
     """Write the first TEXT_ENTRIES entries of the binary file ``vectors`` as
-    text: with a header line, without one, and with line NAN_LINE's first
-    value made a NaN and the next line's last value not a number."""
-    with open(vectors, "rb") as fh:
-        dim = int(fh.readline().split()[1])
-        data = fh.read(TEXT_ENTRIES * (4 * dim + 64))
-    lines: list[str] = []
-    pos = 0
-    while len(lines) < TEXT_ENTRIES:
-        while data[pos:pos + 1] == b"\n":
-            pos += 1
-        space = data.find(b" ", pos)
-        if space < 0 or space + 1 + 4 * dim > len(data):
-            break
-        values = struct.unpack_from(f"<{dim}f", data, space + 1)
-        lines.append(" ".join([data[pos:space].decode("utf-8"), *map(repr, values)]))
-        pos = space + 1 + 4 * dim
+    text, one line at a time: with a header line, without one, and with line
+    NAN_LINE's first value made a NaN and the next line's last value not a
+    number. Only the broken file's NAN_LINE + 1 lines are held at once."""
     headed, headerless, broken = root / "headed.txt", root / "headerless.txt", root / "broken.txt"
-    headed.write_text(f"{len(lines)} {dim}\n" + "".join(f"{line}\n" for line in lines),
-                      encoding="utf-8")
-    headerless.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
-    bad = lines[:NAN_LINE + 1]
+    bad: list[str] = []
+    with open(vectors, "rb") as fh, open(headerless, "w", encoding="utf-8") as out:
+        dim = int(fh.readline().split()[1])
+        entries = 0
+        for entries, line in enumerate(itertools.islice(text_lines(fh, dim), TEXT_ENTRIES), 1):
+            out.write(f"{line}\n")
+            if entries <= NAN_LINE + 1:
+                bad.append(line)
+    with open(headed, "w", encoding="utf-8") as out, open(headerless, encoding="utf-8") as lines:
+        out.write(f"{entries} {dim}\n")
+        shutil.copyfileobj(lines, out)
     word, _, values = bad[NAN_LINE - 1].partition(" ")
     bad[NAN_LINE - 1] = f"{word} nan {values.partition(' ')[2]}"
     bad[NAN_LINE] = bad[NAN_LINE].rpartition(" ")[0] + " oops"
@@ -275,6 +341,13 @@ def main() -> int:
                 problems = compare_score(work / "rev" / "src", score_args(args), work)
                 failing += bool(problems)
                 print(f"{case} score: {'; '.join(problems) or 'same outputs'}", flush=True)
+            pairs = [str(inputs / "expected.json"), str(inputs / "corpus")]
+            if WORKLOADS[workload].match == "we":
+                pairs += [WORKLOADS[workload].oov, str(inputs / "vectors.bin")]
+            problems, scores = compare_pairs(work / "rev" / "src", pairs)
+            failing += bool(problems)
+            print(f"{workload} seed {seed} rouge_score: "
+                  f"{'; '.join(problems) or f'same fields in all {scores} scores'}", flush=True)
             if WORKLOADS[workload].match == "we":
                 vocabulary = work / "vocabulary.json"
                 vocabulary.write_text(json.dumps(json.loads(
